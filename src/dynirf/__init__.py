@@ -8,9 +8,7 @@ from .special import (
     FunctionMode,
     InvalidParameterError,
     contour_integral,
-    erfc_real,
     f_eval,
-    q_pochhammer,
     theta,
 )
 from .symfunc import B_mu, D_nu, Signature
@@ -29,13 +27,11 @@ __all__ = [
     "Signature",
     "contour_integral",
     "enum_E",
-    "erfc_real",
     "exact_E",
     "f_eval",
     "mc_E",
     "pq_grid",
     "preset",
-    "q_pochhammer",
     "theta",
     "__version__",
 ]

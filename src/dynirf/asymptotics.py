@@ -22,7 +22,7 @@ import scipy.special
 from .identities import CheckReport
 from .observables import rising, ssep_falling_moment, ssep_mean_height
 from .samplers import exclusion_farm
-from .special import InvalidParameterError, erfc_real
+from .special import InvalidParameterError
 
 __all__ = [
     "RegimeSpec",
@@ -63,7 +63,7 @@ def H_profile(chi: float, tau: float) -> float:
     """The diffusive limit shape of the usual SSEP height."""
     if tau <= 0:
         raise InvalidParameterError("tau must be positive")
-    return math.sqrt(tau / math.pi) * math.exp(-chi * chi / (4 * tau)) - (chi / 2.0) * erfc_real(
+    return math.sqrt(tau / math.pi) * math.exp(-chi * chi / (4 * tau)) - (chi / 2.0) * math.erfc(
         chi / (2.0 * math.sqrt(tau))
     )
 

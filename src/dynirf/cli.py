@@ -25,7 +25,7 @@ from . import identities as idn
 from . import observables as obs
 from .params import IrfParams, load_config, preset, PRESET_NAMES
 from .special import FunctionMode, f_eval
-from .samplers import sample_irf, simulate_exclusion, step_exclusion_state
+from .samplers import sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 from .symfunc import skew_B_lattice, stoch_B_formula, stoch_B_sum
 from .weights import WeightContext, hat_ratio, weight
 
@@ -257,14 +257,14 @@ def _cmd_simulate(args) -> int:
             lines.append("traj,t,x,s")
             for i in range(args.trajectories):
                 st = simulate_exclusion(
-                    step_exclusion_state(args.model, rates), args.t, seed=args.seed ^ i, record=True
+                    step_exclusion_state(args.model, rates), args.t, trajectory_seed(args.seed, i), record=True
                 )
                 for (t, x, s) in st.events:
                     lines.append(f"{i},{t!r},{x},{s}")
         else:
             lines.append("traj,x,s")
             for i in range(args.trajectories):
-                st = simulate_exclusion(step_exclusion_state(args.model, rates), args.t, seed=args.seed ^ i)
+                st = simulate_exclusion(step_exclusion_state(args.model, rates), args.t, trajectory_seed(args.seed, i))
                 for x in range(st.lo, st.hi + 1):
                     lines.append(f"{i},{x},{st.value(x)}")
     elif args.model in ("irf", "dyn6v", "rational"):
@@ -273,7 +273,7 @@ def _cmd_simulate(args) -> int:
         )
         lines.append("traj,x,y,vout,hout")
         for i in range(args.trajectories):
-            st = sample_irf(params, args.cols, args.rows, seed=args.seed ^ i)
+            st = sample_irf(params, args.cols, args.rows, trajectory_seed(args.seed, i))
             for x in range(1, st.X + 1):
                 for y in range(1, st.Y + 1):
                     lines.append(f"{i},{x},{y},{st.vout[x, y]},{st.hout[x, y]}")

@@ -3,7 +3,9 @@
 Randomness is counter-based throughout: every variate is a pure hash of
 (seed, site/vertex, event counter), so trajectories are reproducible
 bit-for-bit regardless of scheduling, vectorization, or thread counts.
-Independent trajectories use seed XOR trajectory-index.
+Trajectory i of a run seeded s uses ``trajectory_seed(s, i)``, a SplitMix64
+hash of s and i as separate keys, so runs at different seeds share no
+trajectories (counter-based streams in the style of Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "QuadrantState",
     "ExclusionState",
     "uniform_hash",
+    "trajectory_seed",
     "sample_irf",
     "sample_irf_batch",
     "filling",
@@ -54,8 +57,7 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def uniform_hash(seed, *keys):
-    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe."""
+def _hash64(seed, *keys):
     with np.errstate(over="ignore"):
         if isinstance(seed, (int, np.integer)):
             h = _mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
@@ -64,8 +66,24 @@ def uniform_hash(seed, *keys):
         for k in keys:
             arr = np.asarray(k, dtype=np.int64).view(np.uint64)
             h = _mix((h ^ arr) & _M64)
-        out = (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return h
+
+
+def uniform_hash(seed, *keys):
+    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe."""
+    out = (_hash64(seed, *keys) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
     return out if out.shape else float(out)
+
+
+def trajectory_seed(seed, index):
+    """Seed of trajectory ``index`` in a run seeded ``seed``; array-safe.
+
+    The 64-bit hash of (seed, index) as two separate keys, as a signed
+    integer.  Unlike ``seed ^ index``, nearby seeds do not reuse each
+    other's trajectories.
+    """
+    out = _hash64(seed, index).view(np.int64)
+    return out if out.shape else int(out)
 
 
 @dataclass
@@ -172,7 +190,8 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
                 # outcomes: absorb up (b) or pass through (d)
                 p_turn = weight("D", i1, ctx, stochastic=True)
             p_val = complex(p_turn)
-            if abs(p_val.imag) > eps or p_val.real < -eps or p_val.real > 1 + eps:
+            # written so that a NaN weight fails too
+            if not (abs(p_val.imag) <= eps and -eps <= p_val.real <= 1 + eps):
                 raise PositivityError(f"weight {p_val} outside [0,1] at vertex ({x},{y})")
             u = uniform_hash(seed, x, y)
             turn = u < min(max(p_val.real, 0.0), 1.0)
@@ -189,7 +208,8 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     """Vectorized spin-1/2 sampler: all trajectories sweep together.
 
     Returns {"vout": (n_traj, X+1, Y+1), "hout": ...} with the same
-    per-trajectory values as ``sample_irf`` at seed XOR trajectory index.
+    per-trajectory values as ``sample_irf`` at ``trajectory_seed(seed, i)``
+    (also returned, as "seeds").
     Requires Lambda = 1 columns (the positivity presets).
     """
     if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
@@ -197,7 +217,7 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     two_eta = 2 * params.eta
     vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
-    seeds = np.arange(n_traj, dtype=np.int64) ^ np.int64(seed)
+    seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
     eps = 1e-9
     for y in range(1, Y + 1):
         lam_v = np.full(n_traj, params.lambda0 - two_eta * y, dtype=complex)
@@ -210,12 +230,13 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
             # probability that a horizontal arrow exits right: c at k=1 for
             # a fresh turn, d0 for a pass-through, d1 = 1 when the vertical
             # edge is occupied (spin-1/2 forces the crossing)
-            p_turn = np.where(carry == 0, np.where(i1 >= 1, c1, 0.0), np.where(i1 >= 1, d1, d0)).real
-            bad = (p_turn < -eps) | (p_turn > 1 + eps)
-            if bad.any():
-                raise PositivityError(f"weight outside [0,1] at vertex ({x},{y})")
+            p_turn = np.where(carry == 0, np.where(i1 >= 1, c1, 0.0), np.where(i1 >= 1, d1, d0))
+            ok = (np.abs(p_turn.imag) <= eps) & (p_turn.real >= -eps) & (p_turn.real <= 1 + eps)
+            if not ok.all():
+                bad = p_turn[~ok][0]
+                raise PositivityError(f"weight {bad} outside [0,1] at vertex ({x},{y})")
             u = uniform_hash(seeds, np.int64(x), np.int64(y))
-            turn = u < np.clip(p_turn, 0.0, 1.0)
+            turn = u < np.clip(p_turn.real, 0.0, 1.0)
             j2 = turn.astype(np.int64)  # turn == a horizontal arrow exits right
             i2 = i1 + carry - j2
             vout[:, x, y] = i2
@@ -392,34 +413,33 @@ def step_exclusion_state(kind: str, rate_params, half_width: int = 6) -> Exclusi
     return ExclusionState(kind, tuple(rate_params), lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
 
 
-def _rates(kind: str, rate_params, s_x: int):
-    """(down-rate, up-rate) of the height flip at one site."""
+def _rate(kind: str, rate_params, s_x: int, delta: int):
+    """Rate of the height flip s_x -> s_x + delta (delta = -2 down, +2 up).
+
+    Only the requested rate is formed: the down-rate's denominator
+    s_x - 1 + lambda_bar vanishes at s_x = 0, lambda_bar = 1, where only an
+    up-flip is possible.
+    """
     if kind == "asep":
         q, alpha = rate_params
-        down = q * (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x + 1))
-        up = (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x - 1))
-    else:
-        (lam_bar,) = rate_params
-        down = (s_x + lam_bar) / (s_x - 1 + lam_bar)
-        up = (s_x + lam_bar) / (s_x + 1 + lam_bar)
-    return down, up
+        if delta < 0:
+            return q * (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x + 1))
+        return (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x - 1))
+    (lam_bar,) = rate_params
+    return (s_x + lam_bar) / (s_x + delta // 2 + lam_bar)
 
 
 def _site_move(state: ExclusionState, x: int):
     """(delta, rate) of the unique admissible flip at x, or None."""
     s = state.value(x)
     left, right = state.value(x - 1), state.value(x + 1)
-    if left == s - 1 and right == s - 1:
-        down, up = _rates(state.kind, state.rate_params, s)
-        if down <= 0:
-            raise InvalidParameterError(f"nonpositive down-rate at site {x}")
-        return (-2, down)
-    if left == s + 1 and right == s + 1:
-        down, up = _rates(state.kind, state.rate_params, s)
-        if up <= 0:
-            raise InvalidParameterError(f"nonpositive up-rate at site {x}")
-        return (2, up)
-    return None
+    if left != right or abs(left - s) != 1:
+        return None
+    delta = 2 * (left - s)  # local max flips down, local min flips up
+    rate = _rate(state.kind, state.rate_params, s, delta)
+    if rate <= 0:
+        raise InvalidParameterError(f"nonpositive {'down' if delta < 0 else 'up'}-rate at site {x}")
+    return (delta, rate)
 
 
 def _grow_window(state: ExclusionState) -> None:
@@ -502,16 +522,16 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     """Vectorized direct Gillespie across trajectories; exact CTMC law.
 
     Returns an (n_traj, len(xs)) int array of s_x(T).  Each trajectory's
-    variates are keyed (seed ^ index, event number), so results do not
-    depend on the batch size.  The shared window grows whenever any
-    trajectory's disturbance approaches its edge.
+    variates are keyed (``trajectory_seed(seed, index)``, event number), so
+    results do not depend on the batch size.  The shared window grows
+    whenever any trajectory's disturbance approaches its edge.
     """
     step_exclusion_state(kind, rate_params)  # parameter validation
     W = half_width
     sites = np.arange(-W, W + 1)
     s = np.abs(np.broadcast_to(sites, (n_traj, sites.size))).astype(np.float64).copy()
     t = np.zeros(n_traj)
-    seeds = np.arange(n_traj, dtype=np.int64) ^ np.int64(seed)
+    seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
     counter = np.zeros(n_traj, dtype=np.int64)
     done = np.zeros(n_traj, dtype=bool)
 

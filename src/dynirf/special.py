@@ -13,12 +13,14 @@ one (tau -> +i*inf, and argument rescaling, respectively), and every
 formula downstream is written uniformly in f.
 
 All functions here accept numpy arrays for their principal argument and
-are pure; nothing in this module holds mutable state.
+are pure; the only state is a bounded cache of theta series tables, one
+per (tau, truncation index).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,8 +36,6 @@ __all__ = [
     "theta_deriv",
     "f_eval",
     "f_deriv0",
-    "q_pochhammer",
-    "erfc_real",
     "contour_integral",
 ]
 
@@ -45,7 +45,7 @@ class InvalidParameterError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to converge within the node cap.
+    """Quadrature failed to converge within the node or grid cap.
 
     Carries the last two estimates so the caller can inspect how far the
     doubling sequence got.
@@ -99,50 +99,63 @@ def _theta_index_cutoff(max_abs_im_z: float, im_tau: float, tol: float) -> int:
     return int(math.ceil(j)) + 3
 
 
+@functools.lru_cache(maxsize=256)
+def _theta_table(tau: complex, cap: int) -> tuple:
+    # (k_j, a_j) = (2*pi*i*(j+1/2), i*pi*tau*(j+1/2)^2) for j in [-cap, cap),
+    # so term j of the series at z is exp(a_j + k_j*(z+1/2)).  Keeping the
+    # exponent a_j rather than exp(a_j) avoids an underflowed coefficient
+    # times an overflowed exp(k_j*(z+1/2)) when |Im z| is large.
+    half = [j + 0.5 for j in range(-cap, cap)]
+    return tuple(2j * math.pi * h for h in half), tuple(1j * math.pi * tau * h * h for h in half)
+
+
+def _theta_series(z, tau, tol: float, order: int):
+    # -sum_j k_j^order exp(a_j + k_j*(z+1/2)): theta for order 0, its z
+    # derivative for order 1 (two extra terms cover the factor k_j).
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise InvalidParameterError(f"theta needs Im(tau) > 0, got tau={tau}")
+    if tol <= 0:
+        raise InvalidParameterError("tol must be positive")
+    if isinstance(z, (int, float, complex)):
+        # scalar fast path: pure cmath over the cached table, no numpy
+        w = z + 0.5
+        ks, exps = _theta_table(tau, _theta_index_cutoff(abs(w.imag), tau.imag, tol) + 2 * order)
+        exp = cmath.exp
+        total = 0j
+        if order:
+            for k, a in zip(ks, exps):
+                total += k * exp(a + k * w)
+        else:
+            for k, a in zip(ks, exps):
+                total += exp(a + k * w)
+        return -total
+    zarr = np.asarray(z, dtype=complex)
+    max_im = float(np.max(np.abs(zarr.imag))) if zarr.size else 0.0
+    ks, exps = _theta_table(tau, _theta_index_cutoff(max_im, tau.imag, tol) + 2 * order)
+    k = np.asarray(ks)[:, None]
+    terms = np.exp(np.asarray(exps)[:, None] + k * (zarr.reshape(-1) + 0.5))
+    if order:
+        terms *= k
+    out = -np.sum(terms, axis=0).reshape(zarr.shape)
+    return complex(out) if zarr.shape == () else out
+
+
 def theta(z, tau: complex, tol: float = 1e-14):
     """Odd theta series -sum_j exp(pi*i*(j+1/2)^2*tau + 2*pi*i*(j+1/2)*(z+1/2)).
 
     The sum is truncated over the symmetric index range |j+1/2| <= J with J
     chosen so the discarded tail is below ``tol`` in absolute value.
     Accepts scalar or ndarray ``z``; ``tau`` must have positive imaginary
-    part.
+    part.  Scalars are summed with ``cmath`` over a table cached per
+    (tau, J); arrays use the same table with numpy.
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise InvalidParameterError(f"theta needs Im(tau) > 0, got tau={tau}")
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    zarr = np.asarray(z, dtype=complex)
-    max_im = float(np.max(np.abs(zarr.imag))) if zarr.size else 0.0
-    cap = _theta_index_cutoff(max_im, tau.imag, tol)
-    half = np.arange(-cap, cap) + 0.5  # j + 1/2 for j in [-cap, cap)
-    expo = (
-        1j * math.pi * half[..., None] ** 2 * tau
-        + 2j * math.pi * half[..., None] * (zarr.reshape(-1) + 0.5)
-    )
-    out = -np.sum(np.exp(expo), axis=0).reshape(zarr.shape)
-    if np.isscalar(z) or zarr.shape == ():
-        return complex(out)
-    return out
+    return _theta_series(z, tau, tol, 0)
 
 
 def theta_deriv(z, tau: complex, tol: float = 1e-14):
     """d/dz of ``theta`` via the termwise-differentiated series."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise InvalidParameterError(f"theta needs Im(tau) > 0, got tau={tau}")
-    zarr = np.asarray(z, dtype=complex)
-    max_im = float(np.max(np.abs(zarr.imag))) if zarr.size else 0.0
-    cap = _theta_index_cutoff(max_im, tau.imag, tol) + 2
-    half = np.arange(-cap, cap) + 0.5
-    expo = (
-        1j * math.pi * half[..., None] ** 2 * tau
-        + 2j * math.pi * half[..., None] * (zarr.reshape(-1) + 0.5)
-    )
-    out = -np.sum(2j * math.pi * half[..., None] * np.exp(expo), axis=0).reshape(zarr.shape)
-    if np.isscalar(z) or zarr.shape == ():
-        return complex(out)
-    return out
+    return _theta_series(z, tau, tol, 1)
 
 
 def f_eval(mode: FunctionMode, z):
@@ -163,72 +176,6 @@ def f_deriv0(mode: FunctionMode) -> complex:
     if mode.kind == "rational":
         return 1.0
     return complex(theta_deriv(0.0, mode.tau))
-
-
-def q_pochhammer(x, q, n: int):
-    """(x; q)_n = (1-x)(1-qx)...(1-q^{n-1}x); the empty product (n=0) is 1."""
-    if n < 0:
-        raise InvalidParameterError("q_pochhammer needs n >= 0")
-    out = 1.0 + 0.0j
-    qk = 1.0 + 0.0j
-    for _ in range(n):
-        out *= 1.0 - qk * x
-        qk *= q
-    return out
-
-
-# Complementary error function.  Small arguments use the classical entire
-# series for erf; |x| >= 2 uses the Gauss continued fraction for
-# exp(x^2)*erfc(x), evaluated by the modified Lentz algorithm.  Both pieces
-# deliver ~1e-14 relative accuracy at double precision, comfortably inside
-# the 1e-12 contract.
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1))
-    term = x
-    total = x
-    n = 0
-    x2 = x * x
-    while abs(term) > 1e-18 * max(1.0, abs(total)):
-        n += 1
-        term *= -x2 / n
-        total += term / (2 * n + 1)
-        if n > 200:  # pragma: no cover - series converges long before this
-            break
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))));
-    # partial numerators i/2, partial denominators all x (Gauss continued
-    # fraction), evaluated by the modified Lentz algorithm.
-    f = x
-    c = x
-    d = 0.0
-    for i in range(1, 400):
-        a = i / 2.0
-        d = 1.0 / (x + a * d)
-        c = x + a / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) / f
-
-
-def erfc_real(x: float) -> float:
-    """Complementary error function on the real line, ~1e-14 accurate."""
-    x = float(x)
-    if x < 0:
-        return 2.0 - erfc_real(-x)
-    if x < 2.0:
-        return 1.0 - _erf_series(x)
-    if x > 27.0:
-        return 0.0  # below double-precision underflow of exp(-x^2)
-    return _erfc_cf(x)
 
 
 @dataclass(frozen=True)
@@ -253,6 +200,7 @@ class Circle:
 
 
 _MAX_GRID = 1 << 22  # evaluate tensor grids in chunks beyond this many points
+_MAX_LEVEL_POINTS = 1 << 26  # never evaluate a doubling level with a larger n**m grid
 
 
 def _grid_value(integrand: Callable, contours: Sequence[Circle], n: int) -> complex:
@@ -323,6 +271,28 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
     return complex(total / float(n**m))
 
 
+def _node_doubling(level_value: Callable, m: int, nodes: int, tol: float, node_cap: int) -> complex:
+    # Shared doubling loop: stop when two successive levels agree within tol
+    # relative to max(1, |estimate|); raise before evaluating a level beyond
+    # the per-variable node cap (past the first) or the n**m grid cap.
+    if nodes < 16:
+        raise InvalidParameterError("need at least 16 quadrature nodes")
+    n = int(nodes)
+    older = prev = None
+    while True:
+        if (prev is not None and n > node_cap) or n**m > _MAX_LEVEL_POINTS:
+            raise ConvergenceError(
+                f"contour quadrature did not converge: the next level, {n} nodes/variable in {m} "
+                f"variables, passes the cap of {node_cap} nodes/variable or {_MAX_LEVEL_POINTS} grid points",
+                estimates=(older, prev),
+            )
+        cur = level_value(n)
+        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
+            return cur
+        older, prev = prev, cur
+        n *= 2
+
+
 def contour_integral_factored(
     terms,
     contours: Sequence[Circle],
@@ -341,21 +311,9 @@ def contour_integral_factored(
 
     Same node-doubling policy as :func:`contour_integral`.
     """
-    if nodes < 16:
-        raise InvalidParameterError("need at least 16 quadrature nodes")
-    n = int(nodes)
-    prev = _factored_grid_value(terms, contours, n)
-    while True:
-        n *= 2
-        if n > node_cap:
-            raise ConvergenceError(
-                f"contour quadrature did not converge within {node_cap} nodes/variable",
-                estimates=(prev, None),
-            )
-        cur = _factored_grid_value(terms, contours, n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+    return _node_doubling(
+        lambda n: _factored_grid_value(terms, contours, n), len(contours), nodes, tol, node_cap
+    )
 
 
 def contour_integral(
@@ -374,21 +332,11 @@ def contour_integral(
 
     Nodes are doubled (all variables simultaneously) until two successive
     estimates agree within ``tol`` relative to max(1, |estimate|), starting
-    from ``nodes`` per circle; exceeding ``node_cap`` per variable raises
-    :class:`ConvergenceError` with the last two estimates attached.
+    from ``nodes`` per circle.  A level beyond ``node_cap`` per variable, or
+    with more than ``_MAX_LEVEL_POINTS`` tensor-grid points in all, is never
+    evaluated: :class:`ConvergenceError` is raised instead, with the last
+    two estimates attached.
     """
-    if nodes < 16:
-        raise InvalidParameterError("need at least 16 quadrature nodes")
-    n = int(nodes)
-    prev = _grid_value(integrand, contours, n)
-    while True:
-        n *= 2
-        if n > node_cap:
-            raise ConvergenceError(
-                f"contour quadrature did not converge within {node_cap} nodes/variable",
-                estimates=(prev, None),
-            )
-        cur = _grid_value(integrand, contours, n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+    return _node_doubling(
+        lambda n: _grid_value(integrand, contours, n), len(contours), nodes, tol, node_cap
+    )

@@ -48,6 +48,12 @@ class TestDeterminism:
         b = run_cli(*args, "--threads", "4")
         assert a.stdout == b.stdout and a.stdout.startswith("traj,x,s")
 
+    def test_simulate_ssep_lambda_bar_one(self):
+        # lambda_bar = 1 used to divide by zero in the unused down-rate at s_0 = 0
+        proc = run_cli("simulate", "--model", "ssep", "--lambda-bar", "1", "--t", "1", check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("traj,t,x,s\n")
+
     def test_event_log_format(self):
         proc = run_cli("simulate", "--model", "asep", "--q", "0.5", "--alpha", "2",
                        "--t", "2", "--trajectories", "4", "--seed", "3")

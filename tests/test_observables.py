@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 
@@ -21,6 +22,14 @@ from dynirf.observables import (
 )
 from dynirf.params import preset, to_six_vertex
 from dynirf.special import InvalidParameterError
+
+
+def q_pochhammer(x, q, n: int):
+    """(x; q)_n = (1-x)(1-qx)...(1-q^{n-1}x); the empty product (n=0) is 1."""
+    out = 1.0 + 0.0j
+    for k in range(n):
+        out *= 1.0 - q**k * x
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,29 @@ class TestRational:
         assert abs(m - vi) <= 4 * se
 
 
+class TestQuadratureRunaway:
+    def test_factored_grid_cap_raises(self, dyn6v):
+        # the estimates stall ~4e-9 apart above tol; doubling used to run on
+        # toward 16384 nodes/variable (768**3 points alone took ~19 s)
+        from dynirf.special import ConvergenceError
+
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError) as exc:
+            exact_E("irf", ObservableSpec((7, 4, 2), 10), dyn6v)
+        assert time.perf_counter() - t0 < 30
+        older, prev = exc.value.estimates
+        assert older is not None and abs(older - prev) < 1e-7
+
+
+class TestMcSeeds:
+    def test_irf_seeds_give_different_samples(self, dyn6v):
+        # with seed ^ index as the trajectory seed, seeds 0, 1 and 2 drew the
+        # same 2000 trajectories in another order: a bit-identical (mean, stderr)
+        spec = ObservableSpec((3, 2), 4)
+        results = [mc_E("irf", spec, dyn6v, 2000, s) for s in (0, 1, 2)]
+        assert len(set(results)) == 3
+
+
 class TestSsep:
     def test_t0_values(self):
         for x, want in [(2, 0.0), (0, 0.0), (-3, -3.0)]:
@@ -188,7 +220,6 @@ class TestEqualSitesFactorization:
         # with all sites equal the product collapses to the two q-Pochhammer
         # factors of the height
         from dynirf.samplers import enumerate_heights
-        from dynirf.special import q_pochhammer
 
         sv = to_six_vertex(dyn6v)
         q, alpha = sv.q.real, sv.alpha.real

@@ -10,11 +10,13 @@ from dynirf.samplers import (
     height,
     sample_irf,
     sample_irf_batch,
+    PositivityError,
     simulate_exclusion,
     step_exclusion_state,
+    trajectory_seed,
     uniform_hash,
 )
-from dynirf.samplers import _rates
+from dynirf.samplers import _rate, _site_move
 from dynirf.special import InvalidParameterError
 from dynirf.symfunc import skew_B_lattice
 
@@ -43,6 +45,24 @@ class TestUniformHash:
 
     def test_key_sensitivity(self):
         assert uniform_hash(1, 2, 3) != uniform_hash(1, 3, 2)
+
+
+class TestTrajectorySeed:
+    def test_vector_matches_scalar(self):
+        vec = trajectory_seed(77, np.arange(6, dtype=np.int64))
+        assert vec.dtype == np.int64
+        assert [int(v) for v in vec] == [trajectory_seed(77, i) for i in range(6)]
+
+    def test_no_xor_collisions(self):
+        # seed ^ index maps (0, 1) and (1, 0) to the same trajectory; the
+        # hash of the pair as separate keys does not
+        seeds = {trajectory_seed(s, i) for s in range(8) for i in range(64)}
+        assert len(seeds) == 8 * 64
+
+    def test_farm_streams_differ_across_seeds(self):
+        a = exclusion_farm("ssep", (2.0,), 1.0, 64, seed=4, xs=[0, 1])
+        b = exclusion_farm("ssep", (2.0,), 1.0, 64, seed=5, xs=[0, 1])
+        assert not np.array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
 
 
 class TestQuadrantSampler:
@@ -95,6 +115,30 @@ class TestQuadrantSampler:
     def test_spin_half_cap(self, dyn6v):
         st = sample_irf(dyn6v, 6, 6, seed=13)
         assert st.vout.max() <= 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j, 1.5])
+    def test_batch_rejects_non_probability(self, dyn6v, monkeypatch, bad):
+        # a NaN turn weight used to read as "no turn", and a complex one
+        # passed on its real part
+        import dynirf.samplers as samplers
+
+        real = samplers.spin_half_weights
+
+        def patched(*args):
+            a0, a1, b0, c1, d0, d1 = real(*args)
+            return a0, a1, b0, c1, np.full_like(d0, bad), d1
+
+        monkeypatch.setattr(samplers, "spin_half_weights", patched)
+        with pytest.raises(PositivityError):
+            sample_irf_batch(dyn6v, 3, 3, seed=1, n_traj=8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j])
+    def test_scalar_rejects_non_probability(self, dyn6v, monkeypatch, bad):
+        import dynirf.weights
+
+        monkeypatch.setattr(dynirf.weights, "weight", lambda *args, **kwargs: bad)
+        with pytest.raises(PositivityError):
+            sample_irf(dyn6v, 3, 3, seed=1)
 
 
 class TestEnumeration:
@@ -151,12 +195,21 @@ class TestExclusion:
             step_exclusion_state("tasep", (1.0,))
 
     def test_asep_alpha_zero_rates(self):
-        down, up = _rates("asep", (0.7, 0.0), 5)
+        down, up = _rate("asep", (0.7, 0.0), 5, -2), _rate("asep", (0.7, 0.0), 5, 2)
         assert abs(down - 0.7) < 1e-15 and abs(up - 1.0) < 1e-15
 
     def test_ssep_large_lambda_rates(self):
-        down, up = _rates("ssep", (1e9,), 3)
+        down, up = _rate("ssep", (1e9,), 3, -2), _rate("ssep", (1e9,), 3, 2)
         assert abs(down - 1) < 1e-8 and abs(up - 1) < 1e-8
+
+    def test_ssep_lambda_bar_one_at_origin(self):
+        # s_0 = 0 is a local minimum: only the up-rate (0+1)/(0+1+1) exists;
+        # the down-rate's denominator s-1+lambda_bar vanishes there
+        st = step_exclusion_state("ssep", (1.0,))
+        assert _site_move(st, 0) == (2, 0.5)
+        assert _site_move(st, 3) is None
+        out = simulate_exclusion(st, 1.0, seed=3, record=True)
+        assert all(abs(out.value(x + 1) - out.value(x)) == 1 for x in range(out.lo, out.hi))
 
     def test_t_zero_identity(self):
         st = step_exclusion_state("asep", (0.5, 2.0))

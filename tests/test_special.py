@@ -2,9 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dynirf.special import (
     TRIG,
@@ -13,10 +10,8 @@ from dynirf.special import (
     FunctionMode,
     InvalidParameterError,
     contour_integral,
-    erfc_real,
     f_deriv0,
     f_eval,
-    q_pochhammer,
     theta,
     theta_deriv,
 )
@@ -59,6 +54,66 @@ class TestTheta:
         assert abs(theta_deriv(z, tau) - fd) < 1e-8
 
 
+class TestThetaMpmathOracle:
+    # theta(z, tau) = jtheta(1, pi z, exp(i pi tau)) in mpmath's convention,
+    # computed at 30 digits, independently of the truncated series here.
+    TAUS = [1.4j, 1.5j, 2j, 6j]
+
+    @staticmethod
+    def _points(tau, n=40):
+        rng = np.random.default_rng(int(abs(tau) * 10))
+        return rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-0.6, 0.6, n)
+
+    @staticmethod
+    def _ref(z, tau, derivative=0):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            val = mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q, derivative)
+            return complex(val * mpmath.pi**derivative)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("fn, order", [(theta, 0), (theta_deriv, 1)])
+    def test_scalar_and_array(self, fn, order, tau):
+        zs = self._points(tau)
+        refs = np.array([self._ref(z, tau, order) for z in zs])
+        bound = 1e-14 * np.maximum(1.0, np.abs(refs))
+        scalar = np.array([fn(complex(z), tau) for z in zs])
+        assert np.all(np.abs(scalar - refs) <= bound)
+        assert np.all(np.abs(fn(zs, tau) - refs) <= bound)
+        assert np.all(np.abs(fn(zs.reshape(5, 8), tau).ravel() - refs) <= bound)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_f_deriv0(self, tau):
+        ref = self._ref(0.0, tau, 1)
+        assert abs(f_deriv0(FunctionMode.elliptic(tau)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-6])
+    def test_non_default_tol(self, tol):
+        tau = 1.4j
+        zs = self._points(tau, 12)
+        for z in zs:
+            for fn, order in ((theta, 0), (theta_deriv, 1)):
+                ref = self._ref(z, tau, order)
+                bound = (1e-14 + tol) * max(1.0, abs(ref))
+                assert abs(fn(complex(z), tau, tol) - ref) <= bound
+                assert abs(fn(np.array([z]), tau, tol)[0] - ref) <= bound
+
+    def test_scalar_types(self):
+        for z in (0.3, 1, 0.2 + 0.1j, np.float64(0.3), np.array(0.3 + 0.1j)):
+            assert type(theta(z, 1.5j)) is complex
+            assert type(theta_deriv(z, 1.5j)) is complex
+        assert theta(np.float64(0.3), 1.5j) == theta(0.3, 1.5j)
+        assert abs(theta(np.array(0.3 + 0.1j), 1.5j) - theta(0.3 + 0.1j, 1.5j)) <= 1e-15
+
+    def test_rejects_bad_tol(self):
+        for fn in (theta, theta_deriv):
+            with pytest.raises(InvalidParameterError):
+                fn(0.1, 1.5j, tol=0.0)
+            with pytest.raises(InvalidParameterError):
+                fn(np.array([0.1]), 1.5j, tol=-1.0)
+
+
 class TestFEval:
     def test_trig_values(self):
         assert abs(f_eval(TRIG, 0.5) - 1.0) < 1e-15
@@ -85,45 +140,6 @@ class TestFEval:
             FunctionMode.elliptic(-1j)
         with pytest.raises(InvalidParameterError):
             FunctionMode("elliptic")
-
-
-class TestQPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer(0.3 + 0.4j, 0.9, 0) == 1
-
-    def test_vanishing_first_factor(self):
-        assert q_pochhammer(1.0, 0.37, 3) == 0
-
-    def test_direct_product(self):
-        assert abs(q_pochhammer(0.5, 0.5, 2) - 0.375) < 1e-15
-
-    @given(
-        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
-        st.integers(min_value=0, max_value=12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence(self, x, q, n):
-        lhs = q_pochhammer(x, q, n + 1)
-        rhs = q_pochhammer(x, q, n) * (1 - q**n * x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-class TestErfc:
-    def test_at_zero(self):
-        assert erfc_real(0.0) == 1.0
-
-    def test_reflection(self):
-        x = 0.7
-        assert abs(erfc_real(-x) - (2 - erfc_real(x))) < 1e-14
-
-    def test_known_value(self):
-        assert abs(erfc_real(1.0) - 0.15729920705028513) < 1e-13
-
-    @pytest.mark.parametrize("x", [-6.0, -1.3, -0.2, 0.1, 0.5, 1.9, 2.0, 2.1, 3.7, 8.0, 15.0])
-    def test_against_scipy(self, x):
-        ref = scipy.special.erfc(x)
-        assert abs(erfc_real(x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestContourIntegral:
@@ -169,6 +185,15 @@ class TestContourIntegral:
         with pytest.raises(ConvergenceError) as exc:
             contour_integral(g, [Circle(0, 1.0)], nodes=16, tol=1e-13, node_cap=64)
         assert exc.value.estimates is not None
+
+    def test_grid_cap_stops_before_evaluating(self):
+        # 16**9 > 2**26 tensor-grid points: refused before the integrand runs
+        def g(v):
+            raise AssertionError("level evaluated")
+
+        with pytest.raises(ConvergenceError) as exc:
+            contour_integral(g, [Circle(0, 1.0)] * 9, nodes=16)
+        assert exc.value.estimates == (None, None)
 
     def test_node_minimum(self):
         with pytest.raises(InvalidParameterError):
