@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+from dynirf.asymptotics import H_profile
 from dynirf.special import (
     TRIG,
     Circle,
@@ -140,6 +142,37 @@ class TestFEval:
             FunctionMode.elliptic(-1j)
         with pytest.raises(InvalidParameterError):
             FunctionMode("elliptic")
+
+
+class TestErfc:
+    # dynirf relies on math.erfc in the erfc term of asymptotics.H_profile.
+    # H_profile(2x, 1) = exp(-x^2)/sqrt(pi) - x erfc(x), so each case checks
+    # math.erfc and the H_profile term it feeds.
+    @staticmethod
+    def _h_at(x, erfc):
+        return math.exp(-x * x) / math.sqrt(math.pi) - x * erfc(x)
+
+    def test_at_zero(self):
+        assert math.erfc(0.0) == 1.0
+        assert H_profile(0.0, 1.0) == 1.0 / math.sqrt(math.pi)
+
+    def test_reflection(self):
+        x = 0.7
+        assert abs(math.erfc(-x) - (2 - math.erfc(x))) < 1e-14
+        # erfc(-x) = 2 - erfc(x) gives H(-chi) = H(chi) + chi
+        assert abs(H_profile(-2 * x, 1.0) - (H_profile(2 * x, 1.0) + 2 * x)) < 1e-14
+
+    def test_known_value(self):
+        assert abs(math.erfc(1.0) - 0.15729920705028513) < 1e-13
+        ref = math.exp(-1.0) / math.sqrt(math.pi) - 0.15729920705028513
+        assert abs(H_profile(2.0, 1.0) - ref) < 1e-13
+
+    @pytest.mark.parametrize("x", [-6.0, -1.3, -0.2, 0.1, 0.5, 1.9, 2.0, 2.1, 3.7, 8.0, 15.0])
+    def test_against_scipy(self, x):
+        ref = scipy.special.erfc(x)
+        assert abs(math.erfc(x) - ref) <= 1e-12 * max(1.0, abs(ref))
+        h_ref = self._h_at(x, scipy.special.erfc)
+        assert abs(H_profile(2 * x, 1.0) - h_ref) <= 1e-12 * max(1.0, abs(h_ref))
 
 
 class TestContourIntegral:
