@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--threads", type=int, default=1, help="scheduling hint; never affects results")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tolerance", type=float, help="scale factor on suite tolerances")
         p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
 

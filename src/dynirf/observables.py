@@ -406,13 +406,16 @@ def _asep_residue_series(x: int, t: float, q: float, terms: int = 120) -> float:
 def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float, check_residue: bool) -> complex:
     n = spec.n
     t = float(spec.N_or_t)
-    # largest radii that keep the cross poles and the singularity at 1 out;
-    # exp(t/(v(v-1))) then peaks at exp(t/(r(1+r))), which fixes both the
-    # attainable accuracy and the valid t-range of the direct route
+    # the cross pole a = b - 1 stays outside every pair of circles while
+    # r_i + r_j < 1, which also keeps the singularity at 1 out.  n = 2 keeps
+    # its wider second circle, whose smaller peak t = 12 needs; n >= 3 grows
+    # slowly so that every pair fits.  exp(t/(v(v-1))) peaks at
+    # exp(t/(r(1+r))) on the smallest circle, which fixes both the attainable
+    # accuracy and the valid t-range of the direct route
     base = 0.42
-    circles = _nested_circles(0.0, base, n, growth=0.25)
-    if circles[-1].radius > 0.62:
-        raise InvalidParameterError("SSEP contours would reach the singularity at 1")
+    circles = _nested_circles(0.0, base, n, growth=0.25 if n <= 2 else 0.05)
+    if n >= 2 and circles[-1].radius + circles[-2].radius > 0.95:
+        raise InvalidParameterError("SSEP contours would reach the cross pole a = b - 1")
     mag = math.exp(t / (base * (1 + base)))
     if mag * 1e-16 > 1e-4:
         raise InvalidParameterError(
@@ -465,10 +468,12 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start.
 
     n = 1 uses the Bessel series (any t).  n >= 2 uses the n-fold contour
-    integral; for large t the v-circles are replaced by their images under
-    u = v/(v-1) with near-unit radii, where the integrand magnitude stays
-    O(exp(t(1-r)^2/r)); the cross-factor pole crossed during that
+    integral; for n = 2 at large t the v-circles are replaced by their images
+    under u = v/(v-1) with near-unit radii, where the integrand magnitude
+    stays O(exp(t(1-r)^2/r)); the cross-factor pole crossed during that
     deformation contributes one explicit lower-dimensional correction term.
+    For n = 3 the direct integral converges up to t of about 8 and raises
+    ConvergenceError beyond.
     """
     if n == 1:
         return ssep_mean_height(x, t)
@@ -539,17 +544,69 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     return float((main - corr).real)
 
 
+# RK4's amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| <= 1 on
+# the real segment [-_RK4_REAL_LIMIT, 0] and not beyond it
+_RK4_REAL_LIMIT = 2.785293563405282
+# Chebyshev coefficients of R(h lam)^steps below this (absolute) are dropped;
+# the function lies in [0, 1]
+_CHEB_TAIL = 1e-15
+
+
+def _rk4_propagator_chebyshev(h: float, steps: int) -> np.ndarray:
+    """Chebyshev coefficients of g(x) = R(h lam)^steps, lam = 4x - 4, on [-1, 1].
+
+    g is sampled at the n + 1 Chebyshev extrema and transformed with one real
+    FFT; n doubles until the upper half of the coefficients lies below
+    _CHEB_TAIL, or until n reaches 4 steps, the exact degree of g, where the
+    interpolant is g itself.
+    """
+    exact = 4 * steps
+    n = min(64, exact)
+    while True:
+        z = h * (4.0 * np.cos(np.pi * np.arange(n + 1) / n) - 4.0)
+        # R(z) > 0 for real z; log1p keeps R(z)^steps accurate near z = 0
+        g = np.exp(steps * np.log1p(z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))))
+        coef = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / n
+        coef[0] /= 2.0
+        coef[n] /= 2.0
+        if n >= exact or np.max(np.abs(coef[n // 2 :])) < _CHEB_TAIL:
+            break
+        n = min(2 * n, exact)
+    return coef[: np.flatnonzero(np.abs(coef) >= _CHEB_TAIL)[-1] + 1]
+
+
 def ssep_f2_duality(x: int, t: float, dt: float = 0.1, window_factor: float = 5.5) -> float:
     """Independent oracle for E[h(h-1)] via the closed two-point equations.
 
     The SSEP two-point function C(y1, y2) = E[eta(y1) eta(y2)] satisfies a
-    discrete heat equation in both coordinates, with the inner neighbors
-    dropped on the adjacent band; integrating it from the step profile and
-    summing 2 C over x < y1 < y2 gives the second falling moment.  O(t M^2)
-    work, intended for t up to a few hundred.
+    discrete heat equation dC/dt = L C in both coordinates, with the inner
+    neighbors dropped on the adjacent band; integrating it from the step
+    profile and summing 2 C over x < y1 < y2 gives the second falling moment.
+
+    The result is that of classical RK4 with ceil(t / dt) equal steps h on a
+    window of 2 M + 1 sites, M = window_factor sqrt(t) + |x| + 25: the fixed
+    propagator R(h L)^steps applied to the step profile.  L is autonomous,
+    so that matrix polynomial is applied as one Chebyshev expansion
+    (Tal-Ezer & Kosloff 1984) in X = (L + 4) / 4 by the three-term
+    recurrence.  The interval is right: on interior pairs L is symmetric and
+    every Gershgorin disc lies in |lam + 4| <= 4, while the frozen edge and
+    diagonal rows are zero, so spec L is in [-8, 0] and spec X in [-1, 1].
+    The expansion needs O(sqrt(t)) stencil passes instead of RK4's 4 t / h,
+    so the work is O(sqrt(t) M^2).  8 h must stay within RK4's real-axis
+    stability limit.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidParameterError("dt must be a positive finite number")
+    if not t >= 0:
+        raise InvalidParameterError("duality oracle needs t >= 0")
     if t > 500:
         raise InvalidParameterError("duality oracle capped at t <= 500")
+    steps = max(1, int(math.ceil(t / dt)))
+    h = t / steps
+    if 8.0 * h > _RK4_REAL_LIMIT:
+        raise InvalidParameterError(
+            f"RK4 step {h:g} is unstable on spec L = [-8, 0]; need dt <= {_RK4_REAL_LIMIT / 8:.4f}"
+        )
     M = int(window_factor * math.sqrt(max(t, 1.0)) + abs(x) + 25)
     size = 2 * M + 1
     ys = np.arange(-M, M + 1)
@@ -578,16 +635,17 @@ def ssep_f2_duality(x: int, t: float, dt: float = 0.1, window_factor: float = 5.
         lap[:, 0] = lap[:, -1] = 0.0
         return lap
 
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    for _ in range(steps):
-        k1 = rhs(C)
-        k2 = rhs(C + 0.5 * h * k1)
-        k3 = rhs(C + 0.5 * h * k2)
-        k4 = rhs(C + h * k3)
-        C += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    coef = _rk4_propagator_chebyshev(h, steps)
+    # T_0 = C, T_1 = X C, T_{k+1} = 2 X T_k - T_{k-1}
+    out = coef[0] * C
+    if coef.size > 1:
+        prev, cur = C, C + 0.25 * rhs(C)
+        out += coef[1] * cur
+        for c in coef[2:]:
+            prev, cur = cur, 0.5 * rhs(cur) + 2.0 * cur - prev
+            out += c * cur
     mask = ys > x
-    sub = C[np.ix_(mask, mask)]
+    sub = out[np.ix_(mask, mask)]
     return float(np.triu(sub, k=1).sum() * 2.0)
 
 

@@ -577,14 +577,10 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
             near_edge = (cols < 3) | (cols > s.shape[1] - 5)
             if near_edge.any():
                 grow = W
-                pad_sites = np.concatenate(
-                    [np.arange(-W - grow, -W), np.arange(W + 1, W + grow + 1)]
-                )
                 left = np.abs(np.broadcast_to(np.arange(-W - grow, -W), (n_traj, grow))).astype(float)
                 right = np.abs(np.broadcast_to(np.arange(W + 1, W + grow + 1), (n_traj, grow))).astype(float)
                 s = np.concatenate([left, s, right], axis=1)
                 W += grow
-                sites = np.arange(-W, W + 1)
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     for j, x in enumerate(xs):
         out[:, j] = s[:, x + W].astype(np.int64)

@@ -34,6 +34,14 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "nonsense", check=False)
         assert proc.returncode == 2
 
+    def test_format_flag_is_gone(self):
+        # --format was parsed and never read; it is now an unknown option
+        from dynirf.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--format", "json"])
+        assert exc.value.code == 2
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self):

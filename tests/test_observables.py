@@ -2,6 +2,7 @@ import cmath
 import math
 import time
 
+import numpy as np
 import pytest
 
 from dynirf.observables import (
@@ -30,6 +31,50 @@ def q_pochhammer(x, q, n: int):
     for k in range(n):
         out *= 1.0 - q**k * x
     return out
+
+
+def ssep_f2_rk4(x: int, t: float, dt: float = 0.1, window_factor: float = 5.5) -> float:
+    """Reference for ssep_f2_duality: the two-point equations stepped by RK4.
+
+    The same window, stencil and step h = t / ceil(t / dt) as the library,
+    applied one classical RK4 step at a time.
+    """
+    M = int(window_factor * math.sqrt(max(t, 1.0)) + abs(x) + 25)
+    size = 2 * M + 1
+    ys = np.arange(-M, M + 1)
+    occ0 = (ys <= 0).astype(float)
+    C = np.outer(occ0, occ0)
+    np.fill_diagonal(C, 0.0)
+    band = np.arange(size - 1)
+
+    def rhs(c):
+        lap = -4.0 * c
+        lap[1:, :] += c[:-1, :]
+        lap[:-1, :] += c[1:, :]
+        lap[:, 1:] += c[:, :-1]
+        lap[:, :-1] += c[:, 1:]
+        upper = np.zeros(size - 1)
+        upper[1:] += c[band[1:] - 1, band[1:] + 1]
+        upper[:-1] += c[band[:-1], band[:-1] + 2]
+        upper -= 2.0 * c[band, band + 1]
+        lap[band, band + 1] = upper
+        lap[band + 1, band] = upper
+        np.fill_diagonal(lap, 0.0)
+        lap[0, :] = lap[-1, :] = 0.0
+        lap[:, 0] = lap[:, -1] = 0.0
+        return lap
+
+    steps = max(1, int(math.ceil(t / dt)))
+    h = t / steps
+    for _ in range(steps):
+        k1 = rhs(C)
+        k2 = rhs(C + 0.5 * h * k1)
+        k3 = rhs(C + 0.5 * h * k2)
+        k4 = rhs(C + h * k3)
+        C += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    mask = ys > x
+    sub = C[np.ix_(mask, mask)]
+    return float(np.triu(sub, k=1).sum() * 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +240,56 @@ class TestSsep:
             eng = _ssep_f2_large_t(0, t)
             ode = ssep_f2_duality(0, t)
             assert abs(eng - ode) <= 2e-4 * abs(ode), t
+
+    @pytest.mark.parametrize(
+        "x, t, dt",
+        [
+            (0, 0.05, 0.1),  # a single RK4 step
+            (0, 5.0, 0.05),
+            (0, 10.0, 0.1),
+            (2, 10.0, 0.1),
+            (-3, 7.0, 0.1),
+            (-2, 0.0, 0.1),  # the step profile itself
+            pytest.param(0, 300.0, 0.1, marks=pytest.mark.slow),
+            pytest.param(0, 400.0, 0.1, marks=pytest.mark.slow),
+            pytest.param(0, 500.0, 0.34, marks=pytest.mark.slow),  # 8h near RK4's stability limit
+        ],
+    )
+    def test_duality_matches_rk4_loop(self, x, t, dt):
+        ref = ssep_f2_rk4(x, t, dt)
+        assert abs(ssep_f2_duality(x, t, dt=dt) - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "t, dt",
+        [
+            (10.0, 0.0),  # used to raise ZeroDivisionError
+            (10.0, float("nan")),  # used to raise a bare ValueError
+            (10.0, float("inf")),
+            (10.0, -0.1),  # used to return 1666.67
+            (10.0, 0.5),  # 8h = 4 is past RK4's real-axis limit; used to return 2.4e8
+            (-1.0, 0.1),
+        ],
+    )
+    def test_duality_rejects_bad_input(self, t, dt):
+        with pytest.raises(InvalidParameterError):
+            ssep_f2_duality(0, t, dt=dt)
+
+    def test_third_falling_moment_runs(self):
+        # the n = 3 circles used to fail the radius check at any t
+        v = ssep_falling_moment(0, 4.0, 3)
+        assert math.isfinite(v) and v > 0
+
+    def test_direct_route_refuses_overlapping_pairs(self):
+        # five circles put the largest pair past r_i + r_j = 0.95
+        with pytest.raises(InvalidParameterError):
+            exact_E("ssep", ObservableSpec((0,) * 5, 1.0), (1.0,))
+
+    @pytest.mark.slow
+    def test_third_moment_direct_route_vs_mc(self):
+        spec = ObservableSpec((0, -1, -2), 4.0)
+        v = exact_E("ssep", spec, (2.0,))
+        m, se = mc_E("ssep", spec, (2.0,), 100000, seed=31)
+        assert abs(m - v) <= 4 * se
 
 
 class TestAsep:
