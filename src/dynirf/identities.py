@@ -29,9 +29,9 @@ from .symfunc import (
     D_rho,
     Signature,
     c_mu,
-    interlacings_above,
     normalize,
     psi,
+    signatures_in_box,
     skew_B_lattice,
     skew_D_lattice,
     stoch_B_sum,
@@ -163,7 +163,7 @@ def check_skew_cauchy(mu, nu, u: complex, v: complex, params: IrfParams, cap: in
 
     lhs = 0.0 + 0.0j
     last = 0.0
-    for kappa in _sigs_box(mu, cap):
+    for kappa in signatures_in_box(mu.parts, (cap,) * mu.length):
         d_term = skew_D_lattice(kappa, mu, lam, [v], params)
         if d_term == 0:
             continue
@@ -172,7 +172,7 @@ def check_skew_cauchy(mu, nu, u: complex, v: complex, params: IrfParams, cap: in
         if kappa.max_part() == cap:
             last += abs(term)
     rhs = 0.0 + 0.0j
-    for rho in _sigs_box_down(nu, mu.max_part()):
+    for rho in signatures_in_box(nu.parts, (mu.max_part(),) * nu.length):
         b_term = skew_B_lattice(mu, rho, lam, [u], params)
         if b_term == 0:
             continue
@@ -209,7 +209,7 @@ def check_skew_cauchy_general(mu, nu, us, vs, params: IrfParams, cap: int = 12, 
 
     lhs = 0.0 + 0.0j
     last = 0.0
-    for kappa in _sigs_box(mu, cap):
+    for kappa in signatures_in_box(mu.parts, (cap,) * mu.length):
         d_term = skew_D_lattice(kappa, mu, lam, vs, params)
         if d_term == 0:
             continue
@@ -219,7 +219,7 @@ def check_skew_cauchy_general(mu, nu, us, vs, params: IrfParams, cap: int = 12, 
             last += abs(term)
 
     rhs = 0.0 + 0.0j
-    for rho in _sigs_box_down(nu, mu.max_part(), length=mu.length - k):
+    for rho in signatures_in_box(nu.parts, (mu.max_part(),) * nu.length):
         b_term = skew_B_lattice(mu, rho, lam, us, params)
         if b_term == 0:
             continue
@@ -241,29 +241,6 @@ def check_skew_cauchy_general(mu, nu, us, vs, params: IrfParams, cap: int = 12, 
         tolerance=tolerance,
         truncation_info={"cap": cap, "tail_estimate": last},
     )
-
-
-def _sigs_box(lo: Signature, cap: int):
-    """Signatures of the same length with lo_i <= kappa_i <= cap."""
-    if lo.length == 0:
-        yield Signature(())
-        return
-    ranges = [range(lo.parts[i], cap + 1) for i in range(lo.length)]
-    for combo in itertools.product(*ranges):
-        if all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1)):
-            yield Signature(combo)
-
-
-def _sigs_box_down(lo: Signature, top: int, length: int | None = None):
-    """Signatures rho of given length with parts <= top and rho_i >= lo_{i}."""
-    n = lo.length if length is None else length
-    if n == 0:
-        yield Signature(())
-        return
-    ranges = [range(lo.parts[i] if i < lo.length else 0, top + 1) for i in range(n)]
-    for combo in itertools.product(*ranges):
-        if all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1)):
-            yield Signature(combo)
 
 
 def _b0k_norm_factor(count: int, lam: complex, u: complex, params: IrfParams) -> complex:
@@ -293,7 +270,7 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         N = nu.length
         lhs = 0.0 + 0.0j
         last = 0.0
-        for kappa in interlacings_above(nu, cap):
+        for kappa in signatures_in_box(nu.parts + (0,), (cap,) + nu.parts):
             term = D_nu(kappa, lam, list(vs), params) * skew_B_lattice(
                 kappa, nu, lam + 2 * eta * l, [u], params
             )
@@ -314,18 +291,18 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
             raise InvalidParameterError("pieri needs len(nu) = len(us)")
         lhs = 0.0 + 0.0j
         last = 0.0
-        for kappa in _sigs_box(nu, cap):
+        for kappa in signatures_in_box(nu.parts, (cap,) * nu.length):
             d_term = skew_D_lattice(kappa, nu, lam, [v], params)
             if d_term == 0:
                 continue
             term = (
-                normalize("D", d_term, lam, 1, params)
-                * normalize("B", B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params)
+                normalize(d_term, lam, 1, params)
+                * normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params)
             )
             lhs += term
             if kappa.max_part() == cap:
                 last += abs(term)
-        rhs = normalize("B", B_mu(nu, lam, list(us), params), lam, k, params)
+        rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params)
         for u_i in us:
             rhs *= f(v - u_i - 2 * eta) / f(v - u_i)
         name = f"pieri-mu{nu.parts}"
@@ -336,13 +313,13 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         k, l = len(us), len(vs)
         lhs = 0.0 + 0.0j
         last = 0.0
-        for kappa in _sigs_box_down(Signature(()), cap, length=k):
+        for kappa in signatures_in_box((0,) * k, (cap,) * k):
             dval = D_nu(kappa, lam, list(vs), params)
             if dval == 0:
                 continue
             term = (
-                normalize("D", dval, lam, l, params)
-                * normalize("B", B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params)
+                normalize(dval, lam, l, params)
+                * normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params)
             )
             lhs += term
             if kappa.max_part() == cap:
@@ -385,13 +362,11 @@ def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex 
         b_eval = lambda kappa: skew_B_lattice(kappa, (), lam, list(us), params)
     lhs = 0.0 + 0.0j
     last = 0.0
-    for kappa in _sigs_box_down(Signature(()), cap, length=N):
-        if kappa.parts and kappa.parts[-1] < 1:
-            continue
+    for kappa in signatures_in_box((1,) * N, (cap,) * N):
         dval = D_rho(kappa, lam, params)
         if dval == 0:
             continue
-        term = dval * normalize("B", b_eval(kappa), lam, N, params)
+        term = dval * normalize(b_eval(kappa), lam, N, params)
         lhs += term
         if kappa.max_part() == cap:
             last += abs(term)

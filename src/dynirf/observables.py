@@ -109,19 +109,20 @@ def _q_pow(params: IrfParams, m) -> complex:
     return cmath.exp(-4j * math.pi * params.eta * m)
 
 
-def _irf_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> complex:
-    """Normalized observable product for one realization of the heights."""
+def _irf_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> np.ndarray:
+    """Normalized observable product for each row of an (n_samples, n) height array."""
+    hs = np.asarray(hs, dtype=float)
     N = int(spec.N_or_t)
     a = cmath.exp(2j * math.pi * lam)
-    out = 1.0 + 0.0j
+    out = np.ones(hs.shape[0], dtype=complex)
     norm = 1.0 + 0.0j
-    q1 = _q_pow(params, 1)
     for k in range(spec.n):
         x = spec.xs[k]
         lsum = params.lam_sum(1, x)
-        o = obs_O(hs[k], x, N, params, lam)
+        h = hs[:, k]
+        o = np.exp(2j * np.pi * (lam - 2 * params.eta * h)) + np.exp(4j * np.pi * params.eta * (h - N + lsum))
         out *= _q_pow(params, N - lsum) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
-        norm *= 1.0 - a * q1**k
+        norm *= 1.0 - a * _q_pow(params, k)
     return out / norm
 
 
@@ -148,11 +149,14 @@ def _ssep_product(svals, spec: ObservableSpec, lam_bar: float) -> np.ndarray:
     return out / rising(lam_bar, spec.n)
 
 
-def _rational_product(hs, spec: ObservableSpec, lam: float, N: int) -> complex:
-    out = 1.0
+def _rational_product(hs, spec: ObservableSpec, lam: float, N: int) -> np.ndarray:
+    """Rational-mode observable product for each row of an (n_samples, n) height array."""
+    hs = np.asarray(hs, dtype=float)
+    out = np.ones(hs.shape[0], dtype=complex)
     for k in range(spec.n):
         x = spec.xs[k]
-        o = hs[k] * (hs[k] - lam - N + x - 1)
+        h = hs[:, k]
+        o = h * (h - lam - N + x - 1)
         out *= k * k - k * (lam + N - x + 1) - o
     return out / rising(-lam, spec.n)
 
@@ -464,16 +468,25 @@ def ssep_mean_height(x: int, t: float) -> float:
     return float(total)
 
 
+# the direct n = 3 integral at x = 0 converges for every t <= 7.6 on a 0.05
+# grid and fails erratically from t = 7.65 (ConvergenceError at 7.65, 7.95,
+# 8.05, 8.2, 8.25 and 8.5-9, converged at 8.1, 8.15, 8.3, 8.4)
+_SSEP_F3_T_MAX = 7.5
+
+
 def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start.
 
-    n = 1 uses the Bessel series (any t).  n >= 2 uses the n-fold contour
-    integral; for n = 2 at large t the v-circles are replaced by their images
-    under u = v/(v-1) with near-unit radii, where the integrand magnitude
-    stays O(exp(t(1-r)^2/r)); the cross-factor pole crossed during that
-    deformation contributes one explicit lower-dimensional correction term.
-    For n = 3 the direct integral converges up to t of about 8 and raises
-    ConvergenceError beyond.
+    n = 1 uses the Bessel series (any t).  n = 2 and 3 use the n-fold
+    contour integral; for n = 2 at large t the v-circles are replaced by their
+    images under u = v/(v-1) with near-unit radii, where the integrand
+    magnitude stays O(exp(t(1-r)^2/r)); the cross-factor pole crossed during
+    that deformation contributes one explicit lower-dimensional correction
+    term.  n = 3 is served for t <= 7.5 only, and n >= 4 not at all (its
+    second quadrature level already exceeds the grid cap); both raise
+    InvalidParameterError before any quadrature.  Sites x < 0 lose more to
+    cancellation: at n = 3 the integral raises ConvergenceError from t = 7.5
+    at x = -1, from t = 6 at x = -2..-4, and at every t at x = -12.
     """
     if n == 1:
         return ssep_mean_height(x, t)
@@ -484,8 +497,8 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
         if t <= 500:
             return ssep_f2_duality(x, t)
         return _ssep_f2_large_t(x, t)
-    if t > 12:
-        raise InvalidParameterError("falling moments beyond n=2 implemented for t <= 12 only")
+    if n >= 4 or t > _SSEP_F3_T_MAX:
+        raise InvalidParameterError(f"falling moments beyond n = 2 are implemented for n = 3, t <= {_SSEP_F3_T_MAX} only")
     val = exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=nodes, check_residue=False)
     return float(((-1.0) ** n * val).real)
 
@@ -663,13 +676,12 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     lam = params.lambda0 if lam is None else lam
     N = int(spec.N_or_t)
     law = enumerate_heights(params, N, spec.xs, lam0=lam)
-    total = 0.0 + 0.0j
-    for hs, amp in law.items():
-        if params.mode.kind == "rational":
-            total += amp * _rational_product(hs, spec, float(complex(lam).real), N)
-        else:
-            total += amp * _irf_product(hs, spec, params, lam)
-    return total
+    hs = list(law)
+    if params.mode.kind == "rational":
+        vals = _rational_product(hs, spec, float(complex(lam).real), N)
+    else:
+        vals = _irf_product(hs, spec, params, lam)
+    return complex(sum((amp * val for amp, val in zip(law.values(), vals)), 0.0 + 0.0j))
 
 
 def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
@@ -700,31 +712,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         batch = sample_irf_batch(params, max(spec.xs), N, seed, samples)
         hs = np.stack([batch_heights(batch, x, N) for x in spec.xs], axis=1)
         if model == "irf":
-            vals = np.empty(samples, dtype=complex)
-            # vectorized product over the k-factors
-            lam = params.lambda0
-            a = cmath.exp(2j * math.pi * lam)
-            vals[:] = 1.0
-            norm = 1.0 + 0.0j
-            for k in range(spec.n):
-                x = spec.xs[k]
-                lsum = params.lam_sum(1, x)
-                h = hs[:, k].astype(float)
-                o = np.exp(2j * np.pi * (lam - 2 * params.eta * h)) + np.exp(
-                    4j * np.pi * params.eta * (h - N + lsum)
-                )
-                vals *= _q_pow(params, N - lsum) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
-                norm *= 1.0 - a * _q_pow(params, k)
-            vals /= norm
+            vals = _irf_product(hs, spec, params, params.lambda0)
         else:
-            lam = float(params.lambda0.real)
-            vals = np.ones(samples, dtype=complex)
-            for k in range(spec.n):
-                x = spec.xs[k]
-                h = hs[:, k].astype(float)
-                o = h * (h - lam - N + x - 1)
-                vals *= k * k - k * (lam + N - x + 1) - o
-            vals /= rising(-lam, spec.n)
+            vals = _rational_product(hs, spec, float(params.lambda0.real), N)
     elif model == "asep":
         q, alpha = params_or_rates
         svals = exclusion_farm("asep", (q, alpha), float(spec.N_or_t), samples, seed, list(spec.xs))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .params import IrfParams
 from .special import InvalidParameterError
-from .symfunc import _ROW_KIND, Signature, row_transfer
+from .symfunc import Signature, _plaquette_weights, _row_walk, row_transfer
 from .weights import spin_half_weights
 
 __all__ = [
@@ -263,77 +263,37 @@ def enumerate_distribution(params: IrfParams, N: int, X: int, lam0: complex | No
     dist = {Signature(()): 1.0 + 0.0j}
     for y in range(1, N + 1):
         lam_row = lam0 - two_eta * y + two_eta * params.lam(0)
-        dist = row_transfer(dist, lam_row, params.w(y), params, True, X)
+        dist = row_transfer(dist, lam_row, params.w(y), params, X)
     total = sum(dist.values())
     return dist, 1.0 - total
 
 
-def _absorbing_row(bot: tuple, lam_start, w_row: int, params: IrfParams, cap: int, weight_fn):
-    """One stochastic row over columns 1..cap with an absorbing far region.
-
-    ``bot`` is the occupation tuple of columns 1..cap.  A path whose
-    horizontal arrow is still traveling at column cap is absorbed: the
-    remaining strip's weights sum to one for any filling, so absorption
-    carries weight exactly 1.  Yields ((top_occupations, absorbed), amp).
-    """
-    eta = params.eta
-    out: dict = {}
-    stack = [(1, 1, lam_start, 1.0 + 0.0j, ())]
-    while stack:
-        x, carry, lam_x, amp, tops = stack.pop()
-        if carry == 0 and x > cap:
-            key = (tops + (0,) * (cap - len(tops)), 0)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
-            continue
-        if x > cap:
-            key = (tops, 1)  # absorbed beyond the window
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
-            continue
-        m = bot[x - 1]
-        for carry_out in (0, 1):
-            n = m + carry - carry_out
-            if n < 0:
-                continue
-            kind = _ROW_KIND[(carry, carry_out)]
-            wgt = 1.0 + 0.0j if (kind == "A" and m == 0) else weight_fn(kind, m, x, lam_x, w_row)
-            if wgt == 0:
-                continue
-            stack.append(
-                (x + 1, carry_out, lam_x + 4 * eta * n - 2 * eta * params.lam(x), amp * wgt, tops + (n,))
-            )
-    # pad tops shorter than cap (possible only for the absorbed branch)
-    fixed: dict = {}
-    for (tops, inc), amp in out.items():
-        fixed[(tops + (0,) * (cap - len(tops)), inc)] = amp
-    return fixed
-
-
-def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None, weight_fn=None):
+def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None, row_weights=None):
     """Exact joint law of the heights h(x, N) for x in ``xs``.
 
     Unlike :func:`enumerate_distribution` there is no truncation error:
     heights at columns <= max(xs) only see vertices left of max(xs), and
     paths escaping beyond are absorbed with total weight one.  Works with
-    complex weights.  Returns a dict mapping height tuples to amplitudes.
+    complex weights.  ``row_weights(y)`` gives row y's plaquette weight
+    callback (kind, m, x, lam_x) (default: the stochastic IRF weights).
+    Returns a dict mapping height tuples to amplitudes.
     """
-    from .weights import WeightContext, weight as _plaq_weight
-
     lam0 = params.lambda0 if lam0 is None else lam0
     cap = max(xs)
     two_eta = 2 * params.eta
-    if weight_fn is None:
-
-        def weight_fn(kind, m, x, lam_x, y):
-            ctx = WeightContext(lam_x, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
-            return _plaq_weight(kind, m, ctx, stochastic=True)
-
+    if row_weights is None:
+        row_weights = lambda y: _plaquette_weights(params, params.w(y), True)
+    # one stochastic row over columns 1..cap at a time; a path still carrying
+    # past column cap is absorbed: the remaining strip's weights sum to one
+    # for any filling, so absorption carries weight exactly 1
     dist = {((0,) * cap, 0): 1.0 + 0.0j}
     for y in range(1, N + 1):
         lam_row = lam0 - two_eta * y
+        weight_fn = row_weights(y)
         new: dict = {}
         for (bot, n_abs), amp in dist.items():
-            for (top, inc), wgt in _absorbing_row(bot, lam_row, y, params, cap, weight_fn).items():
-                key = (top, n_abs + inc)
+            for (top, inc), wgt in _row_walk(params, dict(enumerate(bot, 1)), 1, cap, lam_row, weight_fn).items():
+                key = (top + (0,) * (cap - len(top)), n_abs + inc)
                 new[key] = new.get(key, 0.0 + 0.0j) + amp * wgt
         dist = new
     out: dict = {}
@@ -356,13 +316,16 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
     sv = to_six_vertex(params)
     patt = {"A": (0, 0, 0, 0), "B": (0, 1, 1, 0), "C": (0, 0, -1, 1), "D": (0, 1, 0, 1)}
 
-    def weight_fn(kind, m, x, lam_x, y):
-        di1, dj1, di2, dj2 = patt[kind]
-        return hs6v_weight(
-            "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
-        )
+    def row_weights(y):
+        def weight_fn(kind, m, x, lam_x):
+            di1, dj1, di2, dj2 = patt[kind]
+            return hs6v_weight(
+                "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
+            )
 
-    return enumerate_heights(params, N, xs, lam0=0.0, weight_fn=weight_fn)
+        return weight_fn
+
+    return enumerate_heights(params, N, xs, lam0=0.0, row_weights=row_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +376,21 @@ def step_exclusion_state(kind: str, rate_params, half_width: int = 6) -> Exclusi
     return ExclusionState(kind, tuple(rate_params), lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
 
 
-def _rate(kind: str, rate_params, s_x: int, delta: int):
-    """Rate of the height flip s_x -> s_x + delta (delta = -2 down, +2 up).
+def _rate(kind: str, rate_params, s_x, delta):
+    """Rate of the height flip s_x -> s_x + delta (delta = -2 down, +2 up); array-safe.
 
-    Only the requested rate is formed: the down-rate's denominator
-    s_x - 1 + lambda_bar vanishes at s_x = 0, lambda_bar = 1, where only an
-    up-flip is possible.
+    With d = delta/2 the ASEP rate is q^((1-d)/2) (1 + alpha q^-s)/(1 + alpha q^(-s-d))
+    and the SSEP rate (s + lambda_bar)/(s + d + lambda_bar).  No denominator
+    vanishes where the flip can happen: up-rates are positive for admissible
+    (q, alpha, lambda_bar), and a down-flip needs a local maximum, s_x >= 1
+    (at s_x = 0, lambda_bar = 1 the down-rate's denominator would be 0).
     """
+    d = delta // 2
     if kind == "asep":
         q, alpha = rate_params
-        if delta < 0:
-            return q * (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x + 1))
-        return (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x - 1))
+        return q ** ((1 - d) / 2) * (1 + alpha * q ** (-s_x)) / (1 + alpha * q ** (-s_x - d))
     (lam_bar,) = rate_params
-    return (s_x + lam_bar) / (s_x + delta // 2 + lam_bar)
+    return (s_x + lam_bar) / (s_x + d + lam_bar)
 
 
 def _site_move(state: ExclusionState, x: int):
@@ -539,18 +503,9 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
         inner = sarr[:, 1:-1]
         is_max = (sarr[:, :-2] == inner - 1) & (sarr[:, 2:] == inner - 1)
         is_min = (sarr[:, :-2] == inner + 1) & (sarr[:, 2:] == inner + 1)
-        if kind == "asep":
-            q, alpha = rate_params
-            qs = q ** (-inner)
-            down = np.where(is_max, q * (1 + alpha * qs) / (1 + alpha * qs * q), 0.0)
-            up = np.where(is_min, (1 + alpha * qs) / (1 + alpha * qs / q), 0.0)
-        else:
-            (lam_bar,) = rate_params
-            dden = np.where(is_max, inner - 1 + lam_bar, 1.0)
-            uden = np.where(is_min, inner + 1 + lam_bar, 1.0)
-            down = np.where(is_max, (inner + lam_bar) / dden, 0.0)
-            up = np.where(is_min, (inner + lam_bar) / uden, 0.0)
-        rates = down + up
+        # every other site is priced as an up-flip and masked out
+        delta = np.where(is_max, np.int8(-2), np.int8(2))
+        rates = _rate(kind, rate_params, inner, delta) * (is_max | is_min)
         if not np.all(np.isfinite(rates)) or np.any(rates < 0):
             raise InvalidParameterError("nonpositive or singular jump rate encountered")
         return rates, is_max

@@ -7,6 +7,12 @@ Two independent computation routes exist for everything here:
 
 and both are pinned to the brute-force operator oracle in the tests.
 
+Every lattice route walks its rows with the one kernel ``_row_walk``: the
+skew B and D rows (top and bottom fixed), ``row_transfer`` (all tops below
+a cap) and ``samplers.enumerate_heights`` (tops of a finite window, with
+the paths that leave it absorbed).  Each reads its answer off the returned
+{(top occupations, carry past the last column): amplitude} map.
+
 Conventions.  Signatures are weakly decreasing tuples of nonnegative
 integers; ``D_nu`` means the skew function against the zero signature of
 the same length, so zero parts matter.  The dynamic-parameter shifts
@@ -39,9 +45,7 @@ __all__ = [
     "stoch_B_formula",
     "stoch_B_sum",
     "c_matrix_formula",
-    "interlacings_above",
-    "interlacings_below",
-    "signatures_between",
+    "signatures_in_box",
     "TailInfo",
 ]
 
@@ -218,10 +222,8 @@ def D_nu(nu, lam: complex, vs, params: IrfParams):
     return pref * total
 
 
-def normalize(kind: str, value, lam: complex, count: int, params: IrfParams):
+def normalize(value, lam: complex, count: int, params: IrfParams):
     """Multiply a B- or D-value by prod_{i<count} f(lambda + 2*eta*i)."""
-    if kind not in ("B", "D"):
-        raise InvalidParameterError("normalize kind must be 'B' or 'D'")
     out = value
     for i in range(count):
         out = out * params.f(lam + 2 * params.eta * i)
@@ -271,99 +273,80 @@ def D_rho(nu, lam: complex, params: IrfParams) -> complex:
 _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
 
 
-def _single_row_B(top: Signature, bot: Signature, lam_start: complex, w: complex, params: IrfParams, stochastic: bool, start_col: int):
-    """Product of plaquette weights over the unique one-row configuration.
+def signatures_in_box(lows, highs):
+    """Weakly decreasing kappa with lows[i] <= kappa_i <= highs[i], in lexicographic order.
 
-    ``lam_start`` is the filling of the top-left unit square of the row's
-    first plaquette (at column ``start_col``); crossing a column whose top
-    edge carries n arrows advances the filling by 4*eta*n - 2*eta*Lambda.
+    Every interlacing and truncation range of the lattice sums is such a
+    box: callers fold their interlacing bounds into ``lows`` and ``highs``.
     """
-    if top.length != bot.length + 1:
-        return 0.0 + 0.0j
-    top_mult = top.multiplicities()
-    bot_mult = bot.multiplicities()
-    last = max(top.max_part(), bot.max_part(), start_col)
-    if (top.parts and top.parts[-1] < start_col) or (bot.parts and bot.parts[-1] < start_col):
-        return 0.0 + 0.0j
-    if last >= params.n_cols:
-        raise InvalidParameterError("parameter pack has too few columns for this row")
+    n = len(lows)
+
+    def rec(prefix: tuple):
+        i = len(prefix)
+        if i == n:
+            yield Signature(prefix)
+            return
+        hi = highs[i] if i == 0 else min(highs[i], prefix[-1])
+        for part in range(lows[i], hi + 1):
+            yield from rec(prefix + (part,))
+
+    return rec(())
+
+
+def _plaquette_weights(params: IrfParams, w: complex, stochastic: bool):
+    """Per-column weight callback of a row with spectral parameter ``w``."""
+
+    def fn(kind, m, x, lam_x):
+        ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
+        return weight(kind, m, ctx, stochastic=stochastic)
+
+    return fn
+
+
+def _row_walk(params: IrfParams, bot: dict, first: int, last: int, lam_start: complex, weight_fn, top: dict | None = None) -> dict:
+    """Every configuration of one row of plaquettes over columns first..last.
+
+    One path enters from the left at column ``first``, whose top-left unit
+    square has filling ``lam_start``; ``bot`` maps columns to the incoming
+    vertical occupations.  At column x the carry out of the plaquette fixes
+    the top occupation n = m + carry - carry_out, and crossing the column
+    advances the filling by 4*eta*n - 2*eta*Lambda_x.  ``weight_fn(kind, m,
+    x, lam_x)`` weighs a plaquette; with ``top`` (column -> occupation) only
+    the configuration with those top occupations is followed.
+
+    Returns {(top occupations from column ``first`` on, carry past the last
+    column walked): amplitude}.  A path whose carry is 0 past the last
+    occupied column stops there, since every further plaquette is an empty
+    A, which weighs exactly 1.  Branches share their prefixes, so a full
+    expansion costs far less than evaluating each top separately.
+    """
     eta = params.eta
-    carry = 1
-    lam_x = lam_start
-    val = 1.0 + 0.0j
-    for x in range(start_col, last + 1):
-        m = bot_mult.get(x, 0)
-        n = top_mult.get(x, 0)
-        carry_out = carry + m - n
-        if carry_out not in (0, 1):
-            return 0.0 + 0.0j
-        kind = _ROW_KIND[(carry, carry_out)]
-        ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), eta, params.mode)
-        val *= weight(kind, m, ctx, stochastic=stochastic)
-        lam_x = lam_x + 4 * eta * n - 2 * eta * params.lam(x)
-        carry = carry_out
-    if carry != 0:
-        return 0.0 + 0.0j
-    return val
+    occupied = [x for x, m in bot.items() if m] + [x for x, n in (top or {}).items() if n]
+    stop = max(occupied, default=first - 1)
+    out: dict = {}
+    stack = [(first, 1, lam_start, 1.0 + 0.0j, ())]
+    while stack:
+        x, carry, lam_x, amp, tops = stack.pop()
+        if x > last or (carry == 0 and x > stop):
+            key = (tops, carry)
+            out[key] = out.get(key, 0.0 + 0.0j) + amp
+            continue
+        m = bot.get(x, 0)
+        for carry_out in (0, 1):
+            n = m + carry - carry_out
+            if n < 0 or (top is not None and n != top.get(x, 0)):
+                continue
+            kind = _ROW_KIND[(carry, carry_out)]
+            wgt = 1.0 + 0.0j if (kind == "A" and m == 0) else weight_fn(kind, m, x, lam_x)
+            if wgt == 0:
+                continue
+            stack.append((x + 1, carry_out, lam_x + 4 * eta * n - 2 * eta * params.lam(x), amp * wgt, tops + (n,)))
+    return out
 
 
-def interlacings_below(kappa: Signature, min_part: int = 0):
-    """All mu with kappa > mu (interlacing) and len(mu) = len(kappa) - 1."""
-    kappa = _sig(kappa)
-    k = kappa.parts
-    if not k:
-        return
-    ranges = []
-    for i in range(len(k) - 1):
-        lo = max(k[i + 1], min_part)
-        ranges.append(range(lo, k[i] + 1))
-    if not ranges:
-        yield Signature(())
-        return
-    for combo in itertools.product(*ranges):
-        if all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1)):
-            yield Signature(combo)
-
-
-def interlacings_above(nu: Signature, max_part: int, min_part: int = 0):
-    """All kappa with kappa > nu and len(kappa) = len(nu) + 1, kappa_1 <= max_part."""
-    nu = _sig(nu)
-    n = nu.parts
-    ranges = [range(n[0] if n else min_part, max_part + 1)]
-    for i in range(len(n)):
-        lo = max(n[i + 1] if i + 1 < len(n) else min_part, min_part)
-        ranges.append(range(lo, n[i] + 1))
-    for combo in itertools.product(*ranges):
-        if all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1)):
-            yield Signature(combo)
-
-
-def signatures_between(lo: Signature, hi: Signature, step_below_hi: bool = True):
-    """Signatures kappa with lo <= kappa <= hi componentwise (equal length).
-
-    With ``step_below_hi`` only those interlacing with hi in a single step
-    (hi > kappa) are produced; reachability from lo over several steps is
-    left to the caller's recursion.
-    """
-    lo, hi = _sig(lo), _sig(hi)
-    if lo.length != hi.length:
-        return
-    ranges = [range(lo.parts[i], hi.parts[i] + 1) for i in range(lo.length)]
-    for combo in itertools.product(*ranges):
-        sig_ok = all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1))
-        if sig_ok and (not step_below_hi or _dominates(hi.parts, combo)):
-            yield Signature(combo)
-
-
-def _dominates(nu, mu) -> bool:
-    """nu > mu in the interlacing order for equal lengths."""
-    n = len(nu)
-    for i in range(n):
-        if nu[i] < mu[i]:
-            return False
-        if i + 1 < n and nu[i + 1] > mu[i]:
-            return False
-    return True
+def _walk_amplitude(walk: dict, carry: int) -> complex:
+    """Total amplitude of the row configurations that end with ``carry``."""
+    return sum((amp for (_, c), amp in walk.items() if c == carry), 0.0 + 0.0j)
 
 
 def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: bool = False) -> complex:
@@ -372,7 +355,8 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
     Rows compose by the branching rule: the top row carries (lambda, w_1),
     the next (lambda + 2*eta, w_2), and so on.  Stochastic rows start at
     column 1 with top-left filling lambda_row - 2*eta*Lambda_0; signatures
-    must then have all parts >= 1.
+    must then have all parts >= 1.  Each row is read off the row walk with
+    both its top and its bottom fixed; a path must leave the row with carry 0.
     """
     kappa, nu = _sig(kappa), _sig(nu)
     k = len(ws)
@@ -385,19 +369,24 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
         return 1.0 + 0.0j if kappa == nu else 0.0 + 0.0j
 
     eta = params.eta
-
-    def row_start(lam_row: complex) -> complex:
-        return lam_row - 2 * eta * params.lam(0) if stochastic else lam_row
+    lam0_shift = 2 * eta * params.lam(0) if stochastic else 0.0
 
     def rec(top: Signature, lam_row: complex, depth: int) -> complex:
-        w = ws[depth]
-        if depth == k - 1:
-            return _single_row_B(top, nu, row_start(lam_row), w, params, stochastic, start_col)
+        if depth == k:
+            return 1.0 + 0.0j  # the bounds below leave only mid = nu here
+        t = top.parts
+        # mid interlaces below top, dominates nu, and is nu on the last row
+        lows = [max(t[i + 1], start_col, nu.parts[i] if i < nu.length else 0) for i in range(len(t) - 1)]
+        highs = nu.parts if depth == k - 1 else t[:-1]
+        weight_fn = _plaquette_weights(params, ws[depth], stochastic)
+        top_mult = top.multiplicities()
         total = 0.0 + 0.0j
-        for mid in interlacings_below(top, min_part=start_col):
-            if any(mid.parts[i] < nu.parts[i] for i in range(nu.length)):
-                continue
-            row = _single_row_B(top, mid, row_start(lam_row), w, params, stochastic, start_col)
+        for mid in signatures_in_box(lows, highs):
+            last = max(top.max_part(), mid.max_part(), start_col)
+            if last >= params.n_cols:
+                raise InvalidParameterError("parameter pack has too few columns for this row")
+            walk = _row_walk(params, mid.multiplicities(), start_col, last, lam_row - lam0_shift, weight_fn, top_mult)
+            row = _walk_amplitude(walk, 0)
             if row == 0:
                 continue
             total += row * rec(mid, lam_row + 2 * eta, depth + 1)
@@ -406,63 +395,47 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
     return rec(kappa, lam, 0)
 
 
-def _single_row_D(nu: Signature, mu: Signature, lam: complex, w: complex, params: IrfParams) -> complex:
-    """Single-variable skew D by the same row DP plus the exact tail factor.
+def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
+    """Multivariate skew D composed from single rows by the D-branching rule.
 
+    A single row D_{nu/kappa}(lambda; w) is the row walk with bottom nu and
+    top kappa that leaves with carry 1, times the path-independent factor
+    prod_x f(z_x - w + (Lambda_x+1) eta) / f(z_x - w + (1-Lambda_x) eta).
     The infinite product over empty columns telescopes against the
     normalization, leaving 1/f(lambda_X) at the first untouched column X;
     no numerical depth limit enters.
     """
-    if nu.length != mu.length:
-        raise InvalidParameterError("skew D needs equal lengths")
-    nu_mult = nu.multiplicities()
-    mu_mult = mu.multiplicities()
-    last = max(nu.max_part(), mu.max_part(), 0)
-    if last + 1 >= params.n_cols:
-        raise InvalidParameterError("parameter pack has too few columns for this row")
-    eta = params.eta
-    f = params.f
-    carry = 1
-    lam_x = lam
-    val = 1.0 + 0.0j
-    for x in range(0, last + 1):
-        m = nu_mult.get(x, 0)  # bottom occupations: the vector acted upon
-        n = mu_mult.get(x, 0)
-        carry_out = carry + m - n
-        if carry_out not in (0, 1):
-            return 0.0 + 0.0j
-        kind = _ROW_KIND[(carry, carry_out)]
-        ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), eta, params.mode)
-        val *= weight(kind, m, ctx)
-        val *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(
-            params.z(x) - w + (-params.lam(x) + 1) * eta
-        )
-        lam_x = lam_x + 4 * eta * n - 2 * eta * params.lam(x)
-        carry = carry_out
-    if carry != 1:
-        return 0.0 + 0.0j
-    return val / f(lam_x)
-
-
-def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
-    """Multivariate skew D composed from single rows by the D-branching rule."""
     nu, mu = _sig(nu), _sig(mu)
     if nu.length != mu.length:
         raise InvalidParameterError("skew D needs equal lengths")
     n = len(ws)
     if n == 0:
         return 1.0 + 0.0j if nu == mu else 0.0 + 0.0j
-    if n == 1:
-        return _single_row_D(nu, mu, lam, ws[0], params)
     eta = params.eta
-    total = 0.0 + 0.0j
+    f = params.f
+    w = ws[-1]
+    lam_row = lam + 2 * eta * (n - 1)
+    weight_fn = _plaquette_weights(params, w, False)
+    nu_mult = nu.multiplicities()
     # D_{nu/mu}(lam; w_1..w_n) = sum_kappa D_{kappa/mu}(lam; w_1..w_{n-1})
-    #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n)
-    for kappa in signatures_between(mu, nu):
-        t2 = _single_row_D(nu, kappa, lam + 2 * eta * (n - 1), ws[-1], params)
+    #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n),
+    # nu > kappa >= mu, and kappa = mu for a single row
+    lows = [max(mu.parts[i], nu.parts[i + 1] if i + 1 < nu.length else 0) for i in range(nu.length)]
+    highs = mu.parts if n == 1 else nu.parts
+    total = 0.0 + 0.0j
+    for kappa in signatures_in_box(lows, highs):
+        last = max(nu.max_part(), kappa.max_part(), 0)
+        if last + 1 >= params.n_cols:
+            raise InvalidParameterError("parameter pack has too few columns for this row")
+        kappa_mult = kappa.multiplicities()
+        t2 = _walk_amplitude(_row_walk(params, nu_mult, 0, last, lam_row, weight_fn, kappa_mult), 1)
         if t2 == 0:
             continue
-        total += skew_D_lattice(kappa, mu, lam, ws[:-1], params) * t2
+        lam_x = lam_row
+        for x in range(0, last + 1):
+            t2 *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta)
+            lam_x = lam_x + 4 * eta * kappa_mult.get(x, 0) - 2 * eta * params.lam(x)
+        total += skew_D_lattice(kappa, mu, lam, ws[:-1], params) * (t2 / f(lam_x))
     return total
 
 
@@ -487,7 +460,7 @@ def stoch_B_formula(kappa, nu, lam: complex, us, params: IrfParams) -> complex:
         pref *= f(u - grid.q[0]) / f(u - grid.p[0])
     ratio = D_rho(kappa, lam, params) / D_rho(nu, lam + 2 * eta * k, params)
     plain = skew_B_lattice(kappa, nu, lam, us, params, stochastic=False)
-    return pref * ratio * normalize("B", plain, lam, k, params)
+    return pref * ratio * normalize(plain, lam, k, params)
 
 
 @dataclass(frozen=True)
@@ -497,65 +470,24 @@ class TailInfo:
     converged: bool
 
 
-def _row_expand(bot: Signature, lam_start: complex, w: complex, params: IrfParams, stochastic: bool, start_col: int, max_part: int) -> dict:
-    """All (top signature, row weight) pairs one row above ``bot``.
-
-    Single column walk with shared prefixes; exponentially cheaper than
-    evaluating each candidate top separately.  Configurations whose
-    horizontal arrow is still traveling past ``max_part`` are dropped;
-    that is exactly the mass escaping the kappa_1 <= max_part truncation.
-    """
-    bot_mult = bot.multiplicities()
-    last_bot = bot.max_part() if bot.parts else start_col - 1
-    eta = params.eta
-    out: dict = {}
-    stack = [(start_col, 1, lam_start, 1.0 + 0.0j, ())]
-    while stack:
-        x, carry, lam_x, amp, tops = stack.pop()
-        if carry == 0 and x > last_bot:
-            parts = []
-            for col, n in reversed(tops):
-                parts.extend([col] * n)
-            sig = Signature(tuple(parts))
-            out[sig] = out.get(sig, 0.0 + 0.0j) + amp
-            continue
-        if x > max_part:
-            continue
-        m = bot_mult.get(x, 0)
-        for carry_out in (0, 1):
-            n = m + carry - carry_out
-            if n < 0:
-                continue
-            kind = _ROW_KIND[(carry, carry_out)]
-            if kind == "A" and m == 0:
-                wgt = 1.0 + 0.0j  # empty plaquette, normalized to 1
-            else:
-                ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), eta, params.mode)
-                wgt = weight(kind, m, ctx, stochastic=stochastic)
-            if wgt == 0:
-                continue
-            new_tops = tops + ((x, n),) if n else tops
-            stack.append(
-                (x + 1, carry_out, lam_x + 4 * eta * n - 2 * eta * params.lam(x), amp * wgt, new_tops)
-            )
-    return out
-
-
-def row_transfer(dist: dict, lam_row: complex, w: complex, params: IrfParams, stochastic: bool, max_part: int) -> dict:
-    """Push a signature-indexed amplitude map through one row of plaquettes.
+def row_transfer(dist: dict, lam_row: complex, w: complex, params: IrfParams, max_part: int) -> dict:
+    """Push a signature-indexed amplitude map through one stochastic row of plaquettes.
 
     Returns sum over tops of row(top/bot) * amp with top_1 <= max_part.
     Up-right paths only ever move parts rightward, so capping every row at
     the final cap loses exactly the mass of configurations whose crossing
-    signature would exceed the cap.
+    signature would exceed the cap: their paths still carry 1 past it.
     """
-    start_col = 1 if stochastic else 0
-    eta = params.eta
+    lam_start = lam_row - 2 * params.eta * params.lam(0)
+    weight_fn = _plaquette_weights(params, w, True)
     out: dict = {}
     for bot, amp in dist.items():
-        lam_start = lam_row - 2 * eta * params.lam(0) if stochastic else lam_row
-        for top, val in _row_expand(bot, lam_start, w, params, stochastic, start_col, max_part).items():
-            out[top] = out.get(top, 0.0 + 0.0j) + amp * val
+        if bot.max_part() > max_part:
+            continue  # every path through this bottom runs past the cap
+        for (tops, carry), val in _row_walk(params, bot.multiplicities(), 1, max_part, lam_start, weight_fn).items():
+            if carry == 0:
+                top = Signature(tuple(col for col in range(len(tops), 0, -1) for _ in range(tops[col - 1])))
+                out[top] = out.get(top, 0.0 + 0.0j) + amp * val
     return out
 
 
@@ -573,7 +505,7 @@ def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = 
     eta = params.eta
     dist = {nu: 1.0 + 0.0j}
     for j in range(k, 0, -1):
-        dist = row_transfer(dist, lam + 2 * eta * (j - 1), us[j - 1], params, True, cap)
+        dist = row_transfer(dist, lam + 2 * eta * (j - 1), us[j - 1], params, cap)
     groups: dict = {}
     for kappa, amp in dist.items():
         top = kappa.max_part()

@@ -18,10 +18,12 @@ from dynirf.observables import (
     ssep_f2_duality,
     ssep_falling_moment,
     ssep_mean_height,
+    _irf_product,
     _irf_residue_sum,
     _ssep_f2_large_t,
 )
 from dynirf.params import preset, to_six_vertex
+from dynirf.samplers import batch_heights, enumerate_heights, sample_irf_batch
 from dynirf.special import InvalidParameterError
 
 
@@ -31,6 +33,22 @@ def q_pochhammer(x, q, n: int):
     for k in range(n):
         out *= 1.0 - q**k * x
     return out
+
+
+def irf_product_scalar(hs, spec, params, lam) -> complex:
+    """Reference for _irf_product: the normalized observable product of one realization."""
+    N = int(spec.N_or_t)
+    a = cmath.exp(2j * math.pi * lam)
+    q_pow = lambda m: cmath.exp(-4j * math.pi * params.eta * m)
+    out = 1.0 + 0.0j
+    norm = 1.0 + 0.0j
+    for k in range(spec.n):
+        x = spec.xs[k]
+        lsum = params.lam_sum(1, x)
+        o = obs_O(hs[k], x, N, params, lam)
+        out *= q_pow(N - lsum) + a * q_pow(2 * k) - q_pow(k) * o
+        norm *= 1.0 - a * q_pow(1) ** k
+    return out / norm
 
 
 def ssep_f2_rk4(x: int, t: float, dt: float = 0.1, window_factor: float = 5.5) -> float:
@@ -125,6 +143,22 @@ class TestObsO:
         o = obs_O(h, x, N, dyn6v)
         lhs = q ** (N - lsum) + cmath.exp(2j * math.pi * dyn6v.lambda0) * q ** (2 * k) - q**k * o
         assert abs(lhs) < 1e-12
+
+
+class TestObservableProduct:
+    def test_irf_product_matches_scalar_reference(self, dyn6v):
+        # on an enumerated law (complex lambda) and on a small sampled batch
+        spec = ObservableSpec((3, 2), 4)
+        lam = 0.2 + 0.3j
+        law = enumerate_heights(dyn6v, 4, spec.xs, lam0=lam)
+        batch = sample_irf_batch(dyn6v, 3, 4, seed=8, n_traj=40)
+        drawn = np.stack([batch_heights(batch, x, 4) for x in spec.xs], axis=1)
+        for hs, at in ((np.array(list(law)), lam), (drawn, dyn6v.lambda0)):
+            got = _irf_product(hs, spec, dyn6v, at)
+            assert got.shape == (hs.shape[0],)
+            for row, val in zip(hs, got):
+                want = irf_product_scalar(row, spec, dyn6v, at)
+                assert abs(val - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestExactIrf:
@@ -278,6 +312,19 @@ class TestSsep:
         # the n = 3 circles used to fail the radius check at any t
         v = ssep_falling_moment(0, 4.0, 3)
         assert math.isfinite(v) and v > 0
+
+    @pytest.mark.parametrize("t, n", [(8.0, 3), (1.0, 4)])
+    def test_falling_moment_refuses_unsupported_range(self, monkeypatch, t, n):
+        # n = 3 converged erratically past t = 7.6 (0.65 at t = 8, ConvergenceError
+        # at 8.05); n = 4's second level always passed the grid cap
+        import dynirf.observables as obs
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(obs, "contour_integral_factored", no_quadrature)
+        with pytest.raises(InvalidParameterError):
+            ssep_falling_moment(0, t, n)
 
     def test_direct_route_refuses_overlapping_pairs(self):
         # five circles put the largest pair past r_i + r_j = 0.95

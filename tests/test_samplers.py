@@ -18,7 +18,7 @@ from dynirf.samplers import (
 )
 from dynirf.samplers import _rate, _site_move
 from dynirf.special import InvalidParameterError
-from dynirf.symfunc import skew_B_lattice
+from dynirf.symfunc import Signature, row_transfer, skew_B_lattice
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +152,16 @@ class TestEnumeration:
         dist, _ = enumerate_distribution(dyn6v, N, 7)
         lam_arg = dyn6v.lambda0 - 2 * dyn6v.eta * (N - dyn6v.lam(0))
         ws = [dyn6v.w(k) for k in range(1, N + 1)]
-        for kappa, prob in list(dist.items())[:6]:
-            direct = skew_B_lattice(kappa, (), lam_arg, ws, dyn6v, stochastic=True)
-            assert abs(prob - direct) < 1e-12
+        # a non-empty bottom signature, pushed up row by row (bottom row,
+        # w_N at lambda + 2*eta*(N-1), first)
+        nu = Signature((2, 1))
+        dist_nu = {nu: 1.0 + 0.0j}
+        for j in range(N, 0, -1):
+            dist_nu = row_transfer(dist_nu, lam_arg + 2 * dyn6v.eta * (j - 1), ws[j - 1], dyn6v, 7)
+        for bottom, law in (((), dist), (nu, dist_nu)):
+            for kappa, prob in list(law.items())[:6]:
+                direct = skew_B_lattice(kappa, bottom, lam_arg, ws, dyn6v, stochastic=True)
+                assert abs(prob - direct) < 1e-12
 
     def test_single_row_is_product_form(self, dyn6v):
         dist, _ = enumerate_distribution(dyn6v, 1, 8)
@@ -201,6 +208,16 @@ class TestExclusion:
     def test_ssep_large_lambda_rates(self):
         down, up = _rate("ssep", (1e9,), 3, -2), _rate("ssep", (1e9,), 3, 2)
         assert abs(down - 1) < 1e-8 and abs(up - 1) < 1e-8
+
+    def test_rate_on_arrays_matches_scalar_calls(self):
+        # exclusion_farm prices every site at once; the elementwise values
+        # must be those of the scalar calls _site_move makes
+        s = np.array([[0.0, 1.0, 2.0, 5.0], [3.0, 1.0, 4.0, 7.0]])
+        delta = np.array([[2, -2, 2, -2], [-2, 2, -2, 2]], dtype=np.int8)  # the farm's dtype
+        for kind, rates in (("asep", (0.5, 2.0)), ("asep", (1.7, -0.4)), ("ssep", (1.0,)), ("ssep", (2.5,))):
+            got = _rate(kind, rates, s, delta)
+            for i, j in np.ndindex(s.shape):
+                assert got[i, j] == _rate(kind, rates, int(s[i, j]), int(delta[i, j])), (kind, i, j)
 
     def test_ssep_lambda_bar_one_at_origin(self):
         # s_0 = 0 is a local minimum: only the up-rate (0+1)/(0+1+1) exists;

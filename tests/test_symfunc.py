@@ -16,6 +16,7 @@ from dynirf.symfunc import (
     normalize,
     phi,
     psi,
+    signatures_in_box,
     skew_B_lattice,
     skew_D_lattice,
     stoch_B_formula,
@@ -176,10 +177,10 @@ class TestLatticeDP:
     def test_normalize(self):
         P = random_params()
         lam = rand_lam()
-        assert normalize("B", 2.5, lam, 0, P) == 2.5
-        assert abs(normalize("D", 1.0, lam, 1, P) - P.f(lam)) < 1e-14
+        assert normalize(2.5, lam, 0, P) == 2.5
+        assert abs(normalize(1.0, lam, 1, P) - P.f(lam)) < 1e-14
         val = 0.3 + 0.1j
-        got = normalize("B", val, lam, 3, P)
+        got = normalize(val, lam, 3, P)
         want = val * P.f(lam) * P.f(lam + 2 * P.eta) * P.f(lam + 4 * P.eta)
         assert abs(got - want) < 1e-13 * abs(want)
 
@@ -302,6 +303,17 @@ class TestSignatureProperties:
         occ = occupations_from_parts(parts, 10)
         assert parts_from_occupations(occ) == parts
         assert sum(occ) == len(parts)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(-1, 5)), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_box_enumerator_matches_product_filter(self, bounds):
+        # lows[i] <= kappa_i <= highs[i], weakly decreasing, lexicographic;
+        # a negative span gives an empty range
+        lows = tuple(lo for lo, _ in bounds)
+        highs = tuple(lo + span for lo, span in bounds)
+        ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
+        want = [c for c in itertools.product(*ranges) if all(c[i] >= c[i + 1] for i in range(len(c) - 1))]
+        assert [sig.parts for sig in signatures_in_box(lows, highs)] == want
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
