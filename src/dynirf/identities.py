@@ -24,6 +24,7 @@ from .special import (
 )
 from .symfunc import (
     B_mu,
+    _bmu_prefactor,
     phi,
     D_nu,
     D_rho,
@@ -420,16 +421,7 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     grid = pq_grid(params)
     f, eta = params.f, params.eta
     M = mu.length
-    pref = (-1.0) ** M * f(2 * eta) ** M
-    for i in range(M):
-        pref /= f(lam + 2 * eta * i)
-    for mult in mu.multiplicities().values():
-        for j in range(1, mult + 1):
-            pref *= f(2 * eta) / f(2 * eta * j)
-    shifts_b = [
-        lam - grid.q[mu.parts[i]] + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(0, mu.parts[i])
-        for i in range(M)
-    ]
+    pref, shifts_b = _bmu_prefactor(mu, lam, params)
     kern = _kernel_unary(nu, lam, params)
 
     def cross_kernel(x, y):

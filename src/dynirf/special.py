@@ -199,7 +199,7 @@ class Circle:
         return abs(point - self.center) < self.radius - margin
 
 
-_MAX_GRID = 1 << 22  # evaluate tensor grids in chunks beyond this many points
+_MAX_GRID = 1 << 22  # evaluate grids and factor blocks in chunks beyond this many points
 _MAX_LEVEL_POINTS = 1 << 26  # never evaluate a doubling level with a larger n**m grid
 
 
@@ -229,45 +229,36 @@ def _grid_value(integrand: Callable, contours: Sequence[Circle], n: int) -> comp
 
 
 def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
+    # Each term is a tensor network: unary j (times its node weights) is a
+    # vector on axis j, binary (i, j) a matrix on axes i and j.  The rows of
+    # variable 0 go in blocks of _MAX_GRID // n, so unary 0 and the binaries
+    # (0, j) are evaluated per block and never as a whole n x n matrix; the
+    # other factors are evaluated once.  einsum contracts each block on a
+    # greedy path, planned once per distinct subscript string.
     m = len(contours)
     pts = [c.points(n) for c in contours]
     weights = [pts[j] - contours[j].center for j in range(m)]
-
-    def axis_shape(vec, axis, length=None):
-        shape = [1] * m
-        shape[axis] = len(vec) if length is None else length
-        return np.asarray(vec).reshape(shape)
-
-    # cache unary vectors and binary matrices once per node level
-    cached = []
-    for unaries, binaries in terms:
-        uvecs = [np.asarray(unaries[j](pts[j])) for j in range(m)]
-        bmats = {
-            (i, j): np.asarray(fn(pts[i][:, None], pts[j][None, :]))
-            for (i, j), fn in binaries.items()
-        }
-        cached.append((uvecs, bmats))
-
+    rows = max(1, _MAX_GRID // n)
+    axis = [chr(ord("a") + j) for j in range(m)]
+    paths = {}
     total = 0.0 + 0.0j
-    chunk = max(1, _MAX_GRID // max(1, n ** (m - 1)))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        clen = sl.stop - sl.start
-        acc = None
-        for uvecs, bmats in cached:
-            g = axis_shape(uvecs[0][sl], 0, clen)
-            for j in range(1, m):
-                g = g * axis_shape(uvecs[j], j)
-            for (i, j), mat in bmats.items():
-                sub = mat[sl] if i == 0 else mat
-                shape = [1] * m
-                shape[i], shape[j] = sub.shape
-                g = g * sub.reshape(shape)
-            acc = g if acc is None else acc + g
-        wchunk = axis_shape(weights[0][sl], 0, clen)
-        for j in range(1, m):
-            wchunk = wchunk * axis_shape(weights[j], j)
-        total += np.sum(acc * wchunk)
+    for unaries, binaries in terms:
+        edge0 = [(j, fn) for (i, j), fn in binaries.items() if i == 0]
+        rest = [(i, j, fn) for (i, j), fn in binaries.items() if i > 0]
+        spec = ",".join(
+            ["a"] + ["a" + axis[j] for j, _ in edge0] + axis[1:] + [axis[i] + axis[j] for i, j, _ in rest]
+        ) + "->"
+        fixed = [np.asarray(unaries[j](pts[j])) * weights[j] for j in range(1, m)]
+        fixed += [np.broadcast_to(fn(pts[i][:, None], pts[j][None, :]), (n, n)) for i, j, fn in rest]
+        for start in range(0, n, rows):
+            blk = slice(start, start + rows)
+            v0 = pts[0][blk]
+            ops = [np.asarray(unaries[0](v0)) * weights[0][blk]]
+            ops += [np.broadcast_to(fn(v0[:, None], pts[j][None, :]), (v0.size, n)) for j, fn in edge0]
+            ops += fixed
+            if spec not in paths:
+                paths[spec] = np.einsum_path(spec, *ops, optimize="greedy")[0]
+            total += np.einsum(spec, *ops, optimize=paths[spec])
     return complex(total / float(n**m))
 
 
@@ -305,9 +296,12 @@ def contour_integral_factored(
     Each term is a pair ``(unaries, binaries)``: ``unaries[j]`` maps the
     node array of contour j to the product of that term's univariate
     factors in v_j, and ``binaries[(i, j)]`` (i < j) maps broadcastable
-    node arrays to the term's cross factor in (v_i, v_j).  Factored
-    evaluation keeps the expensive special-function calls on O(n) vectors
-    and O(n^2) matrices instead of the full n^m tensor grid.
+    node arrays to the term's cross factor in (v_i, v_j).  Each term is
+    contracted as a tensor network (``np.einsum`` on a greedy path) rather
+    than multiplied out to the n^m grid: the special functions run on
+    O(n) vectors and n x n matrices only, and the factors in v_0 are
+    evaluated in row blocks of ``_MAX_GRID // n`` nodes, so no array of
+    the contraction's factors exceeds ``_MAX_GRID`` points.
 
     Same node-doubling policy as :func:`contour_integral`.
     """

@@ -113,6 +113,26 @@ def psi(l: int, v, grid: PQGrid, mode: FunctionMode):
     return out
 
 
+def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
+    """B_mu's permutation-free data: the prefactor
+    (-1)^M f(2 eta)^M / prod_i f(lam + 2 eta i) times the multiplicity
+    factors, and the shift of each part's f(shift + u) factor."""
+    grid = pq_grid(params)
+    f, eta = params.f, params.eta
+    M = mu.length
+    pref = (-1.0) ** M * f(2 * eta) ** M
+    for i in range(M):
+        pref /= f(lam + 2 * eta * i)
+    for mult in mu.multiplicities().values():
+        for j in range(1, mult + 1):
+            pref *= f(2 * eta) / f(2 * eta * j)
+    shifts = [
+        lam - grid.q[mu.parts[i]] + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(0, mu.parts[i])
+        for i in range(M)
+    ]
+    return pref, shifts
+
+
 def B_mu(mu, lam: complex, us, params: IrfParams):
     """Symmetrization formula for B_mu(lambda; u_1..u_M), M = len(mu).
 
@@ -130,17 +150,7 @@ def B_mu(mu, lam: complex, us, params: IrfParams):
     grid = pq_grid(params)
     eta = params.eta
     f = params.f
-    pref = (-1.0) ** M * f(2 * eta) ** M
-    for i in range(M):
-        pref /= f(lam + 2 * eta * i)
-    for mult in mu.multiplicities().values():
-        for j in range(1, mult + 1):
-            pref *= f(2 * eta) / f(2 * eta * j)
-    # per-part data reused across permutations
-    shifts = [
-        lam - grid.q[mu.parts[i]] + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(0, mu.parts[i])
-        for i in range(M)
-    ]
+    pref, shifts = _bmu_prefactor(mu, lam, params)
     total = 0.0
     for perm in itertools.permutations(range(M)):
         term = 1.0

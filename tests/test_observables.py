@@ -228,6 +228,33 @@ class TestQuadratureRunaway:
         assert older is not None and abs(older - prev) < 1e-7
 
 
+class TestFactoredGridMemory:
+    def test_cross_factor_blocks_stay_under_max_grid(self, monkeypatch):
+        # the saddle F2 route reaches 4096 nodes/variable at t = 1e4; its
+        # 4096 x 4096 cross matrix used to be built whole (about 270 MB)
+        import dynirf.observables as obs
+        from dynirf import special
+
+        seen = []
+        real = obs.contour_integral_factored
+
+        def spy_binaries(terms, *args, **kwargs):
+            def spy(fn):
+                def wrapped(x, y):
+                    seen.append((np.broadcast(x, y).size, np.shape(y)[-1]))
+                    return fn(x, y)
+
+                return wrapped
+
+            terms = [(u, {k: spy(fn) for k, fn in b.items()}) for u, b in terms]
+            return real(terms, *args, **kwargs)
+
+        monkeypatch.setattr(obs, "contour_integral_factored", spy_binaries)
+        _ssep_f2_large_t(0, 1e4)
+        assert max(cols for _, cols in seen) == 4096
+        assert max(size for size, _ in seen) <= special._MAX_GRID
+
+
 class TestMcSeeds:
     def test_irf_seeds_give_different_samples(self, dyn6v):
         # with seed ^ index as the trajectory seed, seeds 0, 1 and 2 drew the

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.special
 
+from dynirf import special
 from dynirf.asymptotics import H_profile
 from dynirf.special import (
     TRIG,
@@ -231,3 +233,81 @@ class TestContourIntegral:
     def test_node_minimum(self):
         with pytest.raises(InvalidParameterError):
             contour_integral(lambda v: 1.0 / v[0], [Circle(0, 1.0)], nodes=8)
+
+
+def broadcast_factored_reference(terms, contours, n):
+    """The former _factored_grid_value: every term multiplied out to the
+    full n**m grid by numpy broadcasting, chunked along variable 0."""
+    m = len(contours)
+    pts = [c.points(n) for c in contours]
+    weights = [pts[j] - contours[j].center for j in range(m)]
+
+    def axis_shape(vec, axis, length=None):
+        shape = [1] * m
+        shape[axis] = len(vec) if length is None else length
+        return np.asarray(vec).reshape(shape)
+
+    cached = []
+    for unaries, binaries in terms:
+        uvecs = [np.asarray(unaries[j](pts[j])) for j in range(m)]
+        bmats = {
+            (i, j): np.asarray(fn(pts[i][:, None], pts[j][None, :]))
+            for (i, j), fn in binaries.items()
+        }
+        cached.append((uvecs, bmats))
+
+    total = 0.0 + 0.0j
+    chunk = max(1, special._MAX_GRID // max(1, n ** (m - 1)))
+    for start in range(0, n, chunk):
+        sl = slice(start, min(start + chunk, n))
+        clen = sl.stop - sl.start
+        acc = None
+        for uvecs, bmats in cached:
+            g = axis_shape(uvecs[0][sl], 0, clen)
+            for j in range(1, m):
+                g = g * axis_shape(uvecs[j], j)
+            for (i, j), mat in bmats.items():
+                sub = mat[sl] if i == 0 else mat
+                shape = [1] * m
+                shape[i], shape[j] = sub.shape
+                g = g * sub.reshape(shape)
+            acc = g if acc is None else acc + g
+        wchunk = axis_shape(weights[0][sl], 0, clen)
+        for j in range(1, m):
+            wchunk = wchunk * axis_shape(weights[j], j)
+        total += np.sum(acc * wchunk)
+    return complex(total / float(n**m))
+
+
+class TestFactoredContraction:
+    @staticmethod
+    def _random_terms(m, rng):
+        # two terms with different binary sets (all pairs but the last, and
+        # every other pair), so one call needs two contraction paths
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        terms = []
+        for kept in (pairs[:-1], pairs[::2]):
+            unaries = []
+            for _ in range(m):
+                c = rng.normal(size=4) + 1j * rng.normal(size=4)
+                unaries.append(lambda v, c=c: np.polyval(c, v))
+            binaries = {}
+            for pair in kept:
+                a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+                binaries[pair] = lambda x, y, a=a, b=b: (x - a * y + 0.3) / (x - 0.2 * b * y + 3.0)
+            terms.append((unaries, binaries))
+        return terms
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_broadcast_reference(self, m, monkeypatch):
+        rng = np.random.default_rng(100 + m)
+        terms = self._random_terms(m, rng)
+        contours = [Circle(0.1 * j + 0.05j, 0.5 + 0.2 * j) for j in range(m)]
+        n = 12
+        ref = broadcast_factored_reference(terms, contours, n)
+        # row blocks of 5, 5 and 2 nodes of variable 0
+        monkeypatch.setattr(special, "_MAX_GRID", 5 * n)
+        t0 = time.perf_counter()
+        val = special._factored_grid_value(terms, contours, n)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
