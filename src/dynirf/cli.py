@@ -8,7 +8,7 @@ Wall-clock timings are only embedded when --timings is passed, since they
 would break byte-identity.
 
 Exit codes: 0 all hard checks passed, 1 at least one failed (names go to
-stderr), 2 usage errors.
+stderr), 2 usage errors, invalid parameters included.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import asymptotics as asy
 from . import identities as idn
 from . import observables as obs
 from .params import IrfParams, load_config, preset, PRESET_NAMES
-from .special import FunctionMode, f_eval
+from .special import FunctionMode, InvalidParameterError, f_eval
 from .samplers import sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 from .symfunc import skew_B_lattice, stoch_B_formula, stoch_B_sum
 from .weights import WeightContext, hat_ratio, weight
@@ -471,7 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParameterError as exc:
+        print(f"dynirf: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,21 +57,30 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
+def _absorb(h, *keys):
+    """Fold each key into the uint64 hash state ``h``; array-safe."""
+    with np.errstate(over="ignore"):
+        for k in keys:
+            h = _mix((h ^ np.asarray(k, dtype=np.int64).view(np.uint64)) & _M64)
+    return h
+
+
 def _hash64(seed, *keys):
     with np.errstate(over="ignore"):
         if isinstance(seed, (int, np.integer)):
             h = _mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
         else:
             h = _mix(np.asarray(seed, dtype=np.int64).view(np.uint64))
-        for k in keys:
-            arr = np.asarray(k, dtype=np.int64).view(np.uint64)
-            h = _mix((h ^ arr) & _M64)
-    return h
+    return _absorb(h, *keys)
+
+
+def _unit(h):
+    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
 def uniform_hash(seed, *keys):
     """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe."""
-    out = (_hash64(seed, *keys) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    out = _unit(_hash64(seed, *keys))
     return out if out.shape else float(out)
 
 
@@ -416,6 +425,13 @@ def _grow_window(state: ExclusionState) -> None:
     state.lo, state.hi = new_lo, new_hi
 
 
+def _check_horizon(T) -> float:
+    T = float(T)
+    if not (math.isfinite(T) and T >= 0):
+        raise InvalidParameterError(f"time horizon T must be finite and >= 0, got {T!r}")
+    return T
+
+
 def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window: int = 1 << 20, record: bool = False) -> ExclusionState:
     """Event-driven next-reaction simulation up to time T.
 
@@ -425,6 +441,7 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
     uniforms keyed (seed, site, per-site draw counter), so the trajectory
     is reproducible independent of heap internals.
     """
+    T = _check_horizon(T)
     state = ExclusionState(
         initial.kind,
         initial.rate_params,
@@ -482,61 +499,80 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
     return state
 
 
+def _farm_rates(kind: str, rate_params, heights):
+    """Flip rates of the inner columns of a (rows, sites) height array; 0 where no flip is admissible."""
+    left, mid, right = heights[:, :-2], heights[:, 1:-1], heights[:, 2:]
+    is_max = (left == mid - 1) & (right == mid - 1)
+    is_min = (left == mid + 1) & (right == mid + 1)
+    # every other site is priced as an up-flip and masked out
+    delta = np.where(is_max, np.int8(-2), np.int8(2))
+    rates = _rate(kind, rate_params, mid, delta) * (is_max | is_min)
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        raise InvalidParameterError("nonpositive or singular jump rate encountered")
+    return rates
+
+
 def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs, half_width: int = 8):
     """Vectorized direct Gillespie across trajectories; exact CTMC law.
 
-    Returns an (n_traj, len(xs)) int array of s_x(T).  Each trajectory's
+    Returns an (n_traj, len(xs)) int array of s_x(T); sites outside the
+    final window were never disturbed and read |x|.  Each trajectory's
     variates are keyed (``trajectory_seed(seed, index)``, event number), so
     results do not depend on the batch size.  The shared window grows
-    whenever any trajectory's disturbance approaches its edge.
+    whenever a flip comes within three sites of its edge.
+
+    Each live trajectory keeps a row of site rates.  A flip at x changes
+    only the rates at x - 1, x and x + 1, so only those three are repriced
+    (Gibson & Bruck, J. Phys. Chem. A 104, 2000); the whole array is
+    repriced only when the window grows.  A trajectory whose next clock
+    passes T is read out and dropped, so no later hash, sum or site pick
+    touches it.  Its two outermost sites on each side must still hold |x|,
+    or the window fell behind its disturbance.
     """
     step_exclusion_state(kind, rate_params)  # parameter validation
+    T = _check_horizon(T)
     W = half_width
-    sites = np.arange(-W, W + 1)
-    s = np.abs(np.broadcast_to(sites, (n_traj, sites.size))).astype(np.float64).copy()
+    s = np.broadcast_to(np.abs(np.arange(-W, W + 1, dtype=np.float64)), (n_traj, 2 * W + 1)).copy()
+    rates = _farm_rates(kind, rate_params, s)
     t = np.zeros(n_traj)
-    seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
-    counter = np.zeros(n_traj, dtype=np.int64)
-    done = np.zeros(n_traj, dtype=bool)
-
-    def rates_array(sarr):
-        inner = sarr[:, 1:-1]
-        is_max = (sarr[:, :-2] == inner - 1) & (sarr[:, 2:] == inner - 1)
-        is_min = (sarr[:, :-2] == inner + 1) & (sarr[:, 2:] == inner + 1)
-        # every other site is priced as an up-flip and masked out
-        delta = np.where(is_max, np.int8(-2), np.int8(2))
-        rates = _rate(kind, rate_params, inner, delta) * (is_max | is_min)
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-            raise InvalidParameterError("nonpositive or singular jump rate encountered")
-        return rates, is_max
-
-    while not done.all():
-        rates, is_max = rates_array(s)
-        total = rates.sum(axis=1)
-        counter += 1
-        u1 = uniform_hash(0, seeds, counter, np.int64(1))
-        u2 = uniform_hash(0, seeds, counter, np.int64(2))
-        dt = -np.log1p(-u1) / np.maximum(total, 1e-300)
-        fire = ~done & (t + dt <= T)
-        t = np.where(~done, np.minimum(t + dt, T), t)
-        done |= ~fire
-        if fire.any():
-            cum = np.cumsum(rates, axis=1)
-            target = u2 * total
-            idx = (cum < target[:, None]).sum(axis=1)
-            idx = np.minimum(idx, rates.shape[1] - 1)
-            rows = np.nonzero(fire)[0]
-            cols = idx[rows]
-            delta = np.where(is_max[rows, cols], -2.0, 2.0)
-            s[rows, cols + 1] += delta
-            near_edge = (cols < 3) | (cols > s.shape[1] - 5)
-            if near_edge.any():
-                grow = W
-                left = np.abs(np.broadcast_to(np.arange(-W - grow, -W), (n_traj, grow))).astype(float)
-                right = np.abs(np.broadcast_to(np.arange(W + 1, W + grow + 1), (n_traj, grow))).astype(float)
-                s = np.concatenate([left, s, right], axis=1)
-                W += grow
+    # the draws are uniform_hash(0, trajectory seed, step, 1 | 2); the hash of
+    # the common prefix (0, trajectory seed, step) is computed once per step
+    prefix = _hash64(0, trajectory_seed(seed, np.arange(n_traj, dtype=np.int64)))
+    index = np.arange(n_traj)  # output row of each live trajectory
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
-    for j, x in enumerate(xs):
-        out[:, j] = s[:, x + W].astype(np.int64)
+    step = 0
+    while index.size:
+        step += 1
+        total = rates.sum(axis=1)
+        h = _absorb(prefix, np.int64(step))
+        u1 = _unit(_absorb(h, np.int64(1)))
+        dt = -np.log1p(-u1) / np.maximum(total, 1e-300)
+        fire = t + dt <= T
+        if not fire.all():
+            done = s[~fire]
+            if np.any(done[:, [0, 1, -2, -1]] != (W, W - 1, W - 1, W)):
+                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
+            for j, x in enumerate(xs):
+                out[index[~fire], j] = done[:, x + W] if -W <= x <= W else abs(x)
+            s, rates, t, dt, prefix, h, index, total = (a[fire] for a in (s, rates, t, dt, prefix, h, index, total))
+        t = t + dt
+        u2 = _unit(_absorb(h, np.int64(2)))
+        m = rates.shape[1]
+        cols = np.minimum((np.cumsum(rates, axis=1) < (u2 * total)[:, None]).sum(axis=1), m - 1)
+        # inner columns lo..lo+2 hold the fired site and its neighbours (clipped
+        # at the edges); s columns lo..lo+4 hold those sites and their neighbours
+        lo = np.clip(cols - 1, 0, m - 3)
+        rows = np.arange(index.size)
+        win = s[rows[:, None], lo[:, None] + np.arange(5)]
+        k = cols - lo + 1
+        is_max = (win[rows, k - 1] == win[rows, k] - 1) & (win[rows, k + 1] == win[rows, k] - 1)
+        win[rows, k] += np.where(is_max, -2.0, 2.0)
+        s[rows, cols + 1] = win[rows, k]
+        if np.any((cols < 3) | (cols > m - 3)):
+            pad = np.broadcast_to(np.arange(W + 1, 2 * W + 1, dtype=np.float64), (index.size, W))
+            s = np.concatenate([pad[:, ::-1], s, pad], axis=1)
+            W *= 2
+            rates = _farm_rates(kind, rate_params, s)
+        else:
+            rates[rows[:, None], lo[:, None] + np.arange(3)] = _farm_rates(kind, rate_params, win)
     return out

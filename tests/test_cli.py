@@ -62,6 +62,13 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("traj,t,x,s\n")
 
+    def test_simulate_rejects_bad_horizon(self):
+        # a negative horizon used to print an empty table and exit 0
+        for t in ("-1", "nan"):
+            proc = run_cli("simulate", "--model", "ssep", "--lambda-bar", "2", "--t", t, check=False)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "time horizon" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_event_log_format(self):
         proc = run_cli("simulate", "--model", "asep", "--q", "0.5", "--alpha", "2",
                        "--t", "2", "--trajectories", "4", "--seed", "3")

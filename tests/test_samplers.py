@@ -1,6 +1,9 @@
+import signal
+
 import numpy as np
 import pytest
 
+from dynirf import samplers
 from dynirf.params import preset
 from dynirf.samplers import (
     batch_heights,
@@ -268,7 +271,137 @@ class TestExclusion:
         assert st.heights([-2, 0, 3]) == [2, 0, 0]
 
 
+def farm_reference(kind, rate_params, T, n_traj, seed, xs, half_width=8):
+    """The farm before local repricing: every site of every row, finished
+    ones too, is repriced on every event.  In-window ``xs`` only."""
+    step_exclusion_state(kind, rate_params)
+    W = half_width
+    sites = np.arange(-W, W + 1)
+    s = np.abs(np.broadcast_to(sites, (n_traj, sites.size))).astype(np.float64).copy()
+    t = np.zeros(n_traj)
+    seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
+    counter = np.zeros(n_traj, dtype=np.int64)
+    done = np.zeros(n_traj, dtype=bool)
+
+    def rates_array(sarr):
+        inner = sarr[:, 1:-1]
+        is_max = (sarr[:, :-2] == inner - 1) & (sarr[:, 2:] == inner - 1)
+        is_min = (sarr[:, :-2] == inner + 1) & (sarr[:, 2:] == inner + 1)
+        delta = np.where(is_max, np.int8(-2), np.int8(2))
+        return _rate(kind, rate_params, inner, delta) * (is_max | is_min), is_max
+
+    while not done.all():
+        rates, is_max = rates_array(s)
+        total = rates.sum(axis=1)
+        counter += 1
+        u1 = uniform_hash(0, seeds, counter, np.int64(1))
+        u2 = uniform_hash(0, seeds, counter, np.int64(2))
+        dt = -np.log1p(-u1) / np.maximum(total, 1e-300)
+        fire = ~done & (t + dt <= T)
+        t = np.where(~done, np.minimum(t + dt, T), t)
+        done |= ~fire
+        if fire.any():
+            cum = np.cumsum(rates, axis=1)
+            idx = np.minimum((cum < (u2 * total)[:, None]).sum(axis=1), rates.shape[1] - 1)
+            rows = np.nonzero(fire)[0]
+            cols = idx[rows]
+            s[rows, cols + 1] += np.where(is_max[rows, cols], -2.0, 2.0)
+            if ((cols < 3) | (cols > s.shape[1] - 5)).any():
+                grow = W
+                left = np.abs(np.broadcast_to(np.arange(-W - grow, -W), (n_traj, grow))).astype(float)
+                right = np.abs(np.broadcast_to(np.arange(W + 1, W + grow + 1), (n_traj, grow))).astype(float)
+                s = np.concatenate([left, s, right], axis=1)
+                W += grow
+    return np.stack([s[:, x + W] for x in xs], axis=1).astype(np.int64)
+
+
+class TimeLimit:
+    """Raise TimeoutError if the block runs longer than ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def _expire(self, signum, frame):
+        raise TimeoutError(f"still running after {self.seconds} s")
+
+    def __enter__(self):
+        self.previous = signal.signal(signal.SIGALRM, self._expire)
+        signal.setitimer(signal.ITIMER_REAL, self.seconds)
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
 class TestExclusionFarm:
+    @pytest.mark.parametrize(
+        "kind,rates,T,n,seed",
+        [
+            ("ssep", (2.0,), 1.0, 2000, 11),
+            ("ssep", (1.0,), 2.0, 2000, 12),
+            ("asep", (0.5, 2.0), 1.5, 2000, 13),
+            ("asep", (1.7, -0.4), 2.0, 2000, 14),
+            ("ssep", (1.0,), 50.0, 200, 15),  # the window grows several times
+            ("ssep", (2.0,), 1.0, 10_000, 16),
+        ],
+    )
+    def test_bit_identical_to_full_repricing(self, kind, rates, T, n, seed):
+        xs = list(range(-8, 9))
+        assert np.array_equal(exclusion_farm(kind, rates, T, n, seed, xs), farm_reference(kind, rates, T, n, seed, xs))
+
+    def test_reprices_three_sites_per_live_row(self, monkeypatch):
+        # after the first pricing, a whole-window call happens only when the
+        # window grows; every other call prices the three sites around each
+        # live row's flip, and finished rows are dropped
+        calls = []
+        live = []
+        real_rate, real_unit = samplers._rate, samplers._unit
+
+        def spy_rate(kind, rate_params, s_x, delta):
+            calls.append((np.shape(s_x), live[-1] if live else None))
+            return real_rate(kind, rate_params, s_x, delta)
+
+        def spy_unit(h):
+            live.append(np.size(h))
+            return real_unit(h)
+
+        monkeypatch.setattr(samplers, "_rate", spy_rate)
+        monkeypatch.setattr(samplers, "_unit", spy_unit)
+        n = 200
+        exclusion_farm("ssep", (1.0,), 50.0, n, 15, [0])
+        assert calls[0] == ((n, 15), None)
+        widths = [15]
+        local_rows = []
+        for (rows, cols), n_live in calls[1:]:
+            if cols == 3:
+                assert rows * cols <= 3 * n_live
+                local_rows.append(rows)
+            else:
+                assert cols == 2 * widths[-1] + 1  # the window doubled
+                widths.append(cols)
+        assert len(widths) >= 3 and len(local_rows) > 100
+        assert local_rows == sorted(local_rows, reverse=True)
+        assert local_rows[0] == n and local_rows[-1] < n // 10
+
+    def test_sites_outside_window_read_step_state(self):
+        out = exclusion_farm("ssep", (2.0,), 1.0, 50, seed=3, xs=[-20, 30])
+        assert np.array_equal(out, np.broadcast_to([20, 30], (50, 2)))
+
+    def test_far_site_matches_exact(self):
+        from dynirf.observables import ObservableSpec, exact_E, mc_E
+
+        spec = ObservableSpec((-12,), 1.0)
+        mean, _ = mc_E("ssep", spec, (2.0,), 4000, 3)
+        assert abs(mean - exact_E("ssep", spec, (2.0,))) < 1e-6
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), -1.0])
+    def test_bad_horizon_rejected(self, T):
+        with TimeLimit(1.0):
+            with pytest.raises(InvalidParameterError):
+                exclusion_farm("ssep", (2.0,), T, 10, seed=1, xs=[0])
+            with pytest.raises(InvalidParameterError):
+                simulate_exclusion(step_exclusion_state("ssep", (2.0,)), T, seed=1)
+
     def test_batch_size_independent(self):
         small = exclusion_farm("ssep", (2.0,), 1.0, 4, seed=6, xs=[0, 1])
         large = exclusion_farm("ssep", (2.0,), 1.0, 64, seed=6, xs=[0, 1])
