@@ -31,6 +31,7 @@ from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
 from .special import Circle, InvalidParameterError, contour_integral, contour_integral_factored
 from .samplers import (
+    _check_horizon,
     batch_heights,
     enumerate_heights,
     enumerate_heights_hs6v,
@@ -201,7 +202,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     "asep": params_or_rates = (q, alpha), loops around 1;
     "ssep": params_or_rates = (lam_bar,), loops around 0.
     """
-    n = spec.n
+    if model in ("asep", "ssep"):
+        _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
     if model == "irf":
         return _exact_E_irf(spec, params_or_rates, nodes, tol, check_residue)
     if model == "rational":

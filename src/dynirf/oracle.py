@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .special import InvalidParameterError
-from .weights import WeightContext, weight
+from .weights import plaquette_weights
 
 __all__ = [
     "FinitaryVector",
@@ -99,7 +99,6 @@ class FinitaryVector:
 
 _COL_IN = {"a": 0, "c": 0, "b": 1, "d": 1}
 _ROW_OUT = {"a": 0, "b": 0, "c": 1, "d": 1}
-_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
 
 
 def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params, col_offset: int = 0) -> FinitaryVector:
@@ -114,8 +113,7 @@ def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params,
     if col_offset + v.n_cols > params.n_cols:
         raise InvalidParameterError("parameter pack has too few columns for this vector")
     eta = params.eta
-    mode = params.mode
-    cols = [params.columns[col_offset + j] for j in range(v.n_cols)]
+    weight_fn = plaquette_weights(params, w)
     global_in = _COL_IN[op]
     global_out = _ROW_OUT[op]
 
@@ -126,7 +124,7 @@ def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params,
         prefix_weights = []
         for j in range(v.n_cols):
             prefix_weights.append(h_old)
-            h_old += cols[j][1] - 2 * occ[j]
+            h_old += params.lam(col_offset + j) - 2 * occ[j]
         # depth-first expansion over per-column branch choices
         stack = [(0, global_in, coeff, ())]
         while stack:
@@ -136,7 +134,6 @@ def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params,
                     out[new_prefix] = out.get(new_prefix, 0.0 + 0.0j) + amp
                 continue
             k = occ[j]
-            z_j, lam_j = cols[j]
             # dynamic-parameter shift: processed components carry their
             # *new* occupations, which differ from the old ones by the
             # horizontal flux global_in - carry.
@@ -154,8 +151,7 @@ def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params,
                 moves.append(("B", k + 1, 0))
                 moves.append(("D", k, 1))
             for kind, k_new, carry_out in moves:
-                ctx = WeightContext(lam_here, w, z_j, lam_j, eta, mode)
-                amp_new = amp * weight(kind, k, ctx)
+                amp_new = amp * weight_fn(kind, k, col_offset + j, lam_here)
                 if amp_new != 0:
                     stack.append((j + 1, carry_out, amp_new, new_prefix + (k_new,)))
     return FinitaryVector(out, v.n_cols, v.cap)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .params import IrfParams
 from .special import InvalidParameterError
-from .symfunc import Signature, _plaquette_weights, _row_walk, row_transfer
-from .weights import spin_half_weights
+from .symfunc import Signature, _row_walk, row_transfer
+from .weights import plaquette_weights, spin_half_weights
 
 __all__ = [
     "PositivityError",
@@ -130,16 +130,6 @@ class QuadrantState:
                 raise InvalidParameterError("finite-spin occupation cap violated")
 
 
-def _filling_row_walk(state: QuadrantState, x: int, y: int) -> complex:
-    p = state.params
-    two_eta = 2 * p.eta
-    val = p.lambda0 - two_eta * y
-    for col in range(1, x + 1):
-        vocc = int(state.vout[col, y]) if y >= 1 else 0
-        val += 2 * two_eta * vocc - two_eta * p.lam(col)
-    return val
-
-
 def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> complex:
     """Dynamic parameter of the unit square [x, x+1] x [y, y+1].
 
@@ -149,10 +139,13 @@ def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> comple
     """
     if not (0 <= x <= state.X and 0 <= y <= state.Y):
         raise InvalidParameterError("square outside the sampled window")
-    val = _filling_row_walk(state, x, y)
+    p = state.params
+    two_eta = 2 * p.eta
+    val = p.lambda0 - two_eta * y
+    for col in range(1, x + 1):
+        vocc = int(state.vout[col, y]) if y >= 1 else 0
+        val += 2 * two_eta * vocc - two_eta * p.lam(col)
     if check and y >= 1:
-        p = state.params
-        two_eta = 2 * p.eta
         alt = p.lambda0
         for col in range(1, x + 1):  # along the bottom, no vertical arrows
             alt -= two_eta * p.lam(col)
@@ -291,7 +284,7 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
     cap = max(xs)
     two_eta = 2 * params.eta
     if row_weights is None:
-        row_weights = lambda y: _plaquette_weights(params, params.w(y), True)
+        row_weights = lambda y: plaquette_weights(params, params.w(y), True)
     # one stochastic row over columns 1..cap at a time; a path still carrying
     # past column cap is absorbed: the remaining strip's weights sum to one
     # for any filling, so absorption carries weight exactly 1
@@ -481,6 +474,9 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
         if record:
             state.events.append((t_fire, x, state.s[x]))
         if x - state.lo < 3 or state.hi - x < 3:
+            # lo, hi never flip, and the window grows before lo + 1 or hi - 1 can
+            if x - state.lo < 2 or state.hi - x < 2:
+                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
             if state.hi - state.lo >= max_window:
                 raise InvalidParameterError("exclusion window exceeded the configured cap")
             old_lo, old_hi = state.lo, state.hi
@@ -493,9 +489,6 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
             if state.lo < xx < state.hi:
                 schedule(xx)
     state.t = T
-    # boundary sites must never have flipped
-    if state.value(state.lo) != abs(state.lo) or state.value(state.hi) != abs(state.hi):
-        raise InvalidParameterError("exclusion boundary was touched; window policy broken")
     return state
 
 

@@ -86,7 +86,6 @@ class FunctionMode:
 
 
 TRIG = FunctionMode.trigonometric()
-RATIONAL = FunctionMode.rational()
 
 
 def _theta_index_cutoff(max_abs_im_z: float, im_tau: float, tol: float) -> int:

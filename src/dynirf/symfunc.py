@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .params import IrfParams, PQGrid, pq_grid
 from .special import FunctionMode, InvalidParameterError, f_eval
-from .weights import WeightContext, weight
+from .weights import plaquette_weights
 
 __all__ = [
     "Signature",
@@ -105,12 +105,8 @@ def phi(k: int, u, grid: PQGrid, mode: FunctionMode):
 
 
 def psi(l: int, v, grid: PQGrid, mode: FunctionMode):
-    """psi_l(v) = [prod_{j<l} f(v - q_j)/f(v - p_j)] / f(v - p_l)."""
-    f = lambda x: f_eval(mode, x)
-    out = 1.0 / f(v - grid.p[l])
-    for j in range(l):
-        out = out * f(v - grid.q[j]) / f(v - grid.p[j])
-    return out
+    """psi_l(v) = [prod_{j<l} f(v - q_j)/f(v - p_j)] / f(v - p_l): phi with p and q swapped."""
+    return phi(l, v, PQGrid(grid.q, grid.p), mode)
 
 
 def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
@@ -303,16 +299,6 @@ def signatures_in_box(lows, highs):
     return rec(())
 
 
-def _plaquette_weights(params: IrfParams, w: complex, stochastic: bool):
-    """Per-column weight callback of a row with spectral parameter ``w``."""
-
-    def fn(kind, m, x, lam_x):
-        ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
-        return weight(kind, m, ctx, stochastic=stochastic)
-
-    return fn
-
-
 def _row_walk(params: IrfParams, bot: dict, first: int, last: int, lam_start: complex, weight_fn, top: dict | None = None) -> dict:
     """Every configuration of one row of plaquettes over columns first..last.
 
@@ -321,8 +307,9 @@ def _row_walk(params: IrfParams, bot: dict, first: int, last: int, lam_start: co
     vertical occupations.  At column x the carry out of the plaquette fixes
     the top occupation n = m + carry - carry_out, and crossing the column
     advances the filling by 4*eta*n - 2*eta*Lambda_x.  ``weight_fn(kind, m,
-    x, lam_x)`` weighs a plaquette; with ``top`` (column -> occupation) only
-    the configuration with those top occupations is followed.
+    x, lam_x)`` weighs a plaquette (``weights.plaquette_weights``, one per row
+    parameter); with ``top`` (column -> occupation) only the configuration
+    with those top occupations is followed.
 
     Returns {(top occupations from column ``first`` on, carry past the last
     column walked): amplitude}.  A path whose carry is 0 past the last
@@ -380,6 +367,7 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
 
     eta = params.eta
     lam0_shift = 2 * eta * params.lam(0) if stochastic else 0.0
+    weight_fns = [plaquette_weights(params, w, stochastic) for w in ws]
 
     def rec(top: Signature, lam_row: complex, depth: int) -> complex:
         if depth == k:
@@ -388,14 +376,13 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
         # mid interlaces below top, dominates nu, and is nu on the last row
         lows = [max(t[i + 1], start_col, nu.parts[i] if i < nu.length else 0) for i in range(len(t) - 1)]
         highs = nu.parts if depth == k - 1 else t[:-1]
-        weight_fn = _plaquette_weights(params, ws[depth], stochastic)
         top_mult = top.multiplicities()
         total = 0.0 + 0.0j
         for mid in signatures_in_box(lows, highs):
             last = max(top.max_part(), mid.max_part(), start_col)
             if last >= params.n_cols:
                 raise InvalidParameterError("parameter pack has too few columns for this row")
-            walk = _row_walk(params, mid.multiplicities(), start_col, last, lam_row - lam0_shift, weight_fn, top_mult)
+            walk = _row_walk(params, mid.multiplicities(), start_col, last, lam_row - lam0_shift, weight_fns[depth], top_mult)
             row = _walk_amplitude(walk, 0)
             if row == 0:
                 continue
@@ -418,35 +405,38 @@ def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
     nu, mu = _sig(nu), _sig(mu)
     if nu.length != mu.length:
         raise InvalidParameterError("skew D needs equal lengths")
-    n = len(ws)
-    if n == 0:
-        return 1.0 + 0.0j if nu == mu else 0.0 + 0.0j
     eta = params.eta
     f = params.f
-    w = ws[-1]
-    lam_row = lam + 2 * eta * (n - 1)
-    weight_fn = _plaquette_weights(params, w, False)
-    nu_mult = nu.multiplicities()
-    # D_{nu/mu}(lam; w_1..w_n) = sum_kappa D_{kappa/mu}(lam; w_1..w_{n-1})
-    #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n),
-    # nu > kappa >= mu, and kappa = mu for a single row
-    lows = [max(mu.parts[i], nu.parts[i + 1] if i + 1 < nu.length else 0) for i in range(nu.length)]
-    highs = mu.parts if n == 1 else nu.parts
-    total = 0.0 + 0.0j
-    for kappa in signatures_in_box(lows, highs):
-        last = max(nu.max_part(), kappa.max_part(), 0)
-        if last + 1 >= params.n_cols:
-            raise InvalidParameterError("parameter pack has too few columns for this row")
-        kappa_mult = kappa.multiplicities()
-        t2 = _walk_amplitude(_row_walk(params, nu_mult, 0, last, lam_row, weight_fn, kappa_mult), 1)
-        if t2 == 0:
-            continue
-        lam_x = lam_row
-        for x in range(0, last + 1):
-            t2 *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta)
-            lam_x = lam_x + 4 * eta * kappa_mult.get(x, 0) - 2 * eta * params.lam(x)
-        total += skew_D_lattice(kappa, mu, lam, ws[:-1], params) * (t2 / f(lam_x))
-    return total
+    weight_fns = [plaquette_weights(params, w, False) for w in ws]
+
+    def rec(nu: Signature, n: int) -> complex:
+        if n == 0:
+            return 1.0 + 0.0j if nu == mu else 0.0 + 0.0j
+        w = ws[n - 1]
+        lam_row = lam + 2 * eta * (n - 1)
+        nu_mult = nu.multiplicities()
+        # D_{nu/mu}(lam; w_1..w_n) = sum_kappa D_{kappa/mu}(lam; w_1..w_{n-1})
+        #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n),
+        # nu > kappa >= mu, and kappa = mu for a single row
+        lows = [max(mu.parts[i], nu.parts[i + 1] if i + 1 < nu.length else 0) for i in range(nu.length)]
+        highs = mu.parts if n == 1 else nu.parts
+        total = 0.0 + 0.0j
+        for kappa in signatures_in_box(lows, highs):
+            last = max(nu.max_part(), kappa.max_part(), 0)
+            if last + 1 >= params.n_cols:
+                raise InvalidParameterError("parameter pack has too few columns for this row")
+            kappa_mult = kappa.multiplicities()
+            t2 = _walk_amplitude(_row_walk(params, nu_mult, 0, last, lam_row, weight_fns[n - 1], kappa_mult), 1)
+            if t2 == 0:
+                continue
+            lam_x = lam_row
+            for x in range(0, last + 1):
+                t2 *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta)
+                lam_x = lam_x + 4 * eta * kappa_mult.get(x, 0) - 2 * eta * params.lam(x)
+            total += rec(kappa, n - 1) * (t2 / f(lam_x))
+        return total
+
+    return rec(nu, len(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +479,7 @@ def row_transfer(dist: dict, lam_row: complex, w: complex, params: IrfParams, ma
     signature would exceed the cap: their paths still carry 1 past it.
     """
     lam_start = lam_row - 2 * params.eta * params.lam(0)
-    weight_fn = _plaquette_weights(params, w, True)
+    weight_fn = plaquette_weights(params, w, True)
     out: dict = {}
     for bot, amp in dist.items():
         if bot.max_part() > max_part:

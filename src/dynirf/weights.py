@@ -42,6 +42,7 @@ __all__ = [
     "WeightContext",
     "SingularParameterError",
     "weight",
+    "plaquette_weights",
     "hat_ratio",
     "hs6v_weight",
     "dyn6v_weight",
@@ -173,6 +174,25 @@ def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
         "d",
         check,
     )
+
+
+def plaquette_weights(params, w: complex, stochastic: bool = False):
+    """Memoized weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
+
+    Column x supplies z and Lambda.  The memo, keyed on the exact arguments,
+    lives as long as the callback; an error is raised on every call, never stored.
+    """
+    memo: dict = {}
+
+    def fn(kind, m, x, lam_x):
+        key = (kind, m, x, lam_x)
+        val = memo.get(key)
+        if val is None:
+            ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
+            val = memo[key] = weight(kind, m, ctx, stochastic=stochastic)
+        return val
+
+    return fn
 
 
 def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mode: FunctionMode):

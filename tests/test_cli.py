@@ -69,6 +69,13 @@ class TestDeterminism:
             assert proc.returncode == 2 and proc.stdout == ""
             assert "time horizon" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_observables_exact_rejects_negative_time(self):
+        # the exact route used to print a value for t < 0 and exit 0
+        proc = run_cli("observables", "--model", "ssep", "--xs", "1,0", "--t", "-1",
+                       "--lambda-bar", "2", "--compare", "exact", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "time horizon" in proc.stderr
+
     def test_event_log_format(self):
         proc = run_cli("simulate", "--model", "asep", "--q", "0.5", "--alpha", "2",
                        "--t", "2", "--trajectories", "4", "--seed", "3")

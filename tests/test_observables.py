@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from dynirf import observables
 from dynirf.observables import (
     ObservableSpec,
     enum_E,
@@ -364,6 +365,23 @@ class TestSsep:
         v = exact_E("ssep", spec, (2.0,))
         m, se = mc_E("ssep", spec, (2.0,), 100000, seed=31)
         assert abs(m - v) <= 4 * se
+
+
+class TestExclusionBadTime:
+    @pytest.mark.parametrize("model,rates,xs", [("ssep", (2.0,), (1, 0)), ("asep", (0.5, 2.0), (2,))])
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_exact_E_rejects_bad_time(self, monkeypatch, model, rates, xs, t):
+        # a negative t used to return a number, and nan ran the whole
+        # doubling loop before a ConvergenceError; now no quadrature runs
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a bad time")
+
+        monkeypatch.setattr(observables, "contour_integral", no_quadrature)
+        monkeypatch.setattr(observables, "contour_integral_factored", no_quadrature)
+        with pytest.raises(InvalidParameterError, match="time horizon"):
+            exact_E(model, ObservableSpec(xs, t), rates)
+        with pytest.raises(InvalidParameterError, match="time horizon"):
+            mc_E(model, ObservableSpec(xs, t), rates, 1000, seed=0)
 
 
 class TestAsep:

@@ -243,6 +243,19 @@ class TestExclusion:
             assert abs(out.value(x + 1) - out.value(x)) == 1
         assert out.value(out.lo) == abs(out.lo) and out.value(out.hi) == out.hi
 
+    def test_frozen_window_is_caught(self, monkeypatch):
+        # lo and hi are never scheduled, so a window that stops growing shows
+        # as a flip at lo + 1 or hi - 1; the old check read only lo and hi
+        monkeypatch.setattr(samplers, "_grow_window", lambda state: None)
+        caught = 0
+        for seed in range(20):
+            try:
+                simulate_exclusion(step_exclusion_state("ssep", (1.0,)), 50.0, seed)
+            except InvalidParameterError as exc:
+                assert "boundary" in str(exc)
+                caught += 1
+        assert caught >= 1
+
     def test_particle_count_conserved(self):
         st = step_exclusion_state("asep", (0.6, 1.0))
         before = len(st.particles())
