@@ -10,6 +10,7 @@ trajectories (counter-based streams in the style of Salmon et al., SC'11).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -40,10 +41,10 @@ __all__ = [
     "exclusion_farm",
 ]
 
-_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_C1 = np.uint64(0x9E3779B97F4A7C15)
-_C2 = np.uint64(0xBF58476D1CE4E5B9)
-_C3 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFF_FFFF_FFFF_FFFF
+_K1, _K2, _K3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_M64, _C1, _C2, _C3 = (np.uint64(c) for c in (_MASK, _K1, _K2, _K3))
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 class PositivityError(RuntimeError):
@@ -68,7 +69,7 @@ def _absorb(h, *keys):
 def _hash64(seed, *keys):
     with np.errstate(over="ignore"):
         if isinstance(seed, (int, np.integer)):
-            h = _mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+            h = _mix(np.uint64(int(seed) & _MASK))
         else:
             h = _mix(np.asarray(seed, dtype=np.int64).view(np.uint64))
     return _absorb(h, *keys)
@@ -79,7 +80,20 @@ def _unit(h):
 
 
 def uniform_hash(seed, *keys):
-    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe."""
+    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe.
+
+    When ``seed`` and every key are plain ``int`` and each key fits in
+    int64, SplitMix64 runs on Python ints; any other input (arrays, numpy
+    scalars, bools) takes the numpy path.  Both return the same bits.
+    """
+    if type(seed) is int and all(type(k) is int and k in _INT64 for k in keys):
+        h = 0
+        for k in (seed, *keys):  # _mix(h ^ k), as in _hash64
+            h = ((h ^ k) + _K1) & _MASK
+            h = ((h ^ (h >> 30)) * _K2) & _MASK
+            h = ((h ^ (h >> 27)) * _K3) & _MASK
+            h ^= h >> 31
+        return (h >> 11) * 2.0**-53
     out = _unit(_hash64(seed, *keys))
     return out if out.shape else float(out)
 
@@ -226,8 +240,9 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
             i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int64)
-            a0, a1, b0, c1, d0, d1 = spin_half_weights(
-                lam_v, params.w(y), params.z(x), 1.0, params.eta, params.mode
+            lam_u, inv = np.unique(lam_v, return_inverse=True)  # few distinct fillings: weigh each once
+            c1, d0, d1 = (
+                wt[inv] for wt in spin_half_weights(lam_u, params.w(y), params.z(x), 1.0, params.eta, params.mode)[3:]
             )
             # probability that a horizontal arrow exits right: c at k=1 for
             # a fresh turn, d0 for a pass-through, d1 = 1 when the vertical
@@ -319,13 +334,14 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
     patt = {"A": (0, 0, 0, 0), "B": (0, 1, 1, 0), "C": (0, 0, -1, 1), "D": (0, 1, 0, 1)}
 
     def row_weights(y):
-        def weight_fn(kind, m, x, lam_x):
+        @functools.cache  # the weights ignore lam_x: one evaluation per (kind, m, x) in each row
+        def row(kind, m, x):
             di1, dj1, di2, dj2 = patt[kind]
             return hs6v_weight(
                 "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
             )
 
-        return weight_fn
+        return lambda kind, m, x, lam_x: row(kind, m, x)
 
     return enumerate_heights(params, N, xs, lam0=0.0, row_weights=row_weights)
 
@@ -505,6 +521,12 @@ def _farm_rates(kind: str, rate_params, heights):
     return rates
 
 
+def _grow_farm(s, W: int):
+    """Pad a (rows, 2W + 1) height array with W untouched step sites on each side."""
+    pad = np.broadcast_to(np.arange(W + 1, 2 * W + 1, dtype=np.float64), (s.shape[0], W))
+    return np.concatenate([pad[:, ::-1], s, pad], axis=1), 2 * W
+
+
 def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs, half_width: int = 8):
     """Vectorized direct Gillespie across trajectories; exact CTMC law.
 
@@ -519,8 +541,8 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     (Gibson & Bruck, J. Phys. Chem. A 104, 2000); the whole array is
     repriced only when the window grows.  A trajectory whose next clock
     passes T is read out and dropped, so no later hash, sum or site pick
-    touches it.  Its two outermost sites on each side must still hold |x|,
-    or the window fell behind its disturbance.
+    touches it.  A flip next to the frozen outermost site means the window
+    fell behind its disturbance; it is caught on the step it happens.
     """
     step_exclusion_state(kind, rate_params)  # parameter validation
     T = _check_horizon(T)
@@ -543,8 +565,6 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
         fire = t + dt <= T
         if not fire.all():
             done = s[~fire]
-            if np.any(done[:, [0, 1, -2, -1]] != (W, W - 1, W - 1, W)):
-                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
             for j, x in enumerate(xs):
                 out[index[~fire], j] = done[:, x + W] if -W <= x <= W else abs(x)
             s, rates, t, dt, prefix, h, index, total = (a[fire] for a in (s, rates, t, dt, prefix, h, index, total))
@@ -562,9 +582,9 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
         win[rows, k] += np.where(is_max, -2.0, 2.0)
         s[rows, cols + 1] = win[rows, k]
         if np.any((cols < 3) | (cols > m - 3)):
-            pad = np.broadcast_to(np.arange(W + 1, 2 * W + 1, dtype=np.float64), (index.size, W))
-            s = np.concatenate([pad[:, ::-1], s, pad], axis=1)
-            W *= 2
+            if np.any((cols < 1) | (cols > m - 2)):  # the window grows before an edge column can flip
+                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
+            s, W = _grow_farm(s, W)
             rates = _farm_rates(kind, rate_params, s)
         else:
             rates[rows[:, None], lo[:, None] + np.arange(3)] = _farm_rates(kind, rate_params, win)

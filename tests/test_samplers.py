@@ -50,6 +50,63 @@ class TestUniformHash:
         assert uniform_hash(1, 2, 3) != uniform_hash(1, 3, 2)
 
 
+def numpy_path(seed, *keys):
+    return float(samplers._unit(samplers._hash64(seed, *keys)))
+
+
+class TestScalarHashPath:
+    """Plain-int draws run SplitMix64 on Python ints; the bits must match the numpy path."""
+
+    LO, HI = -(2**63), 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "seed,keys",
+        [
+            (0, (0, 0)),
+            (-1, (-5, 3)),
+            (-(2**63), (7,)),
+            (2**63, (1, 2)),
+            (2**64 - 1, (HI, LO)),
+            (2**64 + 11, (0,)),
+            (12345, (LO, 0, HI)),
+            (98765, ()),
+        ],
+    )
+    def test_edge_values_match_numpy(self, seed, keys):
+        assert uniform_hash(seed, *keys) == numpy_path(seed, *keys)
+
+    def test_random_values_match_numpy(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            seed = int(rng.integers(-(2**63), 2**63)) * int(rng.integers(1, 4))  # some seeds pass 2**63
+            keys = [int(k) for k in rng.integers(self.LO, self.HI, size=int(rng.integers(0, 4)), endpoint=True)]
+            assert uniform_hash(seed, *keys) == numpy_path(seed, *keys)
+
+    def test_numpy_scalars_and_bools_give_the_same_draw(self):
+        want = uniform_hash(42, 1, -3)
+        assert uniform_hash(np.int64(42), 1, -3) == want
+        assert uniform_hash(42, np.int64(1), np.int32(-3)) == want
+        assert uniform_hash(42, True, -3) == want
+        assert uniform_hash(np.uint64(2**63 + 9), 4) == uniform_hash(2**63 + 9, 4)
+
+    def test_routing(self, monkeypatch):
+        # plain ints never reach the numpy hash; numpy scalars and bools do
+        seen = []
+        real = samplers._hash64
+        monkeypatch.setattr(samplers, "_hash64", lambda *a: seen.append(a) or real(*a))
+        uniform_hash(3, 4, -5)
+        assert seen == []
+        uniform_hash(3, np.int64(4))
+        uniform_hash(3, True)
+        uniform_hash(np.int64(3), 4)
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("key", [2**63, -(2**63) - 1])
+    def test_key_outside_int64_raises(self, key):
+        with pytest.raises(OverflowError):
+            uniform_hash(1, key)
+
+
 class TestTrajectorySeed:
     def test_vector_matches_scalar(self):
         vec = trajectory_seed(77, np.arange(6, dtype=np.int64))
@@ -395,6 +452,21 @@ class TestExclusionFarm:
         assert len(widths) >= 3 and len(local_rows) > 100
         assert local_rows == sorted(local_rows, reverse=True)
         assert local_rows[0] == n and local_rows[-1] < n // 10
+
+    def test_frozen_window_is_caught(self, monkeypatch):
+        # a frozen window shows as a flip next to its fixed outermost site,
+        # caught on the step it happens; a read of the edge sites when the
+        # run finishes catches only seeds 5, 8, 10 and 18, since in the
+        # other runs the edge flips back before T
+        monkeypatch.setattr(samplers, "_grow_farm", lambda s, W: (s, W))
+        caught = []
+        for seed in range(20):
+            try:
+                exclusion_farm("ssep", (1.0,), 50.0, 1, seed, [0])
+            except InvalidParameterError as exc:
+                assert "boundary" in str(exc)
+                caught.append(seed)
+        assert caught == [3, 4, 5, 8, 10, 11, 16, 17, 18, 19]
 
     def test_sites_outside_window_read_step_state(self):
         out = exclusion_farm("ssep", (2.0,), 1.0, 50, seed=3, xs=[-20, 30])

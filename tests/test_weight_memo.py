@@ -1,17 +1,18 @@
 """The memoized row-weight callback ``weights.plaquette_weights``.
 
 The lattice DPs and the operator oracle both take their plaquette weights
-from this callback.  Its memo must save work without changing a bit of
-any result.
+from this callback; ``samplers.enumerate_heights_hs6v`` memoizes its
+lambda-free six-vertex row weights the same way.  Each memo must save work
+without changing a bit of any result.
 """
 
 import numpy as np
 import pytest
 
-from dynirf import oracle, samplers, symfunc, weights
-from dynirf.observables import ObservableSpec, enum_E
+from dynirf import observables, oracle, samplers, symfunc, weights
+from dynirf.observables import ObservableSpec, enum_E, hs6v_q_moment
 from dynirf.oracle import FinitaryVector, apply_operator, skew_B_oracle
-from dynirf.params import IrfParams, preset
+from dynirf.params import IrfParams, preset, to_six_vertex
 from dynirf.samplers import enumerate_heights
 from dynirf.special import FunctionMode
 from dynirf.symfunc import skew_B_lattice, skew_D_lattice
@@ -197,3 +198,46 @@ class TestBitEqualToUnmemoized:
     def test_enum_E(self, dyn6v, monkeypatch, lam):
         memoized, plain = self._both(monkeypatch, lambda: enum_E(ObservableSpec((5, 3, 2), 5), dyn6v, lam=lam))
         assert memoized == plain
+
+
+def unmemoized_hs6v(params, N, xs):
+    """``enumerate_heights_hs6v`` without its memo: one ``hs6v_weight`` call per plaquette."""
+    sv = to_six_vertex(params)
+    patt = {"A": (0, 0, 0, 0), "B": (0, 1, 1, 0), "C": (0, 0, -1, 1), "D": (0, 1, 0, 1)}
+
+    def row_weights(y):
+        def fn(kind, m, x, lam_x):
+            di1, dj1, di2, dj2 = patt[kind]
+            return weights.hs6v_weight(
+                "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
+            )
+
+        return fn
+
+    return enumerate_heights(params, N, xs, lam0=0.0, row_weights=row_weights)
+
+
+class TestHs6vRowMemo:
+    SPEC = ObservableSpec((5, 3, 2), 5)
+
+    def test_q_moment_bit_equal_to_unmemoized(self, dyn6v, monkeypatch):
+        memoized = hs6v_q_moment(self.SPEC, dyn6v)
+        monkeypatch.setattr(observables, "enumerate_heights_hs6v", unmemoized_hs6v)
+        plain = hs6v_q_moment(self.SPEC, dyn6v)
+        assert (memoized.real.hex(), memoized.imag.hex()) == (plain.real.hex(), plain.imag.hex())
+
+    def test_one_call_per_distinct_argument_set(self, dyn6v, monkeypatch):
+        calls = []
+        real = weights.hs6v_weight
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(weights, "hs6v_weight", spy)
+        hs6v_q_moment(self.SPEC, dyn6v)
+        memoized = list(calls)
+        calls.clear()
+        unmemoized_hs6v(dyn6v, 5, (5, 3, 2))
+        assert len(memoized) == len(set(memoized)) == len(set(calls))
+        assert len(calls) > 10 * len(memoized)
