@@ -427,6 +427,14 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     def cross_kernel(x, y):
         return f(x - y) / f(x - y - 2 * eta)
 
+    # B_mu's cross factor for a pair (a < b) depends on sigma only through
+    # whether sigma keeps a before b, so two closures serve every term
+    def ordered(x, y):
+        return f(x - y - 2 * eta) / f(x - y) * cross_kernel(x, y)
+
+    def reversed_(x, y):
+        return f(y - x - 2 * eta) / f(y - x) * cross_kernel(x, y)
+
     terms = []
     for sigma in itertools.permutations(range(M)):
         pos = [0] * M  # pos[v] = i with sigma(i) = v
@@ -446,18 +454,9 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
             return fn
 
         unaries = [uf(v) for v in range(M)]
-        binaries = {}
-        for a in range(M):
-            for b in range(a + 1, M):
-
-                def bf(x, y, a=a, b=b, pos=pos):
-                    if pos[a] < pos[b]:
-                        bcross = f(x - y - 2 * eta) / f(x - y)
-                    else:
-                        bcross = f(y - x - 2 * eta) / f(y - x)
-                    return bcross * cross_kernel(x, y)
-
-                binaries[(a, b)] = bf
+        binaries = {
+            (a, b): ordered if pos[a] < pos[b] else reversed_ for a in range(M) for b in range(a + 1, M)
+        }
         terms.append((unaries, binaries))
     return pref, terms
 

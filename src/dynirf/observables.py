@@ -505,23 +505,25 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     return float(((-1.0) ** n * val).real)
 
 
-def _ssep_u_g(u, x: int, t: float):
-    return u**x * np.exp(t * (u + 1.0 / u - 2.0)) / (u - 1.0) ** 2
-
-
 def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     """Second falling moment at large t via saddle-adapted u-circles.
 
     In u-coordinates F_2 = CI[ (u2-u1)/(u1 u2 - 2 u1 + 1) g(u1) g(u2) ]
     over small circles; pushing |u1| out to r1 = 1 - 1.6/sqrt(t) (where the
     integrand magnitude stays O(exp(t(1-r)^2/r))) crosses the cross-factor
-    pole u1* = 1/(2 - u2) once, so
+    pole u1* = c(u2) = 1/(2 - u2) once, so
 
         F_2 = CI_{r1, r2} - CI_{r2'}[ u1*^x e^{t(u1* + 1/u1* - 2)} g(u2) ],
 
     the residue's (u1*-1)^-2 cancelling against the Res of the cross
     factor.  Valid once the pole lies fully inside the r1-circle
     (t >= ~50); checked against the duality-ODE oracle in the tests.
+
+    CI_{r1, r2} runs in pole form: the cross factor equals
+    [(u2-c)/(u1-c) - 1]/(u2-2), i.e. two factored terms, the Cauchy kernel
+    1/(u1-c) between g(u1) and g(u2)(u2-c)/(u2-2), and the rank-one product
+    of g(u1) and -g(u2)/(u2-2).  Only the kernel is an n x n matrix, built
+    in two passes per node pair.
     """
     if t < 200:
         raise InvalidParameterError("saddle-adapted F2 route needs t >= 200 (use the duality oracle below)")
@@ -533,14 +535,18 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     mag = math.exp(t * (r2 + 1.0 / r2 - 2.0))
     tol = max(1e-9, 1e-13 * mag)
 
-    def cross(a, b):
-        return (b - a) / (a * b - 2 * a + 1.0)
+    def g(u):
+        return u**x * np.exp(t * (u + 1.0 / u - 2.0)) / (u - 1.0) ** 2
+
+    def pole(a, b):
+        out = a - 1.0 / (2.0 - b)
+        return np.reciprocal(out, out=out)
 
     main = contour_integral_factored(
-        [(
-            [lambda u: _ssep_u_g(u, x, t), lambda u: _ssep_u_g(u, x, t)],
-            {(0, 1): cross},
-        )],
+        [
+            ([g, lambda b: g(b) * (b - 1.0 / (2.0 - b)) / (b - 2.0)], {(0, 1): pole}),
+            ([g, lambda b: -g(b) / (b - 2.0)], {}),
+        ],
         [c1, c2],
         nodes=nodes,
         tol=tol,

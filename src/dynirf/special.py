@@ -198,7 +198,7 @@ class Circle:
         return abs(point - self.center) < self.radius - margin
 
 
-_MAX_GRID = 1 << 22  # evaluate grids and factor blocks in chunks beyond this many points
+_MAX_GRID = 1 << 20  # evaluate grids and factor blocks in chunks beyond this many points
 _MAX_LEVEL_POINTS = 1 << 26  # never evaluate a doubling level with a larger n**m grid
 
 
@@ -232,15 +232,24 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
     # vector on axis j, binary (i, j) a matrix on axes i and j.  The rows of
     # variable 0 go in blocks of _MAX_GRID // n, so unary 0 and the binaries
     # (0, j) are evaluated per block and never as a whole n x n matrix; the
-    # other factors are evaluated once.  einsum contracts each block on a
-    # greedy path, planned once per distinct subscript string.
+    # other factors are evaluated once.  A binary shared by several terms
+    # (the same function object on the same pair) is evaluated once per
+    # level, or once per block for the pairs (0, j).  einsum contracts each
+    # block term by term on a greedy path, planned once per subscript string.
     m = len(contours)
     pts = [c.points(n) for c in contours]
     weights = [pts[j] - contours[j].center for j in range(m)]
     rows = max(1, _MAX_GRID // n)
     axis = [chr(ord("a") + j) for j in range(m)]
-    paths = {}
-    total = 0.0 + 0.0j
+
+    def binary(memo, i, j, fn, x):
+        # fn on (x, the nodes of j), evaluated once per memo
+        if (i, j, fn) not in memo:
+            memo[i, j, fn] = np.broadcast_to(fn(x[:, None], pts[j][None, :]), (x.size, n))
+        return memo[i, j, fn]
+
+    level = {}
+    plans = []
     for unaries, binaries in terms:
         edge0 = [(j, fn) for (i, j), fn in binaries.items() if i == 0]
         rest = [(i, j, fn) for (i, j), fn in binaries.items() if i > 0]
@@ -248,12 +257,17 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
             ["a"] + ["a" + axis[j] for j, _ in edge0] + axis[1:] + [axis[i] + axis[j] for i, j, _ in rest]
         ) + "->"
         fixed = [np.asarray(unaries[j](pts[j])) * weights[j] for j in range(1, m)]
-        fixed += [np.broadcast_to(fn(pts[i][:, None], pts[j][None, :]), (n, n)) for i, j, fn in rest]
-        for start in range(0, n, rows):
-            blk = slice(start, start + rows)
-            v0 = pts[0][blk]
-            ops = [np.asarray(unaries[0](v0)) * weights[0][blk]]
-            ops += [np.broadcast_to(fn(v0[:, None], pts[j][None, :]), (v0.size, n)) for j, fn in edge0]
+        fixed += [binary(level, i, j, fn, pts[i]) for i, j, fn in rest]
+        plans.append((unaries[0], edge0, fixed, spec))
+    paths = {}
+    total = 0.0 + 0.0j
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        v0 = pts[0][blk]
+        block = {}
+        for unary0, edge0, fixed, spec in plans:
+            ops = [np.asarray(unary0(v0)) * weights[0][blk]]
+            ops += [binary(block, 0, j, fn, v0) for j, fn in edge0]
             ops += fixed
             if spec not in paths:
                 paths[spec] = np.einsum_path(spec, *ops, optimize="greedy")[0]
@@ -300,12 +314,19 @@ def contour_integral_factored(
     than multiplied out to the n^m grid: the special functions run on
     O(n) vectors and n x n matrices only, and the factors in v_0 are
     evaluated in row blocks of ``_MAX_GRID // n`` nodes, so no array of
-    the contraction's factors exceeds ``_MAX_GRID`` points.
+    the contraction's factors exceeds ``_MAX_GRID`` (2^20) points.  A
+    binary that several terms share (the same function object on the same
+    pair) is evaluated once per level, or once per row block for (0, j).
 
-    Same node-doubling policy as :func:`contour_integral`.
+    Same node-doubling policy as :func:`contour_integral`.  Malformed terms
+    raise InvalidParameterError before any evaluation.
     """
+    m = len(contours)
+    for unaries, binaries in terms:
+        if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
+            raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
     return _node_doubling(
-        lambda n: _factored_grid_value(terms, contours, n), len(contours), nodes, tol, node_cap
+        lambda n: _factored_grid_value(terms, contours, n), m, nodes, tol, node_cap
     )
 
 

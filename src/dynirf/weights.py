@@ -206,7 +206,7 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
     def f(x):
         return f_eval(mode, x)
 
-    check = np.isscalar(lam)
+    check = np.isscalar(lam) or np.asarray(lam).shape == ()
     if kind == "A":
         return _ratio(
             f,

@@ -162,6 +162,44 @@ class TestQuadratureIdentities:
         r = check_orthogonality((2, 1), (2, 1), wide)
         assert r.passed, r.residual
 
+    def test_orthogonality_evaluates_each_distinct_binary_once(self, wide, monkeypatch):
+        # B_(2,1,1) gives 3! permutation terms of 3 binaries each, which share
+        # 6 distinct (pair, closure) factors: 6 matrix evaluations per level.
+        # Wrapping every term's binaries apart brings back 18 per level, and
+        # the lhs does not move by a bit.
+        import dynirf.identities as idn
+
+        real = idn.contour_integral_factored
+        calls = []
+
+        def counting(fn):
+            def wrapped(x, y):
+                calls.append(np.shape(y)[-1])
+                return fn(x, y)
+
+            return wrapped
+
+        def spy(share):
+            def run(terms, *args, **kwargs):
+                wrappers = {}
+
+                def wrap(fn):
+                    return wrappers.setdefault(fn, counting(fn)) if share else counting(fn)
+
+                return real([(u, {k: wrap(fn) for k, fn in b.items()}) for u, b in terms], *args, **kwargs)
+
+            return run
+
+        lhs = {}
+        for share, per_level in ((True, 6), (False, 18)):
+            calls.clear()
+            monkeypatch.setattr(idn, "contour_integral_factored", spy(share))
+            lhs[share] = check_orthogonality((2, 1, 1), (2, 1, 1), wide).lhs
+            levels = sorted(set(calls))
+            assert len(levels) >= 2
+            assert [calls.count(n) for n in levels] == [per_level] * len(levels)
+        assert lhs[True] == lhs[False]
+
     def test_D_integral(self, trig):
         rng = np.random.default_rng(11)
         r = check_D_integral((1,), 1, near_q(trig, 1, rng), trig)

@@ -255,6 +255,40 @@ class TestFactoredGridMemory:
         assert max(cols for _, cols in seen) == 4096
         assert max(size for size, _ in seen) <= special._MAX_GRID
 
+    def test_saddle_route_traced_peak(self):
+        # the pole form builds one Cauchy-kernel block at a time (about 17 MB
+        # traced peak); the one-term cross form traced about 200 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _ssep_f2_large_t(0, 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+class TestSaddlePoleForm:
+    @pytest.mark.parametrize("t", [300.0, 1e4])
+    def test_matches_cross_form(self, monkeypatch, t):
+        # the same main integral with the cross factor in one term, as
+        # (u2-u1)/(u1 u2 - 2 u1 + 1) on every node pair
+        real = observables.contour_integral_factored
+
+        def cross_form(terms, *args, **kwargs):
+            g = terms[0][0][0]
+            return real([([g, g], {(0, 1): lambda a, b: (b - a) / (a * b - 2 * a + 1.0)})], *args, **kwargs)
+
+        pole = _ssep_f2_large_t(0, t)
+        monkeypatch.setattr(observables, "contour_integral_factored", cross_form)
+        cross = _ssep_f2_large_t(0, t)
+        assert abs(pole - cross) <= 1e-9 * abs(cross)
+
+    def test_falling_moment_pinned_at_large_t(self):
+        # the cross-form value; the pole form moves it by 1.0e-10 relative
+        assert abs(ssep_falling_moment(0, 1e4, 2) - 3143.2451536338) <= 1e-9 * 3143.2451536338
+
 
 class TestMcSeeds:
     def test_irf_seeds_give_different_samples(self, dyn6v):

@@ -311,3 +311,46 @@ class TestFactoredContraction:
         val = special._factored_grid_value(terms, contours, n)
         assert time.perf_counter() - t0 < 1.0
         assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_shared_binaries_match_broadcast_reference(self, m, monkeypatch):
+        # terms that share binary function objects, on the pairs (0, j) and
+        # on the others, next to one private binary and one term without any;
+        # Laurent unaries in 1/v put poles inside every circle, so the
+        # integral is O(1) rather than a trapezoid-rule zero
+        rng = np.random.default_rng(200 + m)
+
+        def unaries():
+            cs = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+            return [lambda v, c=c: np.polyval(c, 1.0 / v) for c in cs]
+
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        shared = [
+            lambda x, y, a=a: (x - a * y + 0.3) / (x - 0.2 * y + 3.0)
+            for a in rng.normal(size=2) + 1j * rng.normal(size=2)
+        ]
+        terms = [
+            (unaries(), {pair: shared[0] for pair in pairs}),
+            (unaries(), {pair: shared[k % 2] for k, pair in enumerate(pairs)}),
+            (unaries(), {pairs[0]: shared[1], pairs[-1]: lambda x, y: x * y + 2.0}),
+            (unaries(), {}),
+        ]
+        contours = [Circle(0.1 * j + 0.05j, 0.5 + 0.2 * j) for j in range(m)]
+        n = 12
+        ref = broadcast_factored_reference(terms, contours, n)
+        assert abs(ref) > 0.1
+        monkeypatch.setattr(special, "_MAX_GRID", 5 * n)
+        val = special._factored_grid_value(terms, contours, n)
+        assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize(
+        "unaries, keys",
+        [(2, [(0, 0)]), (2, [(1, 1)]), (2, [(1, 0)]), (2, [(0, 2)]), (2, [(-1, 1)]), (2, [(0, 1, 2)]), (2, [0]), (1, []), (3, [])],
+    )
+    def test_malformed_terms_rejected_before_evaluation(self, unaries, keys):
+        def never(*args):
+            raise AssertionError("evaluated a malformed term")
+
+        terms = [([never] * unaries, {key: never for key in keys})]
+        with pytest.raises(InvalidParameterError):
+            special.contour_integral_factored(terms, [Circle(0.0, 1.0), Circle(0.0, 2.0)])

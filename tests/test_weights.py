@@ -143,6 +143,13 @@ class TestHatRatios:
             ) * weight("A", k, ctx)
             assert abs(total - 1) < 1e-10
 
+    @pytest.mark.parametrize("wrap", [float, np.array], ids=["float", "0-d"])
+    def test_zero_denominator_raises_for_0d_lam(self, wrap):
+        # lam = 2 (Lambda + 1) eta zeroes kind A's denominator at k = 0; a 0-d
+        # array lam used to skip the singularity check and divide by zero
+        with pytest.raises(SingularParameterError):
+            hat_ratio("A", 0, wrap(2 * (2.0 + 1) * 0.1), 2.0, 0.1, TRIG)
+
 
 class TestHigherSpinSixVertex:
     def rand_pars(self):
