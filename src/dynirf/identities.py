@@ -643,8 +643,6 @@ def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float 
     """
     rng = np.random.default_rng(seed ^ 0x5D1F)
     grid = pq_grid(params)
-    lam = params.lambda0
-    eta = params.eta
     p0 = complex(np.mean(np.array(grid.p)))
     q0 = complex(np.mean(np.array(grid.q)))
 

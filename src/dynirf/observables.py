@@ -76,6 +76,15 @@ class ObservableSpec:
         return len(self.xs)
 
 
+def _lattice_rows(spec: ObservableSpec, params: IrfParams) -> int:
+    """The row index N of a lattice observable: an integer in 0..params.n_rows."""
+    if not float(spec.N_or_t).is_integer():
+        raise InvalidParameterError(f"the row index N must be an integer, got {spec.N_or_t}")
+    if not 0 <= spec.N_or_t <= params.n_rows:
+        raise InvalidParameterError(f"not enough rows in the parameter pack: N = {spec.N_or_t}, {params.n_rows} rows")
+    return int(spec.N_or_t)
+
+
 def rising(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1)."""
     out = 1.0
@@ -218,9 +227,7 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
 
 def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float, check_residue: bool) -> complex:
     n = spec.n
-    N = int(spec.N_or_t)
-    if N > params.n_rows:
-        raise InvalidParameterError("not enough rows in the parameter pack")
+    N = _lattice_rows(spec, params)
     grid = pq_grid(params)
     f, eta = params.f, params.eta
     ws = [params.w(k) for k in range(1, N + 1)]
@@ -303,7 +310,7 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
 
 def _exact_E_rational(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float, check_residue: bool) -> complex:
     n = spec.n
-    N = int(spec.N_or_t)
+    N = _lattice_rows(spec, params)
     zs = [params.z(j) for j in range(1, max(spec.xs) + 1)]
     ws = [params.w(k) for k in range(1, N + 1)]
     warr = np.array(ws)
@@ -682,7 +689,7 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     product in rational mode.
     """
     lam = params.lambda0 if lam is None else lam
-    N = int(spec.N_or_t)
+    N = _lattice_rows(spec, params)
     law = enumerate_heights(params, N, spec.xs, lam0=lam)
     hs = list(law)
     if params.mode.kind == "rational":
@@ -694,7 +701,7 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
 
 def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
     """E[prod_k (q^{h(x_{k+1},N)} - q^k)] for the stochastic six-vertex model."""
-    N = int(spec.N_or_t)
+    N = _lattice_rows(spec, params)
     law = enumerate_heights_hs6v(params, N, spec.xs)
     q = to_six_vertex(params).q
     total = 0.0 + 0.0j
@@ -716,7 +723,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         raise InvalidParameterError("use at least 10^3 trajectories")
     if model in ("irf", "rational"):
         params = params_or_rates
-        N = int(spec.N_or_t)
+        N = _lattice_rows(spec, params)
         batch = sample_irf_batch(params, max(spec.xs), N, seed, samples)
         hs = np.stack([batch_heights(batch, x, N) for x in spec.xs], axis=1)
         if model == "irf":
@@ -756,7 +763,6 @@ def lambda_independence_report(
     if model == "irf" and samples is None:
         params = params_or_rates
         values = [enum_E(spec, params, lam=lam) for lam in lambdas]
-        devs = [abs(v - values[0]) for v in values[1:]]
         worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
         return CheckReport(
             name=f"lambda-independence-irf-n{spec.n}-N{int(spec.N_or_t)}",

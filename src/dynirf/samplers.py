@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import IrfParams
 from .special import InvalidParameterError
-from .symfunc import Signature, _row_walk, row_transfer
+from .symfunc import Signature, _row_sweep, row_transfer
 from .weights import plaquette_weights, spin_half_weights
 
 __all__ = [
@@ -293,29 +293,30 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
     paths escaping beyond are absorbed with total weight one.  Works with
     complex weights.  ``row_weights(y)`` gives row y's plaquette weight
     callback (kind, m, x, lam_x) (default: the stochastic IRF weights).
-    Returns a dict mapping height tuples to amplitudes.
+    Each row is one ``symfunc._row_sweep`` of the whole law; as every path
+    enters at column 1, h(x, N) = N at x <= 1.  Returns {heights: amplitude}.
     """
-    lam0 = params.lambda0 if lam0 is None else lam0
+    if not 0 <= N <= params.n_rows:
+        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
     cap = max(xs)
+    if cap >= params.n_cols:
+        raise InvalidParameterError(f"sites reach column {cap}; the parameter pack has {params.n_cols} columns")
+    lam0 = params.lambda0 if lam0 is None else lam0
     two_eta = 2 * params.eta
     if row_weights is None:
         row_weights = lambda y: plaquette_weights(params, params.w(y), True)
     # one stochastic row over columns 1..cap at a time; a path still carrying
-    # past column cap is absorbed: the remaining strip's weights sum to one
-    # for any filling, so absorption carries weight exactly 1
-    dist = {((0,) * cap, 0): 1.0 + 0.0j}
+    # past column cap is absorbed with weight exactly 1 (the remaining strip's
+    # weights sum to one), and y - sum(occupations) of y paths are absorbed
+    dist = {(0,) * cap: 1.0 + 0.0j}
     for y in range(1, N + 1):
-        lam_row = lam0 - two_eta * y
-        weight_fn = row_weights(y)
         new: dict = {}
-        for (bot, n_abs), amp in dist.items():
-            for (top, inc), wgt in _row_walk(params, dict(enumerate(bot, 1)), 1, cap, lam_row, weight_fn).items():
-                key = (top + (0,) * (cap - len(top)), n_abs + inc)
-                new[key] = new.get(key, 0.0 + 0.0j) + amp * wgt
+        for (top, _), amp in _row_sweep(params, dist, 1, lam0 - two_eta * y, row_weights(y)).items():
+            new[top] = new.get(top, 0.0) + amp
         dist = new
     out: dict = {}
-    for (occ, n_abs), amp in dist.items():
-        hs = tuple(sum(occ[x - 1] for x in range(xi, cap + 1)) + n_abs for xi in xs)
+    for occ, amp in dist.items():
+        hs = tuple(N - sum(occ[: max(xi - 1, 0)]) for xi in xs)
         out[hs] = out.get(hs, 0.0 + 0.0j) + amp
     return out
 

@@ -7,11 +7,11 @@ Two independent computation routes exist for everything here:
 
 and both are pinned to the brute-force operator oracle in the tests.
 
-Every lattice route walks its rows with the one kernel ``_row_walk``: the
-skew B and D rows (top and bottom fixed), ``row_transfer`` (all tops below
-a cap) and ``samplers.enumerate_heights`` (tops of a finite window, with
-the paths that leave it absorbed).  Each reads its answer off the returned
-{(top occupations, carry past the last column): amplitude} map.
+Every lattice route crosses its rows with the one kernel ``_row_sweep``,
+which pushes a {bottom occupations: amplitude} map across a row column by
+column: ``row_transfer`` and ``samplers.enumerate_heights`` sweep their
+whole distribution, the skew B and D rows one bottom with the top fixed.
+Each reads its answer off the returned {(tops, carry): amplitude} map.
 
 Conventions.  Signatures are weakly decreasing tuples of nonnegative
 integers; ``D_nu`` means the skew function against the zero signature of
@@ -89,6 +89,10 @@ class Signature:
 
     def nonzero(self) -> tuple:
         return tuple(p for p in self.parts if p > 0)
+
+    def occupations(self, first: int, last: int) -> tuple:
+        """Number of parts equal to each column first..last."""
+        return tuple(map(self.parts.count, range(first, last + 1)))
 
 
 def _sig(s) -> Signature:
@@ -273,7 +277,7 @@ def D_rho(nu, lam: complex, params: IrfParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Lattice-path dynamic programming (single rows composed by branching).
+# Lattice-path dynamic programming (row sweeps composed by branching).
 # ---------------------------------------------------------------------------
 
 _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
@@ -299,51 +303,44 @@ def signatures_in_box(lows, highs):
     return rec(())
 
 
-def _row_walk(params: IrfParams, bot: dict, first: int, last: int, lam_start: complex, weight_fn, top: dict | None = None) -> dict:
-    """Every configuration of one row of plaquettes over columns first..last.
+def _row_sweep(params: IrfParams, dist: dict, first: int, lam_start: complex, weight_fn, top: tuple | None = None) -> dict:
+    """Push a {bottom occupations: amplitude} map through one row of plaquettes.
 
-    One path enters from the left at column ``first``, whose top-left unit
-    square has filling ``lam_start``; ``bot`` maps columns to the incoming
-    vertical occupations.  At column x the carry out of the plaquette fixes
+    Occupation tuples cover columns first, first + 1, ...  One path enters
+    from the left at column ``first``, whose top-left unit square has
+    filling ``lam_start``.  At column x the carry out of the plaquette fixes
     the top occupation n = m + carry - carry_out, and crossing the column
     advances the filling by 4*eta*n - 2*eta*Lambda_x.  ``weight_fn(kind, m,
-    x, lam_x)`` weighs a plaquette (``weights.plaquette_weights``, one per row
-    parameter); with ``top`` (column -> occupation) only the configuration
-    with those top occupations is followed.
-
-    Returns {(top occupations from column ``first`` on, carry past the last
-    column walked): amplitude}.  A path whose carry is 0 past the last
-    occupied column stops there, since every further plaquette is an empty
-    A, which weighs exactly 1.  Branches share their prefixes, so a full
-    expansion costs far less than evaluating each top separately.
+    x, lam_x)`` weighs a plaquette (``weights.plaquette_weights``); with
+    ``top`` only the configuration with those top occupations is followed.
+    The sweep state before column x is (tops left of x and bottoms from x
+    on, carry); it fixes lam_x, so paths from different bottoms that reach
+    it add up there.  Returns {(top occupations, carry out of the row): amplitude}.
     """
-    eta = params.eta
-    occupied = [x for x, m in bot.items() if m] + [x for x, n in (top or {}).items() if n]
-    stop = max(occupied, default=first - 1)
-    out: dict = {}
-    stack = [(first, 1, lam_start, 1.0 + 0.0j, ())]
-    while stack:
-        x, carry, lam_x, amp, tops = stack.pop()
-        if x > last or (carry == 0 and x > stop):
-            key = (tops, carry)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
-            continue
-        m = bot.get(x, 0)
-        for carry_out in (0, 1):
-            n = m + carry - carry_out
-            if n < 0 or (top is not None and n != top.get(x, 0)):
-                continue
-            kind = _ROW_KIND[(carry, carry_out)]
-            wgt = 1.0 + 0.0j if (kind == "A" and m == 0) else weight_fn(kind, m, x, lam_x)
-            if wgt == 0:
-                continue
-            stack.append((x + 1, carry_out, lam_x + 4 * eta * n - 2 * eta * params.lam(x), amp * wgt, tops + (n,)))
-    return out
-
-
-def _walk_amplitude(walk: dict, carry: int) -> complex:
-    """Total amplitude of the row configurations that end with ``carry``."""
-    return sum((amp for (_, c), amp in walk.items() if c == carry), 0.0 + 0.0j)
+    four_eta = 4 * params.eta
+    states = {(occ, 1): [lam_start, amp] for occ, amp in dist.items()}
+    for i in range(len(next(iter(dist), ()))):
+        x = first + i
+        shift = 2 * params.eta * params.lam(x)
+        new: dict = {}
+        for (occ, carry), (lam_x, amp) in states.items():
+            m = occ[i]
+            for carry_out in (0, 1):
+                n = m + carry - carry_out
+                if n < 0 or (top is not None and n != top[i]):
+                    continue
+                # an empty plaquette weighs exactly 1
+                wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
+                if wgt == 0:
+                    continue
+                key = (occ if n == m else occ[:i] + (n,) + occ[i + 1 :], carry_out)
+                entry = new.get(key)
+                if entry is None:
+                    new[key] = [lam_x + four_eta * n - shift, amp * wgt]
+                else:
+                    entry[1] += amp * wgt
+        states = new
+    return {key: amp for key, (_, amp) in states.items()}
 
 
 def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: bool = False) -> complex:
@@ -352,8 +349,9 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
     Rows compose by the branching rule: the top row carries (lambda, w_1),
     the next (lambda + 2*eta, w_2), and so on.  Stochastic rows start at
     column 1 with top-left filling lambda_row - 2*eta*Lambda_0; signatures
-    must then have all parts >= 1.  Each row is read off the row walk with
-    both its top and its bottom fixed; a path must leave the row with carry 0.
+    must then have all parts >= 1.  Each row is one path of the row sweep,
+    with both its top and its bottom fixed; it must leave the row with
+    carry 0.
     """
     kappa, nu = _sig(kappa), _sig(nu)
     k = len(ws)
@@ -376,14 +374,14 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
         # mid interlaces below top, dominates nu, and is nu on the last row
         lows = [max(t[i + 1], start_col, nu.parts[i] if i < nu.length else 0) for i in range(len(t) - 1)]
         highs = nu.parts if depth == k - 1 else t[:-1]
-        top_mult = top.multiplicities()
         total = 0.0 + 0.0j
         for mid in signatures_in_box(lows, highs):
             last = max(top.max_part(), mid.max_part(), start_col)
             if last >= params.n_cols:
                 raise InvalidParameterError("parameter pack has too few columns for this row")
-            walk = _row_walk(params, mid.multiplicities(), start_col, last, lam_row - lam0_shift, weight_fns[depth], top_mult)
-            row = _walk_amplitude(walk, 0)
+            tops = top.occupations(start_col, last)
+            bots = {mid.occupations(start_col, last): 1.0 + 0.0j}
+            row = _row_sweep(params, bots, start_col, lam_row - lam0_shift, weight_fns[depth], tops).get((tops, 0), 0.0 + 0.0j)
             if row == 0:
                 continue
             total += row * rec(mid, lam_row + 2 * eta, depth + 1)
@@ -395,8 +393,8 @@ def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: b
 def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
     """Multivariate skew D composed from single rows by the D-branching rule.
 
-    A single row D_{nu/kappa}(lambda; w) is the row walk with bottom nu and
-    top kappa that leaves with carry 1, times the path-independent factor
+    A single row D_{nu/kappa}(lambda; w) is the row sweep's one path from
+    bottom nu to top kappa, leaving with carry 1, times the path-independent factor
     prod_x f(z_x - w + (Lambda_x+1) eta) / f(z_x - w + (1-Lambda_x) eta).
     The infinite product over empty columns telescopes against the
     normalization, leaving 1/f(lambda_X) at the first untouched column X;
@@ -414,7 +412,6 @@ def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
             return 1.0 + 0.0j if nu == mu else 0.0 + 0.0j
         w = ws[n - 1]
         lam_row = lam + 2 * eta * (n - 1)
-        nu_mult = nu.multiplicities()
         # D_{nu/mu}(lam; w_1..w_n) = sum_kappa D_{kappa/mu}(lam; w_1..w_{n-1})
         #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n),
         # nu > kappa >= mu, and kappa = mu for a single row
@@ -425,14 +422,15 @@ def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
             last = max(nu.max_part(), kappa.max_part(), 0)
             if last + 1 >= params.n_cols:
                 raise InvalidParameterError("parameter pack has too few columns for this row")
-            kappa_mult = kappa.multiplicities()
-            t2 = _walk_amplitude(_row_walk(params, nu_mult, 0, last, lam_row, weight_fns[n - 1], kappa_mult), 1)
+            tops = kappa.occupations(0, last)
+            bots = {nu.occupations(0, last): 1.0 + 0.0j}
+            t2 = _row_sweep(params, bots, 0, lam_row, weight_fns[n - 1], tops).get((tops, 1), 0.0 + 0.0j)
             if t2 == 0:
                 continue
             lam_x = lam_row
             for x in range(0, last + 1):
                 t2 *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta)
-                lam_x = lam_x + 4 * eta * kappa_mult.get(x, 0) - 2 * eta * params.lam(x)
+                lam_x = lam_x + 4 * eta * tops[x] - 2 * eta * params.lam(x)
             total += rec(kappa, n - 1) * (t2 / f(lam_x))
         return total
 
@@ -473,22 +471,18 @@ class TailInfo:
 def row_transfer(dist: dict, lam_row: complex, w: complex, params: IrfParams, max_part: int) -> dict:
     """Push a signature-indexed amplitude map through one stochastic row of plaquettes.
 
-    Returns sum over tops of row(top/bot) * amp with top_1 <= max_part.
+    Returns sum over tops of row(top/bot) * amp with top_1 <= max_part, by
+    one column sweep of the whole map over columns 1..max_part.
     Up-right paths only ever move parts rightward, so capping every row at
     the final cap loses exactly the mass of configurations whose crossing
     signature would exceed the cap: their paths still carry 1 past it.
     """
     lam_start = lam_row - 2 * params.eta * params.lam(0)
-    weight_fn = plaquette_weights(params, w, True)
-    out: dict = {}
-    for bot, amp in dist.items():
-        if bot.max_part() > max_part:
-            continue  # every path through this bottom runs past the cap
-        for (tops, carry), val in _row_walk(params, bot.multiplicities(), 1, max_part, lam_start, weight_fn).items():
-            if carry == 0:
-                top = Signature(tuple(col for col in range(len(tops), 0, -1) for _ in range(tops[col - 1])))
-                out[top] = out.get(top, 0.0 + 0.0j) + amp * val
-    return out
+    # every path through a bottom with a part past the cap runs past it
+    bots = {bot.occupations(1, max_part): amp for bot, amp in dist.items() if bot.max_part() <= max_part}
+    sweep = _row_sweep(params, bots, 1, lam_start, plaquette_weights(params, w, True))
+    parts = lambda tops: tuple(col for col in range(max_part, 0, -1) for _ in range(tops[col - 1]))
+    return {Signature(parts(tops)): amp for (tops, carry), amp in sweep.items() if carry == 0}
 
 
 def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = None, rel_tol: float = 1e-12):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dynirf import observables
+from dynirf import observables, samplers
 from dynirf.observables import (
     ObservableSpec,
     enum_E,
@@ -169,6 +169,13 @@ class TestExactIrf:
             ei = exact_E("irf", spec, dyn6v)
             ee = enum_E(spec, dyn6v)
             assert abs(ei - ee) <= 1e-8 * max(1.0, abs(ee)), (xs, N)
+
+    @pytest.mark.parametrize("xs", [(3, 0), (3, -1), (0,)])
+    def test_sites_left_of_column_one(self, dyn6v, xs):
+        # every path enters at column 1, so h(x, N) = N at x <= 1
+        spec = ObservableSpec(xs, 3)
+        ee = enum_E(spec, dyn6v)
+        assert abs(exact_E("irf", spec, dyn6v) - ee) <= 1e-8 * max(1.0, abs(ee))
 
     def test_residue_route_n1(self, dyn6v):
         spec = ObservableSpec((2,), 4)
@@ -490,3 +497,39 @@ class TestGeneralSpinAverages:
         spec = ObservableSpec((2, 1), 2)
         rep = lambda_independence_report("irf", spec, [P.lambda0, 0.8 + 0.1j, -0.3 + 0.4j], P)
         assert rep.passed and rep.residual < 1e-9
+
+
+class TestLatticeInputs:
+    """Out-of-range lattice specs raise before any row is swept or integrated."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("did work on a rejected spec")
+
+        monkeypatch.setattr(samplers, "_row_sweep", never)
+        monkeypatch.setattr(observables, "contour_integral_factored", never)
+
+    @staticmethod
+    def _routes(params):
+        return [
+            lambda spec: enum_E(spec, params),
+            lambda spec: hs6v_q_moment(spec, params),
+            lambda spec: exact_E("irf", spec, params),
+        ]
+
+    def test_more_rows_than_the_pack(self, dyn6v, no_work):
+        for route in self._routes(dyn6v):
+            with pytest.raises(InvalidParameterError, match="rows"):
+                route(ObservableSpec((3,), dyn6v.n_rows + 1))
+
+    def test_sites_past_the_last_column(self, dyn6v, no_work):
+        for route in self._routes(dyn6v)[:2]:
+            with pytest.raises(InvalidParameterError, match="columns"):
+                route(ObservableSpec((dyn6v.n_cols,), 3))
+
+    def test_non_integral_row_index(self, dyn6v, rational, no_work):
+        routes = self._routes(dyn6v) + [lambda spec: exact_E("rational", spec, rational)]
+        for route in routes:
+            with pytest.raises(InvalidParameterError, match="integer"):
+                route(ObservableSpec((3,), 2.5))

@@ -1,0 +1,143 @@
+"""The column sweep ``symfunc._row_sweep`` against the per-bottom branching walk.
+
+``enumerate_heights`` and ``row_transfer`` push their whole distribution
+through each row in one sweep.  The reference below expands every bottom
+on its own by a depth-first walk over the row's configurations, as the
+lattice routes once did, and adds the results up per top.  Both must give
+the same keys and the same amplitudes up to summation order.
+"""
+
+import numpy as np
+import pytest
+
+from dynirf.params import IrfParams, preset
+from dynirf.samplers import enumerate_heights
+from dynirf.special import FunctionMode
+from dynirf.symfunc import Signature, row_transfer, signatures_in_box
+from dynirf.weights import plaquette_weights
+
+_ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
+LAM0 = 0.31 + 0.17j
+
+
+def walk_row(params, bot, first, last, lam_start, weight_fn):
+    """Every configuration of one row above the bottom ``bot`` (column -> occupation).
+
+    Returns {(top occupations from column ``first`` on, carry past the last
+    column walked): amplitude}; a path with carry 0 past the last occupied
+    column stops there.
+    """
+    eta = params.eta
+    stop = max((x for x, m in bot.items() if m), default=first - 1)
+    out: dict = {}
+    stack = [(first, 1, lam_start, 1.0 + 0.0j, ())]
+    while stack:
+        x, carry, lam_x, amp, tops = stack.pop()
+        if x > last or (carry == 0 and x > stop):
+            key = (tops, carry)
+            out[key] = out.get(key, 0.0 + 0.0j) + amp
+            continue
+        m = bot.get(x, 0)
+        for carry_out in (0, 1):
+            n = m + carry - carry_out
+            if n < 0:
+                continue
+            kind = _ROW_KIND[(carry, carry_out)]
+            wgt = 1.0 + 0.0j if (kind == "A" and m == 0) else weight_fn(kind, m, x, lam_x)
+            if wgt == 0:
+                continue
+            stack.append((x + 1, carry_out, lam_x + 4 * eta * n - 2 * eta * params.lam(x), amp * wgt, tops + (n,)))
+    return out
+
+
+def walk_enumerate_heights(params, N, xs, lam0):
+    cap = max(xs)
+    dist = {((0,) * cap, 0): 1.0 + 0.0j}
+    for y in range(1, N + 1):
+        weight_fn = plaquette_weights(params, params.w(y), True)
+        new: dict = {}
+        for (bot, n_abs), amp in dist.items():
+            for (top, inc), wgt in walk_row(params, dict(enumerate(bot, 1)), 1, cap, lam0 - 2 * params.eta * y, weight_fn).items():
+                key = (top + (0,) * (cap - len(top)), n_abs + inc)
+                new[key] = new.get(key, 0.0 + 0.0j) + amp * wgt
+        dist = new
+    out: dict = {}
+    for (occ, n_abs), amp in dist.items():
+        hs = tuple(sum(occ[x - 1] for x in range(max(xi, 1), cap + 1)) + n_abs for xi in xs)
+        out[hs] = out.get(hs, 0.0 + 0.0j) + amp
+    return out
+
+
+def walk_row_transfer(dist, lam_row, w, params, max_part):
+    lam_start = lam_row - 2 * params.eta * params.lam(0)
+    weight_fn = plaquette_weights(params, w, True)
+    out: dict = {}
+    for bot, amp in dist.items():
+        if bot.max_part() > max_part:
+            continue
+        for (tops, carry), val in walk_row(params, bot.multiplicities(), 1, max_part, lam_start, weight_fn).items():
+            if carry == 0:
+                top = Signature(tuple(col for col in range(len(tops), 0, -1) for _ in range(tops[col - 1])))
+                out[top] = out.get(top, 0.0 + 0.0j) + amp * val
+    return out
+
+
+def higher_spin_params(mode, seed, n_cols=9, n_rows=4):
+    """Random columns with Lambda near 1.15, so occupations above 1 carry weight."""
+    rng = np.random.default_rng(seed)
+    cols = tuple(
+        (complex(a, b), complex(c, d))
+        for a, b, c, d in zip(
+            0.3 + 0.25 * rng.standard_normal(n_cols),
+            0.12 * rng.standard_normal(n_cols),
+            1.15 + 0.3 * rng.standard_normal(n_cols),
+            0.1 * rng.standard_normal(n_cols),
+        )
+    )
+    rows = tuple(complex(a, b) for a, b in zip(0.4 + 0.2 * rng.random(n_rows), 0.05 * rng.standard_normal(n_rows)))
+    eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
+    return IrfParams(mode, eta, LAM0, cols, rows)
+
+
+PACKS = {
+    "dyn6v": lambda: preset("dyn6v-positive"),
+    "trig": lambda: higher_spin_params(FunctionMode.trigonometric(), seed=31),
+    "elliptic": lambda: higher_spin_params(FunctionMode.elliptic(1.5j), seed=32),
+}
+
+
+def assert_same_law(got, want):
+    assert got.keys() == want.keys()
+    for key, amp in want.items():
+        assert abs(got[key] - amp) <= 1e-12 * max(1.0, abs(amp)), key
+
+
+@pytest.mark.parametrize("pack", PACKS)
+@pytest.mark.parametrize("N, xs", [(4, (5, 3, 2)), (3, (6, 1)), (3, (4, 0))])
+def test_enumerate_heights_matches_walk(pack, N, xs):
+    params = PACKS[pack]()
+    got = enumerate_heights(params, N, xs, lam0=LAM0)
+    assert_same_law(got, walk_enumerate_heights(params, N, xs, LAM0))
+
+
+@pytest.mark.parametrize("pack", PACKS)
+def test_row_transfer_matches_walk(pack):
+    params = PACKS[pack]()
+    cap = 6
+    # every bottom of length 2 with parts in 1..5; the cap of 4 drops those
+    # with a part of 5
+    dist = {sig: complex(0.3 + 0.1 * k, 0.05 * k) for k, sig in enumerate(signatures_in_box([1, 1], [5, 5]))}
+    for max_part in (cap, 4):
+        lam_row = LAM0 + 0.2 * params.eta
+        got = row_transfer(dist, lam_row, params.w(1), params, max_part)
+        assert_same_law(got, walk_row_transfer(dist, lam_row, params.w(1), params, max_part))
+
+
+def test_higher_spin_packs_reach_occupations_above_one():
+    # the comparison above only covers multiple occupation if the laws hold it
+    for pack in ("trig", "elliptic"):
+        params = PACKS[pack]()
+        dist = {Signature(()): 1.0 + 0.0j}
+        for y in (1, 2, 3):
+            dist = row_transfer(dist, LAM0 - 2 * params.eta * y, params.w(y), params, 6)
+        assert any(sig.multiplicity(p) > 1 and abs(amp) > 1e-6 for sig, amp in dist.items() for p in sig.parts)

@@ -283,14 +283,16 @@ class TestFactoredContraction:
     @staticmethod
     def _random_terms(m, rng):
         # two terms with different binary sets (all pairs but the last, and
-        # every other pair), so one call needs two contraction paths
+        # every other pair), so one call needs two contraction paths;
+        # Laurent unaries in 1/v put poles inside every circle, so the
+        # integral is O(1) rather than a trapezoid-rule zero
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         terms = []
         for kept in (pairs[:-1], pairs[::2]):
             unaries = []
             for _ in range(m):
                 c = rng.normal(size=4) + 1j * rng.normal(size=4)
-                unaries.append(lambda v, c=c: np.polyval(c, v))
+                unaries.append(lambda v, c=c: np.polyval(c, 1.0 / v))
             binaries = {}
             for pair in kept:
                 a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
