@@ -7,7 +7,7 @@ from .special import (
     ConvergenceError,
     FunctionMode,
     InvalidParameterError,
-    contour_integral,
+    contour_integral_factored,
     f_eval,
     theta,
 )
@@ -25,7 +25,7 @@ __all__ = [
     "IrfParams",
     "ObservableSpec",
     "Signature",
-    "contour_integral",
+    "contour_integral_factored",
     "enum_E",
     "exact_E",
     "f_eval",

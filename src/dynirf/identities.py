@@ -412,11 +412,13 @@ def _kernel_unary(nu: Signature, lam: complex, params: IrfParams):
     return fns
 
 
-def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfParams, extra_unary=None):
+def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfParams):
     """Factored terms for B_mu(lam; u) times the psi-kernel of nu.
 
     Returns (prefactor, terms) for :func:`contour_integral_factored`; the
-    permutation sum of B_mu contributes one term per sigma.
+    permutation sum of B_mu contributes one term per sigma.  B_mu's cross
+    factor for a pair a < b that sigma keeps in order cancels the kernel's,
+    so a term carries a binary on the pairs sigma inverts only.
     """
     grid = pq_grid(params)
     f, eta = params.f, params.eta
@@ -424,16 +426,8 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     pref, shifts_b = _bmu_prefactor(mu, lam, params)
     kern = _kernel_unary(nu, lam, params)
 
-    def cross_kernel(x, y):
-        return f(x - y) / f(x - y - 2 * eta)
-
-    # B_mu's cross factor for a pair (a < b) depends on sigma only through
-    # whether sigma keeps a before b, so two closures serve every term
-    def ordered(x, y):
-        return f(x - y - 2 * eta) / f(x - y) * cross_kernel(x, y)
-
     def reversed_(x, y):
-        return f(y - x - 2 * eta) / f(y - x) * cross_kernel(x, y)
+        return f(y - x - 2 * eta) / f(y - x) * (f(x - y) / f(x - y - 2 * eta))
 
     terms = []
     for sigma in itertools.permutations(range(M)):
@@ -441,22 +435,17 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
         for i, v in enumerate(sigma):
             pos[v] = i
 
-        def uf(v, sigma=sigma, pos=pos):
+        def uf(v, pos=pos):
             i = pos[v]
             part, shift = mu.parts[i], shifts_b[i]
 
             def fn(x, part=part, shift=shift, v=v):
-                out = phi(part, x, grid, params.mode) * f(shift + x) * kern[v](x)
-                if extra_unary is not None:
-                    out = out * extra_unary(x)
-                return out
+                return phi(part, x, grid, params.mode) * f(shift + x) * kern[v](x)
 
             return fn
 
         unaries = [uf(v) for v in range(M)]
-        binaries = {
-            (a, b): ordered if pos[a] < pos[b] else reversed_ for a in range(M) for b in range(a + 1, M)
-        }
+        binaries = {(a, b): reversed_ for a in range(M) for b in range(a + 1, M) if pos[a] > pos[b]}
         terms.append((unaries, binaries))
     return pref, terms
 

@@ -13,8 +13,11 @@ lambda-independent averages.  Those averages are computed three ways:
   weights allowed),
 * Monte Carlo over sampled trajectories (positive-weight presets only).
 
-The dynamic ASEP / rational / dynamic SSEP degenerations carry their own
-integral formulas and observable parametrizations.
+The rational model is the IRF integral with f(z) = z and bare
+normalization (no (2*pi*i)^n or q-power prefactor); it needs a
+rational-mode pack and sites x >= 1.  The dynamic ASEP and dynamic SSEP
+degenerations carry their own integral formulas and observable
+parametrizations.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.special
 
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
-from .special import Circle, InvalidParameterError, contour_integral, contour_integral_factored
+from .special import Circle, InvalidParameterError, contour_integral_factored
 from .samplers import (
     _check_horizon,
     batch_heights,
@@ -77,11 +80,17 @@ class ObservableSpec:
 
 
 def _lattice_rows(spec: ObservableSpec, params: IrfParams) -> int:
-    """The row index N of a lattice observable: an integer in 0..params.n_rows."""
+    """The row index N of a lattice observable: an integer in 0..params.n_rows.
+
+    Rational-mode packs also need every site x >= 1: the rational product
+    and the integral disagree on what the observable is left of column 1.
+    """
     if not float(spec.N_or_t).is_integer():
         raise InvalidParameterError(f"the row index N must be an integer, got {spec.N_or_t}")
     if not 0 <= spec.N_or_t <= params.n_rows:
         raise InvalidParameterError(f"not enough rows in the parameter pack: N = {spec.N_or_t}, {params.n_rows} rows")
+    if params.mode.kind == "rational" and spec.xs[-1] < 1:
+        raise InvalidParameterError(f"the rational model needs sites x >= 1, got {spec.xs}")
     return int(spec.N_or_t)
 
 
@@ -203,26 +212,41 @@ def _irf_contours(params: IrfParams, n: int):
 
 
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10, check_residue: bool = True):
-    """Exact averages by n-fold loop integrals (+ an independent residue or
-    series evaluation for n = 1, asserted to 1e-8).
+    """Exact averages by n-fold loop integrals, each checked against an
+    independent route: the residue sum for the lattice models (any n), the
+    residue or Bessel series for the exclusion models (n = 1).
 
-    model "irf": params is an IrfParams (any spin), integral around the w's;
-    "rational": rational-mode params, loops around the w's;
+    model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
+    spin), integral around the w's;
+    "rational": a rational-mode IrfParams and sites x >= 1; the same IRF
+    integral with f(z) = z and bare normalization (the presets have 2*eta = 1
+    and Lambda = 1, so p_j = z_j and q_j = z_j + 1);
     "asep": params_or_rates = (q, alpha), loops around 1;
     "ssep": params_or_rates = (lam_bar,), loops around 0.
     """
     if model in ("asep", "ssep"):
         _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
-    if model == "irf":
+    if model in ("irf", "rational"):
+        if (params_or_rates.mode.kind == "rational") != (model == "rational"):
+            need = "a rational-mode" if model == "rational" else "a non-rational-mode"
+            raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params_or_rates.mode.kind}")
         return _exact_E_irf(spec, params_or_rates, nodes, tol, check_residue)
-    if model == "rational":
-        return _exact_E_rational(spec, params_or_rates, nodes, tol, check_residue)
     if model == "asep":
         q, alpha = params_or_rates if not isinstance(params_or_rates, (int, float)) else (params_or_rates, 0.0)
         return _exact_E_asep(spec, float(q), nodes, tol, check_residue)
     if model == "ssep":
         return _exact_E_ssep(spec, nodes, tol, check_residue)
     raise InvalidParameterError(f"unknown model {model!r}")
+
+
+def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
+    """What turns the residue-normalized integral into the average: 1 in
+    rational mode, (2*pi*i)^n exp(-2*pi*i*eta*(...)) otherwise."""
+    if params.mode.kind == "rational":
+        return 1.0
+    n, eta = spec.n, params.eta
+    pref = cmath.exp(-2j * math.pi * eta * (n * (n - 1) / 2 + n * N - sum(params.lam_sum(1, x) for x in spec.xs)))
+    return pref * (2j * math.pi) ** n
 
 
 def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float, check_residue: bool) -> complex:
@@ -250,10 +274,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
         (i, j): (lambda a, b: f(a - b) / f(a - b + 2 * eta)) for i in range(n) for j in range(i + 1, n)
     }
     integral = contour_integral_factored([( [unary(i) for i in range(n)], binaries )], circles, nodes=nodes, tol=tol)
-    pref = cmath.exp(
-        -2j * math.pi * eta * (n * (n - 1) / 2 + n * N - sum(params.lam_sum(1, x) for x in spec.xs))
-    )
-    value = pref * (2j * math.pi) ** n * integral
+    value = _irf_norm(spec, params, N) * integral
 
     if check_residue:
         res, cond = _irf_residue_sum(spec, params)
@@ -301,62 +322,8 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
                 term *= f(d) / f(d + 2 * eta)
         total += term
         mag += abs(term)
-    pref = cmath.exp(
-        -2j * math.pi * eta * (n * (n - 1) / 2 + n * N - sum(params.lam_sum(1, x) for x in spec.xs))
-    )
     cond = mag / max(abs(total), 1e-300)
-    return pref * (2j * math.pi) ** n * total, cond
-
-
-def _exact_E_rational(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float, check_residue: bool) -> complex:
-    n = spec.n
-    N = _lattice_rows(spec, params)
-    zs = [params.z(j) for j in range(1, max(spec.xs) + 1)]
-    ws = [params.w(k) for k in range(1, N + 1)]
-    warr = np.array(ws)
-    center = complex(np.mean(warr))
-    spread = float(np.max(np.abs(warr - center))) if len(ws) else 0.0
-    circles = _nested_circles(center, max(2.0 * spread, 0.05), n, growth=0.3)
-    zmin = min(abs(z - center) for z in zs)
-    if circles[-1].radius >= min(zmin, 0.45):
-        raise InvalidParameterError("rational contours would swallow a z-pole")
-
-    def unary(i):
-        x = spec.xs[i]
-
-        def fn(v):
-            out = np.ones_like(v)
-            for z in zs[: x - 1]:
-                out = out * (v - z) / (v - z - 1)
-            for w in ws:
-                out = out * (v - w - 1) / (v - w)
-            return out
-
-        return fn
-
-    binaries = {(i, j): (lambda a, b: (a - b) / (a - b + 1)) for i in range(n) for j in range(i + 1, n)}
-    value = contour_integral_factored([([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol)
-
-    if check_residue:
-        total = 0.0 + 0.0j
-        for tup in itertools.permutations(range(N), n):
-            term = 1.0 + 0.0j
-            for i in range(n):
-                w = ws[tup[i]]
-                term *= -1.0  # numerator (v - w - 1) at v = w
-                for k, wk in enumerate(ws):
-                    if k != tup[i]:
-                        term *= (w - wk - 1) / (w - wk)
-                for z in zs[: spec.xs[i] - 1]:
-                    term *= (w - z) / (w - z - 1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = ws[tup[i]] - ws[tup[j]]
-                    term *= d / (d + 1)
-            total += term
-        if abs(value - total) > 1e-8 * max(1.0, abs(total)):
-            raise ArithmeticError(f"quadrature {value} vs residue sum {total} disagree")
-    return value
+    return _irf_norm(spec, params, N) * total, cond
 
 
 def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float, check_residue: bool) -> complex:
@@ -568,7 +535,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
         return (u1 * u2) ** x * np.exp(expo) / (u2 - 1.0) ** 2
 
     c_corr = Circle(0.0, 1.0 - 2.2 / rt)
-    corr = contour_integral(lambda v: corr_int(v[0]), [c_corr], nodes=nodes, tol=tol, node_cap=1 << 13)
+    corr = contour_integral_factored([([corr_int], {})], [c_corr], nodes=nodes, tol=tol, node_cap=1 << 13)
     return float((main - corr).real)
 
 
@@ -686,8 +653,12 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     """Exact average by enumerating the joint height law (complex ok).
 
     Uses the IRF observable product in trigonometric mode and the rational
-    product in rational mode.
+    product in rational mode.  Elliptic-mode packs raise
+    InvalidParameterError: there the stochastic weights sum to one only up
+    to O(exp(-2*pi*Im tau)), so the mass absorbed past the window is wrong.
     """
+    if params.mode.kind == "elliptic":
+        raise InvalidParameterError("enum_E needs a trigonometric or rational pack; elliptic weights do not sum to one")
     lam = params.lambda0 if lam is None else lam
     N = _lattice_rows(spec, params)
     law = enumerate_heights(params, N, spec.xs, lam0=lam)

@@ -23,7 +23,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "theta_deriv",
     "f_eval",
     "f_deriv0",
-    "contour_integral",
+    "contour_integral_factored",
 ]
 
 
@@ -198,33 +198,8 @@ class Circle:
         return abs(point - self.center) < self.radius - margin
 
 
-_MAX_GRID = 1 << 20  # evaluate grids and factor blocks in chunks beyond this many points
+_MAX_GRID = 1 << 20  # evaluate factor blocks in chunks beyond this many points
 _MAX_LEVEL_POINTS = 1 << 26  # never evaluate a doubling level with a larger n**m grid
-
-
-def _grid_value(integrand: Callable, contours: Sequence[Circle], n: int) -> complex:
-    m = len(contours)
-    pts = [c.points(n) for c in contours]
-    if m == 1:
-        vals = np.asarray(integrand([pts[0]]))
-        return complex(np.mean(vals * (pts[0] - contours[0].center)))
-    # tensor grid, chunked along the first variable to bound memory
-    chunk = max(1, _MAX_GRID // (n ** (m - 1)))
-    total = 0.0 + 0.0j
-    mesh_rest = np.meshgrid(*pts[1:], indexing="ij")
-    weight_rest = np.ones_like(mesh_rest[0])
-    for arr, c in zip(mesh_rest, contours[1:]):
-        weight_rest = weight_rest * (arr - c.center)
-    flat_rest = [arr.ravel() for arr in mesh_rest]
-    wflat = weight_rest.ravel()
-    for start in range(0, n, chunk):
-        v0 = pts[0][start : start + chunk]
-        args = [np.repeat(v0, wflat.size)]
-        args += [np.tile(fr, v0.size) for fr in flat_rest]
-        vals = np.asarray(integrand(args))
-        w0 = np.repeat(v0 - contours[0].center, wflat.size)
-        total += np.sum(vals * w0 * np.tile(wflat, v0.size))
-    return complex(total / float(n**m))
 
 
 def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
@@ -275,28 +250,6 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
     return complex(total / float(n**m))
 
 
-def _node_doubling(level_value: Callable, m: int, nodes: int, tol: float, node_cap: int) -> complex:
-    # Shared doubling loop: stop when two successive levels agree within tol
-    # relative to max(1, |estimate|); raise before evaluating a level beyond
-    # the per-variable node cap (past the first) or the n**m grid cap.
-    if nodes < 16:
-        raise InvalidParameterError("need at least 16 quadrature nodes")
-    n = int(nodes)
-    older = prev = None
-    while True:
-        if (prev is not None and n > node_cap) or n**m > _MAX_LEVEL_POINTS:
-            raise ConvergenceError(
-                f"contour quadrature did not converge: the next level, {n} nodes/variable in {m} "
-                f"variables, passes the cap of {node_cap} nodes/variable or {_MAX_LEVEL_POINTS} grid points",
-                estimates=(older, prev),
-            )
-        cur = level_value(n)
-        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        older, prev = prev, cur
-        n *= 2
-
-
 def contour_integral_factored(
     terms,
     contours: Sequence[Circle],
@@ -318,39 +271,33 @@ def contour_integral_factored(
     binary that several terms share (the same function object on the same
     pair) is evaluated once per level, or once per row block for (0, j).
 
-    Same node-doubling policy as :func:`contour_integral`.  Malformed terms
-    raise InvalidParameterError before any evaluation.
+    The result carries the (2*pi*i)^-1 normalization per variable, i.e. it
+    equals the residue-sum value of the m-fold loop integral.  Nodes are
+    doubled (all variables simultaneously) until two successive estimates
+    agree within ``tol`` relative to max(1, |estimate|), starting from
+    ``nodes`` per circle.  A level past the first beyond ``node_cap`` per
+    variable, or with more than ``_MAX_LEVEL_POINTS`` grid points in all,
+    is never evaluated: :class:`ConvergenceError` is raised instead, with
+    the last two estimates attached.  Malformed terms raise
+    InvalidParameterError before any evaluation.
     """
     m = len(contours)
     for unaries, binaries in terms:
         if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
             raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
-    return _node_doubling(
-        lambda n: _factored_grid_value(terms, contours, n), m, nodes, tol, node_cap
-    )
-
-
-def contour_integral(
-    integrand: Callable,
-    contours: Sequence[Circle],
-    nodes: int = 32,
-    tol: float = 1e-10,
-    node_cap: int = 1 << 14,
-) -> complex:
-    """Iterated trapezoidal quadrature of an analytic integrand over circles.
-
-    ``integrand`` receives a list of m equal-length complex arrays (one per
-    contour) and must return the integrand values elementwise.  The result
-    carries the (2*pi*i)^-1 normalization per variable, i.e. it equals the
-    residue-sum value of the m-fold loop integral.
-
-    Nodes are doubled (all variables simultaneously) until two successive
-    estimates agree within ``tol`` relative to max(1, |estimate|), starting
-    from ``nodes`` per circle.  A level beyond ``node_cap`` per variable, or
-    with more than ``_MAX_LEVEL_POINTS`` tensor-grid points in all, is never
-    evaluated: :class:`ConvergenceError` is raised instead, with the last
-    two estimates attached.
-    """
-    return _node_doubling(
-        lambda n: _grid_value(integrand, contours, n), len(contours), nodes, tol, node_cap
-    )
+    if nodes < 16:
+        raise InvalidParameterError("need at least 16 quadrature nodes")
+    n = int(nodes)
+    older = prev = None
+    while True:
+        if (prev is not None and n > node_cap) or n**m > _MAX_LEVEL_POINTS:
+            raise ConvergenceError(
+                f"contour quadrature did not converge: the next level, {n} nodes/variable in {m} "
+                f"variables, passes the cap of {node_cap} nodes/variable or {_MAX_LEVEL_POINTS} grid points",
+                estimates=(older, prev),
+            )
+        cur = _factored_grid_value(terms, contours, n)
+        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
+            return cur
+        older, prev = prev, cur
+        n *= 2

@@ -163,10 +163,11 @@ class TestQuadratureIdentities:
         assert r.passed, r.residual
 
     def test_orthogonality_evaluates_each_distinct_binary_once(self, wide, monkeypatch):
-        # B_(2,1,1) gives 3! permutation terms of 3 binaries each, which share
-        # 6 distinct (pair, closure) factors: 6 matrix evaluations per level.
-        # Wrapping every term's binaries apart brings back 18 per level, and
-        # the lhs does not move by a bit.
+        # B_(2,1,1) gives 3! permutation terms, each with a binary on the
+        # pairs its sigma inverts: 9 binaries in all, which share 3 distinct
+        # (pair, closure) factors: 3 matrix evaluations per level.  Wrapping
+        # every term's binaries apart brings back 9 per level, and the lhs
+        # does not move by a bit.
         import dynirf.identities as idn
 
         real = idn.contour_integral_factored
@@ -191,7 +192,7 @@ class TestQuadratureIdentities:
             return run
 
         lhs = {}
-        for share, per_level in ((True, 6), (False, 18)):
+        for share, per_level in ((True, 3), (False, 9)):
             calls.clear()
             monkeypatch.setattr(idn, "contour_integral_factored", spy(share))
             lhs[share] = check_orthogonality((2, 1, 1), (2, 1, 1), wide).lhs
@@ -199,6 +200,22 @@ class TestQuadratureIdentities:
             assert len(levels) >= 2
             assert [calls.count(n) for n in levels] == [per_level] * len(levels)
         assert lhs[True] == lhs[False]
+
+    def test_bmu_terms_carry_the_inverted_pairs_only(self, wide):
+        # B_mu's cross factor on a pair sigma keeps in order cancels the
+        # kernel's, so that pair has no binary; an inverted pair keeps one
+        import itertools
+
+        from dynirf.identities import _bmu_factored_terms
+        from dynirf.symfunc import Signature
+
+        mu = Signature((3, 2, 1, 1))
+        _, terms = _bmu_factored_terms(mu, mu, wide.lambda0, wide)
+        sigmas = list(itertools.permutations(range(4)))
+        assert len(terms) == len(sigmas)
+        for sigma, (unaries, binaries) in zip(sigmas, terms):
+            inverted = {(a, b) for a in range(4) for b in range(a + 1, 4) if sigma.index(a) > sigma.index(b)}
+            assert len(unaries) == 4 and set(binaries) == inverted, sigma
 
     def test_D_integral(self, trig):
         rng = np.random.default_rng(11)

@@ -221,6 +221,28 @@ class TestRational:
         m, se = mc_E("rational", spec, rational, 20000, seed=5)
         assert abs(m - vi) <= 4 * se
 
+    @pytest.mark.parametrize(
+        "xs, N", [((2,), 3), ((2, 1), 3), ((3, 2), 4), ((4, 2, 1), 4), ((5, 3, 2), 5), ((1,), 2)]
+    )
+    def test_integral_matches_enumeration(self, rational, xs, N):
+        # (5, 3, 2) at N = 5 has residue-sum conditioning 2.1e11; a flat
+        # 1e-8 residue gate used to reject its quadrature with ArithmeticError
+        spec = ObservableSpec(xs, N)
+        vi = exact_E("rational", spec, rational)
+        ve = enum_E(spec, rational)
+        assert abs(vi - ve) <= 1e-10 * max(1.0, abs(ve))
+
+    def test_model_and_pack_mode_must_agree(self, dyn6v, rational, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a mismatched pack")
+
+        monkeypatch.setattr(observables, "contour_integral_factored", no_quadrature)
+        spec = ObservableSpec((2, 1), 3)
+        with pytest.raises(InvalidParameterError, match="rational-mode pack"):
+            exact_E("rational", spec, dyn6v)
+        with pytest.raises(InvalidParameterError, match="non-rational-mode pack"):
+            exact_E("irf", spec, rational)
+
 
 class TestQuadratureRunaway:
     def test_factored_grid_cap_raises(self, dyn6v):
@@ -283,9 +305,11 @@ class TestSaddlePoleForm:
         # (u2-u1)/(u1 u2 - 2 u1 + 1) on every node pair
         real = observables.contour_integral_factored
 
-        def cross_form(terms, *args, **kwargs):
+        def cross_form(terms, contours, **kwargs):
+            if len(contours) == 1:  # the correction integral
+                return real(terms, contours, **kwargs)
             g = terms[0][0][0]
-            return real([([g, g], {(0, 1): lambda a, b: (b - a) / (a * b - 2 * a + 1.0)})], *args, **kwargs)
+            return real([([g, g], {(0, 1): lambda a, b: (b - a) / (a * b - 2 * a + 1.0)})], contours, **kwargs)
 
         pole = _ssep_f2_large_t(0, t)
         monkeypatch.setattr(observables, "contour_integral_factored", cross_form)
@@ -417,7 +441,6 @@ class TestExclusionBadTime:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran on a bad time")
 
-        monkeypatch.setattr(observables, "contour_integral", no_quadrature)
         monkeypatch.setattr(observables, "contour_integral_factored", no_quadrature)
         with pytest.raises(InvalidParameterError, match="time horizon"):
             exact_E(model, ObservableSpec(xs, t), rates)
@@ -509,6 +532,7 @@ class TestLatticeInputs:
 
         monkeypatch.setattr(samplers, "_row_sweep", never)
         monkeypatch.setattr(observables, "contour_integral_factored", never)
+        monkeypatch.setattr(observables, "sample_irf_batch", never)
 
     @staticmethod
     def _routes(params):
@@ -533,3 +557,20 @@ class TestLatticeInputs:
         for route in routes:
             with pytest.raises(InvalidParameterError, match="integer"):
                 route(ObservableSpec((3,), 2.5))
+
+    @pytest.mark.parametrize("xs", [(3, 0), (0,), (2, -1)])
+    def test_rational_exact_E_needs_sites_from_column_one(self, rational, no_work, xs):
+        # the integral used to wrap its column slice: 0.4655 against
+        # enumeration's 2.4220 at (3, 0), a bare ValueError at (0,)
+        with pytest.raises(InvalidParameterError, match="x >= 1"):
+            exact_E("rational", ObservableSpec(xs, 3), rational)
+
+    @pytest.mark.parametrize("xs", [(3, 0), (0,), (2, -1)])
+    def test_rational_enum_E_needs_sites_from_column_one(self, rational, no_work, xs):
+        with pytest.raises(InvalidParameterError, match="x >= 1"):
+            enum_E(ObservableSpec(xs, 3), rational)
+
+    @pytest.mark.parametrize("xs", [(3, 0), (0,), (2, -1)])
+    def test_rational_mc_E_needs_sites_from_column_one(self, rational, no_work, xs):
+        with pytest.raises(InvalidParameterError, match="x >= 1"):
+            mc_E("rational", ObservableSpec(xs, 3), rational, 1000, seed=0)

@@ -141,3 +141,21 @@ def test_higher_spin_packs_reach_occupations_above_one():
         for y in (1, 2, 3):
             dist = row_transfer(dist, LAM0 - 2 * params.eta * y, params.w(y), params, 6)
         assert any(sig.multiplicity(p) > 1 and abs(amp) > 1e-6 for sig, amp in dist.items() for p in sig.parts)
+
+
+def test_enum_E_rejects_elliptic_packs(monkeypatch):
+    # enumerate_heights runs elliptic packs (compared above), but their
+    # stochastic weights sum to one only up to O(exp(-2 pi Im tau)), so
+    # enum_E's absorbed mass is wrong: it used to return -0.90 + 8.45i here
+    from dynirf import samplers
+    from dynirf.observables import ObservableSpec, enum_E
+    from dynirf.special import InvalidParameterError
+
+    params = PACKS["elliptic"]()
+
+    def never(*args, **kwargs):
+        raise AssertionError("swept a row of an elliptic pack")
+
+    monkeypatch.setattr(samplers, "_row_sweep", never)
+    with pytest.raises(InvalidParameterError, match="elliptic"):
+        enum_E(ObservableSpec((5, 3), 3), params)

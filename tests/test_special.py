@@ -13,7 +13,7 @@ from dynirf.special import (
     ConvergenceError,
     FunctionMode,
     InvalidParameterError,
-    contour_integral,
+    contour_integral_factored,
     f_deriv0,
     f_eval,
     theta,
@@ -177,62 +177,66 @@ class TestErfc:
         assert abs(H_profile(2 * x, 1.0) - h_ref) <= 1e-12 * max(1.0, abs(h_ref))
 
 
+def one_term(unaries, contours, nodes=32, tol=1e-10, **kwargs):
+    """contour_integral_factored of one term without binaries, one circle
+    per unary, from 32 nodes to tol 1e-10."""
+    return contour_integral_factored([(unaries, {})], contours, nodes=nodes, tol=tol, **kwargs)
+
+
 class TestContourIntegral:
     def test_simple_pole(self):
-        val = contour_integral(lambda v: 1.0 / v[0], [Circle(0, 1.0)])
+        val = one_term([lambda v: 1.0 / v], [Circle(0, 1.0)])
         assert abs(val - 1.0) < 1e-12
 
     def test_no_enclosed_pole(self):
-        val = contour_integral(lambda v: 1.0 / (v[0] - 5.0), [Circle(0, 1.0)])
+        val = one_term([lambda v: 1.0 / (v - 5.0)], [Circle(0, 1.0)])
         assert abs(val) < 1e-12
 
     def test_product_rule_two_variables(self):
-        val = contour_integral(
-            lambda v: 1.0 / (v[0] * v[1]), [Circle(0, 1.0), Circle(0, 2.0)]
-        )
+        val = one_term([lambda v: 1.0 / v] * 2, [Circle(0, 1.0), Circle(0, 2.0)])
         assert abs(val - 1.0) < 1e-11
 
     def test_rational_residue_sum(self):
         # (3v^2+1)/((v-0.2)(v+0.3j)) has residues at both enclosed poles.
         def g(v):
-            return (3 * v[0] ** 2 + 1) / ((v[0] - 0.2) * (v[0] + 0.3j))
+            return (3 * v**2 + 1) / ((v - 0.2) * (v + 0.3j))
 
         r1 = (3 * 0.2**2 + 1) / (0.2 + 0.3j)
         r2 = (3 * (-0.3j) ** 2 + 1) / (-0.3j - 0.2)
-        val = contour_integral(g, [Circle(0, 1.0)])
+        val = one_term([g], [Circle(0, 1.0)])
         assert abs(val - (r1 + r2)) < 1e-11
 
     def test_essential_singularity(self):
         # exp(1/v) has residue 1 at 0.
-        val = contour_integral(lambda v: np.exp(1.0 / v[0]), [Circle(0, 0.8)])
+        val = one_term([lambda v: np.exp(1.0 / v)], [Circle(0, 0.8)])
         assert abs(val - 1.0) < 1e-11
 
     def test_offcenter_circle(self):
-        val = contour_integral(lambda v: 1.0 / (v[0] - 0.5j), [Circle(0.5j, 0.25)])
+        val = one_term([lambda v: 1.0 / (v - 0.5j)], [Circle(0.5j, 0.25)])
         assert abs(val - 1.0) < 1e-12
 
     def test_convergence_error_carries_estimates(self):
         # A pole close to the contour keeps successive estimates moving at
         # this tolerance, so a tiny node cap must trip the failure path.
         def g(v):
-            return 1.0 / (v[0] - 1.02)
+            return 1.0 / (v - 1.02)
 
         with pytest.raises(ConvergenceError) as exc:
-            contour_integral(g, [Circle(0, 1.0)], nodes=16, tol=1e-13, node_cap=64)
+            one_term([g], [Circle(0, 1.0)], nodes=16, tol=1e-13, node_cap=64)
         assert exc.value.estimates is not None
 
     def test_grid_cap_stops_before_evaluating(self):
-        # 16**9 > 2**26 tensor-grid points: refused before the integrand runs
+        # 16**9 > 2**26 grid points: refused before any factor runs
         def g(v):
             raise AssertionError("level evaluated")
 
         with pytest.raises(ConvergenceError) as exc:
-            contour_integral(g, [Circle(0, 1.0)] * 9, nodes=16)
+            one_term([g] * 9, [Circle(0, 1.0)] * 9, nodes=16)
         assert exc.value.estimates == (None, None)
 
     def test_node_minimum(self):
         with pytest.raises(InvalidParameterError):
-            contour_integral(lambda v: 1.0 / v[0], [Circle(0, 1.0)], nodes=8)
+            one_term([lambda v: 1.0 / v], [Circle(0, 1.0)], nodes=8)
 
 
 def broadcast_factored_reference(terms, contours, n):
