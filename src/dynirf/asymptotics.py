@@ -134,8 +134,8 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float, toleran
     Exact moments come from the bridge between dynamic-SSEP observable
     products and usual-SSEP falling factorial moments.
     """
-    if n > 3:
-        raise InvalidParameterError("moment check implemented for n <= 3")
+    if not 1 <= n <= 3:
+        raise InvalidParameterError("moment check implemented for 1 <= n <= 3")
     t = L * tau
     falling = [ssep_falling_moment(0, t, m) for m in range(1, n + 1)]
     # E[prod_{k<m}(O - k*lambda_bar - k^2)] = (lambda_bar)_m F_m resolves

@@ -23,10 +23,10 @@ import numpy as np
 from . import asymptotics as asy
 from . import identities as idn
 from . import observables as obs
-from .params import IrfParams, load_config, preset, PRESET_NAMES
+from .params import IrfParams, load_config, pq_grid, preset, PRESET_NAMES
 from .special import FunctionMode, InvalidParameterError, f_eval
 from .samplers import sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
-from .symfunc import skew_B_lattice, stoch_B_formula, stoch_B_sum
+from .symfunc import skew_B_lattice, stoch_B_formula
 from .weights import WeightContext, hat_ratio, weight
 
 
@@ -191,12 +191,14 @@ def _suite_oracle(seed: int, tol_scale: float):
 
 
 def _suite_stochastic(seed: int, tol_scale: float):
-    from dynirf.params import pq_grid
-
     rng = np.random.default_rng(seed ^ 0x570C4)
     P = preset("trig-admissible")
-    grid = pq_grid(P)
+    p1 = complex(pq_grid(P).p[1])
     lam = 0.41 + 0.23j
+
+    def near_p1(k):
+        return [p1 + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
+
     worst = 0.0
     for _ in range(50):
         k = int(rng.integers(1, 4))
@@ -206,7 +208,7 @@ def _suite_stochastic(seed: int, tol_scale: float):
         merged = tuple(sorted(nu + extra)[::-1])
         kappa = tuple(p + i for i, p in enumerate(sorted(merged, reverse=True)))  # force distinct-ish growth
         kappa = tuple(sorted(kappa, reverse=True))
-        us = [complex(grid.p[1]) + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
+        us = near_p1(k)
         dp = skew_B_lattice(kappa, nu, lam, us, P, stochastic=True)
         formula = stoch_B_formula(kappa, nu, lam, us, P)
         worst = max(worst, abs(dp - formula) / max(1.0, abs(formula)))
@@ -214,18 +216,7 @@ def _suite_stochastic(seed: int, tol_scale: float):
         idn.CheckReport("stoch-B-two-routes-50draws", {"draws": 50}, worst, 0.0, 1e-8 * tol_scale)
     ]
     for nu, k in [((), 1), ((2,), 1), ((3, 1), 2)]:
-        us = [complex(grid.p[1]) + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
-        total, tail = stoch_B_sum(nu, lam, us, P)
-        reports.append(
-            idn.CheckReport(
-                f"stoch-sum-to-one-{nu}-k{k}",
-                {"nu": nu, "k": k},
-                total,
-                1.0,
-                1e-6 * tol_scale,
-                truncation_info={"terms_used": tail.terms_used, "tail_estimate": tail.tail_estimate, "converged": tail.converged},
-            )
-        )
+        reports.append(idn.check_stoch_sum(nu, near_p1(k), P, lam=lam, tolerance=1e-6 * tol_scale))
     return reports
 
 

@@ -4,17 +4,24 @@ Tolerances are stratified by error source: closed-form against closed-form
 comparisons run at 1e-10, truncated series at 1e-7, and quadrature-based
 checks at 1e-6.  A passing check whose monitored truncation tail exceeds a
 tenth of its tolerance is downgraded to "passed-with-warning".
+
+Every truncated kappa-sum (skew-Cauchy, Pieri, Cauchy, rho-Cauchy) runs
+through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  The
+contour checks (orthogonality, the D and D-rho integrals) take their nested
+circles from :func:`_strong_family`; the two D integrals share
+:func:`_kernel_integral`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .params import AdmissibilityDiagnostic, IrfParams, check_admissible, pq_grid
+from .params import AdmissibilityDiagnostic, IrfParams, check_admissible, pq_grid, preset
 from .special import (
     Circle,
     FunctionMode,
@@ -37,6 +44,7 @@ from .symfunc import (
     skew_D_lattice,
     stoch_B_sum,
 )
+from .weights import SingularParameterError
 
 __all__ = [
     "CheckReport",
@@ -45,7 +53,6 @@ __all__ = [
     "TOL_QUAD",
     "check_symmetrization_lemma",
     "check_skew_cauchy",
-    "check_skew_cauchy_general",
     "check_pieri",
     "check_cauchy_rho",
     "check_orthogonality",
@@ -110,13 +117,23 @@ class CheckReport:
 
 
 def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mode: FunctionMode, tolerance: float = TOL_CLOSED) -> CheckReport:
-    """Permutation sum against f(beta)f(2beta)...f(m beta)/f(beta)^m."""
+    """Permutation sum against f(beta)f(2beta)...f(m beta)/f(beta)^m.
+
+    The terms divide by f(v_i - v_j), f(v_k) and f(beta): a zero among them
+    raises SingularParameterError before the sum.  truncation_info carries
+    the sum's conditioning sum|term| / |sum term|, the factor by which close
+    v's amplify rounding in the lhs.
+    """
     if not 1 <= m <= 7:
         raise InvalidParameterError("symmetrization check supports 1 <= m <= 7")
     if len(vs) != m:
         raise InvalidParameterError("need exactly m points")
     f = lambda x: f_eval(mode, x)
+    poles = [vs[a] - vs[b] for a in range(m) for b in range(a + 1, m)] + list(vs) + [beta]
+    if min(abs(f(x)) for x in poles) <= 1e-12:
+        raise SingularParameterError("symmetrization check needs distinct v's and f(v_k), f(beta) away from 0")
     total = 0.0 + 0.0j
+    size = 0.0
     for perm in itertools.permutations(range(m)):
         term = 1.0 + 0.0j
         for a in range(m):
@@ -127,6 +144,7 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
             vk = vs[perm[k - 1]]
             term *= f(vk + (m - 2 * k + 1) * beta) / f(vk)
         total += term
+        size += abs(term)
     rhs = 1.0 + 0.0j
     for j in range(1, m + 1):
         rhs *= f(j * beta)
@@ -137,7 +155,27 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
         lhs=total,
         rhs=rhs,
         tolerance=tolerance,
+        truncation_info={"conditioning": size / abs(total) if total else math.inf},
     )
+
+
+def _capped_sum(kappas, first, second, cap: int):
+    """Sum of first(kappa) * second(kappa) over kappas, and its tail.
+
+    A kappa whose first factor is 0 is skipped before its second factor is
+    evaluated.  The tail sums |term| over kappa_1 = cap, the last layer a
+    sum truncated at kappa_1 <= cap keeps.
+    """
+    total, tail = 0.0 + 0.0j, 0.0
+    for kappa in kappas:
+        a = first(kappa)
+        if a == 0:
+            continue
+        term = a * second(kappa)
+        total += term
+        if kappa.max_part() == cap:
+            tail += abs(term)
+    return total, tail
 
 
 def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: IrfParams, depth: int) -> float:
@@ -153,94 +191,46 @@ def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: I
     return abs(out)
 
 
-def check_skew_cauchy(mu, nu, u: complex, v: complex, params: IrfParams, cap: int = 12, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
-    """Elementary skew-Cauchy identity, kappa-sum truncated at kappa_1 <= cap."""
-    mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
-    if mu.length != nu.length + 1:
-        raise InvalidParameterError("need len(mu) = len(nu) + 1")
-    lam = params.lambda0 if lam is None else lam
-    eta = params.eta
-    f = params.f
+def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
+    """Skew-Cauchy identity with k = len(us), l = len(vs), kappa-sum truncated at kappa_1 <= cap.
 
-    lhs = 0.0 + 0.0j
-    last = 0.0
-    for kappa in signatures_in_box(mu.parts, (cap,) * mu.length):
-        d_term = skew_D_lattice(kappa, mu, lam, [v], params)
-        if d_term == 0:
-            continue
-        term = d_term * skew_B_lattice(kappa, nu, lam + 2 * eta, [u], params)
-        lhs += term
-        if kappa.max_part() == cap:
-            last += abs(term)
-    rhs = 0.0 + 0.0j
-    for rho in signatures_in_box(nu.parts, (mu.max_part(),) * nu.length):
-        b_term = skew_B_lattice(mu, rho, lam, [u], params)
-        if b_term == 0:
-            continue
-        rhs += b_term * skew_D_lattice(nu, rho, lam + 2 * eta, [v], params)
-    rhs *= f(v - u - 2 * eta) / f(v - u)
-    depth = (params.n_cols - 1) // 2
-    info = {
-        "cap": cap,
-        "tail_estimate": last,
-        "convergence_product": [
-            _convergence_monitor(u, v, lam, nu.length + 1, params, depth),
-            _convergence_monitor(u, v, lam, nu.length + 1, params, 2 * depth),
-        ],
-    }
+    At k = l = 1 the report also carries the convergence-condition product
+    at two depths.
+    """
+    mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
+    k, l = len(us), len(vs)
+    if not k or not l or mu.length != nu.length + k:
+        raise InvalidParameterError("need len(mu) = len(nu) + len(us) and at least one u and one v")
+    if cap < mu.max_part():
+        raise InvalidParameterError(f"cap {cap} is below mu_1 = {mu.max_part()}: the kappa-box would be empty")
+    lam = params.lambda0 if lam is None else lam
+    f, eta = params.f, params.eta
+    lhs, tail = _capped_sum(
+        signatures_in_box(mu.parts, (cap,) * mu.length),
+        lambda kappa: skew_D_lattice(kappa, mu, lam, vs, params),
+        lambda kappa: skew_B_lattice(kappa, nu, lam + 2 * eta * l, us, params),
+        cap,
+    )
+    rhs, _ = _capped_sum(
+        signatures_in_box(nu.parts, (mu.max_part(),) * nu.length),
+        lambda rho: skew_B_lattice(mu, rho, lam, us, params),
+        lambda rho: skew_D_lattice(nu, rho, lam + 2 * eta * k, vs, params),
+        mu.max_part(),
+    )
+    for u in us:
+        for v in vs:
+            rhs *= f(v - u - 2 * eta) / f(v - u)
+    info = {"cap": cap, "tail_estimate": tail}
+    if k == l == 1:
+        depth = (params.n_cols - 1) // 2
+        info["convergence_product"] = [_convergence_monitor(us[0], vs[0], lam, mu.length, params, d) for d in (depth, 2 * depth)]
     return CheckReport(
-        name=f"skew-cauchy-{mu.parts}-{nu.parts}",
-        parameters={"mu": mu.parts, "nu": nu.parts, "u": _c(u), "v": _c(v), "lam": _c(lam)},
+        name=f"skew-cauchy-{mu.parts}-{nu.parts}-l{l}",
+        parameters={"mu": mu.parts, "nu": nu.parts, "us": [_c(u) for u in us], "vs": [_c(v) for v in vs], "lam": _c(lam)},
         lhs=lhs,
         rhs=rhs,
         tolerance=tolerance,
         truncation_info=info,
-    )
-
-
-def check_skew_cauchy_general(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
-    """General skew-Cauchy identity with k = len(us), l = len(vs)."""
-    mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
-    k, l = len(us), len(vs)
-    if mu.length != nu.length + k:
-        raise InvalidParameterError("need len(mu) = len(nu) + len(us)")
-    lam = params.lambda0 if lam is None else lam
-    eta = params.eta
-    f = params.f
-
-    lhs = 0.0 + 0.0j
-    last = 0.0
-    for kappa in signatures_in_box(mu.parts, (cap,) * mu.length):
-        d_term = skew_D_lattice(kappa, mu, lam, vs, params)
-        if d_term == 0:
-            continue
-        term = d_term * skew_B_lattice(kappa, nu, lam + 2 * eta * l, us, params)
-        lhs += term
-        if kappa.max_part() == cap:
-            last += abs(term)
-
-    rhs = 0.0 + 0.0j
-    for rho in signatures_in_box(nu.parts, (mu.max_part(),) * nu.length):
-        b_term = skew_B_lattice(mu, rho, lam, us, params)
-        if b_term == 0:
-            continue
-        rhs += b_term * skew_D_lattice(nu, rho, lam + 2 * eta * k, vs, params)
-    for u in us:
-        for v in vs:
-            rhs *= f(v - u - 2 * eta) / f(v - u)
-    return CheckReport(
-        name=f"skew-cauchy-general-k{k}l{l}",
-        parameters={
-            "mu": mu.parts,
-            "nu": nu.parts,
-            "us": [_c(u) for u in us],
-            "vs": [_c(v) for v in vs],
-            "lam": _c(lam),
-        },
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        truncation_info={"cap": cap, "tail_estimate": last},
     )
 
 
@@ -268,17 +258,13 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         if u is None or not len(vs):
             raise InvalidParameterError("pieri2 needs u and vs")
         l = len(vs)
-        N = nu.length
-        lhs = 0.0 + 0.0j
-        last = 0.0
-        for kappa in signatures_in_box(nu.parts + (0,), (cap,) + nu.parts):
-            term = D_nu(kappa, lam, list(vs), params) * skew_B_lattice(
-                kappa, nu, lam + 2 * eta * l, [u], params
-            )
-            lhs += term
-            if kappa.max_part() == cap:
-                last += abs(term)
-        rhs = _b0k_norm_factor(N + 1, lam, u, params) / f(lam)
+        lhs, last = _capped_sum(
+            signatures_in_box(nu.parts + (0,), (cap,) + nu.parts),
+            lambda kappa: D_nu(kappa, lam, list(vs), params),
+            lambda kappa: skew_B_lattice(kappa, nu, lam + 2 * eta * l, [u], params),
+            cap,
+        )
+        rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam)
         for v_j in vs:
             rhs *= f(v_j - u - 2 * eta) / f(v_j - u)
         rhs *= D_nu(nu, lam + 2 * eta, list(vs), params)
@@ -290,19 +276,12 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         k = len(us)
         if nu.length != k:
             raise InvalidParameterError("pieri needs len(nu) = len(us)")
-        lhs = 0.0 + 0.0j
-        last = 0.0
-        for kappa in signatures_in_box(nu.parts, (cap,) * nu.length):
-            d_term = skew_D_lattice(kappa, nu, lam, [v], params)
-            if d_term == 0:
-                continue
-            term = (
-                normalize(d_term, lam, 1, params)
-                * normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params)
-            )
-            lhs += term
-            if kappa.max_part() == cap:
-                last += abs(term)
+        lhs, last = _capped_sum(
+            signatures_in_box(nu.parts, (cap,) * nu.length),
+            lambda kappa: normalize(skew_D_lattice(kappa, nu, lam, [v], params), lam, 1, params),
+            lambda kappa: normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params),
+            cap,
+        )
         rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params)
         for u_i in us:
             rhs *= f(v - u_i - 2 * eta) / f(v - u_i)
@@ -312,19 +291,12 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         if not len(us) or not len(vs):
             raise InvalidParameterError("cauchy needs us and vs")
         k, l = len(us), len(vs)
-        lhs = 0.0 + 0.0j
-        last = 0.0
-        for kappa in signatures_in_box((0,) * k, (cap,) * k):
-            dval = D_nu(kappa, lam, list(vs), params)
-            if dval == 0:
-                continue
-            term = (
-                normalize(dval, lam, l, params)
-                * normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params)
-            )
-            lhs += term
-            if kappa.max_part() == cap:
-                last += abs(term)
+        lhs, last = _capped_sum(
+            signatures_in_box((0,) * k, (cap,) * k),
+            lambda kappa: normalize(D_nu(kappa, lam, list(vs), params), lam, l, params),
+            lambda kappa: normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params),
+            cap,
+        )
         rhs = 1.0 + 0.0j
         for u_i in us:
             rhs *= _b0k_norm_factor(k, lam, u_i, params)
@@ -358,24 +330,20 @@ def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex 
         abs(us[a] - us[b]) > 1e-8 for a in range(N) for b in range(a + 1, N)
     )
     if distinct:
-        b_eval = lambda kappa: B_mu(kappa, lam, list(us), params)
+        route, b_eval = "symmetrization", lambda kappa: B_mu(kappa, lam, list(us), params)
     else:
-        b_eval = lambda kappa: skew_B_lattice(kappa, (), lam, list(us), params)
-    lhs = 0.0 + 0.0j
-    last = 0.0
-    for kappa in signatures_in_box((1,) * N, (cap,) * N):
-        dval = D_rho(kappa, lam, params)
-        if dval == 0:
-            continue
-        term = dval * normalize(b_eval(kappa), lam, N, params)
-        lhs += term
-        if kappa.max_part() == cap:
-            last += abs(term)
+        route, b_eval = "lattice", lambda kappa: skew_B_lattice(kappa, (), lam, list(us), params)
+    lhs, last = _capped_sum(
+        signatures_in_box((1,) * N, (cap,) * N),
+        lambda kappa: D_rho(kappa, lam, params),
+        lambda kappa: normalize(b_eval(kappa), lam, N, params),
+        cap,
+    )
     rhs = (-f(2 * eta)) ** N
     for u in us:
         rhs *= f(u - grid.p[0]) / f(u - grid.q[0])
     return CheckReport(
-        name=f"cauchy-rho-N{N}",
+        name=f"cauchy-rho-N{N}-{route}",
         parameters={"us": [_c(u) for u in us], "lam": _c(lam)},
         lhs=lhs,
         rhs=rhs,
@@ -397,6 +365,15 @@ def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams, f
                 raise InvalidParameterError(
                     f"contour pair ({i}, {j}) violates the 2*eta-shift pole guard"
                 )
+
+
+def _strong_family(params: IrfParams, M: int) -> list:
+    """The nested (strong) circles of an M-fold kernel integral, pair-guarded."""
+    fam = check_admissible(params, M, strong=True)
+    if isinstance(fam, AdmissibilityDiagnostic):
+        raise InvalidParameterError(f"contour construction failed: {fam.reason}")
+    _pair_guard(fam.gammas, -2 * params.eta, params)
+    return fam.gammas
 
 
 def _kernel_unary(nu: Signature, lam: complex, params: IrfParams):
@@ -456,13 +433,9 @@ def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, t
     if mu.length != nu.length:
         raise InvalidParameterError("orthogonality needs equal lengths")
     lam = params.lambda0 if lam is None else lam
-    M = mu.length
-    fam = check_admissible(params, M, strong=True)
-    if isinstance(fam, AdmissibilityDiagnostic):
-        raise InvalidParameterError(f"contour construction failed: {fam.reason}")
-    _pair_guard(fam.gammas, -2 * params.eta, params)
+    gammas = _strong_family(params, mu.length)
     pref, terms = _bmu_factored_terms(mu, nu, lam, params)
-    lhs = pref * contour_integral_factored(terms, fam.gammas, nodes=nodes, tol=1e-9)
+    lhs = pref * contour_integral_factored(terms, gammas, nodes=nodes, tol=1e-9)
     norm = c_mu(mu, lam, params)
     rhs = norm if mu == nu else 0.0 + 0.0j
     return CheckReport(
@@ -474,23 +447,19 @@ def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, t
     )
 
 
-def _kernel_only_term(nu: Signature, lam: complex, params: IrfParams, extra_unary):
+def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, lam: complex, nodes: int) -> complex:
+    """(-1)^N f(2*eta)^N / (c_nu prod_{i=-n}^{N-1} f(lam + 2*eta*i)) times the
+    N-fold contour integral of the psi-kernel of nu with ``extra`` on each variable."""
     f, eta = params.f, params.eta
-    kern = _kernel_unary(nu, lam, params)
-    M = nu.length
-
-    def uf(v):
-        def fn(x, v=v):
-            return kern[v](x) * extra_unary(x)
-
-        return fn
-
-    unaries = [uf(v) for v in range(M)]
-    binaries = {}
-    for a in range(M):
-        for b in range(a + 1, M):
-            binaries[(a, b)] = lambda x, y: f(x - y) / f(x - y - 2 * eta)
-    return [(unaries, binaries)]
+    N = nu.length
+    unaries = [lambda x, k=k: k(x) * extra(x) for k in _kernel_unary(nu, lam, params)]
+    cross = lambda x, y: f(x - y) / f(x - y - 2 * eta)
+    binaries = {(a, b): cross for a in range(N) for b in range(a + 1, N)}
+    integral = contour_integral_factored([(unaries, binaries)], gammas, nodes=nodes, tol=1e-9)
+    pref = (-1.0) ** N * f(2 * eta) ** N / c_mu(nu, lam, params)
+    for i in range(-n, N):
+        pref /= f(lam + 2 * eta * i)
+    return pref * integral
 
 
 def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD, nodes: int = 48) -> CheckReport:
@@ -502,14 +471,9 @@ def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = No
     N = nu.length
     f, eta = params.f, params.eta
     grid = pq_grid(params)
-    fam = check_admissible(params, N, strong=True)
-    if isinstance(fam, AdmissibilityDiagnostic):
-        raise InvalidParameterError(f"contour construction failed: {fam.reason}")
-    _pair_guard(fam.gammas, -2 * eta, params)
-    for g in fam.gammas:
-        for v in vs:
-            if abs(v - g.center) <= g.radius:
-                raise InvalidParameterError("v-points must lie outside the contours")
+    gammas = _strong_family(params, N)
+    if any(abs(v - g.center) <= g.radius for g in gammas for v in vs):
+        raise InvalidParameterError("v-points must lie outside the contours")
 
     def extra(x):
         out = f(lam + x - grid.q[0] + 2 * eta * (N - n)) / f(x - grid.q[0])
@@ -517,18 +481,11 @@ def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = No
             out = out * f(x - v + 2 * eta) / f(x - v)
         return out
 
-    terms = _kernel_only_term(nu, lam, params, extra)
-    integral = contour_integral_factored(terms, fam.gammas, nodes=nodes, tol=1e-9)
-    pref = (-1.0) ** N * f(2 * eta) ** N / c_mu(nu, lam, params)
-    for i in range(-n, N):
-        pref /= f(lam + 2 * eta * i)
-    lhs = pref * integral
-    rhs = D_nu(nu, lam - 2 * eta * n, list(vs), params)
     return CheckReport(
         name=f"D-integral-{nu.parts}-n{n}",
         parameters={"nu": nu.parts, "n": n, "vs": [_c(v) for v in vs], "lam": _c(lam)},
-        lhs=lhs,
-        rhs=rhs,
+        lhs=_kernel_integral(nu, n, extra, gammas, params, lam, nodes),
+        rhs=D_nu(nu, lam - 2 * eta * n, list(vs), params),
         tolerance=tolerance,
     )
 
@@ -538,29 +495,13 @@ def check_D_rho_integral(nu, params: IrfParams, lam: complex | None = None, tole
     vanishing at nu_N = 0)."""
     nu = Signature(tuple(nu))
     lam = params.lambda0 if lam is None else lam
-    N = nu.length
-    f, eta = params.f, params.eta
-    grid = pq_grid(params)
-    fam = check_admissible(params, N, strong=True)
-    if isinstance(fam, AdmissibilityDiagnostic):
-        raise InvalidParameterError(f"contour construction failed: {fam.reason}")
-    _pair_guard(fam.gammas, -2 * eta, params)
-
-    def extra(x):
-        return f(x - grid.p[0]) / f(x - grid.q[0])
-
-    terms = _kernel_only_term(nu, lam, params, extra)
-    integral = contour_integral_factored(terms, fam.gammas, nodes=nodes, tol=1e-9)
-    pref = (-1.0) ** N * f(2 * eta) ** N / c_mu(nu, lam, params)
-    for i in range(N):
-        pref /= f(lam + 2 * eta * i)
-    lhs = pref * integral
-    rhs = D_rho(nu, lam, params)
+    f, grid = params.f, pq_grid(params)
+    gammas = _strong_family(params, nu.length)
     return CheckReport(
         name=f"D-rho-integral-{nu.parts}",
         parameters={"nu": nu.parts, "lam": _c(lam)},
-        lhs=lhs,
-        rhs=rhs,
+        lhs=_kernel_integral(nu, 0, lambda x: f(x - grid.p[0]) / f(x - grid.q[0]), gammas, params, lam, nodes),
+        rhs=D_rho(nu, lam, params),
         tolerance=tolerance,
     )
 
@@ -597,6 +538,8 @@ def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y, tolerance: float = 1e-1
         raise InvalidParameterError("nested-sum check capped at n <= 5, T <= 8")
     if len(Ts) != n:
         raise InvalidParameterError("need one T per factor")
+    if len(Y) < n or any(len(Y[j]) < Ts[j] for j in range(n)):
+        raise InvalidParameterError("Y needs n rows, row j holding at least T_j values")
 
     def y(j: int, t: int) -> float:
         return float(Y[j - 1][t - 1])
@@ -641,64 +584,50 @@ def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float 
     def near_q(k):
         return [q0 + 0.03 + 0.01j + complex(0.004 * rng.standard_normal(), 0.004 * rng.standard_normal()) for _ in range(k)]
 
+    tc, ts, tq = TOL_CLOSED * tolerance_scale, TOL_SERIES * tolerance_scale, TOL_QUAD * tolerance_scale
     reports = []
     # symmetrization, trig and elliptic
     for m in (1, 3, 6):
         vs = [complex(a, b) for a, b in 0.4 * rng.standard_normal((m, 2))]
         beta = complex(0.23 + 0.1 * rng.standard_normal(), 0.11)
-        reports.append(check_symmetrization_lemma(m, vs, beta, params.mode, tolerance=TOL_CLOSED * tolerance_scale))
-        reports.append(
-            check_symmetrization_lemma(m, vs, beta, FunctionMode.elliptic(1.5j), tolerance=TOL_CLOSED * tolerance_scale)
-        )
-    # skew-Cauchy, elementary and general
-    u1, v1 = near_p(1)[0], near_q(1)[0]
-    reports.append(check_skew_cauchy((1,), (), u1, v1, params, tolerance=TOL_SERIES * tolerance_scale))
-    reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params, tolerance=TOL_SERIES * tolerance_scale))
-    reports.append(
-        check_skew_cauchy_general((2, 1), (), near_p(2), near_q(2), params, tolerance=TOL_SERIES * tolerance_scale)
-    )
+        reports.append(check_symmetrization_lemma(m, vs, beta, params.mode, tolerance=tc))
+        reports.append(check_symmetrization_lemma(m, vs, beta, FunctionMode.elliptic(1.5j), tolerance=tc))
+    # skew-Cauchy at k = l = 1 and at k = l = 2
+    u1, v1 = near_p(1), near_q(1)
+    reports.append(check_skew_cauchy((1,), (), u1, v1, params, tolerance=ts))
+    reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params, tolerance=ts))
+    reports.append(check_skew_cauchy((2, 1), (), near_p(2), near_q(2), params, tolerance=ts))
     # Pieri rules and Cauchy
-    reports.append(
-        check_pieri("pieri2", params, nu=(2,), u=near_p(1)[0], vs=near_q(2), tolerance=TOL_SERIES * tolerance_scale)
-    )
-    reports.append(
-        check_pieri("pieri2", params, nu=(), u=near_p(1)[0], vs=near_q(1), tolerance=TOL_SERIES * tolerance_scale)
-    )
-    reports.append(
-        check_pieri("pieri", params, nu=(2, 1), us=near_p(2), v=near_q(1)[0], tolerance=TOL_SERIES * tolerance_scale)
-    )
-    reports.append(check_pieri("cauchy", params, us=near_p(1), vs=near_q(1), tolerance=TOL_SERIES * tolerance_scale))
-    reports.append(check_pieri("cauchy", params, us=near_p(2), vs=near_q(2), tolerance=TOL_SERIES * tolerance_scale))
-    # rho-Cauchy
-    reports.append(check_cauchy_rho(1, near_p(1), params, tolerance=TOL_SERIES * tolerance_scale))
-    reports.append(check_cauchy_rho(2, near_p(2), params, tolerance=TOL_SERIES * tolerance_scale))
-    us_eq = near_p(1) * 2
-    reports.append(check_cauchy_rho(2, us_eq, params, tolerance=TOL_SERIES * tolerance_scale))
+    reports.append(check_pieri("pieri2", params, nu=(2,), u=near_p(1)[0], vs=near_q(2), tolerance=ts))
+    reports.append(check_pieri("pieri2", params, nu=(), u=near_p(1)[0], vs=near_q(1), tolerance=ts))
+    reports.append(check_pieri("pieri", params, nu=(2, 1), us=near_p(2), v=near_q(1)[0], tolerance=ts))
+    reports.append(check_pieri("cauchy", params, us=near_p(1), vs=near_q(1), tolerance=ts))
+    reports.append(check_pieri("cauchy", params, us=near_p(2), vs=near_q(2), tolerance=ts))
+    # rho-Cauchy, distinct and coincident arguments
+    reports.append(check_cauchy_rho(1, near_p(1), params, tolerance=ts))
+    reports.append(check_cauchy_rho(2, near_p(2), params, tolerance=ts))
+    reports.append(check_cauchy_rho(2, near_p(1) * 2, params, tolerance=ts))
     # orthogonality / integral representations; M >= 2 uses the wide pack,
     # whose larger p/q separation admits the nested (strong) circle
     # families those integrals require
-    from .params import preset as _preset
-
-    wide = _preset("trig-admissible-wide")
-    gw = pq_grid(wide)
-    qw = complex(np.mean(np.array(gw.q)))
+    wide = preset("trig-admissible-wide")
+    qw = complex(np.mean(np.array(pq_grid(wide).q)))
 
     def wide_near_q(k):
         return [qw + 0.05 + 0.02j + complex(0.005 * rng.standard_normal(), 0.005 * rng.standard_normal()) for _ in range(k)]
 
-    reports.append(check_orthogonality((1,), (1,), params, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_orthogonality((2,), (1,), params, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_orthogonality((2, 1), (2, 1), wide, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_orthogonality((2, 1, 1), (2, 1, 1), wide, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_orthogonality((3, 1, 1), (2, 1, 1), wide, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_D_integral((1,), 1, near_q(1), params, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_D_integral((2, 1), 2, wide_near_q(2), wide, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_D_rho_integral((1,), params, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_D_rho_integral((2, 0), params, tolerance=TOL_QUAD * tolerance_scale))
-    reports.append(check_D_rho_integral((2, 1), wide, tolerance=TOL_QUAD * tolerance_scale))
-    # stochastic sum-to-one
-    reports.append(check_stoch_sum((2,), near_p(1), params))
-    # nested-sum lemma
+    reports.append(check_orthogonality((1,), (1,), params, tolerance=tq))
+    reports.append(check_orthogonality((2,), (1,), params, tolerance=tq))
+    reports.append(check_orthogonality((2, 1), (2, 1), wide, tolerance=tq))
+    reports.append(check_orthogonality((2, 1, 1), (2, 1, 1), wide, tolerance=tq))
+    reports.append(check_orthogonality((3, 1, 1), (2, 1, 1), wide, tolerance=tq))
+    reports.append(check_D_integral((1,), 1, near_q(1), params, tolerance=tq))
+    reports.append(check_D_integral((2, 1), 2, wide_near_q(2), wide, tolerance=tq))
+    reports.append(check_D_rho_integral((1,), params, tolerance=tq))
+    reports.append(check_D_rho_integral((2, 0), params, tolerance=tq))
+    reports.append(check_D_rho_integral((2, 1), wide, tolerance=tq))
+    # nested-sum lemma (the stochastic sum-to-one checks live in the CLI's
+    # stochastic suite)
     Y = rng.standard_normal((3, 8))
     reports.append(check_nested_sum_lemma(3, (2, 3, 5), Y))
     reports.sort(key=lambda r: r.name)

@@ -227,9 +227,7 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     if model in ("asep", "ssep"):
         _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
     if model in ("irf", "rational"):
-        if (params_or_rates.mode.kind == "rational") != (model == "rational"):
-            need = "a rational-mode" if model == "rational" else "a non-rational-mode"
-            raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params_or_rates.mode.kind}")
+        _check_pack_mode(model, params_or_rates)
         return _exact_E_irf(spec, params_or_rates, nodes, tol, check_residue)
     if model == "asep":
         q, alpha = params_or_rates if not isinstance(params_or_rates, (int, float)) else (params_or_rates, 0.0)
@@ -237,6 +235,13 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     if model == "ssep":
         return _exact_E_ssep(spec, nodes, tol, check_residue)
     raise InvalidParameterError(f"unknown model {model!r}")
+
+
+def _check_pack_mode(model: str, params: IrfParams) -> None:
+    """Model "rational" needs a rational-mode pack, "irf" a non-rational one."""
+    if (params.mode.kind == "rational") != (model == "rational"):
+        need = "a rational-mode" if model == "rational" else "a non-rational-mode"
+        raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params.mode.kind}")
 
 
 def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
@@ -694,6 +699,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         raise InvalidParameterError("use at least 10^3 trajectories")
     if model in ("irf", "rational"):
         params = params_or_rates
+        _check_pack_mode(model, params)
         N = _lattice_rows(spec, params)
         batch = sample_irf_batch(params, max(spec.xs), N, seed, samples)
         hs = np.stack([batch_heights(batch, x, N) for x in spec.xs], axis=1)
@@ -731,6 +737,8 @@ def lambda_independence_report(
     With ``samples`` (or for SSEP/ASEP) Monte Carlo within 4 combined
     standard errors.
     """
+    if len(lambdas) < 2:
+        raise InvalidParameterError("lambda independence needs at least two lambdas")
     if model == "irf" and samples is None:
         params = params_or_rates
         values = [enum_E(spec, params, lam=lam) for lam in lambdas]

@@ -19,7 +19,6 @@ from dynirf.identities import (
     check_orthogonality,
     check_pieri,
     check_skew_cauchy,
-    check_skew_cauchy_general,
     check_symmetrization_lemma,
 )
 from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
@@ -196,9 +195,9 @@ def test_criterion_6_cauchy_family():
         return [q0 + 0.03 + 0.01j + complex(0.004 * rng.standard_normal(), 0.004 * rng.standard_normal()) for _ in range(k)]
 
     reps = [
-        check_skew_cauchy((1,), (), near_p(1)[0], near_q(1)[0], P),
-        check_skew_cauchy((2, 1), (1,), near_p(1)[0], near_q(1)[0], P),
-        check_skew_cauchy_general((2, 1), (), near_p(2), near_q(2), P),
+        check_skew_cauchy((1,), (), near_p(1), near_q(1), P),
+        check_skew_cauchy((2, 1), (1,), near_p(1), near_q(1), P),
+        check_skew_cauchy((2, 1), (), near_p(2), near_q(2), P),
         check_pieri("pieri2", P, nu=(2,), u=near_p(1)[0], vs=near_q(2)),
         check_pieri("pieri", P, nu=(2, 1), us=near_p(2), v=near_q(1)[0]),
         check_pieri("cauchy", P, us=near_p(2), vs=near_q(2)),

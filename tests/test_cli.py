@@ -145,8 +145,11 @@ class TestConfigFile:
 @pytest.mark.slow
 class TestFullSuite:
     def test_verify_all_passes(self):
-        proc = run_cli("verify", "--suite", "all", "--seed", "0")
-        assert proc.returncode == 0
-        reports = json.loads(proc.stdout)
-        assert len(reports) > 35
-        assert all(r["passed"] for r in reports)
+        for seed in ("0", "3"):
+            proc = run_cli("verify", "--suite", "all", "--seed", seed)
+            assert proc.returncode == 0
+            reports = json.loads(proc.stdout)
+            assert len(reports) > 35
+            assert all(r["passed"] for r in reports)
+            names = [r["name"] for r in reports]
+            assert len(names) == len(set(names)), "report names must be unique"

@@ -13,7 +13,6 @@ from dynirf.identities import (
     check_orthogonality,
     check_pieri,
     check_skew_cauchy,
-    check_skew_cauchy_general,
 )
 from dynirf.params import IrfParams, pq_grid
 from dynirf.special import FunctionMode
@@ -54,8 +53,8 @@ class TestEllipticCauchyFamily:
     def test_skew_cauchy(self, ell):
         rng = np.random.default_rng(4)
         u, v = anchors(ell, rng)
-        r1 = check_skew_cauchy((1,), (), u, v, ell)
-        r2 = check_skew_cauchy((2, 1), (1,), u, v, ell)
+        r1 = check_skew_cauchy((1,), (), [u], [v], ell)
+        r2 = check_skew_cauchy((2, 1), (1,), [u], [v], ell)
         assert r1.passed and r2.passed
         # the convergence-condition product must decay with depth
         a, b = r1.truncation_info["convergence_product"]
@@ -65,7 +64,7 @@ class TestEllipticCauchyFamily:
         rng = np.random.default_rng(5)
         us = [anchors(ell, rng)[0] for _ in range(2)]
         vs = [anchors(ell, rng)[1] for _ in range(2)]
-        assert check_skew_cauchy_general((2, 1), (), us, vs, ell).passed
+        assert check_skew_cauchy((2, 1), (), us, vs, ell).passed
 
     def test_cauchy(self, ell):
         rng = np.random.default_rng(6)

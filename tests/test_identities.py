@@ -12,12 +12,15 @@ from dynirf.identities import (
     check_orthogonality,
     check_pieri,
     check_skew_cauchy,
-    check_skew_cauchy_general,
     check_stoch_sum,
     check_symmetrization_lemma,
 )
+from dynirf import asymptotics, identities, observables
+from dynirf.asymptotics import regime_moment_check
+from dynirf.observables import ObservableSpec, lambda_independence_report
 from dynirf.params import pq_grid, preset
 from dynirf.special import TRIG, FunctionMode, InvalidParameterError
+from dynirf.weights import SingularParameterError
 
 RNG = np.random.default_rng(2024)
 
@@ -100,18 +103,18 @@ class TestSeriesIdentities:
     def test_skew_cauchy_seed(self, trig):
         rng = np.random.default_rng(5)
         u, v = near_p(trig, 1, rng)[0], near_q(trig, 1, rng)[0]
-        r = check_skew_cauchy((0,), (), u, v, trig)
+        r = check_skew_cauchy((0,), (), [u], [v], trig)
         assert r.passed, r.residual
 
     def test_skew_cauchy_small(self, trig):
         rng = np.random.default_rng(6)
         u, v = near_p(trig, 1, rng)[0], near_q(trig, 1, rng)[0]
-        r = check_skew_cauchy((2, 1), (1,), u, v, trig)
+        r = check_skew_cauchy((2, 1), (1,), [u], [v], trig)
         assert r.passed and r.residual < 1e-7
 
     def test_skew_cauchy_general_k2l2(self, trig):
         rng = np.random.default_rng(7)
-        r = check_skew_cauchy_general((2, 1), (), near_p(trig, 2, rng), near_q(trig, 2, rng), trig)
+        r = check_skew_cauchy((2, 1), (), near_p(trig, 2, rng), near_q(trig, 2, rng), trig)
         assert r.passed
 
     def test_pieri_variants(self, trig):
@@ -143,7 +146,7 @@ class TestSeriesIdentities:
 
     def test_bad_shapes(self, trig):
         with pytest.raises(InvalidParameterError):
-            check_skew_cauchy((1,), (1,), 0.1, 0.2, trig)
+            check_skew_cauchy((1,), (1,), [0.1], [0.2], trig)
         with pytest.raises(InvalidParameterError):
             check_pieri("nope", trig)
 
@@ -249,3 +252,43 @@ class TestNestedSum:
         Y = RNG.standard_normal((3, 8))
         r = check_nested_sum_lemma(3, (2, 3, 5), Y)
         assert r.passed and r.residual < 1e-12
+
+
+BAD_INPUTS = {
+    # each used to end in a bare ZeroDivisionError, IndexError or ValueError,
+    # or (the cap below mu_1) in a silently failed report
+    "symmetrization-coincident-v": (SingularParameterError, lambda P: check_symmetrization_lemma(2, [0.1, 0.1], 0.2, TRIG)),
+    "symmetrization-coincident-v-elliptic": (
+        SingularParameterError,
+        lambda P: check_symmetrization_lemma(2, [0.1, 0.1], 0.2, FunctionMode.elliptic(1.5j)),
+    ),
+    "symmetrization-beta-0": (SingularParameterError, lambda P: check_symmetrization_lemma(2, [0.1, 0.3], 0.0, TRIG)),
+    "symmetrization-v-0": (SingularParameterError, lambda P: check_symmetrization_lemma(2, [0.0, 0.3], 0.2, TRIG)),
+    "nested-sum-short-Y": (InvalidParameterError, lambda P: check_nested_sum_lemma(2, (2, 3), [[1.0]])),
+    "lambda-independence-one-lambda": (
+        InvalidParameterError,
+        lambda P: lambda_independence_report("irf", ObservableSpec((2,), 2), [P.lambda0], P),
+    ),
+    "regime-moment-n0": (InvalidParameterError, lambda P: regime_moment_check(0, 1e4, 1.0, 1.0)),
+    "skew-cauchy-cap-below-mu1": (
+        InvalidParameterError,
+        lambda P: check_skew_cauchy((3, 1), (1,), [0.1], [0.2], P, cap=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_check_input_raises_documented_error(case, trig, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("did work on a rejected input")
+
+    for module, name in [
+        (identities, "skew_B_lattice"),
+        (identities, "skew_D_lattice"),
+        (observables, "enum_E"),
+        (asymptotics, "ssep_falling_moment"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    exc, call = BAD_INPUTS[case]
+    with pytest.raises(exc):
+        call(trig)

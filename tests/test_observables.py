@@ -243,6 +243,19 @@ class TestRational:
         with pytest.raises(InvalidParameterError, match="non-rational-mode pack"):
             exact_E("irf", spec, rational)
 
+    def test_mc_E_model_and_pack_mode_must_agree(self, dyn6v, rational, monkeypatch):
+        # mc_E used to sample either pack under either model: "irf" on the
+        # rational pack read 0.412 where the rational average is 4.079
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a mismatched pack")
+
+        monkeypatch.setattr(observables, "sample_irf_batch", no_sampling)
+        spec = ObservableSpec((2, 1), 3)
+        with pytest.raises(InvalidParameterError, match="rational-mode pack"):
+            mc_E("rational", spec, dyn6v, 4000, 1)
+        with pytest.raises(InvalidParameterError, match="non-rational-mode pack"):
+            mc_E("irf", spec, rational, 4000, 1)
+
 
 class TestQuadratureRunaway:
     def test_factored_grid_cap_raises(self, dyn6v):
