@@ -426,16 +426,25 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float, check_residue: b
     return value
 
 
+def _as_int(value, what: str) -> int:
+    if not (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def ssep_mean_height(x: int, t: float) -> float:
     """E h(x, t) for the usual SSEP from the step state: a Bessel series.
 
     Substituting u = v/(v-1) in the one-fold integral turns the essential
     factor into the modified-Bessel generating function, leaving
     E h = sum_{j>=0} (j+1) e^{-2t} I_{x+1+j}(2t); evaluated with the
-    exponentially scaled Bessel ive, stable at any t.
+    exponentially scaled Bessel ive, stable at any t.  Sites x < 0 use the
+    reflection E h(x) = E h(-x) - x (see ``ssep_falling_moment``).
     """
-    if t == 0:
-        return float(max(0, -x))
+    x = _as_int(x, "site x")
+    t = _check_horizon(t)
+    if x < 0:
+        return ssep_mean_height(-x, t) - x
     total = 0.0
     j = 0
     while True:
@@ -456,32 +465,40 @@ _SSEP_F3_T_MAX = 7.5
 
 
 def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
-    """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start.
+    """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start, n = 1, 2, 3.
 
-    n = 1 uses the Bessel series (any t).  n = 2 and 3 use the n-fold
-    contour integral; for n = 2 at large t the v-circles are replaced by their
-    images under u = v/(v-1) with near-unit radii, where the integrand
-    magnitude stays O(exp(t(1-r)^2/r)); the cross-factor pole crossed during
-    that deformation contributes one explicit lower-dimensional correction
-    term.  n = 3 is served for t <= 7.5 only, and n >= 4 not at all (its
-    second quadrature level already exceeds the grid cap); both raise
-    InvalidParameterError before any quadrature.  Sites x < 0 lose more to
-    cancellation: at n = 3 the integral raises ConvergenceError from t = 7.5
-    at x = -1, from t = 6 at x = -2..-4, and at every t at x = -12.
+    n = 1 uses the Bessel series (any t).  n = 2 uses the two-fold contour
+    integral for t <= 12, the exact duality propagator e^{tL}
+    (``ssep_f2_duality``) for t <= 500 and the saddle route
+    (``_ssep_f2_large_t``) beyond.  n = 3 uses the three-fold integral for
+    t <= 7.5 and the three-point duality propagator beyond, on the window
+    [-M, M]^3, M = 5.5 sqrt(t) + |x| + 25, up to 2^21 sites (t about 50 at
+    x = 0).  n >= 4 is not served (its second quadrature level already
+    exceeds the grid cap).  Sites x < 0 are reflected: the step state is
+    invariant under particle-hole exchange with x -> -x, so h(x) has the law
+    of h(-x) - x and F_n(x) = sum_k C(n, k) (-x)_{n-k} F_k(-x), (a)_m falling.
+    A non-integral x or n, a t not finite and >= 0, n >= 4 and a duality
+    window past the cap raise InvalidParameterError before any work.
     """
+    x = _as_int(x, "site x")
+    t = _check_horizon(t)
+    n = _as_int(n, "moment order n")
+    if not 1 <= n <= 3:
+        raise InvalidParameterError(f"falling moments are implemented for n = 1, 2, 3 only, got n = {n}")
+    if x < 0:
+        moments = [1.0] + [ssep_falling_moment(-x, t, k, nodes) for k in range(1, n + 1)]
+        return sum(math.comb(n, k) * math.perm(-x, n - k) * moments[k] for k in range(n + 1))
     if n == 1:
         return ssep_mean_height(x, t)
     if n == 2:
         if t <= 12:
-            val = exact_E("ssep", ObservableSpec((x, x), t), (1.0,), nodes=nodes, check_residue=False)
-            return float(val.real)
+            return float(exact_E("ssep", ObservableSpec((x, x), t), (1.0,), nodes=nodes, check_residue=False).real)
         if t <= 500:
             return ssep_f2_duality(x, t)
         return _ssep_f2_large_t(x, t)
-    if n >= 4 or t > _SSEP_F3_T_MAX:
-        raise InvalidParameterError(f"falling moments beyond n = 2 are implemented for n = 3, t <= {_SSEP_F3_T_MAX} only")
-    val = exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=nodes, check_residue=False)
-    return float(((-1.0) ** n * val).real)
+    if t > _SSEP_F3_T_MAX:
+        return _duality_moment(x, t, 3)
+    return float(-exact_E("ssep", ObservableSpec((x,) * 3, t), (1.0,), nodes=nodes, check_residue=False).real)
 
 
 def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
@@ -544,109 +561,91 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     return float((main - corr).real)
 
 
-# RK4's amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| <= 1 on
-# the real segment [-_RK4_REAL_LIMIT, 0] and not beyond it
-_RK4_REAL_LIMIT = 2.785293563405282
-# Chebyshev coefficients of R(h lam)^steps below this (absolute) are dropped;
-# the function lies in [0, 1]
-_CHEB_TAIL = 1e-15
+# window [-M, M]^n, M = _DUALITY_WINDOW sqrt(t) + |x| + 25; its frozen edge
+# leaves F2 about 1e-6 relative low at t = 300 (CHANGES.md)
+_DUALITY_WINDOW = 5.5
+_DUALITY_MAX_POINTS = 1 << 21  # sites of the n-cube: 16 MB per array
+_IVE_TAIL = 1e-16  # where the Chebyshev series stops
 
 
-def _rk4_propagator_chebyshev(h: float, steps: int) -> np.ndarray:
-    """Chebyshev coefficients of g(x) = R(h lam)^steps, lam = 4x - 4, on [-1, 1].
+def _duality_moment(x: int, t: float, n: int) -> float:
+    """F_n(x, t) = n! sum_{x < y_1 < ... < y_n} C(y, t) by n-point duality.
 
-    g is sampled at the n + 1 Chebyshev extrema and transformed with one real
-    FFT; n doubles until the upper half of the coefficients lies below
-    _CHEB_TAIL, or until n reaches 4 steps, the exact degree of g, where the
-    interpolant is g itself.
+    C(y) = E[eta(y_1) ... eta(y_n)] evolves under the generator L of n
+    exclusion walkers (Liggett 1985, ch. VIII).  On the n-cube [-M, M]^n, C
+    is 0 on coincident tuples, frozen on the window edge, and elsewhere
+    (L + 2n) C = (sum of the 2n axis shifts) + (blocked moves) C.  spec L
+    lies in [-4n, 0], so e^{tL} = sum_k (2 - delta_k0) e^{-2nt} I_k(2nt)
+    T_k((L + 2n) / 2n) (Tal-Ezer & Kosloff 1984), run by the three-term
+    recurrence in O(sqrt(nt)) stencil passes.  C is symmetric and 0 on
+    coincident tuples, so the ordered sum is the sum over the orthant y > x.
     """
-    exact = 4 * steps
-    n = min(64, exact)
-    while True:
-        z = h * (4.0 * np.cos(np.pi * np.arange(n + 1) / n) - 4.0)
-        # R(z) > 0 for real z; log1p keeps R(z)^steps accurate near z = 0
-        g = np.exp(steps * np.log1p(z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))))
-        coef = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / n
-        coef[0] /= 2.0
-        coef[n] /= 2.0
-        if n >= exact or np.max(np.abs(coef[n // 2 :])) < _CHEB_TAIL:
+    M = int(_DUALITY_WINDOW * math.sqrt(max(t, 1.0)) + abs(x) + 25)
+    shape = (2 * M + 1,) * n
+    if math.prod(shape) > _DUALITY_MAX_POINTS:
+        raise InvalidParameterError(f"duality window of {shape[0]}^{n} sites is past the cap of {_DUALITY_MAX_POINTS}")
+    ys = np.arange(-M, M + 1)
+    axes = [ys.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+    coincident = np.zeros(shape, dtype=bool)
+    blocked = np.zeros(shape)
+    for i, j in itertools.combinations(range(n), 2):
+        gap = np.abs(axes[i] - axes[j])
+        coincident |= gap == 0
+        blocked += 2.0 * (gap == 1)  # each walker of an adjacent pair is blocked once
+    C, fixed = (~coincident).astype(float), coincident.copy()
+    for a in axes:
+        C *= a <= 0
+        fixed |= np.abs(a) == M
+    # step: out = 2X c - prev = (shifts + blocked c) / n - prev, with the
+    # blocked moves a sparse diagonal, and T_k = C on the fixed set
+    fixed_at, blocked_at = np.flatnonzero(fixed), np.flatnonzero(~fixed & (blocked > 0))
+    fixed_val, blocked_val = C.reshape(-1)[fixed_at], blocked.reshape(-1)[blocked_at]
+
+    def step(c, prev, out):
+        out.fill(0.0)
+        for ax in range(n):
+            o, v = np.moveaxis(out, ax, 0), np.moveaxis(c, ax, 0)
+            o[1:] += v[:-1]
+            o[:-1] += v[1:]
+        flat = out.reshape(-1)
+        flat[blocked_at] += blocked_val * c.reshape(-1)[blocked_at]
+        out *= 1.0 / n
+        out -= prev
+        flat[fixed_at] = fixed_val
+        return out
+
+    z = 2.0 * n * t
+    coef = 2.0 * scipy.special.ive(np.arange(int(z + 10.0 * math.sqrt(z) + 40.0)), z)
+    coef[0] /= 2.0
+    orthant = (slice(x + M + 1, None),) * n
+    # T_0 = C, T_1 = X C = 2X (C / 2), T_{k+1} = 2X T_k - T_{k-1}, until both
+    # the coefficient and the term (relative to the sum) are below _IVE_TAIL
+    prev, cur, nxt = C, step(0.5 * C, 0.0, np.empty(shape)), np.empty(shape)
+    total = coef[0] * C[orthant].sum() + coef[1] * cur[orthant].sum()
+    for c in coef[2:]:
+        step(cur, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
+        term = c * cur[orthant].sum()
+        total += term
+        if c < _IVE_TAIL and abs(term) <= _IVE_TAIL * abs(total):
             break
-        n = min(2 * n, exact)
-    return coef[: np.flatnonzero(np.abs(coef) >= _CHEB_TAIL)[-1] + 1]
+    return float(total)
 
 
-def ssep_f2_duality(x: int, t: float, dt: float = 0.1, window_factor: float = 5.5) -> float:
-    """Independent oracle for E[h(h-1)] via the closed two-point equations.
+def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
+    """Independent oracle for E[h(h-1)]: two-point duality with exact e^{tL}.
 
-    The SSEP two-point function C(y1, y2) = E[eta(y1) eta(y2)] satisfies a
-    discrete heat equation dC/dt = L C in both coordinates, with the inner
-    neighbors dropped on the adjacent band; integrating it from the step
-    profile and summing 2 C over x < y1 < y2 gives the second falling moment.
-
-    The result is that of classical RK4 with ceil(t / dt) equal steps h on a
-    window of 2 M + 1 sites, M = window_factor sqrt(t) + |x| + 25: the fixed
-    propagator R(h L)^steps applied to the step profile.  L is autonomous,
-    so that matrix polynomial is applied as one Chebyshev expansion
-    (Tal-Ezer & Kosloff 1984) in X = (L + 4) / 4 by the three-term
-    recurrence.  The interval is right: on interior pairs L is symmetric and
-    every Gershgorin disc lies in |lam + 4| <= 4, while the frozen edge and
-    diagonal rows are zero, so spec L is in [-8, 0] and spec X in [-1, 1].
-    The expansion needs O(sqrt(t)) stencil passes instead of RK4's 4 t / h,
-    so the work is O(sqrt(t) M^2).  8 h must stay within RK4's real-axis
-    stability limit.
+    ``_duality_moment`` at n = 2 (window 5.5 sqrt(t) + |x| + 25), t <= 500.
+    ``dt``, the step of the RK4 integration this oracle once emulated, is
+    still checked (non-finite or non-positive raises InvalidParameterError)
+    so that callers passing it keep working; it has no other effect.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidParameterError("dt must be a positive finite number")
-    if not t >= 0:
-        raise InvalidParameterError("duality oracle needs t >= 0")
+    t = _check_horizon(t)
     if t > 500:
         raise InvalidParameterError("duality oracle capped at t <= 500")
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    if 8.0 * h > _RK4_REAL_LIMIT:
-        raise InvalidParameterError(
-            f"RK4 step {h:g} is unstable on spec L = [-8, 0]; need dt <= {_RK4_REAL_LIMIT / 8:.4f}"
-        )
-    M = int(window_factor * math.sqrt(max(t, 1.0)) + abs(x) + 25)
-    size = 2 * M + 1
-    ys = np.arange(-M, M + 1)
-    occ0 = (ys <= 0).astype(float)
-    C = np.outer(occ0, occ0)
-    np.fill_diagonal(C, 0.0)
-
-    band = np.arange(size - 1)
-
-    def rhs(c):
-        lap = -4.0 * c
-        lap[1:, :] += c[:-1, :]
-        lap[:-1, :] += c[1:, :]
-        lap[:, 1:] += c[:, :-1]
-        lap[:, :-1] += c[:, 1:]
-        # adjacent band (y, y+1): only the outer neighbors move the pair
-        upper = np.zeros(size - 1)
-        upper[1:] += c[band[1:] - 1, band[1:] + 1]
-        upper[:-1] += c[band[:-1], band[:-1] + 2]
-        upper -= 2.0 * c[band, band + 1]
-        lap[band, band + 1] = upper
-        lap[band + 1, band] = upper
-        np.fill_diagonal(lap, 0.0)
-        # freeze the window edge at the (exponentially accurate) step value
-        lap[0, :] = lap[-1, :] = 0.0
-        lap[:, 0] = lap[:, -1] = 0.0
-        return lap
-
-    coef = _rk4_propagator_chebyshev(h, steps)
-    # T_0 = C, T_1 = X C, T_{k+1} = 2 X T_k - T_{k-1}
-    out = coef[0] * C
-    if coef.size > 1:
-        prev, cur = C, C + 0.25 * rhs(C)
-        out += coef[1] * cur
-        for c in coef[2:]:
-            prev, cur = cur, 0.5 * rhs(cur) + 2.0 * cur - prev
-            out += c * cur
-    mask = ys > x
-    sub = out[np.ix_(mask, mask)]
-    return float(np.triu(sub, k=1).sum() * 2.0)
+    return _duality_moment(_as_int(x, "site x"), t, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import cmath
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from dynirf import observables, samplers
 from dynirf.observables import (
@@ -52,48 +55,33 @@ def irf_product_scalar(hs, spec, params, lam) -> complex:
     return out / norm
 
 
-def ssep_f2_rk4(x: int, t: float, dt: float = 0.1, window_factor: float = 5.5) -> float:
-    """Reference for ssep_f2_duality: the two-point equations stepped by RK4.
+def ssep_f2_expm(x: int, t: float) -> float:
+    """Reference for ssep_f2_duality: expm_multiply on ordered pairs y1 < y2.
 
-    The same window, stencil and step h = t / ceil(t / dt) as the library,
-    applied one classical RK4 step at a time.
+    The same window [-M, M] and frozen edge as the library, but the state
+    holds each unordered pair once, L is an explicit sparse matrix (each
+    unblocked move of either walker at rate 1) and e^{tL} comes from
+    scipy's truncated-Taylor expm_multiply, not a Chebyshev series.
     """
-    M = int(window_factor * math.sqrt(max(t, 1.0)) + abs(x) + 25)
+    M = int(5.5 * math.sqrt(max(t, 1.0)) + abs(x) + 25)
     size = 2 * M + 1
-    ys = np.arange(-M, M + 1)
-    occ0 = (ys <= 0).astype(float)
-    C = np.outer(occ0, occ0)
-    np.fill_diagonal(C, 0.0)
-    band = np.arange(size - 1)
+    a, b = np.triu_indices(size, k=1)  # window indices of y1 < y2
+    index = np.full((size, size), -1)
+    index[a, b] = np.arange(a.size)
+    interior = (a > 0) & (b < size - 1)
+    rows, cols = [], []
+    for da, db in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        move = interior & (a + da < b + db)
+        rows.append(np.flatnonzero(move))
+        cols.append(index[a[move] + da, b[move] + db])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    L = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(a.size, a.size)).tocsr()
+    L -= scipy.sparse.diags(np.bincount(rows, minlength=a.size).astype(float))
+    c = scipy.sparse.linalg.expm_multiply(t * L, (b <= M).astype(float))
+    return float(2.0 * c[a - M > x].sum())
 
-    def rhs(c):
-        lap = -4.0 * c
-        lap[1:, :] += c[:-1, :]
-        lap[:-1, :] += c[1:, :]
-        lap[:, 1:] += c[:, :-1]
-        lap[:, :-1] += c[:, 1:]
-        upper = np.zeros(size - 1)
-        upper[1:] += c[band[1:] - 1, band[1:] + 1]
-        upper[:-1] += c[band[:-1], band[:-1] + 2]
-        upper -= 2.0 * c[band, band + 1]
-        lap[band, band + 1] = upper
-        lap[band + 1, band] = upper
-        np.fill_diagonal(lap, 0.0)
-        lap[0, :] = lap[-1, :] = 0.0
-        lap[:, 0] = lap[:, -1] = 0.0
-        return lap
 
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    for _ in range(steps):
-        k1 = rhs(C)
-        k2 = rhs(C + 0.5 * h * k1)
-        k3 = rhs(C + 0.5 * h * k2)
-        k4 = rhs(C + h * k3)
-        C += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    mask = ys > x
-    sub = C[np.ix_(mask, mask)]
-    return float(np.triu(sub, k=1).sum() * 2.0)
+falling = functools.lru_cache(maxsize=None)(ssep_falling_moment)
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +341,8 @@ class TestSsep:
         assert abs(ssep_mean_height(0, 1.0) - 0.5237776118026084) < 1e-12
         assert ssep_mean_height(3, 0.0) == 0.0
         assert ssep_mean_height(-4, 0.0) == 4.0
+        # the series at x = -100 stopped after five zero terms and returned 7.6e-147
+        assert abs(ssep_mean_height(-100, 1.0) - 100.0) <= 1e-12 * 100.0
 
     def test_internal_series_check_runs(self):
         v = exact_E("ssep", ObservableSpec((1,), 1.0), (2.0,))
@@ -369,22 +359,29 @@ class TestSsep:
             exact_E("ssep", ObservableSpec((0,), 100.0), (1.0,))
 
     def test_falling_moment_routes_agree(self):
-        # direct quadrature / duality ODE / saddle engine across their seams
+        # direct quadrature and the duality propagator across their seam
+        # (1.4e-9 apart at t = 10)
         d1 = ssep_falling_moment(0, 10.0, 2)
         ode = ssep_f2_duality(0, 10.0, dt=0.05)
-        assert abs(d1 - ode) <= 1e-6 * abs(ode)
+        assert abs(d1 - ode) <= 1e-8 * abs(ode)
 
     @pytest.mark.slow
     def test_saddle_engine_vs_duality(self):
+        # 7.5e-7 apart at t = 250 and 2.1e-6 at t = 400, mostly the duality
+        # window's truncation
         for t in (250.0, 400.0):
             eng = _ssep_f2_large_t(0, t)
             ode = ssep_f2_duality(0, t)
-            assert abs(eng - ode) <= 2e-4 * abs(ode), t
+            assert abs(eng - ode) <= 1e-5 * abs(ode), t
+
+    def test_duality_matches_quadrature(self):
+        ref = exact_E("ssep", ObservableSpec((0, 0), 5.0), (1.0,), nodes=64, check_residue=False).real
+        assert abs(ssep_f2_duality(0, 5.0) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize(
         "x, t, dt",
         [
-            (0, 0.05, 0.1),  # a single RK4 step
+            (0, 0.05, 0.1),  # F2 about 1e-6: the series must stop relative to the sum
             (0, 5.0, 0.05),
             (0, 10.0, 0.1),
             (2, 10.0, 0.1),
@@ -392,11 +389,13 @@ class TestSsep:
             (-2, 0.0, 0.1),  # the step profile itself
             pytest.param(0, 300.0, 0.1, marks=pytest.mark.slow),
             pytest.param(0, 400.0, 0.1, marks=pytest.mark.slow),
-            pytest.param(0, 500.0, 0.34, marks=pytest.mark.slow),  # 8h near RK4's stability limit
+            pytest.param(0, 500.0, 0.34, marks=pytest.mark.slow),
         ],
     )
     def test_duality_matches_rk4_loop(self, x, t, dt):
-        ref = ssep_f2_rk4(x, t, dt)
+        # named after the RK4 reference it once had; the reference is now
+        # expm_multiply, and the dt values of those cases must not move F2
+        ref = ssep_f2_expm(x, t)
         assert abs(ssep_f2_duality(x, t, dt=dt) - ref) <= 1e-10 * abs(ref)
 
     @pytest.mark.parametrize(
@@ -406,7 +405,6 @@ class TestSsep:
             (10.0, float("nan")),  # used to raise a bare ValueError
             (10.0, float("inf")),
             (10.0, -0.1),  # used to return 1666.67
-            (10.0, 0.5),  # 8h = 4 is past RK4's real-axis limit; used to return 2.4e8
             (-1.0, 0.1),
         ],
     )
@@ -419,18 +417,99 @@ class TestSsep:
         v = ssep_falling_moment(0, 4.0, 3)
         assert math.isfinite(v) and v > 0
 
-    @pytest.mark.parametrize("t, n", [(8.0, 3), (1.0, 4)])
+    @pytest.mark.parametrize("x", [-1, 0, 2])
+    @pytest.mark.parametrize("t", [2.0, 5.0, 7.5])
+    def test_third_moment_duality_vs_direct(self, x, t):
+        # the direct route is the three-fold integral, reached through the
+        # reflection at x = -1 (the integral itself fails at (-1, 7.5))
+        direct = ssep_falling_moment(x, t, 3)
+        assert abs(observables._duality_moment(x, t, 3) - direct) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_third_moment_past_direct_range(self):
+        # n = 3 used to be refused past t = 7.5; this runs on a 111^3 cube
+        v = falling(0, 30.0, 3)
+        assert math.isfinite(v) and falling(0, 7.5, 3) < v < falling(0, 30.0, 1) ** 3
+
+    @pytest.mark.parametrize("t, n", [(60.0, 3), (1.0, 4)])
     def test_falling_moment_refuses_unsupported_range(self, monkeypatch, t, n):
-        # n = 3 converged erratically past t = 7.6 (0.65 at t = 8, ConvergenceError
-        # at 8.05); n = 4's second level always passed the grid cap
+        # n = 3 at t = 60 needs a 135^3 window, past the propagator's cap;
+        # n = 4's second quadrature level always passed the grid cap
         import dynirf.observables as obs
 
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
+        def no_work(*args, **kwargs):
+            raise AssertionError("quadrature or window allocation ran")
 
-        monkeypatch.setattr(obs, "contour_integral_factored", no_quadrature)
+        monkeypatch.setattr(obs, "contour_integral_factored", no_work)
+        monkeypatch.setattr(obs.np, "zeros", no_work)
         with pytest.raises(InvalidParameterError):
             ssep_falling_moment(0, t, n)
+
+    @pytest.mark.parametrize(
+        "x, t, n",
+        [
+            (0, float("nan"), 1),  # looped forever in the Bessel series
+            (0, float("inf"), 1),  # looped forever in the Bessel series
+            (0, -1.0, 1),  # returned -0.0932
+            (0.5, 1.0, 1),  # returned a number for a non-integer site
+            (0.5, 1.0, 2),  # returned a number for a non-integer site
+            (0, float("inf"), 2),  # ConvergenceError after the quadrature ran
+            (0, float("nan"), 2),  # "circle radius must be positive"
+            (0, 1.0, 0),
+            (0, 1.0, 2.5),
+        ],
+    )
+    def test_falling_moment_rejects_bad_input_before_work(self, monkeypatch, x, t, n):
+        def no_work(*args, **kwargs):
+            raise AssertionError("series or quadrature ran")
+
+        monkeypatch.setattr(observables, "contour_integral_factored", no_work)
+        monkeypatch.setattr(observables.scipy.special, "ive", no_work)
+        with pytest.raises(InvalidParameterError):
+            ssep_falling_moment(x, t, n)
+
+    @pytest.mark.parametrize(
+        "x, t, want, rtol",
+        [
+            (-12, 1.0, 132.0000000006484, 1e-12),  # ConvergenceError in the direct route
+            (-5, 10.0, 22.958256310917925, 1e-10),  # ConvergenceError in the direct route
+            (-100, 1e4, 14283.052782912042, 1e-9),  # the u-saddle left |u| < 1
+        ],
+    )
+    def test_negative_site_is_reflected(self, x, t, want, rtol):
+        got = ssep_falling_moment(x, t, 2)
+        assert abs(got - want) <= rtol * want
+        # F2(-a) = F2(a) + 2a F1(a) + a(a - 1)
+        a = -x
+        assert abs(got - (falling(a, t, 2) + 2 * a * falling(a, t, 1) + a * (a - 1))) <= 1e-12 * want
+
+    @pytest.mark.parametrize("x, t", [(3, 2.0), (1, 5.0)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reflection_matches_direct_route(self, x, t, n):
+        # where the integral at -x converges: 4e-15 at (3, 2), 1.4e-12 at (1, 5)
+        direct = ((-1) ** n * exact_E("ssep", ObservableSpec((-x,) * n, t), (1.0,), nodes=64, check_residue=False)).real
+        assert abs(ssep_falling_moment(-x, t, n) - direct) <= 1e-11 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize(
+        "x, t, n_max",
+        [
+            (0, 2.0, 3),  # direct
+            (2, 5.0, 3),  # direct
+            (-3, 5.0, 3),  # reflected direct
+            (0, 30.0, 3),  # duality
+            (-2, 12.0, 3),  # reflected duality
+            (0, 300.0, 2),  # duality
+            (0, 1e4, 2),  # saddle
+            (-100, 1e4, 2),  # reflected saddle
+        ],
+    )
+    def test_strong_rayleigh_inequalities(self, x, t, n_max):
+        # h is a sum of independent Bernoullis (the step-start SSEP is strong
+        # Rayleigh), so F2 <= F1^2 and Newton's (F2/2)^2 >= (3/2) F1 (F3/6)
+        f1, f2 = falling(x, t, 1), falling(x, t, 2)
+        assert 0 < f2 <= f1 * f1
+        if n_max == 3:
+            f3 = falling(x, t, 3)
+            assert 0 < f3 and (f2 / 2) ** 2 >= 1.5 * f1 * (f3 / 6)
 
     def test_direct_route_refuses_overlapping_pairs(self):
         # five circles put the largest pair past r_i + r_j = 0.95
