@@ -6,7 +6,10 @@ checks at 1e-6.  A passing check whose monitored truncation tail exceeds a
 tenth of its tolerance is downgraded to "passed-with-warning".
 
 Every truncated kappa-sum (skew-Cauchy, Pieri, Cauchy, rho-Cauchy) runs
-through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  The
+through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  A
+lattice factor with a fixed bottom (B_{kappa/nu} in skew-Cauchy and pieri2,
+D_{nu/rho} in skew-Cauchy, the lattice rho-Cauchy B_kappa) is read off one
+``symfunc._strip`` law of that bottom, not one lattice call per kappa.  The
 contour checks (orthogonality, the D and D-rho integrals) take their nested
 circles from :func:`_strong_family`; the two D integrals share
 :func:`_kernel_integral`.
@@ -32,6 +35,7 @@ from .special import (
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
+    _strip,
     phi,
     D_nu,
     D_rho,
@@ -205,18 +209,16 @@ def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: com
         raise InvalidParameterError(f"cap {cap} is below mu_1 = {mu.max_part()}: the kappa-box would be empty")
     lam = params.lambda0 if lam is None else lam
     f, eta = params.f, params.eta
+    b_law = _strip(nu, lam + 2 * eta * l, us, params, "B", cap=cap)
     lhs, tail = _capped_sum(
         signatures_in_box(mu.parts, (cap,) * mu.length),
         lambda kappa: skew_D_lattice(kappa, mu, lam, vs, params),
-        lambda kappa: skew_B_lattice(kappa, nu, lam + 2 * eta * l, us, params),
+        lambda kappa: b_law.get(kappa, 0.0 + 0.0j),
         cap,
     )
-    rhs, _ = _capped_sum(
-        signatures_in_box(nu.parts, (mu.max_part(),) * nu.length),
-        lambda rho: skew_B_lattice(mu, rho, lam, us, params),
-        lambda rho: skew_D_lattice(nu, rho, lam + 2 * eta * k, vs, params),
-        mu.max_part(),
-    )
+    # rho runs over the whole D law of nu: every rho that nu lowers to
+    d_law = _strip(nu, lam + 2 * eta * k, vs, params, "D")
+    rhs, _ = _capped_sum(d_law, lambda rho: skew_B_lattice(mu, rho, lam, us, params), d_law.get, mu.max_part())
     for u in us:
         for v in vs:
             rhs *= f(v - u - 2 * eta) / f(v - u)
@@ -258,10 +260,11 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         if u is None or not len(vs):
             raise InvalidParameterError("pieri2 needs u and vs")
         l = len(vs)
+        b_law = _strip(nu, lam + 2 * eta * l, [u], params, "B", cap=cap)
         lhs, last = _capped_sum(
             signatures_in_box(nu.parts + (0,), (cap,) + nu.parts),
             lambda kappa: D_nu(kappa, lam, list(vs), params),
-            lambda kappa: skew_B_lattice(kappa, nu, lam + 2 * eta * l, [u], params),
+            lambda kappa: b_law.get(kappa, 0.0 + 0.0j),
             cap,
         )
         rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam)
@@ -332,7 +335,8 @@ def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex 
     if distinct:
         route, b_eval = "symmetrization", lambda kappa: B_mu(kappa, lam, list(us), params)
     else:
-        route, b_eval = "lattice", lambda kappa: skew_B_lattice(kappa, (), lam, list(us), params)
+        route, b_law = "lattice", _strip((), lam, list(us), params, "B", cap=cap)
+        b_eval = lambda kappa: b_law.get(kappa, 0.0 + 0.0j)
     lhs, last = _capped_sum(
         signatures_in_box((1,) * N, (cap,) * N),
         lambda kappa: D_rho(kappa, lam, params),

@@ -472,11 +472,12 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     (``ssep_f2_duality``) for t <= 500 and the saddle route
     (``_ssep_f2_large_t``) beyond.  n = 3 uses the three-fold integral for
     t <= 7.5 and the three-point duality propagator beyond, on the window
-    [-M, M]^3, M = 5.5 sqrt(t) + |x| + 25, up to 2^21 sites (t about 50 at
-    x = 0).  n >= 4 is not served (its second quadrature level already
-    exceeds the grid cap).  Sites x < 0 are reflected: the step state is
-    invariant under particle-hole exchange with x -> -x, so h(x) has the law
-    of h(-x) - x and F_n(x) = sum_k C(n, k) (-x)_{n-k} F_k(-x), (a)_m falling.
+    [-W, x + W]^3, W = 5.5 sqrt(t) + 25, up to 2^21 sites (t about 50 at
+    x = 0; x up to 17 at t = 30).  n >= 4 is not served (its second
+    quadrature level already exceeds the grid cap).  Sites x < 0 are
+    reflected: the step state is invariant under particle-hole exchange
+    with x -> -x, so h(x) has the law of h(-x) - x and
+    F_n(x) = sum_k C(n, k) (-x)_{n-k} F_k(-x), (a)_m falling.
     A non-integral x or n, a t not finite and >= 0, n >= 4 and a duality
     window past the cap raise InvalidParameterError before any work.
     """
@@ -561,8 +562,8 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     return float((main - corr).real)
 
 
-# window [-M, M]^n, M = _DUALITY_WINDOW sqrt(t) + |x| + 25; its frozen edge
-# leaves F2 about 1e-6 relative low at t = 300 (CHANGES.md)
+# window [min(x, 0) - W, max(x, 0) + W]^n, W = _DUALITY_WINDOW sqrt(t) + 25;
+# its frozen edge leaves F2 about 1e-6 relative low at t = 300 (CHANGES.md)
 _DUALITY_WINDOW = 5.5
 _DUALITY_MAX_POINTS = 1 << 21  # sites of the n-cube: 16 MB per array
 _IVE_TAIL = 1e-16  # where the Chebyshev series stops
@@ -572,19 +573,22 @@ def _duality_moment(x: int, t: float, n: int) -> float:
     """F_n(x, t) = n! sum_{x < y_1 < ... < y_n} C(y, t) by n-point duality.
 
     C(y) = E[eta(y_1) ... eta(y_n)] evolves under the generator L of n
-    exclusion walkers (Liggett 1985, ch. VIII).  On the n-cube [-M, M]^n, C
-    is 0 on coincident tuples, frozen on the window edge, and elsewhere
+    exclusion walkers (Liggett 1985, ch. VIII).  On the n-cube [lo, hi]^n
+    (lo = min(x, 0) - W, hi = max(x, 0) + W: the step at 0 and the orthant
+    corner at x both lie W inside the edge), C is 0 on coincident tuples,
+    frozen on the window edge, and elsewhere
     (L + 2n) C = (sum of the 2n axis shifts) + (blocked moves) C.  spec L
     lies in [-4n, 0], so e^{tL} = sum_k (2 - delta_k0) e^{-2nt} I_k(2nt)
     T_k((L + 2n) / 2n) (Tal-Ezer & Kosloff 1984), run by the three-term
     recurrence in O(sqrt(nt)) stencil passes.  C is symmetric and 0 on
     coincident tuples, so the ordered sum is the sum over the orthant y > x.
     """
-    M = int(_DUALITY_WINDOW * math.sqrt(max(t, 1.0)) + abs(x) + 25)
-    shape = (2 * M + 1,) * n
+    W = int(_DUALITY_WINDOW * math.sqrt(max(t, 1.0)) + 25)
+    lo, hi = min(x, 0) - W, max(x, 0) + W
+    shape = (hi - lo + 1,) * n
     if math.prod(shape) > _DUALITY_MAX_POINTS:
         raise InvalidParameterError(f"duality window of {shape[0]}^{n} sites is past the cap of {_DUALITY_MAX_POINTS}")
-    ys = np.arange(-M, M + 1)
+    ys = np.arange(lo, hi + 1)
     axes = [ys.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
     coincident = np.zeros(shape, dtype=bool)
     blocked = np.zeros(shape)
@@ -595,7 +599,7 @@ def _duality_moment(x: int, t: float, n: int) -> float:
     C, fixed = (~coincident).astype(float), coincident.copy()
     for a in axes:
         C *= a <= 0
-        fixed |= np.abs(a) == M
+        fixed |= (a == lo) | (a == hi)
     # step: out = 2X c - prev = (shifts + blocked c) / n - prev, with the
     # blocked moves a sparse diagonal, and T_k = C on the fixed set
     fixed_at, blocked_at = np.flatnonzero(fixed), np.flatnonzero(~fixed & (blocked > 0))
@@ -617,7 +621,7 @@ def _duality_moment(x: int, t: float, n: int) -> float:
     z = 2.0 * n * t
     coef = 2.0 * scipy.special.ive(np.arange(int(z + 10.0 * math.sqrt(z) + 40.0)), z)
     coef[0] /= 2.0
-    orthant = (slice(x + M + 1, None),) * n
+    orthant = (slice(x - lo + 1, None),) * n
     # T_0 = C, T_1 = X C = 2X (C / 2), T_{k+1} = 2X T_k - T_{k-1}, until both
     # the coefficient and the term (relative to the sum) are below _IVE_TAIL
     prev, cur, nxt = C, step(0.5 * C, 0.0, np.empty(shape)), np.empty(shape)
@@ -635,7 +639,7 @@ def _duality_moment(x: int, t: float, n: int) -> float:
 def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
     """Independent oracle for E[h(h-1)]: two-point duality with exact e^{tL}.
 
-    ``_duality_moment`` at n = 2 (window 5.5 sqrt(t) + |x| + 25), t <= 500.
+    ``_duality_moment`` at n = 2 (W = 5.5 sqrt(t) + 25 past 0 and x), t <= 500.
     ``dt``, the step of the RK4 integration this oracle once emulated, is
     still checked (non-finite or non-positive raises InvalidParameterError)
     so that callers passing it keep working; it has no other effect.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import IrfParams
 from .special import InvalidParameterError
-from .symfunc import Signature, _row_sweep, row_transfer
+from .symfunc import _row_sweep, _strip
 from .weights import plaquette_weights, spin_half_weights
 
 __all__ = [
@@ -274,30 +274,38 @@ def batch_heights(batch: dict, x: int, N: int) -> np.ndarray:
 def enumerate_distribution(params: IrfParams, N: int, X: int, lam0: complex | None = None):
     """Exact law of the crossing signature at height N + 1/2, truncated at
     parts <= X; complex weights are fine.  Returns (dist, escaped_mass).
+
+    The law is one stochastic ``symfunc._strip`` of the empty signature:
+    row y (bottom first) carries (lam0 - 2*eta*y + 2*eta*Lambda_0, w_y).
+    N outside 0..n_rows or X past the pack's columns raises
+    InvalidParameterError.
     """
+    if not 0 <= N <= params.n_rows:
+        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
     lam0 = params.lambda0 if lam0 is None else lam0
-    two_eta = 2 * params.eta
-    dist = {Signature(()): 1.0 + 0.0j}
-    for y in range(1, N + 1):
-        lam_row = lam0 - two_eta * y + two_eta * params.lam(0)
-        dist = row_transfer(dist, lam_row, params.w(y), params, X)
-    total = sum(dist.values())
-    return dist, 1.0 - total
+    ws = [params.w(y) for y in range(N, 0, -1)]
+    dist = _strip((), lam0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
+    return dist, 1.0 - sum(dist.values())
 
 
 def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None, row_weights=None):
     """Exact joint law of the heights h(x, N) for x in ``xs``.
 
-    Unlike :func:`enumerate_distribution` there is no truncation error:
-    heights at columns <= max(xs) only see vertices left of max(xs), and
-    paths escaping beyond are absorbed with total weight one.  Works with
-    complex weights.  ``row_weights(y)`` gives row y's plaquette weight
-    callback (kind, m, x, lam_x) (default: the stochastic IRF weights).
-    Each row is one ``symfunc._row_sweep`` of the whole law; as every path
-    enters at column 1, h(x, N) = N at x <= 1.  Returns {heights: amplitude}.
+    Unlike :func:`enumerate_distribution`, whose strip drops the paths that
+    carry past its cap, there is no truncation error: heights at columns
+    <= max(xs) only see vertices left of max(xs), and paths escaping beyond
+    are absorbed with total weight one.  Works with complex weights.
+    ``row_weights(y)`` gives row y's plaquette weight callback (kind, m, x,
+    lam_x) (default: the stochastic IRF weights).  Each row is one
+    ``symfunc._row_sweep`` of the whole law; as every path enters at
+    column 1, h(x, N) = N at x <= 1.  Returns {heights: amplitude}.  An
+    empty ``xs``, N outside 0..n_rows or a site past the pack's columns
+    raises InvalidParameterError.
     """
     if not 0 <= N <= params.n_rows:
         raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
+    if not len(xs):
+        raise InvalidParameterError("need at least one site in xs")
     cap = max(xs)
     if cap >= params.n_cols:
         raise InvalidParameterError(f"sites reach column {cap}; the parameter pack has {params.n_cols} columns")

@@ -9,9 +9,14 @@ and both are pinned to the brute-force operator oracle in the tests.
 
 Every lattice route crosses its rows with the one kernel ``_row_sweep``,
 which pushes a {bottom occupations: amplitude} map across a row column by
-column: ``row_transfer`` and ``samplers.enumerate_heights`` sweep their
-whole distribution, the skew B and D rows one bottom with the top fixed.
-Each reads its answer off the returned {(tops, carry): amplitude} map.
+column and returns a {(tops, carry): amplitude} map.  Rows compose in one
+place, ``_strip``: it pushes a bottom signature up a strip one merged law
+per row, and either returns the whole {Signature: amplitude} law up to a
+column cap (``stoch_B_sum``, ``samplers.enumerate_distribution`` and the
+kappa-sums of ``identities``) or, pruned to the states that can still
+reach a given top, that top's value (``skew_B_lattice``,
+``skew_D_lattice``).  ``samplers.enumerate_heights`` sweeps its rows
+itself, since it absorbs the paths that leave its window.
 
 Conventions.  Signatures are weakly decreasing tuples of nonnegative
 integers; ``D_nu`` means the skew function against the zero signature of
@@ -277,7 +282,7 @@ def D_rho(nu, lam: complex, params: IrfParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Lattice-path dynamic programming (row sweeps composed by branching).
+# Lattice-path dynamic programming (row sweeps composed into strips).
 # ---------------------------------------------------------------------------
 
 _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
@@ -286,8 +291,8 @@ _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
 def signatures_in_box(lows, highs):
     """Weakly decreasing kappa with lows[i] <= kappa_i <= highs[i], in lexicographic order.
 
-    Every interlacing and truncation range of the lattice sums is such a
-    box: callers fold their interlacing bounds into ``lows`` and ``highs``.
+    Every truncated kappa-range of the identity checks is such a box:
+    callers fold their interlacing bounds into ``lows`` and ``highs``.
     """
     n = len(lows)
 
@@ -343,98 +348,93 @@ def _row_sweep(params: IrfParams, dist: dict, first: int, lam_start: complex, we
     return {key: amp for key, (_, amp) in states.items()}
 
 
+def _strip(start, lam: complex, ws, params: IrfParams, kind: str, end=None, cap: int | None = None):
+    """Push the signature ``start`` up through the rows of ``ws``, bottom row first.
+
+    Row j carries (lambda + 2*eta*(j-1), w_j), so the strip runs w_k first
+    and w_1 last; each row is one ``_row_sweep`` of the whole law, in which
+    the paths from different bottoms that reach the same state merge.
+    ``kind``:
+
+    * "B": one path enters at column 0 and stops in the row (carry out 0);
+    * "stoch": the same with stochastic weights from column 1, whose
+      top-left filling is lambda_row - 2*eta*Lambda_0;
+    * "D": the path enters at column 0 and leaves with carry 1, times the
+      path-independent factor prod_x f(z_x - w + (Lambda_x+1) eta) /
+      f(z_x - w + (1-Lambda_x) eta).  The infinite product over empty
+      columns telescopes against the normalization, leaving 1/f(lambda_X)
+      at the first untouched column X, so appending empty columns leaves a
+      D row unchanged: every D row runs over columns 0..start_1.
+
+    With a Signature ``end`` only the states that can still interlace into
+    it are kept, the last row's tops are fixed to it, and its value is
+    returned.  Without it the whole {Signature: amplitude} law over the
+    columns up to ``cap`` (which must hold ``start``; D laws stop at
+    start_1) is returned, dropping the paths that carry past the cap.
+    """
+    start = _sig(start)
+    first = 1 if kind == "stoch" else 0
+    last = start.max_part() if kind == "D" else cap if end is None else end.max_part()
+    if last + (kind == "D") >= params.n_cols:
+        raise InvalidParameterError(f"the strip reaches column {last + (kind == 'D')}; the parameter pack has {params.n_cols} columns")
+    eta, f = params.eta, params.f
+    parts = lambda occ: tuple(first + i for i in reversed(range(len(occ))) for _ in range(occ[i]))
+
+    def reaches_end(sig: tuple, rows: int) -> bool:
+        # Gelfand-Tsetlin bounds of ``rows`` more interlacing rows
+        if kind == "D":
+            return all(end.parts[i] <= p and (i < rows or p <= end.parts[i - rows]) for i, p in enumerate(sig))
+        return all(end.parts[i + rows] <= p <= end.parts[i] for i, p in enumerate(sig))
+
+    dist = {start.occupations(first, last): 1.0 + 0.0j}
+    for j in range(len(ws), 0, -1):
+        w, lam_row = ws[j - 1], lam + 2 * eta * (j - 1)
+        top = end.occupations(first, last) if end is not None and j == 1 else None
+        lam_start = lam_row - 2 * eta * params.lam(0) if kind == "stoch" else lam_row
+        sweep = _row_sweep(params, dist, first, lam_start, plaquette_weights(params, w, kind == "stoch"), top)
+        if kind == "D":
+            cols = [f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta) for x in range(last + 1)]
+        dist = {}
+        for (tops, carry), amp in sweep.items():
+            if carry != (kind == "D") or (end is not None and not reaches_end(parts(tops), j - 1)):
+                continue
+            if kind == "D":
+                lam_x = lam_row
+                for x, col in enumerate(cols):
+                    amp *= col
+                    lam_x = lam_x + 4 * eta * tops[x] - 2 * eta * params.lam(x)
+                amp = amp / f(lam_x)
+            dist[tops] = amp
+    law = {Signature(parts(occ)): amp for occ, amp in dist.items()}
+    return law if end is None else law.get(end, 0.0 + 0.0j)
+
+
 def skew_B_lattice(kappa, nu, lam: complex, ws, params: IrfParams, stochastic: bool = False) -> complex:
     """Skew B via the row-by-row plaquette DP (plain or stochastic weights).
 
-    Rows compose by the branching rule: the top row carries (lambda, w_1),
+    One ``_strip`` from nu up to kappa: the top row carries (lambda, w_1),
     the next (lambda + 2*eta, w_2), and so on.  Stochastic rows start at
     column 1 with top-left filling lambda_row - 2*eta*Lambda_0; signatures
-    must then have all parts >= 1.  Each row is one path of the row sweep,
-    with both its top and its bottom fixed; it must leave the row with
-    carry 0.
+    must then have all parts >= 1.
     """
     kappa, nu = _sig(kappa), _sig(nu)
-    k = len(ws)
-    if kappa.length != nu.length + k:
+    if kappa.length != nu.length + len(ws):
         raise InvalidParameterError("need len(kappa) = len(nu) + len(ws)")
-    start_col = 1 if stochastic else 0
     if stochastic and ((kappa.parts and kappa.parts[-1] < 1) or (nu.parts and nu.parts[-1] < 1)):
         raise InvalidParameterError("stochastic skew B needs all parts >= 1")
-    if k == 0:
-        return 1.0 + 0.0j if kappa == nu else 0.0 + 0.0j
-
-    eta = params.eta
-    lam0_shift = 2 * eta * params.lam(0) if stochastic else 0.0
-    weight_fns = [plaquette_weights(params, w, stochastic) for w in ws]
-
-    def rec(top: Signature, lam_row: complex, depth: int) -> complex:
-        if depth == k:
-            return 1.0 + 0.0j  # the bounds below leave only mid = nu here
-        t = top.parts
-        # mid interlaces below top, dominates nu, and is nu on the last row
-        lows = [max(t[i + 1], start_col, nu.parts[i] if i < nu.length else 0) for i in range(len(t) - 1)]
-        highs = nu.parts if depth == k - 1 else t[:-1]
-        total = 0.0 + 0.0j
-        for mid in signatures_in_box(lows, highs):
-            last = max(top.max_part(), mid.max_part(), start_col)
-            if last >= params.n_cols:
-                raise InvalidParameterError("parameter pack has too few columns for this row")
-            tops = top.occupations(start_col, last)
-            bots = {mid.occupations(start_col, last): 1.0 + 0.0j}
-            row = _row_sweep(params, bots, start_col, lam_row - lam0_shift, weight_fns[depth], tops).get((tops, 0), 0.0 + 0.0j)
-            if row == 0:
-                continue
-            total += row * rec(mid, lam_row + 2 * eta, depth + 1)
-        return total
-
-    return rec(kappa, lam, 0)
+    return _strip(nu, lam, ws, params, "stoch" if stochastic else "B", end=kappa)
 
 
 def skew_D_lattice(nu, mu, lam: complex, ws, params: IrfParams) -> complex:
-    """Multivariate skew D composed from single rows by the D-branching rule.
+    """Multivariate skew D_{nu/mu}(lambda; w_1..w_n): one D ``_strip`` from nu down to mu.
 
-    A single row D_{nu/kappa}(lambda; w) is the row sweep's one path from
-    bottom nu to top kappa, leaving with carry 1, times the path-independent factor
-    prod_x f(z_x - w + (Lambda_x+1) eta) / f(z_x - w + (1-Lambda_x) eta).
-    The infinite product over empty columns telescopes against the
-    normalization, leaving 1/f(lambda_X) at the first untouched column X;
-    no numerical depth limit enters.
+    Each row lowers the signature by the D-branching rule, nu > kappa >= mu,
+    with w_n at lambda + 2*eta*(n-1) first; no numerical depth limit enters.
     """
     nu, mu = _sig(nu), _sig(mu)
     if nu.length != mu.length:
         raise InvalidParameterError("skew D needs equal lengths")
-    eta = params.eta
-    f = params.f
-    weight_fns = [plaquette_weights(params, w, False) for w in ws]
-
-    def rec(nu: Signature, n: int) -> complex:
-        if n == 0:
-            return 1.0 + 0.0j if nu == mu else 0.0 + 0.0j
-        w = ws[n - 1]
-        lam_row = lam + 2 * eta * (n - 1)
-        # D_{nu/mu}(lam; w_1..w_n) = sum_kappa D_{kappa/mu}(lam; w_1..w_{n-1})
-        #                                       * D_{nu/kappa}(lam + 2*eta*(n-1); w_n),
-        # nu > kappa >= mu, and kappa = mu for a single row
-        lows = [max(mu.parts[i], nu.parts[i + 1] if i + 1 < nu.length else 0) for i in range(nu.length)]
-        highs = mu.parts if n == 1 else nu.parts
-        total = 0.0 + 0.0j
-        for kappa in signatures_in_box(lows, highs):
-            last = max(nu.max_part(), kappa.max_part(), 0)
-            if last + 1 >= params.n_cols:
-                raise InvalidParameterError("parameter pack has too few columns for this row")
-            tops = kappa.occupations(0, last)
-            bots = {nu.occupations(0, last): 1.0 + 0.0j}
-            t2 = _row_sweep(params, bots, 0, lam_row, weight_fns[n - 1], tops).get((tops, 1), 0.0 + 0.0j)
-            if t2 == 0:
-                continue
-            lam_x = lam_row
-            for x in range(0, last + 1):
-                t2 *= f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta)
-                lam_x = lam_x + 4 * eta * tops[x] - 2 * eta * params.lam(x)
-            total += rec(kappa, n - 1) * (t2 / f(lam_x))
-        return total
-
-    return rec(nu, len(ws))
+    return _strip(nu, lam, ws, params, "D", end=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +468,21 @@ class TailInfo:
     converged: bool
 
 
-def row_transfer(dist: dict, lam_row: complex, w: complex, params: IrfParams, max_part: int) -> dict:
-    """Push a signature-indexed amplitude map through one stochastic row of plaquettes.
-
-    Returns sum over tops of row(top/bot) * amp with top_1 <= max_part, by
-    one column sweep of the whole map over columns 1..max_part.
-    Up-right paths only ever move parts rightward, so capping every row at
-    the final cap loses exactly the mass of configurations whose crossing
-    signature would exceed the cap: their paths still carry 1 past it.
-    """
-    lam_start = lam_row - 2 * params.eta * params.lam(0)
-    # every path through a bottom with a part past the cap runs past it
-    bots = {bot.occupations(1, max_part): amp for bot, amp in dist.items() if bot.max_part() <= max_part}
-    sweep = _row_sweep(params, bots, 1, lam_start, plaquette_weights(params, w, True))
-    parts = lambda tops: tuple(col for col in range(max_part, 0, -1) for _ in range(tops[col - 1]))
-    return {Signature(parts(tops)): amp for (tops, carry), amp in sweep.items() if carry == 0}
-
-
 def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = None, rel_tol: float = 1e-12):
     """sum_kappa B^stoch_{kappa/nu}(lambda; u's) with monitored geometric tail.
 
-    Evaluated by a forward row DP (bottom row first, i.e. the last spectral
-    argument, at lambda + 2*eta*(k-1)); the result is grouped by kappa_1
-    and declared converged once the last three groups are each below
-    ``rel_tol`` of the total with decaying ratios.
+    Evaluated as one stochastic ``_strip`` law of nu over the columns
+    1..max_part (default n_cols - 2); a path carrying past the cap loses
+    the mass of the kappa's that would exceed it.  The law is grouped by
+    kappa_1 and declared converged once the last three groups are each
+    below ``rel_tol`` of the total with decaying ratios.  A cap below
+    max(nu_1, 1) or past the pack's columns raises InvalidParameterError.
     """
     nu = _sig(nu)
-    k = len(us)
     cap = max_part if max_part is not None else params.n_cols - 2
-    eta = params.eta
-    dist = {nu: 1.0 + 0.0j}
-    for j in range(k, 0, -1):
-        dist = row_transfer(dist, lam + 2 * eta * (j - 1), us[j - 1], params, cap)
+    if cap < max(nu.max_part(), 1):
+        raise InvalidParameterError(f"max_part {cap} is below max(nu_1, 1) = {max(nu.max_part(), 1)}: no kappa fits")
+    dist = _strip(nu, lam, us, params, "stoch", cap=cap)
     groups: dict = {}
     for kappa, amp in dist.items():
         top = kappa.max_part()

@@ -117,6 +117,14 @@ class TestSeriesIdentities:
         r = check_skew_cauchy((2, 1), (), near_p(trig, 2, rng), near_q(trig, 2, rng), trig)
         assert r.passed
 
+    def test_skew_cauchy_rhs_sums_every_rho_below_nu(self, trig):
+        # the rhs used to sum over rho >= nu, where D_{nu/rho} vanishes
+        # unless rho = nu: (3, 1)/(2,) lost its rho = (1,) term and failed
+        # with residual 6.4e-5
+        rng = np.random.default_rng(8)
+        r = check_skew_cauchy((3, 1), (2,), near_p(trig, 1, rng), near_q(trig, 1, rng), trig)
+        assert r.passed and r.residual < 1e-12, r.residual
+
     def test_pieri_variants(self, trig):
         rng = np.random.default_rng(8)
         r1 = check_pieri("pieri2", trig, nu=(), u=near_p(trig, 1, rng)[0], vs=near_q(trig, 1, rng))
@@ -274,6 +282,8 @@ BAD_INPUTS = {
         InvalidParameterError,
         lambda P: check_skew_cauchy((3, 1), (1,), [0.1], [0.2], P, cap=2),
     ),
+    # a cap past the pack's 20 columns raised a bare IndexError
+    "stoch-sum-cap-past-columns": (InvalidParameterError, lambda P: check_stoch_sum((2,), [0.1], P, max_part=P.n_cols)),
 }
 
 
@@ -285,6 +295,7 @@ def test_bad_check_input_raises_documented_error(case, trig, monkeypatch):
     for module, name in [
         (identities, "skew_B_lattice"),
         (identities, "skew_D_lattice"),
+        (identities, "_strip"),
         (observables, "enum_E"),
         (asymptotics, "ssep_falling_moment"),
     ]:

@@ -496,6 +496,7 @@ class TestSsep:
             (2, 5.0, 3),  # direct
             (-3, 5.0, 3),  # reflected direct
             (0, 30.0, 3),  # duality
+            (12, 30.0, 3),  # duality on a 123^3 window; refused past 2^21 sites when it widened by |x| on both sides
             (-2, 12.0, 3),  # reflected duality
             (0, 300.0, 2),  # duality
             (0, 1e4, 2),  # saddle

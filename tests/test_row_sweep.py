@@ -1,10 +1,11 @@
 """The column sweep ``symfunc._row_sweep`` against the per-bottom branching walk.
 
-``enumerate_heights`` and ``row_transfer`` push their whole distribution
-through each row in one sweep.  The reference below expands every bottom
-on its own by a depth-first walk over the row's configurations, as the
-lattice routes once did, and adds the results up per top.  Both must give
-the same keys and the same amplitudes up to summation order.
+``enumerate_heights`` and the stochastic ``symfunc._strip`` push their
+whole distribution through each row in one sweep.  The reference below
+expands every bottom on its own by a depth-first walk over the row's
+configurations, as the lattice routes once did, and adds the results up
+per top.  Both must give the same keys and the same amplitudes up to
+summation order.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from dynirf.params import IrfParams, preset
 from dynirf.samplers import enumerate_heights
 from dynirf.special import FunctionMode
-from dynirf.symfunc import Signature, row_transfer, signatures_in_box
+from dynirf.symfunc import Signature, _strip, signatures_in_box
 from dynirf.weights import plaquette_weights
 
 _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
@@ -121,15 +122,20 @@ def test_enumerate_heights_matches_walk(pack, N, xs):
 
 
 @pytest.mark.parametrize("pack", PACKS)
-def test_row_transfer_matches_walk(pack):
+def test_stochastic_strip_matches_walk(pack):
     params = PACKS[pack]()
     cap = 6
-    # every bottom of length 2 with parts in 1..5; the cap of 4 drops those
-    # with a part of 5
+    # every bottom of length 2 with parts in 1..5, each pushed through one
+    # stochastic row by its own strip and weighed by its amplitude; the cap
+    # of 4 drops the bottoms with a part of 5
     dist = {sig: complex(0.3 + 0.1 * k, 0.05 * k) for k, sig in enumerate(signatures_in_box([1, 1], [5, 5]))}
     for max_part in (cap, 4):
         lam_row = LAM0 + 0.2 * params.eta
-        got = row_transfer(dist, lam_row, params.w(1), params, max_part)
+        got: dict = {}
+        for bot, amp in dist.items():
+            if bot.max_part() <= max_part:
+                for top, val in _strip(bot, lam_row, [params.w(1)], params, "stoch", cap=max_part).items():
+                    got[top] = got.get(top, 0.0 + 0.0j) + amp * val
         assert_same_law(got, walk_row_transfer(dist, lam_row, params.w(1), params, max_part))
 
 
@@ -137,9 +143,8 @@ def test_higher_spin_packs_reach_occupations_above_one():
     # the comparison above only covers multiple occupation if the laws hold it
     for pack in ("trig", "elliptic"):
         params = PACKS[pack]()
-        dist = {Signature(()): 1.0 + 0.0j}
-        for y in (1, 2, 3):
-            dist = row_transfer(dist, LAM0 - 2 * params.eta * y, params.w(y), params, 6)
+        # rows y = 1, 2, 3 (bottom first) at LAM0 - 2*eta*y
+        dist = _strip((), LAM0 - 6 * params.eta, [params.w(3), params.w(2), params.w(1)], params, "stoch", cap=6)
         assert any(sig.multiplicity(p) > 1 and abs(amp) > 1e-6 for sig, amp in dist.items() for p in sig.parts)
 
 

@@ -8,6 +8,7 @@ from dynirf.params import preset
 from dynirf.samplers import (
     batch_heights,
     enumerate_distribution,
+    enumerate_heights,
     exclusion_farm,
     filling,
     height,
@@ -21,7 +22,7 @@ from dynirf.samplers import (
 )
 from dynirf.samplers import _rate, _site_move
 from dynirf.special import InvalidParameterError
-from dynirf.symfunc import Signature, row_transfer, skew_B_lattice
+from dynirf.symfunc import Signature, _strip, skew_B_lattice
 
 
 @pytest.fixture(scope="module")
@@ -215,13 +216,23 @@ class TestEnumeration:
         # a non-empty bottom signature, pushed up row by row (bottom row,
         # w_N at lambda + 2*eta*(N-1), first)
         nu = Signature((2, 1))
-        dist_nu = {nu: 1.0 + 0.0j}
-        for j in range(N, 0, -1):
-            dist_nu = row_transfer(dist_nu, lam_arg + 2 * dyn6v.eta * (j - 1), ws[j - 1], dyn6v, 7)
+        dist_nu = _strip(nu, lam_arg, ws, dyn6v, "stoch", cap=7)
         for bottom, law in (((), dist), (nu, dist_nu)):
             for kappa, prob in list(law.items())[:6]:
                 direct = skew_B_lattice(kappa, bottom, lam_arg, ws, dyn6v, stochastic=True)
                 assert abs(prob - direct) < 1e-12
+
+    @pytest.mark.parametrize("N, X", [(2, 28), (2, 40), (11, 5), (-1, 5)])
+    def test_rejects_rows_and_columns_outside_the_pack(self, dyn6v, N, X):
+        # the pack has 28 columns and 10 rows: X past the columns and N past
+        # the rows raised a bare IndexError, N = -1 returned the empty law
+        with pytest.raises(InvalidParameterError):
+            enumerate_distribution(dyn6v, N, X)
+
+    def test_heights_reject_empty_sites(self, dyn6v):
+        # used to raise a bare ValueError from max()
+        with pytest.raises(InvalidParameterError, match="site"):
+            enumerate_heights(dyn6v, 2, ())
 
     def test_single_row_is_product_form(self, dyn6v):
         dist, _ = enumerate_distribution(dyn6v, 1, 8)

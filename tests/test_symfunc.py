@@ -7,6 +7,8 @@ from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
 from dynirf.params import IrfParams, pq_grid, preset
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import (
+    _row_sweep,
+    _strip,
     B_mu,
     D_nu,
     D_rho,
@@ -22,6 +24,7 @@ from dynirf.symfunc import (
     stoch_B_formula,
     stoch_B_sum,
 )
+from dynirf.weights import plaquette_weights
 
 RNG = np.random.default_rng(99)
 
@@ -240,9 +243,89 @@ class TestStochasticB:
         val2 = skew_B_lattice((3, 3, 1), (3, 1), P.lambda0, [P.w(1)], P, stochastic=True)
         assert abs(val2) < 1e-12
 
+    @pytest.mark.parametrize("nu, max_part", [((2,), 20), ((2,), 25), ((2,), 1), ((), 0)])
+    def test_sum_rejects_caps_outside_the_pack(self, nu, max_part):
+        # a cap past the pack's 20 columns used to raise a bare IndexError,
+        # one below max(nu_1, 1) to return (0, converged=False)
+        with pytest.raises(InvalidParameterError):
+            stoch_B_sum(nu, self.lam, [0.1], self.P, max_part=max_part)
+
     def test_stochastic_requires_positive_parts(self):
         with pytest.raises(InvalidParameterError):
             skew_B_lattice((2, 0), (0,), self.lam, [0.1], self.P, stochastic=True)
+
+
+def d_row(P, nu, kappa, lam_row, w, last):
+    """One D row from nu to kappa over the columns 0..last, factor written out."""
+    eta, f = P.eta, P.f
+    tops = kappa.occupations(0, last)
+    sweep = _row_sweep(P, {nu.occupations(0, last): 1.0 + 0.0j}, 0, lam_row, plaquette_weights(P, w, False), tops)
+    amp, lam_x = sweep.get((tops, 1), 0.0 + 0.0j), lam_row
+    for x in range(last + 1):
+        amp *= f(P.z(x) - w + (P.lam(x) + 1) * eta) / f(P.z(x) - w + (1 - P.lam(x)) * eta)
+        lam_x += 4 * eta * tops[x] - 2 * eta * P.lam(x)
+    return amp / f(lam_x)
+
+
+class TestStrip:
+    """``_strip``'s whole law against its end-mode value, kappa by kappa."""
+
+    @staticmethod
+    def assert_law_matches(law, box, value):
+        # every signature of the box, in the law or not, against the value
+        # the end mode gives it; the law holds nothing outside the box
+        box = list(box)
+        assert set(law) <= set(box)
+        for sig in box:
+            want = value(sig)
+            assert abs(law.get(sig, 0.0) - want) <= 1e-13 * max(1.0, abs(want)), sig
+
+    @pytest.mark.parametrize("mode", [FunctionMode.trigonometric(), FunctionMode.elliptic(1.5j)], ids=["trig", "elliptic"])
+    def test_B_law_matches_end_mode(self, mode):
+        rng = np.random.default_rng(61)
+        P, lam, ws = random_params(mode=mode, rng=rng), rand_lam(rng), rand_ws(2, rng)
+        law = _strip((2,), lam, ws, P, "B", cap=5)
+        assert len(law) > 10
+        self.assert_law_matches(law, signatures_in_box((0, 0, 0), (5, 5, 5)), lambda kappa: skew_B_lattice(kappa, (2,), lam, ws, P))
+
+    @pytest.mark.parametrize("mode", [FunctionMode.trigonometric(), FunctionMode.elliptic(1.5j)], ids=["trig", "elliptic"])
+    def test_D_law_matches_end_mode(self, mode):
+        rng = np.random.default_rng(62)
+        P, lam, ws = random_params(mode=mode, rng=rng), rand_lam(rng), rand_ws(2, rng)
+        law = _strip((4, 2, 1), lam, ws, P, "D")
+        assert len(law) > 10
+        self.assert_law_matches(law, signatures_in_box((0, 0, 0), (4, 4, 4)), lambda mu: skew_D_lattice((4, 2, 1), mu, lam, ws, P))
+
+    def test_stochastic_law_matches_end_mode(self):
+        P = preset("trig-admissible")
+        rng = np.random.default_rng(63)
+        us = [complex(pq_grid(P).p[1]) + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(2)]
+        law = _strip((3, 1), 0.41 + 0.23j, us, P, "stoch", cap=6)
+        assert len(law) > 10
+        self.assert_law_matches(
+            law, signatures_in_box((1,) * 4, (6,) * 4), lambda kappa: skew_B_lattice(kappa, (3, 1), 0.41 + 0.23j, us, P, stochastic=True)
+        )
+
+    @pytest.mark.parametrize("pack", ["trig-admissible", "trig-admissible-wide"])
+    @pytest.mark.parametrize("nu, kappa", [((3, 1), (2, 1)), ((3, 1), (1, 0)), ((2, 2), (2, 0)), ((1,), (0,))])
+    def test_D_row_unchanged_by_empty_columns(self, pack, nu, kappa):
+        # the kernel runs every D row of a strip over columns 0..start_1,
+        # past the row's own last part: empty columns must telescope away
+        P = preset(pack)
+        nu, kappa = Signature(nu), Signature(kappa)
+        lam, w = 0.37 + 0.21j, 0.31 - 0.08j
+        base = d_row(P, nu, kappa, lam, w, nu.max_part())
+        assert abs(base) > 1e-8
+        assert abs(skew_D_lattice(nu, kappa, lam, [w], P) - base) <= 1e-15 * abs(base)
+        for extra in (1, 2, 5):
+            assert abs(d_row(P, nu, kappa, lam, w, nu.max_part() + extra) - base) <= 1e-14 * abs(base), extra
+
+    def test_column_check(self):
+        P = random_params()
+        with pytest.raises(InvalidParameterError, match="columns"):
+            _strip((2,), 0.3, [0.1], P, "B", cap=P.n_cols)
+        with pytest.raises(InvalidParameterError, match="columns"):
+            skew_D_lattice((P.n_cols - 1,), (1,), 0.3, [0.1], P)
 
 
 class TestNormConstants:
