@@ -23,16 +23,9 @@ import numpy as np
 from . import asymptotics as asy
 from . import identities as idn
 from . import observables as obs
-from .params import IrfParams, load_config, pq_grid, preset, PRESET_NAMES
-from .special import FunctionMode, InvalidParameterError, f_eval
+from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
+from .special import FunctionMode, InvalidParameterError
 from .samplers import sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
-from .symfunc import skew_B_lattice, stoch_B_formula
-from .weights import WeightContext, hat_ratio, weight
-
-
-def _c(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _load_params(args) -> IrfParams:
@@ -64,172 +57,19 @@ def _emit_reports(args, reports) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_weights(seed: int, tol_scale: float):
-    rng = np.random.default_rng(seed ^ 0xA11CE)
-    reports = []
-    modes = [
-        ("trigonometric", FunctionMode.trigonometric()),
-        ("rational", FunctionMode.rational()),
-        ("elliptic", FunctionMode.elliptic(6j)),
-    ]
-    for label, mode in modes:
-        worst = 0.0
-        for _ in range(1000):
-            lam, w, z, L = rng.standard_normal(4) * 0.4 + 1j * rng.standard_normal(4) * 0.15
-            eta = rng.standard_normal() * 0.08 + 1j * rng.standard_normal() * 0.03
-            k = int(rng.integers(0, 4))
-            ctx = WeightContext(lam, w, z, L, eta, mode)
-            a = weight("A", k, ctx, stochastic=True)
-            b = weight("B", k, ctx, stochastic=True)
-            d = weight("D", k, ctx, stochastic=True)
-            worst = max(worst, abs(b + d - 1))
-            if k >= 1:
-                c = weight("C", k, ctx, stochastic=True)
-                worst = max(worst, abs(a + c - 1))
-        reports.append(
-            idn.CheckReport(
-                name=f"stochasticity-1000draws-{label}",
-                parameters={"draws": 1000, "mode": label},
-                lhs=worst,
-                rhs=0.0,
-                tolerance=1e-10 * tol_scale,
-            )
-        )
-    worst = 0.0
-    for _ in range(1000):
-        A, B, C, w = rng.standard_normal(4) * 0.7 + 1j * rng.standard_normal(4) * 0.3
-        f = lambda x: f_eval(FunctionMode.trigonometric(), x)
-        lhs = f(B - C) * f(w - A)
-        rhs = f(A - C) * f(w - B) - f(A - B) * f(w - C)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    reports.append(
-        idn.CheckReport(
-            name="sine-identity-1000draws",
-            parameters={"draws": 1000},
-            lhs=worst,
-            rhs=0.0,
-            tolerance=1e-10 * tol_scale,
-        )
-    )
-    worst = 0.0
-    for _ in range(200):
-        lam, w, z, L = rng.standard_normal(4) * 0.4 + 1j * rng.standard_normal(4) * 0.15
-        eta = rng.standard_normal() * 0.08 + 1j * rng.standard_normal() * 0.03
-        k = int(rng.integers(1, 4))
-        ctx = WeightContext(lam, w, z, L, eta, FunctionMode.trigonometric())
-        for kind in "ABCD":
-            hat = hat_ratio(kind, k, lam, L, eta, ctx.mode)
-            got = hat * weight(kind, k, ctx)
-            want = weight(kind, k, ctx, stochastic=True)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    reports.append(
-        idn.CheckReport(
-            name="hat-ratio-consistency",
-            parameters={"draws": 200},
-            lhs=worst,
-            rhs=0.0,
-            tolerance=1e-12 * tol_scale,
-        )
-    )
-    return reports
-
-
-def _suite_oracle(seed: int, tol_scale: float):
-    from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
-    from dynirf.symfunc import B_mu, D_nu, c_matrix_formula
-
-    rng = np.random.default_rng(seed ^ 0x0AC1E)
-
-    def rnd_params(mode):
-        n_cols = 9
-        cols = tuple(
-            (complex(a, b), complex(c, d))
-            for a, b, c, d in zip(
-                0.3 + 0.25 * rng.standard_normal(n_cols),
-                0.12 * rng.standard_normal(n_cols),
-                1.15 + 0.3 * rng.standard_normal(n_cols),
-                0.1 * rng.standard_normal(n_cols),
-            )
-        )
-        eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
-        return IrfParams(mode, eta, 0.0, cols, (0.0,))
-
-    worst_b = worst_d = worst_c = 0.0
-    for i in range(50):
-        mode = FunctionMode.trigonometric() if i % 2 else FunctionMode.elliptic(1.4j)
-        P = rnd_params(mode)
-        lam = complex(0.3 + 0.2 * rng.standard_normal(), 0.15 + 0.1 * rng.standard_normal())
-        mu = tuple(sorted(rng.integers(0, 5, size=rng.integers(1, 4)))[::-1])
-        us = [complex(a, b) for a, b in 0.3 + 0.2 * rng.standard_normal((len(mu), 2))]
-        want = skew_B_oracle(mu, (), lam, us, P)
-        got = B_mu(mu, lam, us, P)
-        worst_b = max(worst_b, abs(got - want) / max(1.0, abs(want)))
-        nu = tuple(sorted(rng.integers(0, 5, size=rng.integers(1, 4)))[::-1])
-        n = int(rng.integers(max(1, len([p for p in nu if p > 0])), 4))
-        vs = [complex(a, b) for a, b in 0.3 + 0.2 * rng.standard_normal((n, 2))]
-        want = skew_D_oracle(nu, (0,) * len(nu), lam, vs, P)
-        got = D_nu(nu, lam, vs, P)
-        worst_d = max(worst_d, abs(got - want) / max(1.0, abs(want)))
-    for i in range(15):
-        mode = FunctionMode.trigonometric() if i % 2 else FunctionMode.elliptic(1.4j)
-        P = rnd_params(mode)
-        lam = complex(0.3 + 0.2 * rng.standard_normal(), 0.15)
-        m = int(rng.integers(1, 4))
-        ks = tuple(int(v) for v in rng.integers(0, 3, size=m))
-        p = sum(ks)
-        if p == 0 or p > 3:
-            continue
-        ws = [complex(a, b) for a, b in 0.3 + 0.2 * rng.standard_normal((p, 2))]
-        want = c_matrix_element(ws, ks, lam, P)
-        got = c_matrix_formula(ws, ks, lam, P)
-        worst_c = max(worst_c, abs(got - want) / max(1.0, abs(want)))
-    return [
-        idn.CheckReport("oracle-B-symmetrization-50draws", {"draws": 50}, worst_b, 0.0, 1e-8 * tol_scale),
-        idn.CheckReport("oracle-D-symmetrization-50draws", {"draws": 50}, worst_d, 0.0, 1e-8 * tol_scale),
-        idn.CheckReport("oracle-c-string-formula", {"draws": 15}, worst_c, 0.0, 1e-8 * tol_scale),
-    ]
-
-
-def _suite_stochastic(seed: int, tol_scale: float):
-    rng = np.random.default_rng(seed ^ 0x570C4)
-    P = preset("trig-admissible")
-    p1 = complex(pq_grid(P).p[1])
-    lam = 0.41 + 0.23j
-
-    def near_p1(k):
-        return [p1 + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
-
-    worst = 0.0
-    for _ in range(50):
-        k = int(rng.integers(1, 4))
-        ell_nu = int(rng.integers(0, 3))
-        nu = tuple(sorted(rng.integers(1, 5, size=ell_nu))[::-1]) if ell_nu else ()
-        extra = tuple(sorted(rng.integers(1, 7, size=k))[::-1])
-        merged = tuple(sorted(nu + extra)[::-1])
-        kappa = tuple(p + i for i, p in enumerate(sorted(merged, reverse=True)))  # force distinct-ish growth
-        kappa = tuple(sorted(kappa, reverse=True))
-        us = near_p1(k)
-        dp = skew_B_lattice(kappa, nu, lam, us, P, stochastic=True)
-        formula = stoch_B_formula(kappa, nu, lam, us, P)
-        worst = max(worst, abs(dp - formula) / max(1.0, abs(formula)))
-    reports = [
-        idn.CheckReport("stoch-B-two-routes-50draws", {"draws": 50}, worst, 0.0, 1e-8 * tol_scale)
-    ]
-    for nu, k in [((), 1), ((2,), 1), ((3, 1), 2)]:
-        reports.append(idn.check_stoch_sum(nu, near_p1(k), P, lam=lam, tolerance=1e-6 * tol_scale))
-    return reports
-
-
 def _cmd_verify(args) -> int:
     params = _load_params(args)
     tol_scale = args.tolerance if args.tolerance else 1.0
     reports = []
     if args.suite in ("weights", "all"):
-        reports += _suite_weights(args.seed, tol_scale)
+        rng = np.random.default_rng(args.seed ^ 0xA11CE)
+        modes = (FunctionMode.trigonometric(), FunctionMode.rational(), FunctionMode.elliptic(6j))
+        reports += [idn.check_stochasticity(rng, mode, tol_scale) for mode in modes]
+        reports += [idn.check_sine_identity(rng, tol_scale), idn.check_hat_ratios(rng, tol_scale)]
     if args.suite in ("oracle", "all"):
-        reports += _suite_oracle(args.seed, tol_scale)
+        reports += idn.check_oracle_formulas(np.random.default_rng(args.seed ^ 0x0AC1E), tol_scale)
     if args.suite in ("stochastic", "all"):
-        reports += _suite_stochastic(args.seed, tol_scale)
+        reports += idn.check_stochastic_weights(np.random.default_rng(args.seed ^ 0x570C4), tol_scale)
     if args.suite in ("identities", "all"):
         reports += idn.run_identity_suite(params, seed=args.seed, tolerance_scale=tol_scale)
     return _emit_reports(args, reports)
@@ -321,7 +161,7 @@ def _cmd_observables(args) -> int:
             "model": args.model,
             "spec": {"xs": list(xs), "N_or_t": spec.N_or_t},
             "method": method,
-            "value": _c(val),
+            "value": _c2pair(val),
         }
         if stderr is not None:
             rec["stderr"] = stderr

@@ -13,6 +13,10 @@ D_{nu/rho} in skew-Cauchy, the lattice rho-Cauchy B_kappa) is read off one
 contour checks (orthogonality, the D and D-rho integrals) take their nested
 circles from :func:`_strong_family`; the two D integrals share
 :func:`_kernel_integral`.
+
+The random-draw batteries (``check_stochasticity`` to
+``check_stochastic_weights``) draw a fixed number of times from the caller's
+numpy Generator; a report names its worst draw and that draw's inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import AdmissibilityDiagnostic, IrfParams, check_admissible, pq_grid, preset
+from .oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
+from .params import AdmissibilityDiagnostic, IrfParams, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
 from .special import (
     Circle,
     FunctionMode,
@@ -36,6 +41,7 @@ from .symfunc import (
     B_mu,
     _bmu_prefactor,
     _strip,
+    c_matrix_formula,
     phi,
     D_nu,
     D_rho,
@@ -46,9 +52,10 @@ from .symfunc import (
     signatures_in_box,
     skew_B_lattice,
     skew_D_lattice,
+    stoch_B_formula,
     stoch_B_sum,
 )
-from .weights import SingularParameterError
+from .weights import SingularParameterError, WeightContext, hat_ratio, weight
 
 __all__ = [
     "CheckReport",
@@ -64,17 +71,17 @@ __all__ = [
     "check_D_rho_integral",
     "check_stoch_sum",
     "check_nested_sum_lemma",
+    "check_stochasticity",
+    "check_sine_identity",
+    "check_hat_ratios",
+    "check_oracle_formulas",
+    "check_stochastic_weights",
     "run_identity_suite",
 ]
 
 TOL_CLOSED = 1e-10
 TOL_SERIES = 1e-7
 TOL_QUAD = 1e-6
-
-
-def _c(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 @dataclass
@@ -572,6 +579,141 @@ def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y, tolerance: float = 1e-1
     )
 
 
+# Random-draw batteries; a caller can thread one Generator through several.
+WEIGHT_DRAWS = SINE_DRAWS = 1000
+HAT_DRAWS, ORACLE_DRAWS, CSTRING_DRAWS, STOCH_DRAWS = 200, 50, 15, 50
+
+
+class _Worst:
+    """Running max(worst, residual) and the parameters of the draw that set it."""
+
+    def __init__(self):
+        self.value, self.draw = 0.0, None
+
+    def see(self, residual, draw) -> None:
+        """``draw()`` builds the draw's parameters; it runs only when they are kept."""
+        if residual > self.value or self.draw is None:
+            self.draw = draw()
+        self.value = max(self.value, residual)
+
+    def report(self, name: str, parameters: dict, tolerance: float) -> CheckReport:
+        return CheckReport(name, {**parameters, **(self.draw or {})}, self.value, 0.0, tolerance)
+
+
+def _rel(got, want) -> float:
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def _random_plaquette(rng: np.random.Generator, mode: FunctionMode) -> WeightContext:
+    lam, w, z, L = rng.standard_normal(4) * 0.4 + 1j * rng.standard_normal(4) * 0.15
+    eta = rng.standard_normal() * 0.08 + 1j * rng.standard_normal() * 0.03
+    return WeightContext(lam, w, z, L, eta, mode)
+
+
+def _plaquette_draw(i: int, k: int, ctx: WeightContext) -> dict:
+    return {"worst_draw": i, "k": k, "lam": _c(ctx.lam), "w": _c(ctx.w), "z": _c(ctx.z), "Lambda": _c(ctx.Lambda), "eta": _c(ctx.eta)}
+
+
+def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_scale: float = 1.0) -> CheckReport:
+    """Stochastic sum rules B + D = 1 and, for k >= 1, A + C = 1 over random plaquettes."""
+    worst = _Worst()
+    for i in range(WEIGHT_DRAWS):
+        ctx = _random_plaquette(rng, mode)
+        k = int(rng.integers(0, 4))
+        draw = lambda: _plaquette_draw(i, k, ctx)
+        worst.see(abs(weight("B", k, ctx, stochastic=True) + weight("D", k, ctx, stochastic=True) - 1), draw)
+        if k >= 1:
+            worst.see(abs(weight("A", k, ctx, stochastic=True) + weight("C", k, ctx, stochastic=True) - 1), draw)
+    return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED * tolerance_scale)
+
+
+def check_sine_identity(rng: np.random.Generator, tolerance_scale: float = 1.0) -> CheckReport:
+    """f(B-C) f(w-A) = f(A-C) f(w-B) - f(A-B) f(w-C) for f = sin at random points (A, B, C, w)."""
+    f = lambda x: f_eval(FunctionMode.trigonometric(), x)
+    worst = _Worst()
+    for i in range(SINE_DRAWS):
+        A, B, C, w = rng.standard_normal(4) * 0.7 + 1j * rng.standard_normal(4) * 0.3
+        rhs = f(A - C) * f(w - B) - f(A - B) * f(w - C)
+        worst.see(_rel(f(B - C) * f(w - A), rhs), lambda: {"worst_draw": i, "points": [_c(x) for x in (A, B, C, w)]})
+    return worst.report(f"sine-identity-{SINE_DRAWS}draws", {"draws": SINE_DRAWS}, TOL_CLOSED * tolerance_scale)
+
+
+def check_hat_ratios(rng: np.random.Generator, tolerance_scale: float = 1.0) -> CheckReport:
+    """hat_ratio times the plain weight against the stochastic weight, all four
+    kinds, over random trigonometric plaquettes with k in 1..3."""
+    worst = _Worst()
+    for i in range(HAT_DRAWS):
+        ctx = _random_plaquette(rng, FunctionMode.trigonometric())
+        k = int(rng.integers(1, 4))
+        for kind in "ABCD":
+            got = hat_ratio(kind, k, ctx.lam, ctx.Lambda, ctx.eta, ctx.mode) * weight(kind, k, ctx)
+            worst.see(_rel(got, weight(kind, k, ctx, stochastic=True)), lambda: _plaquette_draw(i, k, ctx))
+    return worst.report("hat-ratio-consistency", {"draws": HAT_DRAWS}, 1e-12 * tolerance_scale)
+
+
+def check_oracle_formulas(rng: np.random.Generator, tolerance_scale: float = 1.0) -> list:
+    """B, D and c-string reports: closed forms against the operator oracle on
+    random packs, trigonometric at odd draws and elliptic (tau = 1.4i) at even
+    ones; a c-string draw with sum(ks) outside 1..3 is skipped."""
+    worst_b, worst_d, worst_c = _Worst(), _Worst(), _Worst()
+    pack = lambda i: random_pack(rng, FunctionMode.trigonometric() if i % 2 else FunctionMode.elliptic(1.4j))
+    points = lambda n: [complex(a, b) for a, b in 0.3 + 0.2 * rng.standard_normal((n, 2))]
+    signature = lambda: tuple(sorted(rng.integers(0, 5, size=rng.integers(1, 4)))[::-1])
+
+    def draw(i, P, lam, sig_key, sig, points_key, pts):
+        return {"worst_draw": i, "pack": params_to_json_dict(P), "lam": _c(lam), sig_key: [int(p) for p in sig], points_key: [_c(x) for x in pts]}
+
+    for i in range(ORACLE_DRAWS):
+        P = pack(i)
+        lam = complex(0.3 + 0.2 * rng.standard_normal(), 0.15 + 0.1 * rng.standard_normal())
+        mu = signature()
+        us = points(len(mu))
+        worst_b.see(_rel(B_mu(mu, lam, us, P), skew_B_oracle(mu, (), lam, us, P)), lambda: draw(i, P, lam, "mu", mu, "us", us))
+        nu = signature()
+        vs = points(int(rng.integers(max(1, len([p for p in nu if p > 0])), 4)))
+        worst_d.see(_rel(D_nu(nu, lam, vs, P), skew_D_oracle(nu, (0,) * len(nu), lam, vs, P)), lambda: draw(i, P, lam, "nu", nu, "vs", vs))
+    for i in range(CSTRING_DRAWS):
+        P = pack(i)
+        lam = complex(0.3 + 0.2 * rng.standard_normal(), 0.15)
+        ks = tuple(int(v) for v in rng.integers(0, 3, size=int(rng.integers(1, 4))))
+        if not 1 <= sum(ks) <= 3:
+            continue
+        ws = points(sum(ks))
+        worst_c.see(_rel(c_matrix_formula(ws, ks, lam, P), c_matrix_element(ws, ks, lam, P)), lambda: draw(i, P, lam, "ks", ks, "ws", ws))
+    tol = 1e-8 * tolerance_scale
+    return [
+        worst_b.report(f"oracle-B-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, tol),
+        worst_d.report(f"oracle-D-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, tol),
+        worst_c.report("oracle-c-string-formula", {"draws": CSTRING_DRAWS}, tol),
+    ]
+
+
+def check_stochastic_weights(rng: np.random.Generator, tolerance_scale: float = 1.0) -> list:
+    """Stochastic-weight theorem on trig-admissible, lam = 0.41 + 0.23i, u's
+    near p_1: the lattice DP of B^stoch_{kappa/nu}, kappa = nu plus k extra
+    parts, against its conjugation formula (``nonzero_draws`` counts the
+    draws where either is nonzero), then three :func:`check_stoch_sum`."""
+    P, lam = preset("trig-admissible"), 0.41 + 0.23j
+    p1 = complex(pq_grid(P).p[1])
+    near_p1 = lambda k: [p1 + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
+
+    worst, nonzero = _Worst(), 0
+    for i in range(STOCH_DRAWS):
+        k = int(rng.integers(1, 4))
+        ell_nu = int(rng.integers(0, 3))
+        nu = tuple(sorted(rng.integers(1, 5, size=ell_nu))[::-1]) if ell_nu else ()
+        kappa = tuple(sorted(nu + tuple(rng.integers(1, 7, size=k)), reverse=True))
+        us = near_p1(k)
+        dp = skew_B_lattice(kappa, nu, lam, us, P, stochastic=True)
+        formula = stoch_B_formula(kappa, nu, lam, us, P)
+        nonzero += bool(dp or formula)
+        worst.see(_rel(dp, formula), lambda: {"worst_draw": i, "kappa": [int(p) for p in kappa], "nu": [int(p) for p in nu], "us": [_c(u) for u in us]})
+    reports = [worst.report(f"stoch-B-two-routes-{STOCH_DRAWS}draws", {"draws": STOCH_DRAWS, "nonzero_draws": nonzero, "lam": _c(lam)}, 1e-8 * tolerance_scale)]
+    for nu, k in (((), 1), ((2,), 1), ((3, 1), 2)):
+        reports.append(check_stoch_sum(nu, near_p1(k), P, lam=lam, tolerance=1e-6 * tolerance_scale))
+    return reports
+
+
 def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float = 1.0) -> list:
     """The standard identity battery over a parameter pack.
 
@@ -630,8 +772,8 @@ def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float 
     reports.append(check_D_rho_integral((1,), params, tolerance=tq))
     reports.append(check_D_rho_integral((2, 0), params, tolerance=tq))
     reports.append(check_D_rho_integral((2, 1), wide, tolerance=tq))
-    # nested-sum lemma (the stochastic sum-to-one checks live in the CLI's
-    # stochastic suite)
+    # nested-sum lemma (the stochastic sum-to-one reports come from
+    # check_stochastic_weights)
     Y = rng.standard_normal((3, 8))
     reports.append(check_nested_sum_lemma(3, (2, 3, 5), Y))
     reports.sort(key=lambda r: r.name)

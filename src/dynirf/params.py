@@ -39,6 +39,7 @@ __all__ = [
     "six_vertex_row_w",
     "preset",
     "PRESET_NAMES",
+    "random_pack",
     "params_to_json_dict",
     "params_from_json_dict",
     "load_config",
@@ -446,6 +447,15 @@ def preset(name: str) -> IrfParams:
         if isinstance(fam, AdmissibilityDiagnostic):
             raise InvalidParameterError(f"preset {name} not admissible: {fam.reason}")
     return built
+
+
+def random_pack(rng: np.random.Generator, mode: FunctionMode) -> IrfParams:
+    """Random 9-column pack (z ~ 0.3, Lambda ~ 1.15, small eta, lambda0 = 0,
+    one row w_1 = 0) for oracle comparisons: 36 normals, then 2 uniforms."""
+    re_z, im_z, re_l, im_l = (rng.standard_normal(9) for _ in range(4))
+    cols = tuple(zip(0.3 + 0.25 * re_z + 0.12j * im_z, 1.15 + 0.3 * re_l + 0.1j * im_l))
+    eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
+    return IrfParams(mode, eta, 0.0, cols, (0.0,))
 
 
 # ---------------------------------------------------------------------------

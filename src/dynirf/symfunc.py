@@ -476,9 +476,12 @@ def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = 
     the mass of the kappa's that would exceed it.  The law is grouped by
     kappa_1 and declared converged once the last three groups are each
     below ``rel_tol`` of the total with decaying ratios.  A cap below
-    max(nu_1, 1) or past the pack's columns raises InvalidParameterError.
+    max(nu_1, 1), past the pack's columns, or a nu with a zero part (the
+    stochastic columns start at 1) raises InvalidParameterError.
     """
     nu = _sig(nu)
+    if nu.parts and nu.parts[-1] < 1:
+        raise InvalidParameterError("stochastic sums need all parts of nu >= 1")
     cap = max_part if max_part is not None else params.n_cols - 2
     if cap < max(nu.max_part(), 1):
         raise InvalidParameterError(f"max_part {cap} is below max(nu_1, 1) = {max(nu.max_part(), 1)}: no kappa fits")

@@ -30,6 +30,13 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "FAILED" in proc.stderr
 
+    def test_stochastic_draws_are_not_vacuous(self):
+        # kappa used to add i to its i-th part, which mostly failed to
+        # interlace nu, so both routes read 0 in most draws
+        proc = run_cli("verify", "--suite", "stochastic", "--seed", "0")
+        rep = next(r for r in json.loads(proc.stdout) if r["name"] == "stoch-B-two-routes-50draws")
+        assert rep["parameters"]["nonzero_draws"] >= 45
+
     def test_usage_error(self):
         proc = run_cli("verify", "--suite", "nonsense", check=False)
         assert proc.returncode == 2
@@ -142,6 +149,27 @@ class TestConfigFile:
         assert proc.returncode == 0
 
 
+ALL_REPORT_NAMES = sorted([
+    "D-integral-(1,)-n1", "D-integral-(2, 1)-n2",
+    "D-rho-integral-(1,)", "D-rho-integral-(2, 0)", "D-rho-integral-(2, 1)",
+    "cauchy-k1l1", "cauchy-k2l2",
+    "cauchy-rho-N1-symmetrization", "cauchy-rho-N2-lattice", "cauchy-rho-N2-symmetrization",
+    "hat-ratio-consistency", "nested-sum-n3",
+    "oracle-B-symmetrization-50draws", "oracle-D-symmetrization-50draws", "oracle-c-string-formula",
+    "orthogonality-(1,)-(1,)", "orthogonality-(2, 1)-(2, 1)", "orthogonality-(2, 1, 1)-(2, 1, 1)",
+    "orthogonality-(2,)-(1,)", "orthogonality-(3, 1, 1)-(2, 1, 1)",
+    "pieri-mu(2, 1)", "pieri2-nu()-l1", "pieri2-nu(2,)-l2",
+    "sine-identity-1000draws",
+    "skew-cauchy-(1,)-()-l1", "skew-cauchy-(2, 1)-()-l2", "skew-cauchy-(2, 1)-(1,)-l1",
+    "stoch-B-two-routes-50draws",
+    "stoch-sum-to-one-()-k1", "stoch-sum-to-one-(2,)-k1", "stoch-sum-to-one-(3, 1)-k2",
+    "stochasticity-1000draws-elliptic", "stochasticity-1000draws-rational", "stochasticity-1000draws-trigonometric",
+    "symmetrization-m1-elliptic", "symmetrization-m1-trigonometric",
+    "symmetrization-m3-elliptic", "symmetrization-m3-trigonometric",
+    "symmetrization-m6-elliptic", "symmetrization-m6-trigonometric",
+])
+
+
 @pytest.mark.slow
 class TestFullSuite:
     def test_verify_all_passes(self):
@@ -149,7 +177,7 @@ class TestFullSuite:
             proc = run_cli("verify", "--suite", "all", "--seed", seed)
             assert proc.returncode == 0
             reports = json.loads(proc.stdout)
-            assert len(reports) > 35
+            assert sorted(r["name"] for r in reports) == ALL_REPORT_NAMES
             assert all(r["passed"] for r in reports)
             names = [r["name"] for r in reports]
             assert len(names) == len(set(names)), "report names must be unique"

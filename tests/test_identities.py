@@ -9,18 +9,22 @@ from dynirf.identities import (
     check_D_integral,
     check_D_rho_integral,
     check_nested_sum_lemma,
+    check_oracle_formulas,
     check_orthogonality,
     check_pieri,
     check_skew_cauchy,
     check_stoch_sum,
+    check_stochasticity,
     check_symmetrization_lemma,
 )
 from dynirf import asymptotics, identities, observables
 from dynirf.asymptotics import regime_moment_check
 from dynirf.observables import ObservableSpec, lambda_independence_report
-from dynirf.params import pq_grid, preset
+from dynirf.oracle import skew_B_oracle
+from dynirf.params import params_from_json_dict, pq_grid, preset
 from dynirf.special import TRIG, FunctionMode, InvalidParameterError
-from dynirf.weights import SingularParameterError
+from dynirf.symfunc import B_mu
+from dynirf.weights import SingularParameterError, WeightContext, weight
 
 RNG = np.random.default_rng(2024)
 
@@ -260,6 +264,23 @@ class TestNestedSum:
         Y = RNG.standard_normal((3, 8))
         r = check_nested_sum_lemma(3, (2, 3, 5), Y)
         assert r.passed and r.residual < 1e-12
+
+
+class TestRandomBatteries:
+    def test_worst_draw_reruns_from_its_report(self):
+        # the parameters name the worst draw's inputs; rerunning them gives the residual bit for bit
+        ell = FunctionMode.elliptic(6j)
+        rep = check_stochasticity(np.random.default_rng(3), ell)
+        p = rep.parameters
+        ctx = WeightContext(*(complex(*p[key]) for key in ("lam", "w", "z", "Lambda", "eta")), ell)
+        pairs = ("BD", "AC") if p["k"] >= 1 else ("BD",)
+        assert rep.residual == max(abs(weight(a, p["k"], ctx, stochastic=True) + weight(b, p["k"], ctx, stochastic=True) - 1) for a, b in pairs)
+        rep = check_oracle_formulas(np.random.default_rng(3))[0]
+        p = rep.parameters
+        P, lam, us = params_from_json_dict(p["pack"]), complex(*p["lam"]), [complex(*u) for u in p["us"]]
+        want = skew_B_oracle(tuple(p["mu"]), (), lam, us, P)
+        assert rep.residual == abs(B_mu(tuple(p["mu"]), lam, us, P) - want) / max(1.0, abs(want))
+        assert p["draws"] == 50 and 0 <= p["worst_draw"] < 50
 
 
 BAD_INPUTS = {

@@ -11,25 +11,14 @@ from dynirf.oracle import (
     skew_B_oracle,
     skew_D_oracle,
 )
-from dynirf.params import IrfParams
+from dynirf.params import random_pack
 from dynirf.special import FunctionMode, InvalidParameterError
 
 RNG = np.random.default_rng(41)
 
 
-def random_params(n_cols=9, mode=FunctionMode.trigonometric(), seed=None):
-    rng = np.random.default_rng(seed) if seed is not None else RNG
-    cols = tuple(
-        (complex(a, b), complex(c, d))
-        for a, b, c, d in zip(
-            0.3 + 0.25 * rng.standard_normal(n_cols),
-            0.12 * rng.standard_normal(n_cols),
-            1.15 + 0.3 * rng.standard_normal(n_cols),
-            0.1 * rng.standard_normal(n_cols),
-        )
-    )
-    eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
-    return IrfParams(mode, eta, 0.0, cols, (0.0,))
+def random_params(mode=FunctionMode.trigonometric(), seed=None):
+    return random_pack(np.random.default_rng(seed) if seed is not None else RNG, mode)
 
 
 LAM = 0.31 + 0.17j

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
-from dynirf.params import IrfParams, pq_grid, preset
+from dynirf.params import pq_grid, preset, random_pack
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import (
     _row_sweep,
@@ -29,18 +29,8 @@ from dynirf.weights import plaquette_weights
 RNG = np.random.default_rng(99)
 
 
-def random_params(n_cols=9, mode=FunctionMode.trigonometric(), rng=RNG):
-    cols = tuple(
-        (complex(a, b), complex(c, d))
-        for a, b, c, d in zip(
-            0.3 + 0.25 * rng.standard_normal(n_cols),
-            0.12 * rng.standard_normal(n_cols),
-            1.15 + 0.3 * rng.standard_normal(n_cols),
-            0.1 * rng.standard_normal(n_cols),
-        )
-    )
-    eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
-    return IrfParams(mode, eta, 0.0, cols, (0.0,))
+def random_params(mode=FunctionMode.trigonometric(), rng=RNG):
+    return random_pack(rng, mode)
 
 
 def rand_lam(rng=RNG):
@@ -251,8 +241,13 @@ class TestStochasticB:
             stoch_B_sum(nu, self.lam, [0.1], self.P, max_part=max_part)
 
     def test_stochastic_requires_positive_parts(self):
-        with pytest.raises(InvalidParameterError):
-            skew_B_lattice((2, 0), (0,), self.lam, [0.1], self.P, stochastic=True)
+        # stoch_B_sum((2, 0), ...) used to drop the 0 part and return the sum for nu = (2,)
+        for call in (
+            lambda: skew_B_lattice((2, 0), (0,), self.lam, [0.1], self.P, stochastic=True),
+            lambda: stoch_B_sum((2, 0), self.lam, [0.1], self.P),
+        ):
+            with pytest.raises(InvalidParameterError):
+                call()
 
 
 def d_row(P, nu, kappa, lam_row, w, last):

@@ -12,7 +12,7 @@ import pytest
 from dynirf import observables, oracle, samplers, symfunc, weights
 from dynirf.observables import ObservableSpec, enum_E, hs6v_q_moment
 from dynirf.oracle import FinitaryVector, apply_operator, skew_B_oracle
-from dynirf.params import IrfParams, preset, to_six_vertex
+from dynirf.params import preset, random_pack, to_six_vertex
 from dynirf.samplers import enumerate_heights
 from dynirf.special import FunctionMode
 from dynirf.symfunc import skew_B_lattice, skew_D_lattice
@@ -31,19 +31,8 @@ def unmemoized(params, w, stochastic=False):
     return fn
 
 
-def random_params(mode, seed, n_cols=9):
-    rng = np.random.default_rng(seed)
-    cols = tuple(
-        (complex(a, b), complex(c, d))
-        for a, b, c, d in zip(
-            0.3 + 0.25 * rng.standard_normal(n_cols),
-            0.12 * rng.standard_normal(n_cols),
-            1.15 + 0.3 * rng.standard_normal(n_cols),
-            0.1 * rng.standard_normal(n_cols),
-        )
-    )
-    eta = complex(0.06 + 0.04 * rng.random(), 0.02 + 0.02 * rng.random())
-    return IrfParams(mode, eta, 0.0, cols, (0.0,))
+def random_params(mode, seed):
+    return random_pack(np.random.default_rng(seed), mode)
 
 
 LAM = 0.31 + 0.17j
