@@ -10,9 +10,10 @@ through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  A
 lattice factor with a fixed bottom (B_{kappa/nu} in skew-Cauchy and pieri2,
 D_{nu/rho} in skew-Cauchy, the lattice rho-Cauchy B_kappa) is read off one
 ``symfunc._strip`` law of that bottom, not one lattice call per kappa.  The
-contour checks (orthogonality, the D and D-rho integrals) take their nested
-circles from :func:`_strong_family`; the two D integrals share
-:func:`_kernel_integral`.
+skew-Cauchy, Pieri and Cauchy right-hand sides take their Cauchy-kernel
+product from :func:`_cauchy_kernel`.  The contour checks (orthogonality,
+the D and D-rho integrals) take their nested circles from
+:func:`_strong_family`; the two D integrals share :func:`_kernel_integral`.
 
 The random-draw batteries (``check_stochasticity`` to
 ``check_stochastic_weights``) draw a fixed number of times from the caller's
@@ -40,6 +41,8 @@ from .special import (
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
+    _pair_table,
+    _perm_sum,
     _strip,
     c_matrix_formula,
     phi,
@@ -133,7 +136,8 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
     The terms divide by f(v_i - v_j), f(v_k) and f(beta): a zero among them
     raises SingularParameterError before the sum.  truncation_info carries
     the sum's conditioning sum|term| / |sum term|, the factor by which close
-    v's amplify rounding in the lhs.
+    v's amplify rounding in the lhs; both sums come from one
+    ``symfunc._perm_sum``.
     """
     if not 1 <= m <= 7:
         raise InvalidParameterError("symmetrization check supports 1 <= m <= 7")
@@ -143,19 +147,8 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
     poles = [vs[a] - vs[b] for a in range(m) for b in range(a + 1, m)] + list(vs) + [beta]
     if min(abs(f(x)) for x in poles) <= 1e-12:
         raise SingularParameterError("symmetrization check needs distinct v's and f(v_k), f(beta) away from 0")
-    total = 0.0 + 0.0j
-    size = 0.0
-    for perm in itertools.permutations(range(m)):
-        term = 1.0 + 0.0j
-        for a in range(m):
-            for b in range(a + 1, m):
-                d = vs[perm[a]] - vs[perm[b]]
-                term *= f(d - beta) / f(d)
-        for k in range(1, m + 1):
-            vk = vs[perm[k - 1]]
-            term *= f(vk + (m - 2 * k + 1) * beta) / f(vk)
-        total += term
-        size += abs(term)
+    U = [[f(v + (m - 2 * k - 1) * beta) / f(v) for v in vs] for k in range(m)]
+    total, size = _perm_sum(U, _pair_table(vs, lambda d: f(d - beta) / f(d)))
     rhs = 1.0 + 0.0j
     for j in range(1, m + 1):
         rhs *= f(j * beta)
@@ -189,6 +182,12 @@ def _capped_sum(kappas, first, second, cap: int):
     return total, tail
 
 
+def _cauchy_kernel(us, vs, params: IrfParams) -> complex:
+    """The Cauchy-kernel product prod_{u in us, v in vs} f(v - u - 2*eta) / f(v - u)."""
+    f, eta = params.f, params.eta
+    return math.prod(f(v - u - 2 * eta) / f(v - u) for u in us for v in vs)
+
+
 def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: IrfParams, depth: int) -> float:
     """|product| in the skew-Cauchy convergence condition at a given depth."""
     f, eta = params.f, params.eta
@@ -215,7 +214,7 @@ def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: com
     if cap < mu.max_part():
         raise InvalidParameterError(f"cap {cap} is below mu_1 = {mu.max_part()}: the kappa-box would be empty")
     lam = params.lambda0 if lam is None else lam
-    f, eta = params.f, params.eta
+    eta = params.eta
     b_law = _strip(nu, lam + 2 * eta * l, us, params, "B", cap=cap)
     lhs, tail = _capped_sum(
         signatures_in_box(mu.parts, (cap,) * mu.length),
@@ -226,9 +225,7 @@ def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: com
     # rho runs over the whole D law of nu: every rho that nu lowers to
     d_law = _strip(nu, lam + 2 * eta * k, vs, params, "D")
     rhs, _ = _capped_sum(d_law, lambda rho: skew_B_lattice(mu, rho, lam, us, params), d_law.get, mu.max_part())
-    for u in us:
-        for v in vs:
-            rhs *= f(v - u - 2 * eta) / f(v - u)
+    rhs *= _cauchy_kernel(us, vs, params)
     info = {"cap": cap, "tail_estimate": tail}
     if k == l == 1:
         depth = (params.n_cols - 1) // 2
@@ -274,9 +271,7 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
             lambda kappa: b_law.get(kappa, 0.0 + 0.0j),
             cap,
         )
-        rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam)
-        for v_j in vs:
-            rhs *= f(v_j - u - 2 * eta) / f(v_j - u)
+        rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam) * _cauchy_kernel([u], vs, params)
         rhs *= D_nu(nu, lam + 2 * eta, list(vs), params)
         name = f"pieri2-nu{nu.parts}-l{l}"
         pars = {"nu": nu.parts, "u": _c(u), "vs": [_c(x) for x in vs], "lam": _c(lam)}
@@ -292,9 +287,7 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
             lambda kappa: normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params),
             cap,
         )
-        rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params)
-        for u_i in us:
-            rhs *= f(v - u_i - 2 * eta) / f(v - u_i)
+        rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params) * _cauchy_kernel(us, [v], params)
         name = f"pieri-mu{nu.parts}"
         pars = {"mu": nu.parts, "v": _c(v), "us": [_c(x) for x in us], "lam": _c(lam)}
     elif variant == "cauchy":
@@ -307,11 +300,7 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
             lambda kappa: normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params),
             cap,
         )
-        rhs = 1.0 + 0.0j
-        for u_i in us:
-            rhs *= _b0k_norm_factor(k, lam, u_i, params)
-            for v_j in vs:
-                rhs *= f(v_j - u_i - 2 * eta) / f(v_j - u_i)
+        rhs = math.prod(_b0k_norm_factor(k, lam, u_i, params) for u_i in us) * _cauchy_kernel(us, vs, params)
         name = f"cauchy-k{k}l{l}"
         pars = {"us": [_c(x) for x in us], "vs": [_c(x) for x in vs], "lam": _c(lam)}
     else:

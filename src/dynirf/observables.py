@@ -33,8 +33,10 @@ import scipy.special
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
 from .special import Circle, InvalidParameterError, contour_integral_factored
+from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
+    _check_rates,
     batch_heights,
     enumerate_heights,
     enumerate_heights_hs6v,
@@ -211,7 +213,7 @@ def _irf_contours(params: IrfParams, n: int):
     return circles
 
 
-def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10, check_residue: bool = True):
+def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
     """Exact averages by n-fold loop integrals, each checked against an
     independent route: the residue sum for the lattice models (any n), the
     residue or Bessel series for the exclusion models (n = 1).
@@ -222,19 +224,17 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     integral with f(z) = z and bare normalization (the presets have 2*eta = 1
     and Lambda = 1, so p_j = z_j and q_j = z_j + 1);
     "asep": params_or_rates = (q, alpha), loops around 1;
-    "ssep": params_or_rates = (lam_bar,), loops around 0.
+    "ssep": params_or_rates = (lam_bar,), loops around 0.  Exclusion rates
+    pass mc_E's check (``samplers._check_rates``), unused ones included.
     """
-    if model in ("asep", "ssep"):
-        _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
     if model in ("irf", "rational"):
         _check_pack_mode(model, params_or_rates)
-        return _exact_E_irf(spec, params_or_rates, nodes, tol, check_residue)
-    if model == "asep":
-        q, alpha = params_or_rates if not isinstance(params_or_rates, (int, float)) else (params_or_rates, 0.0)
-        return _exact_E_asep(spec, float(q), nodes, tol, check_residue)
-    if model == "ssep":
-        return _exact_E_ssep(spec, nodes, tol, check_residue)
-    raise InvalidParameterError(f"unknown model {model!r}")
+        return _exact_E_irf(spec, params_or_rates, nodes, tol)
+    if model not in MODELS:
+        raise InvalidParameterError(f"unknown model {model!r}")
+    rates = _check_rates(model, params_or_rates)
+    _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
+    return _exact_E_asep(spec, float(rates[0]), nodes, tol) if model == "asep" else _exact_E_ssep(spec, nodes, tol)
 
 
 def _check_pack_mode(model: str, params: IrfParams) -> None:
@@ -254,7 +254,7 @@ def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
     return pref * (2j * math.pi) ** n
 
 
-def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float, check_residue: bool) -> complex:
+def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float) -> complex:
     n = spec.n
     N = _lattice_rows(spec, params)
     grid = pq_grid(params)
@@ -281,19 +281,19 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
     integral = contour_integral_factored([( [unary(i) for i in range(n)], binaries )], circles, nodes=nodes, tol=tol)
     value = _irf_norm(spec, params, N) * integral
 
-    if check_residue:
-        res, cond = _irf_residue_sum(spec, params)
-        # the residue route loses ~cond * eps to cancellation when the w's
-        # are nearly coincident; widen the assertion accordingly
-        tol_res = max(1e-8, cond * 5e-14)
-        if abs(value - res) > tol_res * max(1.0, abs(res)):
-            raise ArithmeticError(f"quadrature {value} vs residue sum {res} disagree")
+    res, cond = _irf_residue_sum(spec, params)
+    # the residue route loses ~cond * eps to cancellation when the w's
+    # are nearly coincident; widen the assertion accordingly
+    tol_res = max(1e-8, cond * 5e-14)
+    if abs(value - res) > tol_res * max(1.0, abs(res)):
+        raise ArithmeticError(f"quadrature {value} vs residue sum {res} disagree")
     return value
 
 
 def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     """Iterated-residue evaluation at v_i = w_{t_i} over distinct tuples.
 
+    One ``symfunc._perm_sum`` from the n sites to the N row parameters.
     Returns (value, conditioning); conditioning is the ratio of the sum of
     term magnitudes to the result and bounds the relative cancellation
     error (terms blow up like 1/spacing^{n(N-1)} for close row parameters).
@@ -305,33 +305,25 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     ws = [params.w(k) for k in range(1, N + 1)]
     fp0 = params.fp0()
 
-    def res_factor(i, t):
+    def res_factor(x, t):
         w = ws[t]
         out = f(-2 * eta) / fp0
         for k, wk in enumerate(ws):
             if k != t:
                 out *= f(w - wk - 2 * eta) / f(w - wk)
-        for j in range(1, spec.xs[i]):
+        for j in range(1, x):
             out *= f(w - grid.p[j]) / f(w - grid.q[j])
         return out
 
-    total = 0.0 + 0.0j
-    mag = 0.0
-    for tup in itertools.permutations(range(N), n):
-        term = 1.0 + 0.0j
-        for i in range(n):
-            term *= res_factor(i, tup[i])
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = ws[tup[i]] - ws[tup[j]]
-                term *= f(d) / f(d + 2 * eta)
-        total += term
-        mag += abs(term)
+    U = [[res_factor(x, t) for t in range(N)] for x in spec.xs]
+    # one slot reads no pair factor: skip the table and its denominators
+    C = _pair_table(ws, lambda d: f(d) / f(d + 2 * eta)) if n > 1 else None
+    total, mag = _perm_sum(U, C)
     cond = mag / max(abs(total), 1e-300)
     return _irf_norm(spec, params, N) * total, cond
 
 
-def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float, check_residue: bool) -> complex:
+def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> complex:
     n = spec.n
     t = float(spec.N_or_t)
     circles = _nested_circles(1.0, 0.1, n, growth=0.3)
@@ -348,7 +340,7 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float, check_
     value = q ** (n * (n - 1) / 2) * contour_integral_factored(
         [([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol
     )
-    if check_residue and n == 1:
+    if n == 1:
         series = _asep_residue_series(spec.xs[0], t, q)
         if abs(value - series) > 1e-8 * max(1.0, abs(series)):
             raise ArithmeticError(f"ASEP quadrature {value} vs residue series {series} disagree")
@@ -388,7 +380,7 @@ def _asep_residue_series(x: int, t: float, q: float, terms: int = 120) -> float:
     return total
 
 
-def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float, check_residue: bool) -> complex:
+def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
     n = spec.n
     t = float(spec.N_or_t)
     # the cross pole a = b - 1 stays outside every pair of circles while
@@ -419,7 +411,7 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float, check_residue: b
 
     binaries = {(i, j): (lambda a, b: (a - b) / (a - b + 1)) for i in range(n) for j in range(i + 1, n)}
     value = contour_integral_factored([([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol)
-    if check_residue and n == 1:
+    if n == 1:
         series = -ssep_mean_height(spec.xs[0], t)
         if abs(value - series) > 1e-8 * max(1.0, abs(series)):
             raise ArithmeticError(f"SSEP quadrature {value} vs Bessel series {series} disagree")
@@ -493,13 +485,13 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
         return ssep_mean_height(x, t)
     if n == 2:
         if t <= 12:
-            return float(exact_E("ssep", ObservableSpec((x, x), t), (1.0,), nodes=nodes, check_residue=False).real)
+            return float(exact_E("ssep", ObservableSpec((x, x), t), (1.0,), nodes=nodes).real)
         if t <= 500:
             return ssep_f2_duality(x, t)
         return _ssep_f2_large_t(x, t)
     if t > _SSEP_F3_T_MAX:
         return _duality_moment(x, t, 3)
-    return float(-exact_E("ssep", ObservableSpec((x,) * 3, t), (1.0,), nodes=nodes, check_residue=False).real)
+    return float(-exact_E("ssep", ObservableSpec((x,) * 3, t), (1.0,), nodes=nodes).real)
 
 
 def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
@@ -710,14 +702,10 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
             vals = _irf_product(hs, spec, params, params.lambda0)
         else:
             vals = _rational_product(hs, spec, float(params.lambda0.real), N)
-    elif model == "asep":
-        q, alpha = params_or_rates
-        svals = exclusion_farm("asep", (q, alpha), float(spec.N_or_t), samples, seed, list(spec.xs))
-        vals = _asep_product(svals, spec, q, alpha)
-    elif model == "ssep":
-        (lam_bar,) = params_or_rates
-        svals = exclusion_farm("ssep", (lam_bar,), float(spec.N_or_t), samples, seed, list(spec.xs))
-        vals = _ssep_product(svals, spec, lam_bar)
+    elif model in ("asep", "ssep"):
+        rates = _check_rates(model, params_or_rates)
+        svals = exclusion_farm(model, rates, float(spec.N_or_t), samples, seed, list(spec.xs))
+        vals = _asep_product(svals, spec, *rates) if model == "asep" else _ssep_product(svals, spec, *rates)
     else:
         raise InvalidParameterError(f"unknown model {model!r}")
     mean = complex(np.mean(vals))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,19 +389,33 @@ class ExclusionState:
         return [x for x in range(self.lo, self.hi) if self.value(x + 1) - self.value(x) == -1]
 
 
-def step_exclusion_state(kind: str, rate_params, half_width: int = 6) -> ExclusionState:
-    if kind == "asep":
-        q, alpha = rate_params
-        if not (q > 0 and alpha >= 0) and not (q > 1 and alpha > -1):
-            raise InvalidParameterError("need q, alpha > 0 (or q > 1, alpha > -1) for dynamic ASEP")
-    elif kind == "ssep":
-        (lam_bar,) = rate_params
-        if not lam_bar > 0:
-            raise InvalidParameterError("dynamic SSEP from the step state needs lambda_bar > 0")
-    else:
+_RATES = {"asep": ("(q, alpha) with q > 0, alpha >= 0 or q > 1, alpha > -1", 2), "ssep": ("(lambda_bar,) with lambda_bar > 0", 1)}
+
+
+def _check_rates(kind: str, rate_params) -> tuple:
+    """The rates of a dynamic exclusion process as a tuple: (q, alpha) for
+    "asep", (lambda_bar,) for "ssep", in the ranges ``_RATES`` names.  Any
+    other kind, shape or value raises InvalidParameterError."""
+    if kind not in _RATES:
         raise InvalidParameterError(f"unknown exclusion kind {kind!r}")
+    rule, size = _RATES[kind]
+    rates = tuple(rate_params) if np.ndim(rate_params) == 1 else ()
+    ok = len(rates) == size and all(isinstance(r, numbers.Real) for r in rates)
+    if ok and kind == "asep":
+        q, alpha = rates
+        ok = (q > 0 and alpha >= 0) or (q > 1 and alpha > -1)
+    elif ok:
+        ok = rates[0] > 0
+    if not ok:
+        raise InvalidParameterError(f"{kind} rates are {rule}, got {rate_params!r}")
+    return rates
+
+
+def step_exclusion_state(kind: str, rate_params, half_width: int = 6) -> ExclusionState:
+    """The step state s_x = |x| on [-half_width, half_width]; ``_check_rates`` checks the rates."""
+    rates = _check_rates(kind, rate_params)
     lo, hi = -half_width, half_width
-    return ExclusionState(kind, tuple(rate_params), lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
+    return ExclusionState(kind, rates, lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
 
 
 def _rate(kind: str, rate_params, s_x, delta):

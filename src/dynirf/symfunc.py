@@ -7,6 +7,11 @@ Two independent computation routes exist for everything here:
 
 and both are pinned to the brute-force operator oracle in the tests.
 
+Every permutation sum (``B_mu``, ``c_matrix_formula``, the bijection sum of
+``D_nu``, ``identities.check_symmetrization_lemma`` and
+``observables._irf_residue_sum``) is one ``_perm_sum`` over a table of
+one-point and a table of two-point factors, each filled once.
+
 Every lattice route crosses its rows with the one kernel ``_row_sweep``,
 which pushes a {bottom occupations: amplitude} map across a row column by
 column and returns a {(tops, carry): amplitude} map.  Rows compose in one
@@ -118,6 +123,34 @@ def psi(l: int, v, grid: PQGrid, mode: FunctionMode):
     return phi(l, v, PQGrid(grid.q, grid.p), mode)
 
 
+def _perm_sum(U, C):
+    """(sum, sum of |term|) of the terms prod_{a<b} C[t_a][t_b] * prod_i U[i][t_i]
+    over the injective maps t from the slots 0..n-1 to the points 0..N-1.
+
+    U is n x N and C is N x N; only C's off-diagonal entries are read (none
+    if n < 2).  A term multiplies its pair factors in lexicographic (a, b)
+    order, then its one-point factors in slot order.
+    """
+    n = len(U)
+    total, size = 0.0 + 0.0j, 0.0
+    for t in itertools.permutations(range(len(U[0]) if n else 0), n):
+        term = 1.0 + 0.0j
+        for a in range(n - 1):
+            row = C[t[a]]
+            for b in range(a + 1, n):
+                term *= row[t[b]]
+        for a in range(n):
+            term *= U[a][t[a]]
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def _pair_table(xs, g):
+    """The two-point table g(x_i - x_j) of ``_perm_sum``; the diagonal is None."""
+    return [[g(x - y) if i != j else None for j, y in enumerate(xs)] for i, x in enumerate(xs)]
+
+
 def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
     """B_mu's permutation-free data: the prefactor
     (-1)^M f(2 eta)^M / prod_i f(lam + 2 eta i) times the multiplicity
@@ -141,8 +174,7 @@ def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
 def B_mu(mu, lam: complex, us, params: IrfParams):
     """Symmetrization formula for B_mu(lambda; u_1..u_M), M = len(mu).
 
-    The u's may be numpy arrays (quadrature grids); the permutation sum is
-    explicit, so M is capped at MAX_FACTORIAL_SUM.
+    The permutation sum is explicit, so M is capped at MAX_FACTORIAL_SUM.
     """
     mu = _sig(mu)
     M = mu.length
@@ -156,18 +188,8 @@ def B_mu(mu, lam: complex, us, params: IrfParams):
     eta = params.eta
     f = params.f
     pref, shifts = _bmu_prefactor(mu, lam, params)
-    total = 0.0
-    for perm in itertools.permutations(range(M)):
-        term = 1.0
-        for a in range(M):
-            for b in range(a + 1, M):
-                d = us[perm[a]] - us[perm[b]]
-                term = term * f(d - 2 * eta) / f(d)
-        for i in range(M):
-            u = us[perm[i]]
-            term = term * phi(mu.parts[i], u, grid, params.mode) * f(shifts[i] + u)
-        total = total + term
-    return pref * total
+    U = [[phi(part, u, grid, params.mode) * f(shift + u) for u in us] for part, shift in zip(mu.parts, shifts)]
+    return pref * _perm_sum(U, _pair_table(us, lambda d: f(d - 2 * eta) / f(d)))[0]
 
 
 def D_nu(nu, lam: complex, vs, params: IrfParams):
@@ -210,6 +232,9 @@ def D_nu(nu, lam: complex, vs, params: IrfParams):
         lam_t + grid.p[nz[i]] + 2 * eta + 4 * eta * (N - 1 - i) - 2 * eta * params.lam_sum(0, nz[i])
         for i in range(r)
     ]
+    U = [[psi(part, v, grid, params.mode) * f(shift - v) for v in vs] for part, shift in zip(nz, shifts)]
+    # at r = 0 no pair factor is read, so coincident v's stay finite there
+    C = _pair_table(vs, lambda d: f(d + 2 * eta) / f(d)) if r else None
     total = 0.0 + 0.0j
     for I in itertools.combinations(range(n), r):
         inside = set(I)
@@ -222,17 +247,7 @@ def D_nu(nu, lam: complex, vs, params: IrfParams):
             s_fac *= f(vs[j] - grid.p[0] - 2 * eta * n0) / f(vs[j] - grid.p[0])
             for i in I:
                 s_fac *= f(vs[j] - vs[i] - 2 * eta) / f(vs[j] - vs[i])
-        bij_total = 0.0 + 0.0j
-        for sigma in itertools.permutations(I):
-            term = 1.0 + 0.0j
-            for a in range(r):
-                for b in range(a + 1, r):
-                    d = vs[sigma[a]] - vs[sigma[b]]
-                    term *= f(d + 2 * eta) / f(d)
-            for i in range(r):
-                v = vs[sigma[i]]
-                term *= psi(nz[i], v, grid, params.mode) * f(shifts[i] - v)
-            bij_total += term
+        bij_total, _ = _perm_sum([[row[i] for i in I] for row in U], [[C[a][b] for b in I] for a in I])
         total += s_fac * bij_total
     return pref * total
 
@@ -551,15 +566,5 @@ def c_matrix_formula(ws, ks, lam: complex, params: IrfParams) -> complex:
         lam_hat + grid.p[kappa[i]] + 2 * eta + 4 * eta * (p - 1 - i) - 2 * eta * params.lam_sum(1, kappa[i])
         for i in range(p)
     ]
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(p)):
-        term = 1.0 + 0.0j
-        for a in range(p):
-            for b in range(a + 1, p):
-                d = ws[perm[a]] - ws[perm[b]]
-                term *= f(d + 2 * eta) / f(d)
-        for i in range(p):
-            w = ws[perm[i]]
-            term *= phi_tilde(kappa[i], w) * f(shifts[i] - w)
-        total += term
-    return pref * (-1.0) ** p * total
+    U = [[phi_tilde(part, w) * f(shift - w) for w in ws] for part, shift in zip(kappa, shifts)]
+    return pref * (-1.0) ** p * _perm_sum(U, _pair_table(ws, lambda d: f(d + 2 * eta) / f(d)))[0]

@@ -167,7 +167,7 @@ class TestExactIrf:
 
     def test_residue_route_n1(self, dyn6v):
         spec = ObservableSpec((2,), 4)
-        quad = exact_E("irf", spec, dyn6v, check_residue=False)
+        quad = exact_E("irf", spec, dyn6v)
         res, cond = _irf_residue_sum(spec, dyn6v)
         assert abs(quad - res) <= 1e-8 * max(1.0, abs(res))
 
@@ -175,8 +175,8 @@ class TestExactIrf:
         # the integral contains no dynamic parameter at all; rebuilt packs
         # with different corner fillings give the identical value
         spec = ObservableSpec((2, 1), 2)
-        a = exact_E("irf", spec, dyn6v.with_lambda0(0.3 + 0.2j), check_residue=False)
-        b = exact_E("irf", spec, dyn6v.with_lambda0(-1.1 + 0.4j), check_residue=False)
+        a = exact_E("irf", spec, dyn6v.with_lambda0(0.3 + 0.2j))
+        b = exact_E("irf", spec, dyn6v.with_lambda0(-1.1 + 0.4j))
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
@@ -375,7 +375,7 @@ class TestSsep:
             assert abs(eng - ode) <= 1e-5 * abs(ode), t
 
     def test_duality_matches_quadrature(self):
-        ref = exact_E("ssep", ObservableSpec((0, 0), 5.0), (1.0,), nodes=64, check_residue=False).real
+        ref = exact_E("ssep", ObservableSpec((0, 0), 5.0), (1.0,), nodes=64).real
         assert abs(ssep_f2_duality(0, 5.0) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize(
@@ -486,7 +486,7 @@ class TestSsep:
     @pytest.mark.parametrize("n", [2, 3])
     def test_reflection_matches_direct_route(self, x, t, n):
         # where the integral at -x converges: 4e-15 at (3, 2), 1.4e-12 at (1, 5)
-        direct = ((-1) ** n * exact_E("ssep", ObservableSpec((-x,) * n, t), (1.0,), nodes=64, check_residue=False)).real
+        direct = ((-1) ** n * exact_E("ssep", ObservableSpec((-x,) * n, t), (1.0,), nodes=64)).real
         assert abs(ssep_falling_moment(-x, t, n) - direct) <= 1e-11 * max(1.0, abs(direct))
 
     @pytest.mark.parametrize(
@@ -539,6 +539,39 @@ class TestExclusionBadTime:
             exact_E(model, ObservableSpec(xs, t), rates)
         with pytest.raises(InvalidParameterError, match="time horizon"):
             mc_E(model, ObservableSpec(xs, t), rates, 1000, seed=0)
+
+
+class TestExclusionRates:
+    """exact_E and mc_E share one rate check: (q, alpha) for ASEP, (lambda_bar,) for SSEP."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # used to raise a bare TypeError while unpacking q, alpha
+            lambda spec: mc_E("asep", spec, 0.5, 1000, 1),
+            # used to raise a bare ValueError while unpacking q, alpha
+            lambda spec: exact_E("asep", spec, (0.5,)),
+            # used to be accepted silently
+            lambda spec: exact_E("ssep", spec, 2.0),
+        ],
+        ids=["mc-asep-bare-q", "exact-asep-one-rate", "exact-ssep-bare-lambda-bar"],
+    )
+    def test_malformed_rates_raise(self, monkeypatch, call):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran on malformed rates")
+
+        monkeypatch.setattr(observables, "contour_integral_factored", no_work)
+        monkeypatch.setattr(observables, "exclusion_farm", no_work)
+        with pytest.raises(InvalidParameterError, match="rates are"):
+            call(ObservableSpec((1,), 1.0))
+
+    def test_out_of_range_rates_raise_in_both_routes(self):
+        spec = ObservableSpec((1,), 1.0)
+        for model, rates in (("asep", (0.5, -0.2)), ("ssep", (0.0,))):
+            with pytest.raises(InvalidParameterError):
+                exact_E(model, spec, rates)
+            with pytest.raises(InvalidParameterError):
+                mc_E(model, spec, rates, 1000, 1)
 
 
 class TestAsep:
@@ -604,7 +637,7 @@ class TestGeneralSpinAverages:
         P = preset("trig-admissible")
         for xs, N in [((2,), 2), ((2, 1), 2), ((3, 2), 3)]:
             spec = ObservableSpec(xs, N)
-            ei = exact_E("irf", spec, P, check_residue=False)
+            ei = exact_E("irf", spec, P)
             ee = enum_E(spec, P)
             assert abs(ei - ee) <= 1e-10 * max(1.0, abs(ee)), (xs, N)
 

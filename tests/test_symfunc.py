@@ -7,6 +7,7 @@ from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
 from dynirf.params import pq_grid, preset, random_pack
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import (
+    _perm_sum,
     _row_sweep,
     _strip,
     B_mu,
@@ -405,3 +406,49 @@ class TestSignatureProperties:
         assert tuple(rebuilt) == sig.parts
         for k in range(11):
             assert sig.n_less(k) == sum(m for v, m in mults.items() if v < k)
+
+
+class TestPermSum:
+    def test_matches_brute_force_over_injective_maps(self):
+        rng = np.random.default_rng(2024)
+        for n, N in ((0, 3), (1, 4), (2, 2), (3, 5)):
+            U = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
+            C = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            terms = [
+                np.prod([C[t[a], t[b]] for a in range(n) for b in range(a + 1, n)]) * np.prod([U[i, t[i]] for i in range(n)])
+                for t in itertools.permutations(range(N), n)
+            ]
+            total, size = _perm_sum(U.tolist(), C.tolist())
+            assert abs(total - sum(terms)) <= 1e-13 * sum(map(abs, terms)), (n, N)
+            assert abs(size - sum(map(abs, terms))) <= 1e-13 * size, (n, N)
+
+    def test_zero_signature_D_takes_coincident_points(self):
+        # with no nonzero part D_nu reads no pair factor, so no f(v_i - v_j)
+        # denominator may be evaluated at coincident v's
+        P = preset("trig-admissible")
+        lam, vs = 0.3 + 0.1j, [0.2 + 0.05j] * 2
+        for nu in ((0, 0), (0, 0, 0)):
+            want = skew_D_lattice(nu, (0,) * len(nu), lam, vs, P)
+            assert abs(D_nu(nu, lam, vs, P) - want) <= 1e-12 * abs(want)
+
+    def test_each_factor_is_evaluated_once_per_table_entry(self, monkeypatch):
+        # the permutation sums used to re-evaluate every f-ratio once per
+        # term: 30,269 f's for the m = 6 lemma and 43,848 for the residue
+        # sum below; one table entry per (slot, point) and per point pair
+        # needs 161 and 873
+        import dynirf.identities as idn
+        from dynirf.observables import ObservableSpec, _irf_residue_sum
+        from dynirf.params import IrfParams
+
+        calls = []
+        real_f_eval = idn.f_eval
+        monkeypatch.setattr(idn, "f_eval", lambda mode, x: calls.append(x) or real_f_eval(mode, x))
+        vs = [0.11 + 0.05j, 0.23 - 0.02j, 0.37 + 0.04j, 0.52 + 0.01j, 0.68 - 0.03j, 0.81 + 0.02j]
+        idn.check_symmetrization_lemma(6, vs, 0.17 + 0.03j, FunctionMode.elliptic(1.5j))
+        assert 0 < len(calls) <= 200
+
+        calls.clear()
+        real_f = IrfParams.f
+        monkeypatch.setattr(IrfParams, "f", lambda self, x: calls.append(x) or real_f(self, x))
+        _irf_residue_sum(ObservableSpec((9, 6, 3), 9), preset("dyn6v-positive"))
+        assert 0 < len(calls) <= 1000
