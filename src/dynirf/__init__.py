@@ -1,6 +1,10 @@
-"""Stochastic IRF models, symmetric elliptic functions, and dynamic exclusion processes."""
+"""Stochastic IRF models, symmetric elliptic functions, and dynamic exclusion processes.
 
-from .observables import ObservableSpec, enum_E, exact_E, mc_E
+The observable exports (``ObservableSpec``, ``enum_E``, ``exact_E``,
+``mc_E``) are lazy: :mod:`dynirf.observables` and the scipy it needs load
+on first access, so ``import dynirf`` and ``dynirf verify`` never load scipy.
+"""
+
 from .params import IrfParams, pq_grid, preset
 from .special import (
     Circle,
@@ -35,3 +39,13 @@ __all__ = [
     "theta",
     "__version__",
 ]
+
+_LAZY_OBSERVABLES = ("ObservableSpec", "enum_E", "exact_E", "mc_E")
+
+
+def __getattr__(name):
+    if name in _LAZY_OBSERVABLES:
+        from . import observables
+
+        return getattr(observables, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,23 +15,51 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from . import asymptotics as asy
 from . import identities as idn
-from . import observables as obs
 from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
 from .special import FunctionMode, InvalidParameterError
-from .samplers import sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
+from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 
 
 def _load_params(args) -> IrfParams:
     if getattr(args, "config", None):
-        return load_config(args.config)
+        try:
+            return load_config(args.config)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"config {args.config} is not valid JSON: {exc}") from None
     return preset(getattr(args, "preset", None) or "trig-admissible")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _comma_list(convert, what: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be comma-separated {what}, got {text}") from None
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
 
 
 def _write(args, text: str) -> None:
@@ -58,8 +86,10 @@ def _emit_reports(args, reports) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InvalidParameterError(f"verify needs a nonnegative --seed, got {args.seed}")
     params = _load_params(args)
-    tol_scale = args.tolerance if args.tolerance else 1.0
+    tol_scale = args.tolerance if args.tolerance is not None else 1.0
     reports = []
     if args.suite in ("weights", "all"):
         rng = np.random.default_rng(args.seed ^ 0xA11CE)
@@ -121,7 +151,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_observables(args) -> int:
-    xs = tuple(int(v) for v in args.xs.split(","))
+    from . import observables as obs
+
+    xs = args.xs
     spec = obs.ObservableSpec(xs, args.N if args.N is not None else args.t)
     methods = args.compare.split(",")
     records = []
@@ -202,13 +234,13 @@ def _cmd_observables(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from . import asymptotics as asy
+
     if args.check == "profile":
         lines = ["chi,profile,empirical"]
         n_traj = max(args.samples, 100)
-        from .samplers import exclusion_farm
-
         L, tau, lb = args.L, args.tau, args.lambda_bar
-        chis = [float(c) for c in args.chi.split(",")]
+        chis = args.chi
         xs = [int(round(c * L**0.25)) for c in chis]
         svals = exclusion_farm("ssep", (lb,), L * tau, n_traj, args.seed, xs)
         for j, chi in enumerate(chis):
@@ -253,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--threads", type=int, default=1, help="scheduling hint; never affects results")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--tolerance", type=float, help="scale factor on suite tolerances")
+        p.add_argument("--tolerance", type=_positive_float, help="scale factor on suite tolerances")
         p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -265,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True, choices=("ssep", "asep", "irf", "dyn6v", "rational"))
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--rows", type=int, default=5)
-    p.add_argument("--cols", type=int, default=5)
+    p.add_argument("--rows", type=_positive_int, default=5)
+    p.add_argument("--cols", type=_positive_int, default=5)
     p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=2.0)
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--trajectories", type=int, default=1)
+    p.add_argument("--trajectories", type=_positive_int, default=1)
     p.add_argument("--dump", choices=("events", "snapshot"), default="events")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("observables", help="compare exact / MC / enumeration averages")
     common(p)
     p.add_argument("--model", required=True, choices=("dyn6v", "irf", "rational", "asep", "ssep"))
-    p.add_argument("--xs", required=True, help="comma-separated nonincreasing sites")
+    p.add_argument("--xs", type=_comma_list(int, "integers"), required=True, help="comma-separated nonincreasing sites")
     p.add_argument("--N", type=int, help="row index for lattice models")
     p.add_argument("--t", type=float, default=1.0, help="time for exclusion processes")
     p.add_argument("--compare", default="exact")
@@ -290,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", help="hydrodynamic and long-time regime checks")
     common(p)
     p.add_argument("--check", choices=("heat", "hydro", "regimes", "ks", "profile", "all"), default="all")
-    p.add_argument("--L", type=float, default=400.0)
-    p.add_argument("--L-big", dest="L_big", type=float, default=1e4)
-    p.add_argument("--L-ks", dest="L_ks", type=float, default=200.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=1.0)
-    p.add_argument("--chi", default="-1.0,0.0,1.0")
+    p.add_argument("--L", type=_positive_float, default=400.0)
+    p.add_argument("--L-big", dest="L_big", type=_positive_float, default=1e4)
+    p.add_argument("--L-ks", dest="L_ks", type=_positive_float, default=200.0)
+    p.add_argument("--tau", type=_positive_float, default=1.0)
+    p.add_argument("--lambda-bar", dest="lambda_bar", type=_positive_float, default=1.0)
+    p.add_argument("--chi", type=_comma_list(float, "numbers"), default="-1.0,0.0,1.0")
     p.set_defaults(func=_cmd_asymptotics)
     return ap
 

@@ -395,7 +395,8 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     Returns (prefactor, terms) for :func:`contour_integral_factored`; the
     permutation sum of B_mu contributes one term per sigma.  B_mu's cross
     factor for a pair a < b that sigma keeps in order cancels the kernel's,
-    so a term carries a binary on the pairs sigma inverts only.
+    so a term carries a binary on the pairs sigma inverts only.  The
+    M^2 unaries, one per (slot, variable), are shared across the terms.
     """
     grid = pq_grid(params)
     f, eta = params.f, params.eta
@@ -406,22 +407,17 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     def reversed_(x, y):
         return f(y - x - 2 * eta) / f(y - x) * (f(x - y) / f(x - y - 2 * eta))
 
+    def unary(i, v):
+        part, shift = mu.parts[i], shifts_b[i]
+        return lambda x: phi(part, x, grid, params.mode) * f(shift + x) * kern[v](x)
+
+    unaries_at = [[unary(i, v) for v in range(M)] for i in range(M)]  # [slot][variable]
     terms = []
     for sigma in itertools.permutations(range(M)):
         pos = [0] * M  # pos[v] = i with sigma(i) = v
         for i, v in enumerate(sigma):
             pos[v] = i
-
-        def uf(v, pos=pos):
-            i = pos[v]
-            part, shift = mu.parts[i], shifts_b[i]
-
-            def fn(x, part=part, shift=shift, v=v):
-                return phi(part, x, grid, params.mode) * f(shift + x) * kern[v](x)
-
-            return fn
-
-        unaries = [uf(v) for v in range(M)]
+        unaries = [unaries_at[pos[v]][v] for v in range(M)]
         binaries = {(a, b): reversed_ for a in range(M) for b in range(a + 1, M) if pos[a] > pos[b]}
         terms.append((unaries, binaries))
     return pref, terms

@@ -108,12 +108,17 @@ def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params,
     (the Verma module of factor j is column ``col_offset + j``); the skew
     functions use offset 0, the c-matrix elements offset 1.
     """
+    return _apply(op, lam, plaquette_weights(params, w), v, params, col_offset)
+
+
+def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offset: int) -> FinitaryVector:
+    # apply_operator with the row's weight callback passed in, so that the
+    # callers applying one w several times share its memo
     if op not in _COL_IN:
         raise InvalidParameterError(f"unknown operator {op!r}")
     if col_offset + v.n_cols > params.n_cols:
         raise InvalidParameterError("parameter pack has too few columns for this vector")
     eta = params.eta
-    weight_fn = plaquette_weights(params, w)
     global_in = _COL_IN[op]
     global_out = _ROW_OUT[op]
 
@@ -169,11 +174,12 @@ def skew_B_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
     if len(nu) != len(mu) + n:
         raise InvalidParameterError("need len(nu) = len(mu) + len(ws)")
     n_cols = max([p + 1 for p in (*nu, *mu)] + [1]) + 1
+    weight_fns = {w: plaquette_weights(params, w) for w in ws}
 
     def run(cols: int) -> complex:
         v = FinitaryVector.from_parts(mu, cols, cap)
         for j in range(n, 0, -1):
-            v = apply_operator("b", lam + 2 * params.eta * (j - 1), ws[j - 1], v, params)
+            v = _apply("b", lam + 2 * params.eta * (j - 1), weight_fns[ws[j - 1]], v, params, 0)
         return v.coeff(nu)
 
     val = run(n_cols)
@@ -183,9 +189,9 @@ def skew_B_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
     return val
 
 
-def _normalized_d(lam_op: complex, w: complex, v: FinitaryVector, params) -> FinitaryVector:
+def _normalized_d(lam_op: complex, w: complex, weight_fn, v: FinitaryVector, params) -> FinitaryVector:
     ell = v.total_occupation()
-    out = apply_operator("d", lam_op, w, v, params)
+    out = _apply("d", lam_op, weight_fn, v, params, 0)
     eta = params.eta
     depth = v.n_cols - 1
     norm = 1.0 + 0.0j
@@ -208,11 +214,12 @@ def skew_D_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
         raise InvalidParameterError("skew D needs len(nu) = len(mu)")
     n = len(ws)
     m = max([p for p in (*nu, *mu)] + [0]) + 1
+    weight_fns = {w: plaquette_weights(params, w) for w in ws}
 
     def run(cols: int) -> complex:
         v = FinitaryVector.from_parts(nu, cols, cap)
         for j in range(n, 0, -1):
-            v = _normalized_d(lam + 2 * params.eta * (j - 1), ws[j - 1], v, params)
+            v = _normalized_d(lam + 2 * params.eta * (j - 1), ws[j - 1], weight_fns[ws[j - 1]], v, params)
         return v.coeff(mu)
 
     val = run(m + 1)
@@ -236,6 +243,7 @@ def c_matrix_element(ws, ks, lam: complex, params, cap: int = 8) -> complex:
     if sum(ks) != p:
         return 0.0 + 0.0j
     v = FinitaryVector({ks: 1.0 + 0.0j}, len(ks), cap)
+    weight_fns = {w: plaquette_weights(params, w) for w in ws}
     for j in range(p, 0, -1):
-        v = apply_operator("c", lam - 2 * params.eta * (j - 1), ws[j - 1], v, params, col_offset=1)
+        v = _apply("c", lam - 2 * params.eta * (j - 1), weight_fns[ws[j - 1]], v, params, 1)
     return v.terms.get((0,) * len(ks), 0.0 + 0.0j)

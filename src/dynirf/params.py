@@ -417,19 +417,26 @@ _BUILDERS = {
 
 def _validate_positive_preset(params: IrfParams, name: str) -> None:
     # Spot-check the six spin-1/2 weights across the filling shifts a
-    # quadrant window of realistic size can reach.
+    # quadrant window of realistic size can reach: one array call over the
+    # shifts per (x, y).  Array weights get no singular-denominator check
+    # (scalar ones do), so a non-finite weight is rejected here.
     from .weights import spin_half_weights
 
-    shifts = range(-24, 25)
-    for m in shifts:
-        lam = params.lambda0 + (-2 * params.eta) * m if params.mode.kind != "rational" else params.lambda0 + m
-        for x in range(1, min(6, params.n_cols)):
-            for y in range(1, min(6, params.n_rows + 1)):
-                for wgt in spin_half_weights(lam, params.w(y), params.z(x), params.lam(x), params.eta, params.mode):
-                    if abs(wgt.imag) > 1e-9 or wgt.real < -1e-9 or wgt.real > 1 + 1e-9:
-                        raise InvalidParameterError(
-                            f"preset {name} has non-probability weight {wgt} at shift {m}"
-                        )
+    shifts = np.arange(-24, 25)
+    lams = params.lambda0 + (-2 * params.eta) * shifts if params.mode.kind != "rational" else params.lambda0 + shifts
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wgts = np.array([
+            [spin_half_weights(lams, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
+             for y in range(1, min(6, params.n_rows + 1))]
+            for x in range(1, min(6, params.n_cols))
+        ])  # (x, y, weight, shift)
+    wgts = wgts.transpose(3, 0, 1, 2)  # shift first: the error names the lowest bad shift
+    bad = ~np.isfinite(wgts) | (np.abs(wgts.imag) > 1e-9) | (wgts.real < -1e-9) | (wgts.real > 1 + 1e-9)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise InvalidParameterError(
+            f"preset {name} has non-probability weight {complex(wgts[first])} at shift {shifts[first[0]]}"
+        )
 
 
 def preset(name: str) -> IrfParams:

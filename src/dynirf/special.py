@@ -207,15 +207,22 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
     # vector on axis j, binary (i, j) a matrix on axes i and j.  The rows of
     # variable 0 go in blocks of _MAX_GRID // n, so unary 0 and the binaries
     # (0, j) are evaluated per block and never as a whole n x n matrix; the
-    # other factors are evaluated once.  A binary shared by several terms
-    # (the same function object on the same pair) is evaluated once per
-    # level, or once per block for the pairs (0, j).  einsum contracts each
-    # block term by term on a greedy path, planned once per subscript string.
+    # other factors are evaluated once.  A unary or binary shared by several
+    # terms (the same function object on the same axis or pair) is evaluated
+    # once per level, or once per block for variable 0 and the pairs (0, j).
+    # einsum contracts each block term by term on a greedy path, planned
+    # once per subscript string.
     m = len(contours)
     pts = [c.points(n) for c in contours]
     weights = [pts[j] - contours[j].center for j in range(m)]
     rows = max(1, _MAX_GRID // n)
     axis = [chr(ord("a") + j) for j in range(m)]
+
+    def unary(memo, j, fn, x, wts):
+        # fn on x (nodes of j) times their node weights, evaluated once per memo
+        if (j, fn) not in memo:
+            memo[j, fn] = np.asarray(fn(x)) * wts
+        return memo[j, fn]
 
     def binary(memo, i, j, fn, x):
         # fn on (x, the nodes of j), evaluated once per memo
@@ -231,7 +238,7 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
         spec = ",".join(
             ["a"] + ["a" + axis[j] for j, _ in edge0] + axis[1:] + [axis[i] + axis[j] for i, j, _ in rest]
         ) + "->"
-        fixed = [np.asarray(unaries[j](pts[j])) * weights[j] for j in range(1, m)]
+        fixed = [unary(level, j, unaries[j], pts[j], weights[j]) for j in range(1, m)]
         fixed += [binary(level, i, j, fn, pts[i]) for i, j, fn in rest]
         plans.append((unaries[0], edge0, fixed, spec))
     paths = {}
@@ -241,7 +248,7 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
         v0 = pts[0][blk]
         block = {}
         for unary0, edge0, fixed, spec in plans:
-            ops = [np.asarray(unary0(v0)) * weights[0][blk]]
+            ops = [unary(block, 0, unary0, v0, weights[0][blk])]
             ops += [binary(block, 0, j, fn, v0) for j, fn in edge0]
             ops += fixed
             if spec not in paths:
@@ -268,8 +275,9 @@ def contour_integral_factored(
     O(n) vectors and n x n matrices only, and the factors in v_0 are
     evaluated in row blocks of ``_MAX_GRID // n`` nodes, so no array of
     the contraction's factors exceeds ``_MAX_GRID`` (2^20) points.  A
-    binary that several terms share (the same function object on the same
-    pair) is evaluated once per level, or once per row block for (0, j).
+    unary or binary that several terms share (the same function object on
+    the same axis or pair) is evaluated once per level, or once per row
+    block for variable 0 and the pairs (0, j).
 
     The result carries the (2*pi*i)^-1 normalization per variable, i.e. it
     equals the residue-sum value of the m-fold loop integral.  Nodes are

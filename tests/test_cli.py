@@ -41,6 +41,33 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "nonsense", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["verify", "--seed", "-1"], "nonnegative --seed"),
+            (["verify", "--tolerance", "0"], "--tolerance"),
+            (["verify", "--tolerance", "-1"], "--tolerance"),
+            (["verify", "--tolerance", "nan"], "--tolerance"),
+            (["simulate", "--model", "ssep", "--trajectories", "-3"], "--trajectories"),
+            (["simulate", "--model", "irf", "--cols", "0"], "--cols"),
+            (["asymptotics", "--check", "hydro", "--L", "-5"], "--L"),
+            (["asymptotics", "--check", "regimes", "--lambda-bar", "-1"], "--lambda-bar"),
+            (["observables", "--model", "dyn6v", "--xs", "a,b", "--N", "2"], "--xs"),
+            (["asymptotics", "--check", "profile", "--chi", "a"], "--chi"),
+            (["verify", "--config", "/nonexistent/p.json"], "cannot read config"),
+        ],
+        ids=["negative-seed", "zero-tolerance", "negative-tolerance", "nan-tolerance",
+             "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
+             "non-numeric-chi", "missing-config"],
+    )
+    def test_bad_input_is_a_usage_error(self, args, message):
+        # each of these used to end in a traceback or to exit 0 (a zero
+        # tolerance silently became 1.0; a negative lambda-bar gave a
+        # negative regime-IV moment that passed)
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
     def test_format_flag_is_gone(self):
         # --format was parsed and never read; it is now an unknown option
         from dynirf.cli import build_parser
@@ -147,6 +174,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps(params_to_json_dict(preset("trig-admissible"))), encoding="utf-8")
         proc = run_cli("verify", "--suite", "stochastic", "--config", str(cfg))
         assert proc.returncode == 0
+
+    def test_malformed_config_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text("{not json", encoding="utf-8")
+        proc = run_cli("verify", "--config", str(cfg), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
 
 
 ALL_REPORT_NAMES = sorted([

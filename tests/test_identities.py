@@ -216,6 +216,46 @@ class TestQuadratureIdentities:
             assert [calls.count(n) for n in levels] == [per_level] * len(levels)
         assert lhs[True] == lhs[False]
 
+    def test_orthogonality_evaluates_each_distinct_unary_once(self, wide, monkeypatch):
+        # the 3! terms of B_(2,1,1) carry 18 unaries, which share 9 distinct
+        # (slot, variable) closures: 9 vector evaluations per level, 27 over
+        # the 3 levels.  Wrapping every term's unaries apart brings back 18
+        # per level, and the lhs does not move by a bit.
+        import dynirf.identities as idn
+
+        real = idn.contour_integral_factored
+        calls = []
+
+        def counting(fn):
+            def wrapped(x):
+                calls.append(np.size(x))
+                return fn(x)
+
+            return wrapped
+
+        def spy(share):
+            def run(terms, *args, **kwargs):
+                wrappers = {}
+
+                def wrap(fn):
+                    return wrappers.setdefault(fn, counting(fn)) if share else counting(fn)
+
+                return real([([wrap(fn) for fn in u], b) for u, b in terms], *args, **kwargs)
+
+            return run
+
+        lhs, total = {}, {}
+        for share, per_level in ((True, 9), (False, 18)):
+            calls.clear()
+            monkeypatch.setattr(idn, "contour_integral_factored", spy(share))
+            lhs[share] = check_orthogonality((2, 1, 1), (2, 1, 1), wide).lhs
+            levels = sorted(set(calls))
+            assert len(levels) == 3
+            assert [calls.count(n) for n in levels] == [per_level] * len(levels)
+            total[share] = len(calls)
+        assert total == {True: 27, False: 54}
+        assert lhs[True] == lhs[False]
+
     def test_bmu_terms_carry_the_inverted_pairs_only(self, wide):
         # B_mu's cross factor on a pair sigma keeps in order cancels the
         # kernel's, so that pair has no binary; an inverted pair keeps one

@@ -143,6 +143,56 @@ class TestPresetsAndConfig:
                 assert abs(wgt.imag) < 1e-9
                 assert -1e-9 <= wgt.real <= 1 + 1e-9
 
+    @staticmethod
+    def _scalar_validation(params):
+        """The former validation loop, one scalar weight call per (shift, x,
+        y): the first (shift, weight) outside the unit interval, or None."""
+        from dynirf.weights import spin_half_weights
+
+        for m in range(-24, 25):
+            lam = params.lambda0 + (-2 * params.eta) * m if params.mode.kind != "rational" else params.lambda0 + m
+            for x in range(1, min(6, params.n_cols)):
+                for y in range(1, min(6, params.n_rows + 1)):
+                    for wgt in spin_half_weights(lam, params.w(y), params.z(x), params.lam(x), params.eta, params.mode):
+                        if abs(wgt.imag) > 1e-9 or wgt.real < -1e-9 or wgt.real > 1 + 1e-9:
+                            return m, wgt
+        return None
+
+    @pytest.mark.parametrize(
+        "name, lam_shift",
+        [("dyn6v-positive", 0), ("dyn6v-positive", 0.3), ("trig-admissible", 0), ("rational-positive", 0), ("rational-positive", 57.5)],
+    )
+    def test_positive_validation_matches_scalar_loop(self, name, lam_shift):
+        import dataclasses
+        import re
+
+        from dynirf.params import _BUILDERS, _validate_positive_preset
+
+        built = _BUILDERS[name]()
+        params = dataclasses.replace(built, lambda0=built.lambda0 + lam_shift)
+        want = self._scalar_validation(params)
+        if want is None:
+            _validate_positive_preset(params, name)
+            return
+        with pytest.raises(InvalidParameterError, match=f"preset {name} has non-probability weight") as exc:
+            _validate_positive_preset(params, name)
+        wgt, shift = re.search(r"weight (\S+) at shift (-?\d+)$", str(exc.value)).groups()
+        assert int(shift) == want[0] and abs(complex(wgt) - want[1]) < 1e-12
+
+    def test_positive_validation_rejects_out_of_range_and_non_finite(self):
+        # the array pass skips the scalar path's singular-denominator check,
+        # so a 0/0 weight (rational, lambda0 = 0) must be rejected as non-finite
+        import dataclasses
+
+        from dynirf.params import _BUILDERS, _validate_positive_preset
+
+        dyn6v = _BUILDERS["dyn6v-positive"]()
+        with pytest.raises(InvalidParameterError, match="non-probability weight .* at shift -24"):
+            _validate_positive_preset(dataclasses.replace(dyn6v, lambda0=dyn6v.lambda0 + 0.3), "shifted")
+        rational = _BUILDERS["rational-positive"]()
+        with pytest.raises(InvalidParameterError, match=r"non-probability weight \(nan"):
+            _validate_positive_preset(dataclasses.replace(rational, lambda0=0j), "singular")
+
     def test_json_roundtrip(self, tmp_path):
         p = preset("trig-admissible")
         cfg = params_to_json_dict(p)

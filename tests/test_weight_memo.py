@@ -79,8 +79,25 @@ class TestWorkCount:
     def test_operator_application_evaluates_each_plaquette_once(self, grouped_calls):
         P = random_params(FunctionMode.elliptic(1.5j), seed=7)
         skew_B_oracle((3, 2, 1, 0), (1,), LAM, WS, P)
-        assert len(grouped_calls) == 2 * len(WS)  # two column counts, one callback per application
+        assert len(grouped_calls) == len(WS)  # one callback per w, shared by both column counts
         _assert_no_repeats(grouped_calls)
+
+    def test_oracle_battery_evaluates_each_plaquette_once(self, monkeypatch):
+        # skew_B_oracle, skew_D_oracle and c_matrix_element share one
+        # callback per w across column counts and depths: the battery made
+        # 16,080 weight calls when each application built its own
+        from dynirf.identities import check_oracle_formulas
+
+        calls = []
+        real_weight = weights.weight
+
+        def spy(kind, k, ctx, stochastic=False):
+            calls.append((kind, k, ctx, stochastic))
+            return real_weight(kind, k, ctx, stochastic)
+
+        monkeypatch.setattr(weights, "weight", spy)
+        check_oracle_formulas(np.random.default_rng(1 ^ 0x0AC1E))
+        assert len(calls) == len(set(calls)) == 8998
 
     def test_oracle_repeats_plaquettes_without_the_memo(self, monkeypatch):
         # the memo has work to save: the same application unmemoized asks
