@@ -68,6 +68,14 @@ def H_profile(chi: float, tau: float) -> float:
     )
 
 
+def _check_regime_iv(tau: float, lambda_bar: float) -> None:
+    """Regime IV needs tau > 0 and lambda_bar > 0, as ``RegimeSpec`` does."""
+    if not tau > 0:
+        raise InvalidParameterError("tau must be positive")
+    if not lambda_bar > 0:
+        raise InvalidParameterError("regime IV needs lambda_bar > 0")
+
+
 @dataclass(frozen=True)
 class RegimeIVLaw:
     """Distributional limit of regime IV.
@@ -80,6 +88,9 @@ class RegimeIVLaw:
     chi: float
     tau: float
     lambda_bar: float
+
+    def __post_init__(self):
+        _check_regime_iv(self.tau, self.lambda_bar)
 
     @property
     def gamma_shape(self) -> float:
@@ -132,10 +143,12 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float, toleran
     """E[(O(0, L tau))^n] against L^{n/2} (lambda_bar)_n (tau/pi)^{n/2}.
 
     Exact moments come from the bridge between dynamic-SSEP observable
-    products and usual-SSEP falling factorial moments.
+    products and usual-SSEP falling factorial moments.  tau <= 0 or
+    lambda_bar <= 0 raise InvalidParameterError.
     """
     if not 1 <= n <= 3:
         raise InvalidParameterError("moment check implemented for 1 <= n <= 3")
+    _check_regime_iv(tau, lambda_bar)
     t = L * tau
     falling = [ssep_falling_moment(0, t, m) for m in range(1, n + 1)]
     # E[prod_{k<m}(O - k*lambda_bar - k^2)] = (lambda_bar)_m F_m resolves

@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> int:
                 st = simulate_exclusion(step_exclusion_state(args.model, rates), args.t, trajectory_seed(args.seed, i))
                 for x in range(st.lo, st.hi + 1):
                     lines.append(f"{i},{x},{st.value(x)}")
-    elif args.model in ("irf", "dyn6v", "rational"):
+    else:
         params = _load_params(args) if (args.preset or args.config) else preset(
             "rational-positive" if args.model == "rational" else "dyn6v-positive"
         )
@@ -138,9 +138,6 @@ def _cmd_simulate(args) -> int:
             for x in range(1, st.X + 1):
                 for y in range(1, st.Y + 1):
                     lines.append(f"{i},{x},{y},{st.vout[x, y]},{st.hout[x, y]}")
-    else:
-        print(f"unknown model {args.model}", file=sys.stderr)
-        return 2
     _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -156,6 +153,13 @@ def _cmd_observables(args) -> int:
     xs = args.xs
     spec = obs.ObservableSpec(xs, args.N if args.N is not None else args.t)
     methods = args.compare.split(",")
+    for method in methods:
+        if method not in ("exact", "mc", "enum"):
+            print(f"unknown method {method}", file=sys.stderr)
+            return 2
+        if method == "enum" and args.model in ("ssep", "asep"):
+            print("enum is only available for lattice models", file=sys.stderr)
+            return 2
     records = []
     failures = []
 
@@ -167,11 +171,8 @@ def _cmd_observables(args) -> int:
         model, rates = "rational", params
     elif args.model == "ssep":
         model, rates = "ssep", (args.lambda_bar,)
-    elif args.model == "asep":
-        model, rates = "asep", (args.q, args.alpha)
     else:
-        print(f"unknown model {args.model}", file=sys.stderr)
-        return 2
+        model, rates = "asep", (args.q, args.alpha)
 
     values = {}
     for method in methods:
@@ -181,14 +182,8 @@ def _cmd_observables(args) -> int:
             val = obs.exact_E(model, spec, rates)
         elif method == "mc":
             val, stderr = obs.mc_E(model, spec, rates, args.samples, args.seed)
-        elif method == "enum":
-            if model not in ("irf", "rational"):
-                print("enum is only available for lattice models", file=sys.stderr)
-                return 2
-            val = obs.enum_E(spec, rates)
         else:
-            print(f"unknown method {method}", file=sys.stderr)
-            return 2
+            val = obs.enum_E(spec, rates)
         rec = {
             "model": args.model,
             "spec": {"xs": list(xs), "N_or_t": spec.N_or_t},

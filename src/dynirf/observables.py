@@ -7,8 +7,8 @@ The one observable family behind everything here is
 a two-term function of the height whose shifted products have
 lambda-independent averages.  Those averages are computed three ways:
 
-* exact n-fold contour integrals (quadrature over circles, plus residue /
-  series summation as an independent route),
+* exact n-fold contour integrals (quadrature over circles, plus a residue
+  sum or, at one exclusion site, a random-walk sum as an independent route),
 * exact enumeration of the joint height law (small windows, complex
   weights allowed),
 * Monte Carlo over sampled trajectories (positive-weight presets only).
@@ -32,7 +32,7 @@ import scipy.special
 
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
-from .special import Circle, InvalidParameterError, contour_integral_factored
+from .special import Circle, ConvergenceError, InvalidParameterError, contour_integral_factored
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
@@ -216,7 +216,8 @@ def _irf_contours(params: IrfParams, n: int):
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
     """Exact averages by n-fold loop integrals, each checked against an
     independent route: the residue sum for the lattice models (any n), the
-    residue or Bessel series for the exclusion models (n = 1).
+    random-walk sum ``_walk_sum`` for the exclusion models (n = 1): E[q^h] - 1
+    of the usual ASEP, -E h of the usual SSEP.
 
     model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
     spin), integral around the w's;
@@ -285,7 +286,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
     # the residue route loses ~cond * eps to cancellation when the w's
     # are nearly coincident; widen the assertion accordingly
     tol_res = max(1e-8, cond * 5e-14)
-    if abs(value - res) > tol_res * max(1.0, abs(res)):
+    if not abs(value - res) <= tol_res * max(1.0, abs(res)):
         raise ArithmeticError(f"quadrature {value} vs residue sum {res} disagree")
     return value
 
@@ -341,43 +342,11 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
         [([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol
     )
     if n == 1:
-        series = _asep_residue_series(spec.xs[0], t, q)
-        if abs(value - series) > 1e-8 * max(1.0, abs(series)):
-            raise ArithmeticError(f"ASEP quadrature {value} vs residue series {series} disagree")
+        # the alpha -> 0 limit of _asep_product: E[q^h] - 1 for the usual ASEP
+        ref = _walk_sum(spec.xs[0], t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
+        if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
+            raise ArithmeticError(f"ASEP quadrature {value} vs walk sum {ref} disagree")
     return value
-
-
-def _asep_residue_series(x: int, t: float, q: float, terms: int = 120) -> float:
-    """Residue at the essential singularity y = 1 by explicit expansion.
-
-    exp factor expanded in powers of its argument; each power contributes a
-    finite Laurent coefficient at y = 1.
-    """
-    c = (1 - q) ** 2 * t
-    total = 0.0
-    small_streak = 0
-    for m in range(terms):
-        # term_m = c^m/m! * (1+u)^m (-1)^m / (u^m (1-q-q u)^m), u = y - 1,
-        # times ((-u)/(1-q-qu))^x / (1+u); residue = coeff of u^{m-1-x} in
-        # (-1)^{m+x} (1+u)^{m-1} (1-q-qu)^{-m-x}
-        deg = m - 1 - x
-        if deg < 0:
-            continue
-        coeff = 0.0
-        for i_ in range(0, deg + 1):
-            j_ = deg - i_
-            coeff += (
-                scipy.special.binom(m - 1, i_)
-                * scipy.special.binom(m + x + j_ - 1, j_)
-                * (q / (1 - q)) ** j_
-            )
-        term = c**m / math.factorial(m) * (-1.0) ** (m + x) * (1 - q) ** (-m - x) * coeff
-        total += term
-        # the binomial sums grow geometrically, so gate on the actual term
-        small_streak = small_streak + 1 if abs(term) < 1e-17 * max(1.0, abs(total)) else 0
-        if small_streak >= 3:
-            break
-    return total
 
 
 def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
@@ -412,9 +381,9 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
     binaries = {(i, j): (lambda a, b: (a - b) / (a - b + 1)) for i in range(n) for j in range(i + 1, n)}
     value = contour_integral_factored([([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol)
     if n == 1:
-        series = -ssep_mean_height(spec.xs[0], t)
-        if abs(value - series) > 1e-8 * max(1.0, abs(series)):
-            raise ArithmeticError(f"SSEP quadrature {value} vs Bessel series {series} disagree")
+        ref = -ssep_mean_height(spec.xs[0], t)
+        if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
+            raise ArithmeticError(f"SSEP quadrature {value} vs walk sum {ref} disagree")
     return value
 
 
@@ -424,30 +393,46 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
-def ssep_mean_height(x: int, t: float) -> float:
-    """E h(x, t) for the usual SSEP from the step state: a Bessel series.
+def _walk_sum(x: int, t: float, q: float, g0) -> float:
+    """sum_k P(Y_t = k) g0(x + k), Y the walk that steps +1 at rate q and -1 at rate 1.
 
-    Substituting u = v/(v-1) in the one-fold integral turns the essential
-    factor into the modified-Bessel generating function, leaving
-    E h = sum_{j>=0} (j+1) e^{-2t} I_{x+1+j}(2t); evaluated with the
-    exponentially scaled Bessel ive, stable at any t.  Sites x < 0 use the
-    reflection E h(x) = E h(-x) - x (see ``ssep_falling_moment``).
+    P(Y_t = k) = e^{-(1+q)t} q^{k/2} I_k(2 sqrt(q) t)
+    = exp(-(1 - sqrt q)^2 t + (k/2) log q + log ive(|k|, 2 sqrt(q) t)), formed
+    in that log form (q^{k/2} and ive over- and underflow apart) from one ive
+    call; an ive that underflows to 0 gives P = 0.  At t = 0, P is exactly
+    delta_{k0}.  ``g0`` maps an int array of sites to values.
+
+    The window is k in +-(|q - 1| t + 10 sigma + 30), sigma^2 = (1 + q) t.
+    Bennett's inequality puts at most 2 exp(-a^2 / (2 (sigma^2 + a/3))) of the
+    walk's mass more than a = 10 sigma + 30 from its drift (q - 1) t, and that
+    is below 1e-18 at every t.  The window also holds the mirror image
+    (1 - q) t +- a, where P(k) q^{-k} = P(-k) puts the weight of a g0 that
+    grows like q^{-y}.  ConvergenceError when the window's probabilities do
+    not sum to 1 within 1e-12: under a large drift ive underflows where the
+    mass sits (t about 1e4 at q = 0.5).
     """
-    x = _as_int(x, "site x")
-    t = _check_horizon(t)
-    if x < 0:
-        return ssep_mean_height(-x, t) - x
-    total = 0.0
-    j = 0
-    while True:
-        term = (j + 1) * scipy.special.ive(x + 1 + j, 2 * t)
-        total += term
-        if j > 4 and abs(term) < 1e-16 * max(1.0, total):
-            break
-        if x + 1 + j > 2 * t + 60 * math.sqrt(max(t, 1.0)) + 120:
-            break
-        j += 1
-    return float(total)
+    rq = math.sqrt(q)
+    half = int(abs(q - 1.0) * t + 10.0 * math.sqrt((1.0 + q) * t) + 30.0)
+    k = np.arange(-half, half + 1)
+    iv = scipy.special.ive(np.abs(k), 2.0 * rq * t)
+    log_p = np.log(iv, out=np.full(k.shape, -np.inf), where=iv > 0) + 0.5 * math.log(q) * k - (1.0 - rq) ** 2 * t
+    p = np.exp(log_p)
+    mass = p.sum()
+    if not abs(mass - 1.0) <= 1e-12:
+        raise ConvergenceError(f"walk window at t = {t}, q = {q} holds mass {mass}, not 1 within 1e-12")
+    return float(p @ g0(x + k))
+
+
+def ssep_mean_height(x: int, t: float) -> float:
+    """E h(x, t) for the usual SSEP from the step state: a walk sum.
+
+    By duality E h(x, t) = E max(-(x + Y_t), 0) for the symmetric walk Y
+    (rate 1 each way): the q = 1 case of ``_walk_sum``, on one window
+    k in 0 +- (10 sqrt(2t) + 30) for any site x, its probabilities
+    e^{-2t} I_k(2t) formed in log form from one ive call, and
+    ConvergenceError unless they sum to 1 within 1e-12 (they do to t = 1e6).
+    """
+    return _walk_sum(_as_int(x, "site x"), _check_horizon(t), 1.0, lambda y: np.maximum(-y, 0))
 
 
 # the direct n = 3 integral at x = 0 converges for every t <= 7.6 on a 0.05
@@ -459,7 +444,7 @@ _SSEP_F3_T_MAX = 7.5
 def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start, n = 1, 2, 3.
 
-    n = 1 uses the Bessel series (any t).  n = 2 uses the two-fold contour
+    n = 1 uses the walk sum ``ssep_mean_height``.  n = 2 uses the two-fold contour
     integral for t <= 12, the exact duality propagator e^{tL}
     (``ssep_f2_duality``) for t <= 500 and the saddle route
     (``_ssep_f2_large_t``) beyond.  n = 3 uses the three-fold integral for

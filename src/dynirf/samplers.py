@@ -568,7 +568,7 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     touches it.  A flip next to the frozen outermost site means the window
     fell behind its disturbance; it is caught on the step it happens.
     """
-    step_exclusion_state(kind, rate_params)  # parameter validation
+    rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
     W = half_width
     s = np.broadcast_to(np.abs(np.arange(-W, W + 1, dtype=np.float64)), (n_traj, 2 * W + 1)).copy()

@@ -68,6 +68,12 @@ class TestLimitProfiles:
         with pytest.raises(InvalidParameterError):
             RegimeSpec("IV", 0.0, 1.0)
 
+    @pytest.mark.parametrize("tau, lambda_bar", [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)])
+    def test_regime_iv_law_validation(self, tau, lambda_bar):
+        # RegimeIVLaw(0.0, 1.0, -1.0) used to construct; tau <= 0 failed later in math.sqrt
+        with pytest.raises(InvalidParameterError):
+            RegimeIVLaw(0.0, tau, lambda_bar)
+
 
 class TestGammaMoments:
     def test_values(self):
@@ -96,6 +102,18 @@ class TestMomentChecks:
     def test_regime_iv_n2(self):
         rep = regime_moment_check(2, 1e4, 1.0, 1.0)
         assert rep.passed and rep.residual < 0.08
+
+    @pytest.mark.parametrize("tau, lambda_bar", [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)])
+    def test_regime_iv_refuses_bad_inputs(self, monkeypatch, tau, lambda_bar):
+        # lambda_bar = -1 used to give a passing report with lhs = rhs = -56.42
+        import dynirf.asymptotics as asy
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed moments for a refused input")
+
+        monkeypatch.setattr(asy, "ssep_falling_moment", no_work)
+        with pytest.raises(InvalidParameterError):
+            regime_moment_check(1, 1e4, tau, lambda_bar)
 
     def test_hydro(self):
         rep = hydro_check(L=400.0)

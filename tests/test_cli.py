@@ -150,6 +150,22 @@ class TestObservablesCommand:
         rep = [r for r in records if r.get("name", "").startswith("lambda-independence")]
         assert rep and rep[0]["passed"]
 
+    @pytest.mark.parametrize(
+        "model, compare, message",
+        [("ssep", "mc,foo", "unknown method foo"), ("asep", "exact,enum", "enum is only available for lattice models")],
+    )
+    def test_compare_checked_before_any_method(self, monkeypatch, capsys, model, compare, message):
+        # --compare mc,foo ran the whole Monte Carlo before it exited 2
+        from dynirf import cli, observables
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a method before --compare was checked")
+
+        for name in ("exact_E", "mc_E", "enum_E"):
+            monkeypatch.setattr(observables, name, no_work)
+        assert cli.main(["observables", "--model", model, "--xs", "0", "--t", "1", "--compare", compare]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestAsymptoticsCommand:
     def test_heat_and_hydro(self):

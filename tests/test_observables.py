@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+import scipy.special
 
 from dynirf import observables, samplers
 from dynirf.observables import (
@@ -25,10 +26,11 @@ from dynirf.observables import (
     _irf_product,
     _irf_residue_sum,
     _ssep_f2_large_t,
+    _walk_sum,
 )
 from dynirf.params import preset, to_six_vertex
 from dynirf.samplers import batch_heights, enumerate_heights, sample_irf_batch
-from dynirf.special import InvalidParameterError
+from dynirf.special import ConvergenceError, InvalidParameterError
 
 
 def q_pochhammer(x, q, n: int):
@@ -79,6 +81,33 @@ def ssep_f2_expm(x: int, t: float) -> float:
     L -= scipy.sparse.diags(np.bincount(rows, minlength=a.size).astype(float))
     c = scipy.sparse.linalg.expm_multiply(t * L, (b <= M).astype(float))
     return float(2.0 * c[a - M > x].sum())
+
+
+def asep_one_site_expm(xs, t: float, q: float) -> list:
+    """Reference for G(x, t) = E[q^{h(x,t)}] of the usual ASEP by expm_multiply.
+
+    dG/dt = q G(x+1) + G(x-1) - (1+q) G(x), G(x, 0) = g0(x) = q^{max(-x, 0)},
+    on the window [-M, M] with its edge frozen at g0, which the equation
+    keeps fixed far from 0 (q^{-x} on the left, 1 on the right).  The state
+    is H = G / g0, so that no entry grows like q^{-x}: dH/dt = D^{-1} A D H
+    with D = diag(g0), a sparse matrix for scipy's truncated-Taylor
+    expm_multiply, not a Bessel sum.
+    """
+    M = int(15 * math.sqrt((1 + q) * max(t, 1.0)) + abs(q - 1) * t + 40)
+    y = np.arange(-M, M + 1)
+    g0 = q ** np.maximum(-y, 0).astype(float)
+    inner = np.arange(1, y.size - 1)
+    rows = np.concatenate([inner, inner, inner])
+    cols = np.concatenate([inner + 1, inner - 1, inner])
+    vals = np.concatenate([q * g0[inner + 1] / g0[inner], g0[inner - 1] / g0[inner], np.full(inner.size, -(1 + q))])
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(y.size, y.size)).tocsr()
+    H = scipy.sparse.linalg.expm_multiply(t * A, np.ones(y.size))
+    return [float(H[x + M] * g0[x + M]) for x in xs]
+
+
+def asep_walk_value(x: int, t: float, q: float) -> float:
+    """E[q^h] - 1 for the usual ASEP: exact_E("asep")'s n = 1 check."""
+    return _walk_sum(x, t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
 
 
 falling = functools.lru_cache(maxsize=None)(ssep_falling_moment)
@@ -590,6 +619,89 @@ class TestAsep:
         a = exact_E("asep", ObservableSpec((1,), 0.8), (0.5, 1.0))
         b = exact_E("asep", ObservableSpec((1,), 0.8), (0.5, 3.0))
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+class TestWalkSum:
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("q", [0.5, 0.8, 1.5])
+    def test_asep_matches_expm_reference(self, q, t):
+        xs = (-3, 0, 4)
+        for x, ref in zip(xs, asep_one_site_expm(xs, t, q)):
+            assert abs(asep_walk_value(x, t, q) - (ref - 1.0)) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("x, q, alpha", [(0, 0.5, 2.0), (2, 0.8, 1.0), (-3, 0.5, 2.0), (1, 1.5, 0.5)])
+    def test_asep_matches_mc_at_t20(self, x, q, alpha):
+        # the contour route raises ConvergenceError from t = 5 at q = 0.5
+        m, se = mc_E("asep", ObservableSpec((x,), 20.0), (q, alpha), 20000, seed=11)
+        assert abs(m - asep_walk_value(x, 20.0, q)) <= 4 * se
+
+    def test_asep_values_far_past_the_contour_range(self):
+        # _asep_residue_series returned -6.7e10 at (0, 20, 0.5)
+        assert abs(asep_walk_value(0, 20.0, 0.5) + 0.93486) < 1e-5
+        assert abs(asep_walk_value(0, 500.0, 0.8) + 0.99916) < 1e-5
+
+    def test_mirror_image_of_the_window(self):
+        # for q > 1 and large t, E[q^h] = P(Y >= -x) + q^{-x} P(Y > x) -> 1 + q^{-x};
+        # the q^{-x} half is carried by P(k) q^{-k} = P(-k) about (1 - q) t
+        for x in (0, 2, -3):
+            assert abs(asep_walk_value(x, 1000.0, 1.5) - 1.5**-x) <= 1e-12 * max(1.0, 1.5**-x)
+
+    def test_large_drift_raises(self):
+        # ive underflows where the walk's mass sits: the window holds 3.8e-6
+        with pytest.raises(ConvergenceError, match="mass"):
+            asep_walk_value(0, 1e4, 0.5)
+
+    @pytest.mark.parametrize("t", [0.3, 5.0, 400.0, 1e4, 1e6])
+    def test_mean_height_at_the_origin(self, t):
+        # E h(0, t) = E|Y_t| / 2 = t e^{-2t} (I_0(2t) + I_1(2t))
+        want = t * (scipy.special.ive(0, 2 * t) + scipy.special.ive(1, 2 * t))
+        assert abs(ssep_mean_height(0, t) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("x", [1, 7, 100])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 20.0, 1e4])
+    def test_mean_height_reflection(self, x, t):
+        # particle-hole symmetry of the step state: E h(-x) = E h(x) + x
+        assert abs(ssep_mean_height(-x, t) - ssep_mean_height(x, t) - x) <= 1e-13 * max(1.0, x)
+
+    @pytest.mark.parametrize(
+        "x, t, want",
+        [(20, 400.0, 3.991680329929697), (-7, 1e4, 59.987705569140026), (150, 400.0, 2.9643492615082125e-07),
+         (3, 5.0, 0.2833362621400121), (-100, 20.0, 100.0), (1, 0.3, 0.031111088326372906)],
+    )
+    def test_mean_height_pins(self, x, t, want):
+        # values of the Bessel loop with x < 0 reflection that the walk sum replaced
+        assert abs(ssep_mean_height(x, t) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+class TestRouteAgreementIsNanSafe:
+    def test_irf_residue_nan(self, dyn6v, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(observables, "_irf_residue_sum", lambda spec, params: (complex(nan, nan), nan))
+        with pytest.raises(ArithmeticError):
+            exact_E("irf", ObservableSpec((2,), 4), dyn6v)
+
+    def test_asep_walk_sum_nan(self, monkeypatch):
+        monkeypatch.setattr(observables, "_walk_sum", lambda *args: float("nan"))
+        with pytest.raises(ArithmeticError):
+            exact_E("asep", ObservableSpec((0,), 1.0), (0.5, 2.0))
+
+    def test_ssep_walk_sum_nan(self, monkeypatch):
+        monkeypatch.setattr(observables, "ssep_mean_height", lambda x, t: float("nan"))
+        with pytest.raises(ArithmeticError):
+            exact_E("ssep", ObservableSpec((1,), 1.0), (2.0,))
+
+    def test_asep_negative_site_check_is_finite(self, monkeypatch):
+        # _asep_residue_series was NaN at every x < 0, so this check passed unchecked
+        refs = []
+
+        def spy(*args):
+            refs.append(_walk_sum(*args) - 1.0)
+            return refs[-1] + 1.0
+
+        monkeypatch.setattr(observables, "_walk_sum", spy)
+        v = exact_E("asep", ObservableSpec((-2,), 1.0), (0.5, 2.0))
+        assert len(refs) == 1 and math.isfinite(refs[0])
+        assert abs(v - refs[0]) <= 1e-8
 
 
 class TestEqualSitesFactorization:

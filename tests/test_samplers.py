@@ -430,6 +430,17 @@ class TestExclusionFarm:
         xs = list(range(-8, 9))
         assert np.array_equal(exclusion_farm(kind, rates, T, n, seed, xs), farm_reference(kind, rates, T, n, seed, xs))
 
+    def test_rates_checked_without_a_step_state(self, monkeypatch):
+        # the farm built and dropped a 13-site ExclusionState only to check its rates
+        def no_state(*args, **kwargs):
+            raise AssertionError("built a step state")
+
+        monkeypatch.setattr(samplers, "step_exclusion_state", no_state)
+        out = exclusion_farm("asep", [0.5, 2.0], 1.0, 50, 3, [0])
+        assert np.array_equal(out, exclusion_farm("asep", (0.5, 2.0), 1.0, 50, 3, [0]))
+        with pytest.raises(InvalidParameterError, match=r"asep rates are \(q, alpha\)"):
+            exclusion_farm("asep", (0.5, -0.2), 1.0, 50, 3, [0])
+
     def test_reprices_three_sites_per_live_row(self, monkeypatch):
         # after the first pricing, a whole-window call happens only when the
         # window grows; every other call prices the three sites around each
