@@ -43,6 +43,7 @@ from .samplers import (
     exclusion_farm,
     sample_irf_batch,
 )
+from .weights import SingularParameterError
 
 __all__ = [
     "ObservableSpec",
@@ -220,7 +221,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     of the usual ASEP, -E h of the usual SSEP.
 
     model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
-    spin), integral around the w's;
+    spin), integral around the w's; coincident row parameters raise
+    SingularParameterError, since the residue check needs simple poles;
     "rational": a rational-mode IrfParams and sites x >= 1; the same IRF
     integral with f(z) = z and bare normalization (the presets have 2*eta = 1
     and Lambda = 1, so p_j = z_j and q_j = z_j + 1);
@@ -298,12 +300,16 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     Returns (value, conditioning); conditioning is the ratio of the sum of
     term magnitudes to the result and bounds the relative cancellation
     error (terms blow up like 1/spacing^{n(N-1)} for close row parameters).
+    Coincident rows, f(w_j - w_k) = 0, raise SingularParameterError.
     """
     n = spec.n
     N = int(spec.N_or_t)
     grid = pq_grid(params)
     f, eta = params.f, params.eta
     ws = [params.w(k) for k in range(1, N + 1)]
+    clash = {r for j, k in itertools.combinations(range(N), 2) if f(ws[j] - ws[k]) == 0 for r in (j + 1, k + 1)}
+    if clash:
+        raise SingularParameterError(f"rows {sorted(clash)} have coincident parameters (f(w_j - w_k) = 0): no residue sum")
     fp0 = params.fp0()
 
     def res_factor(x, t):
@@ -407,9 +413,10 @@ def _walk_sum(x: int, t: float, q: float, g0) -> float:
     walk's mass more than a = 10 sigma + 30 from its drift (q - 1) t, and that
     is below 1e-18 at every t.  The window also holds the mirror image
     (1 - q) t +- a, where P(k) q^{-k} = P(-k) puts the weight of a g0 that
-    grows like q^{-y}.  ConvergenceError when the window's probabilities do
-    not sum to 1 within 1e-12: under a large drift ive underflows where the
-    mass sits (t about 1e4 at q = 0.5).
+    grows like q^{-y}.  At q > 1, g0 must be the ASEP's q^{max(-y, 0)} on
+    y < 0, which leaves double range where P(k) underflows.  ConvergenceError
+    when the window's probabilities do not sum to 1 within 1e-12: under a
+    large drift ive underflows where the mass sits (t about 1e4 at q = 0.5).
     """
     rq = math.sqrt(q)
     half = int(abs(q - 1.0) * t + 10.0 * math.sqrt((1.0 + q) * t) + 30.0)
@@ -420,6 +427,8 @@ def _walk_sum(x: int, t: float, q: float, g0) -> float:
     mass = p.sum()
     if not abs(mass - 1.0) <= 1e-12:
         raise ConvergenceError(f"walk window at t = {t}, q = {q} holds mass {mass}, not 1 within 1e-12")
+    if q > 1.0:  # the half y = x + k < 0 sums to q^{-x} P(Y > x), as P(k) q^{-k} = P(-k)
+        return float(p[k >= -x] @ g0(x + k[k >= -x]) + q**-x * p[k > x].sum())
     return float(p @ g0(x + k))
 
 

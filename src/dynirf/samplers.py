@@ -14,7 +14,7 @@ import functools
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,8 +44,10 @@ __all__ = [
 
 _MASK = 0xFFFF_FFFF_FFFF_FFFF
 _K1, _K2, _K3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_M64, _C1, _C2, _C3 = (np.uint64(c) for c in (_MASK, _K1, _K2, _K3))
+_C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 11, 27, 30, 31))
 _INT64 = range(-(1 << 63), 1 << 63)
+_DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
+_SPAN5 = np.arange(5)
 
 
 class PositivityError(RuntimeError):
@@ -53,31 +55,27 @@ class PositivityError(RuntimeError):
 
 
 def _mix(x):
-    x = (x + _C1) & _M64
-    x = ((x ^ (x >> np.uint64(30))) * _C2) & _M64
-    x = ((x ^ (x >> np.uint64(27))) * _C3) & _M64
-    return x ^ (x >> np.uint64(31))
-
-
-def _absorb(h, *keys):
-    """Fold each key into the uint64 hash state ``h``; array-safe."""
-    with np.errstate(over="ignore"):
-        for k in keys:
-            h = _mix((h ^ np.asarray(k, dtype=np.int64).view(np.uint64)) & _M64)
-    return h
+    """SplitMix64 on uint64 values, which wrap mod 2^64; a scalar ``x`` needs ``np.errstate(over="ignore")``."""
+    x = x + _C1
+    x = (x ^ (x >> _S30)) * _C2
+    x = (x ^ (x >> _S27)) * _C3
+    return x ^ (x >> _S31)
 
 
 def _hash64(seed, *keys):
+    """The uint64 hash of (seed, keys...): ``h = _mix(h ^ k)`` for each in turn; array-safe."""
     with np.errstate(over="ignore"):
         if isinstance(seed, (int, np.integer)):
             h = _mix(np.uint64(int(seed) & _MASK))
         else:
             h = _mix(np.asarray(seed, dtype=np.int64).view(np.uint64))
-    return _absorb(h, *keys)
+        for k in keys:
+            h = _mix(h ^ np.asarray(k, dtype=np.int64).view(np.uint64))
+    return h
 
 
 def _unit(h):
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return (h >> _S11).astype(np.float64) * (2.0**-53)
 
 
 def uniform_hash(seed, *keys):
@@ -88,15 +86,19 @@ def uniform_hash(seed, *keys):
     scalars, bools) takes the numpy path.  Both return the same bits.
     """
     if type(seed) is int and all(type(k) is int and k in _INT64 for k in keys):
-        h = 0
-        for k in (seed, *keys):  # _mix(h ^ k), as in _hash64
-            h = ((h ^ k) + _K1) & _MASK
-            h = ((h ^ (h >> 30)) * _K2) & _MASK
-            h = ((h ^ (h >> 27)) * _K3) & _MASK
-            h ^= h >> 31
-        return (h >> 11) * 2.0**-53
+        return (_fold(0, seed, *keys) >> 11) * 2.0**-53
     out = _unit(_hash64(seed, *keys))
     return out if out.shape else float(out)
+
+
+def _fold(h: int, *keys: int) -> int:
+    """SplitMix64 on Python ints: ``h = _mix(h ^ k)`` for each key, as in _hash64."""
+    for k in keys:
+        h = ((h ^ k) + _K1) & _MASK
+        h = ((h ^ (h >> 30)) * _K2) & _MASK
+        h = ((h ^ (h >> 27)) * _K3) & _MASK
+        h ^= h >> 31
+    return h
 
 
 def trajectory_seed(seed, index):
@@ -437,8 +439,8 @@ def _rate(kind: str, rate_params, s_x, delta):
 
 def _site_move(state: ExclusionState, x: int):
     """(delta, rate) of the unique admissible flip at x, or None."""
-    s = state.value(x)
-    left, right = state.value(x - 1), state.value(x + 1)
+    get = state.s.get
+    s, left, right = get(x, abs(x)), get(x - 1, abs(x - 1)), get(x + 1, abs(x + 1))
     if left != right or abs(left - s) != 1:
         return None
     delta = 2 * (left - s)  # local max flips down, local min flips up
@@ -472,32 +474,29 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
     per-site version counters whenever a flip changes the site's (or a
     neighbor's) move.  Exponential clocks come from the counter-based
     uniforms keyed (seed, site, per-site draw counter), so the trajectory
-    is reproducible independent of heap internals.
+    is reproducible independent of heap internals.  A plain int seed is
+    hashed once per trajectory (any other goes through uniform_hash).
     """
     T = _check_horizon(T)
-    state = ExclusionState(
-        initial.kind,
-        initial.rate_params,
-        initial.lo,
-        initial.hi,
-        dict(initial.s),
-        initial.t,
-        [],
-    )
+    state = replace(initial, s=dict(initial.s), events=[])
     version: dict = {}
     draws: dict = {}
     heap: list = []
+    if type(seed) is int:  # uniform_hash(seed, x, n) with the seed hashed once
+        h_seed = _fold(0, seed)
+        draw = lambda x, n: (_fold(h_seed, x, n) >> 11) * 2.0**-53
+    else:
+        draw = functools.partial(uniform_hash, seed)
 
     def schedule(x: int) -> None:
-        version[x] = version.get(x, 0) + 1
+        version[x] = ver = version.get(x, 0) + 1
         move = _site_move(state, x)
         if move is None:
             return
         delta, rate = move
-        draws[x] = draws.get(x, 0) + 1
-        u = uniform_hash(seed, x, draws[x])
-        dt = -math.log1p(-u) / rate
-        heapq.heappush(heap, (state.t + dt, x, version[x], delta))
+        draws[x] = n = draws.get(x, 0) + 1
+        dt = -math.log1p(-draw(x, n)) / rate
+        heapq.heappush(heap, (state.t + dt, x, ver, delta))
 
     for x in range(state.lo + 1, state.hi):
         schedule(x)
@@ -514,7 +513,8 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
         if record:
             state.events.append((t_fire, x, state.s[x]))
         if x - state.lo < 3 or state.hi - x < 3:
-            # lo, hi never flip, and the window grows before lo + 1 or hi - 1 can
+            # lo, hi never flip, and the window grows before lo + 1 or hi - 1
+            # can, so x - 1 and x + 1 are inner sites
             if x - state.lo < 2 or state.hi - x < 2:
                 raise InvalidParameterError("exclusion boundary was touched; window policy broken")
             if state.hi - state.lo >= max_window:
@@ -526,21 +526,20 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
             for xx in range(old_hi, state.hi):
                 schedule(xx)
         for xx in (x - 1, x, x + 1):
-            if state.lo < xx < state.hi:
-                schedule(xx)
+            schedule(xx)
     state.t = T
     return state
 
 
 def _farm_rates(kind: str, rate_params, heights):
-    """Flip rates of the inner columns of a (rows, sites) height array; 0 where no flip is admissible."""
+    """Flip rates of the inner columns of a (rows, sites) array of step-type
+    heights (neighbours differ by 1); 0 where no flip is admissible."""
     left, mid, right = heights[:, :-2], heights[:, 1:-1], heights[:, 2:]
-    is_max = (left == mid - 1) & (right == mid - 1)
-    is_min = (left == mid + 1) & (right == mid + 1)
+    extremum = left == right
     # every other site is priced as an up-flip and masked out
-    delta = np.where(is_max, np.int8(-2), np.int8(2))
-    rates = _rate(kind, rate_params, mid, delta) * (is_max | is_min)
-    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+    delta = np.where(extremum & (left < mid), np.int8(-2), np.int8(2))
+    rates = _rate(kind, rate_params, mid, delta) * extremum
+    if not (np.isfinite(rates).all() and (rates >= 0).all()):
         raise InvalidParameterError("nonpositive or singular jump rate encountered")
     return rates
 
@@ -560,22 +559,27 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     results do not depend on the batch size.  The shared window grows
     whenever a flip comes within three sites of its edge.
 
-    Each live trajectory keeps a row of site rates.  A flip at x changes
-    only the rates at x - 1, x and x + 1, so only those three are repriced
-    (Gibson & Bruck, J. Phys. Chem. A 104, 2000); the whole array is
-    repriced only when the window grows.  A trajectory whose next clock
-    passes T is read out and dropped, so no later hash, sum or site pick
-    touches it.  A flip next to the frozen outermost site means the window
-    fell behind its disturbance; it is caught on the step it happens.
+    A step draws both of its uniforms in one hash pass.  Each live
+    trajectory keeps a row of site rates, priced from the step row once for
+    all.  A flip at x changes only the rates at x - 1, x and x + 1, so only
+    those three are repriced (Gibson & Bruck, J. Phys. Chem. A 104, 2000);
+    a growing window adds zero rates and prices its two old edge sites.
+    Columns no flip has touched keep rate 0, so the site pick sums only the
+    touched span.  A trajectory whose next clock passes T is read out and
+    dropped, so no later hash, sum or site pick touches it.  A flip next to
+    the frozen outermost site means the window fell behind its disturbance;
+    it is caught on the step it happens.
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
     W = half_width
-    s = np.broadcast_to(np.abs(np.arange(-W, W + 1, dtype=np.float64)), (n_traj, 2 * W + 1)).copy()
-    rates = _farm_rates(kind, rate_params, s)
+    step_row = np.abs(np.arange(-W, W + 1, dtype=np.float64))
+    s = np.broadcast_to(step_row, (n_traj, 2 * W + 1)).copy()
+    rates = np.repeat(_farm_rates(kind, rate_params, step_row[None]), n_traj, axis=0)
+    a, b = W - 1, W  # rate columns a flip has touched: so far the origin, the step's one local minimum
     t = np.zeros(n_traj)
     # the draws are uniform_hash(0, trajectory seed, step, 1 | 2); the hash of
-    # the common prefix (0, trajectory seed, step) is computed once per step
+    # the common prefix (0, trajectory seed) is computed once
     prefix = _hash64(0, trajectory_seed(seed, np.arange(n_traj, dtype=np.int64)))
     index = np.arange(n_traj)  # output row of each live trajectory
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
@@ -583,33 +587,41 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     while index.size:
         step += 1
         total = rates.sum(axis=1)
-        h = _absorb(prefix, np.int64(step))
-        u1 = _unit(_absorb(h, np.int64(1)))
-        dt = -np.log1p(-u1) / np.maximum(total, 1e-300)
-        fire = t + dt <= T
+        u = _unit(_mix(_mix(prefix ^ np.uint64(step))[:, None] ^ _DRAW_KEYS))
+        t = t - np.log1p(-u[:, 0]) / np.maximum(total, 1e-300)  # the next clock
+        fire = t <= T
         if not fire.all():
-            done = s[~fire]
+            stop, keep = np.flatnonzero(~fire), np.flatnonzero(fire)
             for j, x in enumerate(xs):
-                out[index[~fire], j] = done[:, x + W] if -W <= x <= W else abs(x)
-            s, rates, t, dt, prefix, h, index, total = (a[fire] for a in (s, rates, t, dt, prefix, h, index, total))
-        t = t + dt
-        u2 = _unit(_absorb(h, np.int64(2)))
-        m = rates.shape[1]
-        cols = np.minimum((np.cumsum(rates, axis=1) < (u2 * total)[:, None]).sum(axis=1), m - 1)
-        # inner columns lo..lo+2 hold the fired site and its neighbours (clipped
-        # at the edges); s columns lo..lo+4 hold those sites and their neighbours
-        lo = np.clip(cols - 1, 0, m - 3)
-        rows = np.arange(index.size)
-        win = s[rows[:, None], lo[:, None] + np.arange(5)]
-        k = cols - lo + 1
-        is_max = (win[rows, k - 1] == win[rows, k] - 1) & (win[rows, k + 1] == win[rows, k] - 1)
-        win[rows, k] += np.where(is_max, -2.0, 2.0)
-        s[rows, cols + 1] = win[rows, k]
-        if np.any((cols < 3) | (cols > m - 3)):
-            if np.any((cols < 1) | (cols > m - 2)):  # the window grows before an edge column can flip
-                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
-            s, W = _grow_farm(s, W)
-            rates = _farm_rates(kind, rate_params, s)
-        else:
-            rates[rows[:, None], lo[:, None] + np.arange(3)] = _farm_rates(kind, rate_params, win)
+                out[index[stop], j] = s[stop, x + W] if -W <= x <= W else abs(x)
+            s, rates, t, prefix, u, index, total = (v.take(keep, axis=0) for v in (s, rates, t, prefix, u, index, total))
+            if not index.size:
+                break
+        n, m = rates.shape
+        # the full row's cumulative sum is 0 left of the span and flat right of
+        # it, so its sites below u2 * total (a prefix, as rates >= 0) are the
+        # span's plus the a left of it (none at u2 * total = 0); m - 1 if all
+        thr = u[:, 1] * total
+        below = np.cumsum(rates[:, a:b], axis=1) < thr[:, None]
+        cols = np.where(below[:, -1], m - 1, (a + below.argmin(axis=1)) * (thr > 0))
+        lo, hi = int(cols.min()), int(cols.max())
+        if lo < 1 or hi > m - 2:  # the window grows before an edge column can flip
+            raise InvalidParameterError("exclusion boundary was touched; window policy broken")
+        # win: the fired site (window column 2), its neighbours and theirs;
+        # the rates of the fired site and its neighbours change
+        rows = np.arange(n)
+        site = rows * (m + 2) + cols + 1
+        win = s.take((site - 2)[:, None] + _SPAN5)
+        win[:, 2] += np.where(win[:, 1] < win[:, 2], -2.0, 2.0)  # a local max flips down, a min up
+        s.put(site, win[:, 2])
+        rates.put((rows * m + cols - 1)[:, None] + _SPAN5[:3], _farm_rates(kind, rate_params, win))
+        a, b = min(a, lo - 1), max(b, hi + 2)
+        if lo < 3 or hi > m - 3:
+            s, grown = _grow_farm(s, W)
+            g = grown - W  # every new site lies on the monotone step: rate 0
+            rates, a, b, W = np.pad(rates, ((0, 0), (g, g))), a + g, b + g, grown
+            if g:  # the old edge sites, now inner at rate columns g - 1 and m + g (a frozen window has none)
+                edges = np.array([g - 1, m + g])
+                near = s[:, edges[:, None] + _SPAN5[:3]].reshape(-1, 3)
+                rates[:, edges] = _farm_rates(kind, rate_params, near).reshape(-1, 2)
     return out

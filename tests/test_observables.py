@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 import time
 
 import numpy as np
@@ -28,9 +29,10 @@ from dynirf.observables import (
     _ssep_f2_large_t,
     _walk_sum,
 )
-from dynirf.params import preset, to_six_vertex
+from dynirf.params import IrfParams, preset, to_six_vertex
 from dynirf.samplers import batch_heights, enumerate_heights, sample_irf_batch
-from dynirf.special import ConvergenceError, InvalidParameterError
+from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
+from dynirf.weights import SingularParameterError
 
 
 def q_pochhammer(x, q, n: int):
@@ -199,6 +201,21 @@ class TestExactIrf:
         quad = exact_E("irf", spec, dyn6v)
         res, cond = _irf_residue_sum(spec, dyn6v)
         assert abs(quad - res) <= 1e-8 * max(1.0, abs(res))
+
+    @pytest.mark.parametrize(
+        "ws, rows",
+        [((0j,) * 8, "[1, 2, 3, 4, 5, 6, 7, 8]"), ((0.02j, 0j, 0.05j, 0j), "[2, 4]")],
+    )
+    def test_coincident_rows_raise(self, ws, rows):
+        # the 8-row pack of the dyn6v -> ASEP drift test, and a pack with two
+        # coincident rows among four: the residue sum divided by f(0) = 0
+        q, alpha, eps = 0.64, 2.0, 0.1
+        eta = 1j * math.log(q) / (4 * math.pi)
+        z = -1j * math.log(q**-0.5 * (1 + (1 - q) * eps)) / (2 * math.pi) - eta
+        lam0 = -0.5 + 1j * math.log(alpha) / (2 * math.pi)
+        params = IrfParams(FunctionMode.trigonometric(), eta, lam0, tuple((z, 1.0 + 0j) for _ in range(14)), ws)
+        with pytest.raises(SingularParameterError, match=re.escape(f"rows {rows} have coincident parameters")):
+            exact_E("irf", ObservableSpec((9,), len(ws)), params)
 
     def test_lambda_free(self, dyn6v):
         # the integral contains no dynamic parameter at all; rebuilt packs
@@ -645,6 +662,10 @@ class TestWalkSum:
         # the q^{-x} half is carried by P(k) q^{-k} = P(-k) about (1 - q) t
         for x in (0, 2, -3):
             assert abs(asep_walk_value(x, 1000.0, 1.5) - 1.5**-x) <= 1e-12 * max(1.0, 1.5**-x)
+
+    def test_mirror_half_past_double_range(self):
+        # 1.5^{-y} overflows where P(k) underflows: 0 * inf made the sum NaN
+        assert abs(_walk_sum(0, 3000.0, 1.5, lambda y: 1.5 ** np.maximum(-y, 0)) - 2.0) <= 1e-12
 
     def test_large_drift_raises(self):
         # ive underflows where the walk's mass sits: the window holds 3.8e-6

@@ -424,6 +424,8 @@ class TestExclusionFarm:
             ("asep", (1.7, -0.4), 2.0, 2000, 14),
             ("ssep", (1.0,), 50.0, 200, 15),  # the window grows several times
             ("ssep", (2.0,), 1.0, 10_000, 16),
+            ("ssep", (1.0,), 200.0, 200, 7),  # the regime-IV KS run; the window grows three times
+            ("asep", (0.5, 2.0), 30.0, 300, 21),
         ],
     )
     def test_bit_identical_to_full_repricing(self, kind, rates, T, n, seed):
@@ -442,9 +444,9 @@ class TestExclusionFarm:
             exclusion_farm("asep", (0.5, -0.2), 1.0, 50, 3, [0])
 
     def test_reprices_three_sites_per_live_row(self, monkeypatch):
-        # after the first pricing, a whole-window call happens only when the
-        # window grows; every other call prices the three sites around each
-        # live row's flip, and finished rows are dropped
+        # the step row is priced once for every trajectory; each step then
+        # prices the three sites around each live row's flip, a growing
+        # window only its two old edge sites, and finished rows are dropped
         calls = []
         live = []
         real_rate, real_unit = samplers._rate, samplers._unit
@@ -454,24 +456,26 @@ class TestExclusionFarm:
             return real_rate(kind, rate_params, s_x, delta)
 
         def spy_unit(h):
-            live.append(np.size(h))
+            live.append(len(h))  # both draws of a step: one (live rows, 2) pass
             return real_unit(h)
 
         monkeypatch.setattr(samplers, "_rate", spy_rate)
         monkeypatch.setattr(samplers, "_unit", spy_unit)
         n = 200
         exclusion_farm("ssep", (1.0,), 50.0, n, 15, [0])
-        assert calls[0] == ((n, 15), None)
-        widths = [15]
+        assert calls[0] == ((1, 15), None)
+        growths = 0
         local_rows = []
         for (rows, cols), n_live in calls[1:]:
             if cols == 3:
-                assert rows * cols <= 3 * n_live
+                assert rows <= n_live
                 local_rows.append(rows)
             else:
-                assert cols == 2 * widths[-1] + 1  # the window doubled
-                widths.append(cols)
-        assert len(widths) >= 3 and len(local_rows) > 100
+                # the two old edge sites of each row that took this step
+                assert (rows, cols) == (2 * local_rows[-1], 1)
+                growths += 1
+        assert growths >= 2 and len(local_rows) > 100
+        assert live == sorted(live, reverse=True)
         assert local_rows == sorted(local_rows, reverse=True)
         assert local_rows[0] == n and local_rows[-1] < n // 10
 
