@@ -214,11 +214,25 @@ def _irf_contours(params: IrfParams, n: int):
     return circles
 
 
+def _site_integral(xs, unary, cross, circles, nodes: int, tol: float) -> complex:
+    """The one factored term of every direct contour route: the loop integral
+    of prod_k unary(x_k)(v_k) prod_{i<j} cross(v_i, v_j) over ``circles``."""
+    binaries = {pair: cross for pair in itertools.combinations(range(len(xs)), 2)}
+    return contour_integral_factored([([unary(x) for x in xs], binaries)], circles, nodes=nodes, tol=tol)
+
+
+def _check_walk_sum(model: str, value: complex, ref: float) -> None:
+    """The n = 1 check of an exclusion quadrature against its walk sum, 1e-8 relative."""
+    if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
+        raise ArithmeticError(f"{model} quadrature {value} vs walk sum {ref} disagree")
+
+
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
     """Exact averages by n-fold loop integrals, each checked against an
     independent route: the residue sum for the lattice models (any n), the
     random-walk sum ``_walk_sum`` for the exclusion models (n = 1): E[q^h] - 1
-    of the usual ASEP, -E h of the usual SSEP.
+    of the usual ASEP, -E h of the usual SSEP.  SSEP takes other exact
+    routes where its integral is not accurate (table below).
 
     model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
     spin), integral around the w's; coincident row parameters raise
@@ -227,8 +241,24 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     integral with f(z) = z and bare normalization (the presets have 2*eta = 1
     and Lambda = 1, so p_j = z_j and q_j = z_j + 1);
     "asep": params_or_rates = (q, alpha), loops around 1;
-    "ssep": params_or_rates = (lam_bar,), loops around 0.  Exclusion rates
-    pass mc_E's check (``samplers._check_rates``), unused ones included.
+    "ssep": params_or_rates = (lam_bar,); the average does not depend on
+    lam_bar and equals (-1)^n E[prod_k (h(x_k) - (k - 1))] of the usual SSEP
+    from the step state.  Its route is fixed by (n, t, xs) before any work,
+    the first row that applies:
+
+        direct    loops around 0, every x_k >= 0 and t <= 10, 12, 7.5 at
+                  n = 1, 2, 3; at n = 1 checked against the walk sum
+        walk sum  n = 1 (``ssep_mean_height``)
+        saddle    n = 2, x_1 = x_2, t > 500 (``_ssep_f2_large_t``; x < 0
+                  by the particle-hole reflection x -> -x)
+        duality   the n-point function e^{tL} C on the cube
+                  [min(min xs, 0) - W, max(max xs, 0) + W]^n, W = 5.5 sqrt(t)
+                  + 25, up to 2^21 sites (n = 3 to t about 50 at x = 0,
+                  n >= 4 never); past it InvalidParameterError before any
+                  array is allocated
+
+    Exclusion rates pass mc_E's check (``samplers._check_rates``), unused
+    ones included.
     """
     if model in ("irf", "rational"):
         _check_pack_mode(model, params_or_rates)
@@ -265,9 +295,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
     ws = [params.w(k) for k in range(1, N + 1)]
     circles = _irf_contours(params, n)
 
-    def unary(i):
-        x = spec.xs[i]
-
+    def unary(x):
         def fn(v):
             out = np.ones_like(v)
             for j in range(1, x):
@@ -278,10 +306,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
 
         return fn
 
-    binaries = {
-        (i, j): (lambda a, b: f(a - b) / f(a - b + 2 * eta)) for i in range(n) for j in range(i + 1, n)
-    }
-    integral = contour_integral_factored([( [unary(i) for i in range(n)], binaries )], circles, nodes=nodes, tol=tol)
+    integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes, tol)
     value = _irf_norm(spec, params, N) * integral
 
     res, cond = _irf_residue_sum(spec, params)
@@ -335,62 +360,64 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
     t = float(spec.N_or_t)
     circles = _nested_circles(1.0, 0.1, n, growth=0.3)
 
-    def unary(i):
-        x = spec.xs[i]
+    def unary(x):
+        return lambda y: ((1 - y) / (1 - q * y)) ** x * np.exp((1 - q) ** 2 * y * t / ((1 - y) * (1 - q * y))) / y
 
-        def fn(y):
-            return ((1 - y) / (1 - q * y)) ** x * np.exp((1 - q) ** 2 * y * t / ((1 - y) * (1 - q * y))) / y
-
-        return fn
-
-    binaries = {(i, j): (lambda a, b: (a - b) / (a - q * b)) for i in range(n) for j in range(i + 1, n)}
-    value = q ** (n * (n - 1) / 2) * contour_integral_factored(
-        [([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol
-    )
+    value = q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, lambda a, b: (a - b) / (a - q * b), circles, nodes, tol)
     if n == 1:
         # the alpha -> 0 limit of _asep_product: E[q^h] - 1 for the usual ASEP
-        ref = _walk_sum(spec.xs[0], t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
-        if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
-            raise ArithmeticError(f"ASEP quadrature {value} vs walk sum {ref} disagree")
+        _check_walk_sum("ASEP", value, _walk_sum(spec.xs[0], t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0)
     return value
 
 
+# the direct SSEP route's t-range by n, at sites x >= 0 only: on the circles
+# (v/(v-1))^x reaches ((1+r)/r)^|x| at x < 0, and the n = 2 integral stops
+# converging at (-12, -12) for every t, at (-8, -8) from t = 4 and at
+# (-4, -4) by t = 8.  n = 1's walk-sum check trips from t = 12 at x = 0; the
+# n = 3 integral at x = 0 converges for every t <= 7.6 on a 0.05 grid and
+# fails erratically from t = 7.65
+_SSEP_DIRECT_T_MAX = {1: 10.0, 2: 12.0, 3: 7.5}
+
+
 def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
-    n = spec.n
-    t = float(spec.N_or_t)
+    """The SSEP average by the route that (n, t, xs) selects; the table is in ``exact_E``."""
+    xs, n, t = spec.xs, spec.n, float(spec.N_or_t)
+    if xs[-1] >= 0 and t <= _SSEP_DIRECT_T_MAX.get(n, -1.0):
+        value = _ssep_direct(xs, t, nodes, tol)
+        if n == 1:
+            _check_walk_sum("SSEP", value, -ssep_mean_height(xs[0], t))
+        return value
+    if n == 1:
+        return complex(-ssep_mean_height(xs[0], t))
+    if n == 2 and xs[0] == xs[1] and t > 500:
+        # the step state is invariant under particle-hole exchange with
+        # x -> -x, so h(-a) has the law of h(a) + a and
+        # F2(-a) = F2(a) + 2a F1(a) + a(a - 1)
+        a = abs(xs[0])
+        f2 = _ssep_f2_large_t(a, t)
+        return complex(f2 if xs[0] >= 0 else f2 + 2 * a * ssep_mean_height(a, t) + a * (a - 1))
+    return complex(_duality_moment(xs, t))
+
+
+def _ssep_direct(xs, t: float, nodes: int, tol: float) -> complex:
+    """The direct route: the loop integral around 0 of
+    prod_k (v_k / (v_k - 1))^{x_k} e^{t / (v_k (v_k - 1))} prod_{i<j} (v_i - v_j) / (v_i - v_j + 1)."""
     # the cross pole a = b - 1 stays outside every pair of circles while
     # r_i + r_j < 1, which also keeps the singularity at 1 out.  n = 2 keeps
     # its wider second circle, whose smaller peak t = 12 needs; n >= 3 grows
     # slowly so that every pair fits.  exp(t/(v(v-1))) peaks at
-    # exp(t/(r(1+r))) on the smallest circle, which fixes both the attainable
-    # accuracy and the valid t-range of the direct route
+    # exp(t/(r(1+r))) on the smallest circle, which fixes the attainable
+    # accuracy: 2.7e-6 absolute at t = 12
     base = 0.42
-    circles = _nested_circles(0.0, base, n, growth=0.25 if n <= 2 else 0.05)
-    if n >= 2 and circles[-1].radius + circles[-2].radius > 0.95:
+    circles = _nested_circles(0.0, base, len(xs), growth=0.25 if len(xs) <= 2 else 0.05)
+    if len(xs) >= 2 and circles[-1].radius + circles[-2].radius > 0.95:
         raise InvalidParameterError("SSEP contours would reach the cross pole a = b - 1")
-    mag = math.exp(t / (base * (1 + base)))
-    if mag * 1e-16 > 1e-4:
-        raise InvalidParameterError(
-            "direct SSEP quadrature loses too much to cancellation here; "
-            "use ssep_falling_moment (duality/saddle routes) for large t"
-        )
-    tol = max(tol, 5e-15 * mag)
+    tol = max(tol, 5e-15 * math.exp(t / (base * (1 + base))))
 
-    def unary(i):
-        x = spec.xs[i]
+    def unary(x):
+        return lambda v: (v / (v - 1.0)) ** x * np.exp(t / (v * (v - 1.0)))
 
-        def fn(v):
-            return (v / (v - 1.0)) ** x * np.exp(t / (v * (v - 1.0)))
-
-        return fn
-
-    binaries = {(i, j): (lambda a, b: (a - b) / (a - b + 1)) for i in range(n) for j in range(i + 1, n)}
-    value = contour_integral_factored([([unary(i) for i in range(n)], binaries)], circles, nodes=nodes, tol=tol)
-    if n == 1:
-        ref = -ssep_mean_height(spec.xs[0], t)
-        if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
-            raise ArithmeticError(f"SSEP quadrature {value} vs walk sum {ref} disagree")
-    return value
+    return _site_integral(xs, unary, lambda a, b: (a - b) / (a - b + 1), circles, nodes, tol)
 
 
 def _as_int(value, what: str) -> int:
@@ -444,48 +471,18 @@ def ssep_mean_height(x: int, t: float) -> float:
     return _walk_sum(_as_int(x, "site x"), _check_horizon(t), 1.0, lambda y: np.maximum(-y, 0))
 
 
-# the direct n = 3 integral at x = 0 converges for every t <= 7.6 on a 0.05
-# grid and fails erratically from t = 7.65 (ConvergenceError at 7.65, 7.95,
-# 8.05, 8.2, 8.25 and 8.5-9, converged at 8.1, 8.15, 8.3, 8.4)
-_SSEP_F3_T_MAX = 7.5
-
-
 def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
-    """E[h (h-1) ... (h-n+1)] for the usual SSEP with step start, n = 1, 2, 3.
-
-    n = 1 uses the walk sum ``ssep_mean_height``.  n = 2 uses the two-fold contour
-    integral for t <= 12, the exact duality propagator e^{tL}
-    (``ssep_f2_duality``) for t <= 500 and the saddle route
-    (``_ssep_f2_large_t``) beyond.  n = 3 uses the three-fold integral for
-    t <= 7.5 and the three-point duality propagator beyond, on the window
-    [-W, x + W]^3, W = 5.5 sqrt(t) + 25, up to 2^21 sites (t about 50 at
-    x = 0; x up to 17 at t = 30).  n >= 4 is not served (its second
-    quadrature level already exceeds the grid cap).  Sites x < 0 are
-    reflected: the step state is invariant under particle-hole exchange
-    with x -> -x, so h(x) has the law of h(-x) - x and
-    F_n(x) = sum_k C(n, k) (-x)_{n-k} F_k(-x), (a)_m falling.
-    A non-integral x or n, a t not finite and >= 0, n >= 4 and a duality
-    window past the cap raise InvalidParameterError before any work.
+    """E[h (h-1) ... (h-n+1)] at site x for the usual SSEP with step start:
+    (-1)^n exact_E("ssep", ObservableSpec((x,) * n, t), (lam_bar,)), for any
+    lam_bar.  A non-integral x or n, n < 1 or a t not finite and >= 0 raise
+    InvalidParameterError before any work.
     """
     x = _as_int(x, "site x")
     t = _check_horizon(t)
     n = _as_int(n, "moment order n")
-    if not 1 <= n <= 3:
-        raise InvalidParameterError(f"falling moments are implemented for n = 1, 2, 3 only, got n = {n}")
-    if x < 0:
-        moments = [1.0] + [ssep_falling_moment(-x, t, k, nodes) for k in range(1, n + 1)]
-        return sum(math.comb(n, k) * math.perm(-x, n - k) * moments[k] for k in range(n + 1))
-    if n == 1:
-        return ssep_mean_height(x, t)
-    if n == 2:
-        if t <= 12:
-            return float(exact_E("ssep", ObservableSpec((x, x), t), (1.0,), nodes=nodes).real)
-        if t <= 500:
-            return ssep_f2_duality(x, t)
-        return _ssep_f2_large_t(x, t)
-    if t > _SSEP_F3_T_MAX:
-        return _duality_moment(x, t, 3)
-    return float(-exact_E("ssep", ObservableSpec((x,) * 3, t), (1.0,), nodes=nodes).real)
+    if n < 1:
+        raise InvalidParameterError(f"the moment order n must be >= 1, got n = {n}")
+    return float(((-1) ** n * exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=nodes)).real)
 
 
 def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
@@ -509,7 +506,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     in two passes per node pair.
     """
     if t < 200:
-        raise InvalidParameterError("saddle-adapted F2 route needs t >= 200 (use the duality oracle below)")
+        raise InvalidParameterError("saddle-adapted F2 route needs t >= 200 (use the duality route below)")
     rt = math.sqrt(t)
     r1 = 1.0 - 1.6 / rt
     r2 = 1.0 - 3.8 / rt
@@ -548,29 +545,34 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     return float((main - corr).real)
 
 
-# window [min(x, 0) - W, max(x, 0) + W]^n, W = _DUALITY_WINDOW sqrt(t) + 25;
+# window [min(min xs, 0) - W, max(max xs, 0) + W]^n, W = _DUALITY_WINDOW sqrt(t) + 25;
 # its frozen edge leaves F2 about 1e-6 relative low at t = 300 (CHANGES.md)
 _DUALITY_WINDOW = 5.5
 _DUALITY_MAX_POINTS = 1 << 21  # sites of the n-cube: 16 MB per array
 _IVE_TAIL = 1e-16  # where the Chebyshev series stops
 
 
-def _duality_moment(x: int, t: float, n: int) -> float:
-    """F_n(x, t) = n! sum_{x < y_1 < ... < y_n} C(y, t) by n-point duality.
+def _duality_moment(xs, t: float) -> float:
+    """(-1)^n E[prod_k (h(x_k) - (k - 1))] at sites x_1 >= ... >= x_n by
+    n-point duality: exact_E("ssep")'s value.
 
     C(y) = E[eta(y_1) ... eta(y_n)] evolves under the generator L of n
     exclusion walkers (Liggett 1985, ch. VIII).  On the n-cube [lo, hi]^n
-    (lo = min(x, 0) - W, hi = max(x, 0) + W: the step at 0 and the orthant
-    corner at x both lie W inside the edge), C is 0 on coincident tuples,
+    (lo = min(min xs, 0) - W, hi = max(max xs, 0) + W: the step at 0 and
+    every site lie W inside the edge), C is 0 on coincident tuples,
     frozen on the window edge, and elsewhere
     (L + 2n) C = (sum of the 2n axis shifts) + (blocked moves) C.  spec L
     lies in [-4n, 0], so e^{tL} = sum_k (2 - delta_k0) e^{-2nt} I_k(2nt)
     T_k((L + 2n) / 2n) (Tal-Ezer & Kosloff 1984), run by the three-term
-    recurrence in O(sqrt(nt)) stencil passes.  C is symmetric and 0 on
-    coincident tuples, so the ordered sum is the sum over the orthant y > x.
+    recurrence in O(sqrt(nt)) stencil passes.  The sum of C over the box
+    y_k > x_k counts the injective tuples of particles with y_k > x_k, and
+    for nonincreasing sites there are prod_k (h(x_k) - (k - 1)) of them.
+    A window past _DUALITY_MAX_POINTS sites raises InvalidParameterError
+    before any array is allocated.
     """
+    n = len(xs)
     W = int(_DUALITY_WINDOW * math.sqrt(max(t, 1.0)) + 25)
-    lo, hi = min(x, 0) - W, max(x, 0) + W
+    lo, hi = min(min(xs), 0) - W, max(max(xs), 0) + W
     shape = (hi - lo + 1,) * n
     if math.prod(shape) > _DUALITY_MAX_POINTS:
         raise InvalidParameterError(f"duality window of {shape[0]}^{n} sites is past the cap of {_DUALITY_MAX_POINTS}")
@@ -607,25 +609,25 @@ def _duality_moment(x: int, t: float, n: int) -> float:
     z = 2.0 * n * t
     coef = 2.0 * scipy.special.ive(np.arange(int(z + 10.0 * math.sqrt(z) + 40.0)), z)
     coef[0] /= 2.0
-    orthant = (slice(x - lo + 1, None),) * n
+    box = tuple(slice(x - lo + 1, None) for x in xs)
     # T_0 = C, T_1 = X C = 2X (C / 2), T_{k+1} = 2X T_k - T_{k-1}, until both
     # the coefficient and the term (relative to the sum) are below _IVE_TAIL
     prev, cur, nxt = C, step(0.5 * C, 0.0, np.empty(shape)), np.empty(shape)
-    total = coef[0] * C[orthant].sum() + coef[1] * cur[orthant].sum()
+    total = coef[0] * C[box].sum() + coef[1] * cur[box].sum()
     for c in coef[2:]:
         step(cur, prev, nxt)
         prev, cur, nxt = cur, nxt, prev
-        term = c * cur[orthant].sum()
+        term = c * cur[box].sum()
         total += term
         if c < _IVE_TAIL and abs(term) <= _IVE_TAIL * abs(total):
             break
-    return float(total)
+    return (-1) ** n * float(total)
 
 
 def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
     """Independent oracle for E[h(h-1)]: two-point duality with exact e^{tL}.
 
-    ``_duality_moment`` at n = 2 (W = 5.5 sqrt(t) + 25 past 0 and x), t <= 500.
+    ``_duality_moment`` at the sites (x, x) (W = 5.5 sqrt(t) + 25 past 0 and x), t <= 500.
     ``dt``, the step of the RK4 integration this oracle once emulated, is
     still checked (non-finite or non-positive raises InvalidParameterError)
     so that callers passing it keep working; it has no other effect.
@@ -635,7 +637,7 @@ def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
     t = _check_horizon(t)
     if t > 500:
         raise InvalidParameterError("duality oracle capped at t <= 500")
-    return _duality_moment(_as_int(x, "site x"), t, 2)
+    return _duality_moment((_as_int(x, "site x"),) * 2, t)
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +741,11 @@ def lambda_independence_report(
             rhs=values[0],
             tolerance=tolerance,
         )
-    if model == "irf":
-        params = params_or_rates
-        results = [mc_E("irf", spec, params.with_lambda0(lam), samples, seed) for lam in lambdas]
-    elif model == "ssep":
-        results = [mc_E("ssep", spec, (lb,), samples, seed) for lb in lambdas]
-    elif model == "asep":
-        results = [mc_E("asep", spec, rates, samples, seed) for rates in lambdas]
-    else:
+    if model not in ("irf", "ssep", "asep"):
         raise InvalidParameterError(f"unknown model {model!r}")
+    # lambdas are lambda_0 values (irf), lam_bar values (ssep) or (q, alpha) pairs (asep)
+    pack = {"irf": lambda lam: params_or_rates.with_lambda0(lam), "ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
+    results = [mc_E(model, spec, pack(lam), samples, seed) for lam in lambdas]
     (m0, s0) = results[0]
     worst_i = max(range(1, len(results)), key=lambda i: abs(results[i][0] - m0))
     mi, si = results[worst_i]

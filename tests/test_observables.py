@@ -59,15 +59,19 @@ def irf_product_scalar(hs, spec, params, lam) -> complex:
     return out / norm
 
 
-def ssep_f2_expm(x: int, t: float) -> float:
-    """Reference for ssep_f2_duality: expm_multiply on ordered pairs y1 < y2.
+def ssep_f2_expm(xs, t: float) -> float:
+    """Reference for the two-point duality route: E[h(x_1) (h(x_2) - 1)],
+    x_1 >= x_2, by expm_multiply on ordered pairs y1 < y2.
 
-    The same window [-M, M] and frozen edge as the library, but the state
-    holds each unordered pair once, L is an explicit sparse matrix (each
-    unblocked move of either walker at rate 1) and e^{tL} comes from
-    scipy's truncated-Taylor expm_multiply, not a Chebyshev series.
+    A frozen edge like the library's, on the wider window [-M, M], but the
+    state holds each unordered pair once, L is an explicit sparse matrix
+    (each unblocked move of either walker at rate 1) and e^{tL} comes from
+    scipy's truncated-Taylor expm_multiply, not a Chebyshev series.  A pair
+    y1 < y2 counts once for each of its orderings that fits the box
+    y_k > x_k.
     """
-    M = int(5.5 * math.sqrt(max(t, 1.0)) + abs(x) + 25)
+    x1, x2 = xs
+    M = int(5.5 * math.sqrt(max(t, 1.0)) + max(abs(x1), abs(x2)) + 25)
     size = 2 * M + 1
     a, b = np.triu_indices(size, k=1)  # window indices of y1 < y2
     index = np.full((size, size), -1)
@@ -82,7 +86,8 @@ def ssep_f2_expm(x: int, t: float) -> float:
     L = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(a.size, a.size)).tocsr()
     L -= scipy.sparse.diags(np.bincount(rows, minlength=a.size).astype(float))
     c = scipy.sparse.linalg.expm_multiply(t * L, (b <= M).astype(float))
-    return float(2.0 * c[a - M > x].sum())
+    y1, y2 = a - M, b - M
+    return float(c @ (((y1 > x1) & (y2 > x2)).astype(float) + ((y2 > x1) & (y1 > x2))))
 
 
 def asep_one_site_expm(xs, t: float, q: float) -> list:
@@ -113,6 +118,17 @@ def asep_walk_value(x: int, t: float, q: float) -> float:
 
 
 falling = functools.lru_cache(maxsize=None)(ssep_falling_moment)
+
+
+def direct_falling(x: int, t: float, n: int) -> float:
+    """F_n(x, t) by the direct contour route, reached through the
+    particle-hole reflection F_n(-a) = sum_k C(n, k) (a)_{n-k} F_k(a) at
+    x = -a < 0, (a)_m falling and F_0 = 1."""
+    if n == 0:
+        return 1.0
+    if x < 0:
+        return sum(math.comb(n, k) * math.perm(-x, n - k) * direct_falling(-x, t, k) for k in range(n + 1))
+    return ((-1) ** n * observables._ssep_direct((x,) * n, t, 64, 1e-10)).real
 
 
 @pytest.fixture(scope="module")
@@ -401,8 +417,9 @@ class TestSsep:
         assert abs(m - v) <= 4 * se
 
     def test_direct_route_refuses_large_t(self):
-        with pytest.raises(InvalidParameterError):
-            exact_E("ssep", ObservableSpec((0,), 100.0), (1.0,))
+        # used to raise InvalidParameterError; past the direct route's range
+        # one site is served by the walk sum
+        assert exact_E("ssep", ObservableSpec((0,), 100.0), (1.0,)) == -ssep_mean_height(0, 100.0)
 
     def test_falling_moment_routes_agree(self):
         # direct quadrature and the duality propagator across their seam
@@ -441,7 +458,7 @@ class TestSsep:
     def test_duality_matches_rk4_loop(self, x, t, dt):
         # named after the RK4 reference it once had; the reference is now
         # expm_multiply, and the dt values of those cases must not move F2
-        ref = ssep_f2_expm(x, t)
+        ref = ssep_f2_expm((x, x), t)
         assert abs(ssep_f2_duality(x, t, dt=dt) - ref) <= 1e-10 * abs(ref)
 
     @pytest.mark.parametrize(
@@ -468,8 +485,8 @@ class TestSsep:
     def test_third_moment_duality_vs_direct(self, x, t):
         # the direct route is the three-fold integral, reached through the
         # reflection at x = -1 (the integral itself fails at (-1, 7.5))
-        direct = ssep_falling_moment(x, t, 3)
-        assert abs(observables._duality_moment(x, t, 3) - direct) <= 1e-9 * max(1.0, abs(direct))
+        direct = direct_falling(x, t, 3)
+        assert abs(-observables._duality_moment((x,) * 3, t) - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_third_moment_past_direct_range(self):
         # n = 3 used to be refused past t = 7.5; this runs on a 111^3 cube
@@ -479,7 +496,7 @@ class TestSsep:
     @pytest.mark.parametrize("t, n", [(60.0, 3), (1.0, 4)])
     def test_falling_moment_refuses_unsupported_range(self, monkeypatch, t, n):
         # n = 3 at t = 60 needs a 135^3 window, past the propagator's cap;
-        # n = 4's second quadrature level always passed the grid cap
+        # n = 4 needs at least a 51^4 window
         import dynirf.observables as obs
 
         def no_work(*args, **kwargs):
@@ -531,19 +548,21 @@ class TestSsep:
     @pytest.mark.parametrize("x, t", [(3, 2.0), (1, 5.0)])
     @pytest.mark.parametrize("n", [2, 3])
     def test_reflection_matches_direct_route(self, x, t, n):
-        # where the integral at -x converges: 4e-15 at (3, 2), 1.4e-12 at (1, 5)
-        direct = ((-1) ** n * exact_E("ssep", ObservableSpec((-x,) * n, t), (1.0,), nodes=64)).real
+        # where the integral at -x converges, against the duality route that
+        # exact_E takes at x < 0 and the reflection of the direct route at x
+        direct = ((-1) ** n * observables._ssep_direct((-x,) * n, t, 64, 1e-10)).real
         assert abs(ssep_falling_moment(-x, t, n) - direct) <= 1e-11 * max(1.0, abs(direct))
+        assert abs(direct_falling(-x, t, n) - direct) <= 1e-11 * max(1.0, abs(direct))
 
     @pytest.mark.parametrize(
         "x, t, n_max",
         [
             (0, 2.0, 3),  # direct
             (2, 5.0, 3),  # direct
-            (-3, 5.0, 3),  # reflected direct
+            (-3, 5.0, 3),  # duality
             (0, 30.0, 3),  # duality
             (12, 30.0, 3),  # duality on a 123^3 window; refused past 2^21 sites when it widened by |x| on both sides
-            (-2, 12.0, 3),  # reflected duality
+            (-2, 12.0, 3),  # duality
             (0, 300.0, 2),  # duality
             (0, 1e4, 2),  # saddle
             (-100, 1e4, 2),  # reflected saddle
@@ -559,16 +578,67 @@ class TestSsep:
             assert 0 < f3 and (f2 / 2) ** 2 >= 1.5 * f1 * (f3 / 6)
 
     def test_direct_route_refuses_overlapping_pairs(self):
-        # five circles put the largest pair past r_i + r_j = 0.95
-        with pytest.raises(InvalidParameterError):
+        # five circles put the largest pair past r_i + r_j = 0.95; exact_E
+        # sends n = 5 to the duality route, whose 51^5 cube is past its cap
+        with pytest.raises(InvalidParameterError, match="cross pole"):
+            observables._ssep_direct((0,) * 5, 1.0, 48, 1e-10)
+        with pytest.raises(InvalidParameterError, match="past the cap"):
             exact_E("ssep", ObservableSpec((0,) * 5, 1.0), (1.0,))
 
     @pytest.mark.slow
     def test_third_moment_direct_route_vs_mc(self):
+        # sites x < 0: exact_E takes the duality route here
         spec = ObservableSpec((0, -1, -2), 4.0)
         v = exact_E("ssep", spec, (2.0,))
         m, se = mc_E("ssep", spec, (2.0,), 100000, seed=31)
         assert abs(m - v) <= 4 * se
+
+
+class TestSsepRoutes:
+    """exact_E("ssep") picks one route per (n, t, xs); each is checked against another."""
+
+    @pytest.mark.parametrize("xs, t", [((3, 0), 4.0), ((4, 1, -2), 5.0), ((0, 0, 0), 5.0), ((3, 0), 12.0)])
+    def test_duality_matches_direct_route(self, xs, t):
+        # within the direct route's stated tolerance: 5e-15 exp(t / (r (1 + r))), r = 0.42
+        direct = observables._ssep_direct(xs, t, 64, 1e-10)
+        tol = max(1e-10, 5e-15 * math.exp(t / (0.42 * 1.42)))
+        assert abs(observables._duality_moment(xs, t) - direct) <= tol * max(1.0, abs(direct))
+
+    def test_pair_duality_matches_expm(self):
+        ref = ssep_f2_expm((3, 0), 10.0)
+        assert abs(observables._duality_moment((3, 0), 10.0) - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("xs, t", [((0,), 12.0), ((-5,), 10.0)])
+    def test_one_site_past_direct_range(self, xs, t):
+        # the direct route used to fail its walk-sum check here with a bare ArithmeticError
+        assert exact_E("ssep", ObservableSpec(xs, t), (1.0,)) == -ssep_mean_height(xs[0], t)
+
+    @pytest.mark.parametrize("xs, t", [((0, 0), 15.0), ((-5, -5), 10.0)])
+    def test_coincident_pair_past_direct_range(self, xs, t):
+        # the direct route used to raise ConvergenceError here
+        ref = ssep_f2_expm(xs, t)
+        assert abs(exact_E("ssep", ObservableSpec(xs, t), (1.0,)) - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("xs, seed", [((3, 0), 11), ((5, 2, 0), 12)])
+    def test_distinct_sites_past_direct_range_vs_mc(self, xs, seed):
+        # exact_E used to refuse these with InvalidParameterError
+        spec = ObservableSpec(xs, 20.0)
+        v = exact_E("ssep", spec, (2.0,))
+        m, se = mc_E("ssep", spec, (2.0,), 20000, seed=seed)
+        assert abs(m - v) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "xs, t",
+        [((3, 0), t) for t in (20.0, 100.0, 500.0)]
+        + [((5, -5), t) for t in (20.0, 100.0, 500.0)]
+        + [((4, 2, 0), 20.0), ((4, 2, 0), 40.0), ((3, -1, -2), 20.0)],
+    )
+    def test_distinct_sites_between_coincident_moments(self, xs, t):
+        # (-1)^n exact_E counts injective particle tuples in the box y_k > x_k,
+        # which lies between the boxes of (x_1,) * n and (x_n,) * n
+        n = len(xs)
+        got = (-1) ** n * exact_E("ssep", ObservableSpec(xs, t), (2.0,)).real
+        assert falling(xs[0], t, n) < got < falling(xs[-1], t, n)
 
 
 class TestExclusionBadTime:
@@ -761,6 +831,15 @@ class TestExclusionLambdaIndependence:
         spec = ObservableSpec((0,), 0.8)
         rep = lambda_independence_report("asep", spec, [(0.5, 1.0), (0.5, 2.5)], None, samples=20000, seed=22)
         assert rep.passed
+
+    @pytest.mark.parametrize("model", ["rational", "tasep"])
+    def test_unknown_model_raises_before_sampling(self, monkeypatch, model):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled for an unknown model")
+
+        monkeypatch.setattr(observables, "mc_E", no_work)
+        with pytest.raises(InvalidParameterError, match="unknown model"):
+            lambda_independence_report(model, ObservableSpec((1,), 1.0), [1.5, 3.0], None, samples=1000)
 
 
 class TestGeneralSpinAverages:
