@@ -32,7 +32,7 @@ import scipy.special
 
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
-from .special import Circle, ConvergenceError, InvalidParameterError, contour_integral_factored
+from .special import Circle, ConvergenceError, InvalidParameterError, _as_int, _check_tol, contour_integral_factored
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
@@ -250,7 +250,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
                   n = 1, 2, 3; at n = 1 checked against the walk sum
         walk sum  n = 1 (``ssep_mean_height``)
         saddle    n = 2, x_1 = x_2, t > 500 (``_ssep_f2_large_t``; x < 0
-                  by the particle-hole reflection x -> -x)
+                  by the particle-hole reflection x -> -x); it converges to
+                  t = 1e5 at x = 0 and raises ConvergenceError by t = 3e5
         duality   the n-point function e^{tL} C on the cube
                   [min(min xs, 0) - W, max(max xs, 0) + W]^n, W = 5.5 sqrt(t)
                   + 25, up to 2^21 sites (n = 3 to t about 50 at x = 0,
@@ -258,8 +259,10 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
                   array is allocated
 
     Exclusion rates pass mc_E's check (``samplers._check_rates``), unused
-    ones included.
+    ones included.  A ``tol`` that is not finite and > 0 raises
+    InvalidParameterError before any route is chosen.
     """
+    _check_tol(tol)
     if model in ("irf", "rational"):
         _check_pack_mode(model, params_or_rates)
         return _exact_E_irf(spec, params_or_rates, nodes, tol)
@@ -420,12 +423,6 @@ def _ssep_direct(xs, t: float, nodes: int, tol: float) -> complex:
     return _site_integral(xs, unary, lambda a, b: (a - b) / (a - b + 1), circles, nodes, tol)
 
 
-def _as_int(value, what: str) -> int:
-    if not (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _walk_sum(x: int, t: float, q: float, g0) -> float:
     """sum_k P(Y_t = k) g0(x + k), Y the walk that steps +1 at rate q and -1 at rate 1.
 
@@ -502,8 +499,12 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
     CI_{r1, r2} runs in pole form: the cross factor equals
     [(u2-c)/(u1-c) - 1]/(u2-2), i.e. two factored terms, the Cauchy kernel
     1/(u1-c) between g(u1) and g(u2)(u2-c)/(u2-2), and the rank-one product
-    of g(u1) and -g(u2)/(u2-2).  Only the kernel is an n x n matrix, built
-    in two passes per node pair.
+    of g(u1) and -g(u2)/(u2-2).  g underflows to exactly 0 away from the
+    saddle at u = 1 (past |arg u| about 0.27 at t = 1e4), and the grid drops
+    those nodes, so only the kernel is a matrix, kept x kept (about 360 of
+    4096 nodes per circle at t = 1e4), built in two passes per node pair.
+    The node cap of 2^15 per circle lets the doubling converge to t = 1e5
+    (16384 nodes at x = 0); t = 3e5 raises ConvergenceError.
     """
     if t < 200:
         raise InvalidParameterError("saddle-adapted F2 route needs t >= 200 (use the duality route below)")
@@ -530,7 +531,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
         [c1, c2],
         nodes=nodes,
         tol=tol,
-        node_cap=1 << 13,
+        node_cap=1 << 15,
     )
 
     def corr_int(u2):
@@ -541,7 +542,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
         return (u1 * u2) ** x * np.exp(expo) / (u2 - 1.0) ** 2
 
     c_corr = Circle(0.0, 1.0 - 2.2 / rt)
-    corr = contour_integral_factored([([corr_int], {})], [c_corr], nodes=nodes, tol=tol, node_cap=1 << 13)
+    corr = contour_integral_factored([([corr_int], {})], [c_corr], nodes=nodes, tol=tol, node_cap=1 << 15)
     return float((main - corr).real)
 
 

@@ -199,35 +199,45 @@ class Circle:
 
 
 _MAX_GRID = 1 << 20  # evaluate factor blocks in chunks beyond this many points
-_MAX_LEVEL_POINTS = 1 << 26  # never evaluate a doubling level with a larger n**m grid
+_MAX_LEVEL_POINTS = 1 << 26  # never contract a doubling level with more kept grid points
 
 
-def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
-    # Each term is a tensor network: unary j (times its node weights) is a
-    # vector on axis j, binary (i, j) a matrix on axes i and j.  The rows of
-    # variable 0 go in blocks of _MAX_GRID // n, so unary 0 and the binaries
-    # (0, j) are evaluated per block and never as a whole n x n matrix; the
-    # other factors are evaluated once.  A unary or binary shared by several
-    # terms (the same function object on the same axis or pair) is evaluated
-    # once per level, or once per block for variable 0 and the pairs (0, j).
-    # einsum contracts each block term by term on a greedy path, planned
-    # once per subscript string.
-    m = len(contours)
+def _level_unaries(terms, contours: Sequence[Circle], n: int):
+    """The unary pass of one level: every distinct unary (the same function
+    object on the same axis) times its node weights, evaluated once on all n
+    nodes of its axis.  A node where every term's unary on its axis is
+    exactly 0 adds exactly 0 to every term and is dropped (NaN and inf count
+    as nonzero, so they are kept and propagate).  Returns the kept nodes of
+    each axis and {(j, fn): the vector on them}."""
     pts = [c.points(n) for c in contours]
-    weights = [pts[j] - contours[j].center for j in range(m)]
-    rows = max(1, _MAX_GRID // n)
+    vecs = {}
+    for unaries, _ in terms:
+        for j, fn in enumerate(unaries):
+            if (j, fn) not in vecs:
+                vecs[j, fn] = np.asarray(fn(pts[j])) * (pts[j] - contours[j].center)
+    kept = [np.flatnonzero(np.logical_or.reduce([v != 0 for (i, _), v in vecs.items() if i == j])) for j in range(len(pts))]
+    return [p[k] for p, k in zip(pts, kept)], {(j, fn): v[kept[j]] for (j, fn), v in vecs.items()}
+
+
+def _contract_level(terms, nodes, vecs, n: int) -> complex:
+    # Each term is a tensor network: unary j is a vector on axis j, binary
+    # (i, j) a matrix on axes i and j, all on the kept nodes of _level_unaries.
+    # The kept rows of variable 0 go in blocks, so the binaries (0, j) are
+    # evaluated per block and no block passes _MAX_GRID points; the other
+    # binaries are evaluated once.  A binary shared by several terms (the same
+    # function object on the same pair) is evaluated once per level, or once
+    # per block for the pairs (0, j).  einsum contracts each block term by term
+    # on a greedy path, planned once per subscript string.
+    m = len(nodes)
+    if not all(x.size for x in nodes):
+        return 0j
+    rows = max(1, _MAX_GRID // max((x.size for x in nodes[1:]), default=1))
     axis = [chr(ord("a") + j) for j in range(m)]
 
-    def unary(memo, j, fn, x, wts):
-        # fn on x (nodes of j) times their node weights, evaluated once per memo
-        if (j, fn) not in memo:
-            memo[j, fn] = np.asarray(fn(x)) * wts
-        return memo[j, fn]
-
     def binary(memo, i, j, fn, x):
-        # fn on (x, the nodes of j), evaluated once per memo
+        # fn on (x, the kept nodes of j), evaluated once per memo
         if (i, j, fn) not in memo:
-            memo[i, j, fn] = np.broadcast_to(fn(x[:, None], pts[j][None, :]), (x.size, n))
+            memo[i, j, fn] = np.broadcast_to(fn(x[:, None], nodes[j][None, :]), (x.size, nodes[j].size))
         return memo[i, j, fn]
 
     level = {}
@@ -238,23 +248,40 @@ def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
         spec = ",".join(
             ["a"] + ["a" + axis[j] for j, _ in edge0] + axis[1:] + [axis[i] + axis[j] for i, j, _ in rest]
         ) + "->"
-        fixed = [unary(level, j, unaries[j], pts[j], weights[j]) for j in range(1, m)]
-        fixed += [binary(level, i, j, fn, pts[i]) for i, j, fn in rest]
-        plans.append((unaries[0], edge0, fixed, spec))
+        fixed = [vecs[j, unaries[j]] for j in range(1, m)]
+        fixed += [binary(level, i, j, fn, nodes[i]) for i, j, fn in rest]
+        plans.append((vecs[0, unaries[0]], edge0, fixed, spec))
     paths = {}
     total = 0.0 + 0.0j
-    for start in range(0, n, rows):
+    for start in range(0, nodes[0].size, rows):
         blk = slice(start, start + rows)
-        v0 = pts[0][blk]
+        v0 = nodes[0][blk]
         block = {}
         for unary0, edge0, fixed, spec in plans:
-            ops = [unary(block, 0, unary0, v0, weights[0][blk])]
+            ops = [unary0[blk]]
             ops += [binary(block, 0, j, fn, v0) for j, fn in edge0]
             ops += fixed
             if spec not in paths:
                 paths[spec] = np.einsum_path(spec, *ops, optimize="greedy")[0]
             total += np.einsum(spec, *ops, optimize=paths[spec])
     return complex(total / float(n**m))
+
+
+def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
+    """One level's trapezoid estimate on n nodes per circle, residue-normalized."""
+    return _contract_level(terms, *_level_unaries(terms, contours, n), n)
+
+
+def _as_int(value, what: str) -> int:
+    if not (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_tol(tol) -> None:
+    """A quadrature tolerance must be a real number, finite and > 0."""
+    if not (isinstance(tol, (int, float, np.integer, np.floating)) and math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"the tolerance must be finite and > 0, got {tol!r}")
 
 
 def contour_integral_factored(
@@ -269,42 +296,61 @@ def contour_integral_factored(
     Each term is a pair ``(unaries, binaries)``: ``unaries[j]`` maps the
     node array of contour j to the product of that term's univariate
     factors in v_j, and ``binaries[(i, j)]`` (i < j) maps broadcastable
-    node arrays to the term's cross factor in (v_i, v_j).  Each term is
-    contracted as a tensor network (``np.einsum`` on a greedy path) rather
-    than multiplied out to the n^m grid: the special functions run on
-    O(n) vectors and n x n matrices only, and the factors in v_0 are
-    evaluated in row blocks of ``_MAX_GRID // n`` nodes, so no array of
-    the contraction's factors exceeds ``_MAX_GRID`` (2^20) points.  A
-    unary or binary that several terms share (the same function object on
+    node arrays to the term's cross factor in (v_i, v_j).  Each level first
+    evaluates every unary (times its node weights) once on all n nodes of
+    its axis, and drops the nodes where every term's unary on that axis is
+    exactly 0, as where an exponential factor underflows (NaN and inf are
+    kept).  A dropped node adds 0 times a binary to every term, so binaries
+    must be finite there; the level's estimate then changes only by
+    summation order, and its normalization stays 1/n^m.  Each term is
+    contracted on the kept nodes as a tensor network (``np.einsum`` on a
+    greedy path) rather than multiplied out to the grid: the special
+    functions run on O(n) vectors and kept x kept matrices only, and the
+    binaries (0, j) are evaluated in row blocks of kept v_0 nodes, so no
+    array of the contraction's factors exceeds ``_MAX_GRID`` (2^20) points.
+    A unary or binary that several terms share (the same function object on
     the same axis or pair) is evaluated once per level, or once per row
-    block for variable 0 and the pairs (0, j).
+    block for the pairs (0, j).
 
     The result carries the (2*pi*i)^-1 normalization per variable, i.e. it
     equals the residue-sum value of the m-fold loop integral.  Nodes are
     doubled (all variables simultaneously) until two successive estimates
     agree within ``tol`` relative to max(1, |estimate|), starting from
-    ``nodes`` per circle.  A level past the first beyond ``node_cap`` per
-    variable, or with more than ``_MAX_LEVEL_POINTS`` grid points in all,
-    is never evaluated: :class:`ConvergenceError` is raised instead, with
-    the last two estimates attached.  Malformed terms raise
-    InvalidParameterError before any evaluation.
+    ``nodes`` per circle.  A level beyond ``node_cap`` nodes per variable
+    is never evaluated, and one whose kept nodes make more than
+    ``_MAX_LEVEL_POINTS`` grid points in all is refused after its unary
+    pass, before any binary runs: :class:`ConvergenceError` is raised
+    instead, with the last two estimates attached.  Malformed terms, a
+    ``tol`` that is not finite and > 0, a non-integral ``nodes`` or one
+    below 16, and ``node_cap < nodes`` raise InvalidParameterError before
+    any evaluation.
     """
     m = len(contours)
     for unaries, binaries in terms:
         if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
             raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
-    if nodes < 16:
+    _check_tol(tol)
+    n = _as_int(nodes, "the node count")
+    if n < 16:
         raise InvalidParameterError("need at least 16 quadrature nodes")
-    n = int(nodes)
+    if node_cap < n:
+        raise InvalidParameterError(f"node_cap {node_cap!r} is below the starting node count {n}")
     older = prev = None
+
+    def refuse(cap: str):
+        return ConvergenceError(
+            f"contour quadrature did not converge: the next level, {n} nodes/variable in {m} variables, passes {cap}",
+            estimates=(older, prev),
+        )
+
     while True:
-        if (prev is not None and n > node_cap) or n**m > _MAX_LEVEL_POINTS:
-            raise ConvergenceError(
-                f"contour quadrature did not converge: the next level, {n} nodes/variable in {m} "
-                f"variables, passes the cap of {node_cap} nodes/variable or {_MAX_LEVEL_POINTS} grid points",
-                estimates=(older, prev),
-            )
-        cur = _factored_grid_value(terms, contours, n)
+        if n > node_cap:
+            raise refuse(f"the cap of {node_cap} nodes/variable")
+        kept, vecs = _level_unaries(terms, contours, n)
+        points = math.prod(x.size for x in kept)
+        if points > _MAX_LEVEL_POINTS:
+            raise refuse(f"the cap of {_MAX_LEVEL_POINTS} grid points with {points} kept")
+        cur = _contract_level(terms, kept, vecs, n)
         if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
         older, prev = prev, cur

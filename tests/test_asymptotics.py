@@ -103,6 +103,11 @@ class TestMomentChecks:
         rep = regime_moment_check(2, 1e4, 1.0, 1.0)
         assert rep.passed and rep.residual < 0.08
 
+    def test_regime_iv_n2_at_1e5(self):
+        # the relative gap falls like L**-1/2: 0.0052 at L = 1e4, 0.0016 here
+        rep = regime_moment_check(2, 1e5, 1.0, 1.0)
+        assert rep.passed and rep.residual < 0.002
+
     @pytest.mark.parametrize("tau, lambda_bar", [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)])
     def test_regime_iv_refuses_bad_inputs(self, monkeypatch, tau, lambda_bar):
         # lambda_bar = -1 used to give a passing report with lhs = rhs = -56.42

@@ -321,35 +321,72 @@ class TestQuadratureRunaway:
         assert older is not None and abs(older - prev) < 1e-7
 
 
+class TestBadTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_exact_E_refuses_before_choosing_a_route(self, monkeypatch, dyn6v, tol):
+        # ("ssep", (1, 0), t = 2) returned a value at tol = -1; at tol = nan
+        # it ran every doubling level up to a 12288**2 grid, then raised
+        # ConvergenceError
+        def no_work(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        for name in ("_exact_E_irf", "_exact_E_asep", "_exact_E_ssep", "contour_integral_factored"):
+            monkeypatch.setattr(observables, name, no_work)
+        calls = [
+            ("ssep", ObservableSpec((1, 0), 2.0), (2.0,)),
+            ("asep", ObservableSpec((1, 0), 2.0), (0.5, 1.0)),
+            ("irf", ObservableSpec((3, 2), 4), dyn6v),
+        ]
+        for model, spec, params in calls:
+            with pytest.raises(InvalidParameterError, match="tolerance"):
+                exact_E(model, spec, params, tol=tol)
+
+
 class TestFactoredGridMemory:
     def test_cross_factor_blocks_stay_under_max_grid(self, monkeypatch):
         # the saddle F2 route reaches 4096 nodes/variable at t = 1e4; its
-        # 4096 x 4096 cross matrix used to be built whole (about 270 MB)
+        # 4096 x 4096 cross matrix used to be built whole (about 270 MB),
+        # then in blocks of every node pair.  g underflows to 0 on about 91%
+        # of each circle, and the binaries now see the kept nodes only
         import dynirf.observables as obs
         from dynirf import special
 
-        seen = []
+        nodes, seen = [], []
         real = obs.contour_integral_factored
 
-        def spy_binaries(terms, *args, **kwargs):
-            def spy(fn):
+        def spy_factors(terms, contours, **kwargs):
+            if len(contours) == 1:  # the correction integral
+                return real(terms, contours, **kwargs)
+
+            def spy1(fn):
+                def wrapped(x):
+                    nodes.append(np.size(x))
+                    return fn(x)
+
+                return wrapped
+
+            def spy2(fn):
                 def wrapped(x, y):
                     seen.append((np.broadcast(x, y).size, np.shape(y)[-1]))
                     return fn(x, y)
 
                 return wrapped
 
-            terms = [(u, {k: spy(fn) for k, fn in b.items()}) for u, b in terms]
-            return real(terms, *args, **kwargs)
+            terms = [([spy1(fn) for fn in u], {k: spy2(fn) for k, fn in b.items()}) for u, b in terms]
+            return real(terms, contours, **kwargs)
 
-        monkeypatch.setattr(obs, "contour_integral_factored", spy_binaries)
+        monkeypatch.setattr(obs, "contour_integral_factored", spy_factors)
         _ssep_f2_large_t(0, 1e4)
-        assert max(cols for _, cols in seen) == 4096
+        assert max(nodes) == 4096
+        assert 0 < max(cols for _, cols in seen) <= 0.1 * 4096
         assert max(size for size, _ in seen) <= special._MAX_GRID
+        # every level's pairs together, against the dense 4096 x 4096 level alone
+        assert sum(size for size, _ in seen) <= 0.02 * 4096**2
 
     def test_saddle_route_traced_peak(self):
-        # the pole form builds one Cauchy-kernel block at a time (about 17 MB
-        # traced peak); the one-term cross form traced about 200 MB
+        # the kept x kept Cauchy kernel (about 2.4 MB traced peak); dense
+        # blocks of every node pair traced about 17 MB, the one-term cross
+        # form about 200 MB
         import tracemalloc
 
         tracemalloc.start()
@@ -358,7 +395,7 @@ class TestFactoredGridMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 8e6
 
 
 class TestSaddlePoleForm:
@@ -378,6 +415,20 @@ class TestSaddlePoleForm:
         monkeypatch.setattr(observables, "contour_integral_factored", cross_form)
         cross = _ssep_f2_large_t(0, t)
         assert abs(pole - cross) <= 1e-9 * abs(cross)
+
+    def test_second_moment_at_1e5_between_bounds(self):
+        # the caps of 2**13 nodes and 2**26 dense grid points per level used
+        # to stop this doubling; it needs 16384 nodes per circle.  Jensen
+        # puts F2 above F1**2 - F1, and Var h <= E h (h is a sum of
+        # negatively correlated occupations) puts it below F1**2
+        f1 = ssep_mean_height(0, 1e5)
+        f2 = ssep_falling_moment(0, 1e5, 2)
+        assert f1**2 - f1 <= f2 <= f1**2
+
+    def test_route_reach_ends_before_3e5(self):
+        with pytest.raises(ConvergenceError) as exc:
+            _ssep_f2_large_t(0, 3e5)
+        assert None not in exc.value.estimates
 
     def test_falling_moment_pinned_at_large_t(self):
         # the cross-form value; the pole form moves it by 1.0e-10 relative

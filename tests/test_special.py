@@ -226,17 +226,60 @@ class TestContourIntegral:
         assert exc.value.estimates is not None
 
     def test_grid_cap_stops_before_evaluating(self):
-        # 16**9 > 2**26 grid points: refused before any factor runs
+        # 16**9 > 2**26 kept grid points: the level is refused after its
+        # O(n) unary pass (one call per axis) and before any binary runs
+        calls = []
+
         def g(v):
+            calls.append(np.size(v))
+            return 1.0 / v
+
+        def never(x, y):
             raise AssertionError("level evaluated")
 
         with pytest.raises(ConvergenceError) as exc:
-            one_term([g] * 9, [Circle(0, 1.0)] * 9, nodes=16)
+            contour_integral_factored([([g] * 9, {(0, 1): never, (3, 8): never})], [Circle(0, 1.0)] * 9, nodes=16)
         assert exc.value.estimates == (None, None)
+        assert calls == [16] * 9
+
+    def test_grid_cap_counts_kept_points(self):
+        # the second level's 512**3 = 2**27 points pass the cap, but a unary
+        # that vanishes on all but 1/8 of its circle leaves 64 * 512**2 kept
+        def g(v):
+            return np.where(abs(np.angle(v)) < math.pi / 8, np.exp(v) / v, 0.0)
+
+        val = contour_integral_factored([([g, lambda v: 1.0 / v, lambda v: 1.0 / v], {})], [Circle(0, 1.0)] * 3, nodes=256, tol=1.0)
+        assert np.isfinite(val)
+        with pytest.raises(ConvergenceError):
+            contour_integral_factored([([lambda v: 1.0 / v] * 3, {})], [Circle(0, 1.0)] * 3, nodes=256, tol=1.0)
 
     def test_node_minimum(self):
         with pytest.raises(InvalidParameterError):
             one_term([lambda v: 1.0 / v], [Circle(0, 1.0)], nodes=8)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 1j},
+            {"nodes": 16.7},
+            {"nodes": 32, "node_cap": 16},
+        ],
+    )
+    def test_bad_tol_nodes_and_cap_refused_before_evaluation(self, kwargs):
+        # tol = nan used to run every level up to the node cap and then
+        # raise ConvergenceError; tol = -1 and nodes = 16.7 ran as given
+        def never(v):
+            raise AssertionError("evaluated with a refused argument")
+
+        with pytest.raises(InvalidParameterError):
+            contour_integral_factored([([never], {})], [Circle(0, 1.0)], **kwargs)
+
+    def test_integral_float_nodes_accepted(self):
+        assert abs(one_term([lambda v: 1.0 / v], [Circle(0, 1.0)], nodes=32.0) - 1.0) < 1e-12
 
 
 def broadcast_factored_reference(terms, contours, n):
@@ -360,3 +403,84 @@ class TestFactoredContraction:
         terms = [([never] * unaries, {key: never for key in keys})]
         with pytest.raises(InvalidParameterError):
             special.contour_integral_factored(terms, [Circle(0.0, 1.0), Circle(0.0, 2.0)])
+
+    @staticmethod
+    def _masked(c, zero):
+        # a Laurent polynomial in 1/v, exactly 0 on the nodes where zero(v)
+        return lambda v: np.where(zero(v), 0.0, np.polyval(c, 1.0 / v))
+
+    def _pruned_terms(self, rng, contours):
+        # on every axis one unary is zero on the right half of its circle and
+        # another on the upper half: only the upper right quarter is zero in
+        # every term and dropped, while the lower right and upper left
+        # quarters are zero in one term only and kept.  Axis 0's right-half
+        # unary and the upper-half unaries of axes j >= 1 are shared by two
+        # terms, the others are private
+        m = len(contours)
+        cs = rng.normal(size=(2 * m, 4)) + 1j * rng.normal(size=(2 * m, 4))
+        right = [self._masked(cs[j], lambda v, c=c.center: (v - c).real > 0) for j, c in enumerate(contours)]
+        upper = [self._masked(cs[m + j], lambda v, c=c.center: (v - c).imag > 0) for j, c in enumerate(contours)]
+        cross = lambda x, y: (x - 0.7 * y + 0.3) / (x - 0.2 * y + 3.0)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        return [
+            (right, {pair: cross for pair in pairs}),
+            (upper, {pair: lambda x, y: x * y + 2.0 for pair in pairs[:1]}),
+            ([right[0]] + upper[1:], {}),
+        ]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_dropped_nodes_match_broadcast_reference(self, m, monkeypatch):
+        rng = np.random.default_rng(300 + m)
+        contours = [Circle(0.1 * j + 0.05j, 0.5 + 0.2 * j) for j in range(m)]
+        terms = self._pruned_terms(rng, contours)
+        n = 12
+        ref = broadcast_factored_reference(terms, contours, n)
+        assert abs(ref) > 0.01
+        monkeypatch.setattr(special, "_MAX_GRID", 5 * n)
+        kept, _ = special._level_unaries(terms, contours, n)
+        for x, c in zip(kept, contours):
+            rel = c.points(n) - c.center
+            assert np.array_equal(x - c.center, rel[(rel.real <= 0) | (rel.imag <= 0)])
+            assert x.size == 9
+        val = special._factored_grid_value(terms, contours, n)
+        assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_node_zero_in_one_term_only_is_kept(self):
+        # the first term is zero on the upper half circle, the last on the
+        # lower half and the middle one nowhere: every node is kept
+        terms = [
+            ([lambda v: np.where(v.imag > 0, 0.0, 1.0 / v**2)], {}),
+            ([lambda v: 1.0 / v], {}),
+            ([lambda v: np.where(v.imag < 0, 0.0, 1.0 / v**3)], {}),
+        ]
+        kept, _ = special._level_unaries(terms, [Circle(0.0, 1.0)], 16)
+        assert kept[0].size == 16
+        val = special._factored_grid_value(terms, [Circle(0.0, 1.0)], 16)
+        ref = broadcast_factored_reference(terms, [Circle(0.0, 1.0)], 16)
+        assert abs(val - ref) <= 1e-13 and abs(ref) > 0.1
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_unary_propagates(self, axis):
+        # NaN is not 0: its node is kept, next to nodes another term drops
+        def nan_at_one_node(v):
+            out = np.where(v.real > 0.2, 0.0, 1.0 / v)
+            out[3] = np.nan
+            return out
+
+        ones = lambda v: np.ones_like(v)
+        unaries = [ones, ones]
+        unaries[axis] = nan_at_one_node
+        terms = [(unaries, {(0, 1): lambda x, y: 1.0 / (x - y - 3.0)})]
+        val = special._factored_grid_value(terms, [Circle(0.0, 1.0), Circle(0.0, 1.5)], 16)
+        assert np.isnan(val)
+
+    def test_all_zero_unaries_call_no_binary(self, monkeypatch):
+        def never(x, y):
+            raise AssertionError("a binary ran on an empty grid")
+
+        zero = lambda v: np.zeros_like(v)
+        terms = [([lambda v: 1.0 / v, zero, lambda v: v], {(0, 1): never, (1, 2): never}), ([zero, zero, zero], {(0, 2): never})]
+        monkeypatch.setattr(special, "_MAX_GRID", 5 * 16)
+        contours = [Circle(0.0, 1.0), Circle(0.0, 1.5), Circle(0.0, 2.0)]
+        assert special._factored_grid_value(terms, contours, 16) == 0
+        assert contour_integral_factored(terms, contours, nodes=16) == 0
