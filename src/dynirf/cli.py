@@ -4,8 +4,8 @@ All outputs are deterministic functions of (arguments, seed): reports are
 sorted by name, floats rendered by repr, and Monte Carlo streams are
 counter-based, so reruns are byte-identical at any --threads value (the
 flag is accepted as a scheduling hint and never affects results).
-Wall-clock timings are only embedded when --timings is passed, since they
-would break byte-identity.
+Wall-clock timings are only embedded when ``observables --timings`` is
+passed, since they would break byte-identity.
 
 Exit codes: 0 all hard checks passed, 1 at least one failed (names go to
 stderr), 2 usage errors, invalid parameters included.
@@ -28,14 +28,14 @@ from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclu
 
 
 def _load_params(args) -> IrfParams:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             return load_config(args.config)
         except OSError as exc:
             raise InvalidParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"config {args.config} is not valid JSON: {exc}") from None
-    return preset(getattr(args, "preset", None) or "trig-admissible")
+    return preset(args.preset or "trig-admissible")
 
 
 def _positive_int(text: str) -> int:
@@ -160,6 +160,9 @@ def _cmd_observables(args) -> int:
         if method == "enum" and args.model in ("ssep", "asep"):
             print("enum is only available for lattice models", file=sys.stderr)
             return 2
+    if args.lambdas and args.model in ("ssep", "asep"):
+        print("--lambdas takes lattice corner fillings; it is only available for lattice models", file=sys.stderr)
+        return 2
     records = []
     failures = []
 
@@ -211,8 +214,7 @@ def _cmd_observables(args) -> int:
             failures.append(method)
 
     if args.lambdas:
-        lams = [complex(*[float(p) for p in pair.split(":")]) for pair in args.lambdas.split(",")]
-        rep = obs.lambda_independence_report(model, spec, lams, rates)
+        rep = obs.lambda_independence_report(model, spec, args.lambdas, rates)
         records.append(rep.to_json_dict())
         if not rep.passed:
             failures.append(rep.name)
@@ -248,12 +250,8 @@ def _cmd_asymptotics(args) -> int:
 
     reports = []
     if args.check in ("heat", "all"):
-        worst = max(
-            asy.heat_equation_residual(c, t) for c in (-1.5, -0.3, 0.0, 0.8) for t in (0.5, 1.0, 2.0)
-        )
-        reports.append(
-            idn.CheckReport("heat-equation-residual", {"h": 1e-4}, worst, 0.0, 1e-5)
-        )
+        worst = max(asy.heat_equation_residual(c, t) for c in (-1.5, -0.3, 0.0, 0.8) for t in (0.5, 1.0, 2.0))
+        reports.append(idn.CheckReport("heat-equation-residual", {"h": 1e-4}, worst, 0.0, 1e-5))
     if args.check in ("hydro", "all"):
         reports.append(asy.hydro_check(L=args.L, tau=args.tau))
     if args.check in ("regimes", "all"):
@@ -273,18 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dynirf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--preset", choices=PRESET_NAMES)
-        p.add_argument("--config", help="JSON parameter file")
+    def common(p, params=True):
+        # each subcommand takes only the options its handler reads
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--threads", type=int, default=1, help="scheduling hint; never affects results")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--tolerance", type=_positive_float, help="scale factor on suite tolerances")
-        p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
+        if params:
+            p.add_argument("--preset", choices=PRESET_NAMES)
+            p.add_argument("--config", help="JSON parameter file")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
+    p.add_argument("--tolerance", type=_positive_float, help="scale factor on suite tolerances")
     p.add_argument("--suite", choices=("weights", "oracle", "stochastic", "identities", "all"), default="identities")
     p.set_defaults(func=_cmd_verify)
 
@@ -303,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observables", help="compare exact / MC / enumeration averages")
     common(p)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
     p.add_argument("--model", required=True, choices=("dyn6v", "irf", "rational", "asep", "ssep"))
     p.add_argument("--xs", type=_comma_list(int, "integers"), required=True, help="comma-separated nonincreasing sites")
     p.add_argument("--N", type=int, help="row index for lattice models")
@@ -311,11 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=2.0)
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--lambdas", help="comma-separated re:im pairs for the independence report")
+    re_im = _comma_list(lambda pair: complex(*map(float, pair.split(":", 1))), "re:im pairs")
+    p.add_argument("--lambdas", type=re_im, help="lambda_0 values (re:im) for the independence report")
     p.set_defaults(func=_cmd_observables)
 
     p = sub.add_parser("asymptotics", help="hydrodynamic and long-time regime checks")
-    common(p)
+    common(p, params=False)
+    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--check", choices=("heat", "hydro", "regimes", "ks", "profile", "all"), default="all")
     p.add_argument("--L", type=_positive_float, default=400.0)
     p.add_argument("--L-big", dest="L_big", type=_positive_float, default=1e4)

@@ -423,7 +423,7 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     return pref, terms
 
 
-def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD, nodes: int = 48) -> CheckReport:
+def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
     """M-fold contour integral of B_mu against the psi-kernel vs c_mu 1_{nu=mu}."""
     mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
     if mu.length != nu.length:
@@ -431,7 +431,7 @@ def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, t
     lam = params.lambda0 if lam is None else lam
     gammas = _strong_family(params, mu.length)
     pref, terms = _bmu_factored_terms(mu, nu, lam, params)
-    lhs = pref * contour_integral_factored(terms, gammas, nodes=nodes, tol=1e-9)
+    lhs = pref * contour_integral_factored(terms, gammas, tol=1e-9)
     norm = c_mu(mu, lam, params)
     rhs = norm if mu == nu else 0.0 + 0.0j
     return CheckReport(
@@ -443,7 +443,7 @@ def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, t
     )
 
 
-def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, lam: complex, nodes: int) -> complex:
+def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, lam: complex) -> complex:
     """(-1)^N f(2*eta)^N / (c_nu prod_{i=-n}^{N-1} f(lam + 2*eta*i)) times the
     N-fold contour integral of the psi-kernel of nu with ``extra`` on each variable."""
     f, eta = params.f, params.eta
@@ -451,14 +451,14 @@ def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, la
     unaries = [lambda x, k=k: k(x) * extra(x) for k in _kernel_unary(nu, lam, params)]
     cross = lambda x, y: f(x - y) / f(x - y - 2 * eta)
     binaries = {(a, b): cross for a in range(N) for b in range(a + 1, N)}
-    integral = contour_integral_factored([(unaries, binaries)], gammas, nodes=nodes, tol=1e-9)
+    integral = contour_integral_factored([(unaries, binaries)], gammas, tol=1e-9)
     pref = (-1.0) ** N * f(2 * eta) ** N / c_mu(nu, lam, params)
     for i in range(-n, N):
         pref /= f(lam + 2 * eta * i)
     return pref * integral
 
 
-def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD, nodes: int = 48) -> CheckReport:
+def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
     """Integral representation of D_nu(lam - 2*eta*n; vs) vs the formula."""
     nu = Signature(tuple(nu))
     if len(vs) != n:
@@ -480,13 +480,13 @@ def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = No
     return CheckReport(
         name=f"D-integral-{nu.parts}-n{n}",
         parameters={"nu": nu.parts, "n": n, "vs": [_c(v) for v in vs], "lam": _c(lam)},
-        lhs=_kernel_integral(nu, n, extra, gammas, params, lam, nodes),
+        lhs=_kernel_integral(nu, n, extra, gammas, params, lam),
         rhs=D_nu(nu, lam - 2 * eta * n, list(vs), params),
         tolerance=tolerance,
     )
 
 
-def check_D_rho_integral(nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD, nodes: int = 48) -> CheckReport:
+def check_D_rho_integral(nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
     """rho-specialized integral of D^norm vs the closed form (incl. the
     vanishing at nu_N = 0)."""
     nu = Signature(tuple(nu))
@@ -496,7 +496,7 @@ def check_D_rho_integral(nu, params: IrfParams, lam: complex | None = None, tole
     return CheckReport(
         name=f"D-rho-integral-{nu.parts}",
         parameters={"nu": nu.parts, "lam": _c(lam)},
-        lhs=_kernel_integral(nu, 0, lambda x: f(x - grid.p[0]) / f(x - grid.q[0]), gammas, params, lam, nodes),
+        lhs=_kernel_integral(nu, 0, lambda x: f(x - grid.p[0]) / f(x - grid.q[0]), gammas, params, lam),
         rhs=D_rho(nu, lam, params),
         tolerance=tolerance,
     )
@@ -520,7 +520,7 @@ def check_stoch_sum(nu, us, params: IrfParams, lam: complex | None = None, max_p
     )
 
 
-def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y, tolerance: float = 1e-12) -> CheckReport:
+def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y) -> CheckReport:
     """Brute-force distinct-tuple sum with inv-shifted indices vs the product.
 
     Stated and used for weakly increasing bounds T_1 <= ... <= T_n (that is
@@ -560,7 +560,7 @@ def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y, tolerance: float = 1e-1
         parameters={"n": n, "Ts": list(Ts)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tolerance,
+        tolerance=1e-12,
     )
 
 

@@ -32,7 +32,7 @@ import scipy.special
 
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
-from .special import Circle, ConvergenceError, InvalidParameterError, _as_int, _check_tol, contour_integral_factored
+from .special import Circle, ConvergenceError, InvalidParameterError, _as_int, _check_nodes, _check_tol, contour_integral_factored
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
@@ -171,7 +171,7 @@ def _ssep_product(svals, spec: ObservableSpec, lam_bar: float) -> np.ndarray:
     return out / rising(lam_bar, spec.n)
 
 
-def _rational_product(hs, spec: ObservableSpec, lam: float, N: int) -> np.ndarray:
+def _rational_product(hs, spec: ObservableSpec, lam: complex, N: int) -> np.ndarray:
     """Rational-mode observable product for each row of an (n_samples, n) height array."""
     hs = np.asarray(hs, dtype=float)
     out = np.ones(hs.shape[0], dtype=complex)
@@ -259,10 +259,11 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
                   array is allocated
 
     Exclusion rates pass mc_E's check (``samplers._check_rates``), unused
-    ones included.  A ``tol`` that is not finite and > 0 raises
-    InvalidParameterError before any route is chosen.
+    ones included.  A ``tol`` not finite and > 0 or a ``nodes`` not an integer
+    >= 16 raises InvalidParameterError before any route is chosen.
     """
     _check_tol(tol)
+    nodes = _check_nodes(nodes)
     if model in ("irf", "rational"):
         _check_pack_mode(model, params_or_rates)
         return _exact_E_irf(spec, params_or_rates, nodes, tol)
@@ -468,10 +469,10 @@ def ssep_mean_height(x: int, t: float) -> float:
     return _walk_sum(_as_int(x, "site x"), _check_horizon(t), 1.0, lambda y: np.maximum(-y, 0))
 
 
-def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
+def ssep_falling_moment(x: int, t: float, n: int) -> float:
     """E[h (h-1) ... (h-n+1)] at site x for the usual SSEP with step start:
-    (-1)^n exact_E("ssep", ObservableSpec((x,) * n, t), (lam_bar,)), for any
-    lam_bar.  A non-integral x or n, n < 1 or a t not finite and >= 0 raise
+    (-1)^n exact_E("ssep", ObservableSpec((x,) * n, t), (lam_bar,), nodes=64),
+    for any lam_bar.  A non-integral x or n, n < 1 or a t not finite and >= 0 raise
     InvalidParameterError before any work.
     """
     x = _as_int(x, "site x")
@@ -479,10 +480,10 @@ def ssep_falling_moment(x: int, t: float, n: int, nodes: int = 64) -> float:
     n = _as_int(n, "moment order n")
     if n < 1:
         raise InvalidParameterError(f"the moment order n must be >= 1, got n = {n}")
-    return float(((-1) ** n * exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=nodes)).real)
+    return float(((-1) ** n * exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=64)).real)
 
 
-def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
+def _ssep_f2_large_t(x: int, t: float) -> float:
     """Second falling moment at large t via saddle-adapted u-circles.
 
     In u-coordinates F_2 = CI[ (u2-u1)/(u1 u2 - 2 u1 + 1) g(u1) g(u2) ]
@@ -529,7 +530,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
             ([g, lambda b: -g(b) / (b - 2.0)], {}),
         ],
         [c1, c2],
-        nodes=nodes,
+        nodes=256,
         tol=tol,
         node_cap=1 << 15,
     )
@@ -542,7 +543,7 @@ def _ssep_f2_large_t(x: int, t: float, nodes: int = 256) -> float:
         return (u1 * u2) ** x * np.exp(expo) / (u2 - 1.0) ** 2
 
     c_corr = Circle(0.0, 1.0 - 2.2 / rt)
-    corr = contour_integral_factored([([corr_int], {})], [c_corr], nodes=nodes, tol=tol, node_cap=1 << 15)
+    corr = contour_integral_factored([([corr_int], {})], [c_corr], nodes=256, tol=tol, node_cap=1 << 15)
     return float((main - corr).real)
 
 
@@ -661,7 +662,7 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     law = enumerate_heights(params, N, spec.xs, lam0=lam)
     hs = list(law)
     if params.mode.kind == "rational":
-        vals = _rational_product(hs, spec, float(complex(lam).real), N)
+        vals = _rational_product(hs, spec, complex(lam), N)
     else:
         vals = _irf_product(hs, spec, params, lam)
     return complex(sum((amp * val for amp, val in zip(law.values(), vals)), 0.0 + 0.0j))
@@ -686,7 +687,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
 
     All observables of one spec are evaluated on the same trajectory;
     trajectories are independent with counter-based per-trajectory seeds.
+    A ``samples`` that is not an integer >= 1000 raises InvalidParameterError.
     """
+    samples = _as_int(samples, "the sample count")
     if samples < 1000:
         raise InvalidParameterError("use at least 10^3 trajectories")
     if model in ("irf", "rational"):
@@ -698,7 +701,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         if model == "irf":
             vals = _irf_product(hs, spec, params, params.lambda0)
         else:
-            vals = _rational_product(hs, spec, float(params.lambda0.real), N)
+            vals = _rational_product(hs, spec, complex(params.lambda0), N)
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
         svals = exclusion_farm(model, rates, float(spec.N_or_t), samples, seed, list(spec.xs))
@@ -711,28 +714,25 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
 
 
 def lambda_independence_report(
-    model: str,
-    spec: ObservableSpec,
-    lambdas,
-    params_or_rates,
-    samples: int | None = None,
-    seed: int = 0,
-    tolerance: float = 1e-9,
+    model: str, spec: ObservableSpec, lambdas, params_or_rates, samples: int | None = None, seed: int = 0, tolerance: float = 1e-9
 ) -> CheckReport:
     """The lambda-independence property as an executable test.
 
-    IRF without ``samples``: exact enumeration per lambda, pairwise 1e-9.
-    With ``samples`` (or for SSEP/ASEP) Monte Carlo within 4 combined
-    standard errors.
+    IRF or rational without ``samples``: exact enumeration per lambda,
+    pairwise 1e-9.  With ``samples`` Monte Carlo within 4 combined standard
+    errors; SSEP/ASEP need ``samples`` (InvalidParameterError without).
     """
     if len(lambdas) < 2:
         raise InvalidParameterError("lambda independence needs at least two lambdas")
-    if model == "irf" and samples is None:
+    if model not in ("irf", "rational", "ssep", "asep"):
+        raise InvalidParameterError(f"unknown model {model!r}")
+    if model in ("irf", "rational") and samples is None:
         params = params_or_rates
+        _check_pack_mode(model, params)
         values = [enum_E(spec, params, lam=lam) for lam in lambdas]
         worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
         return CheckReport(
-            name=f"lambda-independence-irf-n{spec.n}-N{int(spec.N_or_t)}",
+            name=f"lambda-independence-{model}-n{spec.n}-N{int(spec.N_or_t)}",
             parameters={
                 "xs": spec.xs,
                 "lambdas": [[complex(l).real, complex(l).imag] for l in lambdas],
@@ -742,10 +742,10 @@ def lambda_independence_report(
             rhs=values[0],
             tolerance=tolerance,
         )
-    if model not in ("irf", "ssep", "asep"):
-        raise InvalidParameterError(f"unknown model {model!r}")
-    # lambdas are lambda_0 values (irf), lam_bar values (ssep) or (q, alpha) pairs (asep)
-    pack = {"irf": lambda lam: params_or_rates.with_lambda0(lam), "ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
+    if samples is None:
+        raise InvalidParameterError(f"{model} lambda independence is a Monte Carlo check: it needs samples")
+    # lambdas are lambda_0 values (irf, rational), lam_bar values (ssep) or (q, alpha) pairs (asep)
+    pack = params_or_rates.with_lambda0 if model in ("irf", "rational") else {"ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
     results = [mc_E(model, spec, pack(lam), samples, seed) for lam in lambdas]
     (m0, s0) = results[0]
     worst_i = max(range(1, len(results)), key=lambda i: abs(results[i][0] - m0))

@@ -162,7 +162,7 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
     return FinitaryVector(out, v.n_cols, v.cap)
 
 
-def skew_B_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
+def skew_B_oracle(nu, mu, lam: complex, ws, params) -> complex:
     """Coefficient of E_nu in b(lam,w_1) b(lam+2eta,w_2) ... applied to E_mu.
 
     Computed in a finite tensor product with more columns than the largest
@@ -177,7 +177,7 @@ def skew_B_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
     weight_fns = {w: plaquette_weights(params, w) for w in ws}
 
     def run(cols: int) -> complex:
-        v = FinitaryVector.from_parts(mu, cols, cap)
+        v = FinitaryVector.from_parts(mu, cols)
         for j in range(n, 0, -1):
             v = _apply("b", lam + 2 * params.eta * (j - 1), weight_fns[ws[j - 1]], v, params, 0)
         return v.coeff(nu)
@@ -202,7 +202,7 @@ def _normalized_d(lam_op: complex, w: complex, weight_fn, v: FinitaryVector, par
     return FinitaryVector({occ: c * norm for occ, c in out.terms.items()}, v.n_cols, v.cap)
 
 
-def skew_D_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
+def skew_D_oracle(nu, mu, lam: complex, ws, params) -> complex:
     """Coefficient of E_mu in the normalized d-string applied to E_nu.
 
     Uses finite depth max(nu_1, mu_1) + 1 and asserts stabilization against
@@ -217,7 +217,7 @@ def skew_D_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
     weight_fns = {w: plaquette_weights(params, w) for w in ws}
 
     def run(cols: int) -> complex:
-        v = FinitaryVector.from_parts(nu, cols, cap)
+        v = FinitaryVector.from_parts(nu, cols)
         for j in range(n, 0, -1):
             v = _normalized_d(lam + 2 * params.eta * (j - 1), ws[j - 1], weight_fns[ws[j - 1]], v, params)
         return v.coeff(mu)
@@ -225,13 +225,11 @@ def skew_D_oracle(nu, mu, lam: complex, ws, params, cap: int = 8) -> complex:
     val = run(m + 1)
     val2 = run(m + 3)
     if abs(val - val2) > 1e-10 * max(1.0, abs(val), abs(val2)):
-        raise StabilizationError(
-            f"skew D did not stabilize in depth: {val} vs {val2}"
-        )
+        raise StabilizationError(f"skew D did not stabilize in depth: {val} vs {val2}")
     return val2
 
 
-def c_matrix_element(ws, ks, lam: complex, params, cap: int = 8) -> complex:
+def c_matrix_element(ws, ks, lam: complex, params) -> complex:
     """<c(w_1)...c(w_p) (e_{k_1} x ... x e_{k_m}), e_0 x ... x e_0>.
 
     The tensor factors live in columns 1..m of the parameter pack (no
@@ -242,7 +240,7 @@ def c_matrix_element(ws, ks, lam: complex, params, cap: int = 8) -> complex:
     ks = tuple(ks)
     if sum(ks) != p:
         return 0.0 + 0.0j
-    v = FinitaryVector({ks: 1.0 + 0.0j}, len(ks), cap)
+    v = FinitaryVector({ks: 1.0 + 0.0j}, len(ks))
     weight_fns = {w: plaquette_weights(params, w) for w in ws}
     for j in range(p, 0, -1):
         v = _apply("c", lam - 2 * params.eta * (j - 1), weight_fns[ws[j - 1]], v, params, 1)

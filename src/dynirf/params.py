@@ -218,12 +218,12 @@ def _audit_strong(gammas, grid: PQGrid, eta: complex):
     return None
 
 
-def check_admissible(params: IrfParams, M: int, gap: float | None = None, strong: bool = False):
+def check_admissible(params: IrfParams, M: int, strong: bool = False):
     """Construct contours gamma_1 ... gamma_M or explain why none exist.
 
     Tries concentric circles around the p-centroid first (radius steps of
-    |2*eta| + gap); if the q-points land inside, retries with circles whose
-    centers drift along the eta direction.  With ``strong=False`` the audit
+    |2*eta| times 2, 1.5, 1.25, 1.1); if the q-points land inside, retries
+    with circles whose centers drift along the eta direction.  With ``strong=False`` the audit
     enforces exactly the three admissibility conditions (inner circle holds
     the p's, each gamma_i encloses the 2*eta-shifted image of gamma_{i+1},
     no q inside any circle).  ``strong=True`` additionally demands literal
@@ -241,8 +241,6 @@ def check_admissible(params: IrfParams, M: int, gap: float | None = None, strong
     center = complex(np.mean(ps))
     spread = float(np.max(np.abs(ps - center))) if len(ps) else 0.0
     two_eta = abs(2 * eta)
-    if gap is None:
-        gap = two_eta
     audit = _audit_strong if strong else _audit_family
 
     best = None
@@ -262,7 +260,7 @@ def check_admissible(params: IrfParams, M: int, gap: float | None = None, strong
 
     r_base = max(1.2 * spread, 0.15 * two_eta, 1e-6)
     for gfac in (1.0, 0.5, 0.25, 0.1):
-        radii = [r_base + (M - 1 - i) * (two_eta + gfac * gap) for i in range(M)]
+        radii = [r_base + (M - 1 - i) * (two_eta + gfac * two_eta) for i in range(M)]
         consider(tuple(Circle(center, r) for r in radii))
     if best is not None:
         return ContourFamily(gammas=best)

@@ -47,6 +47,7 @@ _K1, _K2, _K3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 11, 27, 30, 31))
 _INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
+_MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this
 _SPAN5 = np.arange(5)
 
 
@@ -413,10 +414,10 @@ def _check_rates(kind: str, rate_params) -> tuple:
     return rates
 
 
-def step_exclusion_state(kind: str, rate_params, half_width: int = 6) -> ExclusionState:
-    """The step state s_x = |x| on [-half_width, half_width]; ``_check_rates`` checks the rates."""
+def step_exclusion_state(kind: str, rate_params) -> ExclusionState:
+    """The step state s_x = |x| on [-6, 6]; ``_check_rates`` checks the rates."""
     rates = _check_rates(kind, rate_params)
-    lo, hi = -half_width, half_width
+    lo, hi = -6, 6
     return ExclusionState(kind, rates, lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
 
 
@@ -467,7 +468,7 @@ def _check_horizon(T) -> float:
     return T
 
 
-def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window: int = 1 << 20, record: bool = False) -> ExclusionState:
+def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: bool = False) -> ExclusionState:
     """Event-driven next-reaction simulation up to time T.
 
     A binary heap holds tentative firing times; entries are invalidated by
@@ -517,8 +518,8 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, max_window:
             # can, so x - 1 and x + 1 are inner sites
             if x - state.lo < 2 or state.hi - x < 2:
                 raise InvalidParameterError("exclusion boundary was touched; window policy broken")
-            if state.hi - state.lo >= max_window:
-                raise InvalidParameterError("exclusion window exceeded the configured cap")
+            if state.hi - state.lo >= _MAX_WINDOW:
+                raise InvalidParameterError(f"exclusion window exceeded its cap of {_MAX_WINDOW} sites")
             old_lo, old_hi = state.lo, state.hi
             _grow_window(state)
             for xx in range(state.lo + 1, old_lo + 1):
@@ -550,14 +551,14 @@ def _grow_farm(s, W: int):
     return np.concatenate([pad[:, ::-1], s, pad], axis=1), 2 * W
 
 
-def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs, half_width: int = 8):
+def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs):
     """Vectorized direct Gillespie across trajectories; exact CTMC law.
 
     Returns an (n_traj, len(xs)) int array of s_x(T); sites outside the
     final window were never disturbed and read |x|.  Each trajectory's
     variates are keyed (``trajectory_seed(seed, index)``, event number), so
-    results do not depend on the batch size.  The shared window grows
-    whenever a flip comes within three sites of its edge.
+    results do not depend on the batch size.  The shared window starts at
+    [-8, 8] and grows whenever a flip comes within three sites of its edge.
 
     A step draws both of its uniforms in one hash pass.  Each live
     trajectory keeps a row of site rates, priced from the step row once for
@@ -572,7 +573,7 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs,
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
-    W = half_width
+    W = 8
     step_row = np.abs(np.arange(-W, W + 1, dtype=np.float64))
     s = np.broadcast_to(step_row, (n_traj, 2 * W + 1)).copy()
     rates = np.repeat(_farm_rates(kind, rate_params, step_row[None]), n_traj, axis=0)

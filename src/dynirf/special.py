@@ -194,8 +194,8 @@ class Circle:
         ang = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         return self.center + self.radius * np.exp(1j * ang)
 
-    def contains(self, point: complex, margin: float = 0.0) -> bool:
-        return abs(point - self.center) < self.radius - margin
+    def contains(self, point: complex) -> bool:
+        return abs(point - self.center) < self.radius
 
 
 _MAX_GRID = 1 << 20  # evaluate factor blocks in chunks beyond this many points
@@ -284,6 +284,13 @@ def _check_tol(tol) -> None:
         raise InvalidParameterError(f"the tolerance must be finite and > 0, got {tol!r}")
 
 
+def _check_nodes(nodes) -> int:
+    """A starting node count must be an integer >= 16; returned as an int."""
+    if (n := _as_int(nodes, "the node count")) < 16:
+        raise InvalidParameterError("need at least 16 quadrature nodes")
+    return n
+
+
 def contour_integral_factored(
     terms,
     contours: Sequence[Circle],
@@ -330,9 +337,7 @@ def contour_integral_factored(
         if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
             raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
     _check_tol(tol)
-    n = _as_int(nodes, "the node count")
-    if n < 16:
-        raise InvalidParameterError("need at least 16 quadrature nodes")
+    n = _check_nodes(nodes)
     if node_cap < n:
         raise InvalidParameterError(f"node_cap {node_cap!r} is below the starting node count {n}")
     older = prev = None

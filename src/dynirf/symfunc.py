@@ -483,14 +483,14 @@ class TailInfo:
     converged: bool
 
 
-def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = None, rel_tol: float = 1e-12):
+def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = None):
     """sum_kappa B^stoch_{kappa/nu}(lambda; u's) with monitored geometric tail.
 
     Evaluated as one stochastic ``_strip`` law of nu over the columns
     1..max_part (default n_cols - 2); a path carrying past the cap loses
     the mass of the kappa's that would exceed it.  The law is grouped by
     kappa_1 and declared converged once the last three groups are each
-    below ``rel_tol`` of the total with decaying ratios.  A cap below
+    below 1e-12 of the total with decaying ratios.  A cap below
     max(nu_1, 1), past the pack's columns, or a nu with a zero part (the
     stochastic columns start at 1) raises InvalidParameterError.
     """
@@ -514,7 +514,7 @@ def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = 
     tail = mags[-1] * 2 if mags else 0.0
     if len(mags) >= 3:
         last3 = mags[-3:]
-        small = all(g < rel_tol * max(1e-30, abs(total)) for g in last3)
+        small = all(g < 1e-12 * max(1e-30, abs(total)) for g in last3)
         noise = last3[2] < 1e-13 * max(abs(total), 1e-30)
         converged = small and (noise or last3[2] <= 0.5 * max(last3[1], 1e-300))
         tail = 2 * last3[2]

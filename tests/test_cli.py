@@ -55,10 +55,11 @@ class TestVerifyCommand:
             (["observables", "--model", "dyn6v", "--xs", "a,b", "--N", "2"], "--xs"),
             (["asymptotics", "--check", "profile", "--chi", "a"], "--chi"),
             (["verify", "--config", "/nonexistent/p.json"], "cannot read config"),
+            (["observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3", "--lambdas", "0.1:a"], "--lambdas"),
         ],
         ids=["negative-seed", "zero-tolerance", "negative-tolerance", "nan-tolerance",
              "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
-             "non-numeric-chi", "missing-config"],
+             "non-numeric-chi", "missing-config", "non-numeric-lambdas"],
     )
     def test_bad_input_is_a_usage_error(self, args, message):
         # each of these used to end in a traceback or to exit 0 (a zero
@@ -75,6 +76,65 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["verify", "--format", "json"])
         assert exc.value.code == 2
+
+
+def _subparsers():
+    from dynirf.cli import build_parser
+
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+# options a subcommand parsed but its handler never read, so they changed nothing
+DROPPED = [
+    ("verify", ["--samples", "5"]), ("verify", ["--timings"]),
+    ("simulate", ["--samples", "3"]), ("simulate", ["--tolerance", "5"]), ("simulate", ["--timings"]),
+    ("observables", ["--tolerance", "2"]),
+    ("asymptotics", ["--preset", "trig-admissible"]), ("asymptotics", ["--config", "p.json"]),
+    ("asymptotics", ["--tolerance", "2"]), ("asymptotics", ["--timings"]),
+]
+REQUIRED = {"verify": [], "simulate": ["--model", "ssep"], "observables": ["--model", "ssep", "--xs", "0"], "asymptotics": []}
+
+
+class TestOptionsAreRead:
+    def test_every_option_is_read_by_its_handler(self):
+        # each option dest must be read as args.<dest> by the handler or by
+        # a helper it calls; --threads alone is a scheduling hint that by
+        # design never changes a result
+        import ast
+        import inspect
+
+        from dynirf import cli
+
+        helpers = {"_load_params", "_write", "_emit_reports"}
+        for name, parser in _subparsers().items():
+            trees, todo, seen = [], [parser.get_default("func")], set()
+            while todo:  # the handler and the helpers it reaches
+                trees.append(ast.parse(inspect.getsource(todo.pop())))
+                called = {n.func.id for n in ast.walk(trees[-1]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                todo += [getattr(cli, h) for h in sorted((helpers & called) - seen)]
+                seen |= helpers & called
+            read = {
+                n.attr for t in trees for n in ast.walk(t)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+            }
+            dests = {a.dest for a in parser._actions if a.dest not in ("help", "threads")}
+            assert dests <= read, f"{name} parses options its handler never reads: {sorted(dests - read)}"
+
+    @pytest.mark.parametrize("command, option", DROPPED, ids=[f"{c}{o[0]}" for c, o in DROPPED])
+    def test_dropped_option_is_unknown(self, capsys, command, option):
+        from dynirf.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *REQUIRED[command], *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_threads_is_taken_everywhere(self, command):
+        from dynirf.cli import build_parser
+
+        assert build_parser().parse_args([command, *REQUIRED[command], "--threads", "4"]).threads == 4
 
 
 class TestDeterminism:
@@ -149,6 +209,29 @@ class TestObservablesCommand:
         records = json.loads(proc.stdout)
         rep = [r for r in records if r.get("name", "").startswith("lambda-independence")]
         assert rep and rep[0]["passed"]
+
+    def test_lambda_report_rational(self):
+        # printed "unknown model 'rational'"; enum_E reads 1.31211147413268 at each lambda_0
+        proc = run_cli("observables", "--model", "rational", "--xs", "3,2", "--N", "3",
+                       "--compare", "enum", "--lambdas=-60:0,-50:0,-70.5:0,-61.3:0")
+        assert proc.returncode == 0, proc.stderr
+        (rep,) = [r for r in json.loads(proc.stdout) if "name" in r]
+        assert rep["name"] == "lambda-independence-rational-n2-N3" and rep["passed"]
+        assert abs(rep["rhs"][0] - 1.31211147413268) < 1e-12
+
+    @pytest.mark.parametrize("model", ["ssep", "asep"])
+    def test_lambda_report_refused_for_exclusion_models(self, monkeypatch, capsys, model):
+        # ended in a TypeError traceback (samples=None reached mc_E) after the methods ran
+        from dynirf import cli, observables
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a method before --lambdas was checked")
+
+        for name in ("exact_E", "mc_E", "enum_E", "lambda_independence_report"):
+            monkeypatch.setattr(observables, name, no_work)
+        assert cli.main(["observables", "--model", model, "--xs", "1,0", "--t", "1", "--lambdas", "1.5:0,3:0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "only available for lattice models" in err
 
     @pytest.mark.parametrize(
         "model, compare, message",

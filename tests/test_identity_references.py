@@ -118,5 +118,5 @@ def test_D_rho_integral_matches_the_kernel_only_term(pack):
         else:
             sig = Signature(nu)
             extra = lambda x: f(x - grid.p[0]) / f(x - grid.q[0])
-            got = idn._kernel_integral(sig, 0, extra, idn._strong_family(params, sig.length), params, lam, 48)
+            got = idn._kernel_integral(sig, 0, extra, idn._strong_family(params, sig.length), params, lam)
         assert complex(got) == want, nu

@@ -254,6 +254,19 @@ class TestLambdaIndependence:
         qm = hs6v_q_moment(spec, dyn6v)
         assert abs(at_limit - qm) <= 1e-6 * max(1.0, abs(qm))
 
+    @pytest.mark.parametrize("lambdas", [[-60.0, -50.0, -70.5, -61.3], [-60.0, -60.0 + 5j, -50.0 + 2j]], ids=["real", "complex"])
+    def test_rational_by_enumeration(self, rational, lambdas):
+        # the rational product dropped Im lambda_0: -60 + 5i read 1.31219 - 0.00095i
+        rep = lambda_independence_report("rational", ObservableSpec((3, 2), 3), lambdas, rational)
+        assert rep.name == "lambda-independence-rational-n2-N3"
+        assert rep.passed and abs(rep.rhs - 1.31211147413268) < 1e-12
+
+    @pytest.mark.parametrize("model, lambdas", [("ssep", [1.5, 3.0]), ("asep", [(0.5, 1.0), (0.5, 2.5)])])
+    def test_exclusion_models_need_samples(self, model, lambdas):
+        # without samples the Monte Carlo route compared None < 1000
+        with pytest.raises(InvalidParameterError, match="needs samples"):
+            lambda_independence_report(model, ObservableSpec((1,), 1.0), lambdas, None)
+
     def test_mc_variant(self, dyn6v):
         spec = ObservableSpec((2,), 2)
         rep = lambda_independence_report(
@@ -340,6 +353,24 @@ class TestBadTolerance:
         for model, spec, params in calls:
             with pytest.raises(InvalidParameterError, match="tolerance"):
                 exact_E(model, spec, params, tol=tol)
+
+    @pytest.mark.parametrize(
+        "xs, t, nodes, message",
+        [((0,), 20.0, 16.7, "integer"), ((0, 0), 1e3, -5, "at least 16")],
+        ids=["walk-sum-fractional", "saddle-negative"],
+    )
+    def test_exact_E_refuses_bad_nodes_before_choosing_a_route(self, monkeypatch, xs, t, nodes, message):
+        # the walk sum returned -2.515 at nodes = 16.7 and the saddle route
+        # 305.7 at nodes = -5: neither reads nodes, so neither checked it
+        def no_work(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        with pytest.raises(InvalidParameterError, match=message):
+            exact_E("ssep", ObservableSpec(xs, t), (1.0,), nodes=nodes)
+        for name in ("_exact_E_irf", "_exact_E_asep", "_exact_E_ssep", "contour_integral_factored"):
+            monkeypatch.setattr(observables, name, no_work)
+        with pytest.raises(InvalidParameterError, match=message):
+            exact_E("ssep", ObservableSpec(xs, t), (1.0,), nodes=nodes)
 
 
 class TestFactoredGridMemory:
@@ -442,6 +473,12 @@ class TestMcSeeds:
         spec = ObservableSpec((3, 2), 4)
         results = [mc_E("irf", spec, dyn6v, 2000, s) for s in (0, 1, 2)]
         assert len(set(results)) == 3
+
+    @pytest.mark.parametrize("samples", [1500.7, "2000", None, 999])
+    def test_samples_must_be_an_integer_of_at_least_1000(self, samples):
+        # 1500.7 ended in a bare TypeError from numpy
+        with pytest.raises(InvalidParameterError):
+            mc_E("ssep", ObservableSpec((1,), 1.0), (2.0,), samples, 0)
 
 
 class TestSsep:
@@ -883,7 +920,7 @@ class TestExclusionLambdaIndependence:
         rep = lambda_independence_report("asep", spec, [(0.5, 1.0), (0.5, 2.5)], None, samples=20000, seed=22)
         assert rep.passed
 
-    @pytest.mark.parametrize("model", ["rational", "tasep"])
+    @pytest.mark.parametrize("model", ["dyn6v", "tasep"])
     def test_unknown_model_raises_before_sampling(self, monkeypatch, model):
         def no_work(*args, **kwargs):
             raise AssertionError("sampled for an unknown model")
