@@ -58,7 +58,7 @@ from .symfunc import (
     stoch_B_formula,
     stoch_B_sum,
 )
-from .weights import SingularParameterError, WeightContext, hat_ratio, weight
+from .weights import SingularParameterError, WeightContext, _shared_f_weights, hat_ratio, weight
 
 __all__ = [
     "CheckReport",
@@ -606,9 +606,10 @@ def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_
         ctx = _random_plaquette(rng, mode)
         k = int(rng.integers(0, 4))
         draw = lambda: _plaquette_draw(i, k, ctx)
-        worst.see(abs(weight("B", k, ctx, stochastic=True) + weight("D", k, ctx, stochastic=True) - 1), draw)
+        wt = _shared_f_weights(ctx, stochastic=True)
+        worst.see(abs(wt("B", k) + wt("D", k) - 1), draw)
         if k >= 1:
-            worst.see(abs(weight("A", k, ctx, stochastic=True) + weight("C", k, ctx, stochastic=True) - 1), draw)
+            worst.see(abs(wt("A", k) + wt("C", k) - 1), draw)
     return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED * tolerance_scale)
 
 

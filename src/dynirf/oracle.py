@@ -15,10 +15,11 @@ a handful of columns and occupations.  The closed-form evaluators in
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .special import InvalidParameterError
-from .weights import plaquette_weights
+from .weights import SingularParameterError, plaquette_weights
 
 __all__ = [
     "FinitaryVector",
@@ -66,7 +67,8 @@ class FinitaryVector:
 
     ``terms`` maps occupation tuples of fixed length ``n_cols`` to complex
     coefficients; terms smaller than PRUNE_REL of the largest magnitude
-    are dropped on construction.
+    are dropped on construction, and a NaN or infinite coefficient raises
+    ``SingularParameterError``.
     """
 
     terms: dict
@@ -81,6 +83,9 @@ class FinitaryVector:
         return cls({occupations_from_parts(parts, n_cols): 1.0 + 0.0j}, n_cols, cap)
 
     def prune(self) -> None:
+        for occ, c in self.terms.items():
+            if not cmath.isfinite(c):
+                raise SingularParameterError(f"coefficient {c} of occupation {occ} is not finite")
         if not self.terms:
             return
         peak = max(abs(c) for c in self.terms.values())
@@ -122,41 +127,54 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
     global_in = _COL_IN[op]
     global_out = _ROW_OUT[op]
 
+    n = v.n_cols
+    last = n - 1
     out: dict = {}
     for occ, coeff in v.terms.items():
         # weight of the untouched prefix: sum (Lambda_i - 2 k_i) over i < j
         h_old = 0j
         prefix_weights = []
-        for j in range(v.n_cols):
+        for j in range(n):
             prefix_weights.append(h_old)
             h_old += params.lam(col_offset + j) - 2 * occ[j]
+        # steps[j][carry] = [(k_new, carry_out, weight)], filled the first
+        # time the walk reaches that state; each path node then only multiplies
+        steps = [[None, None] for _ in range(n)]
         # depth-first expansion over per-column branch choices
         stack = [(0, global_in, coeff, ())]
         while stack:
             j, carry, amp, new_prefix = stack.pop()
-            if j == v.n_cols:
+            if j == n:
                 if carry == global_out:
                     out[new_prefix] = out.get(new_prefix, 0.0 + 0.0j) + amp
                 continue
-            k = occ[j]
-            # dynamic-parameter shift: processed components carry their
-            # *new* occupations, which differ from the old ones by the
-            # horizontal flux global_in - carry.
-            lam_here = lam - 2 * eta * (prefix_weights[j] - 2 * global_in + 2 * carry)
-            moves = []
-            if carry == 0:
-                moves.append(("A", k, 0))
-                if k >= 1:
-                    moves.append(("C", k - 1, 1))
-            else:
-                if k + 1 > v.cap:
-                    raise CapExceededError(
-                        f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
-                    )
-                moves.append(("B", k + 1, 0))
-                moves.append(("D", k, 1))
-            for kind, k_new, carry_out in moves:
-                amp_new = amp * weight_fn(kind, k, col_offset + j, lam_here)
+            branches = steps[j][carry]
+            if branches is None:
+                k = occ[j]
+                # dynamic-parameter shift: processed components carry their
+                # *new* occupations, which differ from the old ones by the
+                # horizontal flux global_in - carry.
+                lam_here = lam - 2 * eta * (prefix_weights[j] - 2 * global_in + 2 * carry)
+                if carry == 0:
+                    moves = [("A", k, 0)]
+                    if k >= 1:
+                        moves.append(("C", k - 1, 1))
+                else:
+                    if k + 1 > v.cap:
+                        raise CapExceededError(
+                            f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
+                        )
+                    moves = [("B", k + 1, 0), ("D", k, 1)]
+                branches = []
+                for kind, k_new, carry_out in moves:
+                    wgt = weight_fn(kind, k, col_offset + j, lam_here)
+                    # a path leaving the last column with carry != global_out
+                    # is dropped; its weight is still fetched
+                    if j < last or carry_out == global_out:
+                        branches.append((k_new, carry_out, wgt))
+                steps[j][carry] = branches
+            for k_new, carry_out, wgt in branches:
+                amp_new = amp * wgt
                 if amp_new != 0:
                     stack.append((j + 1, carry_out, amp_new, new_prefix + (k_new,)))
     return FinitaryVector(out, v.n_cols, v.cap)

@@ -31,6 +31,7 @@ with the parametrizations used in their own variable systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,7 @@ def _ratio(f, num_args, den_args, label: str, check: bool):
     return num / den
 
 
-def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
-    """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
+def _check_kind(kind: str, k: int) -> None:
     if kind not in PLAQUETTE_KINDS:
         raise InvalidParameterError(f"unknown plaquette kind {kind!r}")
     if kind == "C" and k < 1:
@@ -104,13 +104,43 @@ def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
     if k < 0:
         raise InvalidParameterError("occupation k must be nonnegative")
 
-    lam, w, z, L, eta = ctx.lam, ctx.w, ctx.z, ctx.Lambda, ctx.eta
+
+def _is_scalar(lam) -> bool:
+    return np.isscalar(lam) or np.asarray(lam).shape == ()
+
+
+def _memo_f(mode: FunctionMode):
+    """Scalar f of ``mode``, memoized on the exact argument in elliptic mode.
+
+    Arguments that compare equal but differ in the sign of a zero part
+    (0.0 vs -0.0) get separate entries, since f may return zeros of
+    different signs for them.  In trigonometric and rational mode f is one
+    sin call or the identity, no dearer than the lookup, and is left plain.
+    """
+    if mode.kind != "elliptic":
+        return lambda x: f_eval(mode, x)
+    memo: dict = {}
 
     def f(x):
-        return f_eval(ctx.mode, x)
+        key = x if x.real and x.imag else (x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = f_eval(mode, x)
+        return val
 
-    check = np.isscalar(lam) or np.asarray(lam).shape == ()
-    zw = z - w
+    return f
+
+
+def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
+    """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
+    _check_kind(kind, k)
+    f = lambda x: f_eval(ctx.mode, x)
+    return _weight(kind, k, ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta, f, _is_scalar(ctx.lam), stochastic)
+
+
+def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool):
+    # the formulas of ``weight`` with zw = z - w and f supplied by the caller,
+    # so that the weights of one row or one plaquette can share an f memo
     if stochastic:
         if kind == "A":
             return _ratio(
@@ -180,17 +210,34 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
     """Memoized weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
 
     Column x supplies z and Lambda.  The memo, keyed on the exact arguments,
-    lives as long as the callback; an error is raised on every call, never stored.
+    lives as long as the callback, and so does the row's f memo (elliptic
+    mode): a lam-free factor such as f(z - w + (Lambda+1)*eta) or f(2*eta) is
+    evaluated once per row.  An error is raised on every call, never stored.
     """
     memo: dict = {}
+    f = _memo_f(params.mode)
 
     def fn(kind, m, x, lam_x):
         key = (kind, m, x, lam_x)
         val = memo.get(key)
         if val is None:
-            ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
-            val = memo[key] = weight(kind, m, ctx, stochastic=stochastic)
+            _check_kind(kind, m)
+            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, _is_scalar(lam_x), stochastic)
         return val
+
+    return fn
+
+
+def _shared_f_weights(ctx: WeightContext, stochastic: bool):
+    """``fn(kind, k)`` = ``weight(kind, k, ctx, stochastic)``, all kinds of the
+    plaquette ``ctx`` sharing one f memo (elliptic mode): f(z - w + (Lambda+1)*eta)
+    is in every denominator, and the lam factors recur across kinds."""
+    f = _memo_f(ctx.mode)
+    zw, check = ctx.z - ctx.w, _is_scalar(ctx.lam)
+
+    def fn(kind, k):
+        _check_kind(kind, k)
+        return _weight(kind, k, ctx.lam, zw, ctx.Lambda, ctx.eta, f, check, stochastic)
 
     return fn
 
@@ -206,7 +253,7 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
     def f(x):
         return f_eval(mode, x)
 
-    check = np.isscalar(lam) or np.asarray(lam).shape == ()
+    check = _is_scalar(lam)
     if kind == "A":
         return _ratio(
             f,

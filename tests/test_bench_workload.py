@@ -1,10 +1,10 @@
-"""The benchmark's `exact` and `stochastic` workloads run and check out against this tree.
+"""The benchmark's three workloads run and check out against this tree.
 
 They call dynirf the way the benchmark does, keywords included (for example
 ``ssep_f2_duality(0, 5.0, dt=0.05)``), and check every output against its
 reference, so a signature or value change that would break the benchmark,
-or an exclusion-engine change that would fail its Monte Carlo checks,
-fails here first.
+an exclusion-engine change that would fail its Monte Carlo checks, or a
+verification-suite change that would fail a report, fails here first.
 """
 
 import json
@@ -29,4 +29,9 @@ def test_exact_workload_round_passes():
 
 def test_stochastic_workload_round_passes():
     result = run_round("stochastic")
+    assert result["failed"] == 0 and result["incorrect"] == 0, result["failures"]
+
+
+def test_verify_workload_round_passes():
+    result = run_round("verify")
     assert result["failed"] == 0 and result["incorrect"] == 0, result["failures"]

@@ -13,6 +13,7 @@ from dynirf.oracle import (
 )
 from dynirf.params import random_pack
 from dynirf.special import FunctionMode, InvalidParameterError
+from dynirf.weights import SingularParameterError, plaquette_weights
 
 RNG = np.random.default_rng(41)
 
@@ -67,6 +68,109 @@ class TestApplyOperator:
         v = FinitaryVector.from_parts((0,), 3, cap=1)
         with pytest.raises(CapExceededError):
             apply_operator("b", LAM, 0.4, v, P)
+
+
+def reference_apply(op, lam, w, v, params, col_offset=0):
+    """The operator walk as it was before its per-term branch tables: every
+    path node computes its dynamic parameter, checks the cap and asks the
+    row callback for its weights."""
+    weight_fn = plaquette_weights(params, w)
+    eta = params.eta
+    global_in = {"a": 0, "c": 0, "b": 1, "d": 1}[op]
+    global_out = {"a": 0, "b": 0, "c": 1, "d": 1}[op]
+    out = {}
+    for occ, coeff in v.terms.items():
+        h_old = 0j
+        prefix_weights = []
+        for j in range(v.n_cols):
+            prefix_weights.append(h_old)
+            h_old += params.lam(col_offset + j) - 2 * occ[j]
+        stack = [(0, global_in, coeff, ())]
+        while stack:
+            j, carry, amp, new_prefix = stack.pop()
+            if j == v.n_cols:
+                if carry == global_out:
+                    out[new_prefix] = out.get(new_prefix, 0.0 + 0.0j) + amp
+                continue
+            k = occ[j]
+            lam_here = lam - 2 * eta * (prefix_weights[j] - 2 * global_in + 2 * carry)
+            moves = []
+            if carry == 0:
+                moves.append(("A", k, 0))
+                if k >= 1:
+                    moves.append(("C", k - 1, 1))
+            else:
+                if k + 1 > v.cap:
+                    raise CapExceededError(
+                        f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
+                    )
+                moves.append(("B", k + 1, 0))
+                moves.append(("D", k, 1))
+            for kind, k_new, carry_out in moves:
+                amp_new = amp * weight_fn(kind, k, col_offset + j, lam_here)
+                if amp_new != 0:
+                    stack.append((j + 1, carry_out, amp_new, new_prefix + (k_new,)))
+    return FinitaryVector(out, v.n_cols, v.cap)
+
+
+def _hex_items(v):
+    return [(occ, complex(c).real.hex(), complex(c).imag.hex()) for occ, c in v.terms.items()]
+
+
+class TestBitEqualToReferenceWalk:
+    MODES = [FunctionMode.elliptic(1.4j), FunctionMode.trigonometric(), FunctionMode.rational()]
+
+    @staticmethod
+    def random_vector(rng, n_cols):
+        terms = {}
+        for _ in range(int(rng.integers(1, 5))):
+            occ = tuple(int(m) for m in rng.integers(0, 3, size=n_cols))
+            terms[occ] = complex(rng.standard_normal(), rng.standard_normal())
+        return FinitaryVector(terms, n_cols)
+
+    @pytest.mark.parametrize("col_offset", [0, 1])
+    @pytest.mark.parametrize("mode", MODES, ids=["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("op", "abcd")
+    def test_same_terms_in_the_same_order(self, op, mode, col_offset):
+        rng = np.random.default_rng(["abcd".index(op), col_offset, len(mode.kind)])
+        nonempty = 0
+        for _ in range(4):
+            P = random_pack(rng, mode)
+            v = self.random_vector(rng, int(rng.integers(1, 6)))
+            lam = complex(0.3 + 0.2 * rng.standard_normal(), 0.15 + 0.1 * rng.standard_normal())
+            w = complex(0.3 + 0.2 * rng.standard_normal(), 0.2 * rng.standard_normal())
+            got = apply_operator(op, lam, w, v, P, col_offset)
+            want = reference_apply(op, lam, w, v, P, col_offset)
+            assert _hex_items(got) == _hex_items(want)
+            nonempty += bool(got.terms)
+        assert nonempty
+
+    @pytest.mark.parametrize(("op", "parts", "n_cols"), [("b", (0,), 3), ("d", (1,), 3)])
+    def test_cap_error_unchanged(self, op, parts, n_cols):
+        P = random_params(seed=13)
+        v = FinitaryVector.from_parts(parts, n_cols, cap=1)
+        with pytest.raises(CapExceededError) as want:
+            reference_apply(op, LAM, 0.4, v, P)
+        with pytest.raises(CapExceededError) as got:
+            apply_operator(op, LAM, 0.4, v, P)
+        assert str(got.value) == str(want.value)
+
+
+class TestNonFiniteCoefficient:
+    # a NaN or infinite coefficient used to empty the vector, so that every
+    # coeff read 0, or (NaN stored second) to be dropped alone
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(1, 0): float("nan"), (0, 1): 1.0},
+            {(0, 1): 1.0, (1, 0): float("inf")},
+            {(0, 1): 1.0, (1, 0): float("nan")},
+        ],
+        ids=["nan-first", "inf-second", "nan-second"],
+    )
+    def test_raises_naming_the_occupation(self, terms):
+        with pytest.raises(SingularParameterError, match=r"\(1, 0\)"):
+            FinitaryVector(terms, 2)
 
 
 class TestSkewOracles:
