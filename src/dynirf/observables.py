@@ -222,9 +222,10 @@ def _site_integral(xs, unary, cross, circles, nodes: int, tol: float) -> complex
 
 
 def _check_walk_sum(model: str, value: complex, ref: float) -> None:
-    """The n = 1 check of an exclusion quadrature against its walk sum, 1e-8 relative."""
+    """The n = 1 check of an exclusion quadrature against its walk sum, 1e-8
+    relative; a disagreement (NaN included) raises ConvergenceError."""
     if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
-        raise ArithmeticError(f"{model} quadrature {value} vs walk sum {ref} disagree")
+        raise ConvergenceError(f"{model} routes disagree: quadrature {value} vs walk sum {ref}", (value, ref))
 
 
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
@@ -260,7 +261,9 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
 
     Exclusion rates pass mc_E's check (``samplers._check_rates``), unused
     ones included.  A ``tol`` not finite and > 0 or a ``nodes`` not an integer
-    >= 16 raises InvalidParameterError before any route is chosen.
+    >= 16 raises InvalidParameterError before any route is chosen.  A value
+    its check route disagrees with raises ConvergenceError, naming both
+    routes and carrying both values as its ``estimates``.
     """
     _check_tol(tol)
     nodes = _check_nodes(nodes)
@@ -318,7 +321,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float
     # are nearly coincident; widen the assertion accordingly
     tol_res = max(1e-8, cond * 5e-14)
     if not abs(value - res) <= tol_res * max(1.0, abs(res)):
-        raise ArithmeticError(f"quadrature {value} vs residue sum {res} disagree")
+        raise ConvergenceError(f"IRF routes disagree: quadrature {value} vs residue sum {res}", (value, res))
     return value
 
 

@@ -48,7 +48,7 @@ _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 1
 _INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
 _MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this
-_SPAN5 = np.arange(5)
+_SPAN3, _SPAN5 = np.arange(3), np.arange(5)
 
 
 class PositivityError(RuntimeError):
@@ -231,6 +231,12 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     per-trajectory values as ``sample_irf`` at ``trajectory_seed(seed, i)``
     (also returned, as "seeds").
     Requires Lambda = 1 columns (the positivity presets).
+
+    A row's trajectories share few fillings: each carries an index into a
+    table of the row's distinct fillings, which are weighed once per vertex.
+    The table takes one entry per (filling, vertical occupation) pair present,
+    by the same complex additions a per-trajectory filling would.  Every
+    trajectory's turn probability is checked to lie in [0, 1].
     """
     if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
         raise InvalidParameterError("batch sampler is spin-1/2 only")
@@ -240,18 +246,18 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
     eps = 1e-9
     for y in range(1, Y + 1):
-        lam_v = np.full(n_traj, params.lambda0 - two_eta * y, dtype=complex)
+        fill = np.array([params.lambda0 - two_eta * y], dtype=complex)  # the row's fillings; trajectory i's is fill[which[i]]
+        which = np.zeros(n_traj, dtype=np.intp)
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
             i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int64)
-            lam_u, inv = np.unique(lam_v, return_inverse=True)  # few distinct fillings: weigh each once
-            c1, d0, d1 = (
-                wt[inv] for wt in spin_half_weights(lam_u, params.w(y), params.z(x), 1.0, params.eta, params.mode)[3:]
-            )
-            # probability that a horizontal arrow exits right: c at k=1 for
-            # a fresh turn, d0 for a pass-through, d1 = 1 when the vertical
-            # edge is occupied (spin-1/2 forces the crossing)
-            p_turn = np.where(carry == 0, np.where(i1 >= 1, c1, 0.0), np.where(i1 >= 1, d1, d0))
+            _, _, _, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
+            # probability that a horizontal arrow exits right, by filling,
+            # carry and occupied vertical edge: c at k=1 for a fresh turn, d0
+            # for a pass-through, d1 = 1 when the vertical edge is occupied
+            # (spin-1/2 forces the crossing)
+            p_fill = np.stack([np.zeros_like(c1), c1, d0, d1], axis=1).ravel()
+            p_turn = p_fill.take(4 * which + 2 * carry + (i1 >= 1))
             ok = (np.abs(p_turn.imag) <= eps) & (p_turn.real >= -eps) & (p_turn.real <= 1 + eps)
             if not ok.all():
                 bad = p_turn[~ok][0]
@@ -262,7 +268,12 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
             i2 = i1 + carry - j2
             vout[:, x, y] = i2
             hout[:, x, y] = j2
-            lam_v = lam_v + 2 * two_eta * i2 - two_eta * params.lam(x)
+            # the next filling is fill[which] + 2 * two_eta * i2 - two_eta * lam(x)
+            pair = which + fill.size * i2
+            present = np.bincount(pair) > 0
+            kept = np.flatnonzero(present)
+            fill = fill[kept % fill.size] + 2 * two_eta * (kept // fill.size) - two_eta * params.lam(x)
+            which = (np.cumsum(present) - 1)[pair]
             carry = j2
     return {"vout": vout, "hout": hout, "seeds": seeds}
 
@@ -368,9 +379,9 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
 class ExclusionState:
     """Step-type height state s_x on a finite active window.
 
-    Outside [lo, hi] the state is frozen at s_x = |x|; the window grows so
-    that flips never come near its edges, which keeps the restriction
-    exact rather than approximate.
+    ``s`` holds every site of [lo, hi]; outside it the state is frozen at
+    s_x = |x|.  The window grows so that flips never come near its edges,
+    which keeps the restriction exact rather than approximate.
     """
 
     kind: str  # "asep" | "ssep"
@@ -438,19 +449,6 @@ def _rate(kind: str, rate_params, s_x, delta):
     return (s_x + lam_bar) / (s_x + d + lam_bar)
 
 
-def _site_move(state: ExclusionState, x: int):
-    """(delta, rate) of the unique admissible flip at x, or None."""
-    get = state.s.get
-    s, left, right = get(x, abs(x)), get(x - 1, abs(x - 1)), get(x + 1, abs(x + 1))
-    if left != right or abs(left - s) != 1:
-        return None
-    delta = 2 * (left - s)  # local max flips down, local min flips up
-    rate = _rate(state.kind, state.rate_params, s, delta)
-    if rate <= 0:
-        raise InvalidParameterError(f"nonpositive {'down' if delta < 0 else 'up'}-rate at site {x}")
-    return (delta, rate)
-
-
 def _grow_window(state: ExclusionState) -> None:
     margin = state.hi - state.lo
     new_lo, new_hi = state.lo - margin // 2, state.hi + margin // 2
@@ -475,44 +473,53 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     per-site version counters whenever a flip changes the site's (or a
     neighbor's) move.  Exponential clocks come from the counter-based
     uniforms keyed (seed, site, per-site draw counter), so the trajectory
-    is reproducible independent of heap internals.  A plain int seed is
-    hashed once per trajectory (any other goes through uniform_hash).
+    is reproducible independent of heap internals.  The seed is hashed once
+    per trajectory, and with each site once.  Each (height, flip) rate is
+    computed once per run; a rate that is not finite and > 0 raises
+    InvalidParameterError.
     """
     T = _check_horizon(T)
     state = replace(initial, s=dict(initial.s), events=[])
-    version: dict = {}
-    draws: dict = {}
+    heights = state.s  # holds every site of the window
+    sites: dict = {}  # x -> [version, draws, hash of (seed, x)]
+    rates: dict = {}  # (s, delta) -> rate
     heap: list = []
-    if type(seed) is int:  # uniform_hash(seed, x, n) with the seed hashed once
-        h_seed = _fold(0, seed)
-        draw = lambda x, n: (_fold(h_seed, x, n) >> 11) * 2.0**-53
-    else:
-        draw = functools.partial(uniform_hash, seed)
+    push, pop, log1p = heapq.heappush, heapq.heappop, math.log1p
+    # uniform_hash(seed, x, n) is (_fold(h_seed, x, n) >> 11) * 2**-53
+    h_seed = _fold(0, seed) if type(seed) is int else int(_hash64(seed))
 
     def schedule(x: int) -> None:
-        version[x] = ver = version.get(x, 0) + 1
-        move = _site_move(state, x)
-        if move is None:
-            return
-        delta, rate = move
-        draws[x] = n = draws.get(x, 0) + 1
-        dt = -math.log1p(-draw(x, n)) / rate
-        heapq.heappush(heap, (state.t + dt, x, ver, delta))
+        site = sites.get(x)
+        if site is None:
+            site = sites[x] = [0, 0, _fold(h_seed, x)]
+        site[0] += 1
+        s, left = heights[x], heights[x - 1]
+        if left != heights[x + 1] or abs(left - s) != 1:
+            return  # no admissible flip at x
+        delta = 2 * (left - s)  # local max flips down, local min flips up
+        rate = rates.get((s, delta))
+        if rate is None:
+            rate = rates[s, delta] = _rate(state.kind, state.rate_params, s, delta)
+            if not 0 < rate < math.inf:
+                raise InvalidParameterError(f"nonpositive or singular {'down' if delta < 0 else 'up'}-rate at site {x}")
+        site[1] += 1
+        u = (_fold(site[2], site[1]) >> 11) * 2.0**-53
+        push(heap, (state.t - log1p(-u) / rate, x, site[0], delta))
 
     for x in range(state.lo + 1, state.hi):
         schedule(x)
 
     while heap:
-        t_fire, x, ver, delta = heapq.heappop(heap)
-        if version.get(x) != ver:
+        t_fire, x, ver, delta = pop(heap)
+        if sites[x][0] != ver:
             continue
         if t_fire > T:
             # the winning clock fires past the horizon: freeze here
             break
         state.t = t_fire
-        state.s[x] += delta
+        heights[x] += delta
         if record:
-            state.events.append((t_fire, x, state.s[x]))
+            state.events.append((t_fire, x, heights[x]))
         if x - state.lo < 3 or state.hi - x < 3:
             # lo, hi never flip, and the window grows before lo + 1 or hi - 1
             # can, so x - 1 and x + 1 are inner sites
@@ -532,15 +539,41 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     return state
 
 
-def _farm_rates(kind: str, rate_params, heights):
-    """Flip rates of the inner columns of a (rows, sites) array of step-type
-    heights (neighbours differ by 1); 0 where no flip is admissible."""
-    left, mid, right = heights[:, :-2], heights[:, 1:-1], heights[:, 2:]
-    extremum = left == right
-    # every other site is priced as an up-flip and masked out
-    delta = np.where(extremum & (left < mid), np.int8(-2), np.int8(2))
-    rates = _rate(kind, rate_params, mid, delta) * extremum
-    if not (np.isfinite(rates).all() and (rates >= 0).all()):
+def _rate_table(kind: str, rate_params, W: int):
+    """Flip rates in a farm window of half-width W, by site code l + 4 h + r.
+
+    A site at height h between heights l and r (each h +- 1) has code
+    6h - 2 at a local maximum (a down-flip), 6h + 2 at a local minimum (an
+    up-flip) and 6h otherwise (rate 0).  Heights in the window lie in
+    0 .. 2W, and 0 is never a local maximum, so the down-rate at 0 is not
+    stored; it may be singular (lambda_bar = 1), and computing it must not
+    raise.  The rates are ``_rate`` on arrays; one that is not finite and
+    >= 0 is stored as NaN, for ``_farm_rates`` to catch if a step uses it.
+    """
+    h = np.arange(2 * W + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up, down = (_rate(kind, rate_params, h, np.full(h.size, d, dtype=np.int8)) for d in (2, -2))
+    table = np.zeros(12 * W + 3)
+    table[2::6], table[4::6] = up, down[1:]
+    table[~((table >= 0) & (table < np.inf))] = np.nan
+    return table
+
+
+def _codes(heights):
+    """The codes (see ``_rate_table``) of the inner sites along the last axis."""
+    return heights[..., :-2] + 4 * heights[..., 1:-1] + heights[..., 2:]
+
+
+# heights h0..h4 of a 5-site window @ _FLIP: the codes of its middle three
+# sites and its middle height once the middle flips, h2 -> h1 + h3 - h2;
+# float64 like the farm's heights, exact on these small integers
+_FLIP = np.array([[1.0, 0, 0, 0], [5, 5, 1, 1], [-1, -4, -1, -1], [1, 5, 5, 1], [0, 0, 1, 0]])
+
+
+def _farm_rates(table, codes):
+    """The rates of site ``codes`` (see ``_rate_table``, integer-valued floats); none may be NaN."""
+    rates = table.take(codes.astype(np.intp))
+    if np.isnan(rates.min()):
         raise InvalidParameterError("nonpositive or singular jump rate encountered")
     return rates
 
@@ -549,6 +582,17 @@ def _grow_farm(s, W: int):
     """Pad a (rows, 2W + 1) height array with W untouched step sites on each side."""
     pad = np.broadcast_to(np.arange(W + 1, 2 * W + 1, dtype=np.float64), (s.shape[0], W))
     return np.concatenate([pad[:, ::-1], s, pad], axis=1), 2 * W
+
+
+def _farm_draws(prefix, step: int, k: int):
+    """The draws of steps step + 1 .. step + k of each row, as (log1p(-u1), u2), each (rows, k).
+
+    u1, u2 are uniform_hash(0, trajectory seed, step, 1 | 2); ``prefix``
+    holds each row's hash of (0, trajectory seed).
+    """
+    steps = np.arange(step + 1, step + k + 1, dtype=np.uint64)
+    u = _unit(_mix(_mix(prefix[:, None] ^ steps)[:, :, None] ^ _DRAW_KEYS))
+    return np.log1p(-u[:, :, 0]), u[:, :, 1].copy()
 
 
 def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs):
@@ -560,69 +604,83 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     results do not depend on the batch size.  The shared window starts at
     [-8, 8] and grows whenever a flip comes within three sites of its edge.
 
-    A step draws both of its uniforms in one hash pass.  Each live
-    trajectory keeps a row of site rates, priced from the step row once for
-    all.  A flip at x changes only the rates at x - 1, x and x + 1, so only
-    those three are repriced (Gibson & Bruck, J. Phys. Chem. A 104, 2000);
-    a growing window adds zero rates and prices its two old edge sites.
-    Columns no flip has touched keep rate 0, so the site pick sums only the
-    touched span.  A trajectory whose next clock passes T is read out and
-    dropped, so no later hash, sum or site pick touches it.  A flip next to
-    the frozen outermost site means the window fell behind its disturbance;
-    it is caught on the step it happens.
+    The uniforms of a block of steps are hashed in one pass, at most
+    2^14 (row, step) pairs and 64 steps (one step above 8192 live rows).
+    Each live trajectory keeps a row of site rates, priced from the step row
+    once for all.  A flip at x changes only the rates at x - 1, x and x + 1,
+    so only those three are repriced (Gibson & Bruck, J. Phys. Chem. A 104,
+    2000), by a lookup in a table of up- and down-rates by height that is
+    rebuilt when the window grows; the rates a step looks up must be finite
+    and >= 0.  A growing window adds zero rates and prices its two old edge
+    sites.  Columns no flip has touched keep rate 0, so the site pick sums
+    only the touched span.  A trajectory whose next clock passes T is read
+    out and dropped, with its rows of heights, rates and draws, so no later
+    hash, sum or site pick touches it.  A flip next to the frozen outermost
+    site means the window fell behind its disturbance; it is caught on the
+    step it happens.
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
     W = 8
+    table = _rate_table(kind, rate_params, W)
     step_row = np.abs(np.arange(-W, W + 1, dtype=np.float64))
     s = np.broadcast_to(step_row, (n_traj, 2 * W + 1)).copy()
-    rates = np.repeat(_farm_rates(kind, rate_params, step_row[None]), n_traj, axis=0)
+    rates = np.repeat(_farm_rates(table, _codes(step_row))[None], n_traj, axis=0)
     a, b = W - 1, W  # rate columns a flip has touched: so far the origin, the step's one local minimum
     t = np.zeros(n_traj)
-    # the draws are uniform_hash(0, trajectory seed, step, 1 | 2); the hash of
-    # the common prefix (0, trajectory seed) is computed once
+    # the hash of each trajectory's common prefix (0, trajectory seed) is computed once
     prefix = _hash64(0, trajectory_seed(seed, np.arange(n_traj, dtype=np.int64)))
     index = np.arange(n_traj)  # output row of each live trajectory
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     step = 0
     while index.size:
-        step += 1
-        total = rates.sum(axis=1)
-        u = _unit(_mix(_mix(prefix ^ np.uint64(step))[:, None] ^ _DRAW_KEYS))
-        t = t - np.log1p(-u[:, 0]) / np.maximum(total, 1e-300)  # the next clock
-        fire = t <= T
-        if not fire.all():
-            stop, keep = np.flatnonzero(~fire), np.flatnonzero(fire)
-            for j, x in enumerate(xs):
-                out[index[stop], j] = s[stop, x + W] if -W <= x <= W else abs(x)
-            s, rates, t, prefix, u, index, total = (v.take(keep, axis=0) for v in (s, rates, t, prefix, u, index, total))
-            if not index.size:
-                break
+        k = max(1, min(64, (1 << 14) // index.size))
+        log_u1, u2 = _farm_draws(prefix, step, k)
+        zero_u2 = not u2.all()  # a draw u2 = 0 picks column 0 (every live row has total > 0)
         n, m = rates.shape
-        # the full row's cumulative sum is 0 left of the span and flat right of
-        # it, so its sites below u2 * total (a prefix, as rates >= 0) are the
-        # span's plus the a left of it (none at u2 * total = 0); m - 1 if all
-        thr = u[:, 1] * total
-        below = np.cumsum(rates[:, a:b], axis=1) < thr[:, None]
-        cols = np.where(below[:, -1], m - 1, (a + below.argmin(axis=1)) * (thr > 0))
-        lo, hi = int(cols.min()), int(cols.max())
-        if lo < 1 or hi > m - 2:  # the window grows before an edge column can flip
-            raise InvalidParameterError("exclusion boundary was touched; window policy broken")
-        # win: the fired site (window column 2), its neighbours and theirs;
-        # the rates of the fired site and its neighbours change
-        rows = np.arange(n)
-        site = rows * (m + 2) + cols + 1
-        win = s.take((site - 2)[:, None] + _SPAN5)
-        win[:, 2] += np.where(win[:, 1] < win[:, 2], -2.0, 2.0)  # a local max flips down, a min up
-        s.put(site, win[:, 2])
-        rates.put((rows * m + cols - 1)[:, None] + _SPAN5[:3], _farm_rates(kind, rate_params, win))
-        a, b = min(a, lo - 1), max(b, hi + 2)
-        if lo < 3 or hi > m - 3:
-            s, grown = _grow_farm(s, W)
-            g = grown - W  # every new site lies on the monotone step: rate 0
-            rates, a, b, W = np.pad(rates, ((0, 0), (g, g))), a + g, b + g, grown
-            if g:  # the old edge sites, now inner at rate columns g - 1 and m + g (a frozen window has none)
-                edges = np.array([g - 1, m + g])
-                near = s[:, edges[:, None] + _SPAN5[:3]].reshape(-1, 3)
-                rates[:, edges] = _farm_rates(kind, rate_params, near).reshape(-1, 2)
+        # s_row + c and r_row + c: the flat index of each row's height and rate column c - 1
+        s_row, r_row = np.arange(n) * (m + 2) - 1, np.arange(n) * m - 1
+        for j in range(k):
+            step += 1
+            total = rates.sum(axis=1)
+            t = t - log_u1[:, j] / np.maximum(total, 1e-300)  # the next clock
+            if t.max() > T:
+                stop, keep = np.flatnonzero(t > T), np.flatnonzero(t <= T)
+                for c, x in enumerate(xs):
+                    out[index[stop], c] = s[stop, x + W] if -W <= x <= W else abs(x)
+                s, rates, t, prefix, log_u1, u2, index, total = (
+                    v.take(keep, axis=0) for v in (s, rates, t, prefix, log_u1, u2, index, total)
+                )
+                if not index.size:
+                    break
+                n = index.size
+                s_row, r_row = s_row[:n], r_row[:n]
+            # the full row's cumulative sum is 0 left of the span and flat right of
+            # it, so its sites below u2 * total (a prefix, as rates >= 0) are the
+            # span's plus the a left of it (none at u2 * total = 0); m - 1 if all
+            thr = u2[:, j] * total
+            below = rates[:, a:b].cumsum(axis=1) < thr[:, None]
+            cols = np.where(below[:, -1], m - 1, a + below.argmin(axis=1))
+            if zero_u2:
+                cols[thr == 0] = 0
+            lo, hi = int(cols.min()), int(cols.max())
+            if lo < 1 or hi > m - 2:  # the window grows before an edge column can flip
+                raise InvalidParameterError("exclusion boundary was touched; window policy broken")
+            # the window of the fired site (height column cols + 1): it and two
+            # neighbours on each side; the fired site and its neighbours get new rates
+            first = s_row + cols
+            flip = s.take(first[:, None] + _SPAN5) @ _FLIP
+            s.put(first + 2, flip[:, 3])
+            rates.put((r_row + cols)[:, None] + _SPAN3, _farm_rates(table, flip[:, :3]))
+            a, b = min(a, lo - 1), max(b, hi + 2)
+            if lo < 3 or hi > m - 3:
+                s, grown = _grow_farm(s, W)
+                g = grown - W  # every new site lies on the monotone step: rate 0
+                rates, a, b, W = np.pad(rates, ((0, 0), (g, g))), a + g, b + g, grown
+                if g:  # the old edge sites, now inner at rate columns g - 1 and m + g (a frozen window has none)
+                    table = _rate_table(kind, rate_params, W)
+                    near = s[:, np.array([g - 1, m + g])[:, None] + _SPAN3]
+                    rates[:, [g - 1, m + g]] = _farm_rates(table, _codes(near)[..., 0])
+                n, m = rates.shape
+                s_row, r_row = np.arange(n) * (m + 2) - 1, np.arange(n) * m - 1
     return out

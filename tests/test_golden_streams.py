@@ -9,7 +9,7 @@ import hashlib
 
 from dynirf.cli import main
 from dynirf.params import preset
-from dynirf.samplers import sample_irf_batch, simulate_exclusion, step_exclusion_state
+from dynirf.samplers import exclusion_farm, sample_irf_batch, simulate_exclusion, step_exclusion_state
 
 
 def digest(data: bytes) -> str:
@@ -27,6 +27,18 @@ def test_event_logged_ssep():
     ]
     assert sum(map(len, events)) == 1341
     assert digest(repr(events).encode()) == "c3c1f2960ab8e3a5"
+
+
+def test_exclusion_farm_ssep_ks_shape():
+    # the regime-IV KS run's shape: lambda_bar = 1, T = 200, 200 trajectories
+    out = exclusion_farm("ssep", (1.0,), 200.0, 200, seed=7, xs=list(range(-40, 41)))
+    assert digest(out.tobytes()) == "8c3cf58de58c0968"
+
+
+def test_exclusion_farm_asep_mc_shape():
+    # an mc_E-shaped ASEP run: 10^4 trajectories to T = 1
+    out = exclusion_farm("asep", (0.5, 2.0), 1.0, 10_000, seed=3, xs=[-3, -1, 0, 2, 5])
+    assert digest(out.tobytes()) == "357edfeb700e59c0"
 
 
 def test_cli_simulate(capsys):

@@ -856,18 +856,35 @@ class TestRouteAgreementIsNanSafe:
     def test_irf_residue_nan(self, dyn6v, monkeypatch):
         nan = float("nan")
         monkeypatch.setattr(observables, "_irf_residue_sum", lambda spec, params: (complex(nan, nan), nan))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ConvergenceError):
             exact_E("irf", ObservableSpec((2,), 4), dyn6v)
 
     def test_asep_walk_sum_nan(self, monkeypatch):
         monkeypatch.setattr(observables, "_walk_sum", lambda *args: float("nan"))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ConvergenceError):
             exact_E("asep", ObservableSpec((0,), 1.0), (0.5, 2.0))
 
     def test_ssep_walk_sum_nan(self, monkeypatch):
         monkeypatch.setattr(observables, "ssep_mean_height", lambda x, t: float("nan"))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ConvergenceError):
             exact_E("ssep", ObservableSpec((1,), 1.0), (2.0,))
+
+    def test_irf_residue_disagreement(self, dyn6v, monkeypatch):
+        # a finite disagreement raised a bare ArithmeticError, not a documented error
+        real = observables._irf_residue_sum
+        monkeypatch.setattr(observables, "_irf_residue_sum", lambda spec, params: (real(spec, params)[0] + 1, 1.0))
+        with pytest.raises(ConvergenceError, match="quadrature .* vs residue sum") as exc:
+            exact_E("irf", ObservableSpec((2,), 4), dyn6v)
+        value, ref = exc.value.estimates
+        assert abs(ref - value - 1) < 1e-6
+
+    def test_walk_sum_disagreement(self, monkeypatch):
+        real = observables.ssep_mean_height
+        monkeypatch.setattr(observables, "ssep_mean_height", lambda x, t: real(x, t) + 1)
+        with pytest.raises(ConvergenceError, match="SSEP routes disagree: quadrature .* vs walk sum") as exc:
+            exact_E("ssep", ObservableSpec((1,), 1.0), (2.0,))
+        value, ref = exc.value.estimates
+        assert abs(value - ref - 1) < 1e-6
 
     def test_asep_negative_site_check_is_finite(self, monkeypatch):
         # _asep_residue_series was NaN at every x < 0, so this check passed unchecked

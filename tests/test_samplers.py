@@ -1,3 +1,5 @@
+import itertools
+import math
 import signal
 
 import numpy as np
@@ -20,7 +22,7 @@ from dynirf.samplers import (
     trajectory_seed,
     uniform_hash,
 )
-from dynirf.samplers import _rate, _site_move
+from dynirf.samplers import _rate
 from dynirf.special import InvalidParameterError
 from dynirf.symfunc import Signature, _strip, skew_B_lattice
 
@@ -119,6 +121,11 @@ class TestTrajectorySeed:
         # hash of the pair as separate keys does not
         seeds = {trajectory_seed(s, i) for s in range(8) for i in range(64)}
         assert len(seeds) == 8 * 64
+
+    def test_no_collisions_at_sample_counts_in_use(self):
+        # seeds 0-15, each with the 10^5 trajectories of an mc_E run
+        seeds = np.sort(np.concatenate([trajectory_seed(s, np.arange(100_000, dtype=np.int64)) for s in range(16)]))
+        assert seeds.size == 16 * 100_000 and (seeds[1:] != seeds[:-1]).all()
 
     def test_farm_streams_differ_across_seeds(self):
         a = exclusion_farm("ssep", (2.0,), 1.0, 64, seed=4, xs=[0, 1])
@@ -292,12 +299,31 @@ class TestExclusion:
 
     def test_ssep_lambda_bar_one_at_origin(self):
         # s_0 = 0 is a local minimum: only the up-rate (0+1)/(0+1+1) exists;
-        # the down-rate's denominator s-1+lambda_bar vanishes there
+        # the down-rate's denominator s-1+lambda_bar vanishes there.  The
+        # step state's one admissible flip is the origin's, up at rate 1/2,
+        # so the run's first event is that flip at its Exp(1/2) clock
+        assert _rate("ssep", (1.0,), 0, 2) == 0.5
         st = step_exclusion_state("ssep", (1.0,))
-        assert _site_move(st, 0) == (2, 0.5)
-        assert _site_move(st, 3) is None
-        out = simulate_exclusion(st, 1.0, seed=3, record=True)
+        out = simulate_exclusion(st, 5.0, seed=3, record=True)
+        assert out.events[0] == (-math.log1p(-uniform_hash(3, 0, 1)) / 0.5, 0, 2)
         assert all(abs(out.value(x + 1) - out.value(x)) == 1 for x in range(out.lo, out.hi))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_bad_rate_raises(self, monkeypatch, bad):
+        # both engines check the rates they use; a NaN used to pass the heap
+        # engine's rate <= 0 check.  Height 2 is reached at once: the
+        # origin's first flip makes it a local maximum there
+        real = samplers._rate
+
+        def patched(kind, rate_params, s_x, delta):
+            rate = real(kind, rate_params, s_x, delta)
+            return np.where(s_x == 2, bad, rate) if np.ndim(s_x) else (bad if s_x == 2 else rate)
+
+        monkeypatch.setattr(samplers, "_rate", patched)
+        with pytest.raises(InvalidParameterError, match="nonpositive or singular jump rate"):
+            exclusion_farm("ssep", (2.0,), 5.0, 50, 1, [0])
+        with pytest.raises(InvalidParameterError, match="nonpositive .*rate"):
+            simulate_exclusion(step_exclusion_state("ssep", (2.0,)), 5.0, seed=1)
 
     def test_t_zero_identity(self):
         st = step_exclusion_state("asep", (0.5, 2.0))
@@ -446,38 +472,70 @@ class TestExclusionFarm:
     def test_reprices_three_sites_per_live_row(self, monkeypatch):
         # the step row is priced once for every trajectory; each step then
         # prices the three sites around each live row's flip, a growing
-        # window only its two old edge sites, and finished rows are dropped
-        calls = []
-        live = []
-        real_rate, real_unit = samplers._rate, samplers._unit
+        # window only its two old edge sites, and finished rows are dropped.
+        # The rates come from one table per window, and the uniforms of each
+        # (row, step) are hashed once, in blocks of steps over the live rows
+        priced, tables, blocks = [], [], []
+        real_rates, real_table, real_draws = samplers._farm_rates, samplers._rate_table, samplers._farm_draws
 
-        def spy_rate(kind, rate_params, s_x, delta):
-            calls.append((np.shape(s_x), live[-1] if live else None))
-            return real_rate(kind, rate_params, s_x, delta)
+        def spy_rates(table, codes):
+            priced.append(np.shape(codes))
+            return real_rates(table, codes)
 
-        def spy_unit(h):
-            live.append(len(h))  # both draws of a step: one (live rows, 2) pass
-            return real_unit(h)
+        def spy_table(kind, rate_params, W):
+            tables.append(W)
+            return real_table(kind, rate_params, W)
 
-        monkeypatch.setattr(samplers, "_rate", spy_rate)
-        monkeypatch.setattr(samplers, "_unit", spy_unit)
+        def spy_draws(prefix, step, k):
+            blocks.append((prefix.copy(), step, k))
+            return real_draws(prefix, step, k)
+
+        monkeypatch.setattr(samplers, "_farm_rates", spy_rates)
+        monkeypatch.setattr(samplers, "_rate_table", spy_table)
+        monkeypatch.setattr(samplers, "_farm_draws", spy_draws)
         n = 200
         exclusion_farm("ssep", (1.0,), 50.0, n, 15, [0])
-        assert calls[0] == ((1, 15), None)
+        assert priced[0] == (15,)
         growths = 0
-        local_rows = []
-        for (rows, cols), n_live in calls[1:]:
-            if cols == 3:
-                assert rows <= n_live
-                local_rows.append(rows)
+        local_rows = []  # the rows each step priced
+        for shape in priced[1:]:
+            if shape[1] == 3:
+                local_rows.append(shape[0])
             else:
                 # the two old edge sites of each row that took this step
-                assert (rows, cols) == (2 * local_rows[-1], 1)
+                assert shape == (local_rows[-1], 2)
                 growths += 1
         assert growths >= 2 and len(local_rows) > 100
-        assert live == sorted(live, reverse=True)
+        assert tables == [8 << g for g in range(growths + 1)]
         assert local_rows == sorted(local_rows, reverse=True)
         assert local_rows[0] == n and local_rows[-1] < n // 10
+        # blocks cover consecutive steps; each starts with the rows the last
+        # step priced, and the run ends inside the last block
+        starts = [step for _, step, _ in blocks]
+        assert starts == list(itertools.accumulate((k for _, _, k in blocks[:-1]), initial=0))
+        assert blocks[0][0].size == n
+        assert all(prefix.size == local_rows[step - 1] for prefix, step, _ in blocks[1:])
+        assert starts[-1] <= len(local_rows) < starts[-1] + blocks[-1][2]
+        drawn = [(int(h), step + i) for prefix, step, k in blocks for h in prefix for i in range(1, k + 1)]
+        assert len(drawn) == len(set(drawn))
+
+    def test_singular_unreachable_rate_is_harmless(self, monkeypatch):
+        # at lambda_bar = 1 the down-rate (s + 1)/s is infinite at s = 0, a
+        # height that is never a local maximum; the rate table computes it
+        # without a warning, and the run finishes
+        downs = []
+        real = samplers._rate
+
+        def spy(kind, rate_params, s_x, delta):
+            rate = real(kind, rate_params, s_x, delta)
+            if np.ndim(delta) and (delta < 0).all():
+                downs.append(rate[0])
+            return rate
+
+        monkeypatch.setattr(samplers, "_rate", spy)
+        out = exclusion_farm("ssep", (1.0,), 20.0, 100, 2, [0])
+        assert downs and all(r == np.inf for r in downs)
+        assert (out >= 0).all() and (out % 2 == 0).all()
 
     def test_frozen_window_is_caught(self, monkeypatch):
         # a frozen window shows as a flip next to its fixed outermost site,
