@@ -36,7 +36,6 @@ from .special import (
     FunctionMode,
     InvalidParameterError,
     contour_integral_factored,
-    f_eval,
 )
 from .symfunc import (
     B_mu,
@@ -143,7 +142,7 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
         raise InvalidParameterError("symmetrization check supports 1 <= m <= 7")
     if len(vs) != m:
         raise InvalidParameterError("need exactly m points")
-    f = lambda x: f_eval(mode, x)
+    f = mode.f
     poles = [vs[a] - vs[b] for a in range(m) for b in range(a + 1, m)] + list(vs) + [beta]
     if min(abs(f(x)) for x in poles) <= 1e-12:
         raise SingularParameterError("symmetrization check needs distinct v's and f(v_k), f(beta) away from 0")
@@ -360,7 +359,7 @@ def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams, f
             if i == j:
                 continue
             diff = probes[i][:, None] - probes[j][None, :] + shift
-            vals = np.abs(f_eval(params.mode, diff))
+            vals = np.abs(params.f(diff))
             if float(vals.min()) <= floor:
                 raise InvalidParameterError(
                     f"contour pair ({i}, {j}) violates the 2*eta-shift pole guard"
@@ -395,8 +394,9 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     Returns (prefactor, terms) for :func:`contour_integral_factored`; the
     permutation sum of B_mu contributes one term per sigma.  B_mu's cross
     factor for a pair a < b that sigma keeps in order cancels the kernel's,
-    so a term carries a binary on the pairs sigma inverts only.  The
-    M^2 unaries, one per (slot, variable), are shared across the terms.
+    so a term carries a binary on the pairs sigma inverts only; as f is odd,
+    that binary is -f(y - x - 2*eta) / f(x - y - 2*eta).  The M^2 unaries,
+    one per (slot, variable), are shared across the terms.
     """
     grid = pq_grid(params)
     f, eta = params.f, params.eta
@@ -405,7 +405,7 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     kern = _kernel_unary(nu, lam, params)
 
     def reversed_(x, y):
-        return f(y - x - 2 * eta) / f(y - x) * (f(x - y) / f(x - y - 2 * eta))
+        return -f(y - x - 2 * eta) / f(x - y - 2 * eta)
 
     def unary(i, v):
         part, shift = mu.parts[i], shifts_b[i]
@@ -615,7 +615,7 @@ def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_
 
 def check_sine_identity(rng: np.random.Generator, tolerance_scale: float = 1.0) -> CheckReport:
     """f(B-C) f(w-A) = f(A-C) f(w-B) - f(A-B) f(w-C) for f = sin at random points (A, B, C, w)."""
-    f = lambda x: f_eval(FunctionMode.trigonometric(), x)
+    f = FunctionMode.trigonometric().f
     worst = _Worst()
     for i in range(SINE_DRAWS):
         A, B, C, w = rng.standard_normal(4) * 0.7 + 1j * rng.standard_normal(4) * 0.3

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import Circle, FunctionMode, InvalidParameterError, f_deriv0, f_eval
+from .special import Circle, FunctionMode, InvalidParameterError, f_deriv0
 
 __all__ = [
     "IrfParams",
@@ -109,7 +109,7 @@ class IrfParams:
         return self._lam_prefix[b] - self._lam_prefix[a]
 
     def f(self, x):
-        return f_eval(self.mode, x)
+        return self.mode.f(x)
 
     def fp0(self) -> complex:
         return f_deriv0(self.mode)

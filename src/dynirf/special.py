@@ -13,8 +13,11 @@ one (tau -> +i*inf, and argument rescaling, respectively), and every
 formula downstream is written uniformly in f.
 
 All functions here accept numpy arrays for their principal argument and
-are pure; the only state is a bounded cache of theta series tables, one
-per (tau, truncation index).
+are pure.  Each :class:`FunctionMode` binds its f once, as ``mode.f``; in
+elliptic mode that is theta's Jacobi triple product with the constants of
+its tau.  The only state is two bounded caches: those products, one per
+(tau, tol), and the series tables of ``theta_deriv``, one per (tau,
+truncation index).
 """
 
 from __future__ import annotations
@@ -58,7 +61,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FunctionMode:
-    """Which realization of f is in effect; elliptic mode carries tau."""
+    """Which realization of f is in effect; elliptic mode carries tau.
+
+    ``mode.f`` is f itself, on scalars and arrays, bound once at
+    construction.  It is not a dataclass field: equality, hashing, repr and
+    JSON see ``kind`` and ``tau`` only, and a pickled mode is rebuilt from
+    them.
+    """
 
     kind: str  # "elliptic" | "trigonometric" | "rational"
     tau: complex | None = None
@@ -69,8 +78,15 @@ class FunctionMode:
         if self.kind == "elliptic":
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise InvalidParameterError("elliptic mode needs Im(tau) > 0")
+            f = _theta_product(complex(self.tau), _THETA_TOL)
         elif self.tau is not None:
             raise InvalidParameterError(f"{self.kind} mode takes no tau")
+        else:
+            f = _sin_pi if self.kind == "trigonometric" else _identity
+        object.__setattr__(self, "f", f)
+
+    def __reduce__(self):
+        return FunctionMode, (self.kind, self.tau)
 
     @classmethod
     def elliptic(cls, tau: complex) -> "FunctionMode":
@@ -85,7 +101,16 @@ class FunctionMode:
         return cls("rational")
 
 
-TRIG = FunctionMode.trigonometric()
+def _sin_pi(z):
+    """f of trigonometric mode."""
+    if isinstance(z, (int, float, complex)):
+        return cmath.sin(math.pi * z)  # scalar fast path; hot in the row DPs
+    return np.sin(np.pi * z)
+
+
+def _identity(z):
+    """f of rational mode."""
+    return complex(z) if isinstance(z, (int, float, complex)) else np.asarray(z, dtype=complex)
 
 
 def _theta_index_cutoff(max_abs_im_z: float, im_tau: float, tol: float) -> int:
@@ -108,64 +133,133 @@ def _theta_table(tau: complex, cap: int) -> tuple:
     return tuple(2j * math.pi * h for h in half), tuple(1j * math.pi * tau * h * h for h in half)
 
 
-def _theta_series(z, tau, tol: float, order: int):
-    # -sum_j k_j^order exp(a_j + k_j*(z+1/2)): theta for order 0, its z
-    # derivative for order 1 (two extra terms cover the factor k_j).
+def _theta_args(tau, tol) -> complex:
     tau = complex(tau)
     if tau.imag <= 0:
         raise InvalidParameterError(f"theta needs Im(tau) > 0, got tau={tau}")
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not tol > 0:
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+    return tau
+
+
+_THETA_TOL = 1e-14  # theta's default tol, and the tol of elliptic mode's f
+
+
+def _theta_off_range(z, tau):
+    """Where theta's product is not finite: NaN for a NaN z, else the error."""
+    if cmath.isinf(z):
+        raise InvalidParameterError(f"theta needs a finite z, got z={z} at tau={tau}")
+    if cmath.isnan(z):
+        return complex(math.nan, math.nan)
+    raise InvalidParameterError(f"theta(z, tau) is past double range at z={z}, tau={tau}")
+
+
+@functools.lru_cache(maxsize=256)
+def _theta_product(tau: complex, tol: float):
+    """theta(., tau) to relative accuracy ``tol``, one callable for scalars and arrays.
+
+    z is first reduced into the strip |Im z0| <= Im(tau)/2 by z0 = z - m*tau,
+    m = round(Im z / Im tau), with theta(z0 + m*tau) = (-1)^m
+    exp(-pi*i*m*(z + z0)) theta(z0) (DLMF 20.2(iii)).  There, with q =
+    exp(pi*i*tau) and s = sin(pi*z0), the triple product (DLMF 20.5.1) reads
+    theta(z0) = K s prod_{n<=N} (1 + g_n s^2), K = 2 q^(1/4) prod (1 - q^2n)^3
+    and g_n = 4 q^2n / (1 - q^2n)^2.  In the strip |s|^2 <= (1+r)^2/(4r) for
+    r = |q|, so |g_n s^2| <= r^(2n-1)/(1-r)^2, and N is the least count at
+    which these bounds summed over n > N stay below log1p(tol): the dropped
+    factors then change the value by a relative amount below ``tol``.
+    """
+    ti = tau.imag
+    r = math.exp(-math.pi * ti)
+    n, tail = 0, r / ((1 - r) ** 2 * (1 - r * r))
+    while tail > math.log1p(tol):
+        n, tail = n + 1, tail * r * r
+    q2n = [cmath.exp(2j * math.pi * tau * k) for k in range(1, n + 1)]
+    gs = tuple(4 * x / (1 - x) ** 2 for x in q2n)
+    K = 2 * cmath.exp(0.25j * math.pi * tau) * math.prod((1 - x) ** 3 for x in q2n)
+    half, pi, sin, exp, isfinite = ti / 2, math.pi, cmath.sin, cmath.exp, cmath.isfinite
+
+    def theta_tau(z):
+        if not isinstance(z, (int, float, complex)):
+            return array(z)
+        try:
+            m = 0 if -half <= z.imag <= half else round(z.imag / ti)
+            z0 = z - m * tau if m else z
+            s = sin(pi * z0)
+            out, s2 = K * s, s * s
+            for g in gs:
+                out *= 1 + g * s2
+            if m:
+                # h * h = exp(-pi*i*m*(z + z0)) with |h| >= 1, which alone may pass
+                # double range where theta does not
+                h = exp(-0.5j * pi * m * (z + z0))
+                out = (-out if m % 2 else out) * h * h
+            if isfinite(out):
+                return out
+        except (ValueError, OverflowError):
+            pass
+        return _theta_off_range(z, tau)  # a non-finite z, or past double range
+
+    def array(z):
+        zarr = np.asarray(z, dtype=complex)
+        flat = zarr.reshape(-1)
+        with np.errstate(all="ignore"):
+            m = np.rint(flat.imag / ti)
+            z0 = flat - m * tau
+            s = np.sin(np.pi * z0)
+            out, s2 = K * s, s * s
+            for g in gs:
+                out *= 1 + g * s2
+            if m.any():
+                h = np.exp(-0.5j * np.pi * m * (flat + z0))
+                out = np.where(m % 2, -out, out) * h * h
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out[i] = _theta_off_range(complex(flat[i]), tau)
+        return complex(out[0]) if zarr.shape == () else out.reshape(zarr.shape)
+
+    return theta_tau
+
+
+def theta(z, tau: complex, tol: float = _THETA_TOL):
+    """Odd theta -sum_j exp(pi*i*(j+1/2)^2*tau + 2*pi*i*(j+1/2)*(z+1/2)), i.e.
+    theta_1(pi*z | q = exp(pi*i*tau)).
+
+    Evaluated by the Jacobi triple product after reducing z into the strip
+    |Im z| <= Im(tau)/2 by the quasi-period tau; the product is truncated
+    where the dropped factors change the value by a relative amount below
+    ``tol``.  Accepts scalar or ndarray ``z``; ``tau`` must have positive
+    imaginary part.  Scalars are computed with ``cmath``, arrays with numpy,
+    from constants cached per (tau, tol).  A NaN z gives NaN; an infinite z,
+    or one where theta is past double range, raises InvalidParameterError.
+    """
+    return _theta_product(_theta_args(tau, tol), tol)(z)
+
+
+def theta_deriv(z, tau: complex, tol: float = _THETA_TOL):
+    """d/dz of ``theta`` by the termwise-differentiated series
+    -sum_j k_j exp(a_j + k_j*(z+1/2)), truncated where the discarded tail is
+    below ``tol`` in absolute value (two extra terms cover the factor k_j).
+    Scalars are summed with ``cmath`` over a table cached per (tau,
+    truncation index); arrays use the same table with numpy."""
+    tau = _theta_args(tau, tol)
     if isinstance(z, (int, float, complex)):
-        # scalar fast path: pure cmath over the cached table, no numpy
         w = z + 0.5
-        ks, exps = _theta_table(tau, _theta_index_cutoff(abs(w.imag), tau.imag, tol) + 2 * order)
+        ks, exps = _theta_table(tau, _theta_index_cutoff(abs(w.imag), tau.imag, tol) + 2)
         exp = cmath.exp
         total = 0j
-        if order:
-            for k, a in zip(ks, exps):
-                total += k * exp(a + k * w)
-        else:
-            for k, a in zip(ks, exps):
-                total += exp(a + k * w)
+        for k, a in zip(ks, exps):
+            total += k * exp(a + k * w)
         return -total
     zarr = np.asarray(z, dtype=complex)
     max_im = float(np.max(np.abs(zarr.imag))) if zarr.size else 0.0
-    ks, exps = _theta_table(tau, _theta_index_cutoff(max_im, tau.imag, tol) + 2 * order)
+    ks, exps = _theta_table(tau, _theta_index_cutoff(max_im, tau.imag, tol) + 2)
     k = np.asarray(ks)[:, None]
-    terms = np.exp(np.asarray(exps)[:, None] + k * (zarr.reshape(-1) + 0.5))
-    if order:
-        terms *= k
-    out = -np.sum(terms, axis=0).reshape(zarr.shape)
+    out = -np.sum(k * np.exp(np.asarray(exps)[:, None] + k * (zarr.reshape(-1) + 0.5)), axis=0).reshape(zarr.shape)
     return complex(out) if zarr.shape == () else out
 
 
-def theta(z, tau: complex, tol: float = 1e-14):
-    """Odd theta series -sum_j exp(pi*i*(j+1/2)^2*tau + 2*pi*i*(j+1/2)*(z+1/2)).
-
-    The sum is truncated over the symmetric index range |j+1/2| <= J with J
-    chosen so the discarded tail is below ``tol`` in absolute value.
-    Accepts scalar or ndarray ``z``; ``tau`` must have positive imaginary
-    part.  Scalars are summed with ``cmath`` over a table cached per
-    (tau, J); arrays use the same table with numpy.
-    """
-    return _theta_series(z, tau, tol, 0)
-
-
-def theta_deriv(z, tau: complex, tol: float = 1e-14):
-    """d/dz of ``theta`` via the termwise-differentiated series."""
-    return _theta_series(z, tau, tol, 1)
-
-
 def f_eval(mode: FunctionMode, z):
-    """Evaluate f(z) in the given mode (elliptic theta, sin(pi z), or z)."""
-    if mode.kind == "trigonometric":
-        if isinstance(z, (int, float, complex)):
-            return cmath.sin(math.pi * z)  # scalar fast path; hot in the row DPs
-        return np.sin(np.pi * z)
-    if mode.kind == "rational":
-        return complex(z) if isinstance(z, (int, float, complex)) else np.asarray(z, dtype=complex)
-    return theta(z, mode.tau)
+    """Evaluate f(z) in the given mode (elliptic theta, sin(pi z), or z): ``mode.f(z)``."""
+    return mode.f(z)
 
 
 def f_deriv0(mode: FunctionMode) -> complex:
@@ -175,6 +269,9 @@ def f_deriv0(mode: FunctionMode) -> complex:
     if mode.kind == "rational":
         return 1.0
     return complex(theta_deriv(0.0, mode.tau))
+
+
+TRIG = FunctionMode.trigonometric()
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .params import IrfParams, PQGrid, pq_grid
-from .special import FunctionMode, InvalidParameterError, f_eval
+from .special import FunctionMode, InvalidParameterError
 from .weights import plaquette_weights
 
 __all__ = [
@@ -111,7 +111,7 @@ def _sig(s) -> Signature:
 
 def phi(k: int, u, grid: PQGrid, mode: FunctionMode):
     """phi_k(u) = [prod_{i<k} f(u - p_i)/f(u - q_i)] / f(u - q_k)."""
-    f = lambda x: f_eval(mode, x)
+    f = mode.f
     out = 1.0 / f(u - grid.q[k])
     for i in range(k):
         out = out * f(u - grid.p[i]) / f(u - grid.q[i])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FunctionMode, InvalidParameterError, f_eval
+from .special import FunctionMode, InvalidParameterError
 
 __all__ = [
     "PLAQUETTE_KINDS",
@@ -110,22 +110,25 @@ def _is_scalar(lam) -> bool:
 
 
 def _memo_f(mode: FunctionMode):
-    """Scalar f of ``mode``, memoized on the exact argument in elliptic mode.
+    """Scalar ``mode.f``, memoized on the exact argument in elliptic mode.
 
     Arguments that compare equal but differ in the sign of a zero part
     (0.0 vs -0.0) get separate entries, since f may return zeros of
     different signs for them.  In trigonometric and rational mode f is one
-    sin call or the identity, no dearer than the lookup, and is left plain.
+    sin call or the identity, no dearer than the lookup, and is returned
+    as is.  In elliptic mode one theta product (a sine and a few
+    multiplies) still costs several lookups, so the memo stays.
     """
     if mode.kind != "elliptic":
-        return lambda x: f_eval(mode, x)
+        return mode.f
     memo: dict = {}
+    theta = mode.f
 
     def f(x):
         key = x if x.real and x.imag else (x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
         val = memo.get(key)
         if val is None:
-            val = memo[key] = f_eval(mode, x)
+            val = memo[key] = theta(x)
         return val
 
     return f
@@ -134,8 +137,7 @@ def _memo_f(mode: FunctionMode):
 def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
     """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
     _check_kind(kind, k)
-    f = lambda x: f_eval(ctx.mode, x)
-    return _weight(kind, k, ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta, f, _is_scalar(ctx.lam), stochastic)
+    return _weight(kind, k, ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta, ctx.mode.f, _is_scalar(ctx.lam), stochastic)
 
 
 def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool):
@@ -248,11 +250,7 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
         raise InvalidParameterError(f"unknown plaquette kind {kind!r}")
     if kind == "C" and k < 1:
         raise InvalidParameterError("kind C needs k >= 1")
-    L = Lambda
-
-    def f(x):
-        return f_eval(mode, x)
-
+    L, f = Lambda, mode.f
     check = _is_scalar(lam)
     if kind == "A":
         return _ratio(

@@ -1,4 +1,7 @@
+import cmath
+import dataclasses
 import math
+import pickle
 import time
 
 import numpy as np
@@ -21,6 +24,11 @@ from dynirf.special import (
 )
 
 RNG = np.random.default_rng(20260810)
+
+
+def _bits(x) -> tuple:
+    x = complex(x)
+    return (x.real.hex(), x.imag.hex())
 
 
 class TestTheta:
@@ -116,6 +124,60 @@ class TestThetaMpmathOracle:
                 fn(0.1, 1.5j, tol=0.0)
             with pytest.raises(InvalidParameterError):
                 fn(np.array([0.1]), 1.5j, tol=-1.0)
+            with pytest.raises(InvalidParameterError):
+                fn(0.1, 1.5j, tol=math.nan)
+
+    @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
+    def test_quasi_period_reduction(self, tau):
+        # |Im z| up to 4 Im(tau): z is reduced by up to four quasi-periods
+        # before the product runs, so the prefactor exp(-pi*i*m*(z + z0)) is
+        # checked as well as the product
+        rng = np.random.default_rng(int(100 * abs(tau)))
+        zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-4, 4, 40) * tau.imag
+        refs = np.array([self._ref(z, tau) for z in zs])
+        scalar = np.array([theta(complex(z), tau) for z in zs])
+        array = theta(zs, tau)
+        assert np.all(np.abs(scalar - refs) <= 1e-13 * np.abs(refs))
+        assert np.all(np.abs(array - refs) <= 1e-13 * np.abs(refs))
+        assert np.all(np.abs(array - scalar) <= 4e-15 * np.abs(scalar))
+
+
+class TestThetaOffRange:
+    # the scalar and array paths agree: NaN in gives NaN out, and an infinite
+    # z or a value past double range is one InvalidParameterError naming z and tau
+    TAU = 1.4j
+    NAN = float("nan")
+    INF = float("inf")
+
+    @pytest.mark.parametrize("z", [complex(NAN, 0.3), complex(0.3, NAN), complex(NAN, 20.0), complex(NAN, NAN)])
+    def test_nan_gives_nan(self, z):
+        assert cmath.isnan(theta(z, self.TAU))
+        out = theta(np.array([0.3 + 0.1j, z, 0.2 + 3j]), self.TAU)
+        assert cmath.isnan(out[1])
+        assert out[0] == pytest.approx(theta(0.3 + 0.1j, self.TAU), rel=1e-15) and np.isfinite(out[2])
+
+    @pytest.mark.parametrize("z", [complex(0, INF), complex(0.3, -INF), complex(INF, 0.3), complex(INF, NAN), INF])
+    def test_infinite_z_raises(self, z):
+        with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
+            theta(z, self.TAU)
+        with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
+            theta(np.array([0.3, z]), self.TAU)
+
+    @pytest.mark.parametrize("z, tau", [(0.3 + 20j, TAU), (0.3 - 20j, TAU), (1e300j, TAU), (0.5 + 36.9j, 6j)])
+    def test_past_double_range_raises(self, z, tau):
+        with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
+            theta(z, tau)
+        with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
+            theta(np.array([0.3, z]), tau)
+
+    @pytest.mark.parametrize("z, tau", [(0.3 + 17.5j, 1.4j), (0.5 + 36.86j, 6j)])
+    def test_large_but_finite_value(self, z, tau):
+        # |theta| near 1e298 and 1e307 is still a value, in both paths; at
+        # 0.5 + 36.86i, tau = 6i, exp(-pi*i*m*(z + z0)) alone passes double range
+        ref = TestThetaMpmathOracle._ref(z, tau)
+        assert 1e290 < abs(ref) < 1e308
+        assert abs(theta(z, tau) - ref) <= 1e-13 * abs(ref)
+        assert abs(theta(np.array([z]), tau)[0] - ref) <= 1e-13 * abs(ref)
 
 
 class TestFEval:
@@ -138,6 +200,35 @@ class TestFEval:
         h = 1e-6
         fd = (theta(h, 1.9j) - theta(-h, 1.9j)) / (2 * h)
         assert abs(f_deriv0(mode) - fd) < 1e-8
+
+    @pytest.mark.parametrize("mode", [FunctionMode.elliptic(1.4j), TRIG, FunctionMode.rational()], ids=["elliptic", "trig", "rational"])
+    def test_f_eval_is_the_bound_f(self, mode):
+        zs = np.array([0.3, -0.21 + 0.4j, 1.7 - 2.2j, 0j])
+        for z in list(zs) + [2, 0.5]:
+            assert _bits(f_eval(mode, z)) == _bits(mode.f(z))
+        assert [_bits(x) for x in f_eval(mode, zs)] == [_bits(x) for x in mode.f(zs)]
+
+    def test_trig_and_rational_f_are_plain(self):
+        z = 0.37 - 0.12j
+        assert _bits(TRIG.f(z)) == _bits(cmath.sin(math.pi * z))
+        assert _bits(FunctionMode.rational().f(z)) == _bits(complex(z))
+
+    def test_bound_f_is_not_a_field(self):
+        # eq, hash, repr, pickling and the JSON round trip see kind and tau only
+        from dynirf.params import params_from_json_dict, params_to_json_dict, random_pack
+
+        a, b = FunctionMode.elliptic(1.4j), FunctionMode("elliptic", 1.4j)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != FunctionMode.elliptic(1.5j) and a != TRIG
+        assert [f.name for f in dataclasses.fields(FunctionMode)] == ["kind", "tau"]
+        for mode in (a, TRIG, FunctionMode.rational()):
+            again = pickle.loads(pickle.dumps(mode))
+            assert again == mode and _bits(again.f(0.3 + 0.2j)) == _bits(mode.f(0.3 + 0.2j))
+            P = random_pack(np.random.default_rng(3), mode)
+            Q = params_from_json_dict(params_to_json_dict(P))
+            assert Q == P and hash(Q.mode) == hash(P.mode)
+            assert params_to_json_dict(Q) == params_to_json_dict(P)
+            assert _bits(Q.f(0.3 + 0.2j)) == _bits(P.f(0.3 + 0.2j))
 
     def test_mode_validation(self):
         with pytest.raises(InvalidParameterError):

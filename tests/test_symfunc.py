@@ -441,10 +441,11 @@ class TestPermSum:
         from dynirf.params import IrfParams
 
         calls = []
-        real_f_eval = idn.f_eval
-        monkeypatch.setattr(idn, "f_eval", lambda mode, x: calls.append(x) or real_f_eval(mode, x))
+        mode = FunctionMode.elliptic(1.5j)
+        real_f = mode.f
+        monkeypatch.setitem(vars(mode), "f", lambda x: calls.append(x) or real_f(x))
         vs = [0.11 + 0.05j, 0.23 - 0.02j, 0.37 + 0.04j, 0.52 + 0.01j, 0.68 - 0.03j, 0.81 + 0.02j]
-        idn.check_symmetrization_lemma(6, vs, 0.17 + 0.03j, FunctionMode.elliptic(1.5j))
+        idn.check_symmetrization_lemma(6, vs, 0.17 + 0.03j, mode)
         assert 0 < len(calls) <= 200
 
         calls.clear()

@@ -186,13 +186,13 @@ class TestSharedF:
             for lam_x in (LAM, LAM + 2 * P.eta, 0.2 - 0.1j)
         ]
         calls = []
-        real = weights.f_eval
+        real = P.mode.f
 
-        def spy(mode, x):
+        def spy(x):
             calls.append(x)
-            return real(mode, x)
+            return real(x)
 
-        monkeypatch.setattr(weights, "f_eval", spy)
+        monkeypatch.setitem(vars(P.mode), "f", spy)
         fn = plaquette_weights(P, WS[0])
         got = [fn(*key) for key in keys]
         memoized = len(calls)
