@@ -1,8 +1,10 @@
 """Stochastic IRF models, symmetric elliptic functions, and dynamic exclusion processes.
 
-The observable exports (``ObservableSpec``, ``enum_E``, ``exact_E``,
-``mc_E``) are lazy: :mod:`dynirf.observables` and the scipy it needs load
-on first access, so ``import dynirf`` and ``dynirf verify`` never load scipy.
+numpy is the only run-time dependency: the scaled Bessel values and the
+incomplete gamma the exclusion processes need are kernels of
+:mod:`dynirf.special`.  The observable exports (``ObservableSpec``,
+``enum_E``, ``exact_E``, ``mc_E``) are lazy: :mod:`dynirf.observables`
+loads on first access, so ``import dynirf`` and ``dynirf verify`` skip it.
 """
 
 from .params import IrfParams, pq_grid, preset

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .identities import CheckReport
 from .observables import rising, ssep_falling_moment, ssep_mean_height
 from .samplers import exclusion_farm
-from .special import InvalidParameterError
+from .special import InvalidParameterError, gammainc
 
 __all__ = [
     "RegimeSpec",
@@ -106,7 +105,10 @@ class RegimeIVLaw:
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
         arg = z * z + z * self.chi
-        out = np.where(arg > 0, scipy.special.gammainc(self.gamma_shape, np.maximum(arg, 0.0) / self.gamma_scale), 0.0)
+        # off the support (NaN included) P = 0; an infinite arg is clipped to
+        # the largest float, where P = 1
+        y = np.minimum(np.where(arg > 0, arg, 0.0) / self.gamma_scale, np.finfo(float).max)
+        out = gammainc(self.gamma_shape, y)
         return out if out.shape else float(out)
 
     def moment(self, m: int) -> float:

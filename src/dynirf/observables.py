@@ -28,11 +28,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .identities import CheckReport
 from .params import IrfParams, pq_grid, to_six_vertex
-from .special import Circle, ConvergenceError, InvalidParameterError, _as_int, _check_nodes, _check_tol, contour_integral_factored
+from .special import (
+    Circle,
+    ConvergenceError,
+    InvalidParameterError,
+    _as_int,
+    _check_nodes,
+    _check_tol,
+    contour_integral_factored,
+    log_ive,
+)
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
@@ -233,7 +241,10 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     independent route: the residue sum for the lattice models (any n), the
     random-walk sum ``_walk_sum`` for the exclusion models (n = 1): E[q^h] - 1
     of the usual ASEP, -E h of the usual SSEP.  SSEP takes other exact
-    routes where its integral is not accurate (table below).
+    routes where its integral is not accurate (table below); ASEP at n = 1
+    returns the walk sum alone where its loop integral cannot be accurate
+    (the integrand's peak on the circle times eps is 1 or more) or raises
+    ConvergenceError (from t = 5 at q = 0.5, t = 20 at q = 0.8).
 
     model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
     spin), integral around the w's; coincident row parameters raise
@@ -370,11 +381,34 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
     def unary(x):
         return lambda y: ((1 - y) / (1 - q * y)) ** x * np.exp((1 - q) ** 2 * y * t / ((1 - y) * (1 - q * y))) / y
 
-    value = q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, lambda a, b: (a - b) / (a - q * b), circles, nodes, tol)
-    if n == 1:
-        # the alpha -> 0 limit of _asep_product: E[q^h] - 1 for the usual ASEP
-        _check_walk_sum("ASEP", value, _walk_sum(spec.xs[0], t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0)
+    def cross(a, b):
+        return (a - b) / (a - q * b)
+
+    if n > 1:
+        return q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, cross, circles, nodes, tol)
+    x = spec.xs[0]
+    # the integrand peaks near exp(9 (1 - q)^2 t / (1 - 0.9 q)) at y = 0.9
+    # (q < 1); once that peak times eps reaches 1 (t = 8.8 at q = 0.5, 28 at
+    # q = 0.8) the quadrature's rounding noise swamps the value, and from a
+    # peak of e^709 the integrand overflows: the walk sum alone then
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.max(np.abs(unary(x)(circles[0].points(256))))
+    if not peak * np.finfo(float).eps < 1.0:
+        return complex(_asep_walk_sum(x, t, q))
+    try:
+        value = _site_integral(spec.xs, unary, cross, circles, nodes, tol)
+    except ConvergenceError:
+        # below that peak the quadrature still passes its node cap from t = 5
+        # at q = 0.5 and t = 20 at q = 0.8 (about 1.8 ms spent)
+        return complex(_asep_walk_sum(x, t, q))
+    _check_walk_sum("ASEP", value, _asep_walk_sum(x, t, q))
     return value
+
+
+def _asep_walk_sum(x: int, t: float, q: float) -> float:
+    """E[q^h(x, t)] - 1 of the usual ASEP from the step state, the alpha -> 0
+    limit of ``_asep_product`` at n = 1: ``_walk_sum`` of g0(y) = q^max(-y, 0)."""
+    return _walk_sum(x, t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
 
 
 # the direct SSEP route's t-range by n, at sites x >= 0 only: on the circles
@@ -431,10 +465,11 @@ def _walk_sum(x: int, t: float, q: float, g0) -> float:
     """sum_k P(Y_t = k) g0(x + k), Y the walk that steps +1 at rate q and -1 at rate 1.
 
     P(Y_t = k) = e^{-(1+q)t} q^{k/2} I_k(2 sqrt(q) t)
-    = exp(-(1 - sqrt q)^2 t + (k/2) log q + log ive(|k|, 2 sqrt(q) t)), formed
-    in that log form (q^{k/2} and ive over- and underflow apart) from one ive
-    call; an ive that underflows to 0 gives P = 0.  At t = 0, P is exactly
-    delta_{k0}.  ``g0`` maps an int array of sites to values.
+    = exp(-(1 - sqrt q)^2 t + (k/2) log q + log(e^{-z} I_|k|(z))), z = 2 sqrt(q) t,
+    formed in that log form from one ``special.log_ive`` call, so neither
+    q^{k/2} nor a scaled Bessel value far below double range is ever formed
+    alone.  At t = 0, P is exactly delta_{k0}.  ``g0`` maps an int array of
+    sites to values.
 
     The window is k in +-(|q - 1| t + 10 sigma + 30), sigma^2 = (1 + q) t.
     Bennett's inequality puts at most 2 exp(-a^2 / (2 (sigma^2 + a/3))) of the
@@ -443,14 +478,15 @@ def _walk_sum(x: int, t: float, q: float, g0) -> float:
     (1 - q) t +- a, where P(k) q^{-k} = P(-k) puts the weight of a g0 that
     grows like q^{-y}.  At q > 1, g0 must be the ASEP's q^{max(-y, 0)} on
     y < 0, which leaves double range where P(k) underflows.  ConvergenceError
-    when the window's probabilities do not sum to 1 within 1e-12: under a
-    large drift ive underflows where the mass sits (t about 1e4 at q = 0.5).
+    when the window's probabilities do not sum to 1 within 1e-12: the terms
+    of the log form reach the order of |1 - q| t and round relative to
+    that, so under a large drift the mass misses 1 by more (4e-12 at t = 1e5,
+    q = 0.5; 3e-12 at t = 1e4, q = 0.01).
     """
     rq = math.sqrt(q)
     half = int(abs(q - 1.0) * t + 10.0 * math.sqrt((1.0 + q) * t) + 30.0)
     k = np.arange(-half, half + 1)
-    iv = scipy.special.ive(np.abs(k), 2.0 * rq * t)
-    log_p = np.log(iv, out=np.full(k.shape, -np.inf), where=iv > 0) + 0.5 * math.log(q) * k - (1.0 - rq) ** 2 * t
+    log_p = log_ive(2.0 * rq * t, half)[np.abs(k)] + 0.5 * math.log(q) * k - (1.0 - rq) ** 2 * t
     p = np.exp(log_p)
     mass = p.sum()
     if not abs(mass - 1.0) <= 1e-12:
@@ -466,8 +502,9 @@ def ssep_mean_height(x: int, t: float) -> float:
     By duality E h(x, t) = E max(-(x + Y_t), 0) for the symmetric walk Y
     (rate 1 each way): the q = 1 case of ``_walk_sum``, on one window
     k in 0 +- (10 sqrt(2t) + 30) for any site x, its probabilities
-    e^{-2t} I_k(2t) formed in log form from one ive call, and
-    ConvergenceError unless they sum to 1 within 1e-12 (they do to t = 1e6).
+    e^{-2t} I_k(2t) formed in log form from one ``special.log_ive`` call, and
+    ConvergenceError unless they sum to 1 within 1e-12 (they do to t = 1e6:
+    with no drift the log form's terms stay below 60).
     """
     return _walk_sum(_as_int(x, "site x"), _check_horizon(t), 1.0, lambda y: np.maximum(-y, 0))
 
@@ -612,7 +649,7 @@ def _duality_moment(xs, t: float) -> float:
         return out
 
     z = 2.0 * n * t
-    coef = 2.0 * scipy.special.ive(np.arange(int(z + 10.0 * math.sqrt(z) + 40.0)), z)
+    coef = 2.0 * np.exp(log_ive(z, int(z + 10.0 * math.sqrt(z) + 40.0) - 1))
     coef[0] /= 2.0
     box = tuple(slice(x - lo + 1, None) for x in xs)
     # T_0 = C, T_1 = X C = 2X (C / 2), T_{k+1} = 2X T_k - T_{k-1}, until both

@@ -1,4 +1,4 @@
-"""Complex special functions and the circle-contour quadrature engine.
+"""Complex special functions, two real kernels and the circle-contour quadrature engine.
 
 The building block for every weight and symmetric function in this package
 is a single odd function f, realized in one of three modes:
@@ -18,6 +18,12 @@ elliptic mode that is theta's Jacobi triple product with the constants of
 its tau.  The only state is two bounded caches: those products, one per
 (tau, tol), and the series tables of ``theta_deriv``, one per (tau,
 truncation index).
+
+The two real kernels serve the exclusion processes: ``log_ive``, the
+scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
+(random-walk laws and the Chebyshev coefficients of e^{tL}), and
+``gammainc``, the regularized lower incomplete gamma (the regime-IV
+limit law).
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ __all__ = [
     "theta_deriv",
     "f_eval",
     "f_deriv0",
+    "log_ive",
+    "gammainc",
     "contour_integral_factored",
 ]
 
@@ -269,6 +277,125 @@ def f_deriv0(mode: FunctionMode) -> complex:
     if mode.kind == "rational":
         return 1.0
     return complex(theta_deriv(0.0, mode.tau))
+
+
+_RATIO_BLOCK = 512  # ratio mantissas lie in [1/2, 1): a block's product stays above 2^-513
+
+
+def log_ive(z: float, kmax: int) -> np.ndarray:
+    """log(e^{-z} I_k(z)) for every order k = 0..kmax at one z >= 0.
+
+    Miller's backward recurrence (Gautschi, SIAM Rev. 9, 1967) on the
+    ratios r_k = I_k / I_{k-1} = 1 / (2k/z + r_{k+1}), run down from order
+    N = kmax + sqrt(80 z) + 40, started at the estimate
+    z / (N + 1 + sqrt((N + 1)^2 + z^2)): the start's error is damped by
+    prod_{k <= N} r_k^2 < e^{-40} at every order up to kmax.  The same
+    loop sums e^{-z} (I_0 + 2 sum_{k >= 1} I_k) = 1 by Horner's rule
+    (its tail past N is below e^{-40}), which fixes e^{-z} I_0.  The prefix
+    products of the ratios are formed in product form: each ratio split
+    exactly into a mantissa in [1/2, 1) and a power of 2, the mantissas
+    multiplied in blocks of ``_RATIO_BLOCK``, the exponents summed as
+    integers, so only the last log rounds on the scale of the result and
+    values far below double range keep their logs.  At z = 0 the result
+    is 0 at k = 0 and -inf above.  A z that is negative or not finite,
+    or a kmax that is not an integer >= 0, raises InvalidParameterError.
+    """
+    if not (isinstance(z, (int, float, np.integer, np.floating)) and math.isfinite(z) and z >= 0):
+        raise InvalidParameterError(f"log_ive needs a finite z >= 0, got {z!r}")
+    if (kmax := _as_int(kmax, "the top order kmax")) < 0:
+        raise InvalidParameterError(f"the top order kmax must be >= 0, got {kmax}")
+    out = np.full(kmax + 1, -np.inf)
+    if z == 0:
+        out[0] = 0.0
+        return out
+    z = float(z)
+    top = kmax + int(math.sqrt(80.0 * z)) + 40
+    c = 2.0 / z
+    r = z / (top + 1.0 + math.sqrt((top + 1.0) ** 2 + z * z))
+    tail = 0.0
+    ratios = [0.0] * top
+    for k in range(top, 0, -1):
+        r = 1.0 / (c * k + r)
+        tail = r * (1.0 + tail)
+        ratios[k - 1] = r
+    out[0] = -math.log1p(2.0 * tail)
+    mant, scale = np.frexp(np.array(ratios[:kmax]))
+    scale = np.cumsum(scale)
+    carry, shift = 1.0, 0
+    for s in range(0, kmax, _RATIO_BLOCK):
+        block = np.cumprod(mant[s : s + _RATIO_BLOCK]) * carry
+        mant[s : s + _RATIO_BLOCK] = block
+        scale[s : s + _RATIO_BLOCK] += shift
+        carry, step = math.frexp(block[-1])
+        shift += step
+    with np.errstate(divide="ignore"):  # an underflowed ratio (z below ~1e-300) gives -inf
+        out[1:] = out[0] + np.log(mant) + math.log(2.0) * scale
+    return out
+
+
+_GAMMA_EPS = 2.0**-52  # where a series term or a fraction step stops mattering
+_GAMMA_TINY = 1e-300  # the Lentz guard against a zero denominator
+
+
+def gammainc(a: float, x) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),
+    for one a > 0, on an array of x >= 0 (an array of x's shape).
+
+    Below x = a + 1 the series x^a e^{-x} / Gamma(a + 1) sum_n x^n / ((a + 1) ... (a + n)),
+    above it 1 - Q(a, x) with Q's continued fraction evaluated by the
+    modified Lentz method (Numerical Recipes, 3rd ed., section 6.2), both
+    until every step changes its value by less than ``_GAMMA_EPS``
+    relative; past 60 + 12 sqrt(a) steps ConvergenceError.  An a that is
+    not finite and > 0, or an x that is negative or not finite, raises
+    InvalidParameterError.
+    """
+    if not (isinstance(a, (int, float, np.integer, np.floating)) and math.isfinite(a) and a > 0):
+        raise InvalidParameterError(f"gammainc needs a finite a > 0, got {a!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise InvalidParameterError("gammainc needs finite x >= 0")
+    a = float(a)
+    steps = 60 + int(12.0 * math.sqrt(a))
+    out = np.zeros(x.shape)
+    series = (x > 0) & (x < a + 1.0)
+    if series.any():
+        xs = x[series]
+        term, total, ap = np.ones(xs.shape), np.ones(xs.shape), a
+        for _ in range(steps):
+            ap += 1.0
+            term *= xs / ap
+            total += term
+            if np.all(term <= _GAMMA_EPS * total):
+                break
+        else:
+            raise ConvergenceError(f"gammainc series at a = {a} did not converge in {steps} terms")
+        out[series] = total * np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
+    fraction = x >= a + 1.0
+    if fraction.any():
+        xc = x[fraction]
+        b = xc + (1.0 - a)
+        c = np.full(xc.shape, 1.0 / _GAMMA_TINY)
+        d = 1.0 / b
+        h, live = d.copy(), np.ones(xc.shape, dtype=bool)
+        for i in range(1, steps):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d[np.abs(d) < _GAMMA_TINY] = _GAMMA_TINY
+            c = b + an / c
+            c[np.abs(c) < _GAMMA_TINY] = _GAMMA_TINY
+            d = 1.0 / d
+            delta = d * c
+            # a converged fraction stops at its first small step: later
+            # steps only move it by rounding, up to 2 ulp from 1
+            h = np.where(live, h * delta, h)
+            live &= np.abs(delta - 1.0) > _GAMMA_EPS
+            if not live.any():
+                break
+        else:
+            raise ConvergenceError(f"gammainc continued fraction at a = {a} did not converge in {steps} steps")
+        out[fraction] = 1.0 - np.exp(a * np.log(xc) - xc - math.lgamma(a)) * h
+    return out
 
 
 TRIG = FunctionMode.trigonometric()

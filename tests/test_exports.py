@@ -1,5 +1,5 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
-and the lazy observable exports keep scipy out of ``import dynirf`` and verify."""
+and no module or command of the package loads scipy."""
 
 import importlib
 import pkgutil
@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import dynirf
+from test_readme import COMMANDS as README_COMMANDS
 
 MODULES = ["dynirf"] + [f"dynirf.{m.name}" for m in pkgutil.iter_modules(dynirf.__path__)]
 
@@ -23,18 +24,30 @@ def test_all_names_resolve(name):
 
 
 def test_import_and_verify_load_no_scipy(tmp_path):
-    # scipy is loaded only by dynirf.observables and dynirf.asymptotics;
-    # importing the package and running every verify suite need neither
+    # numpy is the one run-time dependency: importing every module, the
+    # verify suites and every README command (simulate, observables,
+    # asymptotics), all in one process, load no scipy module
+    argvs = [cmd.split()[1:] for cmd in README_COMMANDS]
     script = f"""
-import sys
+import contextlib, io, sys
 import dynirf, dynirf.cli
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import"
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not scipy_modules(), "import"
+import dynirf.observables, dynirf.asymptotics
+assert not scipy_modules(), "observables, asymptotics"
 code = dynirf.cli.main(["verify", "--suite", "all", "--seed", "0", "--out", {str(tmp_path / "v.json")!r}])
 assert code == 0, code
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "verify"
+assert not scipy_modules(), "verify"
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dynirf.cli.main(argv)
+    assert code == 0, (argv, code)
+    assert not scipy_modules(), argv
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert {argv[0] for argv in argvs} == {"verify", "simulate", "observables", "asymptotics"}
 
 
 def test_lazy_observable_exports():

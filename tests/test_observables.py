@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
+from mpmath import mp
 
 from dynirf import observables, samplers
 from dynirf.observables import (
@@ -24,6 +25,7 @@ from dynirf.observables import (
     ssep_f2_duality,
     ssep_falling_moment,
     ssep_mean_height,
+    _asep_walk_sum,
     _irf_product,
     _irf_residue_sum,
     _ssep_f2_large_t,
@@ -33,6 +35,7 @@ from dynirf.params import IrfParams, preset, to_six_vertex
 from dynirf.samplers import batch_heights, enumerate_heights, sample_irf_batch
 from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError
+from mp_reference import mp_scaled_bessel
 
 
 def q_pochhammer(x, q, n: int):
@@ -112,9 +115,17 @@ def asep_one_site_expm(xs, t: float, q: float) -> list:
     return [float(H[x + M] * g0[x + M]) for x in xs]
 
 
-def asep_walk_value(x: int, t: float, q: float) -> float:
-    """E[q^h] - 1 for the usual ASEP: exact_E("asep")'s n = 1 check."""
-    return _walk_sum(x, t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
+def asep_walk_mp(x: int, t: float, q: float):
+    """Reference for _asep_walk_sum in 40-digit arithmetic: the sum over
+    k < -x of P(Y_t = k) (q^{-(x + k)} - 1), P(Y_t = k) = e^{-(1+q)t} q^{k/2}
+    I_k(2 sqrt(q) t), on the window |k| <= |q - 1| t + 12 sqrt((1 + q) t) + 60."""
+    with mp.workdps(40):
+        q, t = mp.mpf(q), mp.mpf(t)
+        z = 2 * mp.sqrt(q) * t
+        K = int(abs(q - 1) * t + 12 * mp.sqrt((1 + q) * t) + 60)
+        ive = mp_scaled_bessel(z, K)
+        pre = mp.exp(z - (1 + q) * t)
+        return mp.fsum(pre * q ** (mp.mpf(k) / 2) * ive[abs(k)] * (q ** (-(x + k)) - 1) for k in range(-K, -x))
 
 
 falling = functools.lru_cache(maxsize=None)(ssep_falling_moment)
@@ -614,7 +625,7 @@ class TestSsep:
             raise AssertionError("series or quadrature ran")
 
         monkeypatch.setattr(observables, "contour_integral_factored", no_work)
-        monkeypatch.setattr(observables.scipy.special, "ive", no_work)
+        monkeypatch.setattr(observables, "log_ive", no_work)
         with pytest.raises(InvalidParameterError):
             ssep_falling_moment(x, t, n)
 
@@ -779,6 +790,27 @@ class TestExclusionRates:
 
 
 class TestAsep:
+    @pytest.mark.parametrize(
+        "q, t",
+        [
+            (0.5, 5.0), (0.5, 8.0), (0.8, 20.0),  # the loop integral passes its node cap
+            (0.5, 20.0), (0.5, 100.0), (0.8, 100.0),  # its rounding noise swamps the value
+            (0.5, 1000.0), (1.5, 200.0),  # its integrand overflows: a bare OverflowError
+        ],
+    )
+    def test_one_site_past_the_contour_range(self, q, t):
+        # exact_E raised ConvergenceError or OverflowError; n = 1 now returns
+        # the walk sum, whose log form rounds on terms of order |1 - q| t
+        v = exact_E("asep", ObservableSpec((0,), t), (q, 1.0))
+        assert v.imag == 0.0
+        assert abs(v.real - asep_walk_mp(0, t, q)) <= 1e-15 * max(1.0, abs(1.0 - q) * t)
+
+    def test_contour_still_checked_where_it_converges(self, monkeypatch):
+        real = observables._walk_sum
+        monkeypatch.setattr(observables, "_walk_sum", lambda *args: real(*args) + 1e-6)
+        with pytest.raises(ConvergenceError, match="ASEP routes disagree"):
+            exact_E("asep", ObservableSpec((0,), 4.0), (0.5, 1.0))
+
     def test_t0_vanishing_for_positive_sites(self):
         v = exact_E("asep", ObservableSpec((2,), 0.0), (0.5, 2.0))
         assert abs(v) < 1e-10
@@ -802,33 +834,46 @@ class TestWalkSum:
     def test_asep_matches_expm_reference(self, q, t):
         xs = (-3, 0, 4)
         for x, ref in zip(xs, asep_one_site_expm(xs, t, q)):
-            assert abs(asep_walk_value(x, t, q) - (ref - 1.0)) <= 1e-10 * max(1.0, abs(ref))
+            assert abs(_asep_walk_sum(x, t, q) - (ref - 1.0)) <= 1e-10 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("x, q, alpha", [(0, 0.5, 2.0), (2, 0.8, 1.0), (-3, 0.5, 2.0), (1, 1.5, 0.5)])
     def test_asep_matches_mc_at_t20(self, x, q, alpha):
         # the contour route raises ConvergenceError from t = 5 at q = 0.5
         m, se = mc_E("asep", ObservableSpec((x,), 20.0), (q, alpha), 20000, seed=11)
-        assert abs(m - asep_walk_value(x, 20.0, q)) <= 4 * se
+        assert abs(m - _asep_walk_sum(x, 20.0, q)) <= 4 * se
 
     def test_asep_values_far_past_the_contour_range(self):
         # _asep_residue_series returned -6.7e10 at (0, 20, 0.5)
-        assert abs(asep_walk_value(0, 20.0, 0.5) + 0.93486) < 1e-5
-        assert abs(asep_walk_value(0, 500.0, 0.8) + 0.99916) < 1e-5
+        assert abs(_asep_walk_sum(0, 20.0, 0.5) + 0.93486) < 1e-5
+        assert abs(_asep_walk_sum(0, 500.0, 0.8) + 0.99916) < 1e-5
 
     def test_mirror_image_of_the_window(self):
         # for q > 1 and large t, E[q^h] = P(Y >= -x) + q^{-x} P(Y > x) -> 1 + q^{-x};
         # the q^{-x} half is carried by P(k) q^{-k} = P(-k) about (1 - q) t
         for x in (0, 2, -3):
-            assert abs(asep_walk_value(x, 1000.0, 1.5) - 1.5**-x) <= 1e-12 * max(1.0, 1.5**-x)
+            assert abs(_asep_walk_sum(x, 1000.0, 1.5) - 1.5**-x) <= 1e-12 * max(1.0, 1.5**-x)
 
     def test_mirror_half_past_double_range(self):
         # 1.5^{-y} overflows where P(k) underflows: 0 * inf made the sum NaN
         assert abs(_walk_sum(0, 3000.0, 1.5, lambda y: 1.5 ** np.maximum(-y, 0)) - 2.0) <= 1e-12
 
-    def test_large_drift_raises(self):
-        # ive underflows where the walk's mass sits: the window holds 3.8e-6
-        with pytest.raises(ConvergenceError, match="mass"):
-            asep_walk_value(0, 1e4, 0.5)
+    def test_large_drift_value(self):
+        # scipy's ive underflowed where the walk's mass sits, and the window
+        # held 3.8e-6 of it at (0, 1e4, 0.5); the mass sits near k = -5000,
+        # where the log form's terms reach 1.7e3, so rounding allows 1e-12
+        assert _asep_walk_sum(0, 1e4, 0.5) == -1.0
+        ref = asep_walk_mp(5000, 1e4, 0.5)
+        assert abs(ref + 0.4949336993) < 1e-10
+        assert abs(_asep_walk_sum(5000, 1e4, 0.5) - ref) <= 1e-12
+
+    def test_wrong_normalization_fails_the_mass_check(self, monkeypatch):
+        # every probability 1e-9 relative too large: the window holds 1 + 1e-9
+        real = observables.log_ive
+        monkeypatch.setattr(observables, "log_ive", lambda z, kmax: real(z, kmax) + 1e-9)
+        with pytest.raises(ConvergenceError, match="holds mass"):
+            ssep_mean_height(0, 5.0)
+        with pytest.raises(ConvergenceError, match="holds mass"):
+            _asep_walk_sum(0, 5.0, 0.5)
 
     @pytest.mark.parametrize("t", [0.3, 5.0, 400.0, 1e4, 1e6])
     def test_mean_height_at_the_origin(self, t):

@@ -4,9 +4,11 @@ import math
 import pickle
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from mpmath import mp
 
 from dynirf import special
 from dynirf.asymptotics import H_profile
@@ -19,9 +21,12 @@ from dynirf.special import (
     contour_integral_factored,
     f_deriv0,
     f_eval,
+    gammainc,
+    log_ive,
     theta,
     theta_deriv,
 )
+from mp_reference import mp_scaled_bessel
 
 RNG = np.random.default_rng(20260810)
 
@@ -575,3 +580,99 @@ class TestFactoredContraction:
         contours = [Circle(0.0, 1.0), Circle(0.0, 1.5), Circle(0.0, 2.0)]
         assert special._factored_grid_value(terms, contours, 16) == 0
         assert contour_integral_factored(terms, contours, nodes=16) == 0
+
+
+def _walk_window(t: float, q: float) -> int:
+    """The top order of ``observables._walk_sum``'s log_ive call."""
+    return int(abs(q - 1.0) * t + 10.0 * math.sqrt((1.0 + q) * t) + 30.0)
+
+
+def _duality_window(z: float) -> int:
+    """The top order of ``observables._duality_moment``'s Chebyshev coefficients."""
+    return int(z + 10.0 * math.sqrt(z) + 40.0) - 1
+
+
+class TestLogIve:
+    # z with the widest order window a caller asks for there: the duality
+    # series up to z = 2e4 (n = 2, t = 5000 fits its cube), the driftless
+    # walk at z = 2e6 (ssep_mean_height at t = 1e6) and a drifting walk
+    # (q = 0.5, t = 1e4) whose top orders lie far below double range
+    @pytest.mark.parametrize(
+        "z, kmax",
+        [
+            (0, 0),
+            (0.0, 40),
+            (1e-3, _duality_window(1e-3)),
+            (0.5, _duality_window(0.5)),
+            (20.0, _duality_window(20.0)),
+            (1200.0, _duality_window(1200.0)),
+            (2e4, _duality_window(2e4)),
+            (2e6, _walk_window(1e6, 1.0)),
+            (2 * math.sqrt(0.5) * 1e4, _walk_window(1e4, 0.5)),
+        ],
+    )
+    def test_against_40_digits(self, z, kmax):
+        got = log_ive(z, kmax)
+        assert got.shape == (kmax + 1,) and not np.isnan(got).any()
+        ref = mp_scaled_bessel(z, kmax)
+        top = max(ref)
+        with mp.workdps(40):
+            for k, (g, r) in enumerate(zip(got, ref)):
+                if r == 0:
+                    assert g == -math.inf
+                elif r >= 1e-280:
+                    # relative error of the value e^g
+                    err = abs(mp.expm1(mp.mpf(g) - mp.log(r)))
+                    assert err <= (1e-13 if r >= 1e-6 * top else 1e-11), (k, float(err))
+                else:
+                    # past double range only the log is held
+                    assert abs(g - mp.log(r)) <= 1e-13 * abs(mp.log(r)), k
+        # scipy as a second reference, itself 3e-12 off at z = 2e6
+        iv = scipy.special.ive(np.arange(kmax + 1), z)
+        big = iv >= 1e-280
+        assert np.max(np.abs(np.exp(got[big] - np.log(iv[big])) - 1.0)) <= 1e-11
+
+    def test_reference_matches_besseli(self):
+        with mp.workdps(40):
+            for z, k in [(20, 0), (20, 7), (20, 60), (1200, 1500)]:
+                ref = mp_scaled_bessel(z, k)[k]
+                assert abs(ref / (mpmath.besseli(k, z) * mp.exp(-z)) - 1) < mp.mpf(10) ** -35
+
+    @pytest.mark.parametrize("z", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "1", 1j])
+    def test_rejects_bad_z(self, z):
+        with pytest.raises(InvalidParameterError):
+            log_ive(z, 5)
+
+    @pytest.mark.parametrize("kmax", [-1, 2.5, math.nan])
+    def test_rejects_bad_kmax(self, kmax):
+        with pytest.raises(InvalidParameterError):
+            log_ive(1.0, kmax)
+
+
+class TestGammainc:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.7, 10.0])
+    def test_against_40_digits(self, a):
+        # the series / continued-fraction switch at x = a + 1 included
+        x = np.concatenate([np.linspace(0.0, 60.0, 241), [a + 1.0, np.nextafter(a + 1.0, 0.0)]])
+        got = gammainc(a, x)
+        with mp.workdps(40):
+            ref = np.array([float(mpmath.gammainc(a, 0, v, regularized=True)) for v in x])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        assert np.max(np.abs(got - scipy.special.gammainc(a, x))) <= 1e-14
+
+    def test_shapes(self):
+        assert gammainc(1.0, 2.0).shape == ()
+        assert abs(gammainc(1.0, 2.0) + math.expm1(-2.0)) <= 1e-16
+        x = np.array([[0.0, 1.0], [5.0, 50.0]])
+        assert gammainc(2.0, x).shape == (2, 2)
+        assert gammainc(2.0, x)[0, 0] == 0.0
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf, [0.5, -0.1], [1.0, math.inf]])
+    def test_rejects_bad_x(self, x):
+        with pytest.raises(InvalidParameterError):
+            gammainc(1.0, x)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, "1"])
+    def test_rejects_bad_a(self, a):
+        with pytest.raises(InvalidParameterError):
+            gammainc(a, 1.0)
