@@ -220,8 +220,11 @@ def regime_iv_ks_check(
     this runs at a configurable scale and reports the distance without
     gating.  The report's tolerance is the criterion's KS threshold 0.05,
     so downstream tooling can still see pass/fail, but the acceptance suite
-    treats it as informational.
+    treats it as informational.  An ``n_traj`` below 1 raises
+    InvalidParameterError.
     """
+    if n_traj < 1:
+        raise InvalidParameterError(f"the KS check needs n_traj >= 1, got {n_traj}")
     law = RegimeIVLaw(chi=chi, tau=tau, lambda_bar=lambda_bar)
     x = int(round(chi * L**0.25))
     svals = exclusion_farm("ssep", (lambda_bar,), L * tau, n_traj, seed, [x])

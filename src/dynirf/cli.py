@@ -55,6 +55,13 @@ def _comma_list(convert, what: str):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
@@ -317,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotics", help="hydrodynamic and long-time regime checks")
     common(p, params=False)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--check", choices=("heat", "hydro", "regimes", "ks", "profile", "all"), default="all")
     p.add_argument("--L", type=_positive_float, default=400.0)
     p.add_argument("--L-big", dest="L_big", type=_positive_float, default=1e4)
     p.add_argument("--L-ks", dest="L_ks", type=_positive_float, default=200.0)
     p.add_argument("--tau", type=_positive_float, default=1.0)
     p.add_argument("--lambda-bar", dest="lambda_bar", type=_positive_float, default=1.0)
-    p.add_argument("--chi", type=_comma_list(float, "numbers"), default="-1.0,0.0,1.0")
+    p.add_argument("--chi", type=_comma_list(_finite_float, "finite numbers"), default="-1.0,0.0,1.0")
     p.set_defaults(func=_cmd_asymptotics)
     return ap
 

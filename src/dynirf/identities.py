@@ -57,7 +57,7 @@ from .symfunc import (
     stoch_B_formula,
     stoch_B_sum,
 )
-from .weights import SingularParameterError, WeightContext, _shared_f_weights, hat_ratio, weight
+from .weights import SingularParameterError, WeightContext, hat_ratio, weight
 
 __all__ = [
     "CheckReport",
@@ -606,10 +606,10 @@ def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_
         ctx = _random_plaquette(rng, mode)
         k = int(rng.integers(0, 4))
         draw = lambda: _plaquette_draw(i, k, ctx)
-        wt = _shared_f_weights(ctx, stochastic=True)
-        worst.see(abs(wt("B", k) + wt("D", k) - 1), draw)
+        wt = lambda kind: weight(kind, k, ctx, stochastic=True)
+        worst.see(abs(wt("B") + wt("D") - 1), draw)
         if k >= 1:
-            worst.see(abs(wt("A", k) + wt("C", k) - 1), draw)
+            worst.see(abs(wt("A") + wt("C") - 1), draw)
     return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED * tolerance_scale)
 
 

@@ -244,7 +244,9 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     routes where its integral is not accurate (table below); ASEP at n = 1
     returns the walk sum alone where its loop integral cannot be accurate
     (the integrand's peak on the circle times eps is 1 or more) or raises
-    ConvergenceError (from t = 5 at q = 0.5, t = 20 at q = 0.8).
+    ConvergenceError (from t = 5 at q = 0.5, t = 20 at q = 0.8).  ASEP at
+    n >= 2 raises ConvergenceError where that peak test fails on any of its
+    circles (t = 8.8 at q = 0.5), before any quadrature.
 
     model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
     spin), integral around the w's; coincident row parameters raise
@@ -384,17 +386,23 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
     def cross(a, b):
         return (a - b) / (a - q * b)
 
+    # the integrand peaks near exp(9 (1 - q)^2 t / (1 - 0.9 q)) at y = 0.9
+    # (q < 1); once a unary's peak on its circle times eps reaches 1 (t = 8.8
+    # at q = 0.5, 28 at q = 0.8 on the first circle) the quadrature's rounding
+    # noise swamps the value, and from a peak of e^709 the integrand
+    # overflows: n = 1 then takes the walk sum alone, n >= 2 has no route
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = max(np.max(np.abs(unary(x)(c.points(256)))) for x, c in zip(spec.xs, circles))
+    if not peak * np.finfo(float).eps < 1.0:
+        if n > 1:
+            raise ConvergenceError(
+                f"ASEP at n = {n}, t = {t}, q = {q} has no exact route: its integrand's peak on the circles, "
+                f"{peak:.3g} (nan past double range), times eps is 1 or more"
+            )
+        return complex(_asep_walk_sum(spec.xs[0], t, q))
     if n > 1:
         return q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, cross, circles, nodes, tol)
     x = spec.xs[0]
-    # the integrand peaks near exp(9 (1 - q)^2 t / (1 - 0.9 q)) at y = 0.9
-    # (q < 1); once that peak times eps reaches 1 (t = 8.8 at q = 0.5, 28 at
-    # q = 0.8) the quadrature's rounding noise swamps the value, and from a
-    # peak of e^709 the integrand overflows: the walk sum alone then
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = np.max(np.abs(unary(x)(circles[0].points(256))))
-    if not peak * np.finfo(float).eps < 1.0:
-        return complex(_asep_walk_sum(x, t, q))
     try:
         value = _site_integral(spec.xs, unary, cross, circles, nodes, tol)
     except ConvergenceError:

@@ -51,8 +51,9 @@ _MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past t
 _SPAN3, _SPAN5 = np.arange(3), np.arange(5)
 
 
-class PositivityError(RuntimeError):
-    """A sampled weight left [0, 1] beyond tolerance."""
+class PositivityError(InvalidParameterError):
+    """A sampled weight left [0, 1] beyond tolerance: the parameters give no
+    probabilities there."""
 
 
 def _mix(x):

@@ -15,9 +15,8 @@ formula downstream is written uniformly in f.
 All functions here accept numpy arrays for their principal argument and
 are pure.  Each :class:`FunctionMode` binds its f once, as ``mode.f``; in
 elliptic mode that is theta's Jacobi triple product with the constants of
-its tau.  The only state is two bounded caches: those products, one per
-(tau, tol), and the series tables of ``theta_deriv``, one per (tau,
-truncation index).
+its tau.  ``theta_deriv`` and f'(0) run on the same product.  The only
+state is one bounded cache: those products, one per (tau, tol).
 
 The two real kernels serve the exclusion processes: ``log_ive``, the
 scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
@@ -86,7 +85,7 @@ class FunctionMode:
         if self.kind == "elliptic":
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise InvalidParameterError("elliptic mode needs Im(tau) > 0")
-            f = _theta_product(complex(self.tau), _THETA_TOL)
+            f = _theta_product(complex(self.tau), _THETA_TOL)[0]
         elif self.tau is not None:
             raise InvalidParameterError(f"{self.kind} mode takes no tau")
         else:
@@ -121,26 +120,6 @@ def _identity(z):
     return complex(z) if isinstance(z, (int, float, complex)) else np.asarray(z, dtype=complex)
 
 
-def _theta_index_cutoff(max_abs_im_z: float, im_tau: float, tol: float) -> int:
-    # |term_j| = exp(-pi*im_tau*(j+1/2)^2 - 2*pi*(j+1/2)*im_z); the tail past
-    # |j+1/2| > J is dominated by a geometric series with ratio < 1/2 once
-    # pi*im_tau*(2J) - 2*pi*|im_z| > ln 2, so bounding the first discarded
-    # term by tol/2 bounds the whole tail by tol.
-    shift = max_abs_im_z / im_tau
-    j = shift + math.sqrt(max(0.0, shift * shift + math.log(1.0 / tol) / (math.pi * im_tau)))
-    return int(math.ceil(j)) + 3
-
-
-@functools.lru_cache(maxsize=256)
-def _theta_table(tau: complex, cap: int) -> tuple:
-    # (k_j, a_j) = (2*pi*i*(j+1/2), i*pi*tau*(j+1/2)^2) for j in [-cap, cap),
-    # so term j of the series at z is exp(a_j + k_j*(z+1/2)).  Keeping the
-    # exponent a_j rather than exp(a_j) avoids an underflowed coefficient
-    # times an overflowed exp(k_j*(z+1/2)) when |Im z| is large.
-    half = [j + 0.5 for j in range(-cap, cap)]
-    return tuple(2j * math.pi * h for h in half), tuple(1j * math.pi * tau * h * h for h in half)
-
-
 def _theta_args(tau, tol) -> complex:
     tau = complex(tau)
     if tau.imag <= 0:
@@ -153,18 +132,19 @@ def _theta_args(tau, tol) -> complex:
 _THETA_TOL = 1e-14  # theta's default tol, and the tol of elliptic mode's f
 
 
-def _theta_off_range(z, tau):
+def _theta_off_range(z, tau, name="theta"):
     """Where theta's product is not finite: NaN for a NaN z, else the error."""
     if cmath.isinf(z):
-        raise InvalidParameterError(f"theta needs a finite z, got z={z} at tau={tau}")
+        raise InvalidParameterError(f"{name} needs a finite z, got z={z} at tau={tau}")
     if cmath.isnan(z):
         return complex(math.nan, math.nan)
-    raise InvalidParameterError(f"theta(z, tau) is past double range at z={z}, tau={tau}")
+    raise InvalidParameterError(f"{name}(z, tau) is past double range at z={z}, tau={tau}")
 
 
 @functools.lru_cache(maxsize=256)
 def _theta_product(tau: complex, tol: float):
-    """theta(., tau) to relative accuracy ``tol``, one callable for scalars and arrays.
+    """(theta(., tau), theta'(., tau)) to relative accuracy ``tol``, each one
+    callable for scalars and arrays.
 
     z is first reduced into the strip |Im z0| <= Im(tau)/2 by z0 = z - m*tau,
     m = round(Im z / Im tau), with theta(z0 + m*tau) = (-1)^m
@@ -174,7 +154,10 @@ def _theta_product(tau: complex, tol: float):
     and g_n = 4 q^2n / (1 - q^2n)^2.  In the strip |s|^2 <= (1+r)^2/(4r) for
     r = |q|, so |g_n s^2| <= r^(2n-1)/(1-r)^2, and N is the least count at
     which these bounds summed over n > N stay below log1p(tol): the dropped
-    factors then change the value by a relative amount below ``tol``.
+    factors then change the value by a relative amount below ``tol``.  The
+    derivative of the same product is theta'(z0) = pi K cos(pi*z0)
+    prod (1 + g_n s^2) (1 + 2 s^2 sum g_n / (1 + g_n s^2)), and the
+    quasi-period prefactor adds -2*pi*i*m*theta(z0) to it.
     """
     ti = tau.imag
     r = math.exp(-math.pi * ti)
@@ -207,7 +190,7 @@ def _theta_product(tau: complex, tol: float):
             pass
         return _theta_off_range(z, tau)  # a non-finite z, or past double range
 
-    def array(z):
+    def array(z, deriv=False):
         zarr = np.asarray(z, dtype=complex)
         flat = zarr.reshape(-1)
         with np.errstate(all="ignore"):
@@ -217,14 +200,20 @@ def _theta_product(tau: complex, tol: float):
             out, s2 = K * s, s * s
             for g in gs:
                 out *= 1 + g * s2
+            if deriv:
+                terms = [1 + g * s2 for g in gs]
+                d = pi * K * np.cos(np.pi * z0)
+                for t in terms:
+                    d *= t
+                out = d * (1 + 2 * s2 * sum(g / t for g, t in zip(gs, terms))) - 2j * pi * m * out
             if m.any():
                 h = np.exp(-0.5j * np.pi * m * (flat + z0))
                 out = np.where(m % 2, -out, out) * h * h
         for i in np.flatnonzero(~np.isfinite(out)):
-            out[i] = _theta_off_range(complex(flat[i]), tau)
+            out[i] = _theta_off_range(complex(flat[i]), tau, "theta'" if deriv else "theta")
         return complex(out[0]) if zarr.shape == () else out.reshape(zarr.shape)
 
-    return theta_tau
+    return theta_tau, functools.partial(array, deriv=True)
 
 
 def theta(z, tau: complex, tol: float = _THETA_TOL):
@@ -239,30 +228,15 @@ def theta(z, tau: complex, tol: float = _THETA_TOL):
     from constants cached per (tau, tol).  A NaN z gives NaN; an infinite z,
     or one where theta is past double range, raises InvalidParameterError.
     """
-    return _theta_product(_theta_args(tau, tol), tol)(z)
+    return _theta_product(_theta_args(tau, tol), tol)[0](z)
 
 
 def theta_deriv(z, tau: complex, tol: float = _THETA_TOL):
-    """d/dz of ``theta`` by the termwise-differentiated series
-    -sum_j k_j exp(a_j + k_j*(z+1/2)), truncated where the discarded tail is
-    below ``tol`` in absolute value (two extra terms cover the factor k_j).
-    Scalars are summed with ``cmath`` over a table cached per (tau,
-    truncation index); arrays use the same table with numpy."""
-    tau = _theta_args(tau, tol)
-    if isinstance(z, (int, float, complex)):
-        w = z + 0.5
-        ks, exps = _theta_table(tau, _theta_index_cutoff(abs(w.imag), tau.imag, tol) + 2)
-        exp = cmath.exp
-        total = 0j
-        for k, a in zip(ks, exps):
-            total += k * exp(a + k * w)
-        return -total
-    zarr = np.asarray(z, dtype=complex)
-    max_im = float(np.max(np.abs(zarr.imag))) if zarr.size else 0.0
-    ks, exps = _theta_table(tau, _theta_index_cutoff(max_im, tau.imag, tol) + 2)
-    k = np.asarray(ks)[:, None]
-    out = -np.sum(k * np.exp(np.asarray(exps)[:, None] + k * (zarr.reshape(-1) + 0.5)), axis=0).reshape(zarr.shape)
-    return complex(out) if zarr.shape == () else out
+    """d/dz of ``theta``, from the derivative of the same reduced triple
+    product and the same constants; scalars and arrays both run on numpy.
+    The off-range contract is theta's: a NaN z gives NaN, an infinite z or
+    a value past double range raises InvalidParameterError."""
+    return _theta_product(_theta_args(tau, tol), tol)[1](z)
 
 
 def f_eval(mode: FunctionMode, z):
@@ -271,7 +245,7 @@ def f_eval(mode: FunctionMode, z):
 
 
 def f_deriv0(mode: FunctionMode) -> complex:
-    """f'(0): pi in trigonometric mode, theta'(0, tau) in elliptic, 1 rational."""
+    """f'(0): pi in trigonometric mode, theta'(0, tau) = pi K in elliptic, 1 rational."""
     if mode.kind == "trigonometric":
         return math.pi
     if mode.kind == "rational":

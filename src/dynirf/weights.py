@@ -31,7 +31,6 @@ with the parametrizations used in their own variable systems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,31 +108,6 @@ def _is_scalar(lam) -> bool:
     return np.isscalar(lam) or np.asarray(lam).shape == ()
 
 
-def _memo_f(mode: FunctionMode):
-    """Scalar ``mode.f``, memoized on the exact argument in elliptic mode.
-
-    Arguments that compare equal but differ in the sign of a zero part
-    (0.0 vs -0.0) get separate entries, since f may return zeros of
-    different signs for them.  In trigonometric and rational mode f is one
-    sin call or the identity, no dearer than the lookup, and is returned
-    as is.  In elliptic mode one theta product (a sine and a few
-    multiplies) still costs several lookups, so the memo stays.
-    """
-    if mode.kind != "elliptic":
-        return mode.f
-    memo: dict = {}
-    theta = mode.f
-
-    def f(x):
-        key = x if x.real and x.imag else (x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
-        val = memo.get(key)
-        if val is None:
-            val = memo[key] = theta(x)
-        return val
-
-    return f
-
-
 def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
     """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
     _check_kind(kind, k)
@@ -141,8 +115,8 @@ def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
 
 
 def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool):
-    # the formulas of ``weight`` with zw = z - w and f supplied by the caller,
-    # so that the weights of one row or one plaquette can share an f memo
+    # the formulas of ``weight`` on zw = z - w and an f supplied by the caller,
+    # so that a row callback builds no WeightContext per plaquette
     if stochastic:
         if kind == "A":
             return _ratio(
@@ -212,12 +186,11 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
     """Memoized weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
 
     Column x supplies z and Lambda.  The memo, keyed on the exact arguments,
-    lives as long as the callback, and so does the row's f memo (elliptic
-    mode): a lam-free factor such as f(z - w + (Lambda+1)*eta) or f(2*eta) is
-    evaluated once per row.  An error is raised on every call, never stored.
+    lives as long as the callback.  An error is raised on every call, never
+    stored.
     """
     memo: dict = {}
-    f = _memo_f(params.mode)
+    f = params.mode.f
 
     def fn(kind, m, x, lam_x):
         key = (kind, m, x, lam_x)
@@ -226,20 +199,6 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
             _check_kind(kind, m)
             val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, _is_scalar(lam_x), stochastic)
         return val
-
-    return fn
-
-
-def _shared_f_weights(ctx: WeightContext, stochastic: bool):
-    """``fn(kind, k)`` = ``weight(kind, k, ctx, stochastic)``, all kinds of the
-    plaquette ``ctx`` sharing one f memo (elliptic mode): f(z - w + (Lambda+1)*eta)
-    is in every denominator, and the lam factors recur across kinds."""
-    f = _memo_f(ctx.mode)
-    zw, check = ctx.z - ctx.w, _is_scalar(ctx.lam)
-
-    def fn(kind, k):
-        _check_kind(kind, k)
-        return _weight(kind, k, ctx.lam, zw, ctx.Lambda, ctx.eta, f, check, stochastic)
 
     return fn
 

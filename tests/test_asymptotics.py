@@ -128,3 +128,9 @@ class TestMomentChecks:
         rep = regime_iv_ks_check(L=50.0, n_traj=120, seed=2)
         assert rep.parameters.get("soft") is True
         assert 0.0 <= rep.lhs.real <= 1.0
+
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_ks_refuses_no_trajectories(self, n_traj):
+        # n_traj = 0 ended in numpy's zero-size reduction error, a negative one in a broadcast error
+        with pytest.raises(InvalidParameterError, match="n_traj >= 1"):
+            regime_iv_ks_check(L=50.0, n_traj=n_traj)

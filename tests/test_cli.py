@@ -56,10 +56,17 @@ class TestVerifyCommand:
             (["asymptotics", "--check", "profile", "--chi", "a"], "--chi"),
             (["verify", "--config", "/nonexistent/p.json"], "cannot read config"),
             (["observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3", "--lambdas", "0.1:a"], "--lambdas"),
+            (["simulate", "--model", "irf", "--preset", "trig-admissible", "--rows", "3", "--cols", "3"], "outside [0,1]"),
+            (["asymptotics", "--check", "ks", "--samples", "0"], "--samples"),
+            (["asymptotics", "--check", "all", "--samples", "-3"], "--samples"),
+            (["asymptotics", "--check", "profile", "--samples", "0"], "--samples"),
+            (["asymptotics", "--check", "profile", "--chi", "0.5,nan"], "--chi"),
+            (["asymptotics", "--check", "profile", "--chi", "inf"], "--chi"),
         ],
         ids=["negative-seed", "zero-tolerance", "negative-tolerance", "nan-tolerance",
              "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
-             "non-numeric-chi", "missing-config", "non-numeric-lambdas"],
+             "non-numeric-chi", "missing-config", "non-numeric-lambdas", "non-positive-irf-weights",
+             "zero-ks-samples", "negative-samples", "zero-profile-samples", "nan-chi", "infinite-chi"],
     )
     def test_bad_input_is_a_usage_error(self, args, message):
         # each of these used to end in a traceback or to exit 0 (a zero

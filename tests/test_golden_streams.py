@@ -49,3 +49,9 @@ def test_cli_simulate(capsys):
     for want, args in runs.items():
         assert main(["simulate", *args.split()]) == 0
         assert digest(capsys.readouterr().out.encode()) == want
+
+
+def test_cli_verify_all(capsys):
+    # the whole verify battery's stdout, theta and every weight route included
+    assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    assert digest(capsys.readouterr().out.encode()) == "6cbc003a04ef38ca"

@@ -805,6 +805,31 @@ class TestAsep:
         assert v.imag == 0.0
         assert abs(v.real - asep_walk_mp(0, t, q)) <= 1e-15 * max(1.0, abs(1.0 - q) * t)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "q, t, xs",
+        [(0.5, 200.0, (1, 0)), (0.5, 1e4, (0, 0)), (0.5, 20.0, (2, 1)), (0.8, 200.0, (1, 0)), (1.5, 200.0, (1, 0))],
+    )
+    def test_two_sites_past_the_peak_test_refused(self, monkeypatch, q, t, xs):
+        # n >= 2 has no walk sum: where the n = 1 peak test fails, exact_E
+        # raised a bare OverflowError (t = 200 at q = 0.5) or ran the
+        # quadrature to its node cap; now ConvergenceError before any quadrature
+        monkeypatch.setattr(observables, "_site_integral", None)
+        with pytest.raises(ConvergenceError, match=r"ASEP at n = 2.*no exact route"):
+            exact_E("asep", ObservableSpec(xs, t), (q, 1.0))
+
+    @pytest.mark.parametrize(
+        "q, t, want",
+        [
+            (0.5, 4.0, 0.07014416870739026 - 3.751665644813329e-12j),
+            (0.8, 5.0, 0.020457221935654434 - 4.5295452707217745e-17j),
+            (0.8, 8.0, 0.042531324092594816 + 4.2268657709756655e-15j),
+        ],
+    )
+    def test_two_sites_below_the_peak_test_unchanged(self, q, t, want):
+        # the (1, 0) calls that returned before the peak test ran at n >= 2
+        assert exact_E("asep", ObservableSpec((1, 0), t), (q, 1.0)) == pytest.approx(want, abs=1e-12)
+
     def test_contour_still_checked_where_it_converges(self, monkeypatch):
         real = observables._walk_sum
         monkeypatch.setattr(observables, "_walk_sum", lambda *args: real(*args) + 1e-6)

@@ -149,40 +149,63 @@ class TestThetaMpmathOracle:
 
 class TestThetaOffRange:
     # the scalar and array paths agree: NaN in gives NaN out, and an infinite
-    # z or a value past double range is one InvalidParameterError naming z and tau
+    # z or a value past double range is one InvalidParameterError naming z and
+    # tau; theta' keeps the same contract (TestThetaDerivOffRange)
+    fn = staticmethod(theta)
+    ORDER = 0
     TAU = 1.4j
     NAN = float("nan")
     INF = float("inf")
 
     @pytest.mark.parametrize("z", [complex(NAN, 0.3), complex(0.3, NAN), complex(NAN, 20.0), complex(NAN, NAN)])
     def test_nan_gives_nan(self, z):
-        assert cmath.isnan(theta(z, self.TAU))
-        out = theta(np.array([0.3 + 0.1j, z, 0.2 + 3j]), self.TAU)
+        assert cmath.isnan(self.fn(z, self.TAU))
+        out = self.fn(np.array([0.3 + 0.1j, z, 0.2 + 3j]), self.TAU)
         assert cmath.isnan(out[1])
-        assert out[0] == pytest.approx(theta(0.3 + 0.1j, self.TAU), rel=1e-15) and np.isfinite(out[2])
+        assert out[0] == pytest.approx(self.fn(0.3 + 0.1j, self.TAU), rel=1e-15) and np.isfinite(out[2])
 
     @pytest.mark.parametrize("z", [complex(0, INF), complex(0.3, -INF), complex(INF, 0.3), complex(INF, NAN), INF])
     def test_infinite_z_raises(self, z):
         with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
-            theta(z, self.TAU)
+            self.fn(z, self.TAU)
         with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
-            theta(np.array([0.3, z]), self.TAU)
+            self.fn(np.array([0.3, z]), self.TAU)
 
     @pytest.mark.parametrize("z, tau", [(0.3 + 20j, TAU), (0.3 - 20j, TAU), (1e300j, TAU), (0.5 + 36.9j, 6j)])
     def test_past_double_range_raises(self, z, tau):
         with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
-            theta(z, tau)
+            self.fn(z, tau)
         with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
-            theta(np.array([0.3, z]), tau)
+            self.fn(np.array([0.3, z]), tau)
+
+    def _check_large_value(self, z, tau, low):
+        ref = TestThetaMpmathOracle._ref(z, tau, self.ORDER)
+        assert low < abs(ref) < 1e308
+        assert abs(self.fn(z, tau) - ref) <= 1e-13 * abs(ref)
+        assert abs(self.fn(np.array([z]), tau)[0] - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("z, tau", [(0.3 + 17.5j, 1.4j), (0.5 + 36.86j, 6j)])
     def test_large_but_finite_value(self, z, tau):
         # |theta| near 1e298 and 1e307 is still a value, in both paths; at
         # 0.5 + 36.86i, tau = 6i, exp(-pi*i*m*(z + z0)) alone passes double range
-        ref = TestThetaMpmathOracle._ref(z, tau)
-        assert 1e290 < abs(ref) < 1e308
-        assert abs(theta(z, tau) - ref) <= 1e-13 * abs(ref)
-        assert abs(theta(np.array([z]), tau)[0] - ref) <= 1e-13 * abs(ref)
+        self._check_large_value(z, tau, 1e290)
+
+
+class TestThetaDerivOffRange(TestThetaOffRange):
+    fn = staticmethod(theta_deriv)
+    ORDER = 1
+
+    @pytest.mark.parametrize("z, tau", [(0.3 + 17.5j, 1.4j), (0.5 + 36.7j, 6j)])
+    def test_large_but_finite_value(self, z, tau):
+        # |theta'| near 2e300 and 5e306 (at 0.5 + 36.86i, tau = 6i, where
+        # theta is still a value, theta' is past double range)
+        self._check_large_value(z, tau, 1e299)
+
+    def test_past_range_where_theta_is_not(self):
+        z, tau = 0.5 + 36.86j, 6j
+        assert cmath.isfinite(theta(z, tau))
+        with pytest.raises(InvalidParameterError, match=r"theta'\(z, tau\) is past double range"):
+            theta_deriv(z, tau)
 
 
 class TestFEval:

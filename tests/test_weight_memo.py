@@ -9,7 +9,7 @@ without changing a bit of any result.
 import numpy as np
 import pytest
 
-from dynirf import identities, observables, oracle, samplers, symfunc, weights
+from dynirf import observables, oracle, samplers, symfunc, weights
 from dynirf.observables import ObservableSpec, enum_E, hs6v_q_moment
 from dynirf.oracle import FinitaryVector, apply_operator, skew_B_oracle
 from dynirf.params import preset, random_pack, to_six_vertex
@@ -167,51 +167,6 @@ class TestMemoValues:
             with pytest.raises(SingularParameterError):
                 fn("A", 1, 2, 0.0)  # f(lambda) = 0 in the denominator
             assert len(calls) == attempt + 1
-
-
-def _bits(x) -> tuple:
-    x = complex(x)
-    return (x.real.hex(), x.imag.hex())
-
-
-class TestSharedF:
-    def test_row_callback_evaluates_f_once_per_argument(self, monkeypatch):
-        # elliptic mode: sin and the identity are left unmemoized
-        P = random_params(FunctionMode.elliptic(1.5j), seed=12)
-        keys = [
-            (kind, m, x, lam_x)
-            for kind in "ABCD"
-            for m in range(1 if kind == "C" else 0, 4)
-            for x in range(4)
-            for lam_x in (LAM, LAM + 2 * P.eta, 0.2 - 0.1j)
-        ]
-        calls = []
-        real = P.mode.f
-
-        def spy(x):
-            calls.append(x)
-            return real(x)
-
-        monkeypatch.setitem(vars(P.mode), "f", spy)
-        fn = plaquette_weights(P, WS[0])
-        got = [fn(*key) for key in keys]
-        memoized = len(calls)
-        assert memoized == len({_bits(x) for x in calls})
-        calls.clear()
-        for (kind, m, x, lam_x), val in zip(keys, got):
-            ctx = WeightContext(lam_x, WS[0], P.z(x), P.lam(x), P.eta, P.mode)
-            assert _bits(val) == _bits(weight(kind, m, ctx))
-        # the lam-free factors are shared across the row's plaquettes
-        assert len(calls) > 2 * memoized
-
-    @pytest.mark.parametrize("mode", [FunctionMode.elliptic(1.4j), FunctionMode.trigonometric(), FunctionMode.rational()], ids=["elliptic", "trig", "rational"])
-    def test_stochasticity_report_bit_equal_to_plain_weight(self, monkeypatch, mode):
-        shared = identities.check_stochasticity(np.random.default_rng(5), mode)
-        plain_weights = lambda ctx, stochastic: lambda kind, k: weight(kind, k, ctx, stochastic=stochastic)
-        monkeypatch.setattr(identities, "_shared_f_weights", plain_weights)
-        plain = identities.check_stochasticity(np.random.default_rng(5), mode)
-        assert shared.residual.hex() == plain.residual.hex()
-        assert shared == plain
 
 
 class TestBitEqualToUnmemoized:
