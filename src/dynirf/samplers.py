@@ -48,6 +48,8 @@ _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 1
 _INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
 _MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this
+# trajectories per block of the batch engines, and (row, step) pairs per farm hash pass
+_BLOCK = 1 << 14
 _SPAN3, _SPAN5 = np.arange(3), np.arange(5)
 
 
@@ -225,6 +227,11 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
     return state
 
 
+def _blocks(n_traj: int):
+    """The trajectory ranges [lo, hi) of a run of ``n_traj``, in blocks of ``_BLOCK``."""
+    return [(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
+
+
 def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) -> dict:
     """Vectorized spin-1/2 sampler: all trajectories sweep together.
 
@@ -238,13 +245,24 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     The table takes one entry per (filling, vertical occupation) pair present,
     by the same complex additions a per-trajectory filling would.  Every
     trajectory's turn probability is checked to lie in [0, 1].
+
+    The whole run is one sweep, holding 16 (X+1)(Y+1) bytes per trajectory;
+    ``mc_E`` sweeps trajectories lo .. hi - 1 of a run in blocks of 2^14
+    instead, which gives each trajectory the same values, as it is keyed by
+    its index in the whole run.
     """
+    return _irf_batch(params, X, Y, seed, 0, n_traj)
+
+
+def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -> dict:
+    """``sample_irf_batch`` for trajectories lo .. hi - 1 of the run seeded ``seed``."""
     if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
         raise InvalidParameterError("batch sampler is spin-1/2 only")
     two_eta = 2 * params.eta
+    n_traj = hi - lo
     vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
-    seeds = trajectory_seed(seed, np.arange(n_traj, dtype=np.int64))
+    seeds = trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64))
     eps = 1e-9
     for y in range(1, Y + 1):
         fill = np.array([params.lambda0 - two_eta * y], dtype=complex)  # the row's fillings; trajectory i's is fill[which[i]]
@@ -602,7 +620,9 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     Returns an (n_traj, len(xs)) int array of s_x(T); sites outside the
     final window were never disturbed and read |x|.  Each trajectory's
     variates are keyed (``trajectory_seed(seed, index)``, event number), so
-    results do not depend on the batch size.  The shared window starts at
+    results do not depend on the batch size.  Trajectories run in blocks of
+    2^14, each to the end before the next starts, so a run holds the state
+    of one block at a time besides its output: a block's window starts at
     [-8, 8] and grows whenever a flip comes within three sites of its edge.
 
     The uniforms of a block of steps are hashed in one pass, at most
@@ -622,6 +642,15 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
+    out = np.empty((n_traj, len(xs)), dtype=np.int64)
+    for lo, hi in _blocks(n_traj):
+        out[lo:hi] = _farm_block(kind, rate_params, T, seed, lo, hi, xs)
+    return out
+
+
+def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi: int, xs):
+    """``exclusion_farm``'s trajectories lo .. hi - 1, for checked rates and horizon."""
+    n_traj = hi - lo
     W = 8
     table = _rate_table(kind, rate_params, W)
     step_row = np.abs(np.arange(-W, W + 1, dtype=np.float64))
@@ -630,12 +659,12 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     a, b = W - 1, W  # rate columns a flip has touched: so far the origin, the step's one local minimum
     t = np.zeros(n_traj)
     # the hash of each trajectory's common prefix (0, trajectory seed) is computed once
-    prefix = _hash64(0, trajectory_seed(seed, np.arange(n_traj, dtype=np.int64)))
+    prefix = _hash64(0, trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64)))
     index = np.arange(n_traj)  # output row of each live trajectory
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     step = 0
     while index.size:
-        k = max(1, min(64, (1 << 14) // index.size))
+        k = max(1, min(64, _BLOCK // index.size))
         log_u1, u2 = _farm_draws(prefix, step, k)
         zero_u2 = not u2.all()  # a draw u2 = 0 picks column 0 (every live row has total > 0)
         n, m = rates.shape

@@ -8,6 +8,7 @@ the first 16 hex digits of a sha256.
 import hashlib
 
 from dynirf.cli import main
+from dynirf.observables import ObservableSpec, mc_E
 from dynirf.params import preset
 from dynirf.samplers import exclusion_farm, sample_irf_batch, simulate_exclusion, step_exclusion_state
 
@@ -39,6 +40,17 @@ def test_exclusion_farm_asep_mc_shape():
     # an mc_E-shaped ASEP run: 10^4 trajectories to T = 1
     out = exclusion_farm("asep", (0.5, 2.0), 1.0, 10_000, seed=3, xs=[-3, -1, 0, 2, 5])
     assert digest(out.tobytes()) == "357edfeb700e59c0"
+
+
+def test_mc_E_across_blocks():
+    # 40,000 samples: two full trajectory blocks of 2^14 and a partial one
+    runs = [
+        ("irf", ObservableSpec((3, 2), 4), preset("dyn6v-positive")),
+        ("ssep", ObservableSpec((1, 0), 1.0), (2.0,)),
+        ("asep", ObservableSpec((2,), 1.0), (0.5, 2.0)),
+    ]
+    results = [mc_E(model, spec, pack, 40_000, 5) for model, spec, pack in runs]
+    assert digest(repr(results).encode()) == "14712725bc5bc2bc"
 
 
 def test_cli_simulate(capsys):

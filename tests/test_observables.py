@@ -323,7 +323,7 @@ class TestRational:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a mismatched pack")
 
-        monkeypatch.setattr(observables, "sample_irf_batch", no_sampling)
+        monkeypatch.setattr(observables, "_irf_batch", no_sampling)
         spec = ObservableSpec((2, 1), 3)
         with pytest.raises(InvalidParameterError, match="rational-mode pack"):
             mc_E("rational", spec, dyn6v, 4000, 1)
@@ -490,6 +490,55 @@ class TestMcSeeds:
         # 1500.7 ended in a bare TypeError from numpy
         with pytest.raises(InvalidParameterError):
             mc_E("ssep", ObservableSpec((1,), 1.0), (2.0,), samples, 0)
+
+    def test_neighbouring_seeds_are_uncorrelated(self):
+        # corr(m(s), m(s + 1)) of the means over consecutive seeds, against
+        # 4 / sqrt(pairs - 1); seed + index as the trajectory seed would share
+        # 999 of 1000 trajectories between neighbours (corr near 1)
+        seeds = 400
+        spec = ObservableSpec((2,), 1.0)
+        means = np.array([mc_E("asep", spec, (0.5, 2.0), 1000, s)[0].real for s in range(seeds + 1)])
+        assert means.std() > 0
+        assert abs(np.corrcoef(means[:-1], means[1:])[0, 1]) < 4 / math.sqrt(seeds - 1)
+
+
+def _mc_runs(dyn6v, rational):
+    return {
+        "irf": (ObservableSpec((3, 2), 4), dyn6v),
+        "rational": (ObservableSpec((3, 1), 3), rational),
+        "ssep": (ObservableSpec((1, 0), 1.0), (2.0,)),
+        "asep": (ObservableSpec((2,), 1.0), (0.5, 2.0)),
+    }
+
+
+class TestMcBlocks:
+    """mc_E runs its engines in blocks of ``samplers._BLOCK`` trajectories."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("model", ["irf", "rational", "ssep", "asep"])
+    def test_any_block_size_gives_one_sweep(self, monkeypatch, dyn6v, rational, model, block):
+        # 1000 samples: 142 blocks of 7 and one of 6, or 1000 blocks of one
+        spec, pack = _mc_runs(dyn6v, rational)[model]
+        whole = mc_E(model, spec, pack, 1000, 11)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        assert mc_E(model, spec, pack, 1000, 11) == whole
+
+    def test_traced_peak_at_1e5_samples(self, dyn6v, rational):
+        # 8.6-14.0 MB traced per spec: one block of 2^14 trajectories, the
+        # heights and the observable product; one batch of every trajectory
+        # traced 44-49 MB
+        import tracemalloc
+
+        runs = _mc_runs(dyn6v, rational)
+        for model in ("irf", "ssep", "asep"):
+            spec, pack = runs[model]
+            tracemalloc.start()
+            try:
+                mc_E(model, spec, pack, 100_000, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6, model
 
 
 class TestSsep:
@@ -1045,7 +1094,7 @@ class TestLatticeInputs:
 
         monkeypatch.setattr(samplers, "_row_sweep", never)
         monkeypatch.setattr(observables, "contour_integral_factored", never)
-        monkeypatch.setattr(observables, "sample_irf_batch", never)
+        monkeypatch.setattr(observables, "_irf_batch", never)
 
     @staticmethod
     def _routes(params):

@@ -595,6 +595,39 @@ class TestExclusionFarm:
         assert set(np.unique(diffs)) <= {1}
 
 
+class TestTrajectoryBlocks:
+    """A run in blocks of ``samplers._BLOCK`` trajectories equals one block, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize(
+        "kind, rates, T, n, xs, width",
+        [
+            ("ssep", (1.0,), 200.0, 24, range(-40, 41), 32),  # the regime-IV KS shape
+            ("asep", (1.5, 0.5), 20.0, 60, range(-20, 21), 8),
+        ],
+        ids=["ssep-ks", "asep-q1.5"],
+    )
+    def test_farm(self, monkeypatch, block, kind, rates, T, n, xs, width):
+        whole = exclusion_farm(kind, rates, T, n, 7, list(xs))
+        widths = []
+        grow = samplers._grow_farm
+
+        def spy(s, W):
+            widths.append(W)
+            return grow(s, W)
+
+        monkeypatch.setattr(samplers, "_grow_farm", spy)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        assert np.array_equal(exclusion_farm(kind, rates, T, n, 7, list(xs)), whole)
+        assert max(widths) >= width  # some block's window grows from half-width ``width``
+
+    def test_sample_irf_batch_is_the_kernel_on_the_whole_run(self, dyn6v):
+        whole = sample_irf_batch(dyn6v, 3, 4, seed=5, n_traj=20)
+        parts = [samplers._irf_batch(dyn6v, 3, 4, 5, lo, lo + 7) for lo in (0, 7)] + [samplers._irf_batch(dyn6v, 3, 4, 5, 14, 20)]
+        for key in ("vout", "hout", "seeds"):
+            assert np.array_equal(np.concatenate([p[key] for p in parts]), whole[key])
+
+
 class TestVertexFrequencies:
     def test_conditional_plaquette_probabilities(self, dyn6v):
         # at a fixed interior vertex, group trajectories by the local

@@ -146,6 +146,31 @@ class TestThetaMpmathOracle:
         assert np.all(np.abs(array - refs) <= 1e-13 * np.abs(refs))
         assert np.all(np.abs(array - scalar) <= 4e-15 * np.abs(scalar))
 
+    @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
+    def test_quasi_period_reduction_deriv(self, tau):
+        # theta' on the same points: the cmath scalar path and the numpy
+        # array path each add -2*pi*i*m*theta(z0) before the prefactor
+        rng = np.random.default_rng(int(100 * abs(tau)))
+        zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-4, 4, 40) * tau.imag
+        refs = np.array([self._ref(z, tau, 1) for z in zs])
+        scalar = np.array([theta_deriv(complex(z), tau) for z in zs])
+        array = theta_deriv(zs, tau)
+        assert np.all(np.abs(scalar - refs) <= 1e-13 * np.abs(refs))
+        assert np.all(np.abs(array - refs) <= 1e-13 * np.abs(refs))
+        assert np.all(np.abs(array - scalar) <= 4e-15 * np.abs(scalar))
+
+    @pytest.mark.parametrize("tau", TAUS + [0.5j, 0.3 + 1.1j])
+    def test_f_deriv0_is_pi_K(self, tau):
+        # theta'(0) = pi K with K = 2 q^(1/4) prod (1 - q^2n)^3: the product's
+        # other factors are exactly 1 at z = 0, so both paths give one value
+        fp0 = f_deriv0(FunctionMode.elliptic(tau))
+        assert fp0 == theta_deriv(0.0, tau) == theta_deriv(np.array([0.0]), tau)[0]
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            K = complex(2 * q ** mpmath.mpf(0.25) * mpmath.qp(q * q) ** 3)
+        assert abs(fp0 - math.pi * K) <= 1e-14 * abs(math.pi * K)
+
 
 class TestThetaOffRange:
     # the scalar and array paths agree: NaN in gives NaN out, and an infinite
