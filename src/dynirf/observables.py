@@ -43,14 +43,12 @@ from .special import (
 )
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
-    _blocks,
     _check_horizon,
     _check_rates,
-    _irf_batch,
-    batch_heights,
     enumerate_heights,
     enumerate_heights_hs6v,
     exclusion_farm,
+    irf_batch_heights,
 )
 from .weights import SingularParameterError
 
@@ -738,14 +736,16 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     trajectories are independent with counter-based per-trajectory seeds.
     A ``samples`` that is not an integer >= 1000 raises InvalidParameterError.
 
-    The engines run trajectories in blocks of 2^14 (the batch sampler's
-    sweep for "irf" and "rational", ``exclusion_farm`` for "asep" and
-    "ssep"), each keyed by its index in the whole run, and only the heights
-    of a finished block are kept.  The observable product runs once over
-    all the heights, as numpy's in-place complex multiply rounds a
-    one-element block differently.  So the result is that of one sweep over
-    all the samples, bit for bit, and memory is one block's state plus
-    about 60-110 bytes per sample (the heights, the product and its stderr).
+    The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
+    for "irf" and "rational", ``exclusion_farm`` for "asep" and "ssep"),
+    each keyed by its index in the whole run, and keep only the heights of a
+    finished block.  The observable product runs once over all the heights,
+    as numpy's in-place complex multiply rounds a one-element block
+    differently.  So the result does not depend on the block size, bit for
+    bit (for an elliptic pack, up to a turn whose uniform lies within an ulp
+    of its probability; see ``irf_batch_heights``), and memory is one
+    block's state plus the heights, the product and its stderr: a traced
+    peak of 56-112 bytes per sample at 10^6 samples.
     """
     samples = _as_int(samples, "the sample count")
     if samples < 1000:
@@ -754,11 +754,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         params = params_or_rates
         _check_pack_mode(model, params)
         N = _lattice_rows(spec, params)
-        X = max(spec.xs)
-        hs = np.empty((samples, spec.n), dtype=np.int64)
-        for lo, hi in _blocks(samples):
-            batch = _irf_batch(params, X, N, seed, lo, hi)
-            hs[lo:hi] = np.stack([batch_heights(batch, x, N) for x in spec.xs], axis=1)
+        hs = irf_batch_heights(params, spec.xs, N, seed, samples)
         if model == "irf":
             vals = _irf_product(hs, spec, params, params.lambda0)
         else:

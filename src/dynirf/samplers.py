@@ -37,6 +37,7 @@ __all__ = [
     "enumerate_heights",
     "enumerate_heights_hs6v",
     "batch_heights",
+    "irf_batch_heights",
     "step_exclusion_state",
     "simulate_exclusion",
     "exclusion_farm",
@@ -247,9 +248,8 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     trajectory's turn probability is checked to lie in [0, 1].
 
     The whole run is one sweep, holding 16 (X+1)(Y+1) bytes per trajectory;
-    ``mc_E`` sweeps trajectories lo .. hi - 1 of a run in blocks of 2^14
-    instead, which gives each trajectory the same values, as it is keyed by
-    its index in the whole run.
+    ``irf_batch_heights`` sweeps a run in blocks of 2^14 trajectories
+    instead and keeps only their heights.
     """
     return _irf_batch(params, X, Y, seed, 0, n_traj)
 
@@ -303,6 +303,30 @@ def batch_heights(batch: dict, x: int, N: int) -> np.ndarray:
     if x == 1:
         return np.full(hout.shape[0], N, dtype=np.int64)
     return hout[:, x - 1, 1 : N + 1].sum(axis=1)
+
+
+def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
+    """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
+    batch sampler's run seeded ``seed``, as an (n_traj, len(xs)) int array.
+
+    The sweep runs in blocks of 2^14 trajectories, one after another, and
+    keeps only each block's heights, so a run holds one block's 16 (X+1)(N+1)
+    bytes per trajectory (X = max(xs)) besides its output.  Each trajectory
+    is keyed by its index in the whole run, and its fillings are weighed by
+    numpy's out-of-place elementwise arithmetic, which rounds each entry
+    alone; so in the trigonometric and rational modes its heights are those
+    of one ``sample_irf_batch`` sweep, bit for bit.  In elliptic mode
+    theta's in-place array product rounds by the length of the row's table
+    of fillings, so a turn whose uniform lies within an ulp of its
+    probability can go either way.
+    """
+    X = max(xs)
+    out = np.empty((n_traj, len(xs)), dtype=np.int64)
+    for lo, hi in _blocks(n_traj):
+        batch = _irf_batch(params, X, N, seed, lo, hi)
+        for c, x in enumerate(xs):
+            out[lo:hi, c] = batch_heights(batch, x, N)
+    return out
 
 
 def enumerate_distribution(params: IrfParams, N: int, X: int, lam0: complex | None = None):
@@ -619,11 +643,11 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
 
     Returns an (n_traj, len(xs)) int array of s_x(T); sites outside the
     final window were never disturbed and read |x|.  Each trajectory's
-    variates are keyed (``trajectory_seed(seed, index)``, event number), so
-    results do not depend on the batch size.  Trajectories run in blocks of
-    2^14, each to the end before the next starts, so a run holds the state
-    of one block at a time besides its output: a block's window starts at
-    [-8, 8] and grows whenever a flip comes within three sites of its edge.
+    variates are keyed (``trajectory_seed(seed, index)``, event number).
+    Trajectories run in blocks of 2^14, each to the end before the next
+    starts, so a run holds the state of one block at a time besides its
+    output: a block's window starts at [-8, 8] and grows whenever a flip
+    comes within three sites of its edge.
 
     The uniforms of a block of steps are hashed in one pass, at most
     2^14 (row, step) pairs and 64 steps (one step above 8192 live rows).
@@ -633,12 +657,15 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     2000), by a lookup in a table of up- and down-rates by height that is
     rebuilt when the window grows; the rates a step looks up must be finite
     and >= 0.  A growing window adds zero rates and prices its two old edge
-    sites.  Columns no flip has touched keep rate 0, so the site pick sums
-    only the touched span.  A trajectory whose next clock passes T is read
-    out and dropped, with its rows of heights, rates and draws, so no later
-    hash, sum or site pick touches it.  A flip next to the frozen outermost
-    site means the window fell behind its disturbance; it is caught on the
-    step it happens.
+    sites.  Columns no flip has touched keep rate 0, so a step sums each
+    row's rates over the touched span only, left to right: the last sum is
+    the clock's total rate and the site pick reads the others.  A row's sums
+    do not depend on the span or window that the other rows of its block
+    set, so the output does not depend on the block size, bit for bit.  A
+    trajectory whose next clock passes T is read out and dropped, with its
+    rows of heights, rates and draws, so no later hash, sum or site pick
+    touches it.  A flip next to the frozen outermost site means the window
+    fell behind its disturbance; it is caught on the step it happens.
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
@@ -672,14 +699,17 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
         s_row, r_row = np.arange(n) * (m + 2) - 1, np.arange(n) * m - 1
         for j in range(k):
             step += 1
-            total = rates.sum(axis=1)
-            t = t - log_u1[:, j] / np.maximum(total, 1e-300)  # the next clock
+            # the running sum over the touched span, left to right: the rates
+            # outside it are 0, so each row's sums, its total among them, do
+            # not depend on the span or window the block's other rows set
+            cum = rates[:, a:b].cumsum(axis=1)
+            t = t - log_u1[:, j] / np.maximum(cum[:, -1], 1e-300)  # the next clock
             if t.max() > T:
                 stop, keep = np.flatnonzero(t > T), np.flatnonzero(t <= T)
                 for c, x in enumerate(xs):
                     out[index[stop], c] = s[stop, x + W] if -W <= x <= W else abs(x)
-                s, rates, t, prefix, log_u1, u2, index, total = (
-                    v.take(keep, axis=0) for v in (s, rates, t, prefix, log_u1, u2, index, total)
+                s, rates, t, prefix, log_u1, u2, index, cum = (
+                    v.take(keep, axis=0) for v in (s, rates, t, prefix, log_u1, u2, index, cum)
                 )
                 if not index.size:
                     break
@@ -687,10 +717,11 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
                 s_row, r_row = s_row[:n], r_row[:n]
             # the full row's cumulative sum is 0 left of the span and flat right of
             # it, so its sites below u2 * total (a prefix, as rates >= 0) are the
-            # span's plus the a left of it (none at u2 * total = 0); m - 1 if all
-            thr = u2[:, j] * total
-            below = rates[:, a:b].cumsum(axis=1) < thr[:, None]
-            cols = np.where(below[:, -1], m - 1, a + below.argmin(axis=1))
+            # span's plus the a left of it (none at u2 * total = 0); the last, the
+            # total itself, is never below u2 * total, as u2 < 1
+            thr = u2[:, j] * cum[:, -1]
+            below = cum < thr[:, None]
+            cols = a + below.argmin(axis=1)
             if zero_u2:
                 cols[thr == 0] = 0
             lo, hi = int(cols.min()), int(cols.max())

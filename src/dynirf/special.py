@@ -167,7 +167,7 @@ def _theta_product(tau: complex, tol: float):
     q2n = [cmath.exp(2j * math.pi * tau * k) for k in range(1, n + 1)]
     gs = tuple(4 * x / (1 - x) ** 2 for x in q2n)
     K = 2 * cmath.exp(0.25j * math.pi * tau) * math.prod((1 - x) ** 3 for x in q2n)
-    half, pi, sin, cos, exp, isfinite = ti / 2, math.pi, cmath.sin, cmath.cos, cmath.exp, cmath.isfinite
+    half, pi, sin, exp, isfinite = ti / 2, math.pi, cmath.sin, cmath.exp, cmath.isfinite
 
     def theta_tau(z):
         if not isinstance(z, (int, float, complex)):
@@ -189,29 +189,6 @@ def _theta_product(tau: complex, tol: float):
         except (ValueError, OverflowError):
             pass
         return _theta_off_range(z, tau)  # a non-finite z, or past double range
-
-    def deriv_tau(z):
-        if not isinstance(z, (int, float, complex)):
-            return array(z, deriv=True)
-        try:
-            m = 0 if -half <= z.imag <= half else round(z.imag / ti)
-            z0 = z - m * tau if m else z
-            s = sin(pi * z0)
-            s2 = s * s
-            out, d, acc = K * s, pi * K * cos(pi * z0), 0
-            for g in gs:
-                t = 1 + g * s2
-                out, d, acc = out * t, d * t, acc + g / t
-            d *= 1 + 2 * s2 * acc
-            if m:
-                h = exp(-0.5j * pi * m * (z + z0))
-                d = d - 2j * pi * m * out
-                d = (-d if m % 2 else d) * h * h
-            if isfinite(d):
-                return d
-        except (ValueError, OverflowError):
-            pass
-        return _theta_off_range(z, tau, "theta'")
 
     def array(z, deriv=False):
         zarr = np.asarray(z, dtype=complex)
@@ -236,7 +213,7 @@ def _theta_product(tau: complex, tol: float):
             out[i] = _theta_off_range(complex(flat[i]), tau, "theta'" if deriv else "theta")
         return complex(out[0]) if zarr.shape == () else out.reshape(zarr.shape)
 
-    return theta_tau, deriv_tau
+    return theta_tau, functools.partial(array, deriv=True)
 
 
 def theta(z, tau: complex, tol: float = _THETA_TOL):
@@ -256,10 +233,9 @@ def theta(z, tau: complex, tol: float = _THETA_TOL):
 
 def theta_deriv(z, tau: complex, tol: float = _THETA_TOL):
     """d/dz of ``theta``, from the derivative of the same reduced triple
-    product and the same constants; scalars run on ``cmath`` and arrays on
-    numpy, as for theta.  The off-range contract is theta's: a NaN z gives
-    NaN, an infinite z or a value past double range raises
-    InvalidParameterError."""
+    product and the same constants; scalars and arrays both run on numpy.
+    The off-range contract is theta's: a NaN z gives NaN, an infinite z or
+    a value past double range raises InvalidParameterError."""
     return _theta_product(_theta_args(tau, tol), tol)[1](z)
 
 

@@ -323,7 +323,7 @@ class TestRational:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a mismatched pack")
 
-        monkeypatch.setattr(observables, "_irf_batch", no_sampling)
+        monkeypatch.setattr(observables, "irf_batch_heights", no_sampling)
         spec = ObservableSpec((2, 1), 3)
         with pytest.raises(InvalidParameterError, match="rational-mode pack"):
             mc_E("rational", spec, dyn6v, 4000, 1)
@@ -1094,7 +1094,7 @@ class TestLatticeInputs:
 
         monkeypatch.setattr(samplers, "_row_sweep", never)
         monkeypatch.setattr(observables, "contour_integral_factored", never)
-        monkeypatch.setattr(observables, "_irf_batch", never)
+        monkeypatch.setattr(observables, "irf_batch_heights", never)
 
     @staticmethod
     def _routes(params):

@@ -14,6 +14,7 @@ from dynirf.samplers import (
     exclusion_farm,
     filling,
     height,
+    irf_batch_heights,
     sample_irf,
     sample_irf_batch,
     PositivityError,
@@ -621,11 +622,15 @@ class TestTrajectoryBlocks:
         assert np.array_equal(exclusion_farm(kind, rates, T, n, 7, list(xs)), whole)
         assert max(widths) >= width  # some block's window grows from half-width ``width``
 
-    def test_sample_irf_batch_is_the_kernel_on_the_whole_run(self, dyn6v):
-        whole = sample_irf_batch(dyn6v, 3, 4, seed=5, n_traj=20)
-        parts = [samplers._irf_batch(dyn6v, 3, 4, 5, lo, lo + 7) for lo in (0, 7)] + [samplers._irf_batch(dyn6v, 3, 4, 5, 14, 20)]
-        for key in ("vout", "hout", "seeds"):
-            assert np.array_equal(np.concatenate([p[key] for p in parts]), whole[key])
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("pack", ["dyn6v", "rational"])
+    def test_irf_batch_heights(self, request, monkeypatch, block, pack):
+        # 200 trajectories: 28 blocks of 7 and one of 4, or 200 blocks of one
+        params = request.getfixturevalue(pack)
+        whole = sample_irf_batch(params, 3, 4, seed=5, n_traj=200)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        heights = irf_batch_heights(params, (1, 3, 2), 4, 5, 200)
+        assert np.array_equal(heights, np.stack([batch_heights(whole, x, 4) for x in (1, 3, 2)], axis=1))
 
 
 class TestVertexFrequencies:

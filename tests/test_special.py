@@ -148,8 +148,8 @@ class TestThetaMpmathOracle:
 
     @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
     def test_quasi_period_reduction_deriv(self, tau):
-        # theta' on the same points: the cmath scalar path and the numpy
-        # array path each add -2*pi*i*m*theta(z0) before the prefactor
+        # theta' on the same points: the reduced product's derivative takes
+        # -2*pi*i*m*theta(z0) before the prefactor, for scalars and arrays
         rng = np.random.default_rng(int(100 * abs(tau)))
         zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-4, 4, 40) * tau.imag
         refs = np.array([self._ref(z, tau, 1) for z in zs])
