@@ -7,8 +7,10 @@ flag is accepted as a scheduling hint and never affects results).
 Wall-clock timings are only embedded when ``observables --timings`` is
 passed, since they would break byte-identity.
 
-Exit codes: 0 all hard checks passed, 1 at least one failed (names go to
-stderr), 2 usage errors, invalid parameters included.
+Exit codes: 0 all hard checks passed; 1 at least one failed (names go to
+stderr) or a computation raised ConvergenceError or SingularParameterError
+(message on stderr, no traceback); 2 usage errors, invalid parameters
+included.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import identities as idn
 from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
-from .special import FunctionMode, InvalidParameterError
+from .special import ConvergenceError, FunctionMode, InvalidParameterError
+from .weights import SingularParameterError
 from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 
 
@@ -340,9 +343,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, ConvergenceError, SingularParameterError) as exc:
         print(f"dynirf: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InvalidParameterError) else 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
-from .params import AdmissibilityDiagnostic, IrfParams, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
+from .params import IrfParams, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
 from .special import (
     Circle,
     FunctionMode,
@@ -351,8 +351,8 @@ def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex 
     )
 
 
-def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams, floor: float = 1e-6) -> None:
-    """Assert |f(u_i - u_j + shift)| stays above ``floor`` over node pairs."""
+def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams) -> None:
+    """Assert |f(u_i - u_j + shift)| stays above 1e-6 over node pairs."""
     probes = [c.points(64) for c in contours]
     for i in range(len(contours)):
         for j in range(len(contours)):
@@ -360,19 +360,17 @@ def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams, f
                 continue
             diff = probes[i][:, None] - probes[j][None, :] + shift
             vals = np.abs(params.f(diff))
-            if float(vals.min()) <= floor:
+            if float(vals.min()) <= 1e-6:
                 raise InvalidParameterError(
                     f"contour pair ({i}, {j}) violates the 2*eta-shift pole guard"
                 )
 
 
-def _strong_family(params: IrfParams, M: int) -> list:
+def _strong_family(params: IrfParams, M: int) -> tuple:
     """The nested (strong) circles of an M-fold kernel integral, pair-guarded."""
-    fam = check_admissible(params, M, strong=True)
-    if isinstance(fam, AdmissibilityDiagnostic):
-        raise InvalidParameterError(f"contour construction failed: {fam.reason}")
-    _pair_guard(fam.gammas, -2 * params.eta, params)
-    return fam.gammas
+    gammas = check_admissible(params, M, strong=True)
+    _pair_guard(gammas, -2 * params.eta, params)
+    return gammas
 
 
 def _kernel_unary(nu: Signature, lam: complex, params: IrfParams):

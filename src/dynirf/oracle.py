@@ -10,7 +10,9 @@ Lambda is (Lambda - 2k).
 
 Everything here is exponential-time and proud of it; intended scale is
 a handful of columns and occupations.  The closed-form evaluators in
-:mod:`dynirf.symfunc` are tested against these routines.
+:mod:`dynirf.symfunc` are tested against these routines.  An occupation
+past a vector's cap, or a coefficient that moves with the column count or
+depth, raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .special import InvalidParameterError
+from .special import ConvergenceError, InvalidParameterError
 from .weights import SingularParameterError, plaquette_weights
 
 __all__ = [
     "FinitaryVector",
-    "CapExceededError",
-    "StabilizationError",
     "occupations_from_parts",
     "parts_from_occupations",
     "apply_operator",
@@ -34,14 +34,6 @@ __all__ = [
 ]
 
 PRUNE_REL = 1e-15
-
-
-class CapExceededError(RuntimeError):
-    """An operator pushed a column occupation past the configured cap."""
-
-
-class StabilizationError(RuntimeError):
-    """The infinite-volume normalization failed to stabilize in depth."""
 
 
 def occupations_from_parts(parts, n_cols: int) -> tuple:
@@ -161,7 +153,7 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
                         moves.append(("C", k - 1, 1))
                 else:
                     if k + 1 > v.cap:
-                        raise CapExceededError(
+                        raise ConvergenceError(
                             f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
                         )
                     moves = [("B", k + 1, 0), ("D", k, 1)]
@@ -203,7 +195,7 @@ def skew_B_oracle(nu, mu, lam: complex, ws, params) -> complex:
     val = run(n_cols)
     val2 = run(n_cols + 1)
     if abs(val - val2) > 1e-10 * max(1.0, abs(val)):
-        raise StabilizationError("skew B coefficient depends on the column count")
+        raise ConvergenceError("skew B coefficient depends on the column count", (val, val2))
     return val
 
 
@@ -243,7 +235,7 @@ def skew_D_oracle(nu, mu, lam: complex, ws, params) -> complex:
     val = run(m + 1)
     val2 = run(m + 3)
     if abs(val - val2) > 1e-10 * max(1.0, abs(val), abs(val2)):
-        raise StabilizationError(f"skew D did not stabilize in depth: {val} vs {val2}")
+        raise ConvergenceError(f"skew D did not stabilize in depth: {val} vs {val2}", (val, val2))
     return val2
 
 

@@ -11,7 +11,8 @@ drives all symmetric-function formulas.  Admissibility means nested contour
 families gamma_1, ..., gamma_M exist with gamma_M around the p-cluster,
 gamma_i enclosing the 2*eta-shifted image of gamma_{i+1}, and every q_j
 outside all of them; those contours are what the orthogonality integrals run
-over.
+over.  :func:`check_admissible` returns them as a tuple of circles, or raises
+InvalidParameterError naming the condition that no candidate family met.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "IrfParams",
     "from_six_vertex",
     "PQGrid",
-    "ContourFamily",
-    "AdmissibilityDiagnostic",
     "SixVertexParams",
     "pq_grid",
     "check_admissible",
@@ -132,58 +131,20 @@ def pq_grid(params: IrfParams) -> PQGrid:
     return PQGrid(p=p, q=q)
 
 
-@dataclass(frozen=True)
-class ContourFamily:
-    """Contours gamma_1 (first) through gamma_M (last).
-
-    The guaranteed geometry is the one the orthogonality relations need:
-    gamma_M encloses every p_j, each gamma_i encloses the image of
-    gamma_{i+1} shifted by 2*eta, and no gamma_i encloses any q_j.  The
-    family is concentric (hence literally nested) whenever that fits; when
-    the q-cluster sits too close, the circles instead drift along the
-    2*eta direction with slowly growing radii, which still satisfies all
-    three conditions but need not be nested.
-    """
-
-    gammas: tuple
-
-    @property
-    def M(self) -> int:
-        return len(self.gammas)
-
-
-@dataclass(frozen=True)
-class AdmissibilityDiagnostic:
-    """Returned instead of a family when no certified construction exists."""
-
-    reason: str
-    offender: tuple = ()
-
-    def __bool__(self) -> bool:  # allows `if not result: ...`
-        return False
-
-
 def _audit_family(gammas: Sequence[Circle], grid: PQGrid, eta: complex):
-    """Return None if the three contour conditions hold, else a diagnostic."""
+    """Return None if the three contour conditions hold, else the failed one."""
     inner = gammas[-1]
     for j, p in enumerate(grid.p):
         if not inner.contains(p):
-            return AdmissibilityDiagnostic(
-                f"p[{j}] not inside gamma_{len(gammas)}", offender=(j, p)
-            )
+            return f"p[{j}] not inside gamma_{len(gammas)}"
     for i in range(len(gammas) - 1):
         outer, nxt = gammas[i], gammas[i + 1]
         if abs(nxt.center + 2 * eta - outer.center) + nxt.radius >= outer.radius:
-            return AdmissibilityDiagnostic(
-                f"gamma_{i + 1} does not enclose gamma_{i + 2} shifted by 2*eta",
-                offender=(i,),
-            )
+            return f"gamma_{i + 1} does not enclose gamma_{i + 2} shifted by 2*eta"
     for i, g in enumerate(gammas):
         for j, q in enumerate(grid.q):
             if abs(q - g.center) <= g.radius:
-                return AdmissibilityDiagnostic(
-                    f"q inside gamma_{i + 1}", offender=(i, j, q)
-                )
+                return f"q[{j}] inside gamma_{i + 1}"
     return None
 
 
@@ -212,14 +173,13 @@ def _audit_strong(gammas, grid: PQGrid, eta: complex):
     for i in range(len(gammas) - 1):
         outer, nxt = gammas[i], gammas[i + 1]
         if abs(nxt.center - outer.center) + nxt.radius >= outer.radius:
-            return AdmissibilityDiagnostic(
-                f"gamma_{i + 1} does not enclose gamma_{i + 2}", offender=(i,)
-            )
+            return f"gamma_{i + 1} does not enclose gamma_{i + 2}"
     return None
 
 
-def check_admissible(params: IrfParams, M: int, strong: bool = False):
-    """Construct contours gamma_1 ... gamma_M or explain why none exist.
+def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
+    """The circles (gamma_1, ..., gamma_M); InvalidParameterError, naming
+    the last failed condition, when no candidate family passes.
 
     Tries concentric circles around the p-centroid first (radius steps of
     |2*eta| times 2, 1.5, 1.25, 1.1); if the q-points land inside, retries
@@ -245,25 +205,21 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False):
 
     best = None
     best_health = -1.0
-    diag = None
+    failed = None
 
     def consider(family):
-        nonlocal best, best_health, diag
-        verdict = audit(family, grid, eta)
-        if verdict is not None:
-            diag = verdict
-            return
-        health = _family_health(family, grid, eta, strong)
+        nonlocal best, best_health, failed
+        failed = audit(family, grid, eta)
+        health = -1.0 if failed else _family_health(family, grid, eta, strong)
         if health > best_health:
-            best_health = health
-            best = family
+            best, best_health = family, health
 
     r_base = max(1.2 * spread, 0.15 * two_eta, 1e-6)
     for gfac in (1.0, 0.5, 0.25, 0.1):
         radii = [r_base + (M - 1 - i) * (two_eta + gfac * two_eta) for i in range(M)]
         consider(tuple(Circle(center, r) for r in radii))
     if best is not None:
-        return ContourFamily(gammas=best)
+        return best
 
     # Covering chain: centers drift by eta per level so that gamma_i
     # contains both gamma_{i+1} and its 2*eta shift with room to spare.
@@ -287,9 +243,9 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False):
                     for i in range(M)
                 )
                 consider(chain)
-    if best is not None:
-        return ContourFamily(gammas=best)
-    return diag
+    if best is None:
+        raise InvalidParameterError(f"no admissible contour family: {failed}")
+    return best
 
 
 @dataclass(frozen=True)
@@ -448,9 +404,7 @@ def preset(name: str) -> IrfParams:
     if name in ("dyn6v-positive", "rational-positive"):
         _validate_positive_preset(built, name)
     else:
-        fam = check_admissible(built, 3, strong=(name == "trig-admissible-wide"))
-        if isinstance(fam, AdmissibilityDiagnostic):
-            raise InvalidParameterError(f"preset {name} not admissible: {fam.reason}")
+        check_admissible(built, 3, strong=(name == "trig-admissible-wide"))
     return built
 
 
@@ -505,16 +459,15 @@ def load_config(path) -> IrfParams:
         return params_from_json_dict(json.load(fh))
 
 
-def from_six_vertex(sv: SixVertexParams, lambda0_hint: complex | None = None) -> IrfParams:
+def from_six_vertex(sv: SixVertexParams) -> IrfParams:
     """Invert :func:`to_six_vertex` on principal branches.
 
     The boundary column is not recoverable from six-vertex data; it is
-    reinstated as a copy of column 1.  ``lambda0_hint`` overrides the
-    principal-branch corner filling when the original lay off it.
+    reinstated as a copy of column 1.
     """
     tp = 2j * math.pi
     eta = cmath.log(sv.q) / (-2 * tp)
-    lam0 = cmath.log(-sv.alpha) / (-tp) if lambda0_hint is None else lambda0_hint
+    lam0 = cmath.log(-sv.alpha) / (-tp)
     cols = [(cmath.log(xi) / tp, cmath.log(s) / (tp * eta)) for s, xi in zip(sv.s, sv.xi)]
     cols = [cols[0]] + cols
     rows = tuple(six_vertex_row_w(u, eta) for u in sv.u)

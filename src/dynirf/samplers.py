@@ -30,13 +30,11 @@ __all__ = [
     "uniform_hash",
     "trajectory_seed",
     "sample_irf",
-    "sample_irf_batch",
     "filling",
     "height",
     "enumerate_distribution",
     "enumerate_heights",
     "enumerate_heights_hs6v",
-    "batch_heights",
     "irf_batch_heights",
     "step_exclusion_state",
     "simulate_exclusion",
@@ -233,10 +231,11 @@ def _blocks(n_traj: int):
     return [(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
 
 
-def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) -> dict:
-    """Vectorized spin-1/2 sampler: all trajectories sweep together.
+def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -> dict:
+    """Vectorized spin-1/2 sampler: trajectories lo .. hi - 1 of the run
+    seeded ``seed`` sweep together.
 
-    Returns {"vout": (n_traj, X+1, Y+1), "hout": ...} with the same
+    Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...} with the same
     per-trajectory values as ``sample_irf`` at ``trajectory_seed(seed, i)``
     (also returned, as "seeds").
     Requires Lambda = 1 columns (the positivity presets).
@@ -247,15 +246,9 @@ def sample_irf_batch(params: IrfParams, X: int, Y: int, seed: int, n_traj: int) 
     by the same complex additions a per-trajectory filling would.  Every
     trajectory's turn probability is checked to lie in [0, 1].
 
-    The whole run is one sweep, holding 16 (X+1)(Y+1) bytes per trajectory;
-    ``irf_batch_heights`` sweeps a run in blocks of 2^14 trajectories
-    instead and keeps only their heights.
+    A sweep holds 16 (X+1)(Y+1) bytes per trajectory; ``irf_batch_heights``
+    sweeps a run in blocks of 2^14 trajectories and keeps only their heights.
     """
-    return _irf_batch(params, X, Y, seed, 0, n_traj)
-
-
-def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -> dict:
-    """``sample_irf_batch`` for trajectories lo .. hi - 1 of the run seeded ``seed``."""
     if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
         raise InvalidParameterError("batch sampler is spin-1/2 only")
     two_eta = 2 * params.eta
@@ -297,14 +290,6 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     return {"vout": vout, "hout": hout, "seeds": seeds}
 
 
-def batch_heights(batch: dict, x: int, N: int) -> np.ndarray:
-    """Heights h(x, N) for every trajectory of a batch sample."""
-    hout = batch["hout"]
-    if x == 1:
-        return np.full(hout.shape[0], N, dtype=np.int64)
-    return hout[:, x - 1, 1 : N + 1].sum(axis=1)
-
-
 def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
     """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
     batch sampler's run seeded ``seed``, as an (n_traj, len(xs)) int array.
@@ -315,17 +300,17 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     is keyed by its index in the whole run, and its fillings are weighed by
     numpy's out-of-place elementwise arithmetic, which rounds each entry
     alone; so in the trigonometric and rational modes its heights are those
-    of one ``sample_irf_batch`` sweep, bit for bit.  In elliptic mode
-    theta's in-place array product rounds by the length of the row's table
-    of fillings, so a turn whose uniform lies within an ulp of its
-    probability can go either way.
+    of one ``_irf_batch(params, X, N, seed, 0, n_traj)`` sweep, bit for bit.
+    In elliptic mode theta's in-place array product rounds by the length of
+    the row's table of fillings, so a turn whose uniform lies within an ulp
+    of its probability can go either way.
     """
     X = max(xs)
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     for lo, hi in _blocks(n_traj):
-        batch = _irf_batch(params, X, N, seed, lo, hi)
+        hout = _irf_batch(params, X, N, seed, lo, hi)["hout"]
         for c, x in enumerate(xs):
-            out[lo:hi, c] = batch_heights(batch, x, N)
+            out[lo:hi, c] = N if x == 1 else hout[:, x - 1, 1 : N + 1].sum(axis=1)
     return out
 
 

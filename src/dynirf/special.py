@@ -55,10 +55,12 @@ class InvalidParameterError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to converge within the node or grid cap.
+    """A numerical route failed: quadrature or a series past its cap, two
+    routes that disagree, or an oracle coefficient past its occupation cap
+    or unstable in depth.
 
-    Carries the last two estimates so the caller can inspect how far the
-    doubling sequence got.
+    Carries the last two estimates, where there are two, so the caller can
+    inspect how far the sequence got.
     """
 
     def __init__(self, message, estimates=None):

@@ -256,6 +256,25 @@ class TestObservablesCommand:
         assert cli.main(["observables", "--model", model, "--xs", "0", "--t", "1", "--compare", compare]) == 2
         assert message in capsys.readouterr().err
 
+    def test_convergence_error_is_a_message(self):
+        # the ASEP loop integral passes its grid cap here; this used to end
+        # in a ConvergenceError traceback
+        proc = run_cli("observables", "--model", "asep", "--xs", "1,0", "--t", "20", "--q", "0.8", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("dynirf: error: contour quadrature did not converge")
+        assert "Traceback" not in proc.stderr
+
+    def test_singular_parameter_error_is_a_message(self, monkeypatch, capsys):
+        from dynirf import cli, observables
+        from dynirf.weights import SingularParameterError
+
+        def singular(*args, **kwargs):
+            raise SingularParameterError("coincident row parameters")
+
+        monkeypatch.setattr(observables, "exact_E", singular)
+        assert cli.main(["observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3"]) == 1
+        assert capsys.readouterr().err == "dynirf: error: coincident row parameters\n"
+
 
 class TestAsymptoticsCommand:
     def test_heat_and_hydro(self):

@@ -1,7 +1,10 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
-and no module or command of the package loads scipy."""
+every raise is one of the documented errors, and no module or command of the
+package loads scipy."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -21,6 +24,53 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _raised(expr, local) -> list:
+    """The names of what a raise statement's expression raises."""
+    if expr is None:
+        return ["<bare raise>"]
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    if isinstance(expr, ast.Name) and expr.id in local:
+        # a local factory such as contour_integral_factored's ``refuse``
+        returns = [r.value for r in ast.walk(local[expr.id]) if isinstance(r, ast.Return)]
+        return [name for value in returns for name in _raised(value, local)]
+    return [ast.unparse(expr)]
+
+
+class TestErrorFamily:
+    # argparse turns its type converters' errors into usage errors, and a
+    # module __getattr__ must raise AttributeError
+    EXEMPT = {
+        ("dynirf.cli", "_positive_int"): "argparse.ArgumentTypeError",
+        ("dynirf.cli", "_positive_float"): "argparse.ArgumentTypeError",
+        ("dynirf.cli", "_comma_list"): "argparse.ArgumentTypeError",
+        ("dynirf.cli", "_finite_float"): "ValueError",
+        ("dynirf", "__getattr__"): "AttributeError",
+    }
+
+    def test_every_raise_is_a_documented_error(self):
+        from dynirf.special import ConvergenceError, InvalidParameterError
+        from dynirf.weights import SingularParameterError
+
+        family = (InvalidParameterError, ConvergenceError, SingularParameterError)
+        stray = []
+        for name in MODULES:
+            module = importlib.import_module(name)
+            tree = ast.parse(inspect.getsource(module))
+            local = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if not isinstance(node, ast.Raise):
+                        continue
+                    for exc in _raised(node.exc, local):
+                        if self.EXEMPT.get((name, getattr(top, "name", None))) == exc:
+                            continue
+                        cls = getattr(module, exc, None)
+                        if not (inspect.isclass(cls) and issubclass(cls, family)):
+                            stray.append(f"{name}:{node.lineno} raises {exc}")
+        assert not stray, stray
 
 
 def test_import_and_verify_load_no_scipy(tmp_path):

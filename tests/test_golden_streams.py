@@ -10,7 +10,7 @@ import hashlib
 from dynirf.cli import main
 from dynirf.observables import ObservableSpec, mc_E
 from dynirf.params import preset
-from dynirf.samplers import exclusion_farm, sample_irf_batch, simulate_exclusion, step_exclusion_state
+from dynirf.samplers import _irf_batch, exclusion_farm, simulate_exclusion, step_exclusion_state
 
 
 def digest(data: bytes) -> str:
@@ -18,7 +18,7 @@ def digest(data: bytes) -> str:
 
 
 def test_batch_quadrant_sampler():
-    batch = sample_irf_batch(preset("dyn6v-positive"), 4, 5, seed=1, n_traj=10_000)
+    batch = _irf_batch(preset("dyn6v-positive"), 4, 5, 1, 0, 10_000)
     assert digest(batch["vout"].tobytes() + batch["hout"].tobytes()) == "833836a862774bb7"
 
 

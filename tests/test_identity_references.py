@@ -75,7 +75,7 @@ def ref_D_rho_lhs(nu, params, nodes=48):
     lam, f, eta = params.lambda0, params.f, params.eta
     N = nu.length
     grid = pq_grid(params)
-    gammas = check_admissible(params, N, strong=True).gammas
+    gammas = check_admissible(params, N, strong=True)
 
     def extra(x):
         return f(x - grid.p[0]) / f(x - grid.q[0])

@@ -32,7 +32,7 @@ from dynirf.observables import (
     _walk_sum,
 )
 from dynirf.params import IrfParams, preset, to_six_vertex
-from dynirf.samplers import batch_heights, enumerate_heights, sample_irf_batch
+from dynirf.samplers import enumerate_heights, irf_batch_heights
 from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError
 from mp_reference import mp_scaled_bessel
@@ -198,8 +198,7 @@ class TestObservableProduct:
         spec = ObservableSpec((3, 2), 4)
         lam = 0.2 + 0.3j
         law = enumerate_heights(dyn6v, 4, spec.xs, lam0=lam)
-        batch = sample_irf_batch(dyn6v, 3, 4, seed=8, n_traj=40)
-        drawn = np.stack([batch_heights(batch, x, 4) for x in spec.xs], axis=1)
+        drawn = irf_batch_heights(dyn6v, spec.xs, 4, 8, 40)
         for hs, at in ((np.array(list(law)), lam), (drawn, dyn6v.lambda0)):
             got = _irf_product(hs, spec, dyn6v, at)
             assert got.shape == (hs.shape[0],)

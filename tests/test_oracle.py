@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dynirf.oracle import (
-    CapExceededError,
     FinitaryVector,
     apply_operator,
     c_matrix_element,
@@ -12,7 +11,7 @@ from dynirf.oracle import (
     skew_D_oracle,
 )
 from dynirf.params import random_pack
-from dynirf.special import FunctionMode, InvalidParameterError
+from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError, plaquette_weights
 
 RNG = np.random.default_rng(41)
@@ -66,7 +65,7 @@ class TestApplyOperator:
     def test_cap_exceeded(self):
         P = random_params()
         v = FinitaryVector.from_parts((0,), 3, cap=1)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ConvergenceError):
             apply_operator("b", LAM, 0.4, v, P)
 
 
@@ -101,7 +100,7 @@ def reference_apply(op, lam, w, v, params, col_offset=0):
                     moves.append(("C", k - 1, 1))
             else:
                 if k + 1 > v.cap:
-                    raise CapExceededError(
+                    raise ConvergenceError(
                         f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
                     )
                 moves.append(("B", k + 1, 0))
@@ -149,9 +148,9 @@ class TestBitEqualToReferenceWalk:
     def test_cap_error_unchanged(self, op, parts, n_cols):
         P = random_params(seed=13)
         v = FinitaryVector.from_parts(parts, n_cols, cap=1)
-        with pytest.raises(CapExceededError) as want:
+        with pytest.raises(ConvergenceError) as want:
             reference_apply(op, LAM, 0.4, v, P)
-        with pytest.raises(CapExceededError) as got:
+        with pytest.raises(ConvergenceError) as got:
             apply_operator(op, LAM, 0.4, v, P)
         assert str(got.value) == str(want.value)
 

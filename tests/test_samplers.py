@@ -8,7 +8,6 @@ import pytest
 from dynirf import samplers
 from dynirf.params import preset
 from dynirf.samplers import (
-    batch_heights,
     enumerate_distribution,
     enumerate_heights,
     exclusion_farm,
@@ -16,7 +15,6 @@ from dynirf.samplers import (
     height,
     irf_batch_heights,
     sample_irf,
-    sample_irf_batch,
     PositivityError,
     simulate_exclusion,
     step_exclusion_state,
@@ -174,12 +172,13 @@ class TestQuadrantSampler:
         assert height(st, 1, 5) == 5
 
     def test_batch_equals_scalar(self, dyn6v):
-        batch = sample_irf_batch(dyn6v, 4, 4, seed=77, n_traj=5)
+        batch = samplers._irf_batch(dyn6v, 4, 4, 77, 0, 5)
+        heights = irf_batch_heights(dyn6v, (3, 2, 1), 4, 77, 5)
         for i in range(5):
             sc = sample_irf(dyn6v, 4, 4, seed=int(batch["seeds"][i]))
             assert np.array_equal(sc.vout, batch["vout"][i])
             assert np.array_equal(sc.hout, batch["hout"][i])
-            assert batch_heights(batch, 3, 4)[i] == height(sc, 3, 4)
+            assert list(heights[i]) == [height(sc, x, 4) for x in (3, 2, 1)]
 
     def test_spin_half_cap(self, dyn6v):
         st = sample_irf(dyn6v, 6, 6, seed=13)
@@ -199,7 +198,7 @@ class TestQuadrantSampler:
 
         monkeypatch.setattr(samplers, "spin_half_weights", patched)
         with pytest.raises(PositivityError):
-            sample_irf_batch(dyn6v, 3, 3, seed=1, n_traj=8)
+            samplers._irf_batch(dyn6v, 3, 3, 1, 0, 8)
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j])
     def test_scalar_rejects_non_probability(self, dyn6v, monkeypatch, bad):
@@ -253,7 +252,7 @@ class TestEnumeration:
         # sampled crossing signatures against the exact law, 4 sigma
         N, X, n = 2, 6, 30_000
         dist, _ = enumerate_distribution(dyn6v, N, X)
-        batch = sample_irf_batch(dyn6v, X, N, seed=515, n_traj=n)
+        batch = samplers._irf_batch(dyn6v, X, N, 515, 0, n)
         vtop = batch["vout"][:, 1:, N]
         counts: dict = {}
         for i in range(n):
@@ -627,10 +626,11 @@ class TestTrajectoryBlocks:
     def test_irf_batch_heights(self, request, monkeypatch, block, pack):
         # 200 trajectories: 28 blocks of 7 and one of 4, or 200 blocks of one
         params = request.getfixturevalue(pack)
-        whole = sample_irf_batch(params, 3, 4, seed=5, n_traj=200)
+        # against one block of 2^14, the whole run; test_batch_equals_scalar
+        # checks those heights against the scalar sampler's
+        whole = irf_batch_heights(params, (1, 3, 2), 4, 5, 200)
         monkeypatch.setattr(samplers, "_BLOCK", block)
-        heights = irf_batch_heights(params, (1, 3, 2), 4, 5, 200)
-        assert np.array_equal(heights, np.stack([batch_heights(whole, x, 4) for x in (1, 3, 2)], axis=1))
+        assert np.array_equal(irf_batch_heights(params, (1, 3, 2), 4, 5, 200), whole)
 
 
 class TestVertexFrequencies:
@@ -642,7 +642,7 @@ class TestVertexFrequencies:
 
         n = 100_000
         x0, y0 = 2, 2
-        batch = sample_irf_batch(dyn6v, 3, 3, seed=1234, n_traj=n)
+        batch = samplers._irf_batch(dyn6v, 3, 3, 1234, 0, n)
         i1 = batch["vout"][:, x0, y0 - 1]
         j1 = batch["hout"][:, x0 - 1, y0]
         v_left = batch["vout"][:, 1, y0]  # fixes the filling left of (2, 2)
@@ -691,8 +691,7 @@ class TestExclusionLimitSanity:
         n = 30_000
         x_obs = 0  # diagonal site
         col = T + x_obs + 1
-        batch = sample_irf_batch(params, col, T, seed=77, n_traj=n)
-        h6v = batch_heights(batch, col, T).astype(float)
+        h6v = irf_batch_heights(params, (col,), T, 77, n)[:, 0].astype(float)
         s6v = 2 * h6v + x_obs  # s = 2h + x for step-type states
         sa = exclusion_farm("asep", (q, alpha), t, n, seed=78, xs=[x_obs]).astype(float)[:, 0]
         se = (s6v.var() / n + sa.var() / n) ** 0.5
