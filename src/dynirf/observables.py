@@ -642,12 +642,15 @@ def _duality_moment(xs, t: float) -> float:
     fixed_at, blocked_at = np.flatnonzero(fixed), np.flatnonzero(~fixed & (blocked > 0))
     fixed_val, blocked_val = C.reshape(-1)[fixed_at], blocked.reshape(-1)[blocked_at]
 
+    # per axis, the index tuples of the sites above (y_ax > lo) and below (y_ax < hi)
+    cut = lambda ax, part: (slice(None),) * ax + (part,) + (slice(None),) * (n - 1 - ax)
+    shifts = [(cut(ax, slice(1, None)), cut(ax, slice(None, -1))) for ax in range(n)]
+
     def step(c, prev, out):
         out.fill(0.0)
-        for ax in range(n):
-            o, v = np.moveaxis(out, ax, 0), np.moveaxis(c, ax, 0)
-            o[1:] += v[:-1]
-            o[:-1] += v[1:]
+        for up, down in shifts:
+            out[up] += c[down]
+            out[down] += c[up]
         flat = out.reshape(-1)
         flat[blocked_at] += blocked_val * c.reshape(-1)[blocked_at]
         out *= 1.0 / n
@@ -737,15 +740,18 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     A ``samples`` that is not an integer >= 1000 raises InvalidParameterError.
 
     The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
-    for "irf" and "rational", ``exclusion_farm`` for "asep" and "ssep"),
-    each keyed by its index in the whole run, and keep only the heights of a
-    finished block.  The observable product runs once over all the heights,
-    as numpy's in-place complex multiply rounds a one-element block
-    differently.  So the result does not depend on the block size, bit for
-    bit (for an elliptic pack, up to a turn whose uniform lies within an ulp
-    of its probability; see ``irf_batch_heights``), and memory is one
-    block's state plus the heights, the product and its stderr: a traced
-    peak of 56-112 bytes per sample at 10^6 samples.
+    for "irf" and "rational", which sweeps columns 1..max(xs) - 1 only;
+    ``exclusion_farm`` for "asep" and "ssep"), each keyed by its index in
+    the whole run, and keep only the heights of a finished block.  The
+    observable product runs once over all the heights, as numpy's in-place
+    complex multiply rounds a one-element block differently.  So the result
+    does not depend on the block size, bit for bit (for an elliptic pack, up
+    to a turn whose uniform lies within an ulp of its probability; see
+    ``irf_batch_heights``), and memory is one block's state plus the
+    heights, the product and its stderr: a traced peak of 56-112 bytes per
+    sample at 10^6 samples.  A lattice pack whose stochastic weights miss
+    a + c = 1 or b + d = 1 by more than 1e-9 in a swept column (elliptic
+    packs at small Im tau) raises InvalidParameterError.
     """
     samples = _as_int(samples, "the sample count")
     if samples < 1000:

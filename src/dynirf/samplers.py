@@ -190,8 +190,9 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
     """Sweep the quadrant window in increasing x+y, tossing one Bernoulli
     variable per vertex with the stochastic plaquette biases.
 
-    Works for any spin; weights must be probabilities (validated within
-    1e-9 at every vertex).
+    Works for any spin; weights must be probabilities: at every vertex the
+    turn weight lies in [0, 1] and it sums to one with the other completion
+    (a + c or b + d), each within 1e-9.
     """
     from .weights import WeightContext, weight
 
@@ -206,15 +207,16 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
             lam_v = filling(state, x - 1, y)
             ctx = WeightContext(lam_v, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
             if j1 == 0:
-                # outcomes: straight (a) or turn right (c)
-                p_turn = weight("C", i1, ctx, stochastic=True) if i1 >= 1 else 0.0
+                # outcomes: turn right (c) or straight (a); an empty vertex stays empty
+                p_turn, p_other = (weight("C", i1, ctx, True), weight("A", i1, ctx, True)) if i1 >= 1 else (0.0, 1.0)
             else:
-                # outcomes: absorb up (b) or pass through (d)
-                p_turn = weight("D", i1, ctx, stochastic=True)
+                # outcomes: pass through (d) or absorb up (b)
+                p_turn, p_other = weight("D", i1, ctx, True), weight("B", i1, ctx, True)
             p_val = complex(p_turn)
             # written so that a NaN weight fails too
             if not (abs(p_val.imag) <= eps and -eps <= p_val.real <= 1 + eps):
                 raise PositivityError(f"weight {p_val} outside [0,1] at vertex ({x},{y})")
+            _check_sums(x, y, p_turn + p_other)
             u = uniform_hash(seed, x, y)
             turn = u < min(max(p_val.real, 0.0), 1.0)
             if j1 == 0:
@@ -224,6 +226,15 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
             vout[x, y] = i2
             hout[x, y] = j2
     return state
+
+
+def _check_sums(x: int, y: int, *sums) -> None:
+    """Refuse weights whose two completions at vertex (x, y), a + c or b + d
+    (scalars or arrays over fillings), miss one by more than 1e-9, as
+    elliptic weights do by O(exp(-2 pi Im tau))."""
+    residual = float(np.abs(np.hstack(sums) - 1.0).max())
+    if not residual <= 1e-9:  # a NaN fails too
+        raise InvalidParameterError(f"stochastic weights at vertex ({x},{y}) do not sum to one: residual {residual:.2e}")
 
 
 def _blocks(n_traj: int):
@@ -244,7 +255,8 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     table of the row's distinct fillings, which are weighed once per vertex.
     The table takes one entry per (filling, vertical occupation) pair present,
     by the same complex additions a per-trajectory filling would.  Every
-    trajectory's turn probability is checked to lie in [0, 1].
+    trajectory's turn probability is checked to lie in [0, 1], and at every
+    filling of the table a1 + c1 and b0 + d0 to be one, within 1e-9.
 
     A sweep holds 16 (X+1)(Y+1) bytes per trajectory; ``irf_batch_heights``
     sweeps a run in blocks of 2^14 trajectories and keeps only their heights.
@@ -263,7 +275,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
             i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int64)
-            _, _, _, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
+            _, a1, b0, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
             # probability that a horizontal arrow exits right, by filling,
             # carry and occupied vertical edge: c at k=1 for a fresh turn, d0
             # for a pass-through, d1 = 1 when the vertical edge is occupied
@@ -274,6 +286,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
             if not ok.all():
                 bad = p_turn[~ok][0]
                 raise PositivityError(f"weight {bad} outside [0,1] at vertex ({x},{y})")
+            _check_sums(x, y, a1 + c1, b0 + d0)
             u = uniform_hash(seeds, np.int64(x), np.int64(y))
             turn = u < np.clip(p_turn.real, 0.0, 1.0)
             j2 = turn.astype(np.int64)  # turn == a horizontal arrow exits right
@@ -294,23 +307,30 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
     batch sampler's run seeded ``seed``, as an (n_traj, len(xs)) int array.
 
-    The sweep runs in blocks of 2^14 trajectories, one after another, and
-    keeps only each block's heights, so a run holds one block's 16 (X+1)(N+1)
-    bytes per trajectory (X = max(xs)) besides its output.  Each trajectory
-    is keyed by its index in the whole run, and its fillings are weighed by
-    numpy's out-of-place elementwise arithmetic, which rounds each entry
-    alone; so in the trigonometric and rational modes its heights are those
-    of one ``_irf_batch(params, X, N, seed, 0, n_traj)`` sweep, bit for bit.
-    In elliptic mode theta's in-place array product rounds by the length of
-    the row's table of fillings, so a turn whose uniform lies within an ulp
-    of its probability can go either way.
+    h(x, N) counts the arrows leaving column x - 1 rightward in rows 1..N,
+    and paths never move left, so the sweep stops at column X = max(xs) - 1
+    (at x <= 1 every height is N); only the swept columns' spin and weights
+    are checked.  The sweep runs in blocks of 2^14 trajectories, one after
+    another, and keeps only each block's heights, so a run holds one block's
+    16 max(xs) (N+1) bytes per trajectory besides its output.  Each
+    trajectory is keyed by its index in the whole run, each vertex uniform by
+    (trajectory seed, x, y), and its fillings are weighed by numpy's
+    out-of-place elementwise arithmetic, which rounds each entry alone; so in
+    the trigonometric and rational modes its heights are those of one
+    ``_irf_batch(params, X', N, seed, 0, n_traj)`` sweep at any X' >= X, bit
+    for bit.  In elliptic mode theta's in-place array product rounds by the
+    length of the row's table of fillings, so a turn whose uniform lies
+    within an ulp of its probability can go either way.
     """
-    X = max(xs)
-    out = np.empty((n_traj, len(xs)), dtype=np.int64)
+    X = max(xs) - 1
+    out = np.full((n_traj, len(xs)), N, dtype=np.int64)
+    if X < 1:
+        return out
     for lo, hi in _blocks(n_traj):
         hout = _irf_batch(params, X, N, seed, lo, hi)["hout"]
         for c, x in enumerate(xs):
-            out[lo:hi, c] = N if x == 1 else hout[:, x - 1, 1 : N + 1].sum(axis=1)
+            if x > 1:
+                out[lo:hi, c] = hout[:, x - 1, 1 : N + 1].sum(axis=1)
     return out
 
 
@@ -334,10 +354,12 @@ def enumerate_distribution(params: IrfParams, N: int, X: int, lam0: complex | No
 def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None, row_weights=None):
     """Exact joint law of the heights h(x, N) for x in ``xs``.
 
+    h(x, N) is N minus the paths that stop in columns 1..x-1, and paths
+    never move left, so the sweep covers columns 1..max(xs) - 1 only.
     Unlike :func:`enumerate_distribution`, whose strip drops the paths that
-    carry past its cap, there is no truncation error: heights at columns
-    <= max(xs) only see vertices left of max(xs), and paths escaping beyond
-    are absorbed with total weight one.  Works with complex weights.
+    carry past its cap, this cut is exact: a path carrying past the last
+    column is absorbed with total weight one, as the rest of the strip's
+    stochastic weights sum to one.  Works with complex weights.
     ``row_weights(y)`` gives row y's plaquette weight callback (kind, m, x,
     lam_x) (default: the stochastic IRF weights).  Each row is one
     ``symfunc._row_sweep`` of the whole law; as every path enters at
@@ -349,17 +371,16 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
         raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
     if not len(xs):
         raise InvalidParameterError("need at least one site in xs")
-    cap = max(xs)
-    if cap >= params.n_cols:
-        raise InvalidParameterError(f"sites reach column {cap}; the parameter pack has {params.n_cols} columns")
+    if max(xs) >= params.n_cols:
+        raise InvalidParameterError(f"sites reach column {max(xs)}; the parameter pack has {params.n_cols} columns")
     lam0 = params.lambda0 if lam0 is None else lam0
     two_eta = 2 * params.eta
     if row_weights is None:
         row_weights = lambda y: plaquette_weights(params, params.w(y), True)
-    # one stochastic row over columns 1..cap at a time; a path still carrying
-    # past column cap is absorbed with weight exactly 1 (the remaining strip's
-    # weights sum to one), and y - sum(occupations) of y paths are absorbed
-    dist = {(0,) * cap: 1.0 + 0.0j}
+    # one stochastic row over columns 1..max(xs) - 1 at a time; a path still
+    # carrying past the last is absorbed with weight exactly 1, and y -
+    # sum(occupations) of y paths are absorbed
+    dist = {(0,) * max(max(xs) - 1, 0): 1.0 + 0.0j}
     for y in range(1, N + 1):
         new: dict = {}
         for (top, _), amp in _row_sweep(params, dist, 1, lam0 - two_eta * y, row_weights(y)).items():

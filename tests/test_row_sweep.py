@@ -51,11 +51,14 @@ def walk_row(params, bot, first, last, lam_start, weight_fn):
     return out
 
 
-def walk_enumerate_heights(params, N, xs, lam0):
-    cap = max(xs)
+def walk_enumerate_heights(params, N, xs, lam0, cap=None, row_weights=None):
+    """The joint height law over columns 1..cap (default max(xs) - 1, where
+    ``enumerate_heights`` stops), the paths past it counted as absorbed."""
+    cap = max(xs) - 1 if cap is None else cap
+    row_weights = row_weights or (lambda y: plaquette_weights(params, params.w(y), True))
     dist = {((0,) * cap, 0): 1.0 + 0.0j}
     for y in range(1, N + 1):
-        weight_fn = plaquette_weights(params, params.w(y), True)
+        weight_fn = row_weights(y)
         new: dict = {}
         for (bot, n_abs), amp in dist.items():
             for (top, inc), wgt in walk_row(params, dict(enumerate(bot, 1)), 1, cap, lam0 - 2 * params.eta * y, weight_fn).items():
@@ -107,10 +110,10 @@ PACKS = {
 }
 
 
-def assert_same_law(got, want):
+def assert_same_law(got, want, tol=1e-12):
     assert got.keys() == want.keys()
     for key, amp in want.items():
-        assert abs(got[key] - amp) <= 1e-12 * max(1.0, abs(amp)), key
+        assert abs(got[key] - amp) <= tol * max(1.0, abs(amp)), key
 
 
 @pytest.mark.parametrize("pack", PACKS)
@@ -119,6 +122,37 @@ def test_enumerate_heights_matches_walk(pack, N, xs):
     params = PACKS[pack]()
     got = enumerate_heights(params, N, xs, lam0=LAM0)
     assert_same_law(got, walk_enumerate_heights(params, N, xs, LAM0))
+
+
+STOCHASTIC_PACKS = {"dyn6v": PACKS["dyn6v"], "trig": PACKS["trig"], "rational": lambda: preset("rational-positive")}
+
+
+@pytest.mark.parametrize("pack", STOCHASTIC_PACKS)
+@pytest.mark.parametrize("N, xs", [(4, (5, 3, 2)), (3, (6, 1)), (3, (4, 0)), (3, (1,))])
+def test_cut_before_the_last_site_is_exact(pack, N, xs):
+    # enumerate_heights stops at column max(xs) - 1; a walk that also sweeps
+    # column max(xs) gives the same law, since that column's stochastic
+    # weights sum to one
+    params = STOCHASTIC_PACKS[pack]()
+    want = walk_enumerate_heights(params, N, xs, LAM0, cap=max(xs))
+    assert_same_law(enumerate_heights(params, N, xs, lam0=LAM0), want, tol=1e-13)
+
+
+def test_hs6v_cut_before_the_last_site_is_exact(monkeypatch):
+    from dynirf import samplers
+
+    params, N, xs = preset("dyn6v-positive"), 5, (5, 3, 2)
+    seen = {}
+    real = samplers.enumerate_heights
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "enumerate_heights", spy)
+    got = samplers.enumerate_heights_hs6v(params, N, xs)
+    want = walk_enumerate_heights(params, N, xs, seen["lam0"], cap=max(xs), row_weights=seen["row_weights"])
+    assert_same_law(got, want, tol=1e-13)
 
 
 @pytest.mark.parametrize("pack", PACKS)

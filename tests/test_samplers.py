@@ -1,13 +1,15 @@
 import itertools
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynirf import samplers
-from dynirf.params import preset
+from dynirf.params import IrfParams, preset
 from dynirf.samplers import (
+    QuadrantState,
     enumerate_distribution,
     enumerate_heights,
     exclusion_farm,
@@ -22,7 +24,7 @@ from dynirf.samplers import (
     uniform_hash,
 )
 from dynirf.samplers import _rate
-from dynirf.special import InvalidParameterError
+from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import Signature, _strip, skew_B_lattice
 
 
@@ -207,6 +209,32 @@ class TestQuadrantSampler:
         monkeypatch.setattr(dynirf.weights, "weight", lambda *args, **kwargs: bad)
         with pytest.raises(PositivityError):
             sample_irf(dyn6v, 3, 3, seed=1)
+
+    def test_samplers_refuse_weights_that_do_not_sum_to_one(self, dyn6v):
+        # at tau = i the elliptic weights miss a + c = 1 and b + d = 1 by
+        # about 1e-3 while each lies in [0, 1]: mc_E returned -0.59617 +-
+        # 0.00016 here (10^5 samples, seed 1) against exact_E's -0.59537
+        from dynirf.observables import ObservableSpec, mc_E
+
+        ell = replace(dyn6v, mode=FunctionMode.elliptic(1j))
+        with pytest.raises(InvalidParameterError, match=r"vertex \(1,1\) do not sum to one: residual"):
+            mc_E("irf", ObservableSpec((2,), 3), ell, 1000, 1)
+        with pytest.raises(InvalidParameterError, match=r"vertex \(1,1\) do not sum to one: residual"):
+            sample_irf(ell, 3, 3, seed=1)
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_batch_checks_both_sums(self, dyn6v, monkeypatch, slot):
+        # a1 or b0 off by 1e-6: every turn probability stays in [0, 1]
+        real = samplers.spin_half_weights
+
+        def patched(*args):
+            out = list(real(*args))
+            out[slot] = out[slot] + 1e-6
+            return tuple(out)
+
+        monkeypatch.setattr(samplers, "spin_half_weights", patched)
+        with pytest.raises(InvalidParameterError, match=r"residual 1\.00e-06"):
+            samplers._irf_batch(dyn6v, 3, 3, 1, 0, 8)
 
 
 class TestEnumeration:
@@ -631,6 +659,36 @@ class TestTrajectoryBlocks:
         whole = irf_batch_heights(params, (1, 3, 2), 4, 5, 200)
         monkeypatch.setattr(samplers, "_BLOCK", block)
         assert np.array_equal(irf_batch_heights(params, (1, 3, 2), 4, 5, 200), whole)
+
+    @pytest.mark.parametrize("pack", ["dyn6v", "rational"])
+    def test_irf_batch_heights_match_a_full_sweep(self, request, monkeypatch, pack):
+        # the heights stop the sweep at column max(xs) - 1; read off a sweep
+        # through column max(xs), they are the same bit for bit
+        params = request.getfixturevalue(pack)
+        xs, N, n = (4, 4, 3, 1), 5, 50
+        full = samplers._irf_batch(params, max(xs), N, 9, 0, n)
+        want = [[height(QuadrantState(max(xs), N, full["vout"][i], full["hout"][i], params), x, N) for x in xs] for i in range(n)]
+        monkeypatch.setattr(samplers, "_BLOCK", 16)  # three blocks of 16 and one of 2
+        assert np.array_equal(irf_batch_heights(params, xs, N, 9, n), want)
+
+    def test_sites_left_of_column_one_read_N(self, dyn6v):
+        # every path enters at column 1, so h(x, N) = N at x <= 1; a site
+        # x <= 0 used to read column x - 1 from the end of the sweep
+        hs = irf_batch_heights(dyn6v, (3, 0, -2), 4, 5, 100)
+        assert (hs[:, 1:] == 4).all()
+        assert np.array_equal(hs[:, 0], irf_batch_heights(dyn6v, (3,), 4, 5, 100)[:, 0])
+
+    @pytest.mark.parametrize("xs", [(5, 3, 2), (2,), (1,), (1, 0)])
+    def test_no_weight_right_of_the_last_read_column(self, dyn6v, monkeypatch, xs):
+        # h(x, N) reads columns 1..x-1, so neither engine weighs a plaquette
+        # in column max(xs) or beyond
+        columns = []
+        z = IrfParams.z
+        monkeypatch.setattr(IrfParams, "z", lambda self, j: columns.append(j) or z(self, j))
+        for run in (lambda: enumerate_heights(dyn6v, 4, xs), lambda: irf_batch_heights(dyn6v, xs, 4, 1, 100)):
+            columns.clear()
+            run()
+            assert set(columns) == set(range(1, max(xs)))
 
 
 class TestVertexFrequencies:
