@@ -30,13 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
-from .params import IrfParams, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
-from .special import (
-    Circle,
-    FunctionMode,
-    InvalidParameterError,
-    contour_integral_factored,
-)
+from .params import IrfParams, _pair_guard, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
+from .special import FunctionMode, InvalidParameterError, contour_integral_factored
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
@@ -200,8 +195,9 @@ def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: I
     return abs(out)
 
 
-def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
-    """Skew-Cauchy identity with k = len(us), l = len(vs), kappa-sum truncated at kappa_1 <= cap.
+def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, tolerance: float = TOL_SERIES) -> CheckReport:
+    """Skew-Cauchy identity at lam = params.lambda0 with k = len(us), l = len(vs),
+    kappa-sum truncated at kappa_1 <= cap.
 
     At k = l = 1 the report also carries the convergence-condition product
     at two depths.
@@ -212,8 +208,7 @@ def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, lam: com
         raise InvalidParameterError("need len(mu) = len(nu) + len(us) and at least one u and one v")
     if cap < mu.max_part():
         raise InvalidParameterError(f"cap {cap} is below mu_1 = {mu.max_part()}: the kappa-box would be empty")
-    lam = params.lambda0 if lam is None else lam
-    eta = params.eta
+    lam, eta = params.lambda0, params.eta
     b_law = _strip(nu, lam + 2 * eta * l, us, params, "B", cap=cap)
     lhs, tail = _capped_sum(
         signatures_in_box(mu.parts, (cap,) * mu.length),
@@ -247,16 +242,15 @@ def _b0k_norm_factor(count: int, lam: complex, u: complex, params: IrfParams) ->
     return f(2 * eta) * f(lam - z0 + u + eta * (-L0 + 2 * count - 1)) / f(z0 - u + (L0 + 1) * eta)
 
 
-def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None, v=None, cap: int = 12, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
-    """The two Pieri rules and the Cauchy identity, truncated on the left.
+def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None, v=None, tolerance: float = TOL_SERIES) -> CheckReport:
+    """The two Pieri rules and the Cauchy identity at lam = params.lambda0,
+    truncated on the left at kappa_1 <= 12.
 
     variant "pieri2": sum_kappa D_kappa(lam; vs) B_{kappa/nu}(lam+2*eta*l; u)
     variant "pieri":  sum_kappa D^norm_{kappa/nu}(lam; v) B^norm_kappa(lam+2*eta; us)
     variant "cauchy": sum_kappa D^norm_kappa(lam; vs) B^norm_kappa(lam+2*eta*l; us)
     """
-    lam = params.lambda0 if lam is None else lam
-    eta = params.eta
-    f = params.f
+    lam, eta, f, cap = params.lambda0, params.eta, params.f, 12
     nu = Signature(tuple(nu))
 
     if variant == "pieri2":
@@ -315,9 +309,10 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
     )
 
 
-def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex | None = None, tolerance: float = TOL_SERIES) -> CheckReport:
-    """rho-specialized Cauchy identity (trigonometric mode only)."""
-    lam = params.lambda0 if lam is None else lam
+def check_cauchy_rho(N: int, us, params: IrfParams, tolerance: float = TOL_SERIES) -> CheckReport:
+    """rho-specialized Cauchy identity at lam = params.lambda0, truncated at
+    kappa_1 <= 14 (trigonometric mode only)."""
+    lam, cap = params.lambda0, 14
     if len(us) != N:
         raise InvalidParameterError("need exactly N spectral arguments")
     f, eta = params.f, params.eta
@@ -349,21 +344,6 @@ def check_cauchy_rho(N: int, us, params: IrfParams, cap: int = 14, lam: complex 
         tolerance=tolerance,
         truncation_info={"cap": cap, "tail_estimate": last},
     )
-
-
-def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams) -> None:
-    """Assert |f(u_i - u_j + shift)| stays above 1e-6 over node pairs."""
-    probes = [c.points(64) for c in contours]
-    for i in range(len(contours)):
-        for j in range(len(contours)):
-            if i == j:
-                continue
-            diff = probes[i][:, None] - probes[j][None, :] + shift
-            vals = np.abs(params.f(diff))
-            if float(vals.min()) <= 1e-6:
-                raise InvalidParameterError(
-                    f"contour pair ({i}, {j}) violates the 2*eta-shift pole guard"
-                )
 
 
 def _strong_family(params: IrfParams, M: int) -> tuple:
@@ -421,12 +401,13 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     return pref, terms
 
 
-def check_orthogonality(mu, nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
-    """M-fold contour integral of B_mu against the psi-kernel vs c_mu 1_{nu=mu}."""
+def check_orthogonality(mu, nu, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+    """M-fold contour integral of B_mu against the psi-kernel vs c_mu 1_{nu=mu},
+    at lam = params.lambda0."""
     mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
     if mu.length != nu.length:
         raise InvalidParameterError("orthogonality needs equal lengths")
-    lam = params.lambda0 if lam is None else lam
+    lam = params.lambda0
     gammas = _strong_family(params, mu.length)
     pref, terms = _bmu_factored_terms(mu, nu, lam, params)
     lhs = pref * contour_integral_factored(terms, gammas, tol=1e-9)
@@ -456,12 +437,12 @@ def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, la
     return pref * integral
 
 
-def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
-    """Integral representation of D_nu(lam - 2*eta*n; vs) vs the formula."""
+def check_D_integral(nu, n: int, vs, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+    """Integral representation of D_nu(lam - 2*eta*n; vs) vs the formula, lam = params.lambda0."""
     nu = Signature(tuple(nu))
     if len(vs) != n:
         raise InvalidParameterError("need exactly n spectral points")
-    lam = params.lambda0 if lam is None else lam
+    lam = params.lambda0
     N = nu.length
     f, eta = params.f, params.eta
     grid = pq_grid(params)
@@ -484,12 +465,11 @@ def check_D_integral(nu, n: int, vs, params: IrfParams, lam: complex | None = No
     )
 
 
-def check_D_rho_integral(nu, params: IrfParams, lam: complex | None = None, tolerance: float = TOL_QUAD) -> CheckReport:
-    """rho-specialized integral of D^norm vs the closed form (incl. the
-    vanishing at nu_N = 0)."""
+def check_D_rho_integral(nu, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+    """rho-specialized integral of D^norm vs the closed form at lam =
+    params.lambda0 (incl. the vanishing at nu_N = 0)."""
     nu = Signature(tuple(nu))
-    lam = params.lambda0 if lam is None else lam
-    f, grid = params.f, pq_grid(params)
+    lam, f, grid = params.lambda0, params.f, pq_grid(params)
     gammas = _strong_family(params, nu.length)
     return CheckReport(
         name=f"D-rho-integral-{nu.parts}",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import CheckReport
-from .params import IrfParams, pq_grid, to_six_vertex
+from .params import IrfParams, _pair_guard, pq_grid, to_six_vertex
 from .special import (
     Circle,
     ConvergenceError,
@@ -45,6 +45,7 @@ from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
     _check_rates,
+    _check_sites,
     enumerate_heights,
     enumerate_heights_hs6v,
     exclusion_farm,
@@ -89,16 +90,21 @@ class ObservableSpec:
         return len(self.xs)
 
 
-def _lattice_rows(spec: ObservableSpec, params: IrfParams) -> int:
-    """The row index N of a lattice observable: an integer in 0..params.n_rows.
-
-    Rational-mode packs also need every site x >= 1: the rational product
-    and the integral disagree on what the observable is left of column 1.
+def _lattice_rows(model: str | None, spec: ObservableSpec, params: IrfParams) -> int:
+    """The row index N of a lattice observable, after the checks every lattice
+    route shares, in this order: the pack's mode fits ``model`` (None: any);
+    N is an integer in 0..params.n_rows; ``samplers._check_sites``; and in
+    rational mode every site x >= 1, as the rational product and the
+    integral disagree on what the observable is left of column 1.
     """
+    if model is not None and (params.mode.kind == "rational") != (model == "rational"):
+        need = "a rational-mode" if model == "rational" else "a non-rational-mode"
+        raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params.mode.kind}")
     if not float(spec.N_or_t).is_integer():
         raise InvalidParameterError(f"the row index N must be an integer, got {spec.N_or_t}")
     if not 0 <= spec.N_or_t <= params.n_rows:
         raise InvalidParameterError(f"not enough rows in the parameter pack: N = {spec.N_or_t}, {params.n_rows} rows")
+    _check_sites(params, spec.xs)
     if params.mode.kind == "rational" and spec.xs[-1] < 1:
         raise InvalidParameterError(f"the rational model needs sites x >= 1, got {spec.xs}")
     return int(spec.N_or_t)
@@ -122,15 +128,14 @@ def obs_O(hvalue: int, x: int, N: int, params: IrfParams, lam: complex | None = 
     )
 
 
-def obs_O_six_vertex(hvalue: int, x: int, N: int, params: IrfParams, lam: complex | None = None) -> complex:
-    """The same observable written in six-vertex variables -1/alpha q^h + (s..)^2 q^{N-h}."""
-    lam = params.lambda0 if lam is None else lam
+def obs_O_six_vertex(hvalue: int, x: int, N: int, params: IrfParams) -> complex:
+    """The same observable at lam = params.lambda0, written in six-vertex
+    variables -1/alpha q^h + (s..)^2 q^{N-h}."""
     sv = to_six_vertex(params)
-    alpha = -cmath.exp(-2j * math.pi * lam)
     s_prod = 1.0 + 0.0j
     for j in range(x - 1):
         s_prod *= sv.s[j]
-    return -(alpha**-1) * sv.q**hvalue + s_prod**2 * sv.q ** (N - hvalue)
+    return -(sv.alpha**-1) * sv.q**hvalue + s_prod**2 * sv.q ** (N - hvalue)
 
 
 def _q_pow(params: IrfParams, m) -> complex:
@@ -178,15 +183,16 @@ def _ssep_product(svals, spec: ObservableSpec, lam_bar: float) -> np.ndarray:
     return out / rising(lam_bar, spec.n)
 
 
-def _rational_product(hs, spec: ObservableSpec, lam: complex, N: int) -> np.ndarray:
-    """Rational-mode observable product for each row of an (n_samples, n) height array."""
-    hs = np.asarray(hs, dtype=float)
+def _lattice_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> np.ndarray:
+    """The observable product of the pack's mode, the rational one or
+    ``_irf_product``, for each row of an (n_samples, n) height array."""
+    if params.mode.kind != "rational":
+        return _irf_product(hs, spec, params, lam)
+    hs, lam, N = np.asarray(hs, dtype=float), complex(lam), int(spec.N_or_t)
     out = np.ones(hs.shape[0], dtype=complex)
-    for k in range(spec.n):
-        x = spec.xs[k]
+    for k, x in enumerate(spec.xs):
         h = hs[:, k]
-        o = h * (h - lam - N + x - 1)
-        out *= k * k - k * (lam + N - x + 1) - o
+        out *= k * k - k * (lam + N - x + 1) - h * (h - lam - N + x - 1)
     return out / rising(-lam, spec.n)
 
 
@@ -215,8 +221,6 @@ def _irf_contours(params: IrfParams, n: int):
         if abs(q - center) <= big * 1.05:
             raise InvalidParameterError("a q-point sits on the w-contours")
     if n >= 2:
-        from .identities import _pair_guard
-
         _pair_guard(circles, 2 * params.eta, params)
     return circles
 
@@ -271,8 +275,10 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
                   n >= 4 never); past it InvalidParameterError before any
                   array is allocated
 
-    Exclusion rates pass mc_E's check (``samplers._check_rates``), unused
-    ones included.  A ``tol`` not finite and > 0 or a ``nodes`` not an integer
+    Lattice packs and specs pass ``_lattice_rows`` (pack mode, rows, sites
+    below params.n_cols, rational x >= 1) before any quadrature, and
+    exclusion rates mc_E's check (``samplers._check_rates``), unused ones
+    included.  A ``tol`` not finite and > 0 or a ``nodes`` not an integer
     >= 16 raises InvalidParameterError before any route is chosen.  A value
     its check route disagrees with raises ConvergenceError, naming both
     routes and carrying both values as its ``estimates``.
@@ -280,20 +286,12 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     _check_tol(tol)
     nodes = _check_nodes(nodes)
     if model in ("irf", "rational"):
-        _check_pack_mode(model, params_or_rates)
-        return _exact_E_irf(spec, params_or_rates, nodes, tol)
+        return _exact_E_irf(spec, params_or_rates, _lattice_rows(model, spec, params_or_rates), nodes, tol)
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
     rates = _check_rates(model, params_or_rates)
     _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
     return _exact_E_asep(spec, float(rates[0]), nodes, tol) if model == "asep" else _exact_E_ssep(spec, nodes, tol)
-
-
-def _check_pack_mode(model: str, params: IrfParams) -> None:
-    """Model "rational" needs a rational-mode pack, "irf" a non-rational one."""
-    if (params.mode.kind == "rational") != (model == "rational"):
-        need = "a rational-mode" if model == "rational" else "a non-rational-mode"
-        raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params.mode.kind}")
 
 
 def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
@@ -306,9 +304,8 @@ def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
     return pref * (2j * math.pi) ** n
 
 
-def _exact_E_irf(spec: ObservableSpec, params: IrfParams, nodes: int, tol: float) -> complex:
+def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int, tol: float) -> complex:
     n = spec.n
-    N = _lattice_rows(spec, params)
     grid = pq_grid(params)
     f, eta = params.f, params.eta
     ws = [params.w(k) for k in range(1, N + 1)]
@@ -708,19 +705,14 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     if params.mode.kind == "elliptic":
         raise InvalidParameterError("enum_E needs a trigonometric or rational pack; elliptic weights do not sum to one")
     lam = params.lambda0 if lam is None else lam
-    N = _lattice_rows(spec, params)
-    law = enumerate_heights(params, N, spec.xs, lam0=lam)
-    hs = list(law)
-    if params.mode.kind == "rational":
-        vals = _rational_product(hs, spec, complex(lam), N)
-    else:
-        vals = _irf_product(hs, spec, params, lam)
+    law = enumerate_heights(params, _lattice_rows(None, spec, params), spec.xs, lam0=lam)
+    vals = _lattice_product(list(law), spec, params, lam)
     return complex(sum((amp * val for amp, val in zip(law.values(), vals)), 0.0 + 0.0j))
 
 
 def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
     """E[prod_k (q^{h(x_{k+1},N)} - q^k)] for the stochastic six-vertex model."""
-    N = _lattice_rows(spec, params)
+    N = _lattice_rows(None, spec, params)
     law = enumerate_heights_hs6v(params, N, spec.xs)
     q = to_six_vertex(params).q
     total = 0.0 + 0.0j
@@ -737,7 +729,8 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
 
     All observables of one spec are evaluated on the same trajectory;
     trajectories are independent with counter-based per-trajectory seeds.
-    A ``samples`` that is not an integer >= 1000 raises InvalidParameterError.
+    A ``samples`` that is not an integer >= 1000 raises InvalidParameterError,
+    and so does a lattice spec that fails ``_lattice_rows``, before any sweep.
 
     The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
     for "irf" and "rational", which sweeps columns 1..max(xs) - 1 only;
@@ -758,13 +751,8 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
         raise InvalidParameterError("use at least 10^3 trajectories")
     if model in ("irf", "rational"):
         params = params_or_rates
-        _check_pack_mode(model, params)
-        N = _lattice_rows(spec, params)
-        hs = irf_batch_heights(params, spec.xs, N, seed, samples)
-        if model == "irf":
-            vals = _irf_product(hs, spec, params, params.lambda0)
-        else:
-            vals = _rational_product(hs, spec, complex(params.lambda0), N)
+        hs = irf_batch_heights(params, spec.xs, _lattice_rows(model, spec, params), seed, samples)
+        vals = _lattice_product(hs, spec, params, params.lambda0)
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
         svals = exclusion_farm(model, rates, float(spec.N_or_t), samples, seed, list(spec.xs))
@@ -777,7 +765,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
 
 
 def lambda_independence_report(
-    model: str, spec: ObservableSpec, lambdas, params_or_rates, samples: int | None = None, seed: int = 0, tolerance: float = 1e-9
+    model: str, spec: ObservableSpec, lambdas, params_or_rates, samples: int | None = None, seed: int = 0
 ) -> CheckReport:
     """The lambda-independence property as an executable test.
 
@@ -791,7 +779,7 @@ def lambda_independence_report(
         raise InvalidParameterError(f"unknown model {model!r}")
     if model in ("irf", "rational") and samples is None:
         params = params_or_rates
-        _check_pack_mode(model, params)
+        _lattice_rows(model, spec, params)
         values = [enum_E(spec, params, lam=lam) for lam in lambdas]
         worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
         return CheckReport(
@@ -803,7 +791,7 @@ def lambda_independence_report(
             },
             lhs=values[worst],
             rhs=values[0],
-            tolerance=tolerance,
+            tolerance=1e-9,
         )
     if samples is None:
         raise InvalidParameterError(f"{model} lambda independence is a Monte Carlo check: it needs samples")

@@ -18,6 +18,7 @@ InvalidParameterError naming the condition that no candidate family met.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,13 +30,11 @@ from .special import Circle, FunctionMode, InvalidParameterError, f_deriv0
 
 __all__ = [
     "IrfParams",
-    "from_six_vertex",
     "PQGrid",
     "SixVertexParams",
     "pq_grid",
     "check_admissible",
     "to_six_vertex",
-    "six_vertex_row_w",
     "preset",
     "PRESET_NAMES",
     "random_pack",
@@ -131,50 +130,46 @@ def pq_grid(params: IrfParams) -> PQGrid:
     return PQGrid(p=p, q=q)
 
 
-def _audit_family(gammas: Sequence[Circle], grid: PQGrid, eta: complex):
-    """Return None if the three contour conditions hold, else the failed one."""
-    inner = gammas[-1]
-    for j, p in enumerate(grid.p):
-        if not inner.contains(p):
-            return f"p[{j}] not inside gamma_{len(gammas)}"
-    for i in range(len(gammas) - 1):
+def _audit(gammas, grid: PQGrid, eta: complex, strong: bool):
+    """One pass over a candidate family's conditions, in this order: every p
+    inside gamma_M, each gamma_i around gamma_{i+1} shifted by 2*eta, no q
+    inside any circle, and with ``strong`` each gamma_i around gamma_{i+1}.
+    Returns the first failed condition as a message, or else the family's
+    smallest relative clearance over all of them (a float > 0)."""
+    M, inner = len(gammas), gammas[-1]
+    dists = [abs(p - inner.center) for p in grid.p]
+    for j, d in enumerate(dists):
+        if not d < inner.radius:
+            return f"p[{j}] not inside gamma_{M}"
+    margins = [(inner.radius - max(dists)) / inner.radius]
+    for i in range(M - 1):
         outer, nxt = gammas[i], gammas[i + 1]
-        if abs(nxt.center + 2 * eta - outer.center) + nxt.radius >= outer.radius:
+        gap = outer.radius - abs(nxt.center + 2 * eta - outer.center) - nxt.radius
+        if not gap > 0:
             return f"gamma_{i + 1} does not enclose gamma_{i + 2} shifted by 2*eta"
+        margins.append(gap / outer.radius)
     for i, g in enumerate(gammas):
-        for j, q in enumerate(grid.q):
-            if abs(q - g.center) <= g.radius:
+        dists = [abs(q - g.center) for q in grid.q]
+        for j, d in enumerate(dists):
+            if d <= g.radius:
                 return f"q[{j}] inside gamma_{i + 1}"
-    return None
-
-
-def _family_health(gammas, grid: PQGrid, eta: complex, strong: bool) -> float:
-    margins = []
-    inner = gammas[-1]
-    margins.append((inner.radius - max(abs(p - inner.center) for p in grid.p)) / inner.radius)
-    for g in gammas:
-        margins.append((min(abs(q - g.center) for q in grid.q) - g.radius) / g.radius)
-    for i in range(len(gammas) - 1):
+        margins.append((min(dists) - g.radius) / g.radius)
+    for i in range(M - 1 if strong else 0):
         outer, nxt = gammas[i], gammas[i + 1]
-        margins.append(
-            (outer.radius - abs(nxt.center + 2 * eta - outer.center) - nxt.radius) / outer.radius
-        )
-        if strong:
-            margins.append(
-                (outer.radius - abs(nxt.center - outer.center) - nxt.radius) / outer.radius
-            )
+        gap = outer.radius - abs(nxt.center - outer.center) - nxt.radius
+        if not gap > 0:
+            return f"gamma_{i + 1} does not enclose gamma_{i + 2}"
+        margins.append(gap / outer.radius)
     return min(margins)
 
 
-def _audit_strong(gammas, grid: PQGrid, eta: complex):
-    base = _audit_family(gammas, grid, eta)
-    if base is not None:
-        return base
-    for i in range(len(gammas) - 1):
-        outer, nxt = gammas[i], gammas[i + 1]
-        if abs(nxt.center - outer.center) + nxt.radius >= outer.radius:
-            return f"gamma_{i + 1} does not enclose gamma_{i + 2}"
-    return None
+def _pair_guard(contours: Sequence[Circle], shift: complex, params: IrfParams) -> None:
+    """Assert |f(u_i - u_j + shift)| stays above 1e-6 over node pairs."""
+    probes = [c.points(64) for c in contours]
+    for i, j in itertools.permutations(range(len(contours)), 2):
+        vals = np.abs(params.f(probes[i][:, None] - probes[j][None, :] + shift))
+        if float(vals.min()) <= 1e-6:
+            raise InvalidParameterError(f"contour pair ({i}, {j}) violates the 2*eta-shift pole guard")
 
 
 def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
@@ -201,17 +196,14 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
     center = complex(np.mean(ps))
     spread = float(np.max(np.abs(ps - center))) if len(ps) else 0.0
     two_eta = abs(2 * eta)
-    audit = _audit_strong if strong else _audit_family
-
-    best = None
-    best_health = -1.0
-    failed = None
+    best, best_health, failed = None, -1.0, None
 
     def consider(family):
         nonlocal best, best_health, failed
-        failed = audit(family, grid, eta)
-        health = -1.0 if failed else _family_health(family, grid, eta, strong)
-        if health > best_health:
+        health = _audit(family, grid, eta, strong)
+        if isinstance(health, str):
+            failed = health
+        elif health > best_health:
             best, best_health = family, health
 
     r_base = max(1.2 * spread, 0.15 * two_eta, 1e-6)
@@ -275,11 +267,6 @@ def to_six_vertex(params: IrfParams) -> SixVertexParams:
         xi=tuple(cmath.exp(tp * z) for z, _ in params.columns[1:]),
         u=tuple(cmath.exp(tp * (eta - w)) for w in params.rows),
     )
-
-
-def six_vertex_row_w(u: complex, eta: complex) -> complex:
-    """Invert u = exp(2*pi*i*(eta - w)) on the principal branch."""
-    return eta - cmath.log(u) / (2j * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +444,3 @@ def params_from_json_dict(cfg: dict) -> IrfParams:
 def load_config(path) -> IrfParams:
     with open(path, "r", encoding="utf-8") as fh:
         return params_from_json_dict(json.load(fh))
-
-
-def from_six_vertex(sv: SixVertexParams) -> IrfParams:
-    """Invert :func:`to_six_vertex` on principal branches.
-
-    The boundary column is not recoverable from six-vertex data; it is
-    reinstated as a copy of column 1.
-    """
-    tp = 2j * math.pi
-    eta = cmath.log(sv.q) / (-2 * tp)
-    lam0 = cmath.log(-sv.alpha) / (-tp)
-    cols = [(cmath.log(xi) / tp, cmath.log(s) / (tp * eta)) for s, xi in zip(sv.s, sv.xi)]
-    cols = [cols[0]] + cols
-    rows = tuple(six_vertex_row_w(u, eta) for u in sv.u)
-    return IrfParams(
-        mode=FunctionMode.trigonometric(),
-        eta=eta,
-        lambda0=lam0,
-        columns=tuple(cols),
-        rows=rows,
-    )

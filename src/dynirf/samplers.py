@@ -199,7 +199,6 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
     vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     state = QuadrantState(X, Y, vout, hout, params)
-    eps = 1e-9
     for s in range(2, X + Y + 1):
         for x in range(max(1, s - Y), min(X, s - 1) + 1):
             y = s - x
@@ -212,13 +211,9 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
             else:
                 # outcomes: pass through (d) or absorb up (b)
                 p_turn, p_other = weight("D", i1, ctx, True), weight("B", i1, ctx, True)
-            p_val = complex(p_turn)
-            # written so that a NaN weight fails too
-            if not (abs(p_val.imag) <= eps and -eps <= p_val.real <= 1 + eps):
-                raise PositivityError(f"weight {p_val} outside [0,1] at vertex ({x},{y})")
-            _check_sums(x, y, p_turn + p_other)
+            _check_turn(x, y, p_turn, p_turn + p_other)
             u = uniform_hash(seed, x, y)
-            turn = u < min(max(p_val.real, 0.0), 1.0)
+            turn = u < min(max(complex(p_turn).real, 0.0), 1.0)
             if j1 == 0:
                 i2, j2 = (i1 - 1, 1) if turn else (i1, 0)
             else:
@@ -228,13 +223,26 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
     return state
 
 
-def _check_sums(x: int, y: int, *sums) -> None:
-    """Refuse weights whose two completions at vertex (x, y), a + c or b + d
-    (scalars or arrays over fillings), miss one by more than 1e-9, as
-    elliptic weights do by O(exp(-2 pi Im tau))."""
+def _check_turn(x: int, y: int, p_turn, *sums) -> None:
+    """At vertex (x, y), a turn weight outside [0, 1] raises PositivityError,
+    then completions a + c or b + d (``sums``) that miss one raise
+    InvalidParameterError, as elliptic weights do by O(exp(-2 pi Im tau)):
+    each within 1e-9, on scalars or arrays over fillings; NaN fails too."""
+    p = np.atleast_1d(p_turn)
+    ok = (np.abs(p.imag) <= 1e-9) & (p.real >= -1e-9) & (p.real <= 1 + 1e-9)
+    if not ok.all():
+        raise PositivityError(f"weight {complex(p[~ok][0])} outside [0,1] at vertex ({x},{y})")
     residual = float(np.abs(np.hstack(sums) - 1.0).max())
     if not residual <= 1e-9:  # a NaN fails too
         raise InvalidParameterError(f"stochastic weights at vertex ({x},{y}) do not sum to one: residual {residual:.2e}")
+
+
+def _check_sites(params: IrfParams, xs) -> None:
+    """Refuse an empty ``xs`` or a site past the pack's last column."""
+    if not len(xs):
+        raise InvalidParameterError("need at least one site in xs")
+    if max(xs) >= params.n_cols:
+        raise InvalidParameterError(f"sites reach column {max(xs)}; the parameter pack has {params.n_cols} columns")
 
 
 def _blocks(n_traj: int):
@@ -268,7 +276,6 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
     seeds = trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64))
-    eps = 1e-9
     for y in range(1, Y + 1):
         fill = np.array([params.lambda0 - two_eta * y], dtype=complex)  # the row's fillings; trajectory i's is fill[which[i]]
         which = np.zeros(n_traj, dtype=np.intp)
@@ -282,11 +289,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
             # (spin-1/2 forces the crossing)
             p_fill = np.stack([np.zeros_like(c1), c1, d0, d1], axis=1).ravel()
             p_turn = p_fill.take(4 * which + 2 * carry + (i1 >= 1))
-            ok = (np.abs(p_turn.imag) <= eps) & (p_turn.real >= -eps) & (p_turn.real <= 1 + eps)
-            if not ok.all():
-                bad = p_turn[~ok][0]
-                raise PositivityError(f"weight {bad} outside [0,1] at vertex ({x},{y})")
-            _check_sums(x, y, a1 + c1, b0 + d0)
+            _check_turn(x, y, p_turn, a1 + c1, b0 + d0)
             u = uniform_hash(seeds, np.int64(x), np.int64(y))
             turn = u < np.clip(p_turn.real, 0.0, 1.0)
             j2 = turn.astype(np.int64)  # turn == a horizontal arrow exits right
@@ -322,6 +325,7 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     length of the row's table of fillings, so a turn whose uniform lies
     within an ulp of its probability can go either way.
     """
+    _check_sites(params, xs)
     X = max(xs) - 1
     out = np.full((n_traj, len(xs)), N, dtype=np.int64)
     if X < 1:
@@ -334,20 +338,19 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     return out
 
 
-def enumerate_distribution(params: IrfParams, N: int, X: int, lam0: complex | None = None):
+def enumerate_distribution(params: IrfParams, N: int, X: int):
     """Exact law of the crossing signature at height N + 1/2, truncated at
     parts <= X; complex weights are fine.  Returns (dist, escaped_mass).
 
     The law is one stochastic ``symfunc._strip`` of the empty signature:
-    row y (bottom first) carries (lam0 - 2*eta*y + 2*eta*Lambda_0, w_y).
+    row y (bottom first) carries (lambda0 - 2*eta*y + 2*eta*Lambda_0, w_y).
     N outside 0..n_rows or X past the pack's columns raises
     InvalidParameterError.
     """
     if not 0 <= N <= params.n_rows:
         raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
-    lam0 = params.lambda0 if lam0 is None else lam0
     ws = [params.w(y) for y in range(N, 0, -1)]
-    dist = _strip((), lam0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
+    dist = _strip((), params.lambda0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
     return dist, 1.0 - sum(dist.values())
 
 
@@ -369,10 +372,7 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
     """
     if not 0 <= N <= params.n_rows:
         raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
-    if not len(xs):
-        raise InvalidParameterError("need at least one site in xs")
-    if max(xs) >= params.n_cols:
-        raise InvalidParameterError(f"sites reach column {max(xs)}; the parameter pack has {params.n_cols} columns")
+    _check_sites(params, xs)
     lam0 = params.lambda0 if lam0 is None else lam0
     two_eta = 2 * params.eta
     if row_weights is None:

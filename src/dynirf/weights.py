@@ -204,11 +204,9 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
 
 
 def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mode: FunctionMode):
-    """w-independent ratio (stochastic weight)/(plain weight) for one kind."""
-    if kind not in PLAQUETTE_KINDS:
-        raise InvalidParameterError(f"unknown plaquette kind {kind!r}")
-    if kind == "C" and k < 1:
-        raise InvalidParameterError("kind C needs k >= 1")
+    """w-independent ratio (stochastic weight)/(plain weight) for one kind;
+    ``kind`` and ``k`` are checked as in :func:`weight`."""
+    _check_kind(kind, k)
     L, f = Lambda, mode.f
     check = _is_scalar(lam)
     if kind == "A":

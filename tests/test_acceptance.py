@@ -161,7 +161,7 @@ def test_criterion_8_lambda_independence():
     P = preset("dyn6v-positive")
     spec = ObservableSpec((5, 3, 2), 5)
     lams = [P.lambda0, 0.2 + 0.3j, -0.4 + 0.1j]
-    rep = lambda_independence_report("irf", spec, lams, P, tolerance=1e-9)
+    rep = lambda_independence_report("irf", spec, lams, P)
     report(8, "lambda-independence of enumeration averages (n=3, N=5)", rep.residual, 1e-9)
     integral = exact_E("irf", spec, P)
     enum_val = enum_E(spec, P)

@@ -283,6 +283,20 @@ class TestQuadratureIdentities:
         assert r1.passed and r2.passed
         assert abs(r2.lhs) < 1e-10 and r2.rhs == 0
 
+    def test_lambda_dependent_identities_at_a_second_lambda(self, trig):
+        # the identities take lam from the pack: another lam is another pack
+        shifted = trig.with_lambda0(trig.lambda0 + 0.05)
+        rng = np.random.default_rng(13)
+        reports = [
+            check_skew_cauchy((2, 1), (1,), near_p(shifted, 1, rng), near_q(shifted, 1, rng), shifted),
+            check_pieri("cauchy", shifted, us=near_p(shifted, 1, rng), vs=near_q(shifted, 1, rng)),
+            check_orthogonality((1,), (1,), shifted),
+            check_D_rho_integral((1,), shifted),
+        ]
+        for r in reports:
+            assert r.passed, (r.name, r.residual)
+            assert r.parameters["lam"] == [shifted.lambda0.real, shifted.lambda0.imag]
+
     def test_stoch_sum_report(self, trig):
         rng = np.random.default_rng(12)
         r = check_stoch_sum((2,), near_p(trig, 1, rng), trig)

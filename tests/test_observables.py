@@ -1092,6 +1092,7 @@ class TestLatticeInputs:
             raise AssertionError("did work on a rejected spec")
 
         monkeypatch.setattr(samplers, "_row_sweep", never)
+        monkeypatch.setattr(samplers, "_irf_batch", never)
         monkeypatch.setattr(observables, "contour_integral_factored", never)
         monkeypatch.setattr(observables, "irf_batch_heights", never)
 
@@ -1101,6 +1102,8 @@ class TestLatticeInputs:
             lambda spec: enum_E(spec, params),
             lambda spec: hs6v_q_moment(spec, params),
             lambda spec: exact_E("irf", spec, params),
+            lambda spec: mc_E("irf", spec, params, 1000, seed=0),
+            lambda spec: lambda_independence_report("irf", spec, [params.lambda0, 0.2 + 0.3j], params),
         ]
 
     def test_more_rows_than_the_pack(self, dyn6v, no_work):
@@ -1109,9 +1112,17 @@ class TestLatticeInputs:
                 route(ObservableSpec((3,), dyn6v.n_rows + 1))
 
     def test_sites_past_the_last_column(self, dyn6v, no_work):
-        for route in self._routes(dyn6v)[:2]:
-            with pytest.raises(InvalidParameterError, match="columns"):
-                route(ObservableSpec((dyn6v.n_cols,), 3))
+        # exact_E and mc_E once raised a bare IndexError at n_cols + 1 and
+        # returned a value at n_cols; the batch sampler a bare ValueError on ()
+        for x in (dyn6v.n_cols, dyn6v.n_cols + 1):
+            for route in self._routes(dyn6v):
+                with pytest.raises(InvalidParameterError, match="columns"):
+                    route(ObservableSpec((x, 2), 3))
+            for xs, match in (((x, 2), "columns"), ((), "at least one site")):
+                with pytest.raises(InvalidParameterError, match=match):
+                    samplers.irf_batch_heights(dyn6v, xs, 3, 1, 10)
+                with pytest.raises(InvalidParameterError, match=match):
+                    samplers.enumerate_heights(dyn6v, 3, xs)
 
     def test_non_integral_row_index(self, dyn6v, rational, no_work):
         routes = self._routes(dyn6v) + [lambda spec: exact_E("rational", spec, rational)]

@@ -150,6 +150,13 @@ class TestHatRatios:
         with pytest.raises(SingularParameterError):
             hat_ratio("A", 0, wrap(2 * (2.0 + 1) * 0.1), 2.0, 0.1, TRIG)
 
+    def test_occupation_checked_as_in_weight(self):
+        # a negative occupation used to return 0.238-0.410i for kind A
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            hat_ratio("A", -1, 0.3 + 0.1j, 1.2, 0.05 + 0.01j, TRIG)
+        with pytest.raises(InvalidParameterError, match="turn right"):
+            hat_ratio("C", 0, 0.3 + 0.1j, 1.2, 0.05 + 0.01j, TRIG)
+
 
 class TestHigherSpinSixVertex:
     def rand_pars(self):
