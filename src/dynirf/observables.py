@@ -45,6 +45,7 @@ from .symfunc import _pair_table, _perm_sum
 from .samplers import (
     _check_horizon,
     _check_rates,
+    _check_rows,
     _check_sites,
     enumerate_heights,
     enumerate_heights_hs6v,
@@ -72,13 +73,14 @@ MODELS = ("irf", "asep", "rational", "ssep")
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Sites x_1 >= ... >= x_n and the row index N (or time t)."""
+    """Sites x_1 >= ... >= x_n and the row index N (or time t); a site that
+    is not an integer raises InvalidParameterError."""
 
     xs: tuple
     N_or_t: float
 
     def __post_init__(self):
-        xs = tuple(int(x) for x in self.xs)
+        xs = tuple(_as_int(x, "site x") for x in self.xs)
         if not xs:
             raise InvalidParameterError("need at least one observable site")
         if any(xs[i] < xs[i + 1] for i in range(len(xs) - 1)):
@@ -93,21 +95,18 @@ class ObservableSpec:
 def _lattice_rows(model: str | None, spec: ObservableSpec, params: IrfParams) -> int:
     """The row index N of a lattice observable, after the checks every lattice
     route shares, in this order: the pack's mode fits ``model`` (None: any);
-    N is an integer in 0..params.n_rows; ``samplers._check_sites``; and in
+    ``samplers._check_rows``; ``samplers._check_sites``; and in
     rational mode every site x >= 1, as the rational product and the
     integral disagree on what the observable is left of column 1.
     """
     if model is not None and (params.mode.kind == "rational") != (model == "rational"):
         need = "a rational-mode" if model == "rational" else "a non-rational-mode"
         raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params.mode.kind}")
-    if not float(spec.N_or_t).is_integer():
-        raise InvalidParameterError(f"the row index N must be an integer, got {spec.N_or_t}")
-    if not 0 <= spec.N_or_t <= params.n_rows:
-        raise InvalidParameterError(f"not enough rows in the parameter pack: N = {spec.N_or_t}, {params.n_rows} rows")
+    N = _check_rows(params, spec.N_or_t)
     _check_sites(params, spec.xs)
     if params.mode.kind == "rational" and spec.xs[-1] < 1:
         raise InvalidParameterError(f"the rational model needs sites x >= 1, got {spec.xs}")
-    return int(spec.N_or_t)
+    return N
 
 
 def rising(a, n: int):
@@ -143,57 +142,48 @@ def _q_pow(params: IrfParams, m) -> complex:
     return cmath.exp(-4j * math.pi * params.eta * m)
 
 
-def _irf_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> np.ndarray:
-    """Normalized observable product for each row of an (n_samples, n) height array."""
-    hs = np.asarray(hs, dtype=float)
-    N = int(spec.N_or_t)
-    a = cmath.exp(2j * math.pi * lam)
-    out = np.ones(hs.shape[0], dtype=complex)
-    norm = 1.0 + 0.0j
-    for k in range(spec.n):
-        x = spec.xs[k]
-        lsum = params.lam_sum(1, x)
-        h = hs[:, k]
-        o = np.exp(2j * np.pi * (lam - 2 * params.eta * h)) + np.exp(4j * np.pi * params.eta * (h - N + lsum))
-        out *= _q_pow(params, N - lsum) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
-        norm *= 1.0 - a * _q_pow(params, k)
+def _product(cols, xs, factor, norm) -> np.ndarray:
+    """prod_k factor(k, x_k, cols[:, k]) / norm for each row of an (n_samples, n)
+    array, its columns as floats.  The multiply stays in place: out of place,
+    numpy's temporary elision swaps the complex operands from 2^14 rows on."""
+    cols = np.asarray(cols, dtype=float)
+    out = np.ones(cols.shape[0], dtype=complex)
+    for k, x in enumerate(xs):
+        out *= factor(k, x, cols[:, k])
     return out / norm
-
-
-def _asep_product(svals, spec: ObservableSpec, q: float, alpha: float) -> np.ndarray:
-    """Vectorized dynamic-ASEP observable product over trajectories."""
-    out = np.ones(svals.shape[0], dtype=complex)
-    norm = 1.0
-    for k in range(spec.n):
-        x = spec.xs[k]
-        s = svals[:, k].astype(float)
-        o = -(alpha**-1) * q ** ((s - x) / 2) + q ** ((-s - x) / 2)
-        out *= q ** (-x) - alpha**-1 * q ** (2 * k) - q**k * o
-        norm *= 1.0 + alpha**-1 * q**k
-    return out / norm
-
-
-def _ssep_product(svals, spec: ObservableSpec, lam_bar: float) -> np.ndarray:
-    out = np.ones(svals.shape[0], dtype=complex)
-    for k in range(spec.n):
-        x = spec.xs[k]
-        s = svals[:, k].astype(float)
-        o = (s - x) / 2 * ((s + x) / 2 + lam_bar)
-        out *= k * k + k * (lam_bar + x) - o
-    return out / rising(lam_bar, spec.n)
 
 
 def _lattice_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> np.ndarray:
-    """The observable product of the pack's mode, the rational one or
-    ``_irf_product``, for each row of an (n_samples, n) height array."""
-    if params.mode.kind != "rational":
-        return _irf_product(hs, spec, params, lam)
-    hs, lam, N = np.asarray(hs, dtype=float), complex(lam), int(spec.N_or_t)
-    out = np.ones(hs.shape[0], dtype=complex)
-    for k, x in enumerate(spec.xs):
-        h = hs[:, k]
-        out *= k * k - k * (lam + N - x + 1) - h * (h - lam - N + x - 1)
-    return out / rising(-lam, spec.n)
+    """The normalized observable product of the pack's mode, IRF or rational, for each row of a height array."""
+    N, n = int(spec.N_or_t), spec.n
+    if params.mode.kind == "rational":
+        lam = complex(lam)
+        rational = lambda k, x, h: k * k - k * (lam + N - x + 1) - h * (h - lam - N + x - 1)
+        return _product(hs, spec.xs, rational, rising(-lam, n))
+    eta, a = params.eta, cmath.exp(2j * math.pi * lam)
+
+    def irf(k, x, h):
+        lsum = params.lam_sum(1, x)
+        o = np.exp(2j * np.pi * (lam - 2 * eta * h)) + np.exp(4j * np.pi * eta * (h - N + lsum))
+        return _q_pow(params, N - lsum) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
+
+    return _product(hs, spec.xs, irf, math.prod(1.0 - a * _q_pow(params, k) for k in range(n)))
+
+
+def _exclusion_product(model: str, svals, spec: ObservableSpec, rates: tuple) -> np.ndarray:
+    """The normalized observable product of dynamic ASEP (rates (q, alpha)) or
+    SSEP (rates (lam_bar,)) for each row of an (n_traj, n) state array."""
+    if model == "ssep":
+        (lam_bar,) = rates
+        ssep = lambda k, x, s: k * k + k * (lam_bar + x) - (s - x) / 2 * ((s + x) / 2 + lam_bar)
+        return _product(svals, spec.xs, ssep, rising(lam_bar, spec.n))
+    q, alpha = rates
+
+    def asep(k, x, s):
+        o = -(alpha**-1) * q ** ((s - x) / 2) + q ** ((-s - x) / 2)
+        return q ** (-x) - alpha**-1 * q ** (2 * k) - q**k * o
+
+    return _product(svals, spec.xs, asep, math.prod(1.0 + alpha**-1 * q**k for k in range(spec.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +401,7 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
 
 def _asep_walk_sum(x: int, t: float, q: float) -> float:
     """E[q^h(x, t)] - 1 of the usual ASEP from the step state, the alpha -> 0
-    limit of ``_asep_product`` at n = 1: ``_walk_sum`` of g0(y) = q^max(-y, 0)."""
+    limit of ``_exclusion_product`` at n = 1: ``_walk_sum`` of g0(y) = q^max(-y, 0)."""
     return _walk_sum(x, t, q, lambda y: q ** np.maximum(-y, 0)) - 1.0
 
 
@@ -756,7 +746,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
         svals = exclusion_farm(model, rates, float(spec.N_or_t), samples, seed, list(spec.xs))
-        vals = _asep_product(svals, spec, *rates) if model == "asep" else _ssep_product(svals, spec, *rates)
+        vals = _exclusion_product(model, svals, spec, rates)
     else:
         raise InvalidParameterError(f"unknown model {model!r}")
     mean = complex(np.mean(vals))

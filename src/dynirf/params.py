@@ -130,12 +130,12 @@ def pq_grid(params: IrfParams) -> PQGrid:
     return PQGrid(p=p, q=q)
 
 
-def _audit(gammas, grid: PQGrid, eta: complex, strong: bool):
+def _audit(gammas, grid: PQGrid, eta: complex):
     """One pass over a candidate family's conditions, in this order: every p
-    inside gamma_M, each gamma_i around gamma_{i+1} shifted by 2*eta, no q
-    inside any circle, and with ``strong`` each gamma_i around gamma_{i+1}.
-    Returns the first failed condition as a message, or else the family's
-    smallest relative clearance over all of them (a float > 0)."""
+    inside gamma_M, each gamma_i around gamma_{i+1} shifted by 2*eta, and no
+    q inside any circle.  Returns the first failed condition as a message,
+    or else the family's smallest relative clearance over all of them (a
+    float > 0)."""
     M, inner = len(gammas), gammas[-1]
     dists = [abs(p - inner.center) for p in grid.p]
     for j, d in enumerate(dists):
@@ -154,12 +154,6 @@ def _audit(gammas, grid: PQGrid, eta: complex, strong: bool):
             if d <= g.radius:
                 return f"q[{j}] inside gamma_{i + 1}"
         margins.append((min(dists) - g.radius) / g.radius)
-    for i in range(M - 1 if strong else 0):
-        outer, nxt = gammas[i], gammas[i + 1]
-        gap = outer.radius - abs(nxt.center - outer.center) - nxt.radius
-        if not gap > 0:
-            return f"gamma_{i + 1} does not enclose gamma_{i + 2}"
-        margins.append(gap / outer.radius)
     return min(margins)
 
 
@@ -176,17 +170,19 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
     """The circles (gamma_1, ..., gamma_M); InvalidParameterError, naming
     the last failed condition, when no candidate family passes.
 
-    Tries concentric circles around the p-centroid first (radius steps of
-    |2*eta| times 2, 1.5, 1.25, 1.1); if the q-points land inside, retries
-    with circles whose centers drift along the eta direction.  With ``strong=False`` the audit
-    enforces exactly the three admissibility conditions (inner circle holds
-    the p's, each gamma_i encloses the 2*eta-shifted image of gamma_{i+1},
-    no q inside any circle).  ``strong=True`` additionally demands literal
-    nesting gamma_1 > ... > gamma_M, which the orthogonality integrals
-    need: their residue bookkeeping pins outer variables at unshifted
-    p-points, so every contour must keep enclosing the p-cluster.  Every
-    candidate family is audited before being returned; among valid
-    candidates the one with the largest relative clearance wins.
+    Each candidate is gamma_i = Circle(c + drift*(M-1-i), r0 + (M-1-i)*step)
+    around the p-centroid c, in three phases: concentric circles (radius
+    steps of |2*eta| times 2, 1.5, 1.25, 1.1), a covering chain drifting by
+    eta per level, and a chain of 2*eta translates, which meets the shifted
+    inclusions where no nested family exists.  The audit enforces the three
+    admissibility conditions (inner circle holds the p's, each gamma_i
+    encloses the 2*eta-shifted image of gamma_{i+1}, no q inside any
+    circle); the best-clearance family of the first phase that has one
+    wins.  ``strong=True`` also needs literal nesting gamma_1 > ... > gamma_M
+    for the orthogonality integrals, whose residue bookkeeping pins outer
+    variables at unshifted p-points.  The first two phases nest anyway
+    (concentric circles with |2*eta| more gap than their shifted gap, the
+    eta chain with the same gap), so ``strong`` only skips the 2*eta chain.
     """
     if M < 1:
         raise InvalidParameterError("need M >= 1 contours")
@@ -196,48 +192,29 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
     center = complex(np.mean(ps))
     spread = float(np.max(np.abs(ps - center))) if len(ps) else 0.0
     two_eta = abs(2 * eta)
-    best, best_health, failed = None, -1.0, None
 
-    def consider(family):
-        nonlocal best, best_health, failed
-        health = _audit(family, grid, eta, strong)
-        if isinstance(health, str):
-            failed = health
-        elif health > best_health:
-            best, best_health = family, health
+    def family(drift, r0, step):
+        return tuple(Circle(center + drift * (M - 1 - i), r0 + (M - 1 - i) * step) for i in range(M))
 
     r_base = max(1.2 * spread, 0.15 * two_eta, 1e-6)
-    for gfac in (1.0, 0.5, 0.25, 0.1):
-        radii = [r_base + (M - 1 - i) * (two_eta + gfac * two_eta) for i in range(M)]
-        consider(tuple(Circle(center, r) for r in radii))
-    if best is not None:
-        return best
-
-    # Covering chain: centers drift by eta per level so that gamma_i
-    # contains both gamma_{i+1} and its 2*eta shift with room to spare.
-    for rfac in (1.1, 1.3, 1.6):
-        r_tight = max(rfac * spread, 1e-6)
-        for g2 in (0.5 * r_tight, 0.2 * r_tight, 0.08 * r_tight, 0.02 * two_eta):
-            chain = tuple(
-                Circle(center + eta * (M - 1 - i), r_tight + (M - 1 - i) * (abs(eta) + g2))
-                for i in range(M)
-            )
-            consider(chain)
-    if best is None and not strong:
-        # Pure 2*eta-translate chain: satisfies the literal shifted-inclusion
-        # conditions in geometries where no nested circle family exists.
-        for rfac in (1.1, 1.25, 1.45, 1.7, 2.0):
-            r_tight = max(rfac * spread, 1e-6)
-            for gfac in (0.5, 0.35, 0.25, 0.15, 0.08, 0.04):
-                g2 = gfac * r_tight
-                chain = tuple(
-                    Circle(center + 2 * eta * (M - 1 - i), r_tight + (M - 1 - i) * g2)
-                    for i in range(M)
-                )
-                consider(chain)
-    if best is None:
-        raise InvalidParameterError(f"no admissible contour family: {failed}")
-    return best
+    tight = lambda *rfacs: [max(rfac * spread, 1e-6) for rfac in rfacs]
+    phases = (  # lazy (drift, r0, step) of each family: concentric, covering chain, 2*eta chain
+        ((0, r_base, two_eta + gfac * two_eta) for gfac in (1.0, 0.5, 0.25, 0.1)),
+        ((eta, r, abs(eta) + g2) for r in tight(1.1, 1.3, 1.6) for g2 in (0.5 * r, 0.2 * r, 0.08 * r, 0.02 * two_eta)),
+        ((2 * eta, r, gfac * r) for r in tight(1.1, 1.25, 1.45, 1.7, 2.0) for gfac in (0.5, 0.35, 0.25, 0.15, 0.08, 0.04)),
+    )
+    failed = None
+    for phase in phases[: 2 if strong else 3]:
+        best, best_health = None, -1.0
+        for fam in (family(*args) for args in phase):
+            health = _audit(fam, grid, eta)
+            if isinstance(health, str):
+                failed = health
+            elif health > best_health:
+                best, best_health = fam, health
+        if best is not None:
+            return best
+    raise InvalidParameterError(f"no admissible contour family: {failed}")
 
 
 @dataclass(frozen=True)
@@ -361,7 +338,7 @@ def _validate_positive_preset(params: IrfParams, name: str) -> None:
     # quadrant window of realistic size can reach: one array call over the
     # shifts per (x, y).  Array weights get no singular-denominator check
     # (scalar ones do), so a non-finite weight is rejected here.
-    from .weights import spin_half_weights
+    from .weights import _not_probability, spin_half_weights
 
     shifts = np.arange(-24, 25)
     lams = params.lambda0 + (-2 * params.eta) * shifts if params.mode.kind != "rational" else params.lambda0 + shifts
@@ -372,7 +349,7 @@ def _validate_positive_preset(params: IrfParams, name: str) -> None:
             for x in range(1, min(6, params.n_cols))
         ])  # (x, y, weight, shift)
     wgts = wgts.transpose(3, 0, 1, 2)  # shift first: the error names the lowest bad shift
-    bad = ~np.isfinite(wgts) | (np.abs(wgts.imag) > 1e-9) | (wgts.real < -1e-9) | (wgts.real > 1 + 1e-9)
+    bad = _not_probability(wgts)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
         raise InvalidParameterError(

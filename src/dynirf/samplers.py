@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .params import IrfParams
-from .special import InvalidParameterError
+from .special import InvalidParameterError, _as_int
 from .symfunc import _row_sweep, _strip
-from .weights import plaquette_weights, spin_half_weights
+from .weights import _not_probability, plaquette_weights, spin_half_weights
 
 __all__ = [
     "PositivityError",
@@ -192,10 +192,15 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
 
     Works for any spin; weights must be probabilities: at every vertex the
     turn weight lies in [0, 1] and it sums to one with the other completion
-    (a + c or b + d), each within 1e-9.
+    (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1
+    or a Y that fails ``_check_rows`` raises InvalidParameterError.
     """
     from .weights import WeightContext, weight
 
+    if (X := _as_int(X, "the column count X")) < 0:
+        raise InvalidParameterError(f"need X >= 0 columns, got X = {X}")
+    _check_sites(params, (X,))
+    Y = _check_rows(params, Y)
     vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     state = QuadrantState(X, Y, vout, hout, params)
@@ -229,12 +234,26 @@ def _check_turn(x: int, y: int, p_turn, *sums) -> None:
     InvalidParameterError, as elliptic weights do by O(exp(-2 pi Im tau)):
     each within 1e-9, on scalars or arrays over fillings; NaN fails too."""
     p = np.atleast_1d(p_turn)
-    ok = (np.abs(p.imag) <= 1e-9) & (p.real >= -1e-9) & (p.real <= 1 + 1e-9)
-    if not ok.all():
-        raise PositivityError(f"weight {complex(p[~ok][0])} outside [0,1] at vertex ({x},{y})")
+    bad = _not_probability(p)
+    if bad.any():
+        raise PositivityError(f"weight {complex(p[bad][0])} outside [0,1] at vertex ({x},{y})")
     residual = float(np.abs(np.hstack(sums) - 1.0).max())
     if not residual <= 1e-9:  # a NaN fails too
         raise InvalidParameterError(f"stochastic weights at vertex ({x},{y}) do not sum to one: residual {residual:.2e}")
+
+
+def _check_rows(params: IrfParams, N) -> int:
+    """The row index N as an int; one not an integer in 0..params.n_rows raises InvalidParameterError."""
+    if not 0 <= (N := _as_int(N, "the row index N")) <= params.n_rows:
+        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
+    return N
+
+
+def _check_traj(n_traj, xs) -> tuple:
+    """A batch engine's trajectory count (an int >= 0) and sites (a tuple of ints); else InvalidParameterError."""
+    if (n_traj := _as_int(n_traj, "the trajectory count")) < 0:
+        raise InvalidParameterError(f"the trajectory count must be >= 0, got {n_traj}")
+    return n_traj, tuple(_as_int(x, "site x") for x in xs)
 
 
 def _check_sites(params: IrfParams, xs) -> None:
@@ -325,7 +344,9 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     length of the row's table of fillings, so a turn whose uniform lies
     within an ulp of its probability can go either way.
     """
+    n_traj, xs = _check_traj(n_traj, xs)
     _check_sites(params, xs)
+    N = _check_rows(params, N)
     X = max(xs) - 1
     out = np.full((n_traj, len(xs)), N, dtype=np.int64)
     if X < 1:
@@ -344,11 +365,12 @@ def enumerate_distribution(params: IrfParams, N: int, X: int):
 
     The law is one stochastic ``symfunc._strip`` of the empty signature:
     row y (bottom first) carries (lambda0 - 2*eta*y + 2*eta*Lambda_0, w_y).
-    N outside 0..n_rows or X past the pack's columns raises
-    InvalidParameterError.
+    An N that fails ``_check_rows``, X < 0 or X past the pack's columns
+    raises InvalidParameterError.
     """
-    if not 0 <= N <= params.n_rows:
-        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
+    N = _check_rows(params, N)
+    if X < 0:
+        raise InvalidParameterError(f"need parts capped at X >= 0, got X = {X}")
     ws = [params.w(y) for y in range(N, 0, -1)]
     dist = _strip((), params.lambda0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
     return dist, 1.0 - sum(dist.values())
@@ -367,11 +389,10 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
     lam_x) (default: the stochastic IRF weights).  Each row is one
     ``symfunc._row_sweep`` of the whole law; as every path enters at
     column 1, h(x, N) = N at x <= 1.  Returns {heights: amplitude}.  An
-    empty ``xs``, N outside 0..n_rows or a site past the pack's columns
-    raises InvalidParameterError.
+    empty ``xs``, an N that fails ``_check_rows`` or a site past the pack's
+    columns raises InvalidParameterError.
     """
-    if not 0 <= N <= params.n_rows:
-        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
+    N = _check_rows(params, N)
     _check_sites(params, xs)
     lam0 = params.lambda0 if lam0 is None else lam0
     two_eta = 2 * params.eta
@@ -675,6 +696,7 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     """
     rate_params = _check_rates(kind, rate_params)
     T = _check_horizon(T)
+    n_traj, xs = _check_traj(n_traj, xs)
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     for lo, hi in _blocks(n_traj):
         out[lo:hi] = _farm_block(kind, rate_params, T, seed, lo, hi, xs)

@@ -95,6 +95,11 @@ def _ratio(f, num_args, den_args, label: str, check: bool):
     return num / den
 
 
+def _not_probability(p) -> np.ndarray:
+    """True where an array's entry is no probability: NaN, inf, |imag| > 1e-9 or real outside [-1e-9, 1 + 1e-9]."""
+    return ~((np.abs(p.imag) <= 1e-9) & (p.real >= -1e-9) & (p.real <= 1 + 1e-9))
+
+
 def _check_kind(kind: str, k: int) -> None:
     if kind not in PLAQUETTE_KINDS:
         raise InvalidParameterError(f"unknown plaquette kind {kind!r}")

@@ -62,11 +62,14 @@ class TestVerifyCommand:
             (["asymptotics", "--check", "profile", "--samples", "0"], "--samples"),
             (["asymptotics", "--check", "profile", "--chi", "0.5,nan"], "--chi"),
             (["asymptotics", "--check", "profile", "--chi", "inf"], "--chi"),
+            (["simulate", "--model", "dyn6v", "--rows", "11"], "rows"),
+            (["simulate", "--model", "dyn6v", "--cols", "28"], "columns"),
         ],
         ids=["negative-seed", "zero-tolerance", "negative-tolerance", "nan-tolerance",
              "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
              "non-numeric-chi", "missing-config", "non-numeric-lambdas", "non-positive-irf-weights",
-             "zero-ks-samples", "negative-samples", "zero-profile-samples", "nan-chi", "infinite-chi"],
+             "zero-ks-samples", "negative-samples", "zero-profile-samples", "nan-chi", "infinite-chi",
+             "rows-past-the-pack", "cols-past-the-pack"],
     )
     def test_bad_input_is_a_usage_error(self, args, message):
         # each of these used to end in a traceback or to exit 0 (a zero

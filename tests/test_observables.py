@@ -26,8 +26,8 @@ from dynirf.observables import (
     ssep_falling_moment,
     ssep_mean_height,
     _asep_walk_sum,
-    _irf_product,
     _irf_residue_sum,
+    _lattice_product,
     _ssep_f2_large_t,
     _walk_sum,
 )
@@ -47,7 +47,7 @@ def q_pochhammer(x, q, n: int):
 
 
 def irf_product_scalar(hs, spec, params, lam) -> complex:
-    """Reference for _irf_product: the normalized observable product of one realization."""
+    """Reference for _lattice_product on a trigonometric pack: the normalized observable product of one realization."""
     N = int(spec.N_or_t)
     a = cmath.exp(2j * math.pi * lam)
     q_pow = lambda m: cmath.exp(-4j * math.pi * params.eta * m)
@@ -160,6 +160,13 @@ class TestObservableSpec:
             ObservableSpec((), 3)
         assert ObservableSpec((3, 2, 2), 4).n == 3
 
+    def test_sites_must_be_integers(self, dyn6v):
+        # (2.7, 1.2) used to become (2, 1), and enum_E answered for x = 2
+        for xs in ((2.7, 1.2), (2, 0.5), (np.nan,)):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                ObservableSpec(xs, 3)
+        assert ObservableSpec((3.0, np.int64(1)), 2).xs == (3, 1)
+
 
 class TestObsO:
     def test_two_forms_agree(self, dyn6v):
@@ -200,7 +207,7 @@ class TestObservableProduct:
         law = enumerate_heights(dyn6v, 4, spec.xs, lam0=lam)
         drawn = irf_batch_heights(dyn6v, spec.xs, 4, 8, 40)
         for hs, at in ((np.array(list(law)), lam), (drawn, dyn6v.lambda0)):
-            got = _irf_product(hs, spec, dyn6v, at)
+            got = _lattice_product(hs, spec, dyn6v, at)
             assert got.shape == (hs.shape[0],)
             for row, val in zip(hs, got):
                 want = irf_product_scalar(row, spec, dyn6v, at)

@@ -110,6 +110,26 @@ class TestAdmissibility:
         }
         assert hashlib.sha256("\n".join(out).encode()).hexdigest()[:16] == "66fa569b7ec9f73f"
 
+    def test_accepted_families_pinned(self):
+        # 150 random packs, each also with eta and every Lambda times 3, at
+        # M = 1..4, strong off and on: 524 of the 2,400 cases accepted, as
+        # the three hand-built family loops and the literal-nesting audit
+        # gave them
+        rng = np.random.default_rng(11)
+        out = []
+        for _ in range(150):
+            P = random_pack(rng, FunctionMode.trigonometric())
+            wide = IrfParams(P.mode, 3 * P.eta, P.lambda0, tuple((z, 3 * l) for z, l in P.columns), P.rows)
+            for Q in (P, wide):
+                for M in (1, 2, 3, 4):
+                    for strong in (False, True):
+                        try:
+                            out.append(repr(check_admissible(Q, M, strong=strong)))
+                        except InvalidParameterError as exc:
+                            out.append(f"refused: {exc}")
+        assert len(out) == 2400 and sum(not o.startswith("refused") for o in out) == 524
+        assert hashlib.sha256("\n".join(out).encode()).hexdigest()[:16] == "cee8d8db623087b8"
+
 
 class TestSixVertexMap:
     def test_q_value(self):

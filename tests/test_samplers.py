@@ -293,6 +293,60 @@ class TestEnumeration:
             assert abs(emp - p) < 4 * se, (kappa, emp, p)
 
 
+
+class TestEngineInputs:
+    """Counts, rows, columns and sites the engines cannot serve raise
+    InvalidParameterError before any sweep."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("did work on rejected input")
+
+        for name in ("_irf_batch", "_farm_block", "_row_sweep", "_strip", "filling"):
+            monkeypatch.setattr(samplers, name, never)
+
+    # the pack has 28 columns and 10 rows
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            # a bare IndexError, and heights 0 with no error
+            (lambda P: irf_batch_heights(P, (3,), 11, 1, 10), "rows"),
+            (lambda P: irf_batch_heights(P, (3,), -1, 1, 3), "rows"),
+            # bare IndexErrors, a traceback from `dynirf simulate`
+            (lambda P: sample_irf(P, 3, 11, 1), "rows"),
+            (lambda P: sample_irf(P, 28, 3, 1), "columns"),
+            (lambda P: sample_irf(P, -1, 3, 1), "X >= 0"),
+            (lambda P: sample_irf(P, 2.5, 3, 1), "integer"),
+            # returned ({}, 1.0)
+            (lambda P: enumerate_distribution(P, 2, -1), "X >= 0"),
+            # a bare ValueError, TypeErrors and an IndexError
+            (lambda P: exclusion_farm("ssep", (2.0,), 1.0, -5, 1, [0]), "trajectory count"),
+            (lambda P: exclusion_farm("ssep", (2.0,), 1.0, 2.5, 1, [0]), "integer"),
+            (lambda P: exclusion_farm("ssep", (2.0,), 1.0, 4, 1, [0.5]), "integer"),
+            (lambda P: irf_batch_heights(P, (3,), 2, 1, -5), "trajectory count"),
+            (lambda P: irf_batch_heights(P, (3,), 2, 1, 2.5), "integer"),
+            (lambda P: irf_batch_heights(P, (0.5,), 2, 1, 4), "integer"),
+        ],
+        ids=["batch-rows-past", "batch-rows-negative", "sample-rows-past", "sample-cols-past",
+             "sample-cols-negative", "sample-cols-fraction", "distribution-negative-cap", "farm-negative-count",
+             "farm-fractional-count", "farm-fractional-site", "batch-negative-count", "batch-fractional-count",
+             "batch-fractional-site"],
+    )
+    def test_refused_before_any_sweep(self, dyn6v, no_work, call, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            call(dyn6v)
+
+    def test_integral_floats_accepted(self, dyn6v):
+        assert np.array_equal(
+            exclusion_farm("ssep", (2.0,), 1.0, 3.0, 1, [1.0, 0]), exclusion_farm("ssep", (2.0,), 1.0, 3, 1, [1, 0])
+        )
+        assert np.array_equal(irf_batch_heights(dyn6v, (3.0, 2), 4.0, 1, 5.0), irf_batch_heights(dyn6v, (3, 2), 4, 1, 5))
+        st = sample_irf(dyn6v, 3.0, 2.0, 1)
+        assert (st.X, st.Y) == (3, 2)
+        assert np.array_equal(st.hout, sample_irf(dyn6v, 3, 2, 1).hout)
+
+
 class TestExclusion:
     def test_step_state(self):
         st = step_exclusion_state("ssep", (2.0,))
