@@ -35,6 +35,7 @@ from .special import FunctionMode, InvalidParameterError, contour_integral_facto
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
+    _part_shift,
     _pair_table,
     _perm_sum,
     _strip,
@@ -356,14 +357,9 @@ def _strong_family(params: IrfParams, M: int) -> tuple:
 def _kernel_unary(nu: Signature, lam: complex, params: IrfParams):
     """Per-variable factors of the orthogonality kernel (psi's and shifts)."""
     grid = pq_grid(params)
-    f, eta = params.f, params.eta
-    M = nu.length
-    fns = []
-    for i in range(M):
-        part = nu.parts[i]
-        shift = lam + grid.p[part] + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(0, part)
-        fns.append(lambda x, part=part, shift=shift: psi(part, x, grid, params.mode) * f(shift - x))
-    return fns
+    f, M = params.f, nu.length
+    shifts = [_part_shift(lam, grid.p[part], i, M, part, params) for i, part in enumerate(nu.parts)]
+    return [lambda x, part=part, shift=shift: psi(part, x, grid, params.mode) * f(shift - x) for part, shift in zip(nu.parts, shifts)]
 
 
 def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfParams):

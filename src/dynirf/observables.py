@@ -35,6 +35,7 @@ from .special import (
     Circle,
     ConvergenceError,
     InvalidParameterError,
+    _MAX_LEVEL_POINTS,
     _as_int,
     _check_nodes,
     _check_tol,
@@ -117,14 +118,12 @@ def rising(a, n: int):
     return out
 
 
-def obs_O(hvalue: int, x: int, N: int, params: IrfParams, lam: complex | None = None) -> complex:
-    """The height observable in IRF variables."""
+def obs_O(hvalue, x: int, N: int, params: IrfParams, lam: complex | None = None):
+    """The height observable in IRF variables; array-safe in ``hvalue``."""
     lam = params.lambda0 if lam is None else lam
     eta = params.eta
     lsum = params.lam_sum(1, x)
-    return cmath.exp(2j * math.pi * (lam - 2 * eta * hvalue)) + cmath.exp(
-        4j * math.pi * eta * (hvalue - N + lsum)
-    )
+    return np.exp(2j * np.pi * (lam - 2 * eta * hvalue)) + np.exp(4j * np.pi * eta * (hvalue - N + lsum))
 
 
 def obs_O_six_vertex(hvalue: int, x: int, N: int, params: IrfParams) -> complex:
@@ -160,12 +159,11 @@ def _lattice_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) 
         lam = complex(lam)
         rational = lambda k, x, h: k * k - k * (lam + N - x + 1) - h * (h - lam - N + x - 1)
         return _product(hs, spec.xs, rational, rising(-lam, n))
-    eta, a = params.eta, cmath.exp(2j * math.pi * lam)
+    a = cmath.exp(2j * math.pi * lam)
 
     def irf(k, x, h):
-        lsum = params.lam_sum(1, x)
-        o = np.exp(2j * np.pi * (lam - 2 * eta * h)) + np.exp(4j * np.pi * eta * (h - N + lsum))
-        return _q_pow(params, N - lsum) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
+        o = obs_O(h, x, N, params, lam)
+        return _q_pow(params, N - params.lam_sum(1, x)) + a * _q_pow(params, 2 * k) - _q_pow(params, k) * o
 
     return _product(hs, spec.xs, irf, math.prod(1.0 - a * _q_pow(params, k) for k in range(n)))
 
@@ -178,6 +176,9 @@ def _exclusion_product(model: str, svals, spec: ObservableSpec, rates: tuple) ->
         ssep = lambda k, x, s: k * k + k * (lam_bar + x) - (s - x) / 2 * ((s + x) / 2 + lam_bar)
         return _product(svals, spec.xs, ssep, rising(lam_bar, spec.n))
     q, alpha = rates
+    if alpha == 0:
+        # the alpha -> 0 limit: prod_k (q^{h(x_k)} - q^k), the usual ASEP q-moment
+        return _product(svals, spec.xs, lambda k, x, s: q ** ((s - x) / 2) - q**k, 1.0)
 
     def asep(k, x, s):
         o = -(alpha**-1) * q ** ((s - x) / 2) + q ** ((-s - x) / 2)
@@ -191,7 +192,7 @@ def _exclusion_product(model: str, svals, spec: ObservableSpec, rates: tuple) ->
 # ---------------------------------------------------------------------------
 
 
-def _nested_circles(center: complex, base: float, n: int, growth: float = 0.35):
+def _nested_circles(center: complex, base: float, n: int, growth: float):
     return [Circle(center, base * (1.0 + growth * i)) for i in range(n)]
 
 
@@ -202,8 +203,7 @@ def _irf_contours(params: IrfParams, n: int):
     spread = float(np.max(np.abs(ws - center))) if len(ws) else 0.0
     two_eta = abs(2 * params.eta)
     base = max(1.6 * spread, 0.05 * two_eta)
-    growth = 0.3
-    circles = _nested_circles(center, base, n, growth)
+    circles = _nested_circles(center, base, n, growth=0.3)
     big = circles[-1].radius
     if n >= 2 and circles[-1].radius + circles[n - 2].radius >= 0.9 * two_eta:
         raise InvalidParameterError("w-cluster too wide for the 2*eta cross-pole gap")
@@ -231,7 +231,7 @@ def _check_walk_sum(model: str, value: complex, ref: float) -> None:
 
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
     """Exact averages by n-fold loop integrals, each checked against an
-    independent route: the residue sum for the lattice models (any n), the
+    independent route: the residue sum for the lattice models, the
     random-walk sum ``_walk_sum`` for the exclusion models (n = 1): E[q^h] - 1
     of the usual ASEP, -E h of the usual SSEP.  SSEP takes other exact
     routes where its integral is not accurate (table below); ASEP at n = 1
@@ -246,7 +246,9 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     SingularParameterError, since the residue check needs simple poles;
     "rational": a rational-mode IrfParams and sites x >= 1; the same IRF
     integral with f(z) = z and bare normalization (the presets have 2*eta = 1
-    and Lambda = 1, so p_j = z_j and q_j = z_j + 1);
+    and Lambda = 1, so p_j = z_j and q_j = z_j + 1); both reach n <= 3 at
+    nodes = 48: where a second level's (2*nodes)^n grid points pass the
+    2^26 cap, ConvergenceError names ``enum_E`` before any quadrature;
     "asep": params_or_rates = (q, alpha), loops around 1;
     "ssep": params_or_rates = (lam_bar,); the average does not depend on
     lam_bar and equals (-1)^n E[prod_k (h(x_k) - (k - 1))] of the usual SSEP
@@ -296,6 +298,9 @@ def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
 
 def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int, tol: float) -> complex:
     n = spec.n
+    if (2 * nodes) ** n > _MAX_LEVEL_POINTS:
+        raise ConvergenceError(f"the IRF integral at n = {n} needs a second level of {2 * nodes} nodes/variable, past the cap of "
+                               f"{_MAX_LEVEL_POINTS} grid points: start from fewer nodes, or enum_E enumerates the height law")
     grid = pq_grid(params)
     f, eta = params.f, params.eta
     ws = [params.w(k) for k in range(1, N + 1)]
@@ -689,8 +694,8 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
 
     Uses the IRF observable product in trigonometric mode and the rational
     product in rational mode.  Elliptic-mode packs raise
-    InvalidParameterError: there the stochastic weights sum to one only up
-    to O(exp(-2*pi*Im tau)), so the mass absorbed past the window is wrong.
+    InvalidParameterError: there the stochastic weights miss one (0.152 on
+    dyn6v-positive at tau = i, see ``weights``), so the absorbed mass is wrong.
     """
     if params.mode.kind == "elliptic":
         raise InvalidParameterError("enum_E needs a trigonometric or rational pack; elliptic weights do not sum to one")

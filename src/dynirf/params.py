@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .special import Circle, FunctionMode, InvalidParameterError, f_deriv0
+from .weights import _not_probability, spin_half_weights
 
 __all__ = [
     "IrfParams",
@@ -261,14 +262,14 @@ PRESET_NAMES = (
 )
 
 
-def _build_trig_admissible(n_cols: int = 20, n_rows: int = 10, lam_center: float = 1.2, seed: int = 611953) -> IrfParams:
+def _build_trig_admissible(lam_center: float = 1.2, seed: int = 611953) -> IrfParams:
     rng = np.random.default_rng(seed)
     eta = 0.04 + 0.01j
-    zs = 0.1 + 0.01 * (rng.random(n_cols) - 0.5)
-    lams = lam_center + 0.05 * (rng.random(n_cols) - 0.5)
+    zs = 0.1 + 0.01 * (rng.random(20) - 0.5)
+    lams = lam_center + 0.05 * (rng.random(20) - 0.5)
     cols = tuple((complex(z), complex(l)) for z, l in zip(zs, lams))
     p_center = complex(np.mean([z + (1 - l) * eta for z, l in cols]))
-    ws = p_center + 0.005 * (rng.random(n_rows) - 0.5 + 1j * (rng.random(n_rows) - 0.5))
+    ws = p_center + 0.005 * (rng.random(10) - 0.5 + 1j * (rng.random(10) - 0.5))
     return IrfParams(
         mode=FunctionMode.trigonometric(),
         eta=eta,
@@ -278,17 +279,17 @@ def _build_trig_admissible(n_cols: int = 20, n_rows: int = 10, lam_center: float
     )
 
 
-def _build_trig_admissible_wide(n_cols: int = 20, n_rows: int = 10) -> IrfParams:
+def _build_trig_admissible_wide() -> IrfParams:
     # Same recipe with highest weights near 3.4: the p/q separation is
     # 2*eta*Lambda, and nested contour families that also enclose the
     # unshifted p-cluster at every level (which the orthogonality residue
     # bookkeeping needs) fit inside circles for M <= 3 only when Lambda is
     # a few units.  At Lambda ~ 1.2 any disk around both p and p+4*eta
     # contains the q-cluster by convexity.
-    return _build_trig_admissible(n_cols=n_cols, n_rows=n_rows, lam_center=3.4, seed=424243)
+    return _build_trig_admissible(lam_center=3.4, seed=424243)
 
 
-def _build_dyn6v_positive(n_cols: int = 28, n_rows: int = 10) -> IrfParams:
+def _build_dyn6v_positive() -> IrfParams:
     # Spin-1/2 quadrant with q = 0.64, xi*u near 1.5, alpha0 = 2: all six
     # plaquette weights lie in [0, 1] for every filling the quadrant can
     # reach (alpha stays in alpha0 * q^Z, which is positive).
@@ -298,8 +299,8 @@ def _build_dyn6v_positive(n_cols: int = 28, n_rows: int = 10) -> IrfParams:
     z_base = -1j * math.log(1.5) / (2 * math.pi) - eta
     # w-spread as wide as positivity allows (xi*u must stay above 1/sqrt(q));
     # well-separated rows keep the residue-sum route well-conditioned
-    dz = 0.004 * (rng.random(n_cols) - 0.5)
-    dw = 0.022 * (rng.random(n_rows) - 0.5)
+    dz = 0.004 * (rng.random(28) - 0.5)
+    dw = 0.022 * (rng.random(10) - 0.5)
     cols = tuple((complex(z_base + 1j * a), 1.0 + 0j) for a in dz)
     rows = tuple(complex(1j * b) for b in dw)
     lam0 = -0.5 + 1j * math.log(2.0) / (2 * math.pi)  # alpha0 = 2
@@ -312,10 +313,10 @@ def _build_dyn6v_positive(n_cols: int = 28, n_rows: int = 10) -> IrfParams:
     )
 
 
-def _build_rational_positive(n_cols: int = 28, n_rows: int = 10) -> IrfParams:
+def _build_rational_positive() -> IrfParams:
     rng = np.random.default_rng(87103)
-    zs = 0.5 + 0.02 * (rng.random(n_cols) - 0.5)
-    ws = 0.2 * (rng.random(n_rows) - 0.5)
+    zs = 0.5 + 0.02 * (rng.random(28) - 0.5)
+    ws = 0.2 * (rng.random(10) - 0.5)
     return IrfParams(
         mode=FunctionMode.rational(),
         eta=0.5,
@@ -338,8 +339,6 @@ def _validate_positive_preset(params: IrfParams, name: str) -> None:
     # quadrant window of realistic size can reach: one array call over the
     # shifts per (x, y).  Array weights get no singular-denominator check
     # (scalar ones do), so a non-finite weight is rejected here.
-    from .weights import _not_probability, spin_half_weights
-
     shifts = np.arange(-24, 25)
     lams = params.lambda0 + (-2 * params.eta) * shifts if params.mode.kind != "rational" else params.lambda0 + shifts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

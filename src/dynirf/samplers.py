@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import IrfParams
+from .params import IrfParams, to_six_vertex
 from .special import InvalidParameterError, _as_int
 from .symfunc import _row_sweep, _strip
-from .weights import _not_probability, plaquette_weights, spin_half_weights
+from .weights import _not_probability, hs6v_weight, plaquette_weights, spin_half_weights
 
 __all__ = [
     "PositivityError",
@@ -187,52 +187,49 @@ def height(state: QuadrantState, x: int, N: int) -> int:
 
 
 def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
-    """Sweep the quadrant window in increasing x+y, tossing one Bernoulli
-    variable per vertex with the stochastic plaquette biases.
+    """Sweep the quadrant window row by row, bottom row first, tossing one
+    Bernoulli variable per vertex with the stochastic plaquette biases.
 
+    Row y starts from the filling lambda_0 - 2*eta*y and carries it along
+    the row by ``filling``'s additions; one ``plaquette_weights`` callback
+    weighs the row.  Each vertex's uniform is keyed by (seed, x, y).
     Works for any spin; weights must be probabilities: at every vertex the
     turn weight lies in [0, 1] and it sums to one with the other completion
     (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1
     or a Y that fails ``_check_rows`` raises InvalidParameterError.
     """
-    from .weights import WeightContext, weight
-
     if (X := _as_int(X, "the column count X")) < 0:
         raise InvalidParameterError(f"need X >= 0 columns, got X = {X}")
     _check_sites(params, (X,))
     Y = _check_rows(params, Y)
     vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
-    state = QuadrantState(X, Y, vout, hout, params)
-    for s in range(2, X + Y + 1):
-        for x in range(max(1, s - Y), min(X, s - 1) + 1):
-            y = s - x
-            i1, j1 = state.v_in(x, y), state.h_in(x, y)
-            lam_v = filling(state, x - 1, y)
-            ctx = WeightContext(lam_v, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
+    two_eta = 2 * params.eta
+    for y in range(1, Y + 1):
+        wf = plaquette_weights(params, params.w(y), True)
+        lam_v, j1 = params.lambda0 - two_eta * y, 1  # one path enters each row from the left
+        for x in range(1, X + 1):
+            i1 = int(vout[x, y - 1])
             if j1 == 0:
                 # outcomes: turn right (c) or straight (a); an empty vertex stays empty
-                p_turn, p_other = (weight("C", i1, ctx, True), weight("A", i1, ctx, True)) if i1 >= 1 else (0.0, 1.0)
+                p_turn, p_other = (wf("C", i1, x, lam_v), wf("A", i1, x, lam_v)) if i1 >= 1 else (0.0, 1.0)
             else:
                 # outcomes: pass through (d) or absorb up (b)
-                p_turn, p_other = weight("D", i1, ctx, True), weight("B", i1, ctx, True)
+                p_turn, p_other = wf("D", i1, x, lam_v), wf("B", i1, x, lam_v)
             _check_turn(x, y, p_turn, p_turn + p_other)
-            u = uniform_hash(seed, x, y)
-            turn = u < min(max(complex(p_turn).real, 0.0), 1.0)
-            if j1 == 0:
-                i2, j2 = (i1 - 1, 1) if turn else (i1, 0)
-            else:
-                i2, j2 = (i1, 1) if turn else (i1 + 1, 0)
-            vout[x, y] = i2
-            hout[x, y] = j2
-    return state
+            j2 = int(uniform_hash(seed, x, y) < min(max(complex(p_turn).real, 0.0), 1.0))  # a turn: an arrow exits right
+            i2 = i1 + j1 - j2
+            vout[x, y], hout[x, y] = i2, j2
+            lam_v += 2 * two_eta * i2 - two_eta * params.lam(x)
+            j1 = j2
+    return QuadrantState(X, Y, vout, hout, params)
 
 
 def _check_turn(x: int, y: int, p_turn, *sums) -> None:
     """At vertex (x, y), a turn weight outside [0, 1] raises PositivityError,
     then completions a + c or b + d (``sums``) that miss one raise
-    InvalidParameterError, as elliptic weights do by O(exp(-2 pi Im tau)):
-    each within 1e-9, on scalars or arrays over fillings; NaN fails too."""
+    InvalidParameterError, as elliptic weights do (see ``weights``): each
+    within 1e-9, on scalars or arrays over fillings; NaN fails too."""
     p = np.atleast_1d(p_turn)
     bad = _not_probability(p)
     if bad.any():
@@ -421,9 +418,6 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
     an entirely lambda-free computation, which is what the dynamic model's
     averages are compared against in the lambda -> -i*infinity limit.
     """
-    from .params import to_six_vertex
-    from .weights import hs6v_weight
-
     sv = to_six_vertex(params)
     patt = {"A": (0, 0, 0, 0), "B": (0, 1, 1, 0), "C": (0, 0, -1, 1), "D": (0, 1, 0, 1)}
 

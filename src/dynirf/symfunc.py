@@ -109,13 +109,17 @@ def _sig(s) -> Signature:
     return s if isinstance(s, Signature) else Signature(tuple(s))
 
 
-def phi(k: int, u, grid: PQGrid, mode: FunctionMode):
-    """phi_k(u) = [prod_{i<k} f(u - p_i)/f(u - q_i)] / f(u - q_k)."""
-    f = mode.f
+def _ratio_chain(u, k: int, cols, grid: PQGrid, f):
+    """[prod_{i in cols} f(u - p_i)/f(u - q_i)] / f(u - q_k), multiplied in the order of ``cols``."""
     out = 1.0 / f(u - grid.q[k])
-    for i in range(k):
+    for i in cols:
         out = out * f(u - grid.p[i]) / f(u - grid.q[i])
     return out
+
+
+def phi(k: int, u, grid: PQGrid, mode: FunctionMode):
+    """phi_k(u) = [prod_{i<k} f(u - p_i)/f(u - q_i)] / f(u - q_k)."""
+    return _ratio_chain(u, k, range(k), grid, mode.f)
 
 
 def psi(l: int, v, grid: PQGrid, mode: FunctionMode):
@@ -151,6 +155,25 @@ def _pair_table(xs, g):
     return [[g(x - y) if i != j else None for j, y in enumerate(xs)] for i, x in enumerate(xs)]
 
 
+def _part_shift(lam: complex, point: complex, i: int, M: int, part: int, params: IrfParams, first: int = 0):
+    """The shift of the i-th of M parts in its f(shift +- u) factor:
+    lam + point + 2*eta + 4*eta*(M-1-i) - 2*eta*Lambda_[first, part)."""
+    eta = params.eta
+    return lam + point + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(first, part)
+
+
+def _block_factors(groups, lam: complex, params: IrfParams, first: int = 0):
+    """The multiplicity-block factors of c_mu, D_nu's prefactor and the c-string:
+    for each (v, m, n_less) of ``groups`` (a part value, its multiplicity and
+    the number of parts below it) and each j < m, the triple f(2*eta*(Lambda_v - j)),
+    f(lam + 2*eta*(2*n_less + m + j - Lambda_[first, v+1))), f(lam + 2*eta*(2*n_less + 1 + j - Lambda_[first, v)))."""
+    f, two_eta = params.f, 2 * params.eta
+    for v, m, n_less in groups:
+        for j in range(m):
+            yield (f(two_eta * (params.lam(v) - j)), f(lam + two_eta * (2 * n_less + m + j - params.lam_sum(first, v + 1))),
+                   f(lam + two_eta * (2 * n_less + 1 + j - params.lam_sum(first, v))))
+
+
 def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
     """B_mu's permutation-free data: the prefactor
     (-1)^M f(2 eta)^M / prod_i f(lam + 2 eta i) times the multiplicity
@@ -164,11 +187,7 @@ def _bmu_prefactor(mu: Signature, lam: complex, params: IrfParams):
     for mult in mu.multiplicities().values():
         for j in range(1, mult + 1):
             pref *= f(2 * eta) / f(2 * eta * j)
-    shifts = [
-        lam - grid.q[mu.parts[i]] + 2 * eta + 4 * eta * (M - 1 - i) - 2 * eta * params.lam_sum(0, mu.parts[i])
-        for i in range(M)
-    ]
-    return pref, shifts
+    return pref, [_part_shift(lam, -grid.q[part], i, M, part, params) for i, part in enumerate(mu.parts)]
 
 
 def B_mu(mu, lam: complex, us, params: IrfParams):
@@ -218,20 +237,12 @@ def D_nu(nu, lam: complex, vs, params: IrfParams):
         pref /= f(lam + 2 * eta * i)
     for i in range(N, n + n0):
         pref *= f(lam + 2 * eta * (i - lam0_col)) / f(lam + 2 * eta * (i + n0 - lam0_col))
-    for value, mult in nu.multiplicities().items():
-        if value == 0:
-            continue
-        nless = nu.n_less(value)
-        for j in range(mult):
-            pref *= f(2 * eta * (params.lam(value) - j))
-            pref /= f(lam_t + 2 * eta * (2 * nless + mult + j - params.lam_sum(0, value + 1)))
-            pref /= f(lam_t + 2 * eta * (2 * nless + 1 + j - params.lam_sum(0, value)))
+    groups = ((value, mult, nu.n_less(value)) for value, mult in nu.multiplicities().items() if value)
+    for norm, upper, lower in _block_factors(groups, lam_t, params):
+        pref = pref * norm / upper / lower
 
     nz = nu.nonzero()  # nu_1 >= ... >= nu_r >= 1
-    shifts = [
-        lam_t + grid.p[nz[i]] + 2 * eta + 4 * eta * (N - 1 - i) - 2 * eta * params.lam_sum(0, nz[i])
-        for i in range(r)
-    ]
+    shifts = [_part_shift(lam_t, grid.p[part], i, N, part, params) for i, part in enumerate(nz)]
     U = [[psi(part, v, grid, params.mode) * f(shift - v) for v in vs] for part, shift in zip(nz, shifts)]
     # at r = 0 no pair factor is read, so coincident v's stay finite there
     C = _pair_table(vs, lambda d: f(d + 2 * eta) / f(d)) if r else None
@@ -269,12 +280,9 @@ def c_mu(mu, lam: complex, params: IrfParams) -> complex:
     out = (f(2 * eta) / params.fp0()) ** M
     for i in range(M):
         out /= f(lam + 2 * eta * i)
-    for value, mult in mu.multiplicities().items():
-        mless = mu.n_less(value)
-        for j in range(mult):
-            out *= f(lam + 2 * eta * (2 * mless + mult + j - params.lam_sum(0, value + 1)))
-            out *= f(lam + 2 * eta * (2 * mless + 1 + j - params.lam_sum(0, value)))
-            out /= f(2 * eta * (params.lam(value) - j))
+    groups = ((value, mult, mu.n_less(value)) for value, mult in mu.multiplicities().items())
+    for norm, upper, lower in _block_factors(groups, lam, params):
+        out = out * upper * lower / norm
     return out
 
 
@@ -544,27 +552,14 @@ def c_matrix_formula(ws, ks, lam: complex, params: IrfParams) -> complex:
     pref = 1.0 + 0.0j
     for i in range(p):
         pref *= f(lam - 2 * eta * lam_1m + 2 * eta * i)
-    for i in range(1, m + 1):
-        k_less = sum(ks[: i - 1])
-        for j in range(ks[i - 1]):
-            pref *= f(2 * eta * (params.lam(i) - j))
-            pref /= f(lam_hat + 2 * eta * (2 * k_less + ks[i - 1] + j - params.lam_sum(1, i + 1)))
-            pref /= f(lam_hat + 2 * eta * (2 * k_less + 1 + j - params.lam_sum(1, i)))
+    for norm, upper, lower in _block_factors(((i, ks[i - 1], sum(ks[: i - 1])) for i in range(1, m + 1)), lam_hat, params, first=1):
+        pref = pref * norm / upper / lower
 
     # kappa = 1^{k_1} 2^{k_2} ... m^{k_m}, weakly decreasing
     kappa = []
     for col in range(m, 0, -1):
         kappa.extend([col] * ks[col - 1])
 
-    def phi_tilde(k_col: int, w):
-        out = 1.0 / f(w - grid.q[k_col])
-        for j in range(k_col + 1, m + 1):
-            out = out * f(w - grid.p[j]) / f(w - grid.q[j])
-        return out
-
-    shifts = [
-        lam_hat + grid.p[kappa[i]] + 2 * eta + 4 * eta * (p - 1 - i) - 2 * eta * params.lam_sum(1, kappa[i])
-        for i in range(p)
-    ]
-    U = [[phi_tilde(part, w) * f(shift - w) for w in ws] for part, shift in zip(kappa, shifts)]
+    shifts = [_part_shift(lam_hat, grid.p[part], i, p, part, params, first=1) for i, part in enumerate(kappa)]
+    U = [[_ratio_chain(w, part, range(part + 1, m + 1), grid, f) * f(shift - w) for w in ws] for part, shift in zip(kappa, shifts)]
     return pref * (-1.0) ** p * _perm_sum(U, _pair_table(ws, lambda d: f(d + 2 * eta) / f(d)))[0]

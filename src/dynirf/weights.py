@@ -16,12 +16,18 @@ fixed plaquette sum to one:
     a_k + c_k = 1  and  b_k + d_k = 1   (stochastic family).
 
 These sum rules are exact identities of sin (and survive the rational
-limit verbatim).  In elliptic mode they hold only up to corrections of
-order exp(-2*pi*Im(tau)): the quantity a_k + c_k - 1 is a combination of
-theta functions with mismatched quasi-periods that vanishes identically
-only in the trigonometric limit.  The test suite pins this scaling down
-numerically; callers who need exact stochasticity must use the
-trigonometric or rational mode.
+limit verbatim).  In elliptic mode they fail, by far more than
+exp(-2*pi*Im tau) where eta and the fillings are imaginary: on
+dyn6v-positive at tau = i*T the worst of |a_1 + c_1 - 1| and
+|b_0 + d_0 - 1| (filling shifts -24..24, x, y <= 5) is 0.152, 0.023,
+5.7e-5 and 3.7e-13 at T = 1, 2, 3, 6.  Each rule reads f(a)f(b) + f(c)f(d)
+= f(e)f(g); the products theta_1(x)theta_1(S - x) of one sum S span a
+two-dimensional space, so such a theta relation needs a + b = c + d =
+e + g (argument-sum criterion), and has theta-ratio coefficients even
+then.  In the b/d pair the d term and the right side sum to z - w + lam +
+(4k + 3 - Lambda)*eta, the b term to z - w - lam - (Lambda + 1)*eta.  The
+samplers refuse weights that miss one by more than 1e-9; callers who need
+exact stochasticity must use the trigonometric or rational mode.
 
 The hat-ratios a^stoch/a etc. are spectral-parameter independent and are
 exposed separately; the four degenerations (higher-spin six vertex,

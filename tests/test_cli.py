@@ -212,6 +212,13 @@ class TestObservablesCommand:
                        "--lambda-bar", "2", "--compare", "exact,mc", "--samples", "20000", "--seed", "2")
         assert proc.returncode == 0
 
+    def test_asep_at_alpha_zero(self):
+        # used to end in a ZeroDivisionError traceback from the mc product
+        proc = run_cli("observables", "--model", "asep", "--xs", "2", "--t", "1", "--q", "0.5",
+                       "--alpha", "0", "--compare", "exact,mc", "--samples", "1000")
+        assert proc.returncode == 0, proc.stderr
+        assert {r["method"] for r in json.loads(proc.stdout)} == {"exact", "mc"}
+
     def test_lambda_report(self):
         proc = run_cli("observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3",
                        "--compare", "enum", "--lambdas", "0.1:0.2,0.3:-0.1,-0.2:0.15")

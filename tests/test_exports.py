@@ -73,6 +73,27 @@ class TestErrorFamily:
         assert not stray, stray
 
 
+def test_package_imports_sit_at_module_top():
+    # a function-local ``from .`` import hides a module dependency; the
+    # deferred ones below keep ``import dynirf`` and ``dynirf verify`` from
+    # loading observables and asymptotics
+    deferred = {
+        ("dynirf", "__getattr__", "observables"),
+        ("dynirf.cli", "_cmd_observables", "observables"),
+        ("dynirf.cli", "_cmd_asymptotics", "asymptotics"),
+    }
+    found = set()
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    found |= {(name, top.name, node.module or alias.name) for alias in node.names}
+    assert found == deferred, sorted(found ^ deferred)
+
+
 def test_import_and_verify_load_no_scipy(tmp_path):
     # numpy is the one run-time dependency: importing every module, the
     # verify suites and every README command (simulate, observables,

@@ -250,6 +250,16 @@ class TestExactIrf:
         with pytest.raises(SingularParameterError, match=re.escape(f"rows {rows} have coincident parameters")):
             exact_E("irf", ObservableSpec((9,), len(ws)), params)
 
+    @pytest.mark.parametrize("model, pack", [("irf", "dyn6v-positive"), ("rational", "rational-positive")])
+    def test_four_sites_refused_before_quadrature(self, monkeypatch, model, pack):
+        # (2 * 48)^4 grid points pass the 2^26 cap: the quadrature used to
+        # raise its point-cap ConvergenceError only after its first level;
+        # enum_E gives 0.0015834 for the irf case
+        monkeypatch.setattr(observables, "_site_integral", None)
+        monkeypatch.setattr(observables, "_irf_residue_sum", None)
+        with pytest.raises(ConvergenceError, match=r"n = 4 .*enum_E"):
+            exact_E(model, ObservableSpec((4, 3, 2, 1), 4), preset(pack))
+
     def test_lambda_free(self, dyn6v):
         # the integral contains no dynamic parameter at all; rebuilt packs
         # with different corner fillings give the identical value
@@ -900,6 +910,14 @@ class TestAsep:
         v = exact_E("asep", spec, (0.5, 2.0))
         m, se = mc_E("asep", spec, (0.5, 2.0), 20000, seed=8)
         assert abs(m - v) <= 4 * se
+
+    @pytest.mark.parametrize("xs", [(2,), (1, 0)])
+    def test_mc_at_alpha_zero(self, xs):
+        # the product's alpha^-1 form raised a bare ZeroDivisionError here;
+        # at alpha = 0 it is its limit prod_k (q^h(x_k) - q^k)
+        spec = ObservableSpec(xs, 1.0)
+        m, se = mc_E("asep", spec, (0.5, 0.0), 20000, seed=3)
+        assert abs(m - exact_E("asep", spec, (0.5, 0.0))) <= 4 * se
 
     def test_alpha_independence_of_usual_limit(self):
         # E^ASEP is alpha-free; two alphas give the same exact integral

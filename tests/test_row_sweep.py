@@ -184,7 +184,7 @@ def test_higher_spin_packs_reach_occupations_above_one():
 
 def test_enum_E_rejects_elliptic_packs(monkeypatch):
     # enumerate_heights runs elliptic packs (compared above), but their
-    # stochastic weights sum to one only up to O(exp(-2 pi Im tau)), so
+    # stochastic weights miss one (see the weights module docstring), so
     # enum_E's absorbed mass is wrong: it used to return -0.90 + 8.45i here
     from dynirf import samplers
     from dynirf.observables import ObservableSpec, enum_E

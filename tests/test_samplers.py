@@ -204,9 +204,8 @@ class TestQuadrantSampler:
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j])
     def test_scalar_rejects_non_probability(self, dyn6v, monkeypatch, bad):
-        import dynirf.weights
-
-        monkeypatch.setattr(dynirf.weights, "weight", lambda *args, **kwargs: bad)
+        # every row's weight callback returns ``bad``
+        monkeypatch.setattr(samplers, "plaquette_weights", lambda *args: lambda *weight_args: bad)
         with pytest.raises(PositivityError):
             sample_irf(dyn6v, 3, 3, seed=1)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -453,3 +454,32 @@ class TestPermSum:
         monkeypatch.setattr(IrfParams, "f", lambda self, x: calls.append(x) or real_f(self, x))
         _irf_residue_sum(ObservableSpec((9, 6, 3), 9), preset("dyn6v-positive"))
         assert 0 < len(calls) <= 1000
+
+
+class TestFormulaPin:
+    def test_closed_forms_pinned(self):
+        # B_mu, D_nu, c_mu, c_matrix_formula in both f-modes and D_rho,
+        # stoch_B_formula in trigonometric mode, on signatures with repeated
+        # and zero parts: every value bit for bit, so a change to the shared
+        # part shift, block norm or ratio chain must reproduce each rounding
+        out = []
+        lams = (0.31 + 0.17j, -0.12 + 0.26j)
+        for mode in (FunctionMode.trigonometric(), FunctionMode.elliptic(1.4j)):
+            P = random_pack(np.random.default_rng(5), mode)
+            us = [0.27 + 0.08j, 0.41 - 0.05j, 0.19 + 0.13j, 0.36 + 0.02j]
+            for lam in lams:
+                for mu in ((2,), (2, 2), (3, 1, 1), (2, 1, 0), (1, 1, 1), (4, 2, 2, 0)):
+                    out.append(B_mu(mu, lam, us[: len(mu)], P))
+                    out.append(c_mu(mu, lam, P))
+                for nu, n in (((2,), 1), ((2, 0), 2), ((3, 3, 1), 3), ((2, 1, 0), 3), ((1, 1, 0, 0), 3), ((0, 0), 2)):
+                    out.append(D_nu(nu, lam, us[:n], P))
+                for ks in ((1,), (2, 1), (1, 0, 2), (0, 1, 1, 1), (2, 2)):
+                    out.append(c_matrix_formula(us[: sum(ks)], ks, lam, P))
+                if mode.kind == "trigonometric":
+                    for nu in ((1,), (2, 2), (3, 1, 1)):
+                        out.append(D_rho(nu, lam, P))
+                    for kappa, nu, k in (((3, 1), (2,), 1), ((2, 2, 1), (1,), 2), ((3, 2, 1), (2, 1), 1)):
+                        out.append(stoch_B_formula(kappa, nu, lam, us[:k], P))
+        text = "\n".join(repr(complex(v)) for v in out)
+        assert len(out) == 104
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "42d9330f3af0ec31"

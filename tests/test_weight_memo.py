@@ -238,7 +238,8 @@ class TestHs6vRowMemo:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(weights, "hs6v_weight", spy)
+        monkeypatch.setattr(weights, "hs6v_weight", spy)  # the unmemoized reference's
+        monkeypatch.setattr(samplers, "hs6v_weight", spy)  # enumerate_heights_hs6v's
         hs6v_q_moment(self.SPEC, dyn6v)
         memoized = list(calls)
         calls.clear()
