@@ -14,7 +14,6 @@ from .special import (
     FunctionMode,
     InvalidParameterError,
     contour_integral_factored,
-    f_eval,
     theta,
 )
 from .symfunc import B_mu, D_nu, Signature
@@ -34,7 +33,6 @@ __all__ = [
     "contour_integral_factored",
     "enum_E",
     "exact_E",
-    "f_eval",
     "mc_E",
     "pq_grid",
     "preset",

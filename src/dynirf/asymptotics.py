@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+def _check_tau(tau: float) -> None:
+    """Every regime needs tau > 0; a NaN tau fails too."""
+    if not tau > 0:
+        raise InvalidParameterError("tau must be positive")
+
+
 @dataclass(frozen=True)
 class RegimeSpec:
     """Which long-time regime, at which rescaled space-time point."""
@@ -50,8 +56,7 @@ class RegimeSpec:
     def __post_init__(self):
         if self.regime not in ("I", "II", "III", "IV"):
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
-        if self.tau <= 0:
-            raise InvalidParameterError("tau must be positive")
+        _check_tau(self.tau)
         if self.regime == "II" and not (self.l and self.l > 0):
             raise InvalidParameterError("regime II needs l in (0, inf)")
         if self.regime == "IV" and not (self.lambda_bar and self.lambda_bar > 0):
@@ -60,8 +65,7 @@ class RegimeSpec:
 
 def H_profile(chi: float, tau: float) -> float:
     """The diffusive limit shape of the usual SSEP height."""
-    if tau <= 0:
-        raise InvalidParameterError("tau must be positive")
+    _check_tau(tau)
     return math.sqrt(tau / math.pi) * math.exp(-chi * chi / (4 * tau)) - (chi / 2.0) * math.erfc(
         chi / (2.0 * math.sqrt(tau))
     )
@@ -69,8 +73,7 @@ def H_profile(chi: float, tau: float) -> float:
 
 def _check_regime_iv(tau: float, lambda_bar: float) -> None:
     """Regime IV needs tau > 0 and lambda_bar > 0, as ``RegimeSpec`` does."""
-    if not tau > 0:
-        raise InvalidParameterError("tau must be positive")
+    _check_tau(tau)
     if not lambda_bar > 0:
         raise InvalidParameterError("regime IV needs lambda_bar > 0")
 

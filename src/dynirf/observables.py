@@ -222,11 +222,12 @@ def _site_integral(xs, unary, cross, circles, nodes: int, tol: float) -> complex
     return contour_integral_factored([([unary(x) for x in xs], binaries)], circles, nodes=nodes, tol=tol)
 
 
-def _check_walk_sum(model: str, value: complex, ref: float) -> None:
-    """The n = 1 check of an exclusion quadrature against its walk sum, 1e-8
-    relative; a disagreement (NaN included) raises ConvergenceError."""
-    if not abs(value - ref) <= 1e-8 * max(1.0, abs(ref)):
-        raise ConvergenceError(f"{model} routes disagree: quadrature {value} vs walk sum {ref}", (value, ref))
+def _check_routes(model: str, value: complex, route: str, ref: complex, gate: float = 1e-8) -> None:
+    """The check of a quadrature ``value`` against a second route's ``ref``,
+    ``gate`` relative to max(1, |ref|); a disagreement (NaN included) raises
+    ConvergenceError, naming both routes and carrying both values."""
+    if not abs(value - ref) <= gate * max(1.0, abs(ref)):
+        raise ConvergenceError(f"{model} routes disagree: quadrature {value} vs {route} {ref}", (value, ref))
 
 
 def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
@@ -322,10 +323,8 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int, to
 
     res, cond = _irf_residue_sum(spec, params)
     # the residue route loses ~cond * eps to cancellation when the w's
-    # are nearly coincident; widen the assertion accordingly
-    tol_res = max(1e-8, cond * 5e-14)
-    if not abs(value - res) <= tol_res * max(1.0, abs(res)):
-        raise ConvergenceError(f"IRF routes disagree: quadrature {value} vs residue sum {res}", (value, res))
+    # are nearly coincident; widen the gate accordingly
+    _check_routes("IRF", value, "residue sum", res, max(1e-8, cond * 5e-14))
     return value
 
 
@@ -346,11 +345,10 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     clash = {r for j, k in itertools.combinations(range(N), 2) if f(ws[j] - ws[k]) == 0 for r in (j + 1, k + 1)}
     if clash:
         raise SingularParameterError(f"rows {sorted(clash)} have coincident parameters (f(w_j - w_k) = 0): no residue sum")
-    fp0 = params.fp0()
 
     def res_factor(x, t):
         w = ws[t]
-        out = f(-2 * eta) / fp0
+        out = f(-2 * eta) / params.mode.fp0
         for k, wk in enumerate(ws):
             if k != t:
                 out *= f(w - wk - 2 * eta) / f(w - wk)
@@ -400,7 +398,7 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
         # below that peak the quadrature still passes its node cap from t = 5
         # at q = 0.5 and t = 20 at q = 0.8 (about 1.8 ms spent)
         return complex(_asep_walk_sum(x, t, q))
-    _check_walk_sum("ASEP", value, _asep_walk_sum(x, t, q))
+    _check_routes("ASEP", value, "walk sum", _asep_walk_sum(x, t, q))
     return value
 
 
@@ -425,7 +423,7 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
     if xs[-1] >= 0 and t <= _SSEP_DIRECT_T_MAX.get(n, -1.0):
         value = _ssep_direct(xs, t, nodes, tol)
         if n == 1:
-            _check_walk_sum("SSEP", value, -ssep_mean_height(xs[0], t))
+            _check_routes("SSEP", value, "walk sum", -ssep_mean_height(xs[0], t))
         return value
     if n == 1:
         return complex(-ssep_mean_height(xs[0], t))
@@ -732,10 +730,10 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     ``exclusion_farm`` for "asep" and "ssep"), each keyed by its index in
     the whole run, and keep only the heights of a finished block.  The
     observable product runs once over all the heights, as numpy's in-place
-    complex multiply rounds a one-element block differently.  So the result
-    does not depend on the block size, bit for bit (for an elliptic pack, up
-    to a turn whose uniform lies within an ulp of its probability; see
-    ``irf_batch_heights``), and memory is one block's state plus the
+    complex multiply rounds a one-element block differently.  The batch
+    sampler weighs the same table of fillings, one per up-count, in every
+    block, so the result does not depend on the block size, bit for bit, in
+    every mode, and memory is one block's state plus the
     heights, the product and its stderr: a traced peak of 56-112 bytes per
     sample at 10^6 samples.  A lattice pack whose stochastic weights miss
     a + c = 1 or b + d = 1 by more than 1e-9 in a swept column (elliptic

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import Circle, FunctionMode, InvalidParameterError, f_deriv0
+from .special import Circle, FunctionMode, InvalidParameterError
 from .weights import _not_probability, spin_half_weights
 
 __all__ = [
@@ -57,12 +57,19 @@ def _pair2c(v) -> complex:
 
 
 @dataclass(frozen=True)
+class PQGrid:
+    p: tuple
+    q: tuple
+
+
+@dataclass(frozen=True)
 class IrfParams:
     """Full parameter pack; immutable after construction.
 
     ``columns[j] = (z_j, Lambda_j)`` for j >= 0; ``rows[k-1] = w_k`` for
     k >= 1.  Partial sums Lambda_a + ... + Lambda_{b-1} are precomputed as
-    prefix sums and served by :meth:`lam_sum`.
+    prefix sums and served by :meth:`lam_sum`, and the p/q grid once, for
+    :func:`pq_grid`.
     """
 
     mode: FunctionMode
@@ -71,6 +78,7 @@ class IrfParams:
     columns: tuple
     rows: tuple
     _lam_prefix: tuple = field(init=False, repr=False, compare=False)
+    _grid: PQGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple((complex(z), complex(lam)) for z, lam in self.columns)
@@ -82,6 +90,9 @@ class IrfParams:
         for _, lam in cols:
             prefix.append(prefix[-1] + lam)
         object.__setattr__(self, "_lam_prefix", tuple(prefix))
+        eta = self.eta
+        grid = PQGrid(p=tuple(z + (1 - lam) * eta for z, lam in cols), q=tuple(z + (1 + lam) * eta for z, lam in cols))
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def n_cols(self) -> int:
@@ -110,25 +121,13 @@ class IrfParams:
     def f(self, x):
         return self.mode.f(x)
 
-    def fp0(self) -> complex:
-        return f_deriv0(self.mode)
-
     def with_lambda0(self, lambda0: complex) -> "IrfParams":
         return IrfParams(self.mode, self.eta, lambda0, self.columns, self.rows)
 
 
-@dataclass(frozen=True)
-class PQGrid:
-    p: tuple
-    q: tuple
-
-
 def pq_grid(params: IrfParams) -> PQGrid:
-    """p_j = z_j + (1-Lambda_j)*eta and q_j = z_j + (1+Lambda_j)*eta."""
-    eta = params.eta
-    p = tuple(z + (1 - lam) * eta for z, lam in params.columns)
-    q = tuple(z + (1 + lam) * eta for z, lam in params.columns)
-    return PQGrid(p=p, q=q)
+    """p_j = z_j + (1-Lambda_j)*eta and q_j = z_j + (1+Lambda_j)*eta, computed once per pack."""
+    return params._grid
 
 
 def _audit(gammas, grid: PQGrid, eta: complex):

@@ -138,16 +138,17 @@ class QuadrantState:
         return int(self.hout[x - 1, y]) if x >= 2 else 1
 
     def validate(self) -> None:
-        """Arrow conservation at every vertex, plus the finite-spin cap."""
+        """Arrow conservation at every vertex, plus the finite-spin cap:
+        column x holds at most Lambda_x arrows where Lambda_x is an integer;
+        a window past the pack's columns raises InvalidParameterError."""
+        _check_sites(self.params, (self.X,))
         for x in range(1, self.X + 1):
             for y in range(1, self.Y + 1):
                 if self.v_in(x, y) + self.h_in(x, y) != int(self.vout[x, y]) + int(self.hout[x, y]):
                     raise InvalidParameterError(f"conservation violated at vertex ({x},{y})")
-        lam_int = self.params.lam(1)
-        if abs(lam_int - round(lam_int.real)) < 1e-12:
-            cap = int(round(lam_int.real))
-            if self.vout.max() > cap:
-                raise InvalidParameterError("finite-spin occupation cap violated")
+            lam = self.params.lam(x)
+            if abs(lam - round(lam.real)) < 1e-12 and self.vout[x].max() > round(lam.real):
+                raise InvalidParameterError(f"finite-spin occupation cap violated in column {x}")
 
 
 def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> complex:
@@ -275,12 +276,13 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     (also returned, as "seeds").
     Requires Lambda = 1 columns (the positivity presets).
 
-    A row's trajectories share few fillings: each carries an index into a
-    table of the row's distinct fillings, which are weighed once per vertex.
-    The table takes one entry per (filling, vertical occupation) pair present,
-    by the same complex additions a per-trajectory filling would.  Every
-    trajectory's turn probability is checked to lie in [0, 1], and at every
-    filling of the table a1 + c1 and b0 + d0 to be one, within 1e-9.
+    On a spin-1/2 row the filling at column x is lambda0 - 2 eta (y +
+    Lambda_1 + ... + Lambda_{x-1}) + 4 eta c, where c <= x - 1 counts the
+    arrows the trajectory has sent up in the row so far: each trajectory
+    carries its count, and the x fillings c = 0 .. x - 1 are weighed once
+    per vertex, the same table in every block.  Every trajectory's turn
+    probability is checked to lie in [0, 1], and at each of the x fillings
+    a1 + c1 and b0 + d0 to be one, within 1e-9.
 
     A sweep holds 16 (X+1)(Y+1) bytes per trajectory; ``irf_batch_heights``
     sweeps a run in blocks of 2^14 trajectories and keeps only their heights.
@@ -293,18 +295,18 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
     seeds = trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64))
     for y in range(1, Y + 1):
-        fill = np.array([params.lambda0 - two_eta * y], dtype=complex)  # the row's fillings; trajectory i's is fill[which[i]]
-        which = np.zeros(n_traj, dtype=np.intp)
+        count = np.zeros(n_traj, dtype=np.int64)  # arrows sent up in this row so far
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
             i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int64)
+            fill = params.lambda0 - two_eta * (y + params.lam_sum(1, x)) + 2 * two_eta * np.arange(x)
             _, a1, b0, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
-            # probability that a horizontal arrow exits right, by filling,
+            # probability that a horizontal arrow exits right, by up-count,
             # carry and occupied vertical edge: c at k=1 for a fresh turn, d0
             # for a pass-through, d1 = 1 when the vertical edge is occupied
             # (spin-1/2 forces the crossing)
             p_fill = np.stack([np.zeros_like(c1), c1, d0, d1], axis=1).ravel()
-            p_turn = p_fill.take(4 * which + 2 * carry + (i1 >= 1))
+            p_turn = p_fill.take(4 * count + 2 * carry + (i1 >= 1))
             _check_turn(x, y, p_turn, a1 + c1, b0 + d0)
             u = uniform_hash(seeds, np.int64(x), np.int64(y))
             turn = u < np.clip(p_turn.real, 0.0, 1.0)
@@ -312,12 +314,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
             i2 = i1 + carry - j2
             vout[:, x, y] = i2
             hout[:, x, y] = j2
-            # the next filling is fill[which] + 2 * two_eta * i2 - two_eta * lam(x)
-            pair = which + fill.size * i2
-            present = np.bincount(pair) > 0
-            kept = np.flatnonzero(present)
-            fill = fill[kept % fill.size] + 2 * two_eta * (kept // fill.size) - two_eta * params.lam(x)
-            which = (np.cumsum(present) - 1)[pair]
+            count += i2
             carry = j2
     return {"vout": vout, "hout": hout, "seeds": seeds}
 
@@ -333,13 +330,10 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     another, and keeps only each block's heights, so a run holds one block's
     16 max(xs) (N+1) bytes per trajectory besides its output.  Each
     trajectory is keyed by its index in the whole run, each vertex uniform by
-    (trajectory seed, x, y), and its fillings are weighed by numpy's
-    out-of-place elementwise arithmetic, which rounds each entry alone; so in
-    the trigonometric and rational modes its heights are those of one
-    ``_irf_batch(params, X', N, seed, 0, n_traj)`` sweep at any X' >= X, bit
-    for bit.  In elliptic mode theta's in-place array product rounds by the
-    length of the row's table of fillings, so a turn whose uniform lies
-    within an ulp of its probability can go either way.
+    (trajectory seed, x, y), and each column weighs the same table of
+    fillings, one per up-count, in every block; so in every mode its
+    heights are those of one ``_irf_batch(params, X', N, seed, 0, n_traj)``
+    sweep at any X' >= X, bit for bit.
     """
     n_traj, xs = _check_traj(n_traj, xs)
     _check_sites(params, xs)

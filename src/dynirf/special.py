@@ -13,10 +13,11 @@ one (tau -> +i*inf, and argument rescaling, respectively), and every
 formula downstream is written uniformly in f.
 
 All functions here accept numpy arrays for their principal argument and
-are pure.  Each :class:`FunctionMode` binds its f once, as ``mode.f``; in
-elliptic mode that is theta's Jacobi triple product with the constants of
-its tau.  ``theta_deriv`` and f'(0) run on the same product.  The only
-state is one bounded cache: those products, one per (tau, tol).
+are pure.  Each :class:`FunctionMode` binds its f and f'(0) once, as
+``mode.f`` and ``mode.fp0``; in elliptic mode those are theta's Jacobi
+triple product and its constant pi K, for its tau.  ``theta_deriv`` runs on
+the same product.  The only state is one bounded cache: those products, one
+per (tau, tol).
 
 The two real kernels serve the exclusion processes: ``log_ive``, the
 scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
@@ -42,8 +43,6 @@ __all__ = [
     "InvalidParameterError",
     "theta",
     "theta_deriv",
-    "f_eval",
-    "f_deriv0",
     "log_ive",
     "gammainc",
     "contour_integral_factored",
@@ -72,10 +71,11 @@ class ConvergenceError(RuntimeError):
 class FunctionMode:
     """Which realization of f is in effect; elliptic mode carries tau.
 
-    ``mode.f`` is f itself, on scalars and arrays, bound once at
-    construction.  It is not a dataclass field: equality, hashing, repr and
-    JSON see ``kind`` and ``tau`` only, and a pickled mode is rebuilt from
-    them.
+    ``mode.f`` is f itself, on scalars and arrays, and ``mode.fp0`` is
+    f'(0): pi, 1 or, in elliptic mode, theta'(0, tau) = pi K; both are bound
+    once at construction.  Neither is a dataclass field: equality, hashing,
+    repr and JSON see ``kind`` and ``tau`` only, and a pickled mode is
+    rebuilt from them.
     """
 
     kind: str  # "elliptic" | "trigonometric" | "rational"
@@ -87,12 +87,13 @@ class FunctionMode:
         if self.kind == "elliptic":
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise InvalidParameterError("elliptic mode needs Im(tau) > 0")
-            f = _theta_product(complex(self.tau), _THETA_TOL)[0]
+            f, _, fp0 = _theta_product(complex(self.tau), _THETA_TOL)
         elif self.tau is not None:
             raise InvalidParameterError(f"{self.kind} mode takes no tau")
         else:
-            f = _sin_pi if self.kind == "trigonometric" else _identity
+            f, fp0 = (_sin_pi, math.pi) if self.kind == "trigonometric" else (_identity, 1.0)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "fp0", fp0)
 
     def __reduce__(self):
         return FunctionMode, (self.kind, self.tau)
@@ -145,8 +146,8 @@ def _theta_off_range(z, tau, name="theta"):
 
 @functools.lru_cache(maxsize=256)
 def _theta_product(tau: complex, tol: float):
-    """(theta(., tau), theta'(., tau)) to relative accuracy ``tol``, each one
-    callable for scalars and arrays.
+    """(theta(., tau), theta'(., tau), theta'(0, tau)) to relative accuracy
+    ``tol``, the first two callable for scalars and arrays.
 
     z is first reduced into the strip |Im z0| <= Im(tau)/2 by z0 = z - m*tau,
     m = round(Im z / Im tau), with theta(z0 + m*tau) = (-1)^m
@@ -159,7 +160,8 @@ def _theta_product(tau: complex, tol: float):
     factors then change the value by a relative amount below ``tol``.  The
     derivative of the same product is theta'(z0) = pi K cos(pi*z0)
     prod (1 + g_n s^2) (1 + 2 s^2 sum g_n / (1 + g_n s^2)), and the
-    quasi-period prefactor adds -2*pi*i*m*theta(z0) to it.
+    quasi-period prefactor adds -2*pi*i*m*theta(z0) to it; at z = 0 every
+    factor but pi K is exactly 1, so theta'(0) is pi K.
     """
     ti = tau.imag
     r = math.exp(-math.pi * ti)
@@ -215,7 +217,7 @@ def _theta_product(tau: complex, tol: float):
             out[i] = _theta_off_range(complex(flat[i]), tau, "theta'" if deriv else "theta")
         return complex(out[0]) if zarr.shape == () else out.reshape(zarr.shape)
 
-    return theta_tau, functools.partial(array, deriv=True)
+    return theta_tau, functools.partial(array, deriv=True), pi * K
 
 
 def theta(z, tau: complex, tol: float = _THETA_TOL):
@@ -239,20 +241,6 @@ def theta_deriv(z, tau: complex, tol: float = _THETA_TOL):
     The off-range contract is theta's: a NaN z gives NaN, an infinite z or
     a value past double range raises InvalidParameterError."""
     return _theta_product(_theta_args(tau, tol), tol)[1](z)
-
-
-def f_eval(mode: FunctionMode, z):
-    """Evaluate f(z) in the given mode (elliptic theta, sin(pi z), or z): ``mode.f(z)``."""
-    return mode.f(z)
-
-
-def f_deriv0(mode: FunctionMode) -> complex:
-    """f'(0): pi in trigonometric mode, theta'(0, tau) = pi K in elliptic, 1 rational."""
-    if mode.kind == "trigonometric":
-        return math.pi
-    if mode.kind == "rational":
-        return 1.0
-    return complex(theta_deriv(0.0, mode.tau))
 
 
 _RATIO_BLOCK = 512  # ratio mantissas lie in [1/2, 1): a block's product stays above 2^-513

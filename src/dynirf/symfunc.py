@@ -277,7 +277,7 @@ def c_mu(mu, lam: complex, params: IrfParams) -> complex:
     M = mu.length
     f = params.f
     eta = params.eta
-    out = (f(2 * eta) / params.fp0()) ** M
+    out = (f(2 * eta) / params.mode.fp0) ** M
     for i in range(M):
         out /= f(lam + 2 * eta * i)
     groups = ((value, mult, mu.n_less(value)) for value, mult in mu.multiplicities().items())

@@ -197,8 +197,9 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
     """Memoized weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
 
     Column x supplies z and Lambda.  The memo, keyed on the exact arguments,
-    lives as long as the callback.  An error is raised on every call, never
-    stored.
+    lives as long as the callback; a key is hashable, so ``lam_x`` is a
+    scalar and every denominator is checked.  An error is raised on every
+    call, never stored.
     """
     memo: dict = {}
     f = params.mode.f
@@ -208,7 +209,7 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
         val = memo.get(key)
         if val is None:
             _check_kind(kind, m)
-            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, _is_scalar(lam_x), stochastic)
+            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, True, stochastic)
         return val
 
     return fn
@@ -338,9 +339,11 @@ def rational_weight(symbol: str, lam, z, w):
 def spin_half_weights(lam, w, z, Lambda, eta, mode):
     """The six stochastic spin-1/2 weights (a0, a1, b0, c1, d0, d1).
 
-    Vectorized over ``lam``; used by the quadrant sampler and by preset
-    positivity validation.
+    Vectorized over ``lam``, whose denominators are checked only when it is
+    a scalar, as in :func:`weight`; used by the quadrant sampler and by
+    preset positivity validation.
     """
-    mk = lambda kind, k: weight(kind, k, WeightContext(lam, w, z, Lambda, eta, mode), stochastic=True)
+    check = _is_scalar(lam)
+    mk = lambda kind, k: _weight(kind, k, lam, z - w, Lambda, eta, mode.f, check, True)
     one = np.ones_like(np.asarray(lam, dtype=complex)) if not np.isscalar(lam) else 1.0 + 0j
     return (one, mk("A", 1), mk("B", 0), mk("C", 1), mk("D", 0), one * mk("D", 1))

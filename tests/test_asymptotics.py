@@ -38,6 +38,22 @@ class TestHProfile:
         with pytest.raises(InvalidParameterError):
             H_profile(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tau: H_profile(0.0, tau),
+            lambda tau: RegimeSpec("III", 0.0, tau),
+            lambda tau: RegimeIVLaw(0.0, tau, 1.0),
+            lambda tau: regime_moment_check(1, 1e4, tau, 1.0),
+        ],
+        ids=["H_profile", "RegimeSpec", "RegimeIVLaw", "regime_moment_check"],
+    )
+    def test_rejects_nan_tau(self, call):
+        # H_profile(0, nan) and limit_profile(RegimeSpec("III", 0, nan))
+        # returned NaN: a test tau <= 0 lets a NaN through
+        with pytest.raises(InvalidParameterError, match="tau must be positive"):
+            call(math.nan)
+
 
 class TestLimitProfiles:
     def test_regime_II_limits_to_I(self):

@@ -94,6 +94,21 @@ def test_package_imports_sit_at_module_top():
     assert found == deferred, sorted(found ^ deferred)
 
 
+def test_no_module_recomputes_f_prime_at_zero():
+    # f'(0) is bound once on the mode, as mode.fp0: no module derives it
+    # again through theta_deriv or calls a function for it
+    calls = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("theta_deriv", "f_deriv0", "fp0"):
+                    calls.append(f"{name}:{node.lineno} calls {ast.unparse(func)}")
+    assert not calls, calls
+
+
 def test_import_and_verify_load_no_scipy(tmp_path):
     # numpy is the one run-time dependency: importing every module, the
     # verify suites and every README command (simulate, observables,

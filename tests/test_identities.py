@@ -83,13 +83,11 @@ class TestSymmetrization:
         # vs = (beta, 2*beta, 3*beta): exactly one permutation contributes.
         import itertools
 
-        from dynirf.special import f_eval
-
         beta = 0.19 + 0.07j
         vs = [beta, 2 * beta, 3 * beta]
         r = check_symmetrization_lemma(3, vs, beta, TRIG)
         assert r.passed
-        f = lambda x: f_eval(TRIG, x)
+        f = TRIG.f
         nonzero = 0
         for perm in itertools.permutations(range(3)):
             term = 1.0 + 0j

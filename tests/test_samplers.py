@@ -38,6 +38,12 @@ def rational():
     return preset("rational-positive")
 
 
+@pytest.fixture(scope="module")
+def dyn6v_elliptic(dyn6v):
+    # at tau = 6i the elliptic weights miss a + c = 1 and b + d = 1 by 3.7e-13
+    return replace(dyn6v, mode=FunctionMode.elliptic(6j))
+
+
 class TestUniformHash:
     def test_deterministic_and_in_range(self):
         a = uniform_hash(42, 3, 7)
@@ -185,6 +191,29 @@ class TestQuadrantSampler:
     def test_spin_half_cap(self, dyn6v):
         st = sample_irf(dyn6v, 6, 6, seed=13)
         assert st.vout.max() <= 1
+
+    @pytest.mark.parametrize("lams, ok", [((1, 2), True), ((3, 1), False)])
+    def test_cap_is_each_columns_own(self, lams, ok):
+        # two paths go up column 2: one turns up in row 1, and row 2's path
+        # crosses column 1 and joins it.  Every column used to be capped by
+        # Lambda_1: Lambda = (., 1, 2) refused this state, (., 3, 1) passed it
+        params = IrfParams(FunctionMode.trigonometric(), 0.1j, 0.0, [(0.1, 1.0)] + [(0.1, l) for l in lams], (0.0, 0.0))
+        vout, hout = np.zeros((3, 3), dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
+        hout[1, 1:] = 1
+        vout[2, 1:] = 1, 2
+        st = QuadrantState(2, 2, vout, hout, params)
+        if ok:
+            st.validate()
+        else:
+            with pytest.raises(InvalidParameterError, match="cap violated in column 2"):
+                st.validate()
+
+    def test_validate_refuses_a_window_past_the_pack(self):
+        # column 3 of a 3-column pack has no Lambda to cap it by
+        params = IrfParams(FunctionMode.trigonometric(), 0.1j, 0.0, [(0.1, 1.0)] * 3, (0.0,))
+        vout, hout = np.zeros((4, 2), dtype=np.int64), np.ones((4, 2), dtype=np.int64)
+        with pytest.raises(InvalidParameterError, match="the parameter pack has 3 columns"):
+            QuadrantState(3, 1, vout, hout, params).validate()
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j, 1.5])
     def test_batch_rejects_non_probability(self, dyn6v, monkeypatch, bad):
@@ -703,7 +732,7 @@ class TestTrajectoryBlocks:
         assert max(widths) >= width  # some block's window grows from half-width ``width``
 
     @pytest.mark.parametrize("block", [1, 7])
-    @pytest.mark.parametrize("pack", ["dyn6v", "rational"])
+    @pytest.mark.parametrize("pack", ["dyn6v", "rational", "dyn6v_elliptic"])
     def test_irf_batch_heights(self, request, monkeypatch, block, pack):
         # 200 trajectories: 28 blocks of 7 and one of 4, or 200 blocks of one
         params = request.getfixturevalue(pack)
@@ -712,6 +741,24 @@ class TestTrajectoryBlocks:
         whole = irf_batch_heights(params, (1, 3, 2), 4, 5, 200)
         monkeypatch.setattr(samplers, "_BLOCK", block)
         assert np.array_equal(irf_batch_heights(params, (1, 3, 2), 4, 5, 200), whole)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_irf_batch_weighs_one_filling_per_up_count(self, dyn6v, monkeypatch, block):
+        # column x of each row weighs x fillings, one per up-count 0 .. x - 1,
+        # whatever trajectories the block holds
+        sizes = []
+        real = samplers.spin_half_weights
+
+        def spy(lam, *args):
+            sizes.append(np.size(lam))
+            return real(lam, *args)
+
+        monkeypatch.setattr(samplers, "spin_half_weights", spy)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        xs, N, n = (5, 3), 4, 40
+        irf_batch_heights(dyn6v, xs, N, 3, n)
+        blocks = -(-n // block)
+        assert sizes == [x for _ in range(blocks * N) for x in range(1, max(xs))]
 
     @pytest.mark.parametrize("pack", ["dyn6v", "rational"])
     def test_irf_batch_heights_match_a_full_sweep(self, request, monkeypatch, pack):

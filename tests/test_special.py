@@ -19,8 +19,6 @@ from dynirf.special import (
     FunctionMode,
     InvalidParameterError,
     contour_integral_factored,
-    f_deriv0,
-    f_eval,
     gammainc,
     log_ive,
     theta,
@@ -103,7 +101,7 @@ class TestThetaMpmathOracle:
     @pytest.mark.parametrize("tau", TAUS)
     def test_f_deriv0(self, tau):
         ref = self._ref(0.0, tau, 1)
-        assert abs(f_deriv0(FunctionMode.elliptic(tau)) - ref) <= 1e-14 * max(1.0, abs(ref))
+        assert abs(FunctionMode.elliptic(tau).fp0 - ref) <= 1e-14 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-6])
     def test_non_default_tol(self, tol):
@@ -163,8 +161,8 @@ class TestThetaMpmathOracle:
     def test_f_deriv0_is_pi_K(self, tau):
         # theta'(0) = pi K with K = 2 q^(1/4) prod (1 - q^2n)^3: the product's
         # other factors are exactly 1 at z = 0, so both paths give one value
-        fp0 = f_deriv0(FunctionMode.elliptic(tau))
-        assert fp0 == theta_deriv(0.0, tau) == theta_deriv(np.array([0.0]), tau)[0]
+        fp0 = FunctionMode.elliptic(tau).fp0
+        assert _bits(fp0) == _bits(theta_deriv(0.0, tau)) == _bits(theta_deriv(np.array([0.0]), tau)[0])
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
@@ -235,31 +233,24 @@ class TestThetaDerivOffRange(TestThetaOffRange):
 
 class TestFEval:
     def test_trig_values(self):
-        assert abs(f_eval(TRIG, 0.5) - 1.0) < 1e-15
+        assert abs(TRIG.f(0.5) - 1.0) < 1e-15
         z = 0.2 + 0.3j
-        assert abs(f_eval(TRIG, -z) + f_eval(TRIG, z)) < 1e-15
+        assert abs(TRIG.f(-z) + TRIG.f(z)) < 1e-15
 
     def test_rational_identity(self):
-        assert f_eval(FunctionMode.rational(), 2.5) == 2.5
+        assert FunctionMode.rational().f(2.5) == 2.5
 
     def test_elliptic_dispatch(self):
         mode = FunctionMode.elliptic(2j)
-        assert abs(f_eval(mode, 0.3) - theta(0.3, 2j)) == 0.0
+        assert abs(mode.f(0.3) - theta(0.3, 2j)) == 0.0
 
     def test_fprime0(self):
-        assert f_deriv0(TRIG) == math.pi
-        assert f_deriv0(FunctionMode.rational()) == 1.0
+        assert TRIG.fp0 == math.pi
+        assert FunctionMode.rational().fp0 == 1.0
         mode = FunctionMode.elliptic(1.9j)
         h = 1e-6
         fd = (theta(h, 1.9j) - theta(-h, 1.9j)) / (2 * h)
-        assert abs(f_deriv0(mode) - fd) < 1e-8
-
-    @pytest.mark.parametrize("mode", [FunctionMode.elliptic(1.4j), TRIG, FunctionMode.rational()], ids=["elliptic", "trig", "rational"])
-    def test_f_eval_is_the_bound_f(self, mode):
-        zs = np.array([0.3, -0.21 + 0.4j, 1.7 - 2.2j, 0j])
-        for z in list(zs) + [2, 0.5]:
-            assert _bits(f_eval(mode, z)) == _bits(mode.f(z))
-        assert [_bits(x) for x in f_eval(mode, zs)] == [_bits(x) for x in mode.f(zs)]
+        assert abs(mode.fp0 - fd) < 1e-8
 
     def test_trig_and_rational_f_are_plain(self):
         z = 0.37 - 0.12j
@@ -267,7 +258,8 @@ class TestFEval:
         assert _bits(FunctionMode.rational().f(z)) == _bits(complex(z))
 
     def test_bound_f_is_not_a_field(self):
-        # eq, hash, repr, pickling and the JSON round trip see kind and tau only
+        # eq, hash, repr, pickling and the JSON round trip see kind and tau
+        # only; f and f'(0) are rebuilt from them
         from dynirf.params import params_from_json_dict, params_to_json_dict, random_pack
 
         a, b = FunctionMode.elliptic(1.4j), FunctionMode("elliptic", 1.4j)
@@ -277,6 +269,7 @@ class TestFEval:
         for mode in (a, TRIG, FunctionMode.rational()):
             again = pickle.loads(pickle.dumps(mode))
             assert again == mode and _bits(again.f(0.3 + 0.2j)) == _bits(mode.f(0.3 + 0.2j))
+            assert _bits(again.fp0) == _bits(mode.fp0)
             P = random_pack(np.random.default_rng(3), mode)
             Q = params_from_json_dict(params_to_json_dict(P))
             assert Q == P and hash(Q.mode) == hash(P.mode)

@@ -335,7 +335,7 @@ class TestNormConstants:
         mu = (x,) * M
         got = c_mu(mu, lam, P)
         f, eta = P.f, P.eta
-        want = (f(2 * eta) / P.fp0()) ** M
+        want = (f(2 * eta) / P.mode.fp0) ** M
         for i in range(M):
             want /= f(lam + 2 * eta * i)
         for j in range(M):

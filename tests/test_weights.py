@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynirf.params import preset, to_six_vertex
-from dynirf.special import TRIG, FunctionMode, InvalidParameterError, f_eval
+from dynirf.special import TRIG, FunctionMode, InvalidParameterError
 from dynirf.weights import (
     SingularParameterError,
     WeightContext,
@@ -81,7 +81,7 @@ class TestStochasticity:
             ctx = random_ctx(TRIG)
             k = int(RNG.integers(1, 4))
             lam, zw, L, eta = ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta
-            f = lambda x: f_eval(TRIG, x)
+            f = TRIG.f
             alt_a = (
                 f(zw + (L + 1 - 2 * k) * eta)
                 / f(zw + (L + 1) * eta)
