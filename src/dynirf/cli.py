@@ -30,7 +30,8 @@ from .weights import SingularParameterError
 from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 
 
-def _load_params(args) -> IrfParams:
+def _load_params(args, default: str = "trig-admissible") -> IrfParams:
+    """The pack of --config or --preset, else the preset ``default``."""
     if args.config:
         try:
             return load_config(args.config)
@@ -38,7 +39,7 @@ def _load_params(args) -> IrfParams:
             raise InvalidParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"config {args.config} is not valid JSON: {exc}") from None
-    return preset(args.preset or "trig-admissible")
+    return preset(args.preset or default)
 
 
 def _positive_int(text: str) -> int:
@@ -139,9 +140,7 @@ def _cmd_simulate(args) -> int:
                 for x in range(st.lo, st.hi + 1):
                     lines.append(f"{i},{x},{st.value(x)}")
     else:
-        params = _load_params(args) if (args.preset or args.config) else preset(
-            "rational-positive" if args.model == "rational" else "dyn6v-positive"
-        )
+        params = _load_params(args, "rational-positive" if args.model == "rational" else "dyn6v-positive")
         lines.append("traj,x,y,vout,hout")
         for i in range(args.trajectories):
             st = sample_irf(params, args.cols, args.rows, trajectory_seed(args.seed, i))
@@ -165,23 +164,18 @@ def _cmd_observables(args) -> int:
     methods = args.compare.split(",")
     for method in methods:
         if method not in ("exact", "mc", "enum"):
-            print(f"unknown method {method}", file=sys.stderr)
-            return 2
+            raise InvalidParameterError(f"unknown method {method}")
         if method == "enum" and args.model in ("ssep", "asep"):
-            print("enum is only available for lattice models", file=sys.stderr)
-            return 2
+            raise InvalidParameterError("enum is only available for lattice models")
     if args.lambdas and args.model in ("ssep", "asep"):
-        print("--lambdas takes lattice corner fillings; it is only available for lattice models", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--lambdas takes lattice corner fillings; it is only available for lattice models")
     records = []
     failures = []
 
     if args.model in ("dyn6v", "irf"):
-        params = _load_params(args) if (args.preset or args.config) else preset("dyn6v-positive")
-        model, rates = "irf", params
+        model, rates = "irf", _load_params(args, "dyn6v-positive")
     elif args.model == "rational":
-        params = _load_params(args) if (args.preset or args.config) else preset("rational-positive")
-        model, rates = "rational", params
+        model, rates = "rational", _load_params(args, "rational-positive")
     elif args.model == "ssep":
         model, rates = "ssep", (args.lambda_bar,)
     else:

@@ -152,6 +152,18 @@ def _product(cols, xs, factor, norm) -> np.ndarray:
     return out / norm
 
 
+def _q_moment_factor(q):
+    """The six-vertex q-moment factor (k, x, h) -> q^h - q^k (Corwin and
+    Petrov, 2016): the lambda -> -i*infinity limit of the IRF product and
+    the usual-ASEP product at alpha = 0."""
+    return lambda k, x, h: q**h - q**k
+
+
+def _law_mean(law: dict, vals) -> complex:
+    """sum_hs amp(hs) * vals[hs] over an enumerated law, in the law's order."""
+    return complex(sum((amp * val for amp, val in zip(law.values(), vals)), 0.0 + 0.0j))
+
+
 def _lattice_product(hs, spec: ObservableSpec, params: IrfParams, lam: complex) -> np.ndarray:
     """The normalized observable product of the pack's mode, IRF or rational, for each row of a height array."""
     N, n = int(spec.N_or_t), spec.n
@@ -177,8 +189,9 @@ def _exclusion_product(model: str, svals, spec: ObservableSpec, rates: tuple) ->
         return _product(svals, spec.xs, ssep, rising(lam_bar, spec.n))
     q, alpha = rates
     if alpha == 0:
-        # the alpha -> 0 limit: prod_k (q^{h(x_k)} - q^k), the usual ASEP q-moment
-        return _product(svals, spec.xs, lambda k, x, s: q ** ((s - x) / 2) - q**k, 1.0)
+        # the alpha -> 0 limit: the usual ASEP q-moment at h = (s - x) / 2
+        q_moment = _q_moment_factor(q)
+        return _product(svals, spec.xs, lambda k, x, s: q_moment(k, x, (s - x) / 2), 1.0)
 
     def asep(k, x, s):
         o = -(alpha**-1) * q ** ((s - x) / 2) + q ** ((-s - x) / 2)
@@ -688,7 +701,9 @@ def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
 
 
 def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) -> complex:
-    """Exact average by enumerating the joint height law (complex ok).
+    """Exact average by enumerating the joint height law (complex ok), at
+    the corner filling ``lam`` (default the pack's): the law and product of
+    ``params.with_lambda0(lam)``.
 
     Uses the IRF observable product in trigonometric mode and the rational
     product in rational mode.  Elliptic-mode packs raise
@@ -697,24 +712,17 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
     """
     if params.mode.kind == "elliptic":
         raise InvalidParameterError("enum_E needs a trigonometric or rational pack; elliptic weights do not sum to one")
-    lam = params.lambda0 if lam is None else lam
-    law = enumerate_heights(params, _lattice_rows(None, spec, params), spec.xs, lam0=lam)
-    vals = _lattice_product(list(law), spec, params, lam)
-    return complex(sum((amp * val for amp, val in zip(law.values(), vals)), 0.0 + 0.0j))
+    if lam is not None:
+        params = params.with_lambda0(lam)
+    law = enumerate_heights(params, _lattice_rows(None, spec, params), spec.xs)
+    return _law_mean(law, _lattice_product(list(law), spec, params, params.lambda0))
 
 
 def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
     """E[prod_k (q^{h(x_{k+1},N)} - q^k)] for the stochastic six-vertex model."""
     N = _lattice_rows(None, spec, params)
     law = enumerate_heights_hs6v(params, N, spec.xs)
-    q = to_six_vertex(params).q
-    total = 0.0 + 0.0j
-    for hs, amp in law.items():
-        term = 1.0 + 0.0j
-        for k in range(spec.n):
-            term *= q ** hs[k] - q**k
-        total += amp * term
-    return total
+    return _law_mean(law, _product(list(law), spec.xs, _q_moment_factor(to_six_vertex(params).q), 1.0))
 
 
 def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: int):

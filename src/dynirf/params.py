@@ -118,8 +118,10 @@ class IrfParams:
             return 0j
         return self._lam_prefix[b] - self._lam_prefix[a]
 
-    def f(self, x):
-        return self.mode.f(x)
+    @property
+    def f(self):
+        """The mode's f itself, so ``f = params.f`` binds no forwarding call."""
+        return self.mode.f
 
     def with_lambda0(self, lambda0: complex) -> "IrfParams":
         return IrfParams(self.mode, self.eta, lambda0, self.columns, self.rows)
@@ -253,13 +255,6 @@ def to_six_vertex(params: IrfParams) -> SixVertexParams:
 # preset is validated at load time rather than trusted.
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "trig-admissible",
-    "trig-admissible-wide",
-    "dyn6v-positive",
-    "rational-positive",
-)
-
 
 def _build_trig_admissible(lam_center: float = 1.2, seed: int = 611953) -> IrfParams:
     rng = np.random.default_rng(seed)
@@ -331,6 +326,7 @@ _BUILDERS = {
     "dyn6v-positive": _build_dyn6v_positive,
     "rational-positive": _build_rational_positive,
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def _validate_positive_preset(params: IrfParams, name: str) -> None:

@@ -367,7 +367,7 @@ def enumerate_distribution(params: IrfParams, N: int, X: int):
     return dist, 1.0 - sum(dist.values())
 
 
-def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None, row_weights=None):
+def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
     """Exact joint law of the heights h(x, N) for x in ``xs``.
 
     h(x, N) is N minus the paths that stop in columns 1..x-1, and paths
@@ -378,15 +378,15 @@ def enumerate_heights(params: IrfParams, N: int, xs, lam0: complex | None = None
     stochastic weights sum to one.  Works with complex weights.
     ``row_weights(y)`` gives row y's plaquette weight callback (kind, m, x,
     lam_x) (default: the stochastic IRF weights).  Each row is one
-    ``symfunc._row_sweep`` of the whole law; as every path enters at
-    column 1, h(x, N) = N at x <= 1.  Returns {heights: amplitude}.  An
-    empty ``xs``, an N that fails ``_check_rows`` or a site past the pack's
-    columns raises InvalidParameterError.
+    ``symfunc._row_sweep`` of the whole law, row y from the filling
+    lambda0 - 2*eta*y; as every path enters at column 1, h(x, N) = N at
+    x <= 1.  Returns {heights: amplitude}.  An empty ``xs``, an N that
+    fails ``_check_rows`` or a site past the pack's columns raises
+    InvalidParameterError.
     """
     N = _check_rows(params, N)
     _check_sites(params, xs)
-    lam0 = params.lambda0 if lam0 is None else lam0
-    two_eta = 2 * params.eta
+    lam0, two_eta = params.lambda0, 2 * params.eta
     if row_weights is None:
         row_weights = lambda y: plaquette_weights(params, params.w(y), True)
     # one stochastic row over columns 1..max(xs) - 1 at a time; a path still
@@ -425,7 +425,7 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
 
         return lambda kind, m, x, lam_x: row(kind, m, x)
 
-    return enumerate_heights(params, N, xs, lam0=0.0, row_weights=row_weights)
+    return enumerate_heights(params, N, xs, row_weights=row_weights)
 
 
 # ---------------------------------------------------------------------------

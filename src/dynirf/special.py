@@ -15,9 +15,8 @@ formula downstream is written uniformly in f.
 All functions here accept numpy arrays for their principal argument and
 are pure.  Each :class:`FunctionMode` binds its f and f'(0) once, as
 ``mode.f`` and ``mode.fp0``; in elliptic mode those are theta's Jacobi
-triple product and its constant pi K, for its tau.  ``theta_deriv`` runs on
-the same product.  The only state is one bounded cache: those products, one
-per (tau, tol).
+triple product and its constant pi K, for its tau.  The only state is one
+bounded cache: those products, one per (tau, tol).
 
 The two real kernels serve the exclusion processes: ``log_ive``, the
 scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
@@ -42,7 +41,6 @@ __all__ = [
     "ConvergenceError",
     "InvalidParameterError",
     "theta",
-    "theta_deriv",
     "log_ive",
     "gammainc",
     "contour_integral_factored",
@@ -87,7 +85,7 @@ class FunctionMode:
         if self.kind == "elliptic":
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise InvalidParameterError("elliptic mode needs Im(tau) > 0")
-            f, _, fp0 = _theta_product(complex(self.tau), _THETA_TOL)
+            f, fp0 = _theta_product(complex(self.tau), _THETA_TOL)
         elif self.tau is not None:
             raise InvalidParameterError(f"{self.kind} mode takes no tau")
         else:
@@ -135,19 +133,19 @@ def _theta_args(tau, tol) -> complex:
 _THETA_TOL = 1e-14  # theta's default tol, and the tol of elliptic mode's f
 
 
-def _theta_off_range(z, tau, name="theta"):
+def _theta_off_range(z, tau):
     """Where theta's product is not finite: NaN for a NaN z, else the error."""
     if cmath.isinf(z):
-        raise InvalidParameterError(f"{name} needs a finite z, got z={z} at tau={tau}")
+        raise InvalidParameterError(f"theta needs a finite z, got z={z} at tau={tau}")
     if cmath.isnan(z):
         return complex(math.nan, math.nan)
-    raise InvalidParameterError(f"{name}(z, tau) is past double range at z={z}, tau={tau}")
+    raise InvalidParameterError(f"theta(z, tau) is past double range at z={z}, tau={tau}")
 
 
 @functools.lru_cache(maxsize=256)
 def _theta_product(tau: complex, tol: float):
-    """(theta(., tau), theta'(., tau), theta'(0, tau)) to relative accuracy
-    ``tol``, the first two callable for scalars and arrays.
+    """(theta(., tau), theta'(0, tau)) to relative accuracy ``tol``, the
+    first callable for scalars and arrays.
 
     z is first reduced into the strip |Im z0| <= Im(tau)/2 by z0 = z - m*tau,
     m = round(Im z / Im tau), with theta(z0 + m*tau) = (-1)^m
@@ -157,11 +155,9 @@ def _theta_product(tau: complex, tol: float):
     and g_n = 4 q^2n / (1 - q^2n)^2.  In the strip |s|^2 <= (1+r)^2/(4r) for
     r = |q|, so |g_n s^2| <= r^(2n-1)/(1-r)^2, and N is the least count at
     which these bounds summed over n > N stay below log1p(tol): the dropped
-    factors then change the value by a relative amount below ``tol``.  The
-    derivative of the same product is theta'(z0) = pi K cos(pi*z0)
-    prod (1 + g_n s^2) (1 + 2 s^2 sum g_n / (1 + g_n s^2)), and the
-    quasi-period prefactor adds -2*pi*i*m*theta(z0) to it; at z = 0 every
-    factor but pi K is exactly 1, so theta'(0) is pi K.
+    factors then change the value by a relative amount below ``tol``.  At
+    z = 0, s = 0 and every factor but K s has derivative 0 and value 1, so
+    theta'(0) = pi K.
     """
     ti = tau.imag
     r = math.exp(-math.pi * ti)
@@ -194,7 +190,7 @@ def _theta_product(tau: complex, tol: float):
             pass
         return _theta_off_range(z, tau)  # a non-finite z, or past double range
 
-    def array(z, deriv=False):
+    def array(z):
         zarr = np.asarray(z, dtype=complex)
         flat = zarr.reshape(-1)
         with np.errstate(all="ignore"):
@@ -204,20 +200,14 @@ def _theta_product(tau: complex, tol: float):
             out, s2 = K * s, s * s
             for g in gs:
                 out *= 1 + g * s2
-            if deriv:
-                terms = [1 + g * s2 for g in gs]
-                d = pi * K * np.cos(np.pi * z0)
-                for t in terms:
-                    d *= t
-                out = d * (1 + 2 * s2 * sum(g / t for g, t in zip(gs, terms))) - 2j * pi * m * out
             if m.any():
                 h = np.exp(-0.5j * np.pi * m * (flat + z0))
                 out = np.where(m % 2, -out, out) * h * h
         for i in np.flatnonzero(~np.isfinite(out)):
-            out[i] = _theta_off_range(complex(flat[i]), tau, "theta'" if deriv else "theta")
+            out[i] = _theta_off_range(complex(flat[i]), tau)
         return complex(out[0]) if zarr.shape == () else out.reshape(zarr.shape)
 
-    return theta_tau, functools.partial(array, deriv=True), pi * K
+    return theta_tau, pi * K
 
 
 def theta(z, tau: complex, tol: float = _THETA_TOL):
@@ -233,14 +223,6 @@ def theta(z, tau: complex, tol: float = _THETA_TOL):
     or one where theta is past double range, raises InvalidParameterError.
     """
     return _theta_product(_theta_args(tau, tol), tol)[0](z)
-
-
-def theta_deriv(z, tau: complex, tol: float = _THETA_TOL):
-    """d/dz of ``theta``, from the derivative of the same reduced triple
-    product and the same constants; scalars and arrays both run on numpy.
-    The off-range contract is theta's: a NaN z gives NaN, an infinite z or
-    a value past double range raises InvalidParameterError."""
-    return _theta_product(_theta_args(tau, tol), tol)[1](z)
 
 
 _RATIO_BLOCK = 512  # ratio mantissas lie in [1/2, 1): a block's product stays above 2^-513
@@ -362,9 +344,6 @@ def gammainc(a: float, x) -> np.ndarray:
     return out
 
 
-TRIG = FunctionMode.trigonometric()
-
-
 @dataclass(frozen=True)
 class Circle:
     """Positively oriented circle |v - center| = radius."""
@@ -453,11 +432,6 @@ def _contract_level(terms, nodes, vecs, n: int) -> complex:
                 paths[spec] = np.einsum_path(spec, *ops, optimize="greedy")[0]
             total += np.einsum(spec, *ops, optimize=paths[spec])
     return complex(total / float(n**m))
-
-
-def _factored_grid_value(terms, contours: Sequence[Circle], n: int) -> complex:
-    """One level's trapezoid estimate on n nodes per circle, residue-normalized."""
-    return _contract_level(terms, *_level_unaries(terms, contours, n), n)
 
 
 def _as_int(value, what: str) -> int:

@@ -95,8 +95,8 @@ def test_package_imports_sit_at_module_top():
 
 
 def test_no_module_recomputes_f_prime_at_zero():
-    # f'(0) is bound once on the mode, as mode.fp0: no module derives it
-    # again through theta_deriv or calls a function for it
+    # f'(0) is bound once on the mode, as mode.fp0: no module calls a
+    # function for it
     calls = []
     for name in MODULES:
         tree = ast.parse(inspect.getsource(importlib.import_module(name)))
@@ -107,6 +107,33 @@ def test_no_module_recomputes_f_prime_at_zero():
                 if called in ("theta_deriv", "f_deriv0", "fp0"):
                     calls.append(f"{name}:{node.lineno} calls {ast.unparse(func)}")
     assert not calls, calls
+
+
+def test_every_private_name_is_read_in_src():
+    # a module-level _name that nothing in the package reads is test-only
+    # code or dead code; it belongs in the tests or nowhere
+    trees = [ast.parse(inspect.getsource(importlib.import_module(name))) for name in MODULES]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    unread = []
+    for name, tree in zip(MODULES, trees):
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{name}.{d}" for d in defined if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert not unread, unread
 
 
 def test_import_and_verify_load_no_scipy(tmp_path):

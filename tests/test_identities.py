@@ -22,11 +22,12 @@ from dynirf.asymptotics import regime_moment_check
 from dynirf.observables import ObservableSpec, lambda_independence_report
 from dynirf.oracle import skew_B_oracle
 from dynirf.params import params_from_json_dict, pq_grid, preset
-from dynirf.special import TRIG, FunctionMode, InvalidParameterError
+from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import B_mu
 from dynirf.weights import SingularParameterError, WeightContext, weight
 
 RNG = np.random.default_rng(2024)
+TRIG = FunctionMode.trigonometric()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import math
 import re
 import time
@@ -204,7 +205,7 @@ class TestObservableProduct:
         # on an enumerated law (complex lambda) and on a small sampled batch
         spec = ObservableSpec((3, 2), 4)
         lam = 0.2 + 0.3j
-        law = enumerate_heights(dyn6v, 4, spec.xs, lam0=lam)
+        law = enumerate_heights(dyn6v.with_lambda0(lam), 4, spec.xs)
         drawn = irf_batch_heights(dyn6v, spec.xs, 4, 8, 40)
         for hs, at in ((np.array(list(law)), lam), (drawn, dyn6v.lambda0)):
             got = _lattice_product(hs, spec, dyn6v, at)
@@ -1054,7 +1055,7 @@ class TestEqualSitesFactorization:
         x, N, n = 2, 3, 2
         spec = ObservableSpec((x,) * n, N)
         lsum = int(dyn6v.lam_sum(1, x).real)
-        law = enumerate_heights(dyn6v, N, (x,), lam0=dyn6v.lambda0)
+        law = enumerate_heights(dyn6v, N, (x,))
         direct = 0.0 + 0.0j
         for (h,), amp in law.items():
             direct += amp * q ** (n * (N - lsum)) * q_pochhammer(q**-h, q, n) * q_pochhammer(
@@ -1171,3 +1172,21 @@ class TestLatticeInputs:
     def test_rational_mc_E_needs_sites_from_column_one(self, rational, no_work, xs):
         with pytest.raises(InvalidParameterError, match="x >= 1"):
             mc_E("rational", ObservableSpec(xs, 3), rational, 1000, seed=0)
+
+
+def pin_digest(values) -> str:
+    return hashlib.sha256("\n".join(repr(complex(v)) for v in values).encode()).hexdigest()[:16]
+
+
+class TestRoutePin:
+    # the enumeration and six-vertex routes, bit for bit: a change to how
+    # the law is enumerated or the product reduced must reproduce each rounding
+
+    def test_enum_E_pinned(self, dyn6v, rational):
+        vals = [enum_E(ObservableSpec((5, 3, 2), 5), dyn6v, lam) for lam in (dyn6v.lambda0, 0.2 + 0.3j, -0.4 + 0.1j, -5j)]
+        vals += [enum_E(ObservableSpec((3, 2), 3), rational, lam) for lam in (rational.lambda0, -45.5 + 0.3j)]
+        assert pin_digest(vals) == "f227f0851ddf78c2"
+
+    def test_hs6v_q_moment_pinned(self, dyn6v):
+        specs = (((5, 3, 2), 5), ((3, 2), 4), ((9, 6, 3), 9), ((4,), 3), ((6, 4, 3, 1), 5))
+        assert pin_digest(hs6v_q_moment(ObservableSpec(xs, N), dyn6v) for xs, N in specs) == "82b1bdf3b6189a55"

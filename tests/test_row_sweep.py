@@ -120,7 +120,7 @@ def assert_same_law(got, want, tol=1e-12):
 @pytest.mark.parametrize("N, xs", [(4, (5, 3, 2)), (3, (6, 1)), (3, (4, 0))])
 def test_enumerate_heights_matches_walk(pack, N, xs):
     params = PACKS[pack]()
-    got = enumerate_heights(params, N, xs, lam0=LAM0)
+    got = enumerate_heights(params.with_lambda0(LAM0), N, xs)
     assert_same_law(got, walk_enumerate_heights(params, N, xs, LAM0))
 
 
@@ -135,7 +135,7 @@ def test_cut_before_the_last_site_is_exact(pack, N, xs):
     # weights sum to one
     params = STOCHASTIC_PACKS[pack]()
     want = walk_enumerate_heights(params, N, xs, LAM0, cap=max(xs))
-    assert_same_law(enumerate_heights(params, N, xs, lam0=LAM0), want, tol=1e-13)
+    assert_same_law(enumerate_heights(params.with_lambda0(LAM0), N, xs), want, tol=1e-13)
 
 
 def test_hs6v_cut_before_the_last_site_is_exact(monkeypatch):
@@ -151,7 +151,7 @@ def test_hs6v_cut_before_the_last_site_is_exact(monkeypatch):
 
     monkeypatch.setattr(samplers, "enumerate_heights", spy)
     got = samplers.enumerate_heights_hs6v(params, N, xs)
-    want = walk_enumerate_heights(params, N, xs, seen["lam0"], cap=max(xs), row_weights=seen["row_weights"])
+    want = walk_enumerate_heights(params, N, xs, params.lambda0, cap=max(xs), row_weights=seen["row_weights"])
     assert_same_law(got, want, tol=1e-13)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import pickle
 import time
@@ -13,7 +14,6 @@ from mpmath import mp
 from dynirf import special
 from dynirf.asymptotics import H_profile
 from dynirf.special import (
-    TRIG,
     Circle,
     ConvergenceError,
     FunctionMode,
@@ -22,11 +22,11 @@ from dynirf.special import (
     gammainc,
     log_ive,
     theta,
-    theta_deriv,
 )
 from mp_reference import mp_scaled_bessel
 
 RNG = np.random.default_rng(20260810)
+TRIG = FunctionMode.trigonometric()
 
 
 def _bits(x) -> tuple:
@@ -63,11 +63,6 @@ class TestTheta:
         with pytest.raises(InvalidParameterError):
             theta(0.1, -2j)
 
-    def test_deriv_matches_finite_difference(self):
-        z, tau, h = 0.21 + 0.13j, 1.7j, 1e-6
-        fd = (theta(z + h, tau) - theta(z - h, tau)) / (2 * h)
-        assert abs(theta_deriv(z, tau) - fd) < 1e-8
-
 
 class TestThetaMpmathOracle:
     # theta(z, tau) = jtheta(1, pi z, exp(i pi tau)) in mpmath's convention,
@@ -88,7 +83,7 @@ class TestThetaMpmathOracle:
             return complex(val * mpmath.pi**derivative)
 
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("fn, order", [(theta, 0), (theta_deriv, 1)])
+    @pytest.mark.parametrize("fn, order", [(theta, 0)])
     def test_scalar_and_array(self, fn, order, tau):
         zs = self._points(tau)
         refs = np.array([self._ref(z, tau, order) for z in zs])
@@ -108,27 +103,24 @@ class TestThetaMpmathOracle:
         tau = 1.4j
         zs = self._points(tau, 12)
         for z in zs:
-            for fn, order in ((theta, 0), (theta_deriv, 1)):
-                ref = self._ref(z, tau, order)
-                bound = (1e-14 + tol) * max(1.0, abs(ref))
-                assert abs(fn(complex(z), tau, tol) - ref) <= bound
-                assert abs(fn(np.array([z]), tau, tol)[0] - ref) <= bound
+            ref = self._ref(z, tau)
+            bound = (1e-14 + tol) * max(1.0, abs(ref))
+            assert abs(theta(complex(z), tau, tol) - ref) <= bound
+            assert abs(theta(np.array([z]), tau, tol)[0] - ref) <= bound
 
     def test_scalar_types(self):
         for z in (0.3, 1, 0.2 + 0.1j, np.float64(0.3), np.array(0.3 + 0.1j)):
             assert type(theta(z, 1.5j)) is complex
-            assert type(theta_deriv(z, 1.5j)) is complex
         assert theta(np.float64(0.3), 1.5j) == theta(0.3, 1.5j)
         assert abs(theta(np.array(0.3 + 0.1j), 1.5j) - theta(0.3 + 0.1j, 1.5j)) <= 1e-15
 
     def test_rejects_bad_tol(self):
-        for fn in (theta, theta_deriv):
-            with pytest.raises(InvalidParameterError):
-                fn(0.1, 1.5j, tol=0.0)
-            with pytest.raises(InvalidParameterError):
-                fn(np.array([0.1]), 1.5j, tol=-1.0)
-            with pytest.raises(InvalidParameterError):
-                fn(0.1, 1.5j, tol=math.nan)
+        with pytest.raises(InvalidParameterError):
+            theta(0.1, 1.5j, tol=0.0)
+        with pytest.raises(InvalidParameterError):
+            theta(np.array([0.1]), 1.5j, tol=-1.0)
+        with pytest.raises(InvalidParameterError):
+            theta(0.1, 1.5j, tol=math.nan)
 
     @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
     def test_quasi_period_reduction(self, tau):
@@ -144,25 +136,11 @@ class TestThetaMpmathOracle:
         assert np.all(np.abs(array - refs) <= 1e-13 * np.abs(refs))
         assert np.all(np.abs(array - scalar) <= 4e-15 * np.abs(scalar))
 
-    @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
-    def test_quasi_period_reduction_deriv(self, tau):
-        # theta' on the same points: the reduced product's derivative takes
-        # -2*pi*i*m*theta(z0) before the prefactor, for scalars and arrays
-        rng = np.random.default_rng(int(100 * abs(tau)))
-        zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-4, 4, 40) * tau.imag
-        refs = np.array([self._ref(z, tau, 1) for z in zs])
-        scalar = np.array([theta_deriv(complex(z), tau) for z in zs])
-        array = theta_deriv(zs, tau)
-        assert np.all(np.abs(scalar - refs) <= 1e-13 * np.abs(refs))
-        assert np.all(np.abs(array - refs) <= 1e-13 * np.abs(refs))
-        assert np.all(np.abs(array - scalar) <= 4e-15 * np.abs(scalar))
-
     @pytest.mark.parametrize("tau", TAUS + [0.5j, 0.3 + 1.1j])
     def test_f_deriv0_is_pi_K(self, tau):
         # theta'(0) = pi K with K = 2 q^(1/4) prod (1 - q^2n)^3: the product's
-        # other factors are exactly 1 at z = 0, so both paths give one value
+        # other factors are exactly 1 at z = 0
         fp0 = FunctionMode.elliptic(tau).fp0
-        assert _bits(fp0) == _bits(theta_deriv(0.0, tau)) == _bits(theta_deriv(np.array([0.0]), tau)[0])
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
@@ -173,62 +151,40 @@ class TestThetaMpmathOracle:
 class TestThetaOffRange:
     # the scalar and array paths agree: NaN in gives NaN out, and an infinite
     # z or a value past double range is one InvalidParameterError naming z and
-    # tau; theta' keeps the same contract (TestThetaDerivOffRange)
-    fn = staticmethod(theta)
-    ORDER = 0
+    # tau
     TAU = 1.4j
     NAN = float("nan")
     INF = float("inf")
 
     @pytest.mark.parametrize("z", [complex(NAN, 0.3), complex(0.3, NAN), complex(NAN, 20.0), complex(NAN, NAN)])
     def test_nan_gives_nan(self, z):
-        assert cmath.isnan(self.fn(z, self.TAU))
-        out = self.fn(np.array([0.3 + 0.1j, z, 0.2 + 3j]), self.TAU)
+        assert cmath.isnan(theta(z, self.TAU))
+        out = theta(np.array([0.3 + 0.1j, z, 0.2 + 3j]), self.TAU)
         assert cmath.isnan(out[1])
-        assert out[0] == pytest.approx(self.fn(0.3 + 0.1j, self.TAU), rel=1e-15) and np.isfinite(out[2])
+        assert out[0] == pytest.approx(theta(0.3 + 0.1j, self.TAU), rel=1e-15) and np.isfinite(out[2])
 
     @pytest.mark.parametrize("z", [complex(0, INF), complex(0.3, -INF), complex(INF, 0.3), complex(INF, NAN), INF])
     def test_infinite_z_raises(self, z):
         with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
-            self.fn(z, self.TAU)
+            theta(z, self.TAU)
         with pytest.raises(InvalidParameterError, match=r"finite z.*tau="):
-            self.fn(np.array([0.3, z]), self.TAU)
+            theta(np.array([0.3, z]), self.TAU)
 
     @pytest.mark.parametrize("z, tau", [(0.3 + 20j, TAU), (0.3 - 20j, TAU), (1e300j, TAU), (0.5 + 36.9j, 6j)])
     def test_past_double_range_raises(self, z, tau):
         with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
-            self.fn(z, tau)
+            theta(z, tau)
         with pytest.raises(InvalidParameterError, match=r"past double range at z=.*tau="):
-            self.fn(np.array([0.3, z]), tau)
-
-    def _check_large_value(self, z, tau, low):
-        ref = TestThetaMpmathOracle._ref(z, tau, self.ORDER)
-        assert low < abs(ref) < 1e308
-        assert abs(self.fn(z, tau) - ref) <= 1e-13 * abs(ref)
-        assert abs(self.fn(np.array([z]), tau)[0] - ref) <= 1e-13 * abs(ref)
+            theta(np.array([0.3, z]), tau)
 
     @pytest.mark.parametrize("z, tau", [(0.3 + 17.5j, 1.4j), (0.5 + 36.86j, 6j)])
     def test_large_but_finite_value(self, z, tau):
         # |theta| near 1e298 and 1e307 is still a value, in both paths; at
         # 0.5 + 36.86i, tau = 6i, exp(-pi*i*m*(z + z0)) alone passes double range
-        self._check_large_value(z, tau, 1e290)
-
-
-class TestThetaDerivOffRange(TestThetaOffRange):
-    fn = staticmethod(theta_deriv)
-    ORDER = 1
-
-    @pytest.mark.parametrize("z, tau", [(0.3 + 17.5j, 1.4j), (0.5 + 36.7j, 6j)])
-    def test_large_but_finite_value(self, z, tau):
-        # |theta'| near 2e300 and 5e306 (at 0.5 + 36.86i, tau = 6i, where
-        # theta is still a value, theta' is past double range)
-        self._check_large_value(z, tau, 1e299)
-
-    def test_past_range_where_theta_is_not(self):
-        z, tau = 0.5 + 36.86j, 6j
-        assert cmath.isfinite(theta(z, tau))
-        with pytest.raises(InvalidParameterError, match=r"theta'\(z, tau\) is past double range"):
-            theta_deriv(z, tau)
+        ref = TestThetaMpmathOracle._ref(z, tau)
+        assert 1e290 < abs(ref) < 1e308
+        assert abs(theta(z, tau) - ref) <= 1e-13 * abs(ref)
+        assert abs(theta(np.array([z]), tau)[0] - ref) <= 1e-13 * abs(ref)
 
 
 class TestFEval:
@@ -251,6 +207,12 @@ class TestFEval:
         h = 1e-6
         fd = (theta(h, 1.9j) - theta(-h, 1.9j)) / (2 * h)
         assert abs(mode.fp0 - fd) < 1e-8
+
+    def test_fp0_pinned(self):
+        # pi K from theta's product constants, bit for bit
+        fp0s = [FunctionMode.elliptic(tau).fp0 for tau in (1.4j, 1.5j, 2j, 6j, 0.5j, 0.3 + 1.1j)]
+        text = "\n".join(repr(complex(v)) for v in fp0s)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "face05b9c3f4a34f"
 
     def test_trig_and_rational_f_are_plain(self):
         z = 0.37 - 0.12j
@@ -419,8 +381,14 @@ class TestContourIntegral:
         assert abs(one_term([lambda v: 1.0 / v], [Circle(0, 1.0)], nodes=32.0) - 1.0) < 1e-12
 
 
+def factored_grid_value(terms, contours, n):
+    """One level's trapezoid estimate on n nodes per circle, residue-normalized:
+    the unary pass and the contraction of ``contour_integral_factored``."""
+    return special._contract_level(terms, *special._level_unaries(terms, contours, n), n)
+
+
 def broadcast_factored_reference(terms, contours, n):
-    """The former _factored_grid_value: every term multiplied out to the
+    """The reference for ``factored_grid_value``: every term multiplied out to the
     full n**m grid by numpy broadcasting, chunked along variable 0."""
     m = len(contours)
     pts = [c.points(n) for c in contours]
@@ -494,7 +462,7 @@ class TestFactoredContraction:
         # row blocks of 5, 5 and 2 nodes of variable 0
         monkeypatch.setattr(special, "_MAX_GRID", 5 * n)
         t0 = time.perf_counter()
-        val = special._factored_grid_value(terms, contours, n)
+        val = factored_grid_value(terms, contours, n)
         assert time.perf_counter() - t0 < 1.0
         assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
 
@@ -526,7 +494,7 @@ class TestFactoredContraction:
         ref = broadcast_factored_reference(terms, contours, n)
         assert abs(ref) > 0.1
         monkeypatch.setattr(special, "_MAX_GRID", 5 * n)
-        val = special._factored_grid_value(terms, contours, n)
+        val = factored_grid_value(terms, contours, n)
         assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize(
@@ -579,7 +547,7 @@ class TestFactoredContraction:
             rel = c.points(n) - c.center
             assert np.array_equal(x - c.center, rel[(rel.real <= 0) | (rel.imag <= 0)])
             assert x.size == 9
-        val = special._factored_grid_value(terms, contours, n)
+        val = factored_grid_value(terms, contours, n)
         assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_node_zero_in_one_term_only_is_kept(self):
@@ -592,7 +560,7 @@ class TestFactoredContraction:
         ]
         kept, _ = special._level_unaries(terms, [Circle(0.0, 1.0)], 16)
         assert kept[0].size == 16
-        val = special._factored_grid_value(terms, [Circle(0.0, 1.0)], 16)
+        val = factored_grid_value(terms, [Circle(0.0, 1.0)], 16)
         ref = broadcast_factored_reference(terms, [Circle(0.0, 1.0)], 16)
         assert abs(val - ref) <= 1e-13 and abs(ref) > 0.1
 
@@ -608,7 +576,7 @@ class TestFactoredContraction:
         unaries = [ones, ones]
         unaries[axis] = nan_at_one_node
         terms = [(unaries, {(0, 1): lambda x, y: 1.0 / (x - y - 3.0)})]
-        val = special._factored_grid_value(terms, [Circle(0.0, 1.0), Circle(0.0, 1.5)], 16)
+        val = factored_grid_value(terms, [Circle(0.0, 1.0), Circle(0.0, 1.5)], 16)
         assert np.isnan(val)
 
     def test_all_zero_unaries_call_no_binary(self, monkeypatch):
@@ -619,7 +587,7 @@ class TestFactoredContraction:
         terms = [([lambda v: 1.0 / v, zero, lambda v: v], {(0, 1): never, (1, 2): never}), ([zero, zero, zero], {(0, 2): never})]
         monkeypatch.setattr(special, "_MAX_GRID", 5 * 16)
         contours = [Circle(0.0, 1.0), Circle(0.0, 1.5), Circle(0.0, 2.0)]
-        assert special._factored_grid_value(terms, contours, 16) == 0
+        assert factored_grid_value(terms, contours, 16) == 0
         assert contour_integral_factored(terms, contours, nodes=16) == 0
 
 

@@ -439,7 +439,6 @@ class TestPermSum:
         # needs 161 and 873
         import dynirf.identities as idn
         from dynirf.observables import ObservableSpec, _irf_residue_sum
-        from dynirf.params import IrfParams
 
         calls = []
         mode = FunctionMode.elliptic(1.5j)
@@ -450,9 +449,10 @@ class TestPermSum:
         assert 0 < len(calls) <= 200
 
         calls.clear()
-        real_f = IrfParams.f
-        monkeypatch.setattr(IrfParams, "f", lambda self, x: calls.append(x) or real_f(self, x))
-        _irf_residue_sum(ObservableSpec((9, 6, 3), 9), preset("dyn6v-positive"))
+        params = preset("dyn6v-positive")
+        real_f = params.mode.f
+        monkeypatch.setitem(vars(params.mode), "f", lambda x: calls.append(x) or real_f(x))
+        _irf_residue_sum(ObservableSpec((9, 6, 3), 9), params)
         assert 0 < len(calls) <= 1000
 
 

@@ -218,7 +218,7 @@ def unmemoized_hs6v(params, N, xs):
 
         return fn
 
-    return enumerate_heights(params, N, xs, lam0=0.0, row_weights=row_weights)
+    return enumerate_heights(params, N, xs, row_weights=row_weights)
 
 
 class TestHs6vRowMemo:

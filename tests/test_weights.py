@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynirf.params import preset, to_six_vertex
-from dynirf.special import TRIG, FunctionMode, InvalidParameterError
+from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.weights import (
     SingularParameterError,
     WeightContext,
@@ -19,6 +19,7 @@ from dynirf.weights import (
 
 RNG = np.random.default_rng(318)
 
+TRIG = FunctionMode.trigonometric()
 ELL = FunctionMode.elliptic(6j)
 RAT = FunctionMode.rational()
 
