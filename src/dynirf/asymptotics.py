@@ -21,7 +21,7 @@ import numpy as np
 from .identities import CheckReport
 from .observables import rising, ssep_falling_moment, ssep_mean_height
 from .samplers import exclusion_farm
-from .special import InvalidParameterError, gammainc
+from .special import InvalidParameterError, _as_int, gammainc
 
 __all__ = [
     "RegimeSpec",
@@ -37,10 +37,10 @@ __all__ = [
 ]
 
 
-def _check_tau(tau: float) -> None:
-    """Every regime needs tau > 0; a NaN tau fails too."""
-    if not tau > 0:
-        raise InvalidParameterError("tau must be positive")
+def _check_positive(what: str, value: float) -> None:
+    """tau (every regime) and L must be finite and > 0; a NaN fails too."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{what} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class RegimeSpec:
     def __post_init__(self):
         if self.regime not in ("I", "II", "III", "IV"):
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
-        _check_tau(self.tau)
+        _check_positive("tau", self.tau)
         if self.regime == "II" and not (self.l and self.l > 0):
             raise InvalidParameterError("regime II needs l in (0, inf)")
         if self.regime == "IV" and not (self.lambda_bar and self.lambda_bar > 0):
@@ -65,7 +65,7 @@ class RegimeSpec:
 
 def H_profile(chi: float, tau: float) -> float:
     """The diffusive limit shape of the usual SSEP height."""
-    _check_tau(tau)
+    _check_positive("tau", tau)
     return math.sqrt(tau / math.pi) * math.exp(-chi * chi / (4 * tau)) - (chi / 2.0) * math.erfc(
         chi / (2.0 * math.sqrt(tau))
     )
@@ -73,7 +73,7 @@ def H_profile(chi: float, tau: float) -> float:
 
 def _check_regime_iv(tau: float, lambda_bar: float) -> None:
     """Regime IV needs tau > 0 and lambda_bar > 0, as ``RegimeSpec`` does."""
-    _check_tau(tau)
+    _check_positive("tau", tau)
     if not lambda_bar > 0:
         raise InvalidParameterError("regime IV needs lambda_bar > 0")
 
@@ -93,6 +93,8 @@ class RegimeIVLaw:
 
     def __post_init__(self):
         _check_regime_iv(self.tau, self.lambda_bar)
+        if not math.isfinite(self.chi):
+            raise InvalidParameterError(f"chi must be finite, got {self.chi!r}")
 
     @property
     def gamma_shape(self) -> float:
@@ -132,10 +134,11 @@ def limit_profile(spec: RegimeSpec):
 
 
 def gamma_moment(a: float, b: float, m: int) -> float:
-    """m-th moment b^m (a)_m of the gamma law with shape a and scale b."""
+    """m-th moment b^m (a)_m of the gamma law with shape a and scale b; an m
+    that is not an integer >= 0 raises InvalidParameterError (``rising``)."""
     if a <= 0 or b <= 0:
         raise InvalidParameterError("gamma moments need a, b > 0")
-    return b**m * rising(a, m)
+    return rising(a, m) * b**m
 
 
 def height_from_O(o: float, x: float, lambda_bar: float) -> float:
@@ -148,12 +151,14 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float) -> Chec
     """E[(O(0, L tau))^n] against L^{n/2} (lambda_bar)_n (tau/pi)^{n/2}.
 
     Exact moments come from the bridge between dynamic-SSEP observable
-    products and usual-SSEP falling factorial moments.  tau <= 0 or
-    lambda_bar <= 0 raise InvalidParameterError.
+    products and usual-SSEP falling factorial moments.  An n that is not an
+    integer, an L not finite and > 0, tau <= 0 or lambda_bar <= 0 raise
+    InvalidParameterError.
     """
-    if not 1 <= n <= 3:
+    if not 1 <= (n := _as_int(n, "the moment order n")) <= 3:
         raise InvalidParameterError("moment check implemented for 1 <= n <= 3")
     _check_regime_iv(tau, lambda_bar)
+    _check_positive("L", L)
     t = L * tau
     falling = [ssep_falling_moment(0, t, m) for m in range(1, n + 1)]
     # E[prod_{k<m}(O - k*lambda_bar - k^2)] = (lambda_bar)_m F_m resolves
@@ -194,23 +199,17 @@ def heat_equation_residual(chi: float, tau: float) -> float:
 
 
 def hydro_check(L: float = 400.0, tau: float = 1.0) -> CheckReport:
-    """L^{-1/2} E h(L^{1/2} chi, L tau) within 2% of H(chi, tau) at chi = -1, 0, 1."""
+    """L^{-1/2} E h(L^{1/2} chi, L tau) within 2% of H(chi, tau) at chi = -1, 0, 1;
+    an L not finite and > 0 raises InvalidParameterError."""
+    _check_positive("L", L)
     chis = (-1.0, 0.0, 1.0)
-    worst = 0.0
-    worst_pair = (0.0, 0.0)
-    for chi in chis:
-        x = int(round(chi * math.sqrt(L)))
-        got = ssep_mean_height(x, L * tau) / math.sqrt(L)
-        want = H_profile(chi, tau)
-        rel = abs(got - want) / abs(want)
-        if rel > worst:
-            worst = rel
-            worst_pair = (got, want)
+    pairs = [(ssep_mean_height(int(round(chi * math.sqrt(L))), L * tau) / math.sqrt(L), H_profile(chi, tau)) for chi in chis]
+    got, want = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / abs(pair[1]))  # the worst relative gap
     return CheckReport(
         name="ssep-hydrodynamics",
         parameters={"L": L, "tau": tau, "chis": list(chis)},
-        lhs=worst_pair[0],
-        rhs=worst_pair[1],
+        lhs=got,
+        rhs=want,
         tolerance=0.02,
     )
 
@@ -224,11 +223,12 @@ def regime_iv_ks_check(
     this runs at a configurable scale and reports the distance without
     gating.  The report's tolerance is the criterion's KS threshold 0.05,
     so downstream tooling can still see pass/fail, but the acceptance suite
-    treats it as informational.  An ``n_traj`` below 1 raises
-    InvalidParameterError.
+    treats it as informational.  An ``n_traj`` below 1, an L not finite and
+    > 0 or a chi that is not finite raises InvalidParameterError.
     """
     if n_traj < 1:
         raise InvalidParameterError(f"the KS check needs n_traj >= 1, got {n_traj}")
+    _check_positive("L", L)
     law = RegimeIVLaw(chi=chi, tau=tau, lambda_bar=lambda_bar)
     x = int(round(chi * L**0.25))
     svals = exclusion_farm("ssep", (lambda_bar,), L * tau, n_traj, seed, [x])

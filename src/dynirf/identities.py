@@ -1,9 +1,11 @@
 """Executable verification of the named identities; every check returns a CheckReport.
 
-Tolerances are stratified by error source: closed-form against closed-form
-comparisons run at 1e-10, truncated series at 1e-7, and quadrature-based
-checks at 1e-6.  A passing check whose monitored truncation tail exceeds a
-tenth of its tolerance is downgraded to "passed-with-warning".
+Each gate is a constant of its check, which no caller can scale: 1e-10
+closed form (TOL_CLOSED), 1e-7 truncated series (TOL_SERIES), 1e-6
+quadrature (TOL_QUAD; off the orthogonality diagonal times max(1, |c_mu|))
+and stochastic sums, 1e-12 hat ratios and the nested sum, 1e-8 the oracle
+and the stochastic two-route reports.  A passing check whose monitored
+truncation tail exceeds a tenth of its gate is "passed-with-warning".
 
 Every truncated kappa-sum (skew-Cauchy, Pieri, Cauchy, rho-Cauchy) runs
 through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  A
@@ -125,7 +127,7 @@ class CheckReport:
         }
 
 
-def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mode: FunctionMode, tolerance: float = TOL_CLOSED) -> CheckReport:
+def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mode: FunctionMode) -> CheckReport:
     """Permutation sum against f(beta)f(2beta)...f(m beta)/f(beta)^m.
 
     The terms divide by f(v_i - v_j), f(v_k) and f(beta): a zero among them
@@ -153,7 +155,7 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
         parameters={"m": m, "beta": _c(beta), "vs": [_c(v) for v in vs]},
         lhs=total,
         rhs=rhs,
-        tolerance=tolerance,
+        tolerance=TOL_CLOSED,
         truncation_info={"conditioning": size / abs(total) if total else math.inf},
     )
 
@@ -196,19 +198,19 @@ def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: I
     return abs(out)
 
 
-def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, tolerance: float = TOL_SERIES) -> CheckReport:
+def check_skew_cauchy(mu, nu, us, vs, params: IrfParams) -> CheckReport:
     """Skew-Cauchy identity at lam = params.lambda0 with k = len(us), l = len(vs),
-    kappa-sum truncated at kappa_1 <= cap.
+    kappa-sum truncated at kappa_1 <= 12; a mu_1 past 12 is refused.
 
     At k = l = 1 the report also carries the convergence-condition product
     at two depths.
     """
-    mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
+    mu, nu, cap = Signature(tuple(mu)), Signature(tuple(nu)), 12
     k, l = len(us), len(vs)
     if not k or not l or mu.length != nu.length + k:
         raise InvalidParameterError("need len(mu) = len(nu) + len(us) and at least one u and one v")
     if cap < mu.max_part():
-        raise InvalidParameterError(f"cap {cap} is below mu_1 = {mu.max_part()}: the kappa-box would be empty")
+        raise InvalidParameterError(f"mu_1 = {mu.max_part()} is past the kappa-sum's cap {cap}: the kappa-box would be empty")
     lam, eta = params.lambda0, params.eta
     b_law = _strip(nu, lam + 2 * eta * l, us, params, "B", cap=cap)
     lhs, tail = _capped_sum(
@@ -230,7 +232,7 @@ def check_skew_cauchy(mu, nu, us, vs, params: IrfParams, cap: int = 12, toleranc
         parameters={"mu": mu.parts, "nu": nu.parts, "us": [_c(u) for u in us], "vs": [_c(v) for v in vs], "lam": _c(lam)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tolerance,
+        tolerance=TOL_SERIES,
         truncation_info=info,
     )
 
@@ -243,7 +245,7 @@ def _b0k_norm_factor(count: int, lam: complex, u: complex, params: IrfParams) ->
     return f(2 * eta) * f(lam - z0 + u + eta * (-L0 + 2 * count - 1)) / f(z0 - u + (L0 + 1) * eta)
 
 
-def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None, v=None, tolerance: float = TOL_SERIES) -> CheckReport:
+def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None, v=None) -> CheckReport:
     """The two Pieri rules and the Cauchy identity at lam = params.lambda0,
     truncated on the left at kappa_1 <= 12.
 
@@ -305,12 +307,12 @@ def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None,
         parameters=pars,
         lhs=lhs,
         rhs=rhs,
-        tolerance=tolerance,
+        tolerance=TOL_SERIES,
         truncation_info={"cap": cap, "tail_estimate": last},
     )
 
 
-def check_cauchy_rho(N: int, us, params: IrfParams, tolerance: float = TOL_SERIES) -> CheckReport:
+def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
     """rho-specialized Cauchy identity at lam = params.lambda0, truncated at
     kappa_1 <= 14 (trigonometric mode only)."""
     lam, cap = params.lambda0, 14
@@ -342,7 +344,7 @@ def check_cauchy_rho(N: int, us, params: IrfParams, tolerance: float = TOL_SERIE
         parameters={"us": [_c(u) for u in us], "lam": _c(lam)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tolerance,
+        tolerance=TOL_SERIES,
         truncation_info={"cap": cap, "tail_estimate": last},
     )
 
@@ -397,7 +399,7 @@ def _bmu_factored_terms(mu: Signature, nu: Signature, lam: complex, params: IrfP
     return pref, terms
 
 
-def check_orthogonality(mu, nu, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+def check_orthogonality(mu, nu, params: IrfParams) -> CheckReport:
     """M-fold contour integral of B_mu against the psi-kernel vs c_mu 1_{nu=mu},
     at lam = params.lambda0."""
     mu, nu = Signature(tuple(mu)), Signature(tuple(nu))
@@ -414,7 +416,7 @@ def check_orthogonality(mu, nu, params: IrfParams, tolerance: float = TOL_QUAD) 
         parameters={"mu": mu.parts, "nu": nu.parts, "lam": _c(lam), "c_mu": _c(norm)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tolerance if mu == nu else tolerance * max(1.0, abs(norm)),
+        tolerance=TOL_QUAD if mu == nu else TOL_QUAD * max(1.0, abs(norm)),
     )
 
 
@@ -433,7 +435,7 @@ def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, la
     return pref * integral
 
 
-def check_D_integral(nu, n: int, vs, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+def check_D_integral(nu, n: int, vs, params: IrfParams) -> CheckReport:
     """Integral representation of D_nu(lam - 2*eta*n; vs) vs the formula, lam = params.lambda0."""
     nu = Signature(tuple(nu))
     if len(vs) != n:
@@ -457,11 +459,11 @@ def check_D_integral(nu, n: int, vs, params: IrfParams, tolerance: float = TOL_Q
         parameters={"nu": nu.parts, "n": n, "vs": [_c(v) for v in vs], "lam": _c(lam)},
         lhs=_kernel_integral(nu, n, extra, gammas, params, lam),
         rhs=D_nu(nu, lam - 2 * eta * n, list(vs), params),
-        tolerance=tolerance,
+        tolerance=TOL_QUAD,
     )
 
 
-def check_D_rho_integral(nu, params: IrfParams, tolerance: float = TOL_QUAD) -> CheckReport:
+def check_D_rho_integral(nu, params: IrfParams) -> CheckReport:
     """rho-specialized integral of D^norm vs the closed form at lam =
     params.lambda0 (incl. the vanishing at nu_N = 0)."""
     nu = Signature(tuple(nu))
@@ -472,20 +474,20 @@ def check_D_rho_integral(nu, params: IrfParams, tolerance: float = TOL_QUAD) -> 
         parameters={"nu": nu.parts, "lam": _c(lam)},
         lhs=_kernel_integral(nu, 0, lambda x: f(x - grid.p[0]) / f(x - grid.q[0]), gammas, params, lam),
         rhs=D_rho(nu, lam, params),
-        tolerance=tolerance,
+        tolerance=TOL_QUAD,
     )
 
 
-def check_stoch_sum(nu, us, params: IrfParams, lam: complex | None = None, max_part: int | None = None, tolerance: float = 1e-6) -> CheckReport:
+def check_stoch_sum(nu, us, params: IrfParams, lam: complex | None = None) -> CheckReport:
     """Stochastic sum-to-one with the monitored geometric tail."""
     lam = params.lambda0 if lam is None else lam
-    total, tail = stoch_B_sum(nu, lam, list(us), params, max_part=max_part)
+    total, tail = stoch_B_sum(nu, lam, list(us), params)
     return CheckReport(
         name=f"stoch-sum-to-one-{tuple(nu)}-k{len(us)}",
         parameters={"nu": tuple(nu), "us": [_c(u) for u in us], "lam": _c(lam)},
         lhs=total,
         rhs=1.0 + 0.0j,
-        tolerance=tolerance,
+        tolerance=1e-6,
         truncation_info={
             "terms_used": tail.terms_used,
             "tail_estimate": tail.tail_estimate,
@@ -573,7 +575,7 @@ def _plaquette_draw(i: int, k: int, ctx: WeightContext) -> dict:
     return {"worst_draw": i, "k": k, "lam": _c(ctx.lam), "w": _c(ctx.w), "z": _c(ctx.z), "Lambda": _c(ctx.Lambda), "eta": _c(ctx.eta)}
 
 
-def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_scale: float = 1.0) -> CheckReport:
+def check_stochasticity(rng: np.random.Generator, mode: FunctionMode) -> CheckReport:
     """Stochastic sum rules B + D = 1 and, for k >= 1, A + C = 1 over random plaquettes."""
     worst = _Worst()
     for i in range(WEIGHT_DRAWS):
@@ -584,10 +586,10 @@ def check_stochasticity(rng: np.random.Generator, mode: FunctionMode, tolerance_
         worst.see(abs(wt("B") + wt("D") - 1), draw)
         if k >= 1:
             worst.see(abs(wt("A") + wt("C") - 1), draw)
-    return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED * tolerance_scale)
+    return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED)
 
 
-def check_sine_identity(rng: np.random.Generator, tolerance_scale: float = 1.0) -> CheckReport:
+def check_sine_identity(rng: np.random.Generator) -> CheckReport:
     """f(B-C) f(w-A) = f(A-C) f(w-B) - f(A-B) f(w-C) for f = sin at random points (A, B, C, w)."""
     f = FunctionMode.trigonometric().f
     worst = _Worst()
@@ -595,10 +597,10 @@ def check_sine_identity(rng: np.random.Generator, tolerance_scale: float = 1.0) 
         A, B, C, w = rng.standard_normal(4) * 0.7 + 1j * rng.standard_normal(4) * 0.3
         rhs = f(A - C) * f(w - B) - f(A - B) * f(w - C)
         worst.see(_rel(f(B - C) * f(w - A), rhs), lambda: {"worst_draw": i, "points": [_c(x) for x in (A, B, C, w)]})
-    return worst.report(f"sine-identity-{SINE_DRAWS}draws", {"draws": SINE_DRAWS}, TOL_CLOSED * tolerance_scale)
+    return worst.report(f"sine-identity-{SINE_DRAWS}draws", {"draws": SINE_DRAWS}, TOL_CLOSED)
 
 
-def check_hat_ratios(rng: np.random.Generator, tolerance_scale: float = 1.0) -> CheckReport:
+def check_hat_ratios(rng: np.random.Generator) -> CheckReport:
     """hat_ratio times the plain weight against the stochastic weight, all four
     kinds, over random trigonometric plaquettes with k in 1..3."""
     worst = _Worst()
@@ -608,10 +610,10 @@ def check_hat_ratios(rng: np.random.Generator, tolerance_scale: float = 1.0) -> 
         for kind in "ABCD":
             got = hat_ratio(kind, k, ctx.lam, ctx.Lambda, ctx.eta, ctx.mode) * weight(kind, k, ctx)
             worst.see(_rel(got, weight(kind, k, ctx, stochastic=True)), lambda: _plaquette_draw(i, k, ctx))
-    return worst.report("hat-ratio-consistency", {"draws": HAT_DRAWS}, 1e-12 * tolerance_scale)
+    return worst.report("hat-ratio-consistency", {"draws": HAT_DRAWS}, 1e-12)
 
 
-def check_oracle_formulas(rng: np.random.Generator, tolerance_scale: float = 1.0) -> list:
+def check_oracle_formulas(rng: np.random.Generator) -> list:
     """B, D and c-string reports: closed forms against the operator oracle on
     random packs, trigonometric at odd draws and elliptic (tau = 1.4i) at even
     ones; a c-string draw with sum(ks) outside 1..3 is skipped."""
@@ -640,15 +642,14 @@ def check_oracle_formulas(rng: np.random.Generator, tolerance_scale: float = 1.0
             continue
         ws = points(sum(ks))
         worst_c.see(_rel(c_matrix_formula(ws, ks, lam, P), c_matrix_element(ws, ks, lam, P)), lambda: draw(i, P, lam, "ks", ks, "ws", ws))
-    tol = 1e-8 * tolerance_scale
     return [
-        worst_b.report(f"oracle-B-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, tol),
-        worst_d.report(f"oracle-D-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, tol),
-        worst_c.report("oracle-c-string-formula", {"draws": CSTRING_DRAWS}, tol),
+        worst_b.report(f"oracle-B-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, 1e-8),
+        worst_d.report(f"oracle-D-symmetrization-{ORACLE_DRAWS}draws", {"draws": ORACLE_DRAWS}, 1e-8),
+        worst_c.report("oracle-c-string-formula", {"draws": CSTRING_DRAWS}, 1e-8),
     ]
 
 
-def check_stochastic_weights(rng: np.random.Generator, tolerance_scale: float = 1.0) -> list:
+def check_stochastic_weights(rng: np.random.Generator) -> list:
     """Stochastic-weight theorem on trig-admissible, lam = 0.41 + 0.23i, u's
     near p_1: the lattice DP of B^stoch_{kappa/nu}, kappa = nu plus k extra
     parts, against its conjugation formula (``nonzero_draws`` counts the
@@ -668,13 +669,13 @@ def check_stochastic_weights(rng: np.random.Generator, tolerance_scale: float = 
         formula = stoch_B_formula(kappa, nu, lam, us, P)
         nonzero += bool(dp or formula)
         worst.see(_rel(dp, formula), lambda: {"worst_draw": i, "kappa": [int(p) for p in kappa], "nu": [int(p) for p in nu], "us": [_c(u) for u in us]})
-    reports = [worst.report(f"stoch-B-two-routes-{STOCH_DRAWS}draws", {"draws": STOCH_DRAWS, "nonzero_draws": nonzero, "lam": _c(lam)}, 1e-8 * tolerance_scale)]
+    reports = [worst.report(f"stoch-B-two-routes-{STOCH_DRAWS}draws", {"draws": STOCH_DRAWS, "nonzero_draws": nonzero, "lam": _c(lam)}, 1e-8)]
     for nu, k in (((), 1), ((2,), 1), ((3, 1), 2)):
-        reports.append(check_stoch_sum(nu, near_p1(k), P, lam=lam, tolerance=1e-6 * tolerance_scale))
+        reports.append(check_stoch_sum(nu, near_p1(k), P, lam=lam))
     return reports
 
 
-def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float = 1.0) -> list:
+def run_identity_suite(params: IrfParams, seed: int = 0) -> list:
     """The standard identity battery over a parameter pack.
 
     Deterministic given (params, seed); reports are sorted by name.
@@ -690,29 +691,28 @@ def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float 
     def near_q(k):
         return [q0 + 0.03 + 0.01j + complex(0.004 * rng.standard_normal(), 0.004 * rng.standard_normal()) for _ in range(k)]
 
-    tc, ts, tq = TOL_CLOSED * tolerance_scale, TOL_SERIES * tolerance_scale, TOL_QUAD * tolerance_scale
     reports = []
     # symmetrization, trig and elliptic
     for m in (1, 3, 6):
         vs = [complex(a, b) for a, b in 0.4 * rng.standard_normal((m, 2))]
         beta = complex(0.23 + 0.1 * rng.standard_normal(), 0.11)
-        reports.append(check_symmetrization_lemma(m, vs, beta, params.mode, tolerance=tc))
-        reports.append(check_symmetrization_lemma(m, vs, beta, FunctionMode.elliptic(1.5j), tolerance=tc))
+        reports.append(check_symmetrization_lemma(m, vs, beta, params.mode))
+        reports.append(check_symmetrization_lemma(m, vs, beta, FunctionMode.elliptic(1.5j)))
     # skew-Cauchy at k = l = 1 and at k = l = 2
     u1, v1 = near_p(1), near_q(1)
-    reports.append(check_skew_cauchy((1,), (), u1, v1, params, tolerance=ts))
-    reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params, tolerance=ts))
-    reports.append(check_skew_cauchy((2, 1), (), near_p(2), near_q(2), params, tolerance=ts))
+    reports.append(check_skew_cauchy((1,), (), u1, v1, params))
+    reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params))
+    reports.append(check_skew_cauchy((2, 1), (), near_p(2), near_q(2), params))
     # Pieri rules and Cauchy
-    reports.append(check_pieri("pieri2", params, nu=(2,), u=near_p(1)[0], vs=near_q(2), tolerance=ts))
-    reports.append(check_pieri("pieri2", params, nu=(), u=near_p(1)[0], vs=near_q(1), tolerance=ts))
-    reports.append(check_pieri("pieri", params, nu=(2, 1), us=near_p(2), v=near_q(1)[0], tolerance=ts))
-    reports.append(check_pieri("cauchy", params, us=near_p(1), vs=near_q(1), tolerance=ts))
-    reports.append(check_pieri("cauchy", params, us=near_p(2), vs=near_q(2), tolerance=ts))
+    reports.append(check_pieri("pieri2", params, nu=(2,), u=near_p(1)[0], vs=near_q(2)))
+    reports.append(check_pieri("pieri2", params, nu=(), u=near_p(1)[0], vs=near_q(1)))
+    reports.append(check_pieri("pieri", params, nu=(2, 1), us=near_p(2), v=near_q(1)[0]))
+    reports.append(check_pieri("cauchy", params, us=near_p(1), vs=near_q(1)))
+    reports.append(check_pieri("cauchy", params, us=near_p(2), vs=near_q(2)))
     # rho-Cauchy, distinct and coincident arguments
-    reports.append(check_cauchy_rho(1, near_p(1), params, tolerance=ts))
-    reports.append(check_cauchy_rho(2, near_p(2), params, tolerance=ts))
-    reports.append(check_cauchy_rho(2, near_p(1) * 2, params, tolerance=ts))
+    reports.append(check_cauchy_rho(1, near_p(1), params))
+    reports.append(check_cauchy_rho(2, near_p(2), params))
+    reports.append(check_cauchy_rho(2, near_p(1) * 2, params))
     # orthogonality / integral representations; M >= 2 uses the wide pack,
     # whose larger p/q separation admits the nested (strong) circle
     # families those integrals require
@@ -722,16 +722,16 @@ def run_identity_suite(params: IrfParams, seed: int = 0, tolerance_scale: float 
     def wide_near_q(k):
         return [qw + 0.05 + 0.02j + complex(0.005 * rng.standard_normal(), 0.005 * rng.standard_normal()) for _ in range(k)]
 
-    reports.append(check_orthogonality((1,), (1,), params, tolerance=tq))
-    reports.append(check_orthogonality((2,), (1,), params, tolerance=tq))
-    reports.append(check_orthogonality((2, 1), (2, 1), wide, tolerance=tq))
-    reports.append(check_orthogonality((2, 1, 1), (2, 1, 1), wide, tolerance=tq))
-    reports.append(check_orthogonality((3, 1, 1), (2, 1, 1), wide, tolerance=tq))
-    reports.append(check_D_integral((1,), 1, near_q(1), params, tolerance=tq))
-    reports.append(check_D_integral((2, 1), 2, wide_near_q(2), wide, tolerance=tq))
-    reports.append(check_D_rho_integral((1,), params, tolerance=tq))
-    reports.append(check_D_rho_integral((2, 0), params, tolerance=tq))
-    reports.append(check_D_rho_integral((2, 1), wide, tolerance=tq))
+    reports.append(check_orthogonality((1,), (1,), params))
+    reports.append(check_orthogonality((2,), (1,), params))
+    reports.append(check_orthogonality((2, 1), (2, 1), wide))
+    reports.append(check_orthogonality((2, 1, 1), (2, 1, 1), wide))
+    reports.append(check_orthogonality((3, 1, 1), (2, 1, 1), wide))
+    reports.append(check_D_integral((1,), 1, near_q(1), params))
+    reports.append(check_D_integral((2, 1), 2, wide_near_q(2), wide))
+    reports.append(check_D_rho_integral((1,), params))
+    reports.append(check_D_rho_integral((2, 0), params))
+    reports.append(check_D_rho_integral((2, 1), wide))
     # nested-sum lemma (the stochastic sum-to-one reports come from
     # check_stochastic_weights)
     Y = rng.standard_normal((3, 8))

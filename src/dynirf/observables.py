@@ -38,7 +38,6 @@ from .special import (
     _MAX_LEVEL_POINTS,
     _as_int,
     _check_nodes,
-    _check_tol,
     contour_integral_factored,
     log_ive,
 )
@@ -70,6 +69,7 @@ __all__ = [
 ]
 
 MODELS = ("irf", "asep", "rational", "ssep")
+_EXACT_TOL = 1e-10  # the quadrature tolerance of every exact_E loop integral
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,10 @@ def _lattice_rows(model: str | None, spec: ObservableSpec, params: IrfParams) ->
 
 
 def rising(a, n: int):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1)."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); an n that is not an
+    integer >= 0 raises InvalidParameterError."""
+    if (n := _as_int(n, "the order n")) < 0:
+        raise InvalidParameterError(f"the order n must be >= 0, got {n}")
     out = 1.0
     for j in range(n):
         out = out * (a + j)
@@ -228,7 +231,7 @@ def _irf_contours(params: IrfParams, n: int):
     return circles
 
 
-def _site_integral(xs, unary, cross, circles, nodes: int, tol: float) -> complex:
+def _site_integral(xs, unary, cross, circles, nodes: int, tol: float = _EXACT_TOL) -> complex:
     """The one factored term of every direct contour route: the loop integral
     of prod_k unary(x_k)(v_k) prod_{i<j} cross(v_i, v_j) over ``circles``."""
     binaries = {pair: cross for pair in itertools.combinations(range(len(xs)), 2)}
@@ -243,7 +246,7 @@ def _check_routes(model: str, value: complex, route: str, ref: complex, gate: fl
         raise ConvergenceError(f"{model} routes disagree: quadrature {value} vs {route} {ref}", (value, ref))
 
 
-def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, tol: float = 1e-10):
+def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     """Exact averages by n-fold loop integrals, each checked against an
     independent route: the residue sum for the lattice models, the
     random-walk sum ``_walk_sum`` for the exclusion models (n = 1): E[q^h] - 1
@@ -284,20 +287,20 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48, 
     Lattice packs and specs pass ``_lattice_rows`` (pack mode, rows, sites
     below params.n_cols, rational x >= 1) before any quadrature, and
     exclusion rates mc_E's check (``samplers._check_rates``), unused ones
-    included.  A ``tol`` not finite and > 0 or a ``nodes`` not an integer
-    >= 16 raises InvalidParameterError before any route is chosen.  A value
-    its check route disagrees with raises ConvergenceError, naming both
-    routes and carrying both values as its ``estimates``.
+    included.  A ``nodes`` not an integer >= 16 raises InvalidParameterError
+    before any route is chosen.  Every loop integral runs at the fixed
+    quadrature tolerance 1e-10.  A value its check route disagrees with
+    raises ConvergenceError, naming both routes and carrying both values as
+    its ``estimates``.
     """
-    _check_tol(tol)
     nodes = _check_nodes(nodes)
     if model in ("irf", "rational"):
-        return _exact_E_irf(spec, params_or_rates, _lattice_rows(model, spec, params_or_rates), nodes, tol)
+        return _exact_E_irf(spec, params_or_rates, _lattice_rows(model, spec, params_or_rates), nodes)
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
     rates = _check_rates(model, params_or_rates)
     _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
-    return _exact_E_asep(spec, float(rates[0]), nodes, tol) if model == "asep" else _exact_E_ssep(spec, nodes, tol)
+    return _exact_E_asep(spec, float(rates[0]), nodes) if model == "asep" else _exact_E_ssep(spec, nodes)
 
 
 def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
@@ -310,7 +313,7 @@ def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
     return pref * (2j * math.pi) ** n
 
 
-def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int, tol: float) -> complex:
+def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int) -> complex:
     n = spec.n
     if (2 * nodes) ** n > _MAX_LEVEL_POINTS:
         raise ConvergenceError(f"the IRF integral at n = {n} needs a second level of {2 * nodes} nodes/variable, past the cap of "
@@ -331,7 +334,7 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int, to
 
         return fn
 
-    integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes, tol)
+    integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes)
     value = _irf_norm(spec, params, N) * integral
 
     res, cond = _irf_residue_sum(spec, params)
@@ -377,7 +380,7 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     return _irf_norm(spec, params, N) * total, cond
 
 
-def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> complex:
+def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int) -> complex:
     n = spec.n
     t = float(spec.N_or_t)
     circles = _nested_circles(1.0, 0.1, n, growth=0.3)
@@ -403,10 +406,10 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int, tol: float) -> com
             )
         return complex(_asep_walk_sum(spec.xs[0], t, q))
     if n > 1:
-        return q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, cross, circles, nodes, tol)
+        return q ** (n * (n - 1) / 2) * _site_integral(spec.xs, unary, cross, circles, nodes)
     x = spec.xs[0]
     try:
-        value = _site_integral(spec.xs, unary, cross, circles, nodes, tol)
+        value = _site_integral(spec.xs, unary, cross, circles, nodes)
     except ConvergenceError:
         # below that peak the quadrature still passes its node cap from t = 5
         # at q = 0.5 and t = 20 at q = 0.8 (about 1.8 ms spent)
@@ -430,11 +433,11 @@ def _asep_walk_sum(x: int, t: float, q: float) -> float:
 _SSEP_DIRECT_T_MAX = {1: 10.0, 2: 12.0, 3: 7.5}
 
 
-def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
+def _exact_E_ssep(spec: ObservableSpec, nodes: int) -> complex:
     """The SSEP average by the route that (n, t, xs) selects; the table is in ``exact_E``."""
     xs, n, t = spec.xs, spec.n, float(spec.N_or_t)
     if xs[-1] >= 0 and t <= _SSEP_DIRECT_T_MAX.get(n, -1.0):
-        value = _ssep_direct(xs, t, nodes, tol)
+        value = _ssep_direct(xs, t, nodes)
         if n == 1:
             _check_routes("SSEP", value, "walk sum", -ssep_mean_height(xs[0], t))
         return value
@@ -450,7 +453,7 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int, tol: float) -> complex:
     return complex(_duality_moment(xs, t))
 
 
-def _ssep_direct(xs, t: float, nodes: int, tol: float) -> complex:
+def _ssep_direct(xs, t: float, nodes: int) -> complex:
     """The direct route: the loop integral around 0 of
     prod_k (v_k / (v_k - 1))^{x_k} e^{t / (v_k (v_k - 1))} prod_{i<j} (v_i - v_j) / (v_i - v_j + 1)."""
     # the cross pole a = b - 1 stays outside every pair of circles while
@@ -463,7 +466,7 @@ def _ssep_direct(xs, t: float, nodes: int, tol: float) -> complex:
     circles = _nested_circles(0.0, base, len(xs), growth=0.25 if len(xs) <= 2 else 0.05)
     if len(xs) >= 2 and circles[-1].radius + circles[-2].radius > 0.95:
         raise InvalidParameterError("SSEP contours would reach the cross pole a = b - 1")
-    tol = max(tol, 5e-15 * math.exp(t / (base * (1 + base))))
+    tol = max(_EXACT_TOL, 5e-15 * math.exp(t / (base * (1 + base))))
 
     def unary(x):
         return lambda v: (v / (v - 1.0)) ** x * np.exp(t / (v * (v - 1.0)))

@@ -440,12 +440,6 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
-def _check_tol(tol) -> None:
-    """A quadrature tolerance must be a real number, finite and > 0."""
-    if not (isinstance(tol, (int, float, np.integer, np.floating)) and math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"the tolerance must be finite and > 0, got {tol!r}")
-
-
 def _check_nodes(nodes) -> int:
     """A starting node count must be an integer >= 16; returned as an int."""
     if (n := _as_int(nodes, "the node count")) < 16:
@@ -498,7 +492,8 @@ def contour_integral_factored(
     for unaries, binaries in terms:
         if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
             raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
-    _check_tol(tol)
+    if not (isinstance(tol, (int, float, np.integer, np.floating)) and math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"the tolerance must be finite and > 0, got {tol!r}")
     n = _check_nodes(nodes)
     if node_cap < n:
         raise InvalidParameterError(f"node_cap {node_cap!r} is below the starting node count {n}")

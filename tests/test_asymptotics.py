@@ -15,6 +15,7 @@ from dynirf.asymptotics import (
     regime_iv_ks_check,
     regime_moment_check,
 )
+from dynirf.observables import rising
 from dynirf.special import InvalidParameterError
 
 
@@ -150,3 +151,42 @@ class TestMomentChecks:
         # n_traj = 0 ended in numpy's zero-size reduction error, a negative one in a broadcast error
         with pytest.raises(InvalidParameterError, match="n_traj >= 1"):
             regime_iv_ks_check(L=50.0, n_traj=n_traj)
+
+
+BAD_INPUTS = {
+    # each ended in a bare ValueError, TypeError or OverflowError, or in a
+    # silently wrong number: a passing report at L = 0, 1.0 for a negative
+    # order, E[Y^-1] = 1.7725 at shape 1 where it diverges
+    "hydro-negative-L": lambda: hydro_check(L=-1.0),
+    "hydro-nan-L": lambda: hydro_check(L=math.nan),
+    "hydro-infinite-L": lambda: hydro_check(L=math.inf),
+    "ks-negative-L": lambda: regime_iv_ks_check(L=-1.0),
+    "ks-nan-L": lambda: regime_iv_ks_check(L=math.nan),
+    "ks-nan-chi": lambda: regime_iv_ks_check(chi=math.nan),
+    "moment-fractional-n": lambda: regime_moment_check(1.5, 100.0, 1.0, 1.0),
+    "moment-zero-L": lambda: regime_moment_check(1, 0.0, 1.0, 1.0),
+    "gamma-negative-m": lambda: gamma_moment(2.0, 1.0, -2),
+    "gamma-fractional-m": lambda: gamma_moment(2.0, 1.0, 0.5),
+    "law-negative-moment": lambda: RegimeIVLaw(0.0, 1.0, 1.0).moment(-1),
+    "rising-negative-n": lambda: rising(2.0, -1),
+    "rising-fractional-n": lambda: rising(2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_refused_before_any_work(monkeypatch, case):
+    import dynirf.asymptotics as asy
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed on a refused input")
+
+    for name in ("ssep_falling_moment", "ssep_mean_height", "exclusion_farm"):
+        monkeypatch.setattr(asy, name, no_work)
+    with pytest.raises(InvalidParameterError):
+        BAD_INPUTS[case]()
+
+
+def test_integral_float_orders_are_integers():
+    # regime_moment_check(1.0, ...) raised a bare TypeError from range()
+    assert regime_moment_check(1.0, 100.0, 1.0, 1.0).residual == regime_moment_check(1, 100.0, 1.0, 1.0).residual
+    assert gamma_moment(2.0, 3.0, 2.0) == gamma_moment(2.0, 3.0, 2) == 54.0

@@ -23,12 +23,14 @@ class TestVerifyCommand:
         names = [r["name"] for r in reports]
         assert names == sorted(names)
 
-    def test_exit_code_on_forced_failure(self):
-        # an absurd tolerance scale cannot rescue a forced failure; scale
-        # tolerances down so near-machine-precision residuals "fail"
-        proc = run_cli("verify", "--suite", "weights", "--tolerance", "1e-16")
-        assert proc.returncode == 1
-        assert "FAILED" in proc.stderr
+    def test_exit_code_on_forced_failure(self, monkeypatch, capsys):
+        # no option scales a gate; a closed-form gate of 1e-30 makes the
+        # round-off residuals of the weights suite fail
+        from dynirf import cli, identities
+
+        monkeypatch.setattr(identities, "TOL_CLOSED", 1e-30)
+        assert cli.main(["verify", "--suite", "weights"]) == 1
+        assert "FAILED: " in capsys.readouterr().err
 
     def test_stochastic_draws_are_not_vacuous(self):
         # kappa used to add i to its i-th part, which mostly failed to
@@ -45,9 +47,6 @@ class TestVerifyCommand:
         "args, message",
         [
             (["verify", "--seed", "-1"], "nonnegative --seed"),
-            (["verify", "--tolerance", "0"], "--tolerance"),
-            (["verify", "--tolerance", "-1"], "--tolerance"),
-            (["verify", "--tolerance", "nan"], "--tolerance"),
             (["simulate", "--model", "ssep", "--trajectories", "-3"], "--trajectories"),
             (["simulate", "--model", "irf", "--cols", "0"], "--cols"),
             (["asymptotics", "--check", "hydro", "--L", "-5"], "--L"),
@@ -65,16 +64,14 @@ class TestVerifyCommand:
             (["simulate", "--model", "dyn6v", "--rows", "11"], "rows"),
             (["simulate", "--model", "dyn6v", "--cols", "28"], "columns"),
         ],
-        ids=["negative-seed", "zero-tolerance", "negative-tolerance", "nan-tolerance",
-             "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
+        ids=["negative-seed", "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
              "non-numeric-chi", "missing-config", "non-numeric-lambdas", "non-positive-irf-weights",
              "zero-ks-samples", "negative-samples", "zero-profile-samples", "nan-chi", "infinite-chi",
              "rows-past-the-pack", "cols-past-the-pack"],
     )
     def test_bad_input_is_a_usage_error(self, args, message):
-        # each of these used to end in a traceback or to exit 0 (a zero
-        # tolerance silently became 1.0; a negative lambda-bar gave a
-        # negative regime-IV moment that passed)
+        # each of these used to end in a traceback or to exit 0 (a negative
+        # lambda-bar gave a negative regime-IV moment that passed)
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
         assert message in proc.stderr and "Traceback" not in proc.stderr
@@ -97,7 +94,7 @@ def _subparsers():
 
 # options a subcommand parsed but its handler never read, so they changed nothing
 DROPPED = [
-    ("verify", ["--samples", "5"]), ("verify", ["--timings"]),
+    ("verify", ["--samples", "5"]), ("verify", ["--timings"]), ("verify", ["--tolerance", "2"]),
     ("simulate", ["--samples", "3"]), ("simulate", ["--tolerance", "5"]), ("simulate", ["--timings"]),
     ("observables", ["--tolerance", "2"]),
     ("asymptotics", ["--preset", "trig-admissible"]), ("asymptotics", ["--config", "p.json"]),
@@ -265,6 +262,30 @@ class TestObservablesCommand:
             monkeypatch.setattr(observables, name, no_work)
         assert cli.main(["observables", "--model", model, "--xs", "0", "--t", "1", "--compare", compare]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "dyn6v", "--xs", "2", "--compare", "enum"], "needs the row index --N"),
+            (["--model", "dyn6v", "--xs", "2", "--t", "3"], "takes no --t"),
+            (["--model", "irf", "--xs", "2,1", "--N", "3", "--t", "3"], "takes no --t"),
+            (["--model", "ssep", "--xs", "0", "--N", "3"], "not --N"),
+        ],
+        ids=["lattice-without-N", "lattice-t-as-N", "lattice-N-and-t", "exclusion-N-as-t"],
+    )
+    def test_N_and_t_belong_to_their_models(self, monkeypatch, capsys, argv, message):
+        # --t's default 1 became the row index N = 1 of a lattice model, a
+        # lattice --t became N, and an exclusion --N became t; each exited 0
+        from dynirf import cli, observables
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a method before --N and --t were checked")
+
+        for name in ("exact_E", "mc_E", "enum_E"):
+            monkeypatch.setattr(observables, name, no_work)
+        assert cli.main(["observables", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_convergence_error_is_a_message(self):
         # the ASEP loop integral passes its grid cap here; this used to end

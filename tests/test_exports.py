@@ -172,3 +172,20 @@ def test_lazy_observable_exports():
     )
     with pytest.raises(AttributeError):
         dynirf.no_such_name
+
+
+def test_no_public_check_takes_a_gate():
+    # every report runs at the gate its check owns: no public function of
+    # identities or observables takes a tolerance, a scale on one, or a tol
+    import dynirf.identities
+    import dynirf.observables
+
+    gates = {"tolerance", "tolerance_scale", "tol"}
+    found = []
+    for module in (dynirf.identities, dynirf.observables):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or name == "CheckReport" or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                found += [f"{module.__name__}.{name}({p})" for p in inspect.signature(obj).parameters if p in gates]
+    assert not found, found

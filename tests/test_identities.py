@@ -338,7 +338,7 @@ class TestRandomBatteries:
 
 BAD_INPUTS = {
     # each used to end in a bare ZeroDivisionError, IndexError or ValueError,
-    # or (the cap below mu_1) in a silently failed report
+    # or (mu_1 past the kappa-sum's cap of 12) in a silently failed report
     "symmetrization-coincident-v": (SingularParameterError, lambda P: check_symmetrization_lemma(2, [0.1, 0.1], 0.2, TRIG)),
     "symmetrization-coincident-v-elliptic": (
         SingularParameterError,
@@ -354,10 +354,8 @@ BAD_INPUTS = {
     "regime-moment-n0": (InvalidParameterError, lambda P: regime_moment_check(0, 1e4, 1.0, 1.0)),
     "skew-cauchy-cap-below-mu1": (
         InvalidParameterError,
-        lambda P: check_skew_cauchy((3, 1), (1,), [0.1], [0.2], P, cap=2),
+        lambda P: check_skew_cauchy((13, 1), (1,), [0.1], [0.2], P),
     ),
-    # a cap past the pack's 20 columns raised a bare IndexError
-    "stoch-sum-cap-past-columns": (InvalidParameterError, lambda P: check_stoch_sum((2,), [0.1], P, max_part=P.n_cols)),
 }
 
 
