@@ -21,7 +21,7 @@ import numpy as np
 from .identities import CheckReport
 from .observables import rising, ssep_falling_moment, ssep_mean_height
 from .samplers import exclusion_farm
-from .special import InvalidParameterError, _as_int, gammainc
+from .special import InvalidParameterError, _as_int, _as_real, gammainc
 
 __all__ = [
     "RegimeSpec",
@@ -37,15 +37,11 @@ __all__ = [
 ]
 
 
-def _check_positive(what: str, value: float) -> None:
-    """tau (every regime) and L must be finite and > 0; a NaN fails too."""
-    if not 0 < value < math.inf:
-        raise InvalidParameterError(f"{what} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Which long-time regime, at which rescaled space-time point."""
+    """Which long-time regime, at which rescaled space-time point: chi finite,
+    tau > 0, and l (regime II) and lambda_bar (regime IV) finite and > 0,
+    also where another regime ignores them."""
 
     regime: str  # "I" | "II" | "III" | "IV"
     chi: float
@@ -56,26 +52,20 @@ class RegimeSpec:
     def __post_init__(self):
         if self.regime not in ("I", "II", "III", "IV"):
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
-        _check_positive("tau", self.tau)
-        if self.regime == "II" and not (self.l and self.l > 0):
-            raise InvalidParameterError("regime II needs l in (0, inf)")
-        if self.regime == "IV" and not (self.lambda_bar and self.lambda_bar > 0):
-            raise InvalidParameterError("regime IV needs lambda_bar > 0")
+        _as_real(self.chi, "chi")
+        _as_real(self.tau, "tau", 0, above=True)
+        for name, value, regime in (("l", self.l, "II"), ("lambda_bar", self.lambda_bar, "IV")):
+            if value is not None or self.regime == regime:
+                _as_real(value, f"regime {regime}'s {name}", 0, above=True)
 
 
 def H_profile(chi: float, tau: float) -> float:
-    """The diffusive limit shape of the usual SSEP height."""
-    _check_positive("tau", tau)
+    """The diffusive limit shape of the usual SSEP height, chi finite and tau > 0."""
+    _as_real(chi, "chi")
+    _as_real(tau, "tau", 0, above=True)
     return math.sqrt(tau / math.pi) * math.exp(-chi * chi / (4 * tau)) - (chi / 2.0) * math.erfc(
         chi / (2.0 * math.sqrt(tau))
     )
-
-
-def _check_regime_iv(tau: float, lambda_bar: float) -> None:
-    """Regime IV needs tau > 0 and lambda_bar > 0, as ``RegimeSpec`` does."""
-    _check_positive("tau", tau)
-    if not lambda_bar > 0:
-        raise InvalidParameterError("regime IV needs lambda_bar > 0")
 
 
 @dataclass(frozen=True)
@@ -85,6 +75,7 @@ class RegimeIVLaw:
     L^{-1/4} h converges to sqrt(Y + (chi/2)^2) - chi/2 with Y gamma
     distributed with shape lambda_bar and scale sqrt(tau/pi); equivalently
     4Y + chi^2 for the s-profile, 4Y being gamma with scale 4 sqrt(tau/pi).
+    chi must be finite, tau and lambda_bar finite and > 0.
     """
 
     chi: float
@@ -92,9 +83,9 @@ class RegimeIVLaw:
     lambda_bar: float
 
     def __post_init__(self):
-        _check_regime_iv(self.tau, self.lambda_bar)
-        if not math.isfinite(self.chi):
-            raise InvalidParameterError(f"chi must be finite, got {self.chi!r}")
+        _as_real(self.chi, "chi")
+        _as_real(self.tau, "tau", 0, above=True)
+        _as_real(self.lambda_bar, "regime IV's lambda_bar", 0, above=True)
 
     @property
     def gamma_shape(self) -> float:
@@ -103,9 +94,6 @@ class RegimeIVLaw:
     @property
     def gamma_scale(self) -> float:
         return math.sqrt(self.tau / math.pi)
-
-    def transform(self, y):
-        return np.sqrt(y + (self.chi / 2.0) ** 2) - self.chi / 2.0
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -134,16 +122,22 @@ def limit_profile(spec: RegimeSpec):
 
 
 def gamma_moment(a: float, b: float, m: int) -> float:
-    """m-th moment b^m (a)_m of the gamma law with shape a and scale b; an m
-    that is not an integer >= 0 raises InvalidParameterError (``rising``)."""
-    if a <= 0 or b <= 0:
-        raise InvalidParameterError("gamma moments need a, b > 0")
+    """m-th moment b^m (a)_m of the gamma law with shape a and scale b, both
+    finite and > 0; an m that is not an integer >= 0 raises
+    InvalidParameterError (``rising``)."""
+    _as_real(a, "the gamma shape a", 0, above=True)
+    _as_real(b, "the gamma scale b", 0, above=True)
     return rising(a, m) * b**m
 
 
 def height_from_O(o: float, x: float, lambda_bar: float) -> float:
-    """Positive root of O = h (h + x + lambda_bar); exact for h >= 0."""
+    """Positive root of O = h (h + x + lambda_bar); exact for h >= 0.  x must
+    be finite, lambda_bar finite and > 0, and o finite and at least
+    -((x + lambda_bar)/2)^2, where the root is real."""
+    _as_real(x, "x")
+    _as_real(lambda_bar, "lambda_bar", 0, above=True)
     half = (x + lambda_bar) / 2.0
+    _as_real(o, "O", -half * half)
     return math.sqrt(o + half * half) - half
 
 
@@ -152,13 +146,12 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float) -> Chec
 
     Exact moments come from the bridge between dynamic-SSEP observable
     products and usual-SSEP falling factorial moments.  An n that is not an
-    integer, an L not finite and > 0, tau <= 0 or lambda_bar <= 0 raise
-    InvalidParameterError.
+    integer in 1..3, or an L, tau or lambda_bar that is not finite and > 0,
+    raises InvalidParameterError.
     """
-    if not 1 <= (n := _as_int(n, "the moment order n")) <= 3:
-        raise InvalidParameterError("moment check implemented for 1 <= n <= 3")
-    _check_regime_iv(tau, lambda_bar)
-    _check_positive("L", L)
+    n = _as_int(n, "the moment order n", 1, 3)
+    for name, value in (("L", L), ("tau", tau), ("regime IV's lambda_bar", lambda_bar)):
+        _as_real(value, name, 0, above=True)
     t = L * tau
     falling = [ssep_falling_moment(0, t, m) for m in range(1, n + 1)]
     # E[prod_{k<m}(O - k*lambda_bar - k^2)] = (lambda_bar)_m F_m resolves
@@ -191,7 +184,10 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float) -> Chec
 
 
 def heat_equation_residual(chi: float, tau: float) -> float:
-    """Central-difference residual of dH/dtau = d^2H/dchi^2, step h = 1e-4."""
+    """Central-difference residual of dH/dtau = d^2H/dchi^2, step h = 1e-4, for
+    a finite chi and a tau > h."""
+    _as_real(chi, "chi")
+    _as_real(tau, "tau", 0, above=True)
     h = 1e-4
     dt = (H_profile(chi, tau + h) - H_profile(chi, tau - h)) / (2 * h)
     dxx = (H_profile(chi + h, tau) - 2 * H_profile(chi, tau) + H_profile(chi - h, tau)) / (h * h)
@@ -200,8 +196,9 @@ def heat_equation_residual(chi: float, tau: float) -> float:
 
 def hydro_check(L: float = 400.0, tau: float = 1.0) -> CheckReport:
     """L^{-1/2} E h(L^{1/2} chi, L tau) within 2% of H(chi, tau) at chi = -1, 0, 1;
-    an L not finite and > 0 raises InvalidParameterError."""
-    _check_positive("L", L)
+    an L or tau not finite and > 0 raises InvalidParameterError."""
+    _as_real(L, "L", 0, above=True)
+    _as_real(tau, "tau", 0, above=True)
     chis = (-1.0, 0.0, 1.0)
     pairs = [(ssep_mean_height(int(round(chi * math.sqrt(L))), L * tau) / math.sqrt(L), H_profile(chi, tau)) for chi in chis]
     got, want = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / abs(pair[1]))  # the worst relative gap
@@ -219,16 +216,19 @@ def regime_iv_ks_check(
 ) -> CheckReport:
     """Soft check: empirical law of L^{-1/4} h against the regime-IV limit.
 
-    Convergence is slow (the criterion quotes L = 4*10^4 for KS 0.05);
-    this runs at a configurable scale and reports the distance without
-    gating.  The report's tolerance is the criterion's KS threshold 0.05,
-    so downstream tooling can still see pass/fail, but the acceptance suite
-    treats it as informational.  An ``n_traj`` below 1, an L not finite and
-    > 0 or a chi that is not finite raises InvalidParameterError.
+    Convergence is slow: the exact law of L^{-1/4} h (by the moment
+    bridge) lies a KS distance of 0.266 from the limit at L = 200, 0.079 at
+    L = 4*10^4 and 0.056 at L = 1.6*10^5, falling about like L^{-1/4}, so
+    even an exact sample misses 0.05 at every scale this check can run.  It
+    runs at a configurable scale and reports the distance without gating.
+    The report's tolerance is the KS threshold 0.05, so downstream tooling
+    can still see pass/fail, but the acceptance suite treats it as
+    informational.  An ``n_traj`` that is not an integer >= 1, a seed that
+    is not an integer, an L or tau not finite and > 0, a lambda_bar not
+    finite and > 0 or a chi that is not finite raises InvalidParameterError.
     """
-    if n_traj < 1:
-        raise InvalidParameterError(f"the KS check needs n_traj >= 1, got {n_traj}")
-    _check_positive("L", L)
+    n_traj, seed = _as_int(n_traj, "n_traj", 1), _as_int(seed, "the seed")
+    _as_real(L, "L", 0, above=True)
     law = RegimeIVLaw(chi=chi, tau=tau, lambda_bar=lambda_bar)
     x = int(round(chi * L**0.25))
     svals = exclusion_farm("ssep", (lambda_bar,), L * tau, n_traj, seed, [x])

@@ -10,14 +10,14 @@ passed, since they would break byte-identity.
 Exit codes: 0 all hard checks passed; 1 at least one failed (names go to
 stderr) or a computation raised ConvergenceError or SingularParameterError
 (message on stderr, no traceback); 2 usage errors, invalid parameters
-included.
+included.  Every numeric option is read by ``special._as_int`` or
+``_as_real`` through ``_number``, so a refused value is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import identities as idn
 from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
-from .special import ConvergenceError, FunctionMode, InvalidParameterError
+from .special import ConvergenceError, FunctionMode, InvalidParameterError, _as_int, _as_real
 from .weights import SingularParameterError
 from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 
@@ -42,11 +42,22 @@ def _load_params(args, default: str = "trig-admissible") -> IrfParams:
     return preset(args.preset or default)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _number(read, what: str, *bounds, **kw):
+    """An argparse type: ``read`` (``special._as_int`` or ``_as_real``) on the
+    option's text as an int or a float, or as it is if it is not one, so the
+    reader's message says what it needs; its error is a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = int(text) if read is _as_int else float(text)
+        except ValueError:
+            value = text
+        try:
+            return read(value, what, *bounds, **kw)
+        except InvalidParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _comma_list(convert, what: str):
@@ -57,20 +68,6 @@ def _comma_list(convert, what: str):
             raise argparse.ArgumentTypeError(f"must be comma-separated {what}, got {text}") from None
 
     return parse
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not finite: {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
 
 
 def _write(args, text: str) -> None:
@@ -97,8 +94,7 @@ def _emit_reports(args, reports) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise InvalidParameterError(f"verify needs a nonnegative --seed, got {args.seed}")
+    _as_int(args.seed, "verify's --seed", 0)
     params = _load_params(args)
     reports = []
     if args.suite in ("weights", "all"):
@@ -278,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, params=True):
         # each subcommand takes only the options its handler reads
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="scheduling hint; never affects results")
+        p.add_argument("--seed", type=_number(_as_int, "--seed"), default=0)
+        p.add_argument("--threads", type=_number(_as_int, "--threads"), default=1, help="scheduling hint; never affects results")
         p.add_argument("--out", help="output path (default stdout)")
         if params:
             p.add_argument("--preset", choices=PRESET_NAMES)
@@ -293,42 +289,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample trajectories and dump them as CSV")
     common(p)
     p.add_argument("--model", required=True, choices=("ssep", "asep", "irf", "dyn6v", "rational"))
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--rows", type=_positive_int, default=5)
-    p.add_argument("--cols", type=_positive_int, default=5)
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--trajectories", type=_positive_int, default=1)
+    p.add_argument("--t", type=_number(_as_real, "the time horizon --t"), default=1.0)
+    p.add_argument("--rows", type=_number(_as_int, "--rows", 1), default=5)
+    p.add_argument("--cols", type=_number(_as_int, "--cols", 1), default=5)
+    p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
+    p.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
+    p.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
+    p.add_argument("--trajectories", type=_number(_as_int, "--trajectories", 1), default=1)
     p.add_argument("--dump", choices=("events", "snapshot"), default="events")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("observables", help="compare exact / MC / enumeration averages")
     common(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_number(_as_int, "--samples"), default=1000)
     p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
     p.add_argument("--model", required=True, choices=("dyn6v", "irf", "rational", "asep", "ssep"))
-    p.add_argument("--xs", type=_comma_list(int, "integers"), required=True, help="comma-separated nonincreasing sites")
-    p.add_argument("--N", type=int, help="row index, which the lattice models need")
-    p.add_argument("--t", type=float, help="time of the exclusion models (default 1)")
+    p.add_argument("--xs", type=_comma_list(_number(_as_int, "a site of --xs"), "integers"), required=True, help="comma-separated nonincreasing sites")
+    p.add_argument("--N", type=_number(_as_int, "--N"), help="row index, which the lattice models need")
+    p.add_argument("--t", type=_number(_as_real, "the time horizon --t"), help="time of the exclusion models (default 1)")
     p.add_argument("--compare", default="exact")
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
+    p.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
+    p.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
     re_im = _comma_list(lambda pair: complex(*map(float, pair.split(":", 1))), "re:im pairs")
     p.add_argument("--lambdas", type=re_im, help="lambda_0 values (re:im) for the independence report")
     p.set_defaults(func=_cmd_observables)
 
     p = sub.add_parser("asymptotics", help="hydrodynamic and long-time regime checks")
     common(p, params=False)
-    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_number(_as_int, "--samples", 1), default=1000)
     p.add_argument("--check", choices=("heat", "hydro", "regimes", "ks", "profile", "all"), default="all")
-    p.add_argument("--L", type=_positive_float, default=400.0)
-    p.add_argument("--L-big", dest="L_big", type=_positive_float, default=1e4)
-    p.add_argument("--L-ks", dest="L_ks", type=_positive_float, default=200.0)
-    p.add_argument("--tau", type=_positive_float, default=1.0)
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=_positive_float, default=1.0)
-    p.add_argument("--chi", type=_comma_list(_finite_float, "finite numbers"), default="-1.0,0.0,1.0")
+    p.add_argument("--L", type=_number(_as_real, "--L", 0, above=True), default=400.0)
+    p.add_argument("--L-big", dest="L_big", type=_number(_as_real, "--L-big", 0, above=True), default=1e4)
+    p.add_argument("--L-ks", dest="L_ks", type=_number(_as_real, "--L-ks", 0, above=True), default=200.0)
+    p.add_argument("--tau", type=_number(_as_real, "--tau", 0, above=True), default=1.0)
+    p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar", 0, above=True), default=1.0)
+    p.add_argument("--chi", type=_comma_list(_number(_as_real, "a --chi value"), "finite numbers"), default="-1.0,0.0,1.0")
     p.set_defaults(func=_cmd_asymptotics)
     return ap
 

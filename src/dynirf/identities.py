@@ -33,7 +33,7 @@ import numpy as np
 
 from .oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
 from .params import IrfParams, _pair_guard, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
-from .special import FunctionMode, InvalidParameterError, contour_integral_factored
+from .special import FunctionMode, InvalidParameterError, _as_int, _as_real, contour_integral_factored
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
@@ -86,7 +86,7 @@ TOL_QUAD = 1e-6
 
 @dataclass
 class CheckReport:
-    """Structured residual record for one identity check."""
+    """Structured residual record for one identity check; the tolerance is a finite real >= 0."""
 
     name: str
     parameters: dict
@@ -99,6 +99,7 @@ class CheckReport:
     status: str = field(init=False)
 
     def __post_init__(self):
+        _as_real(self.tolerance, "the report tolerance", 0)
         self.lhs = complex(self.lhs)
         self.rhs = complex(self.rhs)
         self.residual = abs(self.lhs - self.rhs) / max(1.0, abs(self.rhs))
@@ -136,8 +137,7 @@ def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mod
     v's amplify rounding in the lhs; both sums come from one
     ``symfunc._perm_sum``.
     """
-    if not 1 <= m <= 7:
-        raise InvalidParameterError("symmetrization check supports 1 <= m <= 7")
+    m = _as_int(m, "the symmetrization order m", 1, 7)
     if len(vs) != m:
         raise InvalidParameterError("need exactly m points")
     f = mode.f
@@ -316,6 +316,7 @@ def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
     """rho-specialized Cauchy identity at lam = params.lambda0, truncated at
     kappa_1 <= 14 (trigonometric mode only)."""
     lam, cap = params.lambda0, 14
+    N = _as_int(N, "the variable count N", 0)
     if len(us) != N:
         raise InvalidParameterError("need exactly N spectral arguments")
     f, eta = params.f, params.eta
@@ -438,6 +439,7 @@ def _kernel_integral(nu: Signature, n: int, extra, gammas, params: IrfParams, la
 def check_D_integral(nu, n: int, vs, params: IrfParams) -> CheckReport:
     """Integral representation of D_nu(lam - 2*eta*n; vs) vs the formula, lam = params.lambda0."""
     nu = Signature(tuple(nu))
+    n = _as_int(n, "the spectral point count n", 1)
     if len(vs) != n:
         raise InvalidParameterError("need exactly n spectral points")
     lam = params.lambda0
@@ -503,11 +505,10 @@ def check_nested_sum_lemma(n: int, Ts: Sequence[int], Y) -> CheckReport:
     the shape the height function produces); the product side is 0 when a
     factor's index range is empty (T_j < j).
     """
-    Ts = tuple(Ts)
+    n = _as_int(n, "the factor count n", 0, 5)
+    Ts = tuple(_as_int(t, "a bound T_j", high=8) for t in Ts)
     if any(Ts[i] > Ts[i + 1] for i in range(len(Ts) - 1)):
         raise InvalidParameterError("nested-sum lemma needs weakly increasing T's")
-    if n > 5 or any(t > 8 for t in Ts):
-        raise InvalidParameterError("nested-sum check capped at n <= 5, T <= 8")
     if len(Ts) != n:
         raise InvalidParameterError("need one T per factor")
     if len(Y) < n or any(len(Y[j]) < Ts[j] for j in range(n)):
@@ -678,9 +679,10 @@ def check_stochastic_weights(rng: np.random.Generator) -> list:
 def run_identity_suite(params: IrfParams, seed: int = 0) -> list:
     """The standard identity battery over a parameter pack.
 
-    Deterministic given (params, seed); reports are sorted by name.
+    Deterministic given (params, seed); reports are sorted by name.  A seed
+    that is not an integer >= 0 raises InvalidParameterError.
     """
-    rng = np.random.default_rng(seed ^ 0x5D1F)
+    rng = np.random.default_rng(_as_int(seed, "the seed", 0) ^ 0x5D1F)
     grid = pq_grid(params)
     p0 = complex(np.mean(np.array(grid.p)))
     q0 = complex(np.mean(np.array(grid.q)))

@@ -37,13 +37,12 @@ from .special import (
     InvalidParameterError,
     _MAX_LEVEL_POINTS,
     _as_int,
-    _check_nodes,
+    _as_real,
     contour_integral_factored,
     log_ive,
 )
 from .symfunc import _pair_table, _perm_sum
 from .samplers import (
-    _check_horizon,
     _check_rates,
     _check_rows,
     _check_sites,
@@ -113,10 +112,8 @@ def _lattice_rows(model: str | None, spec: ObservableSpec, params: IrfParams) ->
 def rising(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); an n that is not an
     integer >= 0 raises InvalidParameterError."""
-    if (n := _as_int(n, "the order n")) < 0:
-        raise InvalidParameterError(f"the order n must be >= 0, got {n}")
     out = 1.0
-    for j in range(n):
+    for j in range(_as_int(n, "the order n", 0)):
         out = out * (a + j)
     return out
 
@@ -131,7 +128,10 @@ def obs_O(hvalue, x: int, N: int, params: IrfParams, lam: complex | None = None)
 
 def obs_O_six_vertex(hvalue: int, x: int, N: int, params: IrfParams) -> complex:
     """The same observable at lam = params.lambda0, written in six-vertex
-    variables -1/alpha q^h + (s..)^2 q^{N-h}."""
+    variables -1/alpha q^h + (s..)^2 q^{N-h}; h, x and N are integers."""
+    hvalue = _as_int(hvalue, "the height h")
+    x = _as_int(x, "site x")
+    N = _as_int(N, "the row index N")
     sv = to_six_vertex(params)
     s_prod = 1.0 + 0.0j
     for j in range(x - 1):
@@ -293,13 +293,13 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     raises ConvergenceError, naming both routes and carrying both values as
     its ``estimates``.
     """
-    nodes = _check_nodes(nodes)
+    nodes = _as_int(nodes, "the node count", 16)
     if model in ("irf", "rational"):
         return _exact_E_irf(spec, params_or_rates, _lattice_rows(model, spec, params_or_rates), nodes)
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
     rates = _check_rates(model, params_or_rates)
-    _check_horizon(spec.N_or_t)  # the time check of mc_E's exclusion_farm
+    _as_real(spec.N_or_t, "the time horizon t", 0)  # the time check of mc_E's exclusion_farm
     return _exact_E_asep(spec, float(rates[0]), nodes) if model == "asep" else _exact_E_ssep(spec, nodes)
 
 
@@ -519,7 +519,7 @@ def ssep_mean_height(x: int, t: float) -> float:
     ConvergenceError unless they sum to 1 within 1e-12 (they do to t = 1e6:
     with no drift the log form's terms stay below 60).
     """
-    return _walk_sum(_as_int(x, "site x"), _check_horizon(t), 1.0, lambda y: np.maximum(-y, 0))
+    return _walk_sum(_as_int(x, "site x"), _as_real(t, "the time horizon t", 0), 1.0, lambda y: np.maximum(-y, 0))
 
 
 def ssep_falling_moment(x: int, t: float, n: int) -> float:
@@ -529,10 +529,8 @@ def ssep_falling_moment(x: int, t: float, n: int) -> float:
     InvalidParameterError before any work.
     """
     x = _as_int(x, "site x")
-    t = _check_horizon(t)
-    n = _as_int(n, "moment order n")
-    if n < 1:
-        raise InvalidParameterError(f"the moment order n must be >= 1, got n = {n}")
+    t = _as_real(t, "the time horizon t", 0)
+    n = _as_int(n, "the moment order n", 1)
     return float(((-1) ** n * exact_E("ssep", ObservableSpec((x,) * n, t), (1.0,), nodes=64)).real)
 
 
@@ -687,12 +685,11 @@ def ssep_f2_duality(x: int, t: float, dt: float = 0.1) -> float:
 
     ``_duality_moment`` at the sites (x, x) (W = 5.5 sqrt(t) + 25 past 0 and x), t <= 500.
     ``dt``, the step of the RK4 integration this oracle once emulated, is
-    still checked (non-finite or non-positive raises InvalidParameterError)
-    so that callers passing it keep working; it has no other effect.
+    still read (a finite real > 0, else InvalidParameterError) so that
+    callers passing it keep working; it has no other effect.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidParameterError("dt must be a positive finite number")
-    t = _check_horizon(t)
+    _as_real(dt, "dt", 0, above=True)
+    t = _as_real(t, "the time horizon t", 0)
     if t > 500:
         raise InvalidParameterError("duality oracle capped at t <= 500")
     return _duality_moment((_as_int(x, "site x"),) * 2, t)
@@ -733,8 +730,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
 
     All observables of one spec are evaluated on the same trajectory;
     trajectories are independent with counter-based per-trajectory seeds.
-    A ``samples`` that is not an integer >= 1000 raises InvalidParameterError,
-    and so does a lattice spec that fails ``_lattice_rows``, before any sweep.
+    A ``samples`` that is not an integer >= 1000 or a seed that is not an
+    integer raises InvalidParameterError, and so does a lattice spec that
+    fails ``_lattice_rows``, before any sweep.
 
     The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
     for "irf" and "rational", which sweeps columns 1..max(xs) - 1 only;
@@ -750,16 +748,14 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     a + c = 1 or b + d = 1 by more than 1e-9 in a swept column (elliptic
     packs at small Im tau) raises InvalidParameterError.
     """
-    samples = _as_int(samples, "the sample count")
-    if samples < 1000:
-        raise InvalidParameterError("use at least 10^3 trajectories")
+    samples, seed = _as_int(samples, "the sample count", 1000), _as_int(seed, "the seed")
     if model in ("irf", "rational"):
         params = params_or_rates
         hs = irf_batch_heights(params, spec.xs, _lattice_rows(model, spec, params), seed, samples)
         vals = _lattice_product(hs, spec, params, params.lambda0)
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
-        svals = exclusion_farm(model, rates, float(spec.N_or_t), samples, seed, list(spec.xs))
+        svals = exclusion_farm(model, rates, _as_real(spec.N_or_t, "the time horizon t", 0), samples, seed, list(spec.xs))
         vals = _exclusion_product(model, svals, spec, rates)
     else:
         raise InvalidParameterError(f"unknown model {model!r}")
@@ -775,8 +771,10 @@ def lambda_independence_report(
 
     IRF or rational without ``samples``: exact enumeration per lambda,
     pairwise 1e-9.  With ``samples`` Monte Carlo within 4 combined standard
-    errors; SSEP/ASEP need ``samples`` (InvalidParameterError without).
+    errors; SSEP/ASEP need ``samples`` (InvalidParameterError without).  A
+    seed that is not an integer is refused, used or not.
     """
+    seed = _as_int(seed, "the seed")
     if len(lambdas) < 2:
         raise InvalidParameterError("lambda independence needs at least two lambdas")
     if model not in ("irf", "rational", "ssep", "asep"):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import Circle, FunctionMode, InvalidParameterError
+from .special import Circle, FunctionMode, InvalidParameterError, _as_int
 from .weights import _not_probability, spin_half_weights
 
 __all__ = [
@@ -186,8 +186,7 @@ def check_admissible(params: IrfParams, M: int, strong: bool = False) -> tuple:
     (concentric circles with |2*eta| more gap than their shifted gap, the
     eta chain with the same gap), so ``strong`` only skips the 2*eta chain.
     """
-    if M < 1:
-        raise InvalidParameterError("need M >= 1 contours")
+    M = _as_int(M, "the contour count M", 1)
     grid = pq_grid(params)
     eta = params.eta
     ps = np.array(grid.p)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .params import IrfParams, to_six_vertex
-from .special import InvalidParameterError, _as_int
+from .special import InvalidParameterError, _as_int, _as_real
 from .symfunc import _row_sweep, _strip
 from .weights import _not_probability, hs6v_weight, plaquette_weights, spin_half_weights
 
@@ -122,7 +121,7 @@ class QuadrantState:
     ``vout[x, y]`` is the occupation of the vertical edge leaving vertex
     (x, y) upward (1 <= x <= X, 1 <= y <= Y); ``hout[x, y]`` the horizontal
     occupation leaving it rightward.  Boundary: one path enters each row
-    from the left, none from below.
+    from the left, none from below.  X and Y must be integers >= 0.
     """
 
     X: int
@@ -130,6 +129,9 @@ class QuadrantState:
     vout: np.ndarray
     hout: np.ndarray
     params: IrfParams
+
+    def __post_init__(self):
+        self.X, self.Y = _as_int(self.X, "the column count X", 0), _as_int(self.Y, "the row count Y", 0)
 
     def v_in(self, x: int, y: int) -> int:
         return int(self.vout[x, y - 1]) if y >= 2 else 0
@@ -141,7 +143,7 @@ class QuadrantState:
         """Arrow conservation at every vertex, plus the finite-spin cap:
         column x holds at most Lambda_x arrows where Lambda_x is an integer;
         a window past the pack's columns raises InvalidParameterError."""
-        _check_sites(self.params, (self.X,))
+        _check_sites(self.params, (self.X,), "the column count X")
         for x in range(1, self.X + 1):
             for y in range(1, self.Y + 1):
                 if self.v_in(x, y) + self.h_in(x, y) != int(self.vout[x, y]) + int(self.hout[x, y]):
@@ -156,10 +158,10 @@ def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> comple
 
     Computed by walking right along row y from the left boundary value
     lambda_0 - 2*eta*y; with ``check`` also walks an up-then-right route
-    and asserts path independence.
+    and asserts path independence.  A square outside the sampled window
+    raises InvalidParameterError.
     """
-    if not (0 <= x <= state.X and 0 <= y <= state.Y):
-        raise InvalidParameterError("square outside the sampled window")
+    x, y = _as_int(x, "the square's column x", 0, state.X), _as_int(y, "the square's row y", 0, state.Y)
     p = state.params
     two_eta = 2 * p.eta
     val = p.lambda0 - two_eta * y
@@ -181,9 +183,8 @@ def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> comple
 
 
 def height(state: QuadrantState, x: int, N: int) -> int:
-    """Paths crossing the column-x line at height <= N."""
-    if x < 1 or x > state.X or N < 0 or N > state.Y:
-        raise InvalidParameterError("height outside the sampled window")
+    """Paths crossing the column-x line at height <= N, for x and N in the sampled window."""
+    x, N = _as_int(x, "site x", 1, state.X), _as_int(N, "the row index N", 0, state.Y)
     return sum(state.h_in(x, y) for y in range(1, N + 1))
 
 
@@ -196,13 +197,12 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
     weighs the row.  Each vertex's uniform is keyed by (seed, x, y).
     Works for any spin; weights must be probabilities: at every vertex the
     turn weight lies in [0, 1] and it sums to one with the other completion
-    (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1
-    or a Y that fails ``_check_rows`` raises InvalidParameterError.
+    (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1,
+    a Y that fails ``_check_rows`` or a seed that is not an integer raises
+    InvalidParameterError.
     """
-    if (X := _as_int(X, "the column count X")) < 0:
-        raise InvalidParameterError(f"need X >= 0 columns, got X = {X}")
-    _check_sites(params, (X,))
-    Y = _check_rows(params, Y)
+    (X,), Y = _check_sites(params, (X,), "the column count X", 0), _check_rows(params, Y)
+    seed = _as_int(seed, "the seed")
     vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
     two_eta = 2 * params.eta
@@ -242,24 +242,16 @@ def _check_turn(x: int, y: int, p_turn, *sums) -> None:
 
 def _check_rows(params: IrfParams, N) -> int:
     """The row index N as an int; one not an integer in 0..params.n_rows raises InvalidParameterError."""
-    if not 0 <= (N := _as_int(N, "the row index N")) <= params.n_rows:
-        raise InvalidParameterError(f"need 0 <= N <= {params.n_rows} rows, got N = {N}")
-    return N
+    return _as_int(N, f"the row index N (the parameter pack has {params.n_rows} rows)", 0, params.n_rows)
 
 
-def _check_traj(n_traj, xs) -> tuple:
-    """A batch engine's trajectory count (an int >= 0) and sites (a tuple of ints); else InvalidParameterError."""
-    if (n_traj := _as_int(n_traj, "the trajectory count")) < 0:
-        raise InvalidParameterError(f"the trajectory count must be >= 0, got {n_traj}")
-    return n_traj, tuple(_as_int(x, "site x") for x in xs)
-
-
-def _check_sites(params: IrfParams, xs) -> None:
-    """Refuse an empty ``xs`` or a site past the pack's last column."""
+def _check_sites(params: IrfParams, xs, what: str = "site x", low: int | None = None) -> tuple:
+    """The sites ``xs`` as a tuple of ints, each at least ``low`` and below the
+    pack's column count; none, or one that is not such an int, raises
+    InvalidParameterError naming ``what``."""
     if not len(xs):
         raise InvalidParameterError("need at least one site in xs")
-    if max(xs) >= params.n_cols:
-        raise InvalidParameterError(f"sites reach column {max(xs)}; the parameter pack has {params.n_cols} columns")
+    return tuple(_as_int(x, f"{what} (the parameter pack has {params.n_cols} columns)", low, params.n_cols - 1) for x in xs)
 
 
 def _blocks(n_traj: int):
@@ -335,9 +327,8 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     heights are those of one ``_irf_batch(params, X', N, seed, 0, n_traj)``
     sweep at any X' >= X, bit for bit.
     """
-    n_traj, xs = _check_traj(n_traj, xs)
-    _check_sites(params, xs)
-    N = _check_rows(params, N)
+    n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
+    xs, N = _check_sites(params, xs), _check_rows(params, N)
     X = max(xs) - 1
     out = np.full((n_traj, len(xs)), N, dtype=np.int64)
     if X < 1:
@@ -356,12 +347,10 @@ def enumerate_distribution(params: IrfParams, N: int, X: int):
 
     The law is one stochastic ``symfunc._strip`` of the empty signature:
     row y (bottom first) carries (lambda0 - 2*eta*y + 2*eta*Lambda_0, w_y).
-    An N that fails ``_check_rows``, X < 0 or X past the pack's columns
-    raises InvalidParameterError.
+    An N that fails ``_check_rows``, an X that is not an integer >= 0 or X
+    past the pack's columns raises InvalidParameterError.
     """
-    N = _check_rows(params, N)
-    if X < 0:
-        raise InvalidParameterError(f"need parts capped at X >= 0, got X = {X}")
+    N, X = _check_rows(params, N), _as_int(X, "the part cap X", 0)
     ws = [params.w(y) for y in range(N, 0, -1)]
     dist = _strip((), params.lambda0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
     return dist, 1.0 - sum(dist.values())
@@ -384,8 +373,7 @@ def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
     fails ``_check_rows`` or a site past the pack's columns raises
     InvalidParameterError.
     """
-    N = _check_rows(params, N)
-    _check_sites(params, xs)
+    N, xs = _check_rows(params, N), _check_sites(params, xs)
     lam0, two_eta = params.lambda0, 2 * params.eta
     if row_weights is None:
         row_weights = lambda y: plaquette_weights(params, params.w(y), True)
@@ -439,7 +427,8 @@ class ExclusionState:
 
     ``s`` holds every site of [lo, hi]; outside it the state is frozen at
     s_x = |x|.  The window grows so that flips never come near its edges,
-    which keeps the restriction exact rather than approximate.
+    which keeps the restriction exact rather than approximate.  The rates
+    pass ``_check_rates``, lo and hi must be integers and t a finite real >= 0.
     """
 
     kind: str  # "asep" | "ssep"
@@ -449,6 +438,11 @@ class ExclusionState:
     s: dict
     t: float = 0.0
     events: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.rate_params = _check_rates(self.kind, self.rate_params)
+        self.lo, self.hi = _as_int(self.lo, "the window end lo"), _as_int(self.hi, "the window end hi")
+        self.t = _as_real(self.t, "the state's time t", 0)
 
     def value(self, x: int) -> int:
         return self.s.get(x, abs(x))
@@ -461,33 +455,33 @@ class ExclusionState:
         return [x for x in range(self.lo, self.hi) if self.value(x + 1) - self.value(x) == -1]
 
 
-_RATES = {"asep": ("(q, alpha) with q > 0, alpha >= 0 or q > 1, alpha > -1", 2), "ssep": ("(lambda_bar,) with lambda_bar > 0", 1)}
+_RATES = {  # the rule each kind's rates follow, and their names
+    "asep": ("(q, alpha) with q > 0, alpha >= 0 or q > 1, alpha > -1", ("q", "alpha")),
+    "ssep": ("(lambda_bar,) with lambda_bar > 0", ("lambda_bar",)),
+}
 
 
 def _check_rates(kind: str, rate_params) -> tuple:
     """The rates of a dynamic exclusion process as a tuple: (q, alpha) for
-    "asep", (lambda_bar,) for "ssep", in the ranges ``_RATES`` names.  Any
-    other kind, shape or value raises InvalidParameterError."""
+    "asep", (lambda_bar,) for "ssep", each a finite real
+    (``special._as_real``), in the ranges ``_RATES`` names.  Any other
+    kind, shape or value raises InvalidParameterError."""
     if kind not in _RATES:
         raise InvalidParameterError(f"unknown exclusion kind {kind!r}")
-    rule, size = _RATES[kind]
+    rule, names = _RATES[kind]
     rates = tuple(rate_params) if np.ndim(rate_params) == 1 else ()
-    ok = len(rates) == size and all(isinstance(r, numbers.Real) for r in rates)
-    if ok and kind == "asep":
-        q, alpha = rates
-        ok = (q > 0 and alpha >= 0) or (q > 1 and alpha > -1)
-    elif ok:
-        ok = rates[0] > 0
+    ok = len(rates) == len(names)
+    if ok:
+        r = [_as_real(v, f"the {kind} rate {name}") for v, name in zip(rates, names)]
+        ok = (r[0] > 0 and r[1] >= 0) or (r[0] > 1 and r[1] > -1) if kind == "asep" else r[0] > 0
     if not ok:
         raise InvalidParameterError(f"{kind} rates are {rule}, got {rate_params!r}")
     return rates
 
 
 def step_exclusion_state(kind: str, rate_params) -> ExclusionState:
-    """The step state s_x = |x| on [-6, 6]; ``_check_rates`` checks the rates."""
-    rates = _check_rates(kind, rate_params)
-    lo, hi = -6, 6
-    return ExclusionState(kind, rates, lo, hi, {x: abs(x) for x in range(lo, hi + 1)})
+    """The step state s_x = |x| on [-6, 6]; ``ExclusionState`` checks the rates."""
+    return ExclusionState(kind, rate_params, -6, 6, {x: abs(x) for x in range(-6, 7)})
 
 
 def _rate(kind: str, rate_params, s_x, delta):
@@ -517,13 +511,6 @@ def _grow_window(state: ExclusionState) -> None:
     state.lo, state.hi = new_lo, new_hi
 
 
-def _check_horizon(T) -> float:
-    T = float(T)
-    if not (math.isfinite(T) and T >= 0):
-        raise InvalidParameterError(f"time horizon T must be finite and >= 0, got {T!r}")
-    return T
-
-
 def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: bool = False) -> ExclusionState:
     """Event-driven next-reaction simulation up to time T.
 
@@ -531,12 +518,14 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     per-site version counters whenever a flip changes the site's (or a
     neighbor's) move.  Exponential clocks come from the counter-based
     uniforms keyed (seed, site, per-site draw counter), so the trajectory
-    is reproducible independent of heap internals.  The seed is hashed once
-    per trajectory, and with each site once.  Each (height, flip) rate is
-    computed once per run; a rate that is not finite and > 0 raises
-    InvalidParameterError.
+    is reproducible independent of heap internals.  The seed, an integer,
+    is hashed once per trajectory, and with each site once.  Each (height,
+    flip) rate is computed once per run; a rate that is not finite and > 0,
+    a T that is not a finite real >= 0 or a seed that is not an integer
+    raises InvalidParameterError.
     """
-    T = _check_horizon(T)
+    T = _as_real(T, "the time horizon T", 0)
+    seed = _as_int(seed, "the seed")
     state = replace(initial, s=dict(initial.s), events=[])
     heights = state.s  # holds every site of the window
     sites: dict = {}  # x -> [version, draws, hash of (seed, x)]
@@ -544,7 +533,7 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     heap: list = []
     push, pop, log1p = heapq.heappush, heapq.heappop, math.log1p
     # uniform_hash(seed, x, n) is (_fold(h_seed, x, n) >> 11) * 2**-53
-    h_seed = _fold(0, seed) if type(seed) is int else int(_hash64(seed))
+    h_seed = _fold(0, seed)
 
     def schedule(x: int) -> None:
         site = sites.get(x)
@@ -683,8 +672,9 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     fell behind its disturbance; it is caught on the step it happens.
     """
     rate_params = _check_rates(kind, rate_params)
-    T = _check_horizon(T)
-    n_traj, xs = _check_traj(n_traj, xs)
+    T = _as_real(T, "the time horizon T", 0)
+    n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
+    xs = tuple(_as_int(x, "site x") for x in xs)
     out = np.empty((n_traj, len(xs)), dtype=np.int64)
     for lo, hi in _blocks(n_traj):
         out[lo:hi] = _farm_block(kind, rate_params, T, seed, lo, hi, xs)

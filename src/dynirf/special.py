@@ -16,7 +16,12 @@ All functions here accept numpy arrays for their principal argument and
 are pure.  Each :class:`FunctionMode` binds its f and f'(0) once, as
 ``mode.f`` and ``mode.fp0``; in elliptic mode those are theta's Jacobi
 triple product and its constant pi K, for its tau.  The only state is one
-bounded cache: those products, one per (tau, tol).
+bounded cache: those products, one per tau.
+
+Numeric input has one owner: ``_as_int`` reads an integer in a range and
+``_as_real`` a finite real above a bound, each raising
+InvalidParameterError that names the parameter and its bound.  Every entry
+point of the package reads its integers and reals through them.
 
 The two real kernels serve the exclusion processes: ``log_ive``, the
 scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
@@ -30,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,6 +71,33 @@ class ConvergenceError(RuntimeError):
         self.estimates = estimates
 
 
+def _as_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float, in
+    low..high where given; anything else raises InvalidParameterError naming
+    ``what`` and its range."""
+    n = value if type(value) is int else None  # a plain int, the common case, skips the type tests
+    if n is None and (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
+        n = int(value)
+    if n is not None and (low is None or n >= low) and (high is None or n <= high):
+        return n
+    bound = " and".join(f" {op} {b}" for op, b in ((">=", low), ("<=", high)) if b is not None)
+    raise InvalidParameterError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _as_real(value, what: str, low: float = -math.inf, above: bool = False) -> float:
+    """``value`` as a float: a finite real >= ``low``, or > ``low`` with
+    ``above``; anything else (NaN, +-inf, a complex or a string included)
+    raises InvalidParameterError naming ``what`` and its bound."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past double range
+        x = math.inf
+    if not (math.isfinite(x) and (x > low if above else x >= low)):
+        bound = "" if low == -math.inf else f" {'>' if above else '>='} {low!r}"
+        raise InvalidParameterError(f"{what} must be a finite real{bound}, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class FunctionMode:
     """Which realization of f is in effect; elliptic mode carries tau.
@@ -73,7 +106,9 @@ class FunctionMode:
     f'(0): pi, 1 or, in elliptic mode, theta'(0, tau) = pi K; both are bound
     once at construction.  Neither is a dataclass field: equality, hashing,
     repr and JSON see ``kind`` and ``tau`` only, and a pickled mode is
-    rebuilt from them.
+    rebuilt from them.  This is where tau is read: elliptic mode stores it
+    as a complex whose real part is finite and whose imaginary part is
+    finite and > 0, and refuses anything else.
     """
 
     kind: str  # "elliptic" | "trigonometric" | "rational"
@@ -83,9 +118,13 @@ class FunctionMode:
         if self.kind not in ("elliptic", "trigonometric", "rational"):
             raise InvalidParameterError(f"unknown mode kind {self.kind!r}")
         if self.kind == "elliptic":
-            if self.tau is None or complex(self.tau).imag <= 0:
-                raise InvalidParameterError("elliptic mode needs Im(tau) > 0")
-            f, fp0 = _theta_product(complex(self.tau), _THETA_TOL)
+            if not isinstance(self.tau, numbers.Complex):
+                raise InvalidParameterError(f"elliptic mode needs a complex tau with Im(tau) > 0, got {self.tau!r}")
+            tau = complex(self.tau)
+            _as_real(tau.real, "Re(tau)")
+            _as_real(tau.imag, "Im(tau)", 0, above=True)
+            object.__setattr__(self, "tau", tau)
+            f, fp0 = _theta_product(tau)
         elif self.tau is not None:
             raise InvalidParameterError(f"{self.kind} mode takes no tau")
         else:
@@ -98,7 +137,7 @@ class FunctionMode:
 
     @classmethod
     def elliptic(cls, tau: complex) -> "FunctionMode":
-        return cls("elliptic", complex(tau))
+        return cls("elliptic", tau)
 
     @classmethod
     def trigonometric(cls) -> "FunctionMode":
@@ -121,16 +160,7 @@ def _identity(z):
     return complex(z) if isinstance(z, (int, float, complex)) else np.asarray(z, dtype=complex)
 
 
-def _theta_args(tau, tol) -> complex:
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise InvalidParameterError(f"theta needs Im(tau) > 0, got tau={tau}")
-    if not tol > 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
-    return tau
-
-
-_THETA_TOL = 1e-14  # theta's default tol, and the tol of elliptic mode's f
+_THETA_TOL = 1e-14  # the relative accuracy of theta's product
 
 
 def _theta_off_range(z, tau):
@@ -143,9 +173,9 @@ def _theta_off_range(z, tau):
 
 
 @functools.lru_cache(maxsize=256)
-def _theta_product(tau: complex, tol: float):
-    """(theta(., tau), theta'(0, tau)) to relative accuracy ``tol``, the
-    first callable for scalars and arrays.
+def _theta_product(tau: complex):
+    """(theta(., tau), theta'(0, tau)) to relative accuracy ``_THETA_TOL``,
+    the first callable for scalars and arrays.
 
     z is first reduced into the strip |Im z0| <= Im(tau)/2 by z0 = z - m*tau,
     m = round(Im z / Im tau), with theta(z0 + m*tau) = (-1)^m
@@ -154,15 +184,15 @@ def _theta_product(tau: complex, tol: float):
     theta(z0) = K s prod_{n<=N} (1 + g_n s^2), K = 2 q^(1/4) prod (1 - q^2n)^3
     and g_n = 4 q^2n / (1 - q^2n)^2.  In the strip |s|^2 <= (1+r)^2/(4r) for
     r = |q|, so |g_n s^2| <= r^(2n-1)/(1-r)^2, and N is the least count at
-    which these bounds summed over n > N stay below log1p(tol): the dropped
-    factors then change the value by a relative amount below ``tol``.  At
+    which these bounds summed over n > N stay below log1p(_THETA_TOL): the
+    dropped factors then change the value by a relative amount below it.  At
     z = 0, s = 0 and every factor but K s has derivative 0 and value 1, so
     theta'(0) = pi K.
     """
     ti = tau.imag
     r = math.exp(-math.pi * ti)
     n, tail = 0, r / ((1 - r) ** 2 * (1 - r * r))
-    while tail > math.log1p(tol):
+    while tail > math.log1p(_THETA_TOL):
         n, tail = n + 1, tail * r * r
     q2n = [cmath.exp(2j * math.pi * tau * k) for k in range(1, n + 1)]
     gs = tuple(4 * x / (1 - x) ** 2 for x in q2n)
@@ -210,19 +240,20 @@ def _theta_product(tau: complex, tol: float):
     return theta_tau, pi * K
 
 
-def theta(z, tau: complex, tol: float = _THETA_TOL):
+def theta(z, tau: complex):
     """Odd theta -sum_j exp(pi*i*(j+1/2)^2*tau + 2*pi*i*(j+1/2)*(z+1/2)), i.e.
-    theta_1(pi*z | q = exp(pi*i*tau)).
+    theta_1(pi*z | q = exp(pi*i*tau)): the f of ``FunctionMode.elliptic(tau)``,
+    which reads tau.
 
     Evaluated by the Jacobi triple product after reducing z into the strip
     |Im z| <= Im(tau)/2 by the quasi-period tau; the product is truncated
     where the dropped factors change the value by a relative amount below
-    ``tol``.  Accepts scalar or ndarray ``z``; ``tau`` must have positive
-    imaginary part.  Scalars are computed with ``cmath``, arrays with numpy,
-    from constants cached per (tau, tol).  A NaN z gives NaN; an infinite z,
-    or one where theta is past double range, raises InvalidParameterError.
+    1e-14.  Accepts scalar or ndarray ``z``.  Scalars are computed with
+    ``cmath``, arrays with numpy, from constants cached per tau.  A NaN z
+    gives NaN; an infinite z, or one where theta is past double range,
+    raises InvalidParameterError.
     """
-    return _theta_product(_theta_args(tau, tol), tol)[0](z)
+    return FunctionMode.elliptic(tau).f(z)
 
 
 _RATIO_BLOCK = 512  # ratio mantissas lie in [1/2, 1): a block's product stays above 2^-513
@@ -246,15 +277,12 @@ def log_ive(z: float, kmax: int) -> np.ndarray:
     is 0 at k = 0 and -inf above.  A z that is negative or not finite,
     or a kmax that is not an integer >= 0, raises InvalidParameterError.
     """
-    if not (isinstance(z, (int, float, np.integer, np.floating)) and math.isfinite(z) and z >= 0):
-        raise InvalidParameterError(f"log_ive needs a finite z >= 0, got {z!r}")
-    if (kmax := _as_int(kmax, "the top order kmax")) < 0:
-        raise InvalidParameterError(f"the top order kmax must be >= 0, got {kmax}")
+    z = _as_real(z, "log_ive's z", 0)
+    kmax = _as_int(kmax, "the top order kmax", 0)
     out = np.full(kmax + 1, -np.inf)
     if z == 0:
         out[0] = 0.0
         return out
-    z = float(z)
     top = kmax + int(math.sqrt(80.0 * z)) + 40
     c = 2.0 / z
     r = z / (top + 1.0 + math.sqrt((top + 1.0) ** 2 + z * z))
@@ -295,12 +323,10 @@ def gammainc(a: float, x) -> np.ndarray:
     not finite and > 0, or an x that is negative or not finite, raises
     InvalidParameterError.
     """
-    if not (isinstance(a, (int, float, np.integer, np.floating)) and math.isfinite(a) and a > 0):
-        raise InvalidParameterError(f"gammainc needs a finite a > 0, got {a!r}")
+    a = _as_real(a, "gammainc's a", 0, above=True)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise InvalidParameterError("gammainc needs finite x >= 0")
-    a = float(a)
     steps = 60 + int(12.0 * math.sqrt(a))
     out = np.zeros(x.shape)
     series = (x > 0) & (x < a + 1.0)
@@ -346,23 +372,20 @@ def gammainc(a: float, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Circle:
-    """Positively oriented circle |v - center| = radius."""
+    """Positively oriented circle |v - center| = radius; the radius must be a finite real > 0."""
 
     center: complex
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidParameterError("circle radius must be positive")
+        _as_real(self.radius, "the circle radius", 0, above=True)
 
     def points(self, n: int) -> np.ndarray:
         # Half-step offset keeps nodes off symmetry axes where near-poles
         # of the integrands tend to sit.
+        n = _as_int(n, "the node count n", 1)
         ang = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         return self.center + self.radius * np.exp(1j * ang)
-
-    def contains(self, point: complex) -> bool:
-        return abs(point - self.center) < self.radius
 
 
 _MAX_GRID = 1 << 20  # evaluate factor blocks in chunks beyond this many points
@@ -434,19 +457,6 @@ def _contract_level(terms, nodes, vecs, n: int) -> complex:
     return complex(total / float(n**m))
 
 
-def _as_int(value, what: str) -> int:
-    if not (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_nodes(nodes) -> int:
-    """A starting node count must be an integer >= 16; returned as an int."""
-    if (n := _as_int(nodes, "the node count")) < 16:
-        raise InvalidParameterError("need at least 16 quadrature nodes")
-    return n
-
-
 def contour_integral_factored(
     terms,
     contours: Sequence[Circle],
@@ -492,11 +502,9 @@ def contour_integral_factored(
     for unaries, binaries in terms:
         if len(unaries) != m or not all(isinstance(k, tuple) and len(k) == 2 and 0 <= k[0] < k[1] < m for k in binaries):
             raise InvalidParameterError(f"a factored term needs {m} unaries and binary keys (i, j), 0 <= i < j < {m}")
-    if not (isinstance(tol, (int, float, np.integer, np.floating)) and math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"the tolerance must be finite and > 0, got {tol!r}")
-    n = _check_nodes(nodes)
-    if node_cap < n:
-        raise InvalidParameterError(f"node_cap {node_cap!r} is below the starting node count {n}")
+    tol = _as_real(tol, "the tolerance", 0, above=True)
+    n = _as_int(nodes, "the node count", 16)
+    node_cap = _as_int(node_cap, "node_cap", n)
     older = prev = None
 
     def refuse(cap: str):

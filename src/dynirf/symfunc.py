@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .params import IrfParams, PQGrid, pq_grid
-from .special import FunctionMode, InvalidParameterError
+from .special import FunctionMode, InvalidParameterError, _as_int
 from .weights import plaquette_weights
 
 __all__ = [
@@ -65,14 +65,13 @@ MAX_SUBSET_BIJECTION = 6
 
 @dataclass(frozen=True)
 class Signature:
-    """Weakly decreasing tuple of nonnegative integers."""
+    """Weakly decreasing tuple of nonnegative integers; each part is read by
+    ``special._as_int``, so 2.5 or NaN is refused, not truncated."""
 
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 0 for p in parts):
-            raise InvalidParameterError("signature parts must be nonnegative")
+        parts = tuple(_as_int(p, "a signature part", 0) for p in self.parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise InvalidParameterError(f"parts {parts} not weakly decreasing")
         object.__setattr__(self, "parts", parts)
@@ -118,7 +117,8 @@ def _ratio_chain(u, k: int, cols, grid: PQGrid, f):
 
 
 def phi(k: int, u, grid: PQGrid, mode: FunctionMode):
-    """phi_k(u) = [prod_{i<k} f(u - p_i)/f(u - q_i)] / f(u - q_k)."""
+    """phi_k(u) = [prod_{i<k} f(u - p_i)/f(u - q_i)] / f(u - q_k); k is a column of the grid."""
+    k = _as_int(k, "the column index", 0, len(grid.q) - 1)
     return _ratio_chain(u, k, range(k), grid, mode.f)
 
 
@@ -264,9 +264,9 @@ def D_nu(nu, lam: complex, vs, params: IrfParams):
 
 
 def normalize(value, lam: complex, count: int, params: IrfParams):
-    """Multiply a B- or D-value by prod_{i<count} f(lambda + 2*eta*i)."""
+    """Multiply a B- or D-value by prod_{i<count} f(lambda + 2*eta*i), count an integer >= 0."""
     out = value
-    for i in range(count):
+    for i in range(_as_int(count, "the factor count", 0)):
         out = out * params.f(lam + 2 * params.eta * i)
     return out
 
@@ -315,8 +315,9 @@ def signatures_in_box(lows, highs):
     """Weakly decreasing kappa with lows[i] <= kappa_i <= highs[i], in lexicographic order.
 
     Every truncated kappa-range of the identity checks is such a box:
-    callers fold their interlacing bounds into ``lows`` and ``highs``.
+    callers fold their interlacing bounds into ``lows`` and ``highs``, integers.
     """
+    lows, highs = ([_as_int(b, "a box bound") for b in bounds] for bounds in (lows, highs))
     n = len(lows)
 
     def rec(prefix: tuple):
@@ -491,23 +492,23 @@ class TailInfo:
     converged: bool
 
 
-def stoch_B_sum(nu, lam: complex, us, params: IrfParams, max_part: int | None = None):
+def stoch_B_sum(nu, lam: complex, us, params: IrfParams):
     """sum_kappa B^stoch_{kappa/nu}(lambda; u's) with monitored geometric tail.
 
     Evaluated as one stochastic ``_strip`` law of nu over the columns
-    1..max_part (default n_cols - 2); a path carrying past the cap loses
-    the mass of the kappa's that would exceed it.  The law is grouped by
-    kappa_1 and declared converged once the last three groups are each
-    below 1e-12 of the total with decaying ratios.  A cap below
-    max(nu_1, 1), past the pack's columns, or a nu with a zero part (the
-    stochastic columns start at 1) raises InvalidParameterError.
+    1..n_cols - 2, the cap; a path carrying past the cap loses the mass of
+    the kappa's that would exceed it.  The law is grouped by kappa_1 and
+    declared converged once the last three groups are each below 1e-12 of
+    the total with decaying ratios.  A cap below max(nu_1, 1) or a nu with
+    a zero part (the stochastic columns start at 1) raises
+    InvalidParameterError.
     """
     nu = _sig(nu)
     if nu.parts and nu.parts[-1] < 1:
         raise InvalidParameterError("stochastic sums need all parts of nu >= 1")
-    cap = max_part if max_part is not None else params.n_cols - 2
+    cap = params.n_cols - 2
     if cap < max(nu.max_part(), 1):
-        raise InvalidParameterError(f"max_part {cap} is below max(nu_1, 1) = {max(nu.max_part(), 1)}: no kappa fits")
+        raise InvalidParameterError(f"the cap n_cols - 2 = {cap} is below max(nu_1, 1) = {max(nu.max_part(), 1)}: no kappa fits")
     dist = _strip(nu, lam, us, params, "stoch", cap=cap)
     groups: dict = {}
     for kappa, amp in dist.items():
@@ -537,7 +538,7 @@ def c_matrix_formula(ws, ks, lam: complex, params: IrfParams) -> complex:
     is the coefficient of the all-highest-weight vector.
     """
     p = len(ws)
-    ks = tuple(ks)
+    ks = tuple(_as_int(k, "an occupation k_i", 0) for k in ks)
     m = len(ks)
     if sum(ks) != p:
         return 0.0 + 0.0j

@@ -52,7 +52,7 @@ class TestHProfile:
     def test_rejects_nan_tau(self, call):
         # H_profile(0, nan) and limit_profile(RegimeSpec("III", 0, nan))
         # returned NaN: a test tau <= 0 lets a NaN through
-        with pytest.raises(InvalidParameterError, match="tau must be positive"):
+        with pytest.raises(InvalidParameterError, match="tau must be a finite real > 0"):
             call(math.nan)
 
 
@@ -149,7 +149,7 @@ class TestMomentChecks:
     @pytest.mark.parametrize("n_traj", [0, -3])
     def test_ks_refuses_no_trajectories(self, n_traj):
         # n_traj = 0 ended in numpy's zero-size reduction error, a negative one in a broadcast error
-        with pytest.raises(InvalidParameterError, match="n_traj >= 1"):
+        with pytest.raises(InvalidParameterError, match="n_traj must be an integer >= 1"):
             regime_iv_ks_check(L=50.0, n_traj=n_traj)
 
 

@@ -46,7 +46,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["verify", "--seed", "-1"], "nonnegative --seed"),
+            (["verify", "--seed", "-1"], "--seed must be an integer >= 0"),
             (["simulate", "--model", "ssep", "--trajectories", "-3"], "--trajectories"),
             (["simulate", "--model", "irf", "--cols", "0"], "--cols"),
             (["asymptotics", "--check", "hydro", "--L", "-5"], "--L"),

@@ -43,10 +43,8 @@ class TestErrorFamily:
     # argparse turns its type converters' errors into usage errors, and a
     # module __getattr__ must raise AttributeError
     EXEMPT = {
-        ("dynirf.cli", "_positive_int"): "argparse.ArgumentTypeError",
-        ("dynirf.cli", "_positive_float"): "argparse.ArgumentTypeError",
+        ("dynirf.cli", "_number"): "argparse.ArgumentTypeError",
         ("dynirf.cli", "_comma_list"): "argparse.ArgumentTypeError",
-        ("dynirf.cli", "_finite_float"): "ValueError",
         ("dynirf", "__getattr__"): "AttributeError",
     }
 

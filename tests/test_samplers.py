@@ -344,10 +344,10 @@ class TestEngineInputs:
             # bare IndexErrors, a traceback from `dynirf simulate`
             (lambda P: sample_irf(P, 3, 11, 1), "rows"),
             (lambda P: sample_irf(P, 28, 3, 1), "columns"),
-            (lambda P: sample_irf(P, -1, 3, 1), "X >= 0"),
+            (lambda P: sample_irf(P, -1, 3, 1), r"column count X .*>= 0 and <= 27"),
             (lambda P: sample_irf(P, 2.5, 3, 1), "integer"),
             # returned ({}, 1.0)
-            (lambda P: enumerate_distribution(P, 2, -1), "X >= 0"),
+            (lambda P: enumerate_distribution(P, 2, -1), "X must be an integer >= 0"),
             # a bare ValueError, TypeErrors and an IndexError
             (lambda P: exclusion_farm("ssep", (2.0,), 1.0, -5, 1, [0]), "trajectory count"),
             (lambda P: exclusion_farm("ssep", (2.0,), 1.0, 2.5, 1, [0]), "integer"),

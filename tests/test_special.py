@@ -98,29 +98,11 @@ class TestThetaMpmathOracle:
         ref = self._ref(0.0, tau, 1)
         assert abs(FunctionMode.elliptic(tau).fp0 - ref) <= 1e-14 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("tol", [1e-16, 1e-6])
-    def test_non_default_tol(self, tol):
-        tau = 1.4j
-        zs = self._points(tau, 12)
-        for z in zs:
-            ref = self._ref(z, tau)
-            bound = (1e-14 + tol) * max(1.0, abs(ref))
-            assert abs(theta(complex(z), tau, tol) - ref) <= bound
-            assert abs(theta(np.array([z]), tau, tol)[0] - ref) <= bound
-
     def test_scalar_types(self):
         for z in (0.3, 1, 0.2 + 0.1j, np.float64(0.3), np.array(0.3 + 0.1j)):
             assert type(theta(z, 1.5j)) is complex
         assert theta(np.float64(0.3), 1.5j) == theta(0.3, 1.5j)
         assert abs(theta(np.array(0.3 + 0.1j), 1.5j) - theta(0.3 + 0.1j, 1.5j)) <= 1e-15
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidParameterError):
-            theta(0.1, 1.5j, tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            theta(np.array([0.1]), 1.5j, tol=-1.0)
-        with pytest.raises(InvalidParameterError):
-            theta(0.1, 1.5j, tol=math.nan)
 
     @pytest.mark.parametrize("tau", [0.5j, 0.3 + 1.1j, -0.45 + 0.6j])
     def test_quasi_period_reduction(self, tau):

@@ -235,12 +235,11 @@ class TestStochasticB:
         val2 = skew_B_lattice((3, 3, 1), (3, 1), P.lambda0, [P.w(1)], P, stochastic=True)
         assert abs(val2) < 1e-12
 
-    @pytest.mark.parametrize("nu, max_part", [((2,), 20), ((2,), 25), ((2,), 1), ((), 0)])
-    def test_sum_rejects_caps_outside_the_pack(self, nu, max_part):
-        # a cap past the pack's 20 columns used to raise a bare IndexError,
-        # one below max(nu_1, 1) to return (0, converged=False)
-        with pytest.raises(InvalidParameterError):
-            stoch_B_sum(nu, self.lam, [0.1], self.P, max_part=max_part)
+    def test_sum_refuses_nu_past_the_cap(self):
+        # the cap is n_cols - 2 = 18 on this 20-column pack: a nu_1 past it
+        # leaves no kappa, and used to return (0, converged=False)
+        with pytest.raises(InvalidParameterError, match="cap n_cols - 2 = 18"):
+            stoch_B_sum((19,), self.lam, [0.1], self.P)
 
     def test_stochastic_requires_positive_parts(self):
         # stoch_B_sum((2, 0), ...) used to drop the 0 part and return the sum for nu = (2,)
