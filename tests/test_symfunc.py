@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynirf.oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
-from dynirf.params import pq_grid, preset, random_pack
+from dynirf.params import IrfParams, pq_grid, preset, random_pack
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import (
     _perm_sum,
@@ -235,11 +235,15 @@ class TestStochasticB:
         val2 = skew_B_lattice((3, 3, 1), (3, 1), P.lambda0, [P.w(1)], P, stochastic=True)
         assert abs(val2) < 1e-12
 
-    def test_sum_refuses_nu_past_the_cap(self):
-        # the cap is n_cols - 2 = 18 on this 20-column pack: a nu_1 past it
-        # leaves no kappa, and used to return (0, converged=False)
-        with pytest.raises(InvalidParameterError, match="cap n_cols - 2 = 18"):
-            stoch_B_sum((19,), self.lam, [0.1], self.P)
+    @pytest.mark.parametrize("nu, cap", [((21,), 20), ((26,), 25), ((2,), 1), ((), 0)])
+    def test_sum_rejects_caps_outside_the_pack(self, nu, cap):
+        # the cap is n_cols - 2, so the pack's columns (cycled or cut to
+        # cap + 2) set it: a cap below max(nu_1, 1) leaves no kappa, and
+        # used to return (0, converged=False)
+        cols = (self.P.columns * 2)[: cap + 2]
+        P = IrfParams(self.P.mode, self.P.eta, self.P.lambda0, cols, self.P.rows)
+        with pytest.raises(InvalidParameterError, match=f"cap n_cols - 2 = {cap} is below"):
+            stoch_B_sum(nu, self.lam, [0.1], P)
 
     def test_stochastic_requires_positive_parts(self):
         # stoch_B_sum((2, 0), ...) used to drop the 0 part and return the sum for nu = (2,)
