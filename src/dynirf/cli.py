@@ -102,6 +102,7 @@ def _cmd_verify(args) -> int:
         modes = (FunctionMode.trigonometric(), FunctionMode.rational(), FunctionMode.elliptic(6j))
         reports += [idn.check_stochasticity(rng, mode) for mode in modes]
         reports += [idn.check_sine_identity(rng), idn.check_hat_ratios(rng)]
+        reports += idn.check_degenerate_weights(rng)
     if args.suite in ("oracle", "all"):
         reports += idn.check_oracle_formulas(np.random.default_rng(args.seed ^ 0x0AC1E))
     if args.suite in ("stochastic", "all"):
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
     p.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
     p.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
-    re_im = _comma_list(lambda pair: complex(*map(float, pair.split(":", 1))), "re:im pairs")
+    part = _number(_as_real, "a --lambdas part")
+    re_im = _comma_list(lambda pair: complex(*map(part, pair.split(":", 1))), "re:im pairs")
     p.add_argument("--lambdas", type=re_im, help="lambda_0 values (re:im) for the independence report")
     p.set_defaults(func=_cmd_observables)
 

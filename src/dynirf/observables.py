@@ -56,7 +56,6 @@ from .weights import SingularParameterError
 __all__ = [
     "ObservableSpec",
     "obs_O",
-    "obs_O_six_vertex",
     "rising",
     "exact_E",
     "mc_E",
@@ -124,19 +123,6 @@ def obs_O(hvalue, x: int, N: int, params: IrfParams, lam: complex | None = None)
     eta = params.eta
     lsum = params.lam_sum(1, x)
     return np.exp(2j * np.pi * (lam - 2 * eta * hvalue)) + np.exp(4j * np.pi * eta * (hvalue - N + lsum))
-
-
-def obs_O_six_vertex(hvalue: int, x: int, N: int, params: IrfParams) -> complex:
-    """The same observable at lam = params.lambda0, written in six-vertex
-    variables -1/alpha q^h + (s..)^2 q^{N-h}; h, x and N are integers."""
-    hvalue = _as_int(hvalue, "the height h")
-    x = _as_int(x, "site x")
-    N = _as_int(N, "the row index N")
-    sv = to_six_vertex(params)
-    s_prod = 1.0 + 0.0j
-    for j in range(x - 1):
-        s_prod *= sv.s[j]
-    return -(sv.alpha**-1) * sv.q**hvalue + s_prod**2 * sv.q ** (N - hvalue)
 
 
 def _q_pow(params: IrfParams, m) -> complex:

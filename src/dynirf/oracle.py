@@ -11,8 +11,8 @@ Lambda is (Lambda - 2k).
 Everything here is exponential-time and proud of it; intended scale is
 a handful of columns and occupations.  The closed-form evaluators in
 :mod:`dynirf.symfunc` are tested against these routines.  An occupation
-past a vector's cap, or a coefficient that moves with the column count or
-depth, raises ConvergenceError.
+past the vector cap OCCUPATION_CAP, or a coefficient that moves with the
+column count or depth, raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .weights import SingularParameterError, plaquette_weights
 __all__ = [
     "FinitaryVector",
     "occupations_from_parts",
-    "parts_from_occupations",
-    "apply_operator",
     "skew_B_oracle",
     "skew_D_oracle",
     "c_matrix_element",
 ]
 
 PRUNE_REL = 1e-15
+OCCUPATION_CAP = 8  # the most paths one column of a finitary vector holds
 
 
 def occupations_from_parts(parts, n_cols: int) -> tuple:
@@ -44,13 +43,6 @@ def occupations_from_parts(parts, n_cols: int) -> tuple:
             raise InvalidParameterError(f"part {p} outside column range 0..{n_cols - 1}")
         occ[p] += 1
     return tuple(occ)
-
-
-def parts_from_occupations(occ) -> tuple:
-    parts = []
-    for col in range(len(occ) - 1, -1, -1):
-        parts.extend([col] * occ[col])
-    return tuple(parts)
 
 
 @dataclass
@@ -65,14 +57,13 @@ class FinitaryVector:
 
     terms: dict
     n_cols: int
-    cap: int = 8
 
     def __post_init__(self):
         self.prune()
 
     @classmethod
-    def from_parts(cls, parts, n_cols: int, cap: int = 8) -> "FinitaryVector":
-        return cls({occupations_from_parts(parts, n_cols): 1.0 + 0.0j}, n_cols, cap)
+    def from_parts(cls, parts, n_cols: int) -> "FinitaryVector":
+        return cls({occupations_from_parts(parts, n_cols): 1.0 + 0.0j}, n_cols)
 
     def prune(self) -> None:
         for occ, c in self.terms.items():
@@ -98,19 +89,12 @@ _COL_IN = {"a": 0, "c": 0, "b": 1, "d": 1}
 _ROW_OUT = {"a": 0, "b": 0, "c": 1, "d": 1}
 
 
-def apply_operator(op: str, lam: complex, w: complex, v: FinitaryVector, params, col_offset: int = 0) -> FinitaryVector:
-    """Apply one of a/b/c/d (with its own lambda, w) to a finitary vector.
-
-    ``col_offset`` shifts which params columns back the tensor factors
-    (the Verma module of factor j is column ``col_offset + j``); the skew
-    functions use offset 0, the c-matrix elements offset 1.
-    """
-    return _apply(op, lam, plaquette_weights(params, w), v, params, col_offset)
-
-
 def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offset: int) -> FinitaryVector:
-    # apply_operator with the row's weight callback passed in, so that the
-    # callers applying one w several times share its memo
+    # one of a/b/c/d at its own lambda, weighed by the callback ``weight_fn``
+    # of its row parameter w (callers that apply one w several times share
+    # its memo), on a finitary vector; tensor factor j is the Verma module of
+    # column col_offset + j (0 for the skew functions, 1 for the c-matrix
+    # elements)
     if op not in _COL_IN:
         raise InvalidParameterError(f"unknown operator {op!r}")
     if col_offset + v.n_cols > params.n_cols:
@@ -152,10 +136,8 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
                     if k >= 1:
                         moves.append(("C", k - 1, 1))
                 else:
-                    if k + 1 > v.cap:
-                        raise ConvergenceError(
-                            f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
-                        )
+                    if k + 1 > OCCUPATION_CAP:
+                        raise ConvergenceError(f"occupation cap {OCCUPATION_CAP} hit at column {j}")
                     moves = [("B", k + 1, 0), ("D", k, 1)]
                 branches = []
                 for kind, k_new, carry_out in moves:
@@ -169,7 +151,7 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
                 amp_new = amp * wgt
                 if amp_new != 0:
                     stack.append((j + 1, carry_out, amp_new, new_prefix + (k_new,)))
-    return FinitaryVector(out, v.n_cols, v.cap)
+    return FinitaryVector(out, v.n_cols)
 
 
 def skew_B_oracle(nu, mu, lam: complex, ws, params) -> complex:
@@ -209,7 +191,7 @@ def _normalized_d(lam_op: complex, w: complex, weight_fn, v: FinitaryVector, par
         z_i, lam_i = params.columns[i]
         norm *= params.f(z_i - w + (lam_i + 1) * eta) / params.f(z_i - w + (-lam_i + 1) * eta)
     norm /= params.f(lam_op - 2 * eta * (params.lam_sum(0, depth + 1) - 2 * ell))
-    return FinitaryVector({occ: c * norm for occ, c in out.terms.items()}, v.n_cols, v.cap)
+    return FinitaryVector({occ: c * norm for occ, c in out.terms.items()}, v.n_cols)
 
 
 def skew_D_oracle(nu, mu, lam: complex, ws, params) -> complex:

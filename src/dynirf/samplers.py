@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import IrfParams, to_six_vertex
 from .special import InvalidParameterError, _as_int, _as_real
-from .symfunc import _row_sweep, _strip
+from .symfunc import _row_sweep
 from .weights import _not_probability, hs6v_weight, plaquette_weights, spin_half_weights
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "sample_irf",
     "filling",
     "height",
-    "enumerate_distribution",
     "enumerate_heights",
     "enumerate_heights_hs6v",
     "irf_batch_heights",
@@ -341,30 +340,14 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     return out
 
 
-def enumerate_distribution(params: IrfParams, N: int, X: int):
-    """Exact law of the crossing signature at height N + 1/2, truncated at
-    parts <= X; complex weights are fine.  Returns (dist, escaped_mass).
-
-    The law is one stochastic ``symfunc._strip`` of the empty signature:
-    row y (bottom first) carries (lambda0 - 2*eta*y + 2*eta*Lambda_0, w_y).
-    An N that fails ``_check_rows``, an X that is not an integer >= 0 or X
-    past the pack's columns raises InvalidParameterError.
-    """
-    N, X = _check_rows(params, N), _as_int(X, "the part cap X", 0)
-    ws = [params.w(y) for y in range(N, 0, -1)]
-    dist = _strip((), params.lambda0 - 2 * params.eta * (N - params.lam(0)), ws, params, "stoch", cap=X)
-    return dist, 1.0 - sum(dist.values())
-
-
 def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
     """Exact joint law of the heights h(x, N) for x in ``xs``.
 
     h(x, N) is N minus the paths that stop in columns 1..x-1, and paths
     never move left, so the sweep covers columns 1..max(xs) - 1 only.
-    Unlike :func:`enumerate_distribution`, whose strip drops the paths that
-    carry past its cap, this cut is exact: a path carrying past the last
-    column is absorbed with total weight one, as the rest of the strip's
-    stochastic weights sum to one.  Works with complex weights.
+    This cut is exact: a path carrying past the last column is absorbed
+    with total weight one, as the rest of the strip's stochastic weights
+    sum to one.  Works with complex weights.
     ``row_weights(y)`` gives row y's plaquette weight callback (kind, m, x,
     lam_x) (default: the stochastic IRF weights).  Each row is one
     ``symfunc._row_sweep`` of the whole law, row y from the filling
@@ -407,9 +390,7 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
         @functools.cache  # the weights ignore lam_x: one evaluation per (kind, m, x) in each row
         def row(kind, m, x):
             di1, dj1, di2, dj2 = patt[kind]
-            return hs6v_weight(
-                "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
-            )
+            return hs6v_weight(m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1])
 
         return lambda kind, m, x, lam_x: row(kind, m, x)
 
@@ -445,14 +426,9 @@ class ExclusionState:
         self.t = _as_real(self.t, "the state's time t", 0)
 
     def value(self, x: int) -> int:
+        """s_x; a site x that is not an integer raises InvalidParameterError."""
+        x = _as_int(x, "site x")
         return self.s.get(x, abs(x))
-
-    def heights(self, xs) -> list:
-        return [(self.value(x) - x) // 2 for x in xs]
-
-    def particles(self) -> list:
-        """Occupied half-integer sites x + 1/2 within the window."""
-        return [x for x in range(self.lo, self.hi) if self.value(x + 1) - self.value(x) == -1]
 
 
 _RATES = {  # the rule each kind's rates follow, and their names
@@ -469,7 +445,7 @@ def _check_rates(kind: str, rate_params) -> tuple:
     if kind not in _RATES:
         raise InvalidParameterError(f"unknown exclusion kind {kind!r}")
     rule, names = _RATES[kind]
-    rates = tuple(rate_params) if np.ndim(rate_params) == 1 else ()
+    rates = tuple(rate_params) if np.iterable(rate_params) else ()
     ok = len(rates) == len(names)
     if ok:
         r = [_as_real(v, f"the {kind} rate {name}") for v, name in zip(rates, names)]

@@ -17,11 +17,10 @@ which pushes a {bottom occupations: amplitude} map across a row column by
 column and returns a {(tops, carry): amplitude} map.  Rows compose in one
 place, ``_strip``: it pushes a bottom signature up a strip one merged law
 per row, and either returns the whole {Signature: amplitude} law up to a
-column cap (``stoch_B_sum``, ``samplers.enumerate_distribution`` and the
-kappa-sums of ``identities``) or, pruned to the states that can still
-reach a given top, that top's value (``skew_B_lattice``,
-``skew_D_lattice``).  ``samplers.enumerate_heights`` sweeps its rows
-itself, since it absorbs the paths that leave its window.
+column cap (``stoch_B_sum`` and the kappa-sums of ``identities``) or,
+pruned to the states that can still reach a given top, that top's value
+(``skew_B_lattice``, ``skew_D_lattice``).  ``samplers.enumerate_heights``
+sweeps its rows itself, since it absorbs the paths that leave its window.
 
 Conventions.  Signatures are weakly decreasing tuples of nonnegative
 integers; ``D_nu`` means the skew function against the zero signature of

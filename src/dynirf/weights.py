@@ -30,9 +30,13 @@ samplers refuse weights that miss one by more than 1e-9; callers who need
 exact stochasticity must use the trigonometric or rational mode.
 
 The hat-ratios a^stoch/a etc. are spectral-parameter independent and are
-exposed separately; the four degenerations (higher-spin six vertex,
-dynamic six vertex, rational spin-1/2 table) get their own entry points
-with the parametrizations used in their own variable systems.
+exposed separately; the three degenerations (the stochastic higher-spin
+six-vertex L-table, the dynamic stochastic six-vertex table and the
+rational spin-1/2 table) get their own entry points with the
+parametrizations used in their own variable systems.  The last two are
+verified against ``weight(..., stochastic=True)`` at Lambda = 1 by
+``identities.check_degenerate_weights``, the reports dyn6v-weights-50draws
+and rational-weights-50draws of ``dynirf verify --suite weights``.
 """
 
 from __future__ import annotations
@@ -254,14 +258,12 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
     )
 
 
-def hs6v_weight(table: str, i1: int, j1: int, i2: int, j2: int, q, s, xi, u):
-    """Higher-spin six-vertex weights, plain (``"plain"``) or stochastic L.
+def hs6v_weight(i1: int, j1: int, i2: int, j2: int, q, s, xi, u):
+    """Stochastic higher-spin six-vertex weight L(i1, j1; i2, j2).
 
     The occupation pattern must be one of (k,0;k,0), (k,1;k+1,0),
     (k,0;k-1,1), (k,1;k,1); anything else is rejected.
     """
-    if table not in ("plain", "stochastic"):
-        raise InvalidParameterError(f"unknown hs6v table {table!r}")
     if j1 not in (0, 1) or j2 not in (0, 1) or min(i1, i2) < 0 or i1 + j1 != i2 + j2:
         raise InvalidParameterError(
             f"illegal occupation pattern ({i1},{j1};{i2},{j2})"
@@ -270,14 +272,6 @@ def hs6v_weight(table: str, i1: int, j1: int, i2: int, j2: int, q, s, xi, u):
     den = 1 - s * xi * u
     if abs(den) < 1e-280:
         raise SingularParameterError("hs6v denominator 1 - s*xi*u vanished")
-    if table == "plain":
-        if (j1, j2) == (0, 0):
-            return (1 - s * q**k * xi * u) / den
-        if (j1, j2) == (1, 0):
-            return (1 - q ** (k + 1)) / den
-        if (j1, j2) == (0, 1):
-            return (1 - s**2 * q ** (k - 1)) * xi * u / den
-        return (xi * u - s * q**k) / den
     if (j1, j2) == (0, 0):
         return (1 - s * q**k * xi * u) / den
     if (j1, j2) == (1, 0):

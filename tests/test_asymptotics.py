@@ -6,17 +6,15 @@ import pytest
 from dynirf.asymptotics import (
     H_profile,
     RegimeIVLaw,
-    RegimeSpec,
     gamma_moment,
     heat_equation_residual,
-    height_from_O,
     hydro_check,
-    limit_profile,
     regime_iv_ks_check,
     regime_moment_check,
 )
 from dynirf.observables import rising
 from dynirf.special import InvalidParameterError
+from reference_routes import RegimeSpec, height_from_O, limit_profile
 
 
 class TestHProfile:
@@ -162,7 +160,6 @@ BAD_INPUTS = {
     "hydro-infinite-L": lambda: hydro_check(L=math.inf),
     "ks-negative-L": lambda: regime_iv_ks_check(L=-1.0),
     "ks-nan-L": lambda: regime_iv_ks_check(L=math.nan),
-    "ks-nan-chi": lambda: regime_iv_ks_check(chi=math.nan),
     "moment-fractional-n": lambda: regime_moment_check(1.5, 100.0, 1.0, 1.0),
     "moment-zero-L": lambda: regime_moment_check(1, 0.0, 1.0, 1.0),
     "gamma-negative-m": lambda: gamma_moment(2.0, 1.0, -2),

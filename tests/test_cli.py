@@ -63,11 +63,15 @@ class TestVerifyCommand:
             (["asymptotics", "--check", "profile", "--chi", "inf"], "--chi"),
             (["simulate", "--model", "dyn6v", "--rows", "11"], "rows"),
             (["simulate", "--model", "dyn6v", "--cols", "28"], "columns"),
+            (["observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3", "--compare", "enum",
+              "--lambdas", "nan:0,0.3:0.1"], "--lambdas part must be a finite real"),
+            (["observables", "--model", "dyn6v", "--xs", "2,1", "--N", "3", "--compare", "enum",
+              "--lambdas", "0.1:0.2,0.3:inf"], "--lambdas part must be a finite real"),
         ],
         ids=["negative-seed", "negative-trajectories", "zero-cols", "negative-L", "negative-lambda-bar", "non-integer-sites",
              "non-numeric-chi", "missing-config", "non-numeric-lambdas", "non-positive-irf-weights",
              "zero-ks-samples", "negative-samples", "zero-profile-samples", "nan-chi", "infinite-chi",
-             "rows-past-the-pack", "cols-past-the-pack"],
+             "rows-past-the-pack", "cols-past-the-pack", "nan-lambdas", "infinite-lambdas"],
     )
     def test_bad_input_is_a_usage_error(self, args, message):
         # each of these used to end in a traceback or to exit 0 (a negative
@@ -344,11 +348,11 @@ ALL_REPORT_NAMES = sorted([
     "D-rho-integral-(1,)", "D-rho-integral-(2, 0)", "D-rho-integral-(2, 1)",
     "cauchy-k1l1", "cauchy-k2l2",
     "cauchy-rho-N1-symmetrization", "cauchy-rho-N2-lattice", "cauchy-rho-N2-symmetrization",
-    "hat-ratio-consistency", "nested-sum-n3",
+    "dyn6v-weights-50draws", "hat-ratio-consistency", "nested-sum-n3",
     "oracle-B-symmetrization-50draws", "oracle-D-symmetrization-50draws", "oracle-c-string-formula",
     "orthogonality-(1,)-(1,)", "orthogonality-(2, 1)-(2, 1)", "orthogonality-(2, 1, 1)-(2, 1, 1)",
     "orthogonality-(2,)-(1,)", "orthogonality-(3, 1, 1)-(2, 1, 1)",
-    "pieri-mu(2, 1)", "pieri2-nu()-l1", "pieri2-nu(2,)-l2",
+    "pieri-mu(2, 1)", "pieri2-nu()-l1", "pieri2-nu(2,)-l2", "rational-weights-50draws",
     "sine-identity-1000draws",
     "skew-cauchy-(1,)-()-l1", "skew-cauchy-(2, 1)-()-l2", "skew-cauchy-(2, 1)-(1,)-l1",
     "stoch-B-two-routes-50draws",

@@ -1,18 +1,20 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
-every raise is one of the documented errors, and no module or command of the
-package loads scipy."""
+every raise is one of the documented errors, every module-level name is
+read where the package, its benchmark or its README uses it, and no module
+or command of the package loads scipy."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 
 import pytest
 
 import dynirf
-from test_readme import COMMANDS as README_COMMANDS
+from test_readme import COMMANDS as README_COMMANDS, README
 
 MODULES = ["dynirf"] + [f"dynirf.{m.name}" for m in pkgutil.iter_modules(dynirf.__path__)]
 
@@ -107,30 +109,59 @@ def test_no_module_recomputes_f_prime_at_zero():
     assert not calls, calls
 
 
+def _reads(tree) -> set:
+    """The names a tree reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read |= {alias.name.split(".")[-1] for alias in node.names}
+    return read
+
+
+def _defined(top) -> list:
+    """The names a module-level def, class or assignment defines."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+# (module name, module-level statement) for every statement of the package
+TOPS = [(name, top) for name in MODULES for top in ast.parse(inspect.getsource(importlib.import_module(name))).body]
+
+
 def test_every_private_name_is_read_in_src():
     # a module-level _name that nothing in the package reads is test-only
     # code or dead code; it belongs in the tests or nowhere
-    trees = [ast.parse(inspect.getsource(importlib.import_module(name))) for name in MODULES]
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {alias.name for alias in node.names}
-    unread = []
-    for name, tree in zip(MODULES, trees):
-        for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined = [top.name]
-            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
-                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [f"{name}.{d}" for d in defined if d.startswith("_") and not d.startswith("__") and d not in read]
+    read = set().union(*(_reads(top) for _, top in TOPS))
+    unread = [f"{name}.{d}" for name, top in TOPS for d in _defined(top) if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert not unread, unread
+
+
+def test_every_public_name_is_read():
+    # the package ships what it runs: a module-level public def, class or
+    # constant is read in src/ outside its own definition, read by the
+    # benchmark under perfbench/, or named in the README module map as a
+    # library entry; anything else is test-only code and belongs in tests/
+    known = set()  # read by perfbench or named in the module map
+    for path in sorted((README.parent / "perfbench").glob("*.py")):
+        known |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    text = README.read_text(encoding="utf-8")
+    module_map = text[text.index("## Module map") :].split("\n## ")[0]
+    known |= {m.group(0).split(".")[-1] for span in re.findall(r"`([^`]+)`", module_map) if (m := re.match(r"[\w.]+", span))}
+    reads = [_reads(top) for _, top in TOPS]
+    unread = [
+        f"{name}.{d}"
+        for i, (name, top) in enumerate(TOPS)
+        for d in _defined(top)
+        if not d.startswith("_") and d not in known and not any(d in r for j, r in enumerate(reads) if j != i)
+    ]
     assert not unread, unread
 
 

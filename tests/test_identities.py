@@ -6,6 +6,7 @@ import pytest
 from dynirf.identities import (
     CheckReport,
     check_cauchy_rho,
+    check_degenerate_weights,
     check_D_integral,
     check_D_rho_integral,
     check_nested_sum_lemma,
@@ -334,6 +335,35 @@ class TestRandomBatteries:
         want = skew_B_oracle(tuple(p["mu"]), (), lam, us, P)
         assert rep.residual == abs(B_mu(tuple(p["mu"]), lam, us, P) - want) / max(1.0, abs(want))
         assert p["draws"] == 50 and 0 <= p["worst_draw"] < 50
+
+
+class TestDegenerateWeights:
+    NAMES = ["dyn6v-weights-50draws", "rational-weights-50draws"]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_both_tables_pass(self, seed):
+        reports = check_degenerate_weights(np.random.default_rng(seed))
+        assert [r.name for r in reports] == self.NAMES
+        assert all(r.passed and r.tolerance == identities.TOL_CLOSED for r in reports)
+
+    @pytest.mark.parametrize("table", ["dyn6v_weight", "rational_weight"])
+    def test_a_relative_error_of_1e_9_fails(self, monkeypatch, table):
+        real = getattr(identities, table)
+        monkeypatch.setattr(identities, table, lambda *args: real(*args) * (1 + 1e-9))
+        failed = {r.name for r in check_degenerate_weights(np.random.default_rng(0)) if not r.passed}
+        assert failed == {self.NAMES[table == "rational_weight"]}
+
+    def test_worst_draw_reruns_from_its_report(self):
+        from dynirf.weights import dyn6v_weight
+
+        rep = check_degenerate_weights(np.random.default_rng(7))[0]
+        p = rep.parameters
+        lam, w, z, eta = (complex(*p[key]) for key in ("lam", "w", "z", "eta"))
+        kind, k = identities._SPIN_HALF[p["symbol"]]
+        want = weight(kind, k, WeightContext(lam, w, z, 1.0, eta, TRIG), stochastic=True)
+        q, xi, u = np.exp(-4j * np.pi * eta), np.exp(2j * np.pi * z), np.exp(2j * np.pi * (eta - w))
+        assert rep.residual == abs(dyn6v_weight(p["symbol"], lam, q, xi, u) - want) / max(1.0, abs(want))
+        assert abs(eta.real) <= 0.2 and p["draws"] == 50
 
 
 BAD_INPUTS = {

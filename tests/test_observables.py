@@ -21,7 +21,6 @@ from dynirf.observables import (
     lambda_independence_report,
     mc_E,
     obs_O,
-    obs_O_six_vertex,
     rising,
     ssep_f2_duality,
     ssep_falling_moment,
@@ -37,6 +36,7 @@ from dynirf.samplers import enumerate_heights, irf_batch_heights
 from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError
 from mp_reference import mp_scaled_bessel
+from reference_routes import obs_O_six_vertex
 
 
 def q_pochhammer(x, q, n: int):

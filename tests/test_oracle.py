@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from dynirf.oracle import (
+    OCCUPATION_CAP,
     FinitaryVector,
-    apply_operator,
     c_matrix_element,
     occupations_from_parts,
-    parts_from_occupations,
     skew_B_oracle,
     skew_D_oracle,
 )
 from dynirf.params import random_pack
 from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError, plaquette_weights
+from reference_routes import apply_operator, parts_from_occupations
 
 RNG = np.random.default_rng(41)
 
@@ -63,8 +63,9 @@ class TestApplyOperator:
         assert apply_operator("c", LAM, 0.4, v, P).total_occupation() == 1
 
     def test_cap_exceeded(self):
+        # column 0 holds the cap's worth of paths, and b brings one more
         P = random_params()
-        v = FinitaryVector.from_parts((0,), 3, cap=1)
+        v = FinitaryVector.from_parts((0,) * OCCUPATION_CAP, 3)
         with pytest.raises(ConvergenceError):
             apply_operator("b", LAM, 0.4, v, P)
 
@@ -99,17 +100,15 @@ def reference_apply(op, lam, w, v, params, col_offset=0):
                 if k >= 1:
                     moves.append(("C", k - 1, 1))
             else:
-                if k + 1 > v.cap:
-                    raise ConvergenceError(
-                        f"occupation cap {v.cap} hit at column {j}; enlarge the vector cap"
-                    )
+                if k + 1 > OCCUPATION_CAP:
+                    raise ConvergenceError(f"occupation cap {OCCUPATION_CAP} hit at column {j}")
                 moves.append(("B", k + 1, 0))
                 moves.append(("D", k, 1))
             for kind, k_new, carry_out in moves:
                 amp_new = amp * weight_fn(kind, k, col_offset + j, lam_here)
                 if amp_new != 0:
                     stack.append((j + 1, carry_out, amp_new, new_prefix + (k_new,)))
-    return FinitaryVector(out, v.n_cols, v.cap)
+    return FinitaryVector(out, v.n_cols)
 
 
 def _hex_items(v):
@@ -144,10 +143,11 @@ class TestBitEqualToReferenceWalk:
             nonempty += bool(got.terms)
         assert nonempty
 
-    @pytest.mark.parametrize(("op", "parts", "n_cols"), [("b", (0,), 3), ("d", (1,), 3)])
+    # a full column 0 (b) or 1 (d) that the operator's carry reaches
+    @pytest.mark.parametrize(("op", "parts", "n_cols"), [("b", (0,) * OCCUPATION_CAP, 3), ("d", (1,) * OCCUPATION_CAP, 3)])
     def test_cap_error_unchanged(self, op, parts, n_cols):
         P = random_params(seed=13)
-        v = FinitaryVector.from_parts(parts, n_cols, cap=1)
+        v = FinitaryVector.from_parts(parts, n_cols)
         with pytest.raises(ConvergenceError) as want:
             reference_apply(op, LAM, 0.4, v, P)
         with pytest.raises(ConvergenceError) as got:

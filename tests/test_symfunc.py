@@ -380,7 +380,8 @@ class TestSignatureProperties:
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_occupation_roundtrip(self, parts):
-        from dynirf.oracle import occupations_from_parts, parts_from_occupations
+        from dynirf.oracle import occupations_from_parts
+        from reference_routes import parts_from_occupations
 
         parts = tuple(sorted(parts, reverse=True))
         occ = occupations_from_parts(parts, 10)

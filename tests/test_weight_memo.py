@@ -11,7 +11,7 @@ import pytest
 
 from dynirf import observables, oracle, samplers, symfunc, weights
 from dynirf.observables import ObservableSpec, enum_E, hs6v_q_moment
-from dynirf.oracle import FinitaryVector, apply_operator, skew_B_oracle
+from dynirf.oracle import FinitaryVector, skew_B_oracle
 from dynirf.params import preset, random_pack, to_six_vertex
 from dynirf.samplers import enumerate_heights
 from dynirf.special import FunctionMode
@@ -115,9 +115,8 @@ class TestWorkCount:
             return real_weight(kind, k, ctx, stochastic)
 
         monkeypatch.setattr(weights, "weight", spy)
-        monkeypatch.setattr(oracle, "plaquette_weights", unmemoized)
         v = FinitaryVector({(2, 1, 1, 0, 0): 1.0 + 0.0j, (1, 2, 0, 1, 0): 0.5 + 0.0j}, 5)
-        apply_operator("b", LAM, WS[0], v, P)
+        oracle._apply("b", LAM, unmemoized(P, WS[0]), v, P, 0)
         assert len(set(calls)) < len(calls)
 
 
@@ -212,9 +211,7 @@ def unmemoized_hs6v(params, N, xs):
     def row_weights(y):
         def fn(kind, m, x, lam_x):
             di1, dj1, di2, dj2 = patt[kind]
-            return weights.hs6v_weight(
-                "stochastic", m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1]
-            )
+            return weights.hs6v_weight(m + di1, dj1, m + di2, dj2, sv.q, sv.s[x - 1], sv.xi[x - 1], sv.u[y - 1])
 
         return fn
 

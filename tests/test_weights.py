@@ -161,6 +161,19 @@ class TestHatRatios:
             hat_ratio("C", 0, 0.3 + 0.1j, 1.2, 0.05 + 0.01j, TRIG)
 
 
+def plain_hs6v_weight(i1, j1, i2, j2, q, s, xi, u):
+    """The plain higher-spin six-vertex table, the stochastic L-table's
+    conjugate, on the patterns ``weights.hs6v_weight`` accepts."""
+    k, den = i1, 1 - s * xi * u
+    if (j1, j2) == (0, 0):
+        return (1 - s * q**k * xi * u) / den
+    if (j1, j2) == (1, 0):
+        return (1 - q ** (k + 1)) / den
+    if (j1, j2) == (0, 1):
+        return (1 - s**2 * q ** (k - 1)) * xi * u / den
+    return (xi * u - s * q**k) / den
+
+
 class TestHigherSpinSixVertex:
     def rand_pars(self):
         q, s, xi, u = RNG.normal(size=4) * 0.5 + 0.8 + 1j * RNG.normal(size=4) * 0.2
@@ -170,24 +183,20 @@ class TestHigherSpinSixVertex:
         for _ in range(50):
             q, s, xi, u = self.rand_pars()
             k = int(RNG.integers(1, 5))
-            no_in = hs6v_weight("stochastic", k, 0, k, 0, q, s, xi, u) + hs6v_weight(
-                "stochastic", k, 0, k - 1, 1, q, s, xi, u
-            )
-            with_in = hs6v_weight("stochastic", k, 1, k + 1, 0, q, s, xi, u) + hs6v_weight(
-                "stochastic", k, 1, k, 1, q, s, xi, u
-            )
+            no_in = hs6v_weight(k, 0, k, 0, q, s, xi, u) + hs6v_weight(k, 0, k - 1, 1, q, s, xi, u)
+            with_in = hs6v_weight(k, 1, k + 1, 0, q, s, xi, u) + hs6v_weight(k, 1, k, 1, q, s, xi, u)
             assert abs(no_in - 1) < 1e-12 and abs(with_in - 1) < 1e-12
 
     def test_vanishing_b_weight_at_root_of_unity(self):
         q = cmath.exp(2j * math.pi / 3)
-        val = hs6v_weight("plain", 2, 1, 3, 0, q, 0.5, 0.7, 0.9)  # 1 - q^3 = 0
+        val = plain_hs6v_weight(2, 1, 3, 0, q, 0.5, 0.7, 0.9)  # 1 - q^3 = 0
         assert abs(val) < 1e-12
 
     def test_illegal_pattern_rejected(self):
         with pytest.raises(InvalidParameterError):
-            hs6v_weight("plain", 2, 0, 3, 1, 0.5, 0.5, 0.5, 0.5)
+            hs6v_weight(2, 0, 3, 1, 0.5, 0.5, 0.5, 0.5)
         with pytest.raises(InvalidParameterError):
-            hs6v_weight("plain", 1, 1, 1, 2, 0.5, 0.5, 0.5, 0.5)
+            hs6v_weight(1, 1, 1, 2, 0.5, 0.5, 0.5, 0.5)
 
     def _matched_pars(self, ctx):
         eta = ctx.eta
@@ -212,7 +221,7 @@ class TestHigherSpinSixVertex:
         ]
         for kind, k, patt in pairs:
             lhs = weight(kind, k, ctx, stochastic=True)
-            rhs = hs6v_weight("stochastic", *patt, q, s, xi, u)
+            rhs = hs6v_weight(*patt, q, s, xi, u)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
     def test_plain_weights_converge_with_correction_factors(self):
@@ -230,7 +239,7 @@ class TestHigherSpinSixVertex:
         ]
         for kind, patt, factor in checks:
             lhs = weight(kind, k, ctx)
-            rhs = factor * hs6v_weight("plain", *patt, q, s, xi, u)
+            rhs = factor * plain_hs6v_weight(*patt, q, s, xi, u)
             assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
 
 
