@@ -1,4 +1,5 @@
-"""Executable verification of the named identities; every check returns a CheckReport.
+"""Executable verification of the named identities; every check returns a
+``special.CheckReport``, passed or failed by ``special._rel``.
 
 Each gate is a constant of its check, which no caller can scale: 1e-10
 closed form (TOL_CLOSED, the two degenerate weight tables included), 1e-7
@@ -20,21 +21,20 @@ the D and D-rho integrals) take their nested circles from
 
 The random-draw batteries (``check_stochasticity`` to
 ``check_stochastic_weights``) draw a fixed number of times from the caller's
-numpy Generator; a report names its worst draw and that draw's inputs.
+numpy Generator; a report names its worst draw by ``_rel`` and its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .oracle import c_matrix_element, skew_B_oracle, skew_D_oracle
 from .params import IrfParams, _pair_guard, check_admissible, params_to_json_dict, pq_grid, preset, random_pack, _c2pair as _c
-from .special import FunctionMode, InvalidParameterError, _as_int, _as_real, contour_integral_factored
+from .special import CheckReport, FunctionMode, InvalidParameterError, _as_int, _rel, contour_integral_factored
 from .symfunc import (
     B_mu,
     _bmu_prefactor,
@@ -59,7 +59,6 @@ from .symfunc import (
 from .weights import SingularParameterError, WeightContext, dyn6v_weight, hat_ratio, rational_weight, weight
 
 __all__ = [
-    "CheckReport",
     "TOL_CLOSED",
     "TOL_SERIES",
     "TOL_QUAD",
@@ -84,50 +83,6 @@ __all__ = [
 TOL_CLOSED = 1e-10
 TOL_SERIES = 1e-7
 TOL_QUAD = 1e-6
-
-
-@dataclass
-class CheckReport:
-    """Structured residual record for one identity check; the tolerance is a finite real >= 0."""
-
-    name: str
-    parameters: dict
-    lhs: complex
-    rhs: complex
-    tolerance: float
-    truncation_info: dict | None = None
-    residual: float = field(init=False)
-    passed: bool = field(init=False)
-    status: str = field(init=False)
-
-    def __post_init__(self):
-        _as_real(self.tolerance, "the report tolerance", 0)
-        self.lhs = complex(self.lhs)
-        self.rhs = complex(self.rhs)
-        self.residual = abs(self.lhs - self.rhs) / max(1.0, abs(self.rhs))
-        self.passed = self.residual <= self.tolerance
-        if not self.passed:
-            self.status = "failed"
-        elif (
-            self.truncation_info is not None
-            and self.truncation_info.get("tail_estimate", 0.0) > self.tolerance / 10.0
-        ):
-            self.status = "passed-with-warning"
-        else:
-            self.status = "passed"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "lhs": _c(self.lhs),
-            "rhs": _c(self.rhs),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "status": self.status,
-            "truncation_info": self.truncation_info,
-        }
 
 
 def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mode: FunctionMode) -> CheckReport:
@@ -564,10 +519,6 @@ class _Worst:
         return CheckReport(name, {**parameters, **(self.draw or {})}, self.value, 0.0, tolerance)
 
 
-def _rel(got, want) -> float:
-    return abs(got - want) / max(1.0, abs(want))
-
-
 def _random_plaquette(rng: np.random.Generator, mode: FunctionMode) -> WeightContext:
     lam, w, z, L = rng.standard_normal(4) * 0.4 + 1j * rng.standard_normal(4) * 0.15
     eta = rng.standard_normal() * 0.08 + 1j * rng.standard_normal() * 0.03
@@ -586,9 +537,9 @@ def check_stochasticity(rng: np.random.Generator, mode: FunctionMode) -> CheckRe
         k = int(rng.integers(0, 4))
         draw = lambda: _plaquette_draw(i, k, ctx)
         wt = lambda kind: weight(kind, k, ctx, stochastic=True)
-        worst.see(abs(wt("B") + wt("D") - 1), draw)
+        worst.see(_rel(wt("B") + wt("D"), 1), draw)
         if k >= 1:
-            worst.see(abs(wt("A") + wt("C") - 1), draw)
+            worst.see(_rel(wt("A") + wt("C"), 1), draw)
     return worst.report(f"stochasticity-{WEIGHT_DRAWS}draws-{mode.kind}", {"draws": WEIGHT_DRAWS, "mode": mode.kind}, TOL_CLOSED)
 
 

@@ -13,9 +13,9 @@ lambda-independent averages.  Those averages are computed three ways:
   weights allowed),
 * Monte Carlo over sampled trajectories (positive-weight presets only).
 
-The rational model is the IRF integral with f(z) = z and bare
-normalization (no (2*pi*i)^n or q-power prefactor); it needs a
-rational-mode pack and sites x >= 1.  The dynamic ASEP and dynamic SSEP
+The pack picks the lattice model: "irf" on a rational-mode pack is the
+rational model, the IRF integral with f(z) = z and bare normalization (no
+(2*pi*i)^n or q-power prefactor), at sites x >= 1.  The dynamic ASEP and dynamic SSEP
 degenerations carry their own integral formulas and observable
 parametrizations.
 """
@@ -29,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import CheckReport
 from .params import IrfParams, _pair_guard, pq_grid, to_six_vertex
 from .special import (
+    CheckReport,
     Circle,
     ConvergenceError,
     InvalidParameterError,
     _MAX_LEVEL_POINTS,
     _as_int,
     _as_real,
+    _rel,
     contour_integral_factored,
     log_ive,
 )
@@ -66,7 +67,7 @@ __all__ = [
     "MODELS",
 ]
 
-MODELS = ("irf", "asep", "rational", "ssep")
+MODELS = ("irf", "asep", "ssep")
 _EXACT_TOL = 1e-10  # the quadrature tolerance of every exact_E loop integral
 
 
@@ -91,16 +92,13 @@ class ObservableSpec:
         return len(self.xs)
 
 
-def _lattice_rows(model: str | None, spec: ObservableSpec, params: IrfParams) -> int:
+def _lattice_rows(spec: ObservableSpec, params: IrfParams) -> int:
     """The row index N of a lattice observable, after the checks every lattice
-    route shares, in this order: the pack's mode fits ``model`` (None: any);
-    ``samplers._check_rows``; ``samplers._check_sites``; and in
-    rational mode every site x >= 1, as the rational product and the
-    integral disagree on what the observable is left of column 1.
+    route shares, in this order: ``samplers._check_rows``;
+    ``samplers._check_sites``; and in rational mode every site x >= 1, as
+    the rational product and the integral disagree on what the observable
+    is left of column 1.
     """
-    if model is not None and (params.mode.kind == "rational") != (model == "rational"):
-        need = "a rational-mode" if model == "rational" else "a non-rational-mode"
-        raise InvalidParameterError(f"model {model!r} needs {need} pack, got {params.mode.kind}")
     N = _check_rows(params, spec.N_or_t)
     _check_sites(params, spec.xs)
     if params.mode.kind == "rational" and spec.xs[-1] < 1:
@@ -226,9 +224,9 @@ def _site_integral(xs, unary, cross, circles, nodes: int, tol: float = _EXACT_TO
 
 def _check_routes(model: str, value: complex, route: str, ref: complex, gate: float = 1e-8) -> None:
     """The check of a quadrature ``value`` against a second route's ``ref``,
-    ``gate`` relative to max(1, |ref|); a disagreement (NaN included) raises
-    ConvergenceError, naming both routes and carrying both values."""
-    if not abs(value - ref) <= gate * max(1.0, abs(ref)):
+    ``gate`` on the report residual ``special._rel``; a disagreement (NaN
+    included) raises ConvergenceError, naming both routes and carrying both values."""
+    if not _rel(value, ref) <= gate:
         raise ConvergenceError(f"{model} routes disagree: quadrature {value} vs {route} {ref}", (value, ref))
 
 
@@ -244,14 +242,13 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     n >= 2 raises ConvergenceError where that peak test fails on any of its
     circles (t = 8.8 at q = 0.5), before any quadrature.
 
-    model "irf": params is a trigonometric- or elliptic-mode IrfParams (any
-    spin), integral around the w's; coincident row parameters raise
-    SingularParameterError, since the residue check needs simple poles;
-    "rational": a rational-mode IrfParams and sites x >= 1; the same IRF
-    integral with f(z) = z and bare normalization (the presets have 2*eta = 1
-    and Lambda = 1, so p_j = z_j and q_j = z_j + 1); both reach n <= 3 at
-    nodes = 48: where a second level's (2*nodes)^n grid points pass the
-    2^26 cap, ConvergenceError names ``enum_E`` before any quadrature;
+    model "irf": params is an IrfParams of any mode and spin, integral
+    around the w's; coincident row parameters raise SingularParameterError,
+    since the residue check needs simple poles.  A rational-mode pack needs
+    sites x >= 1 and takes f(z) = z and bare normalization (the presets have
+    2*eta = 1 and Lambda = 1, so p_j = z_j and q_j = z_j + 1).  It reaches
+    n <= 3 at nodes = 48: where a second level's (2*nodes)^n grid points
+    pass the 2^26 cap, ConvergenceError names ``enum_E`` before any quadrature;
     "asep": params_or_rates = (q, alpha), loops around 1;
     "ssep": params_or_rates = (lam_bar,); the average does not depend on
     lam_bar and equals (-1)^n E[prod_k (h(x_k) - (k - 1))] of the usual SSEP
@@ -270,8 +267,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
                   n >= 4 never); past it InvalidParameterError before any
                   array is allocated
 
-    Lattice packs and specs pass ``_lattice_rows`` (pack mode, rows, sites
-    below params.n_cols, rational x >= 1) before any quadrature, and
+    Lattice packs and specs pass ``_lattice_rows`` (rows, sites below
+    params.n_cols, rational x >= 1) before any quadrature, and
     exclusion rates mc_E's check (``samplers._check_rates``), unused ones
     included.  A ``nodes`` not an integer >= 16 raises InvalidParameterError
     before any route is chosen.  Every loop integral runs at the fixed
@@ -280,8 +277,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     its ``estimates``.
     """
     nodes = _as_int(nodes, "the node count", 16)
-    if model in ("irf", "rational"):
-        return _exact_E_irf(spec, params_or_rates, _lattice_rows(model, spec, params_or_rates), nodes)
+    if model == "irf":
+        return _exact_E_irf(spec, params_or_rates, _lattice_rows(spec, params_or_rates), nodes)
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
     rates = _check_rates(model, params_or_rates)
@@ -700,13 +697,13 @@ def enum_E(spec: ObservableSpec, params: IrfParams, lam: complex | None = None) 
         raise InvalidParameterError("enum_E needs a trigonometric or rational pack; elliptic weights do not sum to one")
     if lam is not None:
         params = params.with_lambda0(lam)
-    law = enumerate_heights(params, _lattice_rows(None, spec, params), spec.xs)
+    law = enumerate_heights(params, _lattice_rows(spec, params), spec.xs)
     return _law_mean(law, _lattice_product(list(law), spec, params, params.lambda0))
 
 
 def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
     """E[prod_k (q^{h(x_{k+1},N)} - q^k)] for the stochastic six-vertex model."""
-    N = _lattice_rows(None, spec, params)
+    N = _lattice_rows(spec, params)
     law = enumerate_heights_hs6v(params, N, spec.xs)
     return _law_mean(law, _product(list(law), spec.xs, _q_moment_factor(to_six_vertex(params).q), 1.0))
 
@@ -721,7 +718,7 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     fails ``_lattice_rows``, before any sweep.
 
     The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
-    for "irf" and "rational", which sweeps columns 1..max(xs) - 1 only;
+    for "irf", on a pack of any mode, which sweeps columns 1..max(xs) - 1 only;
     ``exclusion_farm`` for "asep" and "ssep"), each keyed by its index in
     the whole run, and keep only the heights of a finished block.  The
     observable product runs once over all the heights, as numpy's in-place
@@ -735,9 +732,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     packs at small Im tau) raises InvalidParameterError.
     """
     samples, seed = _as_int(samples, "the sample count", 1000), _as_int(seed, "the seed")
-    if model in ("irf", "rational"):
+    if model == "irf":
         params = params_or_rates
-        hs = irf_batch_heights(params, spec.xs, _lattice_rows(model, spec, params), seed, samples)
+        hs = irf_batch_heights(params, spec.xs, _lattice_rows(spec, params), seed, samples)
         vals = _lattice_product(hs, spec, params, params.lambda0)
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
@@ -755,23 +752,25 @@ def lambda_independence_report(
 ) -> CheckReport:
     """The lambda-independence property as an executable test.
 
-    IRF or rational without ``samples``: exact enumeration per lambda,
-    pairwise 1e-9.  With ``samples`` Monte Carlo within 4 combined standard
-    errors; SSEP/ASEP need ``samples`` (InvalidParameterError without).  A
+    "irf" without ``samples``: exact enumeration per lambda, pairwise 1e-9.
+    With ``samples`` Monte Carlo within 4 combined standard errors;
+    SSEP/ASEP need ``samples`` (InvalidParameterError without).  The report
+    names the pack's model, irf or rational, or the exclusion model.  A
     seed that is not an integer is refused, used or not.
     """
     seed = _as_int(seed, "the seed")
     if len(lambdas) < 2:
         raise InvalidParameterError("lambda independence needs at least two lambdas")
-    if model not in ("irf", "rational", "ssep", "asep"):
+    if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
-    if model in ("irf", "rational") and samples is None:
+    label = model if model != "irf" else "rational" if params_or_rates.mode.kind == "rational" else "irf"
+    if model == "irf" and samples is None:
         params = params_or_rates
-        _lattice_rows(model, spec, params)
+        _lattice_rows(spec, params)
         values = [enum_E(spec, params, lam=lam) for lam in lambdas]
         worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
         return CheckReport(
-            name=f"lambda-independence-{model}-n{spec.n}-N{int(spec.N_or_t)}",
+            name=f"lambda-independence-{label}-n{spec.n}-N{int(spec.N_or_t)}",
             parameters={
                 "xs": spec.xs,
                 "lambdas": [[complex(l).real, complex(l).imag] for l in lambdas],
@@ -783,15 +782,15 @@ def lambda_independence_report(
         )
     if samples is None:
         raise InvalidParameterError(f"{model} lambda independence is a Monte Carlo check: it needs samples")
-    # lambdas are lambda_0 values (irf, rational), lam_bar values (ssep) or (q, alpha) pairs (asep)
-    pack = params_or_rates.with_lambda0 if model in ("irf", "rational") else {"ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
+    # lambdas are lambda_0 values (irf), lam_bar values (ssep) or (q, alpha) pairs (asep)
+    pack = params_or_rates.with_lambda0 if model == "irf" else {"ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
     results = [mc_E(model, spec, pack(lam), samples, seed) for lam in lambdas]
     (m0, s0) = results[0]
     worst_i = max(range(1, len(results)), key=lambda i: abs(results[i][0] - m0))
     mi, si = results[worst_i]
     sigma = math.sqrt(s0 * s0 + si * si)
     return CheckReport(
-        name=f"lambda-independence-{model}-mc-n{spec.n}",
+        name=f"lambda-independence-{label}-mc-n{spec.n}",
         parameters={
             "xs": spec.xs,
             "means": [[m.real, m.imag] for m, _ in results],

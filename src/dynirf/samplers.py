@@ -168,14 +168,13 @@ def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> comple
         vocc = int(state.vout[col, y]) if y >= 1 else 0
         val += 2 * two_eta * vocc - two_eta * p.lam(col)
     if check and y >= 1:
+        if x + 1 > state.X:
+            raise InvalidParameterError("path-independence check needs x < X")
         alt = p.lambda0
         for col in range(1, x + 1):  # along the bottom, no vertical arrows
             alt -= two_eta * p.lam(col)
         for row in range(1, y + 1):  # climb at fixed x crossing h-edges
-            h = state.h_in(x + 1, row) if x + 1 <= state.X else state.h_in(state.X, row)
-            if x + 1 > state.X:
-                raise InvalidParameterError("path-independence check needs x < X")
-            alt += (1 - 2 * h) * two_eta
+            alt += (1 - 2 * state.h_in(x + 1, row)) * two_eta
         if abs(alt - val) > 1e-12 * max(1.0, abs(val)):
             raise InvalidParameterError(f"filling not path-independent at ({x},{y})")
     return val

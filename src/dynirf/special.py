@@ -23,6 +23,10 @@ Numeric input has one owner: ``_as_int`` reads an integer in a range and
 InvalidParameterError that names the parameter and its bound.  Every entry
 point of the package reads its integers and reals through them.
 
+So has the report: :class:`CheckReport` records every check, and ``_rel``,
+|got - want| / max(1, |want|), is the one residual that passes or fails a
+report, a quadrature against its second route and the CLI's method gate.
+
 The two real kernels serve the exclusion processes: ``log_ive``, the
 scaled Bessel values e^{-z} I_k(z) of every order at one z in log form
 (random-walk laws and the Chebyshev coefficients of e^{tL}), and
@@ -36,12 +40,13 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "CheckReport",
     "FunctionMode",
     "Circle",
     "ConvergenceError",
@@ -96,6 +101,48 @@ def _as_real(value, what: str, low: float = -math.inf, above: bool = False) -> f
         bound = "" if low == -math.inf else f" {'>' if above else '>='} {low!r}"
         raise InvalidParameterError(f"{what} must be a finite real{bound}, got {value!r}")
     return x
+
+
+def _rel(got, want) -> float:
+    """The report residual: relative where |want| >= 1, absolute below."""
+    return abs(got - want) / max(1.0, abs(want))
+
+
+@dataclass
+class CheckReport:
+    """Structured residual record for one identity check; the tolerance is a finite real >= 0."""
+
+    name: str
+    parameters: dict
+    lhs: complex
+    rhs: complex
+    tolerance: float
+    truncation_info: dict | None = None
+    residual: float = field(init=False)
+    passed: bool = field(init=False)
+    status: str = field(init=False)
+
+    def __post_init__(self):
+        _as_real(self.tolerance, "the report tolerance", 0)
+        self.lhs = complex(self.lhs)
+        self.rhs = complex(self.rhs)
+        self.residual = _rel(self.lhs, self.rhs)
+        self.passed = self.residual <= self.tolerance
+        tail = (self.truncation_info or {}).get("tail_estimate", 0.0)
+        self.status = "failed" if not self.passed else "passed-with-warning" if tail > self.tolerance / 10.0 else "passed"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "parameters": self.parameters,
+            "lhs": [self.lhs.real, self.lhs.imag],
+            "rhs": [self.rhs.real, self.rhs.imag],
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+            "status": self.status,
+            "truncation_info": self.truncation_info,
+        }
 
 
 @dataclass(frozen=True)

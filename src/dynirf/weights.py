@@ -297,7 +297,7 @@ def dyn6v_weight(symbol: str, lam, q, xi, u):
     v = xi * u
     den1 = 1 - v / rq
     den2 = 1 - a
-    scalar = np.isscalar(lam)
+    scalar = _is_scalar(lam)
     if scalar and (abs(den1) < 1e-280 or abs(den2) < 1e-280):
         raise SingularParameterError("dyn6v weight denominator vanished")
     if symbol == "vertical":
@@ -318,7 +318,7 @@ def rational_weight(symbol: str, lam, z, w):
     if symbol in ("empty", "crossing"):
         return 1.0
     den = lam * (z - w + 1)
-    scalar = np.isscalar(lam)
+    scalar = _is_scalar(lam)
     if scalar and abs(den) < 1e-280:
         raise SingularParameterError("rational weight denominator vanished")
     if symbol == "vertical":

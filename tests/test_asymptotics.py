@@ -90,6 +90,32 @@ class TestLimitProfiles:
             RegimeIVLaw(0.0, tau, lambda_bar)
 
 
+class TestRegimeIVMean:
+    # E[Z_chi], Z_chi = sqrt(Y + chi^2/4) - chi/2, Y gamma with shape
+    # lambda_bar and scale theta = sqrt(tau/pi)
+    @pytest.mark.parametrize("lambda_bar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tau", [1.0, 0.3])
+    def test_chi_zero_closed_form(self, tau, lambda_bar):
+        # sqrt(theta) Gamma(lambda_bar + 1/2) / Gamma(lambda_bar): 0.6656676819 at tau = lambda_bar = 1
+        theta = math.sqrt(tau / math.pi)
+        want = math.sqrt(theta) * math.exp(math.lgamma(lambda_bar + 0.5) - math.lgamma(lambda_bar))
+        assert abs(RegimeIVLaw(0.0, tau, lambda_bar).mean() - want) < 1e-8
+
+    @pytest.mark.parametrize("chi", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("lambda_bar", [0.1, 1.0, 5.0])
+    def test_reflection_shifts_the_mean_by_chi(self, chi, lambda_bar):
+        law = lambda c: RegimeIVLaw(c, 1.0, lambda_bar)
+        assert abs(law(-chi).mean() - law(chi).mean() - chi) < 1e-8
+
+    @pytest.mark.parametrize("chi", [-0.5, 0.0, 0.7])
+    def test_mean_of_the_cdf(self, chi):
+        # the same mean as the integral of 1 - cdf, by a fine trapezoid rule
+        law = RegimeIVLaw(chi, 1.0, 1.5)
+        z = np.linspace(0.0, 12.0, 400_001)
+        want = np.trapezoid(1.0 - law.cdf(z), z)
+        assert abs(law.mean() - want) < 1e-8
+
+
 class TestGammaMoments:
     def test_values(self):
         assert gamma_moment(1.7, 2.2, 0) == 1.0

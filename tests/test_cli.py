@@ -117,7 +117,7 @@ class TestOptionsAreRead:
 
         from dynirf import cli
 
-        helpers = {"_load_params", "_write", "_emit_reports"}
+        helpers = {"_load_params", "_model", "_write", "_emit_reports"}
         for name, parser in _subparsers().items():
             trees, todo, seen = [], [parser.get_default("func")], set()
             while todo:  # the handler and the helpers it reaches
@@ -311,6 +311,31 @@ class TestObservablesCommand:
         assert capsys.readouterr().err == "dynirf: error: coincident row parameters\n"
 
 
+class TestModelAndPack:
+    # the CLI's --model still names rational, and ``_model`` refuses a pack
+    # of the other mode; simulate used to sample it silently (exit 0)
+    PAIRS = [
+        ("rational", "dyn6v-positive", "model 'rational' needs a rational-mode pack, got trigonometric"),
+        ("dyn6v", "rational-positive", "model 'irf' needs a non-rational-mode pack, got rational"),
+        ("irf", "rational-positive", "model 'irf' needs a non-rational-mode pack, got rational"),
+    ]
+
+    @pytest.mark.parametrize("command", ["observables", "simulate"])
+    @pytest.mark.parametrize("model, pack, message", PAIRS, ids=[f"{m}-{p}" for m, p, _ in PAIRS])
+    def test_contradictory_pack_is_a_usage_error(self, monkeypatch, capsys, command, model, pack, message):
+        from dynirf import cli, observables
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran on a contradictory pack")
+
+        monkeypatch.setattr(cli, "sample_irf", no_work)
+        for name in ("exact_E", "mc_E", "enum_E"):
+            monkeypatch.setattr(observables, name, no_work)
+        extra = ["--xs", "2,1", "--N", "3", "--compare", "enum,exact,mc"] if command == "observables" else []
+        assert cli.main([command, "--model", model, "--preset", pack, *extra]) == 2
+        assert capsys.readouterr() == ("", f"dynirf: error: {message}\n")
+
+
 class TestAsymptoticsCommand:
     def test_heat_and_hydro(self):
         proc = run_cli("asymptotics", "--check", "hydro")
@@ -324,6 +349,25 @@ class TestAsymptoticsCommand:
         lines = proc.stdout.strip().splitlines()
         assert lines[0] == "chi,profile,empirical"
         assert len(lines) == 4
+        # the reference column is E[Z_chi] of the regime-IV limit, which
+        # moves with chi (it read sqrt(E Y) = 0.7511255444649425 on every row)
+        profile = [float(line.split(",")[1]) for line in lines[1:]]
+        assert [round(p, 4) for p in profile] == [0.9743, 0.6657, 0.4743]
+
+    def test_profile_runs_the_samples_it_is_given(self, monkeypatch, capsys):
+        # --samples 5 used to be raised to 100 trajectories
+        from dynirf import cli
+
+        real, counts = cli.exclusion_farm, []
+
+        def farm(model, rates, T, n_traj, seed, xs):
+            counts.append(n_traj)
+            return real(model, rates, T, n_traj, seed, xs)
+
+        monkeypatch.setattr(cli, "exclusion_farm", farm)
+        assert cli.main(["asymptotics", "--check", "profile", "--L", "50", "--samples", "5", "--chi=0.0"]) == 0
+        assert counts == [5]
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestConfigFile:

@@ -192,6 +192,19 @@ for argv in {argvs!r}:
     assert {argv[0] for argv in argvs} == {"verify", "simulate", "observables", "asymptotics"}
 
 
+def test_observables_and_asymptotics_load_no_identities():
+    # the report record and its residual live in special: observables and
+    # asymptotics need neither the identity batteries nor the operator oracle
+    script = """
+import sys
+import dynirf.observables, dynirf.asymptotics
+print(sorted(m for m in ("dynirf.identities", "dynirf.oracle") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_lazy_observable_exports():
     from dynirf import ObservableSpec, enum_E, exact_E, mc_E
     from dynirf import observables
@@ -213,7 +226,7 @@ def test_no_public_check_takes_a_gate():
     found = []
     for module in (dynirf.identities, dynirf.observables):
         for name, obj in vars(module).items():
-            if name.startswith("_") or name == "CheckReport" or getattr(obj, "__module__", None) != module.__name__:
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj) or inspect.isclass(obj):
                 found += [f"{module.__name__}.{name}({p})" for p in inspect.signature(obj).parameters if p in gates]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dynirf.identities import (
-    CheckReport,
     check_cauchy_rho,
     check_degenerate_weights,
     check_D_integral,
@@ -23,7 +22,7 @@ from dynirf.asymptotics import regime_moment_check
 from dynirf.observables import ObservableSpec, lambda_independence_report
 from dynirf.oracle import skew_B_oracle
 from dynirf.params import params_from_json_dict, pq_grid, preset
-from dynirf.special import FunctionMode, InvalidParameterError
+from dynirf.special import CheckReport, FunctionMode, InvalidParameterError
 from dynirf.symfunc import B_mu
 from dynirf.weights import SingularParameterError, WeightContext, weight
 

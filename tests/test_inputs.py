@@ -38,7 +38,6 @@ from dynirf.asymptotics import (
     regime_moment_check,
 )
 from dynirf.identities import (
-    CheckReport,
     check_cauchy_rho,
     check_D_integral,
     check_nested_sum_lemma,
@@ -69,7 +68,7 @@ from dynirf.samplers import (
     simulate_exclusion,
     step_exclusion_state,
 )
-from dynirf.special import Circle, FunctionMode, InvalidParameterError, contour_integral_factored, gammainc, log_ive, theta
+from dynirf.special import CheckReport, Circle, FunctionMode, InvalidParameterError, contour_integral_factored, gammainc, log_ive, theta
 from dynirf.symfunc import B_mu, Signature, c_matrix_formula, normalize, phi, psi, signatures_in_box
 from reference_routes import RegimeSpec, enumerate_distribution, height_from_O, limit_profile, obs_O_six_vertex
 
@@ -274,7 +273,7 @@ REALS = {
     "asymptotics.regime_iv_ks_check:L": lambda c, v: regime_iv_ks_check(L=v),
     "asymptotics.regime_iv_ks_check:tau": lambda c, v: regime_iv_ks_check(tau=v),
     "asymptotics.regime_iv_ks_check:lambda_bar": lambda c, v: regime_iv_ks_check(lambda_bar=v),
-    "identities.CheckReport:tolerance": lambda c, v: CheckReport("r", {}, 0.0, 0.0, v),
+    "special.CheckReport:tolerance": lambda c, v: CheckReport("r", {}, 0.0, 0.0, v),
 }
 
 ROWS = [(t, v) for t in INTS for v in (NAN, INF, -INF, 2.5)] + [(t, v) for t in REALS for v in (NAN, INF, -INF)]

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import hashlib
+import json
 import math
 import re
 import time
@@ -251,15 +252,15 @@ class TestExactIrf:
         with pytest.raises(SingularParameterError, match=re.escape(f"rows {rows} have coincident parameters")):
             exact_E("irf", ObservableSpec((9,), len(ws)), params)
 
-    @pytest.mark.parametrize("model, pack", [("irf", "dyn6v-positive"), ("rational", "rational-positive")])
-    def test_four_sites_refused_before_quadrature(self, monkeypatch, model, pack):
+    @pytest.mark.parametrize("pack", ["dyn6v-positive", "rational-positive"], ids=["irf-dyn6v-positive", "rational-rational-positive"])
+    def test_four_sites_refused_before_quadrature(self, monkeypatch, pack):
         # (2 * 48)^4 grid points pass the 2^26 cap: the quadrature used to
         # raise its point-cap ConvergenceError only after its first level;
         # enum_E gives 0.0015834 for the irf case
         monkeypatch.setattr(observables, "_site_integral", None)
         monkeypatch.setattr(observables, "_irf_residue_sum", None)
         with pytest.raises(ConvergenceError, match=r"n = 4 .*enum_E"):
-            exact_E(model, ObservableSpec((4, 3, 2, 1), 4), preset(pack))
+            exact_E("irf", ObservableSpec((4, 3, 2, 1), 4), preset(pack))
 
     def test_lambda_free(self, dyn6v):
         # the integral contains no dynamic parameter at all; rebuilt packs
@@ -285,7 +286,7 @@ class TestLambdaIndependence:
     @pytest.mark.parametrize("lambdas", [[-60.0, -50.0, -70.5, -61.3], [-60.0, -60.0 + 5j, -50.0 + 2j]], ids=["real", "complex"])
     def test_rational_by_enumeration(self, rational, lambdas):
         # the rational product dropped Im lambda_0: -60 + 5i read 1.31219 - 0.00095i
-        rep = lambda_independence_report("rational", ObservableSpec((3, 2), 3), lambdas, rational)
+        rep = lambda_independence_report("irf", ObservableSpec((3, 2), 3), lambdas, rational)
         assert rep.name == "lambda-independence-rational-n2-N3"
         assert rep.passed and abs(rep.rhs - 1.31211147413268) < 1e-12
 
@@ -306,10 +307,10 @@ class TestLambdaIndependence:
 class TestRational:
     def test_integral_enum_mc(self, rational):
         spec = ObservableSpec((2, 1), 3)
-        vi = exact_E("rational", spec, rational)
+        vi = exact_E("irf", spec, rational)
         ve = enum_E(spec, rational)
         assert abs(vi - ve) <= 1e-10 * max(1.0, abs(ve))
-        m, se = mc_E("rational", spec, rational, 20000, seed=5)
+        m, se = mc_E("irf", spec, rational, 20000, seed=5)
         assert abs(m - vi) <= 4 * se
 
     @pytest.mark.parametrize(
@@ -319,33 +320,45 @@ class TestRational:
         # (5, 3, 2) at N = 5 has residue-sum conditioning 2.1e11; a flat
         # 1e-8 residue gate used to reject its quadrature with ArithmeticError
         spec = ObservableSpec(xs, N)
-        vi = exact_E("rational", spec, rational)
+        vi = exact_E("irf", spec, rational)
         ve = enum_E(spec, rational)
         assert abs(vi - ve) <= 1e-10 * max(1.0, abs(ve))
 
-    def test_model_and_pack_mode_must_agree(self, dyn6v, rational, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran on a mismatched pack")
+    def test_irf_on_the_rational_pack_is_the_rational_model(self, rational):
+        # the pack picks the model: "irf" on a rational pack is the rational
+        # model, pinned bit for bit to the values of the former "rational" label
+        spec = ObservableSpec((3, 2), 3)
+        assert exact_E("irf", spec, rational) == complex(1.312111474132678, -4.310123740443025e-16)
+        assert mc_E("irf", spec, rational, 4000, 1) == (complex(1.3085616120218582, 0.0), 0.011098850766248747)
 
-        monkeypatch.setattr(observables, "contour_integral_factored", no_quadrature)
-        spec = ObservableSpec((2, 1), 3)
-        with pytest.raises(InvalidParameterError, match="rational-mode pack"):
-            exact_E("rational", spec, dyn6v)
-        with pytest.raises(InvalidParameterError, match="non-rational-mode pack"):
-            exact_E("irf", spec, rational)
+    @pytest.mark.parametrize(
+        "lambdas, samples, digest",
+        [
+            ([-60.0, -50.0, -70.5, -61.3], None, "d808abb3372dcca8"),
+            ([-60.0, -60.0 + 5j, -50.0 + 2j], None, "f979bfeebedbf643"),
+            ([-60.0, -50.0], 2000, "a6c3a44143d1c83c"),
+        ],
+        ids=["real", "complex", "mc"],
+    )
+    def test_lambda_report_on_the_rational_pack_is_pinned(self, rational, lambdas, samples, digest):
+        # the report is named by the pack's mode and reads the bytes the
+        # "rational" label gave (sha256 of its sorted JSON)
+        spec = ObservableSpec((3, 2), 3) if samples is None else ObservableSpec((2,), 2)
+        rep = lambda_independence_report("irf", spec, lambdas, rational, samples=samples, seed=3)
+        assert rep.name.startswith("lambda-independence-rational-")
+        text = json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
-    def test_mc_E_model_and_pack_mode_must_agree(self, dyn6v, rational, monkeypatch):
-        # mc_E used to sample either pack under either model: "irf" on the
-        # rational pack read 0.412 where the rational average is 4.079
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled a mismatched pack")
-
-        monkeypatch.setattr(observables, "irf_batch_heights", no_sampling)
-        spec = ObservableSpec((2, 1), 3)
-        with pytest.raises(InvalidParameterError, match="rational-mode pack"):
-            mc_E("rational", spec, dyn6v, 4000, 1)
-        with pytest.raises(InvalidParameterError, match="non-rational-mode pack"):
-            mc_E("irf", spec, rational, 4000, 1)
+    @pytest.mark.parametrize("name", ["exact_E", "mc_E", "lambda_independence_report"])
+    def test_rational_is_not_a_model(self, rational, name):
+        route = {
+            "exact_E": lambda: exact_E("rational", ObservableSpec((2, 1), 3), rational),
+            "mc_E": lambda: mc_E("rational", ObservableSpec((2, 1), 3), rational, 4000, 1),
+            "lambda_independence_report": lambda: lambda_independence_report("rational", ObservableSpec((2, 1), 3), [0.1, 0.2], rational),
+        }[name]
+        with pytest.raises(InvalidParameterError, match="unknown model 'rational'"):
+            route()
+        assert observables.MODELS == ("irf", "asep", "ssep")
 
 
 class TestQuadratureRunaway:
@@ -503,7 +516,7 @@ class TestMcSeeds:
 def _mc_runs(dyn6v, rational):
     return {
         "irf": (ObservableSpec((3, 2), 4), dyn6v),
-        "rational": (ObservableSpec((3, 1), 3), rational),
+        "rational": (ObservableSpec((3, 1), 3), rational),  # run as "irf": the pack picks the model
         "ssep": (ObservableSpec((1, 0), 1.0), (2.0,)),
         "asep": (ObservableSpec((2,), 1.0), (0.5, 2.0)),
     }
@@ -517,6 +530,7 @@ class TestMcBlocks:
     def test_any_block_size_gives_one_sweep(self, monkeypatch, dyn6v, rational, model, block):
         # 1000 samples: 142 blocks of 7 and one of 6, or 1000 blocks of one
         spec, pack = _mc_runs(dyn6v, rational)[model]
+        model = "irf" if model == "rational" else model
         whole = mc_E(model, spec, pack, 1000, 11)
         monkeypatch.setattr(samplers, "_BLOCK", block)
         assert mc_E(model, spec, pack, 1000, 11) == whole
@@ -1132,7 +1146,7 @@ class TestLatticeInputs:
                     samplers.enumerate_heights(dyn6v, 3, xs)
 
     def test_non_integral_row_index(self, dyn6v, rational, no_work):
-        routes = self._routes(dyn6v) + [lambda spec: exact_E("rational", spec, rational)]
+        routes = self._routes(dyn6v) + [lambda spec: exact_E("irf", spec, rational)]
         for route in routes:
             with pytest.raises(InvalidParameterError, match="integer"):
                 route(ObservableSpec((3,), 2.5))
@@ -1142,7 +1156,7 @@ class TestLatticeInputs:
         # the integral used to wrap its column slice: 0.4655 against
         # enumeration's 2.4220 at (3, 0), a bare ValueError at (0,)
         with pytest.raises(InvalidParameterError, match="x >= 1"):
-            exact_E("rational", ObservableSpec(xs, 3), rational)
+            exact_E("irf", ObservableSpec(xs, 3), rational)
 
     @pytest.mark.parametrize("xs", [(3, 0), (0,), (2, -1)])
     def test_rational_enum_E_needs_sites_from_column_one(self, rational, no_work, xs):
@@ -1152,7 +1166,7 @@ class TestLatticeInputs:
     @pytest.mark.parametrize("xs", [(3, 0), (0,), (2, -1)])
     def test_rational_mc_E_needs_sites_from_column_one(self, rational, no_work, xs):
         with pytest.raises(InvalidParameterError, match="x >= 1"):
-            mc_E("rational", ObservableSpec(xs, 3), rational, 1000, seed=0)
+            mc_E("irf", ObservableSpec(xs, 3), rational, 1000, seed=0)
 
 
 def pin_digest(values) -> str:

@@ -175,6 +175,14 @@ class TestQuadrantSampler:
             for y in range(5):
                 filling(st, x, y, check=True)
 
+    def test_filling_check_refuses_the_last_column(self, dyn6v):
+        # the path check climbs the column right of x, which x = X lacks
+        st = sample_irf(dyn6v, 5, 5, seed=11)
+        for y in range(1, 6):
+            with pytest.raises(InvalidParameterError, match="needs x < X"):
+                filling(st, st.X, y, check=True)
+        assert filling(st, st.X, 0, check=True) == filling(st, st.X, 0)
+
     def test_rational_sampler(self, rational):
         st = sample_irf(rational, 5, 5, seed=2)
         st.validate()

@@ -149,9 +149,14 @@ class TestHatRatios:
     @pytest.mark.parametrize("wrap", [float, np.array], ids=["float", "0-d"])
     def test_zero_denominator_raises_for_0d_lam(self, wrap):
         # lam = 2 (Lambda + 1) eta zeroes kind A's denominator at k = 0; a 0-d
-        # array lam used to skip the singularity check and divide by zero
+        # array lam used to skip the singularity check and divide by zero,
+        # in hat_ratio and in both spin-1/2 tables (lam = 0 is their pole)
         with pytest.raises(SingularParameterError):
             hat_ratio("A", 0, wrap(2 * (2.0 + 1) * 0.1), 2.0, 0.1, TRIG)
+        with pytest.raises(SingularParameterError):
+            dyn6v_weight("vertical", wrap(0.0), 0.5, 1.0, 1.2)
+        with pytest.raises(SingularParameterError):
+            rational_weight("vertical", wrap(0.0), 0.5, 0.0)
 
     def test_occupation_checked_as_in_weight(self):
         # a negative occupation used to return 0.238-0.410i for kind A
