@@ -47,10 +47,10 @@ from .samplers import (
     _check_rates,
     _check_rows,
     _check_sites,
+    _farm_blocks,
+    _irf_height_blocks,
     enumerate_heights,
     enumerate_heights_hs6v,
-    exclusion_farm,
-    irf_batch_heights,
 )
 from .weights import SingularParameterError
 
@@ -69,6 +69,9 @@ __all__ = [
 
 MODELS = ("irf", "asep", "ssep")
 _EXACT_TOL = 1e-10  # the quadrature tolerance of every exact_E loop integral
+# samples per mc_E chunk, whose observable product and statistics are formed
+# at once: the largest README run (20,000 samples) is one chunk
+_MC_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,8 @@ def _q_pow(params: IrfParams, m) -> complex:
 def _product(cols, xs, factor, norm) -> np.ndarray:
     """prod_k factor(k, x_k, cols[:, k]) / norm for each row of an (n_samples, n)
     array, its columns as floats.  The multiply stays in place: out of place,
-    numpy's temporary elision swaps the complex operands from 2^14 rows on."""
+    numpy's temporary elision swaps the complex operands from 2^14 rows on
+    (an mc_E chunk or an enumerated law can have that many)."""
     cols = np.asarray(cols, dtype=float)
     out = np.ones(cols.shape[0], dtype=complex)
     for k, x in enumerate(xs):
@@ -708,6 +712,22 @@ def hs6v_q_moment(spec: ObservableSpec, params: IrfParams) -> complex:
     return _law_mean(law, _product(list(law), spec.xs, _q_moment_factor(to_six_vertex(params).q), 1.0))
 
 
+def _chunks(blocks):
+    """The rows of the arrays ``blocks``, in order, regrouped into arrays of
+    ``_MC_CHUNK`` rows, the last one shorter."""
+    held, n_held = [], 0
+    for block in blocks:
+        while len(block):
+            part, block = block[: _MC_CHUNK - n_held], block[_MC_CHUNK - n_held :]
+            held.append(part)
+            n_held += len(part)
+            if n_held == _MC_CHUNK:
+                yield np.concatenate(held)
+                held, n_held = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: int):
     """Monte Carlo average of the observable product; returns (mean, stderr).
 
@@ -717,33 +737,48 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     integer raises InvalidParameterError, and so does a lattice spec that
     fails ``_lattice_rows``, before any sweep.
 
-    The engines run trajectories in blocks of 2^14 (``irf_batch_heights``
-    for "irf", on a pack of any mode, which sweeps columns 1..max(xs) - 1 only;
-    ``exclusion_farm`` for "asep" and "ssep"), each keyed by its index in
-    the whole run, and keep only the heights of a finished block.  The
-    observable product runs once over all the heights, as numpy's in-place
-    complex multiply rounds a one-element block differently.  The batch
+    The engines run trajectories in blocks of 2^13 (``irf_batch_heights``'
+    blocks for "irf", on a pack of any mode, which sweep columns 1..max(xs) -
+    1 only; ``exclusion_farm``'s for "asep" and "ssep"), each keyed by its
+    index in the whole run.  Their heights are regrouped into chunks of 2^15
+    samples, [0, 2^15), [2^15, 2^16), ..., fixed by ``samples`` alone.  Each
+    chunk's observable product, mean and sum of squared deviations M2 are
+    formed on their own and merged, in index order, into a running (count,
+    mean, M2) (Chan, Golub & LeVeque, Amer. Stat. 37, 1983); the first
+    chunk's mean and M2 are taken as they are, so a run of one chunk gives
+    the one-pass mean and stderr.  numpy's complex multiply rounds by array
+    length, but the chunks do not depend on the block size, and the batch
     sampler weighs the same table of fillings, one per up-count, in every
-    block, so the result does not depend on the block size, bit for bit, in
-    every mode, and memory is one block's state plus the
-    heights, the product and its stderr: a traced peak of 56-112 bytes per
-    sample at 10^6 samples.  A lattice pack whose stochastic weights miss
-    a + c = 1 or b + d = 1 by more than 1e-9 in a swept column (elliptic
-    packs at small Im tau) raises InvalidParameterError.
+    block; so the result does not depend on the block size, bit for bit, in
+    every mode.  A run holds one block's state and one chunk's product at
+    any sample count.  A lattice pack whose stochastic weights miss a + c =
+    1 or b + d = 1 by more than 1e-9 in a swept column (elliptic packs at
+    small Im tau) raises InvalidParameterError.
     """
     samples, seed = _as_int(samples, "the sample count", 1000), _as_int(seed, "the seed")
     if model == "irf":
         params = params_or_rates
-        hs = irf_batch_heights(params, spec.xs, _lattice_rows(spec, params), seed, samples)
-        vals = _lattice_product(hs, spec, params, params.lambda0)
+        blocks = _irf_height_blocks(params, spec.xs, _lattice_rows(spec, params), seed, samples)
+        product = lambda hs: _lattice_product(hs, spec, params, params.lambda0)
     elif model in ("asep", "ssep"):
         rates = _check_rates(model, params_or_rates)
-        svals = exclusion_farm(model, rates, _as_real(spec.N_or_t, "the time horizon t", 0), samples, seed, list(spec.xs))
-        vals = _exclusion_product(model, svals, spec, rates)
+        blocks = _farm_blocks(model, rates, _as_real(spec.N_or_t, "the time horizon t", 0), seed, samples, spec.xs)
+        product = lambda svals: _exclusion_product(model, svals, spec, rates)
     else:
         raise InvalidParameterError(f"unknown model {model!r}")
-    mean = complex(np.mean(vals))
-    stderr = float(np.sqrt(np.sum(np.abs(vals - mean) ** 2)) / math.sqrt(samples * (samples - 1)))
+    count = 0
+    for heights in _chunks(blocks):
+        vals = product(heights)
+        n_b, mean_b = len(vals), complex(np.mean(vals))
+        m2_b = np.sum(np.abs(vals - mean_b) ** 2)
+        if not count:
+            count, mean, m2 = n_b, mean_b, m2_b
+        else:
+            n_a, d = count, mean_b - mean
+            count += n_b
+            mean += d * n_b / count
+            m2 += m2_b + abs(d) ** 2 * n_a * n_b / count
+    stderr = float(np.sqrt(m2) / math.sqrt(samples * (samples - 1)))
     return mean, stderr
 
 

@@ -103,19 +103,44 @@ class IrfParams:
         return len(self.rows)
 
     def z(self, j: int) -> complex:
-        return self.columns[j][0]
+        """z_j, for a column index j in 0..n_cols - 1."""
+        if type(j) is int and j >= 0:  # a plain int: the tuple checks the top
+            try:
+                return self.columns[j][0]
+            except IndexError:
+                pass
+        return self.columns[self._column(j)][0]
 
     def lam(self, j: int) -> complex:
-        return self.columns[j][1]
+        """Lambda_j, for a column index j in 0..n_cols - 1."""
+        if type(j) is int and j >= 0:
+            try:
+                return self.columns[j][1]
+            except IndexError:
+                pass
+        return self.columns[self._column(j)][1]
+
+    def _column(self, j) -> int:
+        return _as_int(j, f"the column index j (the parameter pack has {self.n_cols} columns)", 0, self.n_cols - 1)
 
     def w(self, k: int) -> complex:
-        """Row spectral parameter, 1-indexed as in the model."""
-        return self.rows[k - 1]
+        """Row spectral parameter, 1-indexed as in the model: k in 1..n_rows."""
+        if type(k) is int and k >= 1:
+            try:
+                return self.rows[k - 1]
+            except IndexError:
+                pass
+        return self.rows[_as_int(k, f"the row index k (the parameter pack has {self.n_rows} rows)", 1, self.n_rows) - 1]
 
     def lam_sum(self, a: int, b: int) -> complex:
-        """Lambda_a + Lambda_{a+1} + ... + Lambda_{b-1}; empty ranges give 0."""
+        """Lambda_a + Lambda_{a+1} + ... + Lambda_{b-1} for integers a, b;
+        empty ranges (b <= a) give 0, any other needs 0 <= a < b <= n_cols."""
+        if type(a) is not int or type(b) is not int:
+            a, b = _as_int(a, "lam_sum's a"), _as_int(b, "lam_sum's b")
         if b <= a:
             return 0j
+        if a < 0 or b > len(self.columns):
+            raise InvalidParameterError(f"lam_sum's range {a}..{b} needs 0 <= a < b <= {self.n_cols}, the pack's column count")
         return self._lam_prefix[b] - self._lam_prefix[a]
 
     @property

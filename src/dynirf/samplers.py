@@ -45,8 +45,10 @@ _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 1
 _INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
 _MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this
-# trajectories per block of the batch engines, and (row, step) pairs per farm hash pass
-_BLOCK = 1 << 14
+# trajectories per block of the batch engines, and (row, step) pairs per farm
+# hash pass; of 2^12, 2^13 and 2^14, 2^13 ran 10^5 mc_E samples fastest, and
+# a farm block holds half the state of 2^14
+_BLOCK = 1 << 13
 _SPAN3, _SPAN5 = np.arange(3), np.arange(5)
 
 
@@ -261,9 +263,9 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     """Vectorized spin-1/2 sampler: trajectories lo .. hi - 1 of the run
     seeded ``seed`` sweep together.
 
-    Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...} with the same
-    per-trajectory values as ``sample_irf`` at ``trajectory_seed(seed, i)``
-    (also returned, as "seeds").
+    Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...}, int8 occupations
+    (each 0 or 1), with the same per-trajectory values as ``sample_irf`` at
+    ``trajectory_seed(seed, i)`` (also returned, as "seeds").
     Requires Lambda = 1 columns (the positivity presets).
 
     On a spin-1/2 row the filling at column x is lambda0 - 2 eta (y +
@@ -274,21 +276,22 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     probability is checked to lie in [0, 1], and at each of the x fillings
     a1 + c1 and b0 + d0 to be one, within 1e-9.
 
-    A sweep holds 16 (X+1)(Y+1) bytes per trajectory; ``irf_batch_heights``
-    sweeps a run in blocks of 2^14 trajectories and keeps only their heights.
+    A sweep holds 2 (X+1)(Y+1) bytes of occupations per trajectory;
+    ``irf_batch_heights`` sweeps a run in blocks of 2^13 trajectories and
+    keeps only their heights.
     """
     if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
         raise InvalidParameterError("batch sampler is spin-1/2 only")
     two_eta = 2 * params.eta
     n_traj = hi - lo
-    vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
-    hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int64)
+    vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int8)
+    hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int8)
     seeds = trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64))
     for y in range(1, Y + 1):
         count = np.zeros(n_traj, dtype=np.int64)  # arrows sent up in this row so far
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
-            i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int64)
+            i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int8)
             fill = params.lambda0 - two_eta * (y + params.lam_sum(1, x)) + 2 * two_eta * np.arange(x)
             _, a1, b0, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
             # probability that a horizontal arrow exits right, by up-count,
@@ -309,6 +312,20 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     return {"vout": vout, "hout": hout, "seeds": seeds}
 
 
+def _irf_height_blocks(params: IrfParams, xs: tuple, N: int, seed: int, n_traj: int):
+    """The heights of ``irf_batch_heights`` for checked input, one (block
+    size, len(xs)) int64 array per block of ``_BLOCK`` trajectories, in order."""
+    X = max(xs) - 1
+    for lo, hi in _blocks(n_traj):
+        out = np.full((hi - lo, len(xs)), N, dtype=np.int64)
+        if X >= 1:
+            hout = _irf_batch(params, X, N, seed, lo, hi)["hout"]
+            for c, x in enumerate(xs):
+                if x > 1:
+                    out[:, c] = hout[:, x - 1, 1 : N + 1].sum(axis=1, dtype=np.int64)
+        yield out
+
+
 def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
     """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
     batch sampler's run seeded ``seed``, as an (n_traj, len(xs)) int array.
@@ -316,27 +333,18 @@ def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> 
     h(x, N) counts the arrows leaving column x - 1 rightward in rows 1..N,
     and paths never move left, so the sweep stops at column X = max(xs) - 1
     (at x <= 1 every height is N); only the swept columns' spin and weights
-    are checked.  The sweep runs in blocks of 2^14 trajectories, one after
-    another, and keeps only each block's heights, so a run holds one block's
-    16 max(xs) (N+1) bytes per trajectory besides its output.  Each
-    trajectory is keyed by its index in the whole run, each vertex uniform by
-    (trajectory seed, x, y), and each column weighs the same table of
-    fillings, one per up-count, in every block; so in every mode its
-    heights are those of one ``_irf_batch(params, X', N, seed, 0, n_traj)``
-    sweep at any X' >= X, bit for bit.
+    are checked.  The sweep runs in blocks of 2^13 trajectories, one after
+    another (``_irf_height_blocks``), and keeps only each block's heights,
+    so a run holds one block's 2 max(xs) (N+1) bytes of occupations per
+    trajectory besides its output.  Each trajectory is keyed by its index in
+    the whole run, each vertex uniform by (trajectory seed, x, y), and each
+    column weighs the same table of fillings, one per up-count, in every
+    block; so in every mode its heights are those of one ``_irf_batch(params,
+    X', N, seed, 0, n_traj)`` sweep at any X' >= X, bit for bit.
     """
     n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
     xs, N = _check_sites(params, xs), _check_rows(params, N)
-    X = max(xs) - 1
-    out = np.full((n_traj, len(xs)), N, dtype=np.int64)
-    if X < 1:
-        return out
-    for lo, hi in _blocks(n_traj):
-        hout = _irf_batch(params, X, N, seed, lo, hi)["hout"]
-        for c, x in enumerate(xs):
-            if x > 1:
-                out[lo:hi, c] = hout[:, x - 1, 1 : N + 1].sum(axis=1)
-    return out
+    return np.concatenate([np.empty((0, len(xs)), dtype=np.int64), *_irf_height_blocks(params, xs, N, seed, n_traj)])
 
 
 def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
@@ -623,13 +631,13 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     Returns an (n_traj, len(xs)) int array of s_x(T); sites outside the
     final window were never disturbed and read |x|.  Each trajectory's
     variates are keyed (``trajectory_seed(seed, index)``, event number).
-    Trajectories run in blocks of 2^14, each to the end before the next
-    starts, so a run holds the state of one block at a time besides its
-    output: a block's window starts at [-8, 8] and grows whenever a flip
-    comes within three sites of its edge.
+    Trajectories run in blocks of 2^13 (``_farm_blocks``), each to the end
+    before the next starts, so a run holds the state of one block at a time
+    besides its output: a block's window starts at [-8, 8] and grows
+    whenever a flip comes within three sites of its edge.
 
     The uniforms of a block of steps are hashed in one pass, at most
-    2^14 (row, step) pairs and 64 steps (one step above 8192 live rows).
+    2^13 (row, step) pairs and 64 steps (one step above 4096 live rows).
     Each live trajectory keeps a row of site rates, priced from the step row
     once for all.  A flip at x changes only the rates at x - 1, x and x + 1,
     so only those three are repriced (Gibson & Bruck, J. Phys. Chem. A 104,
@@ -650,10 +658,13 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     T = _as_real(T, "the time horizon T", 0)
     n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
     xs = tuple(_as_int(x, "site x") for x in xs)
-    out = np.empty((n_traj, len(xs)), dtype=np.int64)
+    return np.concatenate([np.empty((0, len(xs)), dtype=np.int64), *_farm_blocks(kind, rate_params, T, seed, n_traj, xs)])
+
+
+def _farm_blocks(kind: str, rate_params: tuple, T: float, seed: int, n_traj: int, xs: tuple):
+    """``exclusion_farm``'s output for checked input, one array per block of ``_BLOCK`` trajectories, in order."""
     for lo, hi in _blocks(n_traj):
-        out[lo:hi] = _farm_block(kind, rate_params, T, seed, lo, hi, xs)
-    return out
+        yield _farm_block(kind, rate_params, T, seed, lo, hi, xs)
 
 
 def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi: int, xs):

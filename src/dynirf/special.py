@@ -366,7 +366,9 @@ def gammainc(a: float, x) -> np.ndarray:
     above it 1 - Q(a, x) with Q's continued fraction evaluated by the
     modified Lentz method (Numerical Recipes, 3rd ed., section 6.2), both
     until every step changes its value by less than ``_GAMMA_EPS``
-    relative; past 60 + 12 sqrt(a) steps ConvergenceError.  An a that is
+    relative; past 120 + 12 sqrt(a) steps ConvergenceError.  The fraction
+    needs up to 99 steps at shapes below 1 (x near a + 1) and 90 at a =
+    1000, the series 233 at a = 1000, on log grids of x.  An a that is
     not finite and > 0, or an x that is negative or not finite, raises
     InvalidParameterError.
     """
@@ -374,7 +376,7 @@ def gammainc(a: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise InvalidParameterError("gammainc needs finite x >= 0")
-    steps = 60 + int(12.0 * math.sqrt(a))
+    steps = 120 + int(12.0 * math.sqrt(a))
     out = np.zeros(x.shape)
     series = (x > 0) & (x < a + 1.0)
     if series.any():

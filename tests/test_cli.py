@@ -343,6 +343,15 @@ class TestAsymptoticsCommand:
         proc = run_cli("asymptotics", "--check", "heat")
         assert proc.returncode == 0
 
+    def test_ks_at_a_small_lambda_bar(self, capsys):
+        # at shape 0.05 gammainc's continued fraction ran out of steps on the
+        # law's cdf, and this run exited 1 with a ConvergenceError
+        from dynirf import cli
+
+        args = ["asymptotics", "--check", "ks", "--lambda-bar", "0.05", "--samples", "50", "--seed", "4"]
+        assert cli.main(args) == 0
+        assert '"name": "regime-iv-ks-soft"' in capsys.readouterr().out
+
     def test_profile_csv(self):
         proc = run_cli("asymptotics", "--check", "profile", "--L", "50",
                        "--samples", "120", "--chi=-0.5,0.0,0.5")

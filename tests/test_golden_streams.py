@@ -7,6 +7,8 @@ the first 16 hex digits of a sha256.
 
 import hashlib
 
+import numpy as np
+
 from dynirf.cli import main
 from dynirf.observables import ObservableSpec, mc_E
 from dynirf.params import preset
@@ -18,8 +20,10 @@ def digest(data: bytes) -> str:
 
 
 def test_batch_quadrant_sampler():
+    # the occupations are int8; the digest was pinned on their int64 bytes
     batch = _irf_batch(preset("dyn6v-positive"), 4, 5, 1, 0, 10_000)
-    assert digest(batch["vout"].tobytes() + batch["hout"].tobytes()) == "833836a862774bb7"
+    occupations = (batch[k].astype(np.int64).tobytes() for k in ("vout", "hout"))
+    assert digest(b"".join(occupations)) == "833836a862774bb7"
 
 
 def test_event_logged_ssep():
@@ -43,14 +47,15 @@ def test_exclusion_farm_asep_mc_shape():
 
 
 def test_mc_E_across_blocks():
-    # 40,000 samples: two full trajectory blocks of 2^14 and a partial one
+    # 40,000 samples: four full trajectory blocks of 2^13 and a partial one,
+    # one full mc_E chunk of 2^15 and a partial one, so one chunk merge runs
     runs = [
         ("irf", ObservableSpec((3, 2), 4), preset("dyn6v-positive")),
         ("ssep", ObservableSpec((1, 0), 1.0), (2.0,)),
         ("asep", ObservableSpec((2,), 1.0), (0.5, 2.0)),
     ]
     results = [mc_E(model, spec, pack, 40_000, 5) for model, spec, pack in runs]
-    assert digest(repr(results).encode()) == "14712725bc5bc2bc"
+    assert digest(repr(results).encode()) == "5386fc530a0326dc"
 
 
 def test_cli_simulate(capsys):

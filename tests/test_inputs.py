@@ -83,7 +83,7 @@ ENGINES = {
     "samplers": ("_irf_batch", "_farm_block", "_row_sweep", "_fold", "_hash64", "uniform_hash", "plaquette_weights"),
     "observables": (
         "contour_integral_factored", "_exact_E_irf", "_exact_E_asep", "_exact_E_ssep", "_walk_sum", "_duality_moment",
-        "enumerate_heights", "enumerate_heights_hs6v", "exclusion_farm", "irf_batch_heights", "to_six_vertex",
+        "enumerate_heights", "enumerate_heights_hs6v", "_farm_blocks", "_irf_height_blocks", "to_six_vertex",
     ),
     "asymptotics": ("ssep_falling_moment", "ssep_mean_height", "exclusion_farm"),
     "identities": ("_perm_sum", "_strip", "_capped_sum", "_strong_family", "contour_integral_factored"),
@@ -147,6 +147,13 @@ HOLES = [
     ("special.Circle:radius", "a quadrature run to its node cap", lambda c: Circle(0.0, INF)),
     ("samplers.exclusion_farm:rate_params", "a bare numpy ValueError", lambda c: exclusion_farm("asep", (0.5, (1, 2)), 1.0, 10, 1, [0])),
     ("samplers.ExclusionState.value:x", "2.5", lambda c: c.step.value(2.5)),
+    ("params.IrfParams.z:j", "column 27", lambda c: c.dyn6v.z(-1)),
+    ("params.IrfParams.lam:j", "column 27", lambda c: c.dyn6v.lam(-1)),
+    ("params.IrfParams.w:k", "row 10", lambda c: c.dyn6v.w(0)),
+    ("params.IrfParams.lam_sum:a", "-26", lambda c: c.dyn6v.lam_sum(-1, 2)),
+    ("params.IrfParams.z:j", "a bare TypeError", lambda c: c.dyn6v.z(2.5)),
+    ("params.IrfParams.lam_sum:b", "a bare TypeError", lambda c: c.dyn6v.lam_sum(1, 2.5)),
+    ("params.IrfParams.w:k", "a bare IndexError", lambda c: c.dyn6v.w(11)),
 ]
 
 

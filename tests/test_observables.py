@@ -535,22 +535,43 @@ class TestMcBlocks:
         monkeypatch.setattr(samplers, "_BLOCK", block)
         assert mc_E(model, spec, pack, 1000, 11) == whole
 
-    def test_traced_peak_at_1e5_samples(self, dyn6v, rational):
-        # 8.6-14.0 MB traced per spec: one block of 2^14 trajectories, the
-        # heights and the observable product; one batch of every trajectory
-        # traced 44-49 MB
+    @pytest.mark.parametrize("block", [3000, 10_000])
+    @pytest.mark.parametrize("model", ["irf", "rational", "ssep", "asep"])
+    def test_chunks_straddling_blocks_give_one_sweep(self, monkeypatch, dyn6v, rational, model, block):
+        # 40,000 samples: an mc_E chunk of 2^15 and one of 7232, each built
+        # from blocks of 3000 or 10,000, one of which straddles the two
+        spec, pack = _mc_runs(dyn6v, rational)[model]
+        model = "irf" if model == "rational" else model
+        whole = mc_E(model, spec, pack, 40_000, 11)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        assert mc_E(model, spec, pack, 40_000, 11) == whole
+
+    @staticmethod
+    def _traced_peak(model, spec, pack, samples):
         import tracemalloc
 
+        tracemalloc.start()
+        try:
+            mc_E(model, spec, pack, samples, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak_at_1e5_samples(self, dyn6v, rational):
+        # 4.3 / 5.5 / 4.9 MB traced for irf / ssep / asep: one block of 2^13
+        # trajectories or one chunk's product of 2^15 samples, with 1.3x
+        # headroom over the largest; a product over every sample traced 8.6-9.7 MB
         runs = _mc_runs(dyn6v, rational)
         for model in ("irf", "ssep", "asep"):
-            spec, pack = runs[model]
-            tracemalloc.start()
-            try:
-                mc_E(model, spec, pack, 100_000, 3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 20e6, model
+            assert self._traced_peak(model, *runs[model], 100_000) < 7e6, model
+
+    def test_traced_peak_does_not_grow_with_samples(self, dyn6v, rational):
+        # 10^6 samples trace within one chunk's product (2^15 complex values)
+        # of 10^5; a peak that grows with the sample count traced 56-96 MB
+        runs = _mc_runs(dyn6v, rational)
+        for model in ("irf", "ssep", "asep"):
+            small, large = (self._traced_peak(model, *runs[model], n) for n in (100_000, 1_000_000))
+            assert large < small + observables._MC_CHUNK * 16, (model, small, large)
 
 
 class TestSsep:
@@ -837,7 +858,7 @@ class TestExclusionRates:
             raise AssertionError("ran on malformed rates")
 
         monkeypatch.setattr(observables, "contour_integral_factored", no_work)
-        monkeypatch.setattr(observables, "exclusion_farm", no_work)
+        monkeypatch.setattr(observables, "_farm_blocks", no_work)
         with pytest.raises(InvalidParameterError, match="rates are"):
             call(ObservableSpec((1,), 1.0))
 
@@ -1115,7 +1136,7 @@ class TestLatticeInputs:
         monkeypatch.setattr(samplers, "_row_sweep", never)
         monkeypatch.setattr(samplers, "_irf_batch", never)
         monkeypatch.setattr(observables, "contour_integral_factored", never)
-        monkeypatch.setattr(observables, "irf_batch_heights", never)
+        monkeypatch.setattr(observables, "_irf_height_blocks", never)
 
     @staticmethod
     def _routes(params):

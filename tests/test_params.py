@@ -57,6 +57,9 @@ class TestPQGrid:
         assert p.lam_sum(1, 1) == 0
         assert abs(p.lam_sum(0, 3) - (1.0 + 1.1 + 0.9)) < 1e-15
         assert abs(p.lam_sum(1, 3) - (1.1 + 0.9)) < 1e-15
+        # an empty range gives 0 wherever it lies: obs_O reads lam_sum(1, x) at x <= 0
+        assert p.lam_sum(1, -2) == p.lam_sum(7, 5) == 0
+        assert p.lam_sum(np.int64(1), 3.0) == p.lam_sum(1, 3)
 
 
 class TestAdmissibility:

@@ -651,6 +651,18 @@ class TestGammainc:
         assert np.max(np.abs(got - ref)) <= 1e-14
         assert np.max(np.abs(got - scipy.special.gammainc(a, x))) <= 1e-14
 
+    @pytest.mark.parametrize("a", [0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 3.7, 10.0, 100.0, 1000.0])
+    def test_sweep_against_mpmath(self, a):
+        # x from (a + 1) / 1000 to 1000 (a + 1) on a log grid; below a = 1
+        # the continued fraction needs up to 99 steps just past x = a + 1
+        # (at a = 0.05 it ran out of steps on x in [1.05, 1.60]); the error
+        # grows like a, as a log x - x - lgamma(a) rounds to a few ulp of a
+        x = (a + 1.0) * np.logspace(-3.0, 3.0, 61)
+        got = gammainc(a, x)
+        with mp.workdps(30):
+            ref = np.array([float(mpmath.gammainc(a, 0, v, regularized=True)) for v in x])
+        assert np.max(np.abs(got - ref)) <= 2e-15 * (1.0 + a)
+
     def test_shapes(self):
         assert gammainc(1.0, 2.0).shape == ()
         assert abs(gammainc(1.0, 2.0) + math.expm1(-2.0)) <= 1e-16
