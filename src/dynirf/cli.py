@@ -140,7 +140,7 @@ def _cmd_simulate(args) -> int:
                 st = simulate_exclusion(
                     step_exclusion_state(model, pack), args.t, trajectory_seed(args.seed, i), record=True
                 )
-                for (t, x, s) in st.events:
+                for (t, x, s) in st.events.tolist():
                     lines.append(f"{i},{t!r},{x},{s}")
         else:
             lines.append("traj,x,s")

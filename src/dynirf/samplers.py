@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +45,7 @@ _K1, _K2, _K3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 11, 27, 30, 31))
 _INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
-_MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this
+_MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this, so x and s fit int32
 # trajectories per block of the batch engines, and (row, step) pairs per farm
 # hash pass; of 2^12, 2^13 and 2^14, 2^13 ran 10^5 mc_E samples fastest, and
 # a farm block holds half the state of 2^14
@@ -409,6 +410,11 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
 # ---------------------------------------------------------------------------
 
 
+_EVENT = np.dtype([("t", np.float64), ("x", np.int32), ("s", np.int32)])  # 16 bytes a record
+_NO_EVENTS = np.empty(0, dtype=_EVENT)  # the one empty log, shared: it has no record to change
+_NO_EVENTS.flags.writeable = False
+
+
 @dataclass
 class ExclusionState:
     """Step-type height state s_x on a finite active window.
@@ -416,7 +422,15 @@ class ExclusionState:
     ``s`` holds every site of [lo, hi]; outside it the state is frozen at
     s_x = |x|.  The window grows so that flips never come near its edges,
     which keeps the restriction exact rather than approximate.  The rates
-    pass ``_check_rates``, lo and hi must be integers and t a finite real >= 0.
+    pass ``_check_rates``, lo and hi must be integers and t a finite real >= 0;
+    then ``s`` must be a dict of integer heights on exactly [lo, hi], lo < 0
+    < hi, with steps of +-1 and s_x = |x| at lo, lo + 1, hi - 1 and hi, so
+    that neither end can flip.  The state keeps its own dict of ints.
+
+    ``events``, filled by ``simulate_exclusion(..., record=True)``, holds one
+    16-byte ``_EVENT`` record (t float64, x int32, s int32: the flip's time,
+    site and new height) per flip in time order; rows unpack as ``t, x, s``.
+    Any other state holds an empty log of that dtype, and ``==`` ignores it.
     """
 
     kind: str  # "asep" | "ssep"
@@ -425,12 +439,23 @@ class ExclusionState:
     hi: int
     s: dict
     t: float = 0.0
-    events: list = field(default_factory=list)
+    events: np.ndarray = field(default_factory=lambda: _NO_EVENTS, compare=False)
 
     def __post_init__(self):
         self.rate_params = _check_rates(self.kind, self.rate_params)
         self.lo, self.hi = _as_int(self.lo, "the window end lo"), _as_int(self.hi, "the window end hi")
         self.t = _as_real(self.t, "the state's time t", 0)
+        lo, hi, s, sites = self.lo, self.hi, self.s, range(self.lo, self.hi + 1)
+        if not (isinstance(s, dict) and lo < 0 < hi and len(s) == len(sites)):
+            raise InvalidParameterError(f"the heights s must hold exactly the sites of [lo, hi] = [{lo}, {hi}], lo < 0 < hi")
+        h = list(map(s.get, sites))
+        if set(map(type, h)) != {int}:  # a site missing from s reads None here
+            h = [_as_int(v, f"the height s_{x}") for x, v in zip(sites, h)]
+            s = dict(zip(sites, h))
+        # s_x = |x| at lo, lo + 1, hi - 1 and hi, as lo < 0 < hi
+        if (h[0], h[1], h[-2], h[-1]) != (-lo, -lo - 1, hi - 1, hi) or not set(map(operator.sub, h[1:], h)) <= {-1, 1}:
+            raise InvalidParameterError("the heights s step by +-1 and equal |x| at lo, lo + 1, hi - 1 and hi")
+        self.s = dict(s)
 
     def value(self, x: int) -> int:
         """s_x; a site x that is not an integer raises InvalidParameterError."""
@@ -506,11 +531,18 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     flip) rate is computed once per run; a rate that is not finite and > 0,
     a T that is not a finite real >= 0 or a seed that is not an integer
     raises InvalidParameterError.
+
+    The returned state is new, at time T.  With ``record`` its ``events``
+    log every flip: three lists grow during the run, and the record array
+    is built from them once at the end.
     """
     T = _as_real(T, "the time horizon T", 0)
     seed = _as_int(seed, "the seed")
-    state = replace(initial, s=dict(initial.s), events=[])
+    # replace() re-reads the heights, so the state gets its own dict of them
+    state = replace(initial, events=_NO_EVENTS)
     heights = state.s  # holds every site of the window
+    log_t, log_x, log_s = [], [], []  # the event log's columns (lists append faster than array.array)
+    add_t, add_x, add_s = log_t.append, log_x.append, log_s.append
     sites: dict = {}  # x -> [version, draws, hash of (seed, x)]
     rates: dict = {}  # (s, delta) -> rate
     heap: list = []
@@ -549,7 +581,9 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
         state.t = t_fire
         heights[x] += delta
         if record:
-            state.events.append((t_fire, x, heights[x]))
+            add_t(t_fire)
+            add_x(x)
+            add_s(heights[x])
         if x - state.lo < 3 or state.hi - x < 3:
             # lo, hi never flip, and the window grows before lo + 1 or hi - 1
             # can, so x - 1 and x + 1 are inner sites
@@ -566,6 +600,9 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
         for xx in (x - 1, x, x + 1):
             schedule(xx)
     state.t = T
+    if record:
+        state.events = events = np.empty(len(log_t), dtype=_EVENT)
+        events["t"], events["x"], events["s"] = log_t, log_x, log_s
     return state
 
 

@@ -356,6 +356,33 @@ def log_ive(z: float, kmax: int) -> np.ndarray:
 
 _GAMMA_EPS = 2.0**-52  # where a series term or a fraction step stops mattering
 _GAMMA_TINY = 1e-300  # the Lentz guard against a zero denominator
+_TEMME_SHAPE = 10.0  # from this shape on, gammainc's prefactor is in Temme's form
+# log Gamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 = sum_k c_k a^(1 - 2k),
+# c_k = B_2k / (2k (2k - 1)); the ninth term is below 2e-18 from a = 10 on
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_ATANH = 1.0 / np.arange(3.0, 43.0, 2.0)  # 1/3, 1/5, ..., 1/41: r^40 < 1e-19 at |r| <= 1/3
+
+
+def _temme_prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    """x^a e^-x / Gamma(a) for x > 0 as sqrt(a / 2 pi) exp(a (log1p(eps) - eps) - S(a)),
+    eps = (x - a) / a and S the Stirling series ``_STIRLING`` (Temme's
+    form), so no exponent of size a log a is rounded.
+    For |eps| <= 1/2, log1p(eps) - eps = -eps r + 2 (r^3/3 + r^5/5 + ...)
+    with r = eps / (2 + eps), |r| <= 1/3, two parts that do not cancel;
+    beyond it log(x / a) - eps, where x / a may underflow to 0 and the
+    prefactor with it."""
+    eps = (x - a) / a
+    with np.errstate(divide="ignore"):
+        d = np.log(x / a) - eps
+    near = np.abs(eps) <= 0.5
+    e = eps[near]
+    r = e / (2.0 + e)
+    r2, tail = r * r, np.zeros(e.shape)
+    for c in _ATANH[::-1]:
+        tail = tail * r2 + c
+    d[near] = 2.0 * r * r2 * tail - e * r
+    stirling = sum(c * a ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+    return math.sqrt(a / (2.0 * math.pi)) * np.exp(a * d - stirling)
 
 
 def gammainc(a: float, x) -> np.ndarray:
@@ -371,6 +398,11 @@ def gammainc(a: float, x) -> np.ndarray:
     1000, the series 233 at a = 1000, on log grids of x.  An a that is
     not finite and > 0, or an x that is negative or not finite, raises
     InvalidParameterError.
+
+    Both multiply by the prefactor x^a e^{-x} / Gamma(a): below shape 10
+    exp(a log x - x - lgamma(a)), whose exponent of size a log a rounds to
+    a few ulp, from 10 on ``_temme_prefactor`` (5.6e-16 where the former
+    reads up to 4.4e-13, at x = a +- 8 sqrt(a), a = 100 to 1000).
     """
     a = _as_real(a, "gammainc's a", 0, above=True)
     x = np.asarray(x, dtype=float)
@@ -390,7 +422,10 @@ def gammainc(a: float, x) -> np.ndarray:
                 break
         else:
             raise ConvergenceError(f"gammainc series at a = {a} did not converge in {steps} terms")
-        out[series] = total * np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
+        if a < _TEMME_SHAPE:
+            out[series] = total * np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
+        else:
+            out[series] = total * _temme_prefactor(a, xs) / a
     fraction = x >= a + 1.0
     if fraction.any():
         xc = x[fraction]
@@ -415,7 +450,8 @@ def gammainc(a: float, x) -> np.ndarray:
                 break
         else:
             raise ConvergenceError(f"gammainc continued fraction at a = {a} did not converge in {steps} steps")
-        out[fraction] = 1.0 - np.exp(a * np.log(xc) - xc - math.lgamma(a)) * h
+        prefactor = np.exp(a * np.log(xc) - xc - math.lgamma(a)) if a < _TEMME_SHAPE else _temme_prefactor(a, xc)
+        out[fraction] = 1.0 - prefactor * h
     return out
 
 

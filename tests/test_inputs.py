@@ -154,7 +154,19 @@ HOLES = [
     ("params.IrfParams.z:j", "a bare TypeError", lambda c: c.dyn6v.z(2.5)),
     ("params.IrfParams.lam_sum:b", "a bare TypeError", lambda c: c.dyn6v.lam_sum(1, 2.5)),
     ("params.IrfParams.w:k", "a bare IndexError", lambda c: c.dyn6v.w(11)),
+    ("samplers.ExclusionState:s", "accepted; a run ended in a bare KeyError: -5", lambda c: ExclusionState("ssep", (2.0,), -6, 6, {})),
+    ("samplers.ExclusionState:s", "accepted; a run left flat steps (7, 7) at the ends", lambda c: _heights(c, lambda x: abs(x) + 1)),
+    ("samplers.ExclusionState:s", "accepted; a run returned zeros", lambda c: _heights(c, lambda x: 0)),
+    ("samplers.ExclusionState:s", "accepted; a run never flipped the origin", lambda c: ExclusionState("ssep", (2.0,), 1, 6, {x: x for x in range(1, 7)})),
+    ("samplers.ExclusionState:s", "accepted; a run never flipped lo, a local minimum", lambda c: _heights(c, lambda x: abs(x - 1) + 1 - 2 * (x == -6))),
+    ("samplers.ExclusionState:s", "accepted; a run froze at s_0 = 0.5", lambda c: _heights(c, lambda x: abs(x) + 0.5 * (x == 0))),
+    ("samplers.ExclusionState:s", "accepted; value(9) read 1 off the window", lambda c: ExclusionState("ssep", (2.0,), -6, 6, {**c.step.s, 9: 1})),
 ]
+
+
+def _heights(c, h):
+    """The 13-site window of ``c.step`` with heights h(x)."""
+    return ExclusionState("ssep", (2.0,), -6, 6, {x: h(x) for x in c.step.s})
 
 
 @pytest.mark.parametrize("target, before, call", HOLES, ids=[f"{t}-{i}" for i, (t, _, _) in enumerate(HOLES)])
@@ -199,8 +211,8 @@ INTS = {
     "samplers.irf_batch_heights:N": lambda c, v: irf_batch_heights(c.dyn6v, (3,), v, 1, 10),
     "samplers.irf_batch_heights:seed": lambda c, v: irf_batch_heights(c.dyn6v, (3,), 2, v, 10),
     "samplers.irf_batch_heights:n_traj": lambda c, v: irf_batch_heights(c.dyn6v, (3,), 2, 1, v),
-    "samplers.ExclusionState:lo": lambda c, v: ExclusionState("ssep", (2.0,), v, 6, {}),
-    "samplers.ExclusionState:hi": lambda c, v: ExclusionState("ssep", (2.0,), -6, v, {}),
+    "samplers.ExclusionState:lo": lambda c, v: ExclusionState("ssep", (2.0,), v, 6, c.step.s),
+    "samplers.ExclusionState:hi": lambda c, v: ExclusionState("ssep", (2.0,), -6, v, c.step.s),
     "samplers.simulate_exclusion:seed": lambda c, v: simulate_exclusion(c.step, 1.0, v),
     "samplers.exclusion_farm:n_traj": lambda c, v: exclusion_farm("ssep", (2.0,), 1.0, v, 1, [0]),
     "samplers.exclusion_farm:seed": lambda c, v: exclusion_farm("ssep", (2.0,), 1.0, 10, v, [0]),
@@ -242,8 +254,8 @@ REALS = {
     "special.log_ive:z": lambda c, v: log_ive(v, 3),
     "special.gammainc:a": lambda c, v: gammainc(v, [1.0]),
     "special.contour_integral_factored:tol": lambda c, v: contour_integral_factored(c.terms, [Circle(0.0, 1.0)], tol=v),
-    "samplers.ExclusionState:t": lambda c, v: ExclusionState("ssep", (2.0,), -6, 6, {}, t=v),
-    "samplers.ExclusionState:rate_params": lambda c, v: ExclusionState("asep", (0.5, v), -6, 6, {}),
+    "samplers.ExclusionState:t": lambda c, v: ExclusionState("ssep", (2.0,), -6, 6, c.step.s, t=v),
+    "samplers.ExclusionState:rate_params": lambda c, v: ExclusionState("asep", (0.5, v), -6, 6, c.step.s),
     "samplers.step_exclusion_state:rate_params": lambda c, v: step_exclusion_state("ssep", (v,)),
     "samplers.simulate_exclusion:T": lambda c, v: simulate_exclusion(c.step, v, 1),
     "samplers.exclusion_farm:rate_params": lambda c, v: exclusion_farm("asep", (v, 1.0), 1.0, 10, 1, [0]),

@@ -9,6 +9,7 @@ import pytest
 from dynirf import samplers
 from dynirf.params import IrfParams, preset
 from dynirf.samplers import (
+    ExclusionState,
     QuadrantState,
     enumerate_heights,
     exclusion_farm,
@@ -434,7 +435,7 @@ class TestExclusion:
         assert _rate("ssep", (1.0,), 0, 2) == 0.5
         st = step_exclusion_state("ssep", (1.0,))
         out = simulate_exclusion(st, 5.0, seed=3, record=True)
-        assert out.events[0] == (-math.log1p(-uniform_hash(3, 0, 1)) / 0.5, 0, 2)
+        assert out.events[0].item() == (-math.log1p(-uniform_hash(3, 0, 1)) / 0.5, 0, 2)
         assert all(abs(out.value(x + 1) - out.value(x)) == 1 for x in range(out.lo, out.hi))
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0])
@@ -500,11 +501,61 @@ class TestExclusion:
         st = step_exclusion_state("ssep", (2.0,))
         a = simulate_exclusion(st, 1.0, seed=99, record=True)
         b = simulate_exclusion(st, 1.0, seed=99, record=True)
-        assert a.s == b.s and a.events == b.events
+        assert a.s == b.s and np.array_equal(a.events, b.events)
 
     def test_heights(self):
         st = step_exclusion_state("ssep", (2.0,))
         assert heights(st, [-2, 0, 3]) == [2, 0, 0]
+
+
+class TestEventLog:
+    RATES = [("ssep", (1.0,)), ("ssep", (2.0,)), ("asep", (0.5, 2.0)), ("asep", (1.7, -0.4))]
+
+    @pytest.mark.parametrize("kind, rates", RATES)
+    def test_log_replays_to_the_returned_state(self, kind, rates):
+        T, start, grew = 20.0, step_exclusion_state(kind, rates), 0
+        for seed in range(5):
+            out = simulate_exclusion(start, T, seed, record=True)
+            t = out.events["t"]
+            assert len(t) > 0 and t[0] > 0 and np.all(np.diff(t) > 0) and t[-1] <= T
+            s = dict(start.s)  # the initial state, frozen at |x| off its window
+            for x, new in zip(out.events["x"].tolist(), out.events["s"].tolist()):
+                left, old, right = (s.get(y, abs(y)) for y in (x - 1, x, x + 1))
+                assert abs(new - old) == 2 and abs(new - left) == 1 and abs(new - right) == 1, (seed, x)
+                s[x] = new
+            assert all(s.get(x, abs(x)) == out.value(x) for x in range(out.lo, out.hi + 1))
+            grew += out.lo < start.lo
+        assert grew  # the replay crossed a window growth at least once
+
+    def test_record_format(self):
+        start = step_exclusion_state("ssep", (2.0,))
+        out = simulate_exclusion(start, 5.0, seed=1, record=True)
+        assert out.events.dtype == np.dtype([("t", np.float64), ("x", np.int32), ("s", np.int32)])
+        assert out.events.dtype.itemsize == 16 and len(out.events) > 0
+        t, x, s = out.events[0]  # rows unpack as (t, x, s)
+        assert (float(t), int(x), int(s)) == out.events.tolist()[0]
+        assert [type(v) for v in out.events.tolist()[0]] == [float, int, int]
+        unrecorded = simulate_exclusion(start, 5.0, seed=1)
+        built = ExclusionState("ssep", (2.0,), -6, 6, dict(start.s))
+        for st in (start, unrecorded, built):
+            assert st.events.dtype == out.events.dtype and st.events.shape == (0,)
+        assert unrecorded == out  # states compare without their logs
+        assert len(start.events) == 0 and start.t == 0.0  # the initial state is left as it was
+
+    def test_logs_hold_at_most_24_bytes_an_event(self):
+        # a list of (t, x, s) tuples held 98.7 bytes an event here; the
+        # record array holds 16, plus one array header per trajectory
+        import tracemalloc
+
+        start = step_exclusion_state("ssep", (2.0,))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logs = [simulate_exclusion(start, 20.0, seed, record=True).events for seed in range(400)]
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held / sum(map(len, logs)) <= 24
 
 
 def farm_reference(kind, rate_params, T, n_traj, seed, xs, half_width=8):

@@ -663,6 +663,30 @@ class TestGammainc:
             ref = np.array([float(mpmath.gammainc(a, 0, v, regularized=True)) for v in x])
         assert np.max(np.abs(got - ref)) <= 2e-15 * (1.0 + a)
 
+    @pytest.mark.parametrize("a, bound", [(100.0, 1e-15), (1000.0, 4e-15)])
+    def test_large_shape_past_its_mean(self, a, bound):
+        # from a = 10 on the prefactor x^a e^-x / Gamma(a) is formed in
+        # Temme's form; exp(a log x - x - lgamma(a)) rounded an exponent of
+        # size a log a and read 3.9e-14 (a = 100) and 5.1e-13 (a = 1000)
+        # relative here, the Temme form 2.0e-16 and 1.3e-15
+        with mp.workdps(40):
+            ref = float(mpmath.gammainc(a, 0, a + 1.0, regularized=True))
+        assert abs(gammainc(a, a + 1.0) / ref - 1.0) <= bound
+
+    @pytest.mark.parametrize("a", [100.0, 200.0, 500.0, 1000.0])
+    def test_large_shapes_within_8_sigma(self, a):
+        # x = a +- 8 sqrt(a): the old prefactor's error grew like a log a,
+        # to 3.5e-14 (a = 100) and 4.4e-13 (a = 1000) absolute; the Temme
+        # form reads at most 5.6e-16 absolute, and 2.0e-14 relative in the
+        # lower tail, where a (log1p(eps) - eps) reaches -80 and its last
+        # bits set the error (the old form read 8.2e-14 to 1.4e-12 there)
+        x = a + 8.0 * math.sqrt(a) * np.linspace(-1.0, 1.0, 161)
+        got = gammainc(a, x)
+        with mp.workdps(40):
+            ref = np.array([float(mpmath.gammainc(a, 0, v, regularized=True)) for v in x])
+        assert np.max(np.abs(got - ref)) <= 2e-15
+        assert np.max(np.abs(got - ref) / ref) <= 4e-14
+
     def test_shapes(self):
         assert gammainc(1.0, 2.0).shape == ()
         assert abs(gammainc(1.0, 2.0) + math.expm1(-2.0)) <= 1e-16
