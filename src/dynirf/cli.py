@@ -1,11 +1,12 @@
 """Command-line front end: verification suites, simulations, observables, asymptotics.
 
+``verify`` applies ``identities.SUITES``: each selected battery runs on its
+own Generator, seeded by --seed ^ its salt, on the --preset/--config pack.
 All outputs are deterministic functions of (arguments, seed): reports are
 sorted by name, floats rendered by repr, and Monte Carlo streams are
 counter-based, so reruns are byte-identical at any --threads value (the
-flag is accepted as a scheduling hint and never affects results).
-Wall-clock timings are only embedded when ``observables --timings`` is
-passed, since they would break byte-identity.
+flag is a scheduling hint and never affects results).  Wall-clock timings
+are only embedded with ``observables --timings``, which breaks byte-identity.
 
 Exit codes: 0 all hard checks passed; 1 at least one failed (names go to
 stderr) or a computation raised ConvergenceError or SingularParameterError
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import identities as idn
 from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
-from .special import CheckReport, ConvergenceError, FunctionMode, InvalidParameterError, _as_int, _as_real, _rel
+from .special import CheckReport, ConvergenceError, InvalidParameterError, _as_int, _as_real, _rel
 from .weights import SingularParameterError
 from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
 
@@ -107,22 +108,9 @@ def _emit_reports(args, reports) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _as_int(args.seed, "verify's --seed", 0)
-    params = _load_params(args)
-    reports = []
-    if args.suite in ("weights", "all"):
-        rng = np.random.default_rng(args.seed ^ 0xA11CE)
-        modes = (FunctionMode.trigonometric(), FunctionMode.rational(), FunctionMode.elliptic(6j))
-        reports += [idn.check_stochasticity(rng, mode) for mode in modes]
-        reports += [idn.check_sine_identity(rng), idn.check_hat_ratios(rng)]
-        reports += idn.check_degenerate_weights(rng)
-    if args.suite in ("oracle", "all"):
-        reports += idn.check_oracle_formulas(np.random.default_rng(args.seed ^ 0x0AC1E))
-    if args.suite in ("stochastic", "all"):
-        reports += idn.check_stochastic_weights(np.random.default_rng(args.seed ^ 0x570C4))
-    if args.suite in ("identities", "all"):
-        reports += idn.run_identity_suite(params, seed=args.seed)
-    return _emit_reports(args, reports)
+    seed, pack = _as_int(args.seed, "verify's --seed", 0), _load_params(args)
+    suites = [(salt, battery) for name, (salt, battery) in idn.SUITES.items() if args.suite in (name, "all")]
+    return _emit_reports(args, [r for salt, battery in suites for r in battery(np.random.default_rng(seed ^ salt), pack)])
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +122,14 @@ def _cmd_simulate(args) -> int:
     lines = []
     model, pack = _model(args)
     if model != "irf":
-        if args.dump == "events":
-            lines.append("traj,t,x,s")
-            for i in range(args.trajectories):
-                st = simulate_exclusion(
-                    step_exclusion_state(model, pack), args.t, trajectory_seed(args.seed, i), record=True
-                )
-                for (t, x, s) in st.events.tolist():
-                    lines.append(f"{i},{t!r},{x},{s}")
-        else:
-            lines.append("traj,x,s")
-            for i in range(args.trajectories):
-                st = simulate_exclusion(step_exclusion_state(model, pack), args.t, trajectory_seed(args.seed, i))
-                for x in range(st.lo, st.hi + 1):
-                    lines.append(f"{i},{x},{st.value(x)}")
+        record = args.dump == "events"
+        lines.append("traj,t,x,s" if record else "traj,x,s")
+        for i in range(args.trajectories):
+            st = simulate_exclusion(step_exclusion_state(model, pack), args.t, trajectory_seed(args.seed, i), record=record)
+            if record:
+                lines += [f"{i},{t!r},{x},{s}" for (t, x, s) in st.events.tolist()]
+            else:
+                lines += [f"{i},{x},{st.value(x)}" for x in range(st.lo, st.hi + 1)]
     else:
         lines.append("traj,x,y,vout,hout")
         for i in range(args.trajectories):
@@ -284,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    p.add_argument("--suite", choices=("weights", "oracle", "stochastic", "identities", "all"), default="identities")
+    p.add_argument("--suite", choices=(*idn.SUITES, "all"), default="identities")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="sample trajectories and dump them as CSV")

@@ -746,7 +746,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     formed on their own and merged, in index order, into a running (count,
     mean, M2) (Chan, Golub & LeVeque, Amer. Stat. 37, 1983); the first
     chunk's mean and M2 are taken as they are, so a run of one chunk gives
-    the one-pass mean and stderr.  numpy's complex multiply rounds by array
+    the one-pass mean and stderr.  A chunk of one value has that value as
+    its mean and M2 = 0, so a constant observable has stderr 0, not
+    rounding noise.  numpy's complex multiply rounds by array
     length, but the chunks do not depend on the block size, and the batch
     sampler weighs the same table of fillings, one per up-count, in every
     block; so the result does not depend on the block size, bit for bit, in
@@ -769,8 +771,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     count = 0
     for heights in _chunks(blocks):
         vals = product(heights)
-        n_b, mean_b = len(vals), complex(np.mean(vals))
-        m2_b = np.sum(np.abs(vals - mean_b) ** 2)
+        n_b, same = len(vals), bool(np.all(vals == vals[0]))
+        mean_b = complex(vals[0] if same else np.mean(vals))
+        m2_b = 0.0 if same else np.sum(np.abs(vals - mean_b) ** 2)
         if not count:
             count, mean, m2 = n_b, mean_b, m2_b
         else:

@@ -78,10 +78,10 @@ class ConvergenceError(RuntimeError):
 
 def _as_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int: an int, a numpy integer or an integral float, in
-    low..high where given; anything else raises InvalidParameterError naming
-    ``what`` and its range."""
+    low..high where given; anything else (a bool included) raises
+    InvalidParameterError naming ``what`` and its range."""
     n = value if type(value) is int else None  # a plain int, the common case, skips the type tests
-    if n is None and (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
+    if n is None and not isinstance(value, bool) and (isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())):
         n = int(value)
     if n is not None and (low is None or n >= low) and (high is None or n <= high):
         return n
@@ -91,10 +91,10 @@ def _as_int(value, what: str, low: int | None = None, high: int | None = None) -
 
 def _as_real(value, what: str, low: float = -math.inf, above: bool = False) -> float:
     """``value`` as a float: a finite real >= ``low``, or > ``low`` with
-    ``above``; anything else (NaN, +-inf, a complex or a string included)
-    raises InvalidParameterError naming ``what`` and its bound."""
+    ``above``; anything else (NaN, +-inf, a bool, a complex or a string
+    included) raises InvalidParameterError naming ``what`` and its bound."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an int past double range
         x = math.inf
     if not (math.isfinite(x) and (x > low if above else x >= low)):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .params import IrfParams, PQGrid, pq_grid
 from .special import FunctionMode, InvalidParameterError, _as_int
-from .weights import plaquette_weights
+from .weights import SingularParameterError, plaquette_weights
 
 __all__ = [
     "Signature",
@@ -271,7 +271,8 @@ def normalize(value, lam: complex, count: int, params: IrfParams):
 
 
 def c_mu(mu, lam: complex, params: IrfParams) -> complex:
-    """Squared-norm constant of the orthogonality relations."""
+    """Squared-norm constant of the orthogonality relations; a zero block norm
+    f(2*eta*(Lambda_v - j)), a part repeated past an integer spin, raises SingularParameterError."""
     mu = _sig(mu)
     M = mu.length
     f = params.f
@@ -281,6 +282,8 @@ def c_mu(mu, lam: complex, params: IrfParams) -> complex:
         out /= f(lam + 2 * eta * i)
     groups = ((value, mult, mu.n_less(value)) for value, mult in mu.multiplicities().items())
     for norm, upper, lower in _block_factors(groups, lam, params):
+        if norm == 0:
+            raise SingularParameterError(f"c_mu of {mu.parts} divides by a zero block norm: a part repeats past its column's integer spin")
         out = out * upper * lower / norm
     return out
 

@@ -43,6 +43,34 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "nonsense", check=False)
         assert proc.returncode == 2
 
+    def test_suite_choices_are_the_suites_table(self):
+        from dynirf import identities
+
+        (suite,) = [a for a in _subparsers()["verify"]._actions if a.dest == "suite"]
+        assert tuple(suite.choices) == (*identities.SUITES, "all")
+
+    def test_identities_on_an_elliptic_config(self, tmp_path):
+        # the rho reports are trigonometric only; an elliptic pack used to
+        # exit 2 before any report ("the rho specialization lives in
+        # trigonometric mode")
+        from dynirf.params import params_to_json_dict
+        from test_elliptic import elliptic_pack
+
+        cfg = tmp_path / "ell.json"
+        cfg.write_text(json.dumps(params_to_json_dict(elliptic_pack(1.2, 0.7j))), encoding="utf-8")
+        proc = run_cli("verify", "--suite", "identities", "--config", str(cfg), check=False)
+        assert proc.returncode == 0, proc.stderr
+        names = [r["name"] for r in json.loads(proc.stdout)]
+        assert len(names) == 23 and "D-rho-integral-(2, 1)" in names
+        assert not any(n.startswith("cauchy-rho") for n in names)
+
+    def test_zero_block_norm_is_a_message(self):
+        # c_mu((1, 1)) on dyn6v-positive's Lambda = 1 columns divided by
+        # f(0) and ended in a ZeroDivisionError traceback
+        proc = run_cli("verify", "--suite", "identities", "--preset", "dyn6v-positive", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("dynirf: error: c_mu of (1, 1)") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -207,6 +235,16 @@ class TestObservablesCommand:
         for r in records:
             if "method" in r:
                 assert "discrepancy_vs_exact" in r
+
+    def test_constant_observable_passes_mc(self):
+        # at x <= 1 every trajectory has h = N, so every sample is one float;
+        # mc_E returned rounding noise (3.5e-18) as the stderr, and the 4
+        # sigma gate failed mc at a gap of 1.4e-16
+        proc = run_cli("observables", "--model", "dyn6v", "--xs", "1", "--N", "2",
+                       "--compare", "exact,mc,enum", "--samples", "1000")
+        assert proc.returncode == 0, proc.stderr
+        (mc,) = [r for r in json.loads(proc.stdout) if r["method"] == "mc"]
+        assert mc["stderr"] == 0.0
 
     def test_ssep_exact_vs_mc(self):
         proc = run_cli("observables", "--model", "ssep", "--xs", "1,0", "--t", "1",

@@ -9,7 +9,8 @@ hashes, strips) are patched to fail the test if reached.
 * ``HOLES``: inputs that once returned NaN, inf or an aliased random stream,
   or ended in a bare TypeError, ValueError or OverflowError.
 * ``INTS`` and ``REALS``: every other parameter the readers cover, at NaN,
-  +inf and -inf, and at 2.5 where an integer is meant.
+  +inf and -inf, at 2.5 where an integer is meant, and at True (except the
+  three complex tau rows).
 
 ``test_every_guarded_parameter_has_a_row`` fails when a public function of
 those modules takes a parameter named in ``GUARDED`` that no row feeds.
@@ -42,7 +43,6 @@ from dynirf.identities import (
     check_D_integral,
     check_nested_sum_lemma,
     check_symmetrization_lemma,
-    run_identity_suite,
 )
 from dynirf.observables import (
     ObservableSpec,
@@ -122,8 +122,8 @@ HOLES = [
     ("samplers.irf_batch_heights:seed", "bit-identical to seed 2", lambda c: irf_batch_heights(c.dyn6v, (3,), 2, 2.5, 10)),
     ("samplers.simulate_exclusion:seed", "bit-identical to seed 2", lambda c: simulate_exclusion(c.step, 1.0, 2.5)),
     ("samplers.sample_irf:seed", "bit-identical to seed 2", lambda c: sample_irf(c.dyn6v, 3, 3, 2.5)),
-    ("identities.run_identity_suite:seed", "a bare ValueError", lambda c: run_identity_suite(c.trig, seed=-1)),
-    ("identities.run_identity_suite:seed", "a bare TypeError", lambda c: run_identity_suite(c.trig, seed=2.5)),
+    ("observables.mc_E:seed", "bit-identical to seed 1", lambda c: mc_E("irf", ObservableSpec((3, 2), 4), c.dyn6v, 1000, True)),
+    ("samplers.exclusion_farm:n_traj", "one trajectory", lambda c: exclusion_farm("ssep", (2.0,), 1.0, True, 1, [0])),
     ("samplers.enumerate_distribution:X", "a bare TypeError", lambda c: enumerate_distribution(c.dyn6v, 2, 2.5)),
     ("params.check_admissible:M", "a bare TypeError", lambda c: check_admissible(c.trig, 2.5)),
     ("symfunc.Signature:parts", "parts (2, 1)", lambda c: Signature((2.5, 1))),
@@ -242,7 +242,6 @@ INTS = {
     "identities.check_D_integral:n": lambda c, v: check_D_integral((1,), v, [0.1], c.trig),
     "identities.check_nested_sum_lemma:n": lambda c, v: check_nested_sum_lemma(v, (2,), np.ones((1, 8))),
     "identities.check_nested_sum_lemma:Ts": lambda c, v: check_nested_sum_lemma(1, (v,), np.ones((1, 8))),
-    "identities.run_identity_suite:seed": lambda c, v: run_identity_suite(c.trig, v),
 }
 
 # "module.function:parameter" -> call(ctx, value), for parameters where a real is meant
@@ -295,7 +294,11 @@ REALS = {
     "special.CheckReport:tolerance": lambda c, v: CheckReport("r", {}, 0.0, 0.0, v),
 }
 
-ROWS = [(t, v) for t in INTS for v in (NAN, INF, -INF, 2.5)] + [(t, v) for t in REALS for v in (NAN, INF, -INF)]
+# a bool is not a number here (seed=True ran as seed 1); the tau rows wrap
+# the value in a complex, and complex(0.0, True) is the valid tau = i
+COMPLEX_TAU = {"special.FunctionMode:tau", "special.FunctionMode.elliptic:tau", "special.theta:tau"}
+ROWS = [(t, v) for t in INTS for v in (NAN, INF, -INF, 2.5, True)]
+ROWS += [(t, v) for t in REALS for v in (NAN, INF, -INF) + (() if t in COMPLEX_TAU else (True,))]
 
 
 @pytest.mark.parametrize("target, value", ROWS, ids=[f"{t}={v}" for t, v in ROWS])

@@ -26,7 +26,7 @@ from dynirf.symfunc import (
     stoch_B_formula,
     stoch_B_sum,
 )
-from dynirf.weights import plaquette_weights
+from dynirf.weights import SingularParameterError, plaquette_weights
 
 RNG = np.random.default_rng(99)
 
@@ -346,6 +346,14 @@ class TestNormConstants:
             want *= f(lam + 2 * eta * (j + 1 - P.lam_sum(0, x)))
             want /= f(2 * eta * (P.lam(x) - j))
         assert abs(got - want) < 1e-12 * abs(want)
+
+    def test_c_mu_zero_block_norm_is_singular(self):
+        # dyn6v-positive has Lambda = 1 on its columns: the part 1 repeated
+        # makes the block norm f(2*eta*(1 - 1)) = 0, which was a bare
+        # ZeroDivisionError
+        P = preset("dyn6v-positive")
+        with pytest.raises(SingularParameterError, match=r"c_mu of \(1, 1\)"):
+            c_mu((1, 1), P.lambda0, P)
 
     def test_D_rho_empty_and_zero_part(self):
         P = preset("trig-admissible")

@@ -96,11 +96,11 @@ class TestWorkCount:
         # skew_B_oracle, skew_D_oracle and c_matrix_element share one
         # callback per w across column counts and depths: the battery made
         # 16,080 weight calls when each application built its own
-        from dynirf.identities import check_oracle_formulas
+        from dynirf.identities import SUITES, check_oracle_formulas
 
         calls = []
         spy_on_weight_formulas(monkeypatch, calls.append)
-        check_oracle_formulas(np.random.default_rng(1 ^ 0x0AC1E))
+        check_oracle_formulas(np.random.default_rng(1 ^ SUITES["oracle"][0]))
         assert len(calls) == len(set(calls)) == 8998
 
     def test_oracle_repeats_plaquettes_without_the_memo(self, monkeypatch):
