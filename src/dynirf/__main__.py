@@ -1,0 +1,8 @@
+"""``python -m dynirf``: the ``dynirf`` command line, ``dynirf.cli.main``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

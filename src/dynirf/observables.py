@@ -38,6 +38,7 @@ from .special import (
     _MAX_LEVEL_POINTS,
     _as_int,
     _as_real,
+    _next_nodes,
     _rel,
     contour_integral_factored,
     log_ive,
@@ -250,9 +251,15 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     around the w's; coincident row parameters raise SingularParameterError,
     since the residue check needs simple poles.  A rational-mode pack needs
     sites x >= 1 and takes f(z) = z and bare normalization (the presets have
-    2*eta = 1 and Lambda = 1, so p_j = z_j and q_j = z_j + 1).  It reaches
-    n <= 3 at nodes = 48: where a second level's (2*nodes)^n grid points
-    pass the 2^26 cap, ConvergenceError names ``enum_E`` before any quadrature;
+    2*eta = 1 and Lambda = 1, so p_j = z_j and q_j = z_j + 1).  At nodes =
+    48 its levels run 48, 96, 192, ... nodes/variable at n <= 2, 48, 78,
+    124, 198 at n = 3 and 48, 68, 98 at n = 4, whose third level passes the
+    2^26-point cap: so it returns at n = 4 where the 48- and 68-node
+    estimates agree (on dyn6v-positive and trig-admissible), and never at
+    n >= 5.  Where the second level's grid passes the cap, ConvergenceError
+    names ``enum_E`` before any quadrature; a later level past the cap
+    raises a ConvergenceError that names ``enum_E`` too, with its last two
+    estimates;
     "asep": params_or_rates = (q, alpha), loops around 1;
     "ssep": params_or_rates = (lam_bar,); the average does not depend on
     lam_bar and equals (-1)^n E[prod_k (h(x_k) - (k - 1))] of the usual SSEP
@@ -302,8 +309,9 @@ def _irf_norm(spec: ObservableSpec, params: IrfParams, N: int) -> complex:
 
 def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int) -> complex:
     n = spec.n
-    if (2 * nodes) ** n > _MAX_LEVEL_POINTS:
-        raise ConvergenceError(f"the IRF integral at n = {n} needs a second level of {2 * nodes} nodes/variable, past the cap of "
+    second = _next_nodes(nodes, n)
+    if second**n > _MAX_LEVEL_POINTS:
+        raise ConvergenceError(f"the IRF integral at n = {n} needs a second level of {second} nodes/variable, past the cap of "
                                f"{_MAX_LEVEL_POINTS} grid points: start from fewer nodes, or enum_E enumerates the height law")
     grid = pq_grid(params)
     f, eta = params.f, params.eta
@@ -321,7 +329,10 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int) ->
 
         return fn
 
-    integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes)
+    try:
+        integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"the IRF integral at n = {n}: {exc}; enum_E enumerates the height law", exc.estimates) from exc
     value = _irf_norm(spec, params, N) * integral
 
     res, cond = _irf_residue_sum(spec, params)

@@ -23,6 +23,13 @@ class TestVerifyCommand:
         names = [r["name"] for r in reports]
         assert names == sorted(names)
 
+    def test_python_m_dynirf_is_the_cli(self):
+        # the package runs as ``python -m dynirf``, byte for byte as dynirf.cli
+        args = ["verify", "--suite", "weights", "--seed", "0"]
+        package = subprocess.run([sys.executable, "-m", "dynirf", *args], capture_output=True)
+        assert package.returncode == 0 and package.stdout
+        assert package.stdout == subprocess.run(CLI + args, capture_output=True).stdout
+
     def test_exit_code_on_forced_failure(self, monkeypatch, capsys):
         # no option scales a gate; a closed-form gate of 1e-30 makes the
         # round-off residuals of the weights suite fail
@@ -336,6 +343,15 @@ class TestObservablesCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("dynirf: error: contour quadrature did not converge")
         assert "Traceback" not in proc.stderr
+
+    def test_irf_cap_at_a_later_level_names_enum_E(self, capsys):
+        # rational-positive's 4-point integral passes the grid cap at its
+        # third level; the message named the quadrature only
+        from dynirf import cli
+
+        assert cli.main(["observables", "--model", "rational", "--xs", "4,3,2,1", "--N", "4", "--compare", "exact,enum"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "98 nodes/variable" in err and "enum_E enumerates the height law" in err
 
     def test_singular_parameter_error_is_a_message(self, monkeypatch, capsys):
         from dynirf import cli, observables

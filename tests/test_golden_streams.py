@@ -72,4 +72,4 @@ def test_cli_simulate(capsys):
 def test_cli_verify_all(capsys):
     # the whole verify battery's stdout, theta and every weight route included
     assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
-    assert digest(capsys.readouterr().out.encode()) == "86285de874fb61d9"
+    assert digest(capsys.readouterr().out.encode()) == "fcc04e9035e7d399"

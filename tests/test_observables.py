@@ -252,15 +252,44 @@ class TestExactIrf:
         with pytest.raises(SingularParameterError, match=re.escape(f"rows {rows} have coincident parameters")):
             exact_E("irf", ObservableSpec((9,), len(ws)), params)
 
-    @pytest.mark.parametrize("pack", ["dyn6v-positive", "rational-positive"], ids=["irf-dyn6v-positive", "rational-rational-positive"])
-    def test_four_sites_refused_before_quadrature(self, monkeypatch, pack):
-        # (2 * 48)^4 grid points pass the 2^26 cap: the quadrature used to
-        # raise its point-cap ConvergenceError only after its first level;
-        # enum_E gives 0.0015834 for the irf case
+    @pytest.mark.parametrize(
+        "pack, xs, N",
+        [
+            ("dyn6v-positive", (4, 3, 2, 1), 4),  # 4.3e-18 apart
+            ("dyn6v-positive", (12, 9, 6, 3), 10),  # 1.0e-12 apart
+            ("trig-admissible", (4, 3, 2, 1), 4),  # 3.5e-17 apart
+        ],
+        ids=["dyn6v-positive-N4", "dyn6v-positive-N10", "trig-admissible-N4"],
+    )
+    def test_four_sites_match_enumeration(self, pack, xs, N):
+        # the 4-fold ladder 48 -> 68 -> 98 agrees at its 68-node level; with
+        # doubling, the second level's 96**4 points passed the 2^26 cap
+        spec = ObservableSpec(xs, N)
+        ee = enum_E(spec, preset(pack))
+        assert abs(exact_E("irf", spec, preset(pack)) - ee) <= 1e-10 * max(1.0, abs(ee))
+
+    def test_four_sites_trig_admissible_wide(self):
+        # enum_E takes about 40 s here, so its value is pinned: it agreed with
+        # the quadrature to 2.2e-15
+        ee = -0.0003058431220973171 + 0.00014589131614695016j
+        got = exact_E("irf", ObservableSpec((12, 9, 6, 3), 10), preset("trig-admissible"))
+        assert abs(got - ee) <= 1e-10
+
+    def test_cap_at_a_later_level_names_enum_E(self):
+        # rational-positive's 48- and 68-node estimates differ by 4.8e-8; the
+        # third level's 98**4 points pass the 2^26 cap, and the error used to
+        # name the quadrature only, not the route that answers
+        with pytest.raises(ConvergenceError, match=r"n = 4: .*98 nodes/variable.*enum_E") as exc:
+            exact_E("irf", ObservableSpec((4, 3, 2, 1), 4), preset("rational-positive"))
+        older, prev = exc.value.estimates
+        assert older is not None and abs(older - prev) > 1e-10 * abs(prev)
+
+    def test_five_sites_refused_before_quadrature(self, monkeypatch):
+        # the second level, 64 nodes in 5 variables, passes the 2^26 cap
         monkeypatch.setattr(observables, "_site_integral", None)
         monkeypatch.setattr(observables, "_irf_residue_sum", None)
-        with pytest.raises(ConvergenceError, match=r"n = 4 .*enum_E"):
-            exact_E("irf", ObservableSpec((4, 3, 2, 1), 4), preset(pack))
+        with pytest.raises(ConvergenceError, match=r"n = 5 .*64 nodes/variable.*enum_E"):
+            exact_E("irf", ObservableSpec((5, 4, 3, 2, 1), 5), preset("dyn6v-positive"))
 
     def test_lambda_free(self, dyn6v):
         # the integral contains no dynamic parameter at all; rebuilt packs

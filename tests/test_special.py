@@ -323,9 +323,31 @@ class TestContourIntegral:
         assert exc.value.estimates == (None, None)
         assert calls == [16] * 9
 
+    @pytest.mark.parametrize(
+        "m, ladder",
+        [(1, [48, 96, 192]), (2, [48, 96, 192]), (3, [48, 78, 124]), (4, [48, 68, 98])],
+    )
+    def test_level_ladder(self, monkeypatch, m, ladder):
+        # m <= 2 doubles; beyond, each level's node count grows by 4^(1/m),
+        # rounded up to even; estimates that never agree run until node_cap.
+        # Axis 0 vanishes on half its circle, so 98**4 / 2 kept points stay
+        # under the 2^26 cap and the node cap stops every ladder
+        levels = []
+
+        def spy(terms, nodes, vecs, n):
+            levels.append(n)
+            return complex(n)
+
+        monkeypatch.setattr(special, "_contract_level", spy)
+        half = lambda v: np.where(v.real > 0, 1.0 / v, 0.0)
+        with pytest.raises(ConvergenceError, match="nodes/variable") as exc:
+            one_term([half] + [lambda v: 1.0 / v] * (m - 1), [Circle(0, 1.0)] * m, nodes=48, node_cap=ladder[-1])
+        assert levels == ladder
+        assert exc.value.estimates == tuple(map(complex, ladder[1:]))
+
     def test_grid_cap_counts_kept_points(self):
-        # the second level's 512**3 = 2**27 points pass the cap, but a unary
-        # that vanishes on all but 1/8 of its circle leaves 64 * 512**2 kept
+        # the second level's 408**3 points pass the 2**26 cap, but a unary
+        # that vanishes on all but 1/8 of its circle leaves 50 * 408**2 kept
         def g(v):
             return np.where(abs(np.angle(v)) < math.pi / 8, np.exp(v) / v, 0.0)
 
