@@ -28,7 +28,7 @@ from . import identities as idn
 from .params import IrfParams, _c2pair, load_config, preset, PRESET_NAMES
 from .special import CheckReport, ConvergenceError, InvalidParameterError, _as_int, _as_real, _rel
 from .weights import SingularParameterError
-from .samplers import exclusion_farm, sample_irf, simulate_exclusion, step_exclusion_state, trajectory_seed
+from .samplers import _blocks, _check_rows, _check_sites, _irf_batch, exclusion_farm, simulate_exclusion, step_exclusion_state, trajectory_seed
 
 
 def _load_params(args, default: str = "trig-admissible") -> IrfParams:
@@ -131,12 +131,13 @@ def _cmd_simulate(args) -> int:
             else:
                 lines += [f"{i},{x},{st.value(x)}" for x in range(st.lo, st.hi + 1)]
     else:
+        (X,), Y = _check_sites(pack, (args.cols,), "the column count X", 0), _check_rows(pack, args.rows)
         lines.append("traj,x,y,vout,hout")
-        for i in range(args.trajectories):
-            st = sample_irf(pack, args.cols, args.rows, trajectory_seed(args.seed, i))
-            for x in range(1, st.X + 1):
-                for y in range(1, st.Y + 1):
-                    lines.append(f"{i},{x},{y},{st.vout[x, y]},{st.hout[x, y]}")
+        for lo, hi in _blocks(args.trajectories):
+            batch = _irf_batch(pack, X, Y, args.seed, lo, hi)
+            for i, vout, hout in zip(range(lo, hi), batch["vout"][:, 1:, 1:].tolist(), batch["hout"][:, 1:, 1:].tolist()):
+                for x, (vs, hs) in enumerate(zip(vout, hout), 1):
+                    lines += [f"{i},{x},{y},{v},{h}" for y, (v, h) in enumerate(zip(vs, hs), 1)]
     _write(args, "\n".join(lines) + "\n")
     return 0
 

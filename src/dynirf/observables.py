@@ -749,9 +749,9 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     fails ``_lattice_rows``, before any sweep.
 
     The engines run trajectories in blocks of 2^13 (``irf_batch_heights``'
-    blocks for "irf", on a pack of any mode, which sweep columns 1..max(xs) -
-    1 only; ``exclusion_farm``'s for "asep" and "ssep"), each keyed by its
-    index in the whole run.  Their heights are regrouped into chunks of 2^15
+    blocks for "irf", on a pack of any mode and spin, which sweep columns
+    1..max(xs) - 1 only; ``exclusion_farm``'s for "asep" and "ssep"), each
+    keyed by its index in the whole run.  Their heights are regrouped into chunks of 2^15
     samples, [0, 2^15), [2^15, 2^16), ..., fixed by ``samples`` alone.  Each
     chunk's observable product, mean and sum of squared deviations M2 are
     formed on their own and merged, in index order, into a running (count,

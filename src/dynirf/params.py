@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .special import Circle, FunctionMode, InvalidParameterError, _as_int
-from .weights import _not_probability, spin_half_weights
+from .weights import _not_probability, _turn_table
 
 __all__ = [
     "IrfParams",
@@ -354,19 +354,20 @@ PRESET_NAMES = tuple(_BUILDERS)
 
 
 def _validate_positive_preset(params: IrfParams, name: str) -> None:
-    # Spot-check the six spin-1/2 weights across the filling shifts a
-    # quadrant window of realistic size can reach: one array call over the
-    # shifts per (x, y).  Array weights get no singular-denominator check
+    # Spot-check the six spin-1/2 weights a_1, b_0, b_1, c_1, d_0 and d_1
+    # across the filling shifts a quadrant window of realistic size can
+    # reach: one array call over the shifts per (x, y), the batch sampler's
+    # turn table at m <= 1.  Array weights get no singular-denominator check
     # (scalar ones do), so a non-finite weight is rejected here.
     shifts = np.arange(-24, 25)
     lams = params.lambda0 + (-2 * params.eta) * shifts if params.mode.kind != "rational" else params.lambda0 + shifts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wgts = np.array([
-            [spin_half_weights(lams, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
+            [_turn_table(lams, params.z(x) - params.w(y), params.lam(x), params.eta, params.mode.f, 1)
              for y in range(1, min(6, params.n_rows + 1))]
             for x in range(1, min(6, params.n_cols))
-        ])  # (x, y, weight, shift)
-    wgts = wgts.transpose(3, 0, 1, 2)  # shift first: the error names the lowest bad shift
+        ])  # (x, y, stay or turn, c, m, shift)
+    wgts = np.moveaxis(wgts, -1, 0)  # shift first: the error names the lowest bad shift
     bad = _not_probability(wgts)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])

@@ -15,23 +15,20 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .params import IrfParams, to_six_vertex
 from .special import InvalidParameterError, _as_int, _as_real
 from .symfunc import _row_sweep
-from .weights import _not_probability, hs6v_weight, plaquette_weights, spin_half_weights
+from .weights import _not_probability, _turn_table, hs6v_weight, plaquette_weights
 
 __all__ = [
     "PositivityError",
-    "QuadrantState",
     "ExclusionState",
     "uniform_hash",
     "trajectory_seed",
-    "sample_irf",
-    "filling",
-    "height",
     "enumerate_heights",
     "enumerate_heights_hs6v",
     "irf_batch_heights",
@@ -43,7 +40,6 @@ __all__ = [
 _MASK = 0xFFFF_FFFF_FFFF_FFFF
 _K1, _K2, _K3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _C1, _C2, _C3, _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (_K1, _K2, _K3, 11, 27, 30, 31))
-_INT64 = range(-(1 << 63), 1 << 63)
 _DRAW_KEYS = np.array([1, 2], dtype=np.uint64)  # the last key of a farm step's two draws
 _MAX_WINDOW = 1 << 20  # sites; simulate_exclusion never grows its window past this, so x and s fit int32
 # trajectories per block of the batch engines, and (row, step) pairs per farm
@@ -83,14 +79,7 @@ def _unit(h):
 
 
 def uniform_hash(seed, *keys):
-    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe.
-
-    When ``seed`` and every key are plain ``int`` and each key fits in
-    int64, SplitMix64 runs on Python ints; any other input (arrays, numpy
-    scalars, bools) takes the numpy path.  Both return the same bits.
-    """
-    if type(seed) is int and all(type(k) is int and k in _INT64 for k in keys):
-        return (_fold(0, seed, *keys) >> 11) * 2.0**-53
+    """Deterministic uniform in [0,1) keyed by (seed, keys...); array-safe."""
     out = _unit(_hash64(seed, *keys))
     return out if out.shape else float(out)
 
@@ -114,117 +103,6 @@ def trajectory_seed(seed, index):
     """
     out = _hash64(seed, index).view(np.int64)
     return out if out.shape else int(out)
-
-
-@dataclass
-class QuadrantState:
-    """Edge occupations of a finite quadrant window.
-
-    ``vout[x, y]`` is the occupation of the vertical edge leaving vertex
-    (x, y) upward (1 <= x <= X, 1 <= y <= Y); ``hout[x, y]`` the horizontal
-    occupation leaving it rightward.  Boundary: one path enters each row
-    from the left, none from below.  X and Y must be integers >= 0.
-    """
-
-    X: int
-    Y: int
-    vout: np.ndarray
-    hout: np.ndarray
-    params: IrfParams
-
-    def __post_init__(self):
-        self.X, self.Y = _as_int(self.X, "the column count X", 0), _as_int(self.Y, "the row count Y", 0)
-
-    def v_in(self, x: int, y: int) -> int:
-        return int(self.vout[x, y - 1]) if y >= 2 else 0
-
-    def h_in(self, x: int, y: int) -> int:
-        return int(self.hout[x - 1, y]) if x >= 2 else 1
-
-    def validate(self) -> None:
-        """Arrow conservation at every vertex, plus the finite-spin cap:
-        column x holds at most Lambda_x arrows where Lambda_x is an integer;
-        a window past the pack's columns raises InvalidParameterError."""
-        _check_sites(self.params, (self.X,), "the column count X")
-        for x in range(1, self.X + 1):
-            for y in range(1, self.Y + 1):
-                if self.v_in(x, y) + self.h_in(x, y) != int(self.vout[x, y]) + int(self.hout[x, y]):
-                    raise InvalidParameterError(f"conservation violated at vertex ({x},{y})")
-            lam = self.params.lam(x)
-            if abs(lam - round(lam.real)) < 1e-12 and self.vout[x].max() > round(lam.real):
-                raise InvalidParameterError(f"finite-spin occupation cap violated in column {x}")
-
-
-def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> complex:
-    """Dynamic parameter of the unit square [x, x+1] x [y, y+1].
-
-    Computed by walking right along row y from the left boundary value
-    lambda_0 - 2*eta*y; with ``check`` also walks an up-then-right route
-    and asserts path independence.  A square outside the sampled window
-    raises InvalidParameterError.
-    """
-    x, y = _as_int(x, "the square's column x", 0, state.X), _as_int(y, "the square's row y", 0, state.Y)
-    p = state.params
-    two_eta = 2 * p.eta
-    val = p.lambda0 - two_eta * y
-    for col in range(1, x + 1):
-        vocc = int(state.vout[col, y]) if y >= 1 else 0
-        val += 2 * two_eta * vocc - two_eta * p.lam(col)
-    if check and y >= 1:
-        if x + 1 > state.X:
-            raise InvalidParameterError("path-independence check needs x < X")
-        alt = p.lambda0
-        for col in range(1, x + 1):  # along the bottom, no vertical arrows
-            alt -= two_eta * p.lam(col)
-        for row in range(1, y + 1):  # climb at fixed x crossing h-edges
-            alt += (1 - 2 * state.h_in(x + 1, row)) * two_eta
-        if abs(alt - val) > 1e-12 * max(1.0, abs(val)):
-            raise InvalidParameterError(f"filling not path-independent at ({x},{y})")
-    return val
-
-
-def height(state: QuadrantState, x: int, N: int) -> int:
-    """Paths crossing the column-x line at height <= N, for x and N in the sampled window."""
-    x, N = _as_int(x, "site x", 1, state.X), _as_int(N, "the row index N", 0, state.Y)
-    return sum(state.h_in(x, y) for y in range(1, N + 1))
-
-
-def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
-    """Sweep the quadrant window row by row, bottom row first, tossing one
-    Bernoulli variable per vertex with the stochastic plaquette biases.
-
-    Row y starts from the filling lambda_0 - 2*eta*y and carries it along
-    the row by ``filling``'s additions; one ``plaquette_weights`` callback
-    weighs the row.  Each vertex's uniform is keyed by (seed, x, y).
-    Works for any spin; weights must be probabilities: at every vertex the
-    turn weight lies in [0, 1] and it sums to one with the other completion
-    (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1,
-    a Y that fails ``_check_rows`` or a seed that is not an integer raises
-    InvalidParameterError.
-    """
-    (X,), Y = _check_sites(params, (X,), "the column count X", 0), _check_rows(params, Y)
-    seed = _as_int(seed, "the seed")
-    vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
-    hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
-    two_eta = 2 * params.eta
-    for y in range(1, Y + 1):
-        wf = plaquette_weights(params, params.w(y), True)
-        lam_v, j1 = params.lambda0 - two_eta * y, 1  # one path enters each row from the left
-        for x in range(1, X + 1):
-            i1 = int(vout[x, y - 1])
-            if j1 == 0:
-                # outcomes: turn right (c) or straight (a); an empty vertex stays empty
-                p_turn, p_other = (wf("C", i1, x, lam_v), wf("A", i1, x, lam_v)) if i1 >= 1 else (0.0, 1.0)
-            else:
-                # outcomes: pass through (d) or absorb up (b)
-                p_turn, p_other = wf("D", i1, x, lam_v), wf("B", i1, x, lam_v)
-            _check_turn(x, y, p_turn, p_turn + p_other)
-            j2 = int(uniform_hash(seed, x, y) < min(max(complex(p_turn).real, 0.0), 1.0))  # a turn: an arrow exits right
-            i2 = i1 + j1 - j2
-            vout[x, y], hout[x, y] = i2, j2
-            lam_v += 2 * two_eta * i2 - two_eta * params.lam(x)
-            j1 = j2
-    return QuadrantState(X, Y, vout, hout, params)
 
 
 def _check_turn(x: int, y: int, p_turn, *sums) -> None:
@@ -260,51 +138,61 @@ def _blocks(n_traj: int):
     return [(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
 
 
+def _column_cap(params: IrfParams, x: int, Y: int) -> int:
+    """The most arrows column x holds in rows 1..Y: Lambda_x where it is an integer >= 0, else Y."""
+    lam = params.lam(x)
+    return min(int(lam.real), Y) if lam.imag == 0 and lam.real >= 0 and lam.real.is_integer() else Y
+
+
 def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -> dict:
-    """Vectorized spin-1/2 sampler: trajectories lo .. hi - 1 of the run
-    seeded ``seed`` sweep together.
+    """Vectorized sampler at any spin: trajectories lo .. hi - 1 of the run
+    seeded ``seed`` sweep the quadrant window row by row, bottom row first,
+    tossing one Bernoulli variable per vertex, keyed by (trajectory seed, x,
+    y), with the stochastic plaquette biases.
 
-    Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...}, int8 occupations
-    (each 0 or 1), with the same per-trajectory values as ``sample_irf`` at
-    ``trajectory_seed(seed, i)`` (also returned, as "seeds").
-    Requires Lambda = 1 columns (the positivity presets).
+    Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...}: ``vout[i, x, y]`` is
+    the occupation of the vertical edge leaving vertex (x, y) upward,
+    ``hout[i, x, y]`` the horizontal one leaving it rightward, for
+    trajectory lo + i, whose seed ``trajectory_seed(seed, lo + i)`` is also
+    returned, as "seeds".  One path enters each row from the left, none
+    from below.  The occupations are int8, or int64 where a column can hold
+    more than 127 arrows.
 
-    On a spin-1/2 row the filling at column x is lambda0 - 2 eta (y +
-    Lambda_1 + ... + Lambda_{x-1}) + 4 eta c, where c <= x - 1 counts the
-    arrows the trajectory has sent up in the row so far: each trajectory
-    carries its count, and the x fillings c = 0 .. x - 1 are weighed once
-    per vertex, the same table in every block.  Every trajectory's turn
-    probability is checked to lie in [0, 1], and at each of the x fillings
-    a1 + c1 and b0 + d0 to be one, within 1e-9.
+    On row y the filling at column x is lambda0 - 2 eta (y + Lambda_1 + ...
+    + Lambda_{x-1}) + 4 eta c, where c counts the arrows the trajectory has
+    sent up in the row so far: at most y, and at most the columns' caps
+    summed, a column's cap being its Lambda where that is an integer (else
+    y).  Each trajectory carries its count; column x weighs its reachable
+    fillings once per vertex, the same table in every block, by c, the
+    arrows m <= min(y - 1, cap) entering from below and the one entering
+    from the left or not (``weights._turn_table``).  Every trajectory's
+    turn probability is checked to lie in [0, 1], and every a_m + c_m and
+    b_m + d_m in the table to be one, within 1e-9 (``_check_turn``).
 
-    A sweep holds 2 (X+1)(Y+1) bytes of occupations per trajectory;
+    A sweep holds 2 (X+1)(Y+1) bytes of int8 occupations per trajectory;
     ``irf_batch_heights`` sweeps a run in blocks of 2^13 trajectories and
     keeps only their heights.
     """
-    if any(abs(l - 1.0) > 1e-12 for _, l in params.columns[1 : X + 1]):
-        raise InvalidParameterError("batch sampler is spin-1/2 only")
     two_eta = 2 * params.eta
     n_traj = hi - lo
-    vout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int8)
-    hout = np.zeros((n_traj, X + 1, Y + 1), dtype=np.int8)
+    caps = [_column_cap(params, x, Y) for x in range(1, X + 1)]
+    dtype = np.int8 if max(caps, default=0) <= 127 else np.int64
+    vout = np.zeros((n_traj, X + 1, Y + 1), dtype=dtype)
+    hout = np.zeros((n_traj, X + 1, Y + 1), dtype=dtype)
     seeds = trajectory_seed(seed, np.arange(lo, hi, dtype=np.int64))
     for y in range(1, Y + 1):
         count = np.zeros(n_traj, dtype=np.int64)  # arrows sent up in this row so far
         carry = np.ones(n_traj, dtype=np.int64)  # path entering from the left
         for x in range(1, X + 1):
-            i1 = vout[:, x, y - 1] if y >= 2 else np.zeros(n_traj, dtype=np.int8)
-            fill = params.lambda0 - two_eta * (y + params.lam_sum(1, x)) + 2 * two_eta * np.arange(x)
-            _, a1, b0, c1, d0, d1 = spin_half_weights(fill, params.w(y), params.z(x), 1.0, params.eta, params.mode)
-            # probability that a horizontal arrow exits right, by up-count,
-            # carry and occupied vertical edge: c at k=1 for a fresh turn, d0
-            # for a pass-through, d1 = 1 when the vertical edge is occupied
-            # (spin-1/2 forces the crossing)
-            p_fill = np.stack([np.zeros_like(c1), c1, d0, d1], axis=1).ravel()
-            p_turn = p_fill.take(4 * count + 2 * carry + (i1 >= 1))
-            _check_turn(x, y, p_turn, a1 + c1, b0 + d0)
+            i1 = vout[:, x, y - 1]
+            n_c, M = min(y, sum(caps[: x - 1])) + 1, min(y - 1, caps[x - 1])
+            fill = params.lambda0 - two_eta * (y + params.lam_sum(1, x)) + 2 * two_eta * np.arange(n_c)
+            stay, turn = _turn_table(fill, params.z(x) - params.w(y), params.lam(x), params.eta, params.mode.f, M)
+            # the probability that an arrow exits right, by carry, m and c
+            p_turn = turn.ravel().take((carry * (M + 1) + i1) * n_c + count)
+            _check_turn(x, y, p_turn, stay + turn)
             u = uniform_hash(seeds, np.int64(x), np.int64(y))
-            turn = u < np.clip(p_turn.real, 0.0, 1.0)
-            j2 = turn.astype(np.int64)  # turn == a horizontal arrow exits right
+            j2 = (u < np.clip(p_turn.real, 0.0, 1.0)).astype(np.int64)  # an arrow exits right
             i2 = i1 + carry - j2
             vout[:, x, y] = i2
             hout[:, x, y] = j2
@@ -329,11 +217,12 @@ def _irf_height_blocks(params: IrfParams, xs: tuple, N: int, seed: int, n_traj: 
 
 def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
     """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
-    batch sampler's run seeded ``seed``, as an (n_traj, len(xs)) int array.
+    batch sampler's run seeded ``seed``, on a pack of any spin, as an
+    (n_traj, len(xs)) int array.
 
     h(x, N) counts the arrows leaving column x - 1 rightward in rows 1..N,
     and paths never move left, so the sweep stops at column X = max(xs) - 1
-    (at x <= 1 every height is N); only the swept columns' spin and weights
+    (at x <= 1 every height is N); only the swept columns' weights
     are checked.  The sweep runs in blocks of 2^13 trajectories, one after
     another (``_irf_height_blocks``), and keeps only each block's heights,
     so a run holds one block's 2 max(xs) (N+1) bytes of occupations per
@@ -413,6 +302,9 @@ def enumerate_heights_hs6v(params: IrfParams, N: int, xs):
 _EVENT = np.dtype([("t", np.float64), ("x", np.int32), ("s", np.int32)])  # 16 bytes a record
 _NO_EVENTS = np.empty(0, dtype=_EVENT)  # the one empty log, shared: it has no record to change
 _NO_EVENTS.flags.writeable = False
+# the step state's heights on [-6, 6]: they pass _check_heights, so the
+# constructor does not check a state built on them (step_exclusion_state's)
+_STEP_HEIGHTS = MappingProxyType({x: abs(x) for x in range(-6, 7)})
 
 
 @dataclass
@@ -425,7 +317,8 @@ class ExclusionState:
     pass ``_check_rates``, lo and hi must be integers and t a finite real >= 0;
     then ``s`` must be a dict of integer heights on exactly [lo, hi], lo < 0
     < hi, with steps of +-1 and s_x = |x| at lo, lo + 1, hi - 1 and hi, so
-    that neither end can flip.  The state keeps its own dict of ints.
+    that neither end can flip (``_check_heights``).  The state keeps its own
+    dict of ints.
 
     ``events``, filled by ``simulate_exclusion(..., record=True)``, holds one
     16-byte ``_EVENT`` record (t float64, x int32, s int32: the flip's time,
@@ -445,17 +338,8 @@ class ExclusionState:
         self.rate_params = _check_rates(self.kind, self.rate_params)
         self.lo, self.hi = _as_int(self.lo, "the window end lo"), _as_int(self.hi, "the window end hi")
         self.t = _as_real(self.t, "the state's time t", 0)
-        lo, hi, s, sites = self.lo, self.hi, self.s, range(self.lo, self.hi + 1)
-        if not (isinstance(s, dict) and lo < 0 < hi and len(s) == len(sites)):
-            raise InvalidParameterError(f"the heights s must hold exactly the sites of [lo, hi] = [{lo}, {hi}], lo < 0 < hi")
-        h = list(map(s.get, sites))
-        if set(map(type, h)) != {int}:  # a site missing from s reads None here
-            h = [_as_int(v, f"the height s_{x}") for x, v in zip(sites, h)]
-            s = dict(zip(sites, h))
-        # s_x = |x| at lo, lo + 1, hi - 1 and hi, as lo < 0 < hi
-        if (h[0], h[1], h[-2], h[-1]) != (-lo, -lo - 1, hi - 1, hi) or not set(map(operator.sub, h[1:], h)) <= {-1, 1}:
-            raise InvalidParameterError("the heights s step by +-1 and equal |x| at lo, lo + 1, hi - 1 and hi")
-        self.s = dict(s)
+        step = self.s is _STEP_HEIGHTS and (self.lo, self.hi) == (-6, 6)
+        self.s = dict(self.s) if step else _check_heights(self.lo, self.hi, self.s)
 
     def value(self, x: int) -> int:
         """s_x; a site x that is not an integer raises InvalidParameterError."""
@@ -467,6 +351,23 @@ _RATES = {  # the rule each kind's rates follow, and their names
     "asep": ("(q, alpha) with q > 0, alpha >= 0 or q > 1, alpha > -1", ("q", "alpha")),
     "ssep": ("(lambda_bar,) with lambda_bar > 0", ("lambda_bar",)),
 }
+
+
+def _check_heights(lo: int, hi: int, s) -> dict:
+    """A new dict of the heights ``s``, which must be integers on exactly the
+    sites of [lo, hi], lo < 0 < hi, stepping by +-1 and equal to |x| at lo,
+    lo + 1, hi - 1 and hi; any other ``s`` raises InvalidParameterError."""
+    sites = range(lo, hi + 1)
+    if not (isinstance(s, dict) and lo < 0 < hi and len(s) == len(sites)):
+        raise InvalidParameterError(f"the heights s must hold exactly the sites of [lo, hi] = [{lo}, {hi}], lo < 0 < hi")
+    h = list(map(s.get, sites))
+    if set(map(type, h)) != {int}:  # a site missing from s reads None here
+        h = [_as_int(v, f"the height s_{x}") for x, v in zip(sites, h)]
+        s = dict(zip(sites, h))
+    # s_x = |x| at lo, lo + 1, hi - 1 and hi, as lo < 0 < hi
+    if (h[0], h[1], h[-2], h[-1]) != (-lo, -lo - 1, hi - 1, hi) or not set(map(operator.sub, h[1:], h)) <= {-1, 1}:
+        raise InvalidParameterError("the heights s step by +-1 and equal |x| at lo, lo + 1, hi - 1 and hi")
+    return dict(s)
 
 
 def _check_rates(kind: str, rate_params) -> tuple:
@@ -489,7 +390,7 @@ def _check_rates(kind: str, rate_params) -> tuple:
 
 def step_exclusion_state(kind: str, rate_params) -> ExclusionState:
     """The step state s_x = |x| on [-6, 6]; ``ExclusionState`` checks the rates."""
-    return ExclusionState(kind, rate_params, -6, 6, {x: abs(x) for x in range(-6, 7)})
+    return ExclusionState(kind, rate_params, -6, 6, _STEP_HEIGHTS)
 
 
 def _rate(kind: str, rate_params, s_x, delta):
@@ -538,7 +439,9 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     """
     T = _as_real(T, "the time horizon T", 0)
     seed = _as_int(seed, "the seed")
-    # replace() re-reads the heights, so the state gets its own dict of them
+    # replace() checks the heights (once: a step state's constructor skipped
+    # it), so a state edited after it was built is refused, and the new state
+    # gets its own dict of them
     state = replace(initial, events=_NO_EVENTS)
     heights = state.s  # holds every site of the window
     log_t, log_x, log_s = [], [], []  # the event log's columns (lists append faster than array.array)

@@ -57,7 +57,6 @@ __all__ = [
     "hs6v_weight",
     "dyn6v_weight",
     "rational_weight",
-    "spin_half_weights",
     "DYN6V_SYMBOLS",
 ]
 
@@ -330,14 +329,16 @@ def rational_weight(symbol: str, lam, z, w):
     return (lam + 1) * (z - w) / den
 
 
-def spin_half_weights(lam, w, z, Lambda, eta, mode):
-    """The six stochastic spin-1/2 weights (a0, a1, b0, c1, d0, d1).
-
-    Vectorized over ``lam``, whose denominators are checked only when it is
-    a scalar, as in :func:`weight`; used by the quadrant sampler and by
-    preset positivity validation.
-    """
-    check = _is_scalar(lam)
-    mk = lambda kind, k: _weight(kind, k, lam, z - w, Lambda, eta, mode.f, check, True)
-    one = np.ones_like(np.asarray(lam, dtype=complex)) if not np.isscalar(lam) else 1.0 + 0j
-    return (one, mk("A", 1), mk("B", 0), mk("C", 1), mk("D", 0), one * mk("D", 1))
+def _turn_table(lam, zw, L, eta, f, M: int):
+    """The stochastic weights of a column's vertex over an array of fillings
+    ``lam``, by the arrows entering it: (stay, turn), each of shape (2, M + 1,
+    *lam.shape), indexed [c, m] by c = 0 or 1 arrows from the left and m =
+    0..M from below.  ``turn`` is the weight that an arrow leaves right (c_m
+    at c = 0, d_m at c = 1), ``stay`` that none does (a_m, b_m); an empty
+    vertex stays empty, with weights 1 and 0.  One ``_weight`` call per
+    kind and m, on the array, so no denominator is checked."""
+    w = lambda kind, m: _weight(kind, m, lam, zw, L, eta, f, False, True)
+    zero = np.zeros(np.shape(lam), dtype=complex)
+    stay = np.array([[zero + 1] + [w("A", m) for m in range(1, M + 1)], [w("B", m) for m in range(M + 1)]])
+    turn = np.array([[zero] + [w("C", m) for m in range(1, M + 1)], [w("D", m) for m in range(M + 1)]])
+    return stay, turn

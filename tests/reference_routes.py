@@ -4,16 +4,21 @@ Each one reads its numeric input as it did in the package, with
 ``special._as_int`` and ``_as_real``, so ``test_inputs`` still feeds its
 rows, and the tests that check against it keep their assertions.  The
 regime II and III profiles come back to the package with reports of their
-own.
+own.  The scalar quadrant sampler ``sample_irf``, with its ``QuadrantState``
+and the definition-level ``filling`` and ``height``, is the reference the
+batch sampler ``samplers._irf_batch`` is tested against, trajectory for
+trajectory; ``spin_pack(J)`` is a pack of spin-J columns it runs on.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from dynirf.asymptotics import H_profile, RegimeIVLaw
 from dynirf.oracle import FinitaryVector, _apply
-from dynirf.params import IrfParams, to_six_vertex
-from dynirf.samplers import _check_rows
+from dynirf.params import IrfParams, preset, to_six_vertex
+from dynirf.samplers import _check_rows, _check_sites, _check_turn, uniform_hash
 from dynirf.special import InvalidParameterError, _as_int, _as_real
 from dynirf.symfunc import _strip
 from dynirf.weights import plaquette_weights
@@ -105,3 +110,122 @@ def height_from_O(o: float, x: float, lambda_bar: float) -> float:
     half = (x + lambda_bar) / 2.0
     _as_real(o, "O", -half * half)
     return math.sqrt(o + half * half) - half
+
+
+def spin_pack(J: int) -> IrfParams:
+    """dyn6v-positive with every Lambda = J and every z shifted by -0.1i: its
+    stochastic weights are probabilities in the 8 x 10 windows the tests use
+    at J = 2 and 3, and occupations reach J."""
+    p = preset("dyn6v-positive")
+    return replace(p, columns=tuple((z - 0.1j, complex(J)) for z, _ in p.columns))
+
+
+@dataclass
+class QuadrantState:
+    """Edge occupations of a finite quadrant window.
+
+    ``vout[x, y]`` is the occupation of the vertical edge leaving vertex
+    (x, y) upward (1 <= x <= X, 1 <= y <= Y); ``hout[x, y]`` the horizontal
+    occupation leaving it rightward.  Boundary: one path enters each row
+    from the left, none from below.  X and Y must be integers >= 0.
+    """
+
+    X: int
+    Y: int
+    vout: np.ndarray
+    hout: np.ndarray
+    params: IrfParams
+
+    def __post_init__(self):
+        self.X, self.Y = _as_int(self.X, "the column count X", 0), _as_int(self.Y, "the row count Y", 0)
+
+    def v_in(self, x: int, y: int) -> int:
+        return int(self.vout[x, y - 1]) if y >= 2 else 0
+
+    def h_in(self, x: int, y: int) -> int:
+        return int(self.hout[x - 1, y]) if x >= 2 else 1
+
+    def validate(self) -> None:
+        """Arrow conservation at every vertex, plus the finite-spin cap:
+        column x holds at most Lambda_x arrows where Lambda_x is an integer;
+        a window past the pack's columns raises InvalidParameterError."""
+        _check_sites(self.params, (self.X,), "the column count X")
+        for x in range(1, self.X + 1):
+            for y in range(1, self.Y + 1):
+                if self.v_in(x, y) + self.h_in(x, y) != int(self.vout[x, y]) + int(self.hout[x, y]):
+                    raise InvalidParameterError(f"conservation violated at vertex ({x},{y})")
+            lam = self.params.lam(x)
+            if abs(lam - round(lam.real)) < 1e-12 and self.vout[x].max() > round(lam.real):
+                raise InvalidParameterError(f"finite-spin occupation cap violated in column {x}")
+
+
+def filling(state: QuadrantState, x: int, y: int, check: bool = False) -> complex:
+    """Dynamic parameter of the unit square [x, x+1] x [y, y+1].
+
+    Computed by walking right along row y from the left boundary value
+    lambda_0 - 2*eta*y; with ``check`` also walks an up-then-right route
+    and asserts path independence.  A square outside the sampled window
+    raises InvalidParameterError.
+    """
+    x, y = _as_int(x, "the square's column x", 0, state.X), _as_int(y, "the square's row y", 0, state.Y)
+    p = state.params
+    two_eta = 2 * p.eta
+    val = p.lambda0 - two_eta * y
+    for col in range(1, x + 1):
+        vocc = int(state.vout[col, y]) if y >= 1 else 0
+        val += 2 * two_eta * vocc - two_eta * p.lam(col)
+    if check and y >= 1:
+        if x + 1 > state.X:
+            raise InvalidParameterError("path-independence check needs x < X")
+        alt = p.lambda0
+        for col in range(1, x + 1):  # along the bottom, no vertical arrows
+            alt -= two_eta * p.lam(col)
+        for row in range(1, y + 1):  # climb at fixed x crossing h-edges
+            alt += (1 - 2 * state.h_in(x + 1, row)) * two_eta
+        if abs(alt - val) > 1e-12 * max(1.0, abs(val)):
+            raise InvalidParameterError(f"filling not path-independent at ({x},{y})")
+    return val
+
+
+def height(state: QuadrantState, x: int, N: int) -> int:
+    """Paths crossing the column-x line at height <= N, for x and N in the sampled window."""
+    x, N = _as_int(x, "site x", 1, state.X), _as_int(N, "the row index N", 0, state.Y)
+    return sum(state.h_in(x, y) for y in range(1, N + 1))
+
+
+def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
+    """Sweep the quadrant window row by row, bottom row first, tossing one
+    Bernoulli variable per vertex with the stochastic plaquette biases.
+
+    Row y starts from the filling lambda_0 - 2*eta*y and carries it along
+    the row by ``filling``'s additions; one ``plaquette_weights`` callback
+    weighs the row.  Each vertex's uniform is keyed by (seed, x, y).
+    Works for any spin; weights must be probabilities: at every vertex the
+    turn weight lies in [0, 1] and it sums to one with the other completion
+    (a + c or b + d), each within 1e-9.  An X not an integer in 0..n_cols - 1,
+    a Y that fails ``_check_rows`` or a seed that is not an integer raises
+    InvalidParameterError.
+    """
+    (X,), Y = _check_sites(params, (X,), "the column count X", 0), _check_rows(params, Y)
+    seed = _as_int(seed, "the seed")
+    vout = np.zeros((X + 1, Y + 1), dtype=np.int64)
+    hout = np.zeros((X + 1, Y + 1), dtype=np.int64)
+    two_eta = 2 * params.eta
+    for y in range(1, Y + 1):
+        wf = plaquette_weights(params, params.w(y), True)
+        lam_v, j1 = params.lambda0 - two_eta * y, 1  # one path enters each row from the left
+        for x in range(1, X + 1):
+            i1 = int(vout[x, y - 1])
+            if j1 == 0:
+                # outcomes: turn right (c) or straight (a); an empty vertex stays empty
+                p_turn, p_other = (wf("C", i1, x, lam_v), wf("A", i1, x, lam_v)) if i1 >= 1 else (0.0, 1.0)
+            else:
+                # outcomes: pass through (d) or absorb up (b)
+                p_turn, p_other = wf("D", i1, x, lam_v), wf("B", i1, x, lam_v)
+            _check_turn(x, y, p_turn, p_turn + p_other)
+            j2 = int(uniform_hash(seed, x, y) < min(max(complex(p_turn).real, 0.0), 1.0))  # a turn: an arrow exits right
+            i2 = i1 + j1 - j2
+            vout[x, y], hout[x, y] = i2, j2
+            lam_v += 2 * two_eta * i2 - two_eta * params.lam(x)
+            j1 = j2
+    return QuadrantState(X, Y, vout, hout, params)

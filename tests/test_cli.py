@@ -382,7 +382,7 @@ class TestModelAndPack:
         def no_work(*args, **kwargs):
             raise AssertionError("ran on a contradictory pack")
 
-        monkeypatch.setattr(cli, "sample_irf", no_work)
+        monkeypatch.setattr(cli, "_irf_batch", no_work)
         for name in ("exact_E", "mc_E", "enum_E"):
             monkeypatch.setattr(observables, name, no_work)
         extra = ["--xs", "2,1", "--N", "3", "--compare", "enum,exact,mc"] if command == "observables" else []
@@ -482,3 +482,47 @@ class TestFullSuite:
             assert all(r["passed"] for r in reports)
             names = [r["name"] for r in reports]
             assert len(names) == len(set(names)), "report names must be unique"
+
+
+class TestSpinJSimulate:
+    def test_irf_dump_of_a_spin_two_pack(self, tmp_path, capsys):
+        # the dump is the batch sampler's; it equals the scalar reference's
+        from reference_routes import sample_irf, spin_pack
+
+        from dynirf import cli
+        from dynirf.params import params_to_json_dict
+        from dynirf.samplers import trajectory_seed
+
+        params = spin_pack(2)
+        path = tmp_path / "spin2.json"
+        path.write_text(json.dumps(params_to_json_dict(params)), encoding="utf-8")
+        args = ["--cols", "8", "--rows", "10", "--trajectories", "20", "--seed", "3"]
+        assert cli.main(["simulate", "--model", "irf", "--config", str(path), *args]) == 0
+        lines = ["traj,x,y,vout,hout"]
+        for i in range(20):
+            st = sample_irf(params, 8, 10, trajectory_seed(3, i))
+            lines += [f"{i},{x},{y},{st.vout[x, y]},{st.hout[x, y]}" for x in range(1, 9) for y in range(1, 11)]
+        out = capsys.readouterr().out
+        assert out == "\n".join(lines) + "\n" and ",2," in out
+
+
+# Commands that fail at this head, pinned so that the change mending one sees
+# its XPASS fail the suite and removes the pin: ROADMAP item 9 (round-off in
+# the m = 6 symmetrization sum) and item 6 (a Monte Carlo stderr of 0 on a
+# rare observable)
+KNOWN_FAILURES = [
+    ("verify --suite identities --seed 337", "item 9: symmetrization-m6 round-off"),
+    ("verify --suite identities --preset rational-positive --seed 1", "item 9: symmetrization-m6-rational round-off"),
+    ("observables --model ssep --xs 2,1,0 --t 1 --compare exact,mc --samples 20000 --seed 1", "item 6: mc stderr 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=r)) for c, r in KNOWN_FAILURES],
+    ids=[c.split(" --")[0].replace(" ", "-") + f"-{i}" for i, (c, _) in enumerate(KNOWN_FAILURES)],
+)
+def test_known_failing_command_exits_0(capsys, command):
+    from dynirf import cli
+
+    assert cli.main(command.split()) == 0

@@ -15,10 +15,12 @@ hashes, strips) are patched to fail the test if reached.
 ``test_every_guarded_parameter_has_a_row`` fails when a public function of
 those modules takes a parameter named in ``GUARDED`` that no row feeds.
 
-The rows of ``samplers.enumerate_distribution``, ``observables.obs_O_six_vertex``,
-``asymptotics.RegimeSpec`` and ``asymptotics.height_from_O`` keep the names
-those routes had in the package; they now feed the test references in
-``reference_routes``, which read their input the same way.
+The rows of ``samplers.enumerate_distribution``, ``samplers.sample_irf``,
+``samplers.QuadrantState``, ``samplers.filling``, ``samplers.height``,
+``observables.obs_O_six_vertex``, ``asymptotics.RegimeSpec`` and
+``asymptotics.height_from_O`` keep the names those routes had in the
+package; they now feed the test references in ``reference_routes``, which
+read their input the same way.
 """
 
 import importlib
@@ -57,20 +59,26 @@ from dynirf.observables import (
 from dynirf.params import check_admissible, pq_grid, preset
 from dynirf.samplers import (
     ExclusionState,
-    QuadrantState,
     enumerate_heights,
     enumerate_heights_hs6v,
     exclusion_farm,
-    filling,
-    height,
     irf_batch_heights,
-    sample_irf,
     simulate_exclusion,
     step_exclusion_state,
 )
 from dynirf.special import CheckReport, Circle, FunctionMode, InvalidParameterError, contour_integral_factored, gammainc, log_ive, theta
 from dynirf.symfunc import B_mu, Signature, c_matrix_formula, normalize, phi, psi, signatures_in_box
-from reference_routes import RegimeSpec, enumerate_distribution, height_from_O, limit_profile, obs_O_six_vertex
+from reference_routes import (
+    QuadrantState,
+    RegimeSpec,
+    enumerate_distribution,
+    filling,
+    height,
+    height_from_O,
+    limit_profile,
+    obs_O_six_vertex,
+    sample_irf,
+)
 
 NAN, INF = math.nan, math.inf
 MODULES = ("special", "params", "symfunc", "samplers", "observables", "asymptotics", "identities")

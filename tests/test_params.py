@@ -167,27 +167,33 @@ class TestPresetsAndConfig:
         with pytest.raises(InvalidParameterError):
             preset("no-such-thing")
 
-    def test_positive_preset_weights_in_unit_interval(self):
-        from dynirf.weights import spin_half_weights
+    # the six spin-1/2 weights the positivity validation reads, in its order
+    SIX = (("A", 1), ("B", 0), ("B", 1), ("C", 1), ("D", 0), ("D", 1))
 
+    @classmethod
+    def _six_weights(cls, lam, params, x, y):
+        from dynirf.weights import WeightContext, weight
+
+        ctx = WeightContext(lam, params.w(y), params.z(x), params.lam(x), params.eta, params.mode)
+        return [weight(kind, k, ctx, stochastic=True) for kind, k in cls.SIX]
+
+    def test_positive_preset_weights_in_unit_interval(self):
         p = preset("dyn6v-positive")
         for m in (-10, 0, 7):
             lam = p.lambda0 - 2 * p.eta * m
-            for wgt in spin_half_weights(lam, p.w(2), p.z(3), p.lam(3), p.eta, p.mode):
+            for wgt in self._six_weights(lam, p, 3, 2):
                 assert abs(wgt.imag) < 1e-9
                 assert -1e-9 <= wgt.real <= 1 + 1e-9
 
-    @staticmethod
-    def _scalar_validation(params):
+    @classmethod
+    def _scalar_validation(cls, params):
         """The former validation loop, one scalar weight call per (shift, x,
         y): the first (shift, weight) outside the unit interval, or None."""
-        from dynirf.weights import spin_half_weights
-
         for m in range(-24, 25):
             lam = params.lambda0 + (-2 * params.eta) * m if params.mode.kind != "rational" else params.lambda0 + m
             for x in range(1, min(6, params.n_cols)):
                 for y in range(1, min(6, params.n_rows + 1)):
-                    for wgt in spin_half_weights(lam, params.w(y), params.z(x), params.lam(x), params.eta, params.mode):
+                    for wgt in cls._six_weights(lam, params, x, y):
                         if abs(wgt.imag) > 1e-9 or wgt.real < -1e-9 or wgt.real > 1 + 1e-9:
                             return m, wgt
         return None

@@ -10,13 +10,9 @@ from dynirf import samplers
 from dynirf.params import IrfParams, preset
 from dynirf.samplers import (
     ExclusionState,
-    QuadrantState,
     enumerate_heights,
     exclusion_farm,
-    filling,
-    height,
     irf_batch_heights,
-    sample_irf,
     PositivityError,
     simulate_exclusion,
     step_exclusion_state,
@@ -27,7 +23,7 @@ from dynirf.samplers import _rate
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import Signature, _strip, skew_B_lattice
 import reference_routes
-from reference_routes import enumerate_distribution
+from reference_routes import QuadrantState, enumerate_distribution, filling, height, sample_irf, spin_pack
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +59,11 @@ class TestUniformHash:
 
 
 def numpy_path(seed, *keys):
-    return float(samplers._unit(samplers._hash64(seed, *keys)))
+    return int(samplers._hash64(seed, *keys))
 
 
 class TestScalarHashPath:
-    """Plain-int draws run SplitMix64 on Python ints; the bits must match the numpy path."""
+    """``_fold``, the event engine's SplitMix64 on Python ints, gives the bits of the numpy ``_hash64``."""
 
     LO, HI = -(2**63), 2**63 - 1
 
@@ -85,14 +81,14 @@ class TestScalarHashPath:
         ],
     )
     def test_edge_values_match_numpy(self, seed, keys):
-        assert uniform_hash(seed, *keys) == numpy_path(seed, *keys)
+        assert samplers._fold(0, seed, *keys) == numpy_path(seed, *keys)
 
     def test_random_values_match_numpy(self):
         rng = np.random.default_rng(2024)
         for _ in range(2000):
             seed = int(rng.integers(-(2**63), 2**63)) * int(rng.integers(1, 4))  # some seeds pass 2**63
             keys = [int(k) for k in rng.integers(self.LO, self.HI, size=int(rng.integers(0, 4)), endpoint=True)]
-            assert uniform_hash(seed, *keys) == numpy_path(seed, *keys)
+            assert samplers._fold(0, seed, *keys) == numpy_path(seed, *keys)
 
     def test_numpy_scalars_and_bools_give_the_same_draw(self):
         want = uniform_hash(42, 1, -3)
@@ -100,18 +96,18 @@ class TestScalarHashPath:
         assert uniform_hash(42, np.int64(1), np.int32(-3)) == want
         assert uniform_hash(42, True, -3) == want
         assert uniform_hash(np.uint64(2**63 + 9), 4) == uniform_hash(2**63 + 9, 4)
+        assert want == (samplers._fold(0, 42, 1, -3) >> 11) * 2.0**-53
 
     def test_routing(self, monkeypatch):
-        # plain ints never reach the numpy hash; numpy scalars and bools do
+        # uniform_hash has one path: plain ints, numpy scalars and bools all reach the numpy hash
         seen = []
         real = samplers._hash64
         monkeypatch.setattr(samplers, "_hash64", lambda *a: seen.append(a) or real(*a))
         uniform_hash(3, 4, -5)
-        assert seen == []
         uniform_hash(3, np.int64(4))
         uniform_hash(3, True)
         uniform_hash(np.int64(3), 4)
-        assert len(seen) == 3
+        assert len(seen) == 4
 
     @pytest.mark.parametrize("key", [2**63, -(2**63) - 1])
     def test_key_outside_int64_raises(self, key):
@@ -228,23 +224,22 @@ class TestQuadrantSampler:
     @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j, 1.5])
     def test_batch_rejects_non_probability(self, dyn6v, monkeypatch, bad):
         # a NaN turn weight used to read as "no turn", and a complex one
-        # passed on its real part
-        import dynirf.samplers as samplers
-
-        real = samplers.spin_half_weights
+        # passed on its real part; here every d_0 is ``bad``
+        real = samplers._turn_table
 
         def patched(*args):
-            a0, a1, b0, c1, d0, d1 = real(*args)
-            return a0, a1, b0, c1, np.full_like(d0, bad), d1
+            stay, turn = real(*args)
+            turn[1, 0] = bad
+            return stay, turn
 
-        monkeypatch.setattr(samplers, "spin_half_weights", patched)
+        monkeypatch.setattr(samplers, "_turn_table", patched)
         with pytest.raises(PositivityError):
             samplers._irf_batch(dyn6v, 3, 3, 1, 0, 8)
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.5 + 0.1j])
     def test_scalar_rejects_non_probability(self, dyn6v, monkeypatch, bad):
         # every row's weight callback returns ``bad``
-        monkeypatch.setattr(samplers, "plaquette_weights", lambda *args: lambda *weight_args: bad)
+        monkeypatch.setattr(reference_routes, "plaquette_weights", lambda *args: lambda *weight_args: bad)
         with pytest.raises(PositivityError):
             sample_irf(dyn6v, 3, 3, seed=1)
 
@@ -262,17 +257,61 @@ class TestQuadrantSampler:
 
     @pytest.mark.parametrize("slot", [1, 2])
     def test_batch_checks_both_sums(self, dyn6v, monkeypatch, slot):
-        # a1 or b0 off by 1e-6: every turn probability stays in [0, 1]
-        real = samplers.spin_half_weights
+        # a_1 or b_0 off by 1e-6: every turn probability stays in [0, 1]
+        real = samplers._turn_table
+        c, m = {1: (0, 1), 2: (1, 0)}[slot]
 
         def patched(*args):
-            out = list(real(*args))
-            out[slot] = out[slot] + 1e-6
-            return tuple(out)
+            stay, turn = real(*args)
+            if m < stay.shape[1]:  # row 1 has no a_1
+                stay[c, m] += 1e-6
+            return stay, turn
 
-        monkeypatch.setattr(samplers, "spin_half_weights", patched)
+        monkeypatch.setattr(samplers, "_turn_table", patched)
         with pytest.raises(InvalidParameterError, match=r"residual 1\.00e-06"):
             samplers._irf_batch(dyn6v, 3, 3, 1, 0, 8)
+
+
+class TestSpinJ:
+    """The batch sampler on spin-J columns (``spin_pack(J)``: every Lambda = J)."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_batch_equals_scalar(self, J):
+        params = spin_pack(J)
+        batch = samplers._irf_batch(params, 8, 10, 5, 0, 200)
+        for i in range(200):
+            sc = sample_irf(params, 8, 10, seed=int(batch["seeds"][i]))
+            assert np.array_equal(sc.vout, batch["vout"][i]) and np.array_equal(sc.hout, batch["hout"][i])
+        assert batch["vout"].max() == J  # occupations reach the cap
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_mc_E_matches_enumeration(self, J):
+        # 10^5 samples, seed 1: z = -1.57 at J = 2 and -0.60 at J = 3
+        from dynirf.observables import ObservableSpec, enum_E, mc_E
+
+        params, spec = spin_pack(J), ObservableSpec((3, 2), 4)
+        mean, stderr = mc_E("irf", spec, params, 100_000, 1)
+        assert abs(mean - enum_E(spec, params)) < 4 * stderr
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_exact_E_matches_enumeration(self, J):
+        from dynirf.observables import ObservableSpec, enum_E, exact_E
+
+        params, spec = spin_pack(J), ObservableSpec((3, 2), 4)
+        assert abs(exact_E("irf", spec, params) - enum_E(spec, params)) < 1e-12
+
+    def test_occupations_past_127_are_not_wrapped(self, dyn6v, monkeypatch):
+        # a column of non-integer spin holds up to Y arrows; with every path
+        # turning up in column 1, it holds y of them at row y <= 130
+        columns = dyn6v.columns[:1] + ((dyn6v.z(1), 1.5),) + dyn6v.columns[2:]
+        params = replace(dyn6v, columns=columns, rows=dyn6v.rows * 13)
+
+        def absorb(lam, zw, L, eta, f, M):
+            return np.ones((2, M + 1, np.size(lam)), dtype=complex), np.zeros((2, M + 1, np.size(lam)), dtype=complex)
+
+        monkeypatch.setattr(samplers, "_turn_table", absorb)
+        vout = samplers._irf_batch(params, 2, 130, 1, 0, 3)["vout"]
+        assert (vout[:, 1, 1:] == np.arange(1, 131)).all() and (vout[:, 2] == 0).all()
 
 
 class TestEnumeration:
@@ -341,9 +380,10 @@ class TestEngineInputs:
         def never(*args, **kwargs):
             raise AssertionError("did work on rejected input")
 
-        for name in ("_irf_batch", "_farm_block", "_row_sweep", "filling"):
+        for name in ("_irf_batch", "_farm_block", "_row_sweep"):
             monkeypatch.setattr(samplers, name, never)
-        monkeypatch.setattr(reference_routes, "_strip", never)  # enumerate_distribution's
+        for name in ("_strip", "plaquette_weights"):  # enumerate_distribution's and sample_irf's
+            monkeypatch.setattr(reference_routes, name, never)
 
     # the pack has 28 columns and 10 rows
     @pytest.mark.parametrize(
@@ -506,6 +546,22 @@ class TestExclusion:
     def test_heights(self):
         st = step_exclusion_state("ssep", (2.0,))
         assert heights(st, [-2, 0, 3]) == [2, 0, 0]
+
+    def test_heights_checked_once_per_run(self, monkeypatch):
+        # the step state's constructor and simulate_exclusion's replace()
+        # each ran the heights check; a run from a step state runs it once
+        calls = []
+        real = samplers._check_heights
+        monkeypatch.setattr(samplers, "_check_heights", lambda *args: calls.append(args) or real(*args))
+        simulate_exclusion(step_exclusion_state("ssep", (2.0,)), 1.0, seed=1)
+        assert len(calls) == 1
+
+    def test_state_edited_after_construction_is_refused(self):
+        st = step_exclusion_state("ssep", (2.0,))
+        st.s[0] = 4
+        with pytest.raises(InvalidParameterError, match="step by"):
+            simulate_exclusion(st, 1.0, seed=1)
+        assert samplers._STEP_HEIGHTS[0] == 0  # the step heights are not the state's dict
 
 
 class TestEventLog:
@@ -814,21 +870,21 @@ class TestTrajectoryBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
     def test_irf_batch_weighs_one_filling_per_up_count(self, dyn6v, monkeypatch, block):
-        # column x of each row weighs x fillings, one per up-count 0 .. x - 1,
-        # whatever trajectories the block holds
+        # vertex (x, y) weighs one filling per reachable up-count, 0 .. min(y,
+        # x - 1) on spin-1/2 columns, whatever trajectories the block holds
         sizes = []
-        real = samplers.spin_half_weights
+        real = samplers._turn_table
 
         def spy(lam, *args):
             sizes.append(np.size(lam))
             return real(lam, *args)
 
-        monkeypatch.setattr(samplers, "spin_half_weights", spy)
+        monkeypatch.setattr(samplers, "_turn_table", spy)
         monkeypatch.setattr(samplers, "_BLOCK", block)
         xs, N, n = (5, 3), 4, 40
         irf_batch_heights(dyn6v, xs, N, 3, n)
         blocks = -(-n // block)
-        assert sizes == [x for _ in range(blocks * N) for x in range(1, max(xs))]
+        assert sizes == [min(y, x - 1) + 1 for _ in range(blocks) for y in range(1, N + 1) for x in range(1, max(xs))]
 
     @pytest.mark.parametrize("pack", ["dyn6v", "rational"])
     def test_irf_batch_heights_match_a_full_sweep(self, request, monkeypatch, pack):

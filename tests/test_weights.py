@@ -13,7 +13,7 @@ from dynirf.weights import (
     hat_ratio,
     hs6v_weight,
     rational_weight,
-    spin_half_weights,
+    _turn_table,
     weight,
 )
 
@@ -325,12 +325,20 @@ class TestRationalWeights:
             assert abs(rational_weight(sym, lam, z, w) - weight(kind, k, ctx, stochastic=True)) < 1e-13
 
 
-class TestSpinHalfHelper:
-    def test_vectorized_matches_scalar(self):
+class TestTurnTable:
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_vectorized_matches_scalar(self, J):
+        # the batch sampler's table over fillings: [stay or turn, c, m] is
+        # (a_m, b_m) or (c_m, d_m) by c, as the scalar weight gives them
         p = preset("dyn6v-positive")
         lams = p.lambda0 - 2 * p.eta * np.arange(4)
-        vec = spin_half_weights(lams, p.w(1), p.z(1), 1.0, p.eta, p.mode)
+        stay, turn = _turn_table(lams, p.z(1) - p.w(1), J, p.eta, p.mode.f, J)
+        assert stay.shape == turn.shape == (2, J + 1, 4)
+        assert (stay[0, 0] == 1).all() and (turn[0, 0] == 0).all()
         for i, lam in enumerate(lams):
-            scal = spin_half_weights(complex(lam), p.w(1), p.z(1), 1.0, p.eta, p.mode)
-            for a, b in zip(vec, scal):
-                assert abs(np.asarray(a).ravel()[i] - b) < 1e-13
+            ctx = WeightContext(complex(lam), p.w(1), p.z(1), J, p.eta, p.mode)
+            for m in range(J + 1):
+                want = [("B", "D")] + ([("A", "C")] if m else [])
+                for c, kinds in zip((1, 0), want):
+                    for table, kind in zip((stay, turn), kinds):
+                        assert abs(table[c, m, i] - weight(kind, m, ctx, stochastic=True)) < 1e-13
