@@ -8,10 +8,10 @@ large parameter L one sees the usual profile (I), a deformed deterministic
 profile (II), a square-root profile (III), or, for fixed lambda_bar, a
 random limit driven by a gamma variable (IV).  The moment machinery behind
 regime IV runs through the observable
-O(x, t) = h(x,t) (h(x,t) + x + lambda_bar).  This module checks regime I
-(``hydro_check``) and regime IV (``regime_moment_check``, the soft
-``regime_iv_ks_check`` and the law ``RegimeIVLaw``); the profiles of
-regimes II and III have no report yet.
+O(x, t) = h(x,t) (h(x,t) + x + lambda_bar).  This module checks the heat
+equation of H (``heat_check``), regime I (``hydro_check``) and regime IV
+(``regime_moment_check``, the soft ``regime_iv_ks_check`` and the law
+``RegimeIVLaw``); the profiles of regimes II and III have no report yet.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .special import CheckReport, _as_int, _as_real, gammainc
 __all__ = [
     "RegimeIVLaw",
     "H_profile",
-    "gamma_moment",
     "regime_moment_check",
     "heat_equation_residual",
+    "heat_check",
     "hydro_check",
     "regime_iv_ks_check",
 ]
@@ -81,9 +81,6 @@ class RegimeIVLaw:
         out = gammainc(self.gamma_shape, y)
         return out if out.shape else float(out)
 
-    def moment(self, m: int) -> float:
-        return gamma_moment(self.gamma_shape, self.gamma_scale, m)
-
     def mean(self) -> float:
         """E[sqrt(Y + (chi/2)^2) - chi/2] = max(0, -chi) + E[Y / (sqrt(Y + (chi/2)^2) + |chi|/2)].
 
@@ -102,15 +99,6 @@ class RegimeIVLaw:
         dens = np.exp(a * (math.log(a) + x) - u - math.lgamma(a)) * np.cosh(t) * (np.pi / 2 / s)
         y = self.gamma_scale * u
         return max(0.0, -self.chi) + h * float(np.sum(y / (np.sqrt(y + half * half) + half) * dens))
-
-
-def gamma_moment(a: float, b: float, m: int) -> float:
-    """m-th moment b^m (a)_m of the gamma law with shape a and scale b, both
-    finite and > 0; an m that is not an integer >= 0 raises
-    InvalidParameterError (``rising``)."""
-    _as_real(a, "the gamma shape a", 0, above=True)
-    _as_real(b, "the gamma scale b", 0, above=True)
-    return rising(a, m) * b**m
 
 
 def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float) -> CheckReport:
@@ -164,6 +152,13 @@ def heat_equation_residual(chi: float, tau: float) -> float:
     dt = (H_profile(chi, tau + h) - H_profile(chi, tau - h)) / (2 * h)
     dxx = (H_profile(chi + h, tau) - 2 * H_profile(chi, tau) + H_profile(chi - h, tau)) / (h * h)
     return abs(dt - dxx)
+
+
+def heat_check() -> CheckReport:
+    """The worst ``heat_equation_residual`` of H over chi in {-1.5, -0.3, 0, 0.8}
+    and tau in {0.5, 1, 2}, within 1e-5."""
+    worst = max(heat_equation_residual(c, t) for c in (-1.5, -0.3, 0.0, 0.8) for t in (0.5, 1.0, 2.0))
+    return CheckReport("heat-equation-residual", {"h": 1e-4}, worst, 0.0, 1e-5)
 
 
 def hydro_check(L: float = 400.0, tau: float = 1.0) -> CheckReport:

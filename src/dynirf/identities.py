@@ -9,9 +9,10 @@ hat ratios and the nested sum, 1e-8 the oracle and the stochastic
 two-route reports.  A passing check whose monitored truncation tail
 exceeds a tenth of its gate is "passed-with-warning".
 
-Every truncated kappa-sum (skew-Cauchy, Pieri, Cauchy, rho-Cauchy) runs
-through :func:`_capped_sum`, whose tail is the mass on kappa_1 = cap.  A
-lattice factor with a fixed bottom (B_{kappa/nu} in skew-Cauchy and pieri2,
+Every truncated kappa-sum (skew-Cauchy, the two Pieri rules, Cauchy,
+rho-Cauchy) runs through :func:`_capped_sum`, whose tail is the mass on
+kappa_1 = cap; each but skew-Cauchy reports through :func:`_series_report`.
+A lattice factor with a fixed bottom (B_{kappa/nu} in skew-Cauchy and pieri2,
 D_{nu/rho} in skew-Cauchy, the lattice rho-Cauchy B_kappa) is read off one
 ``symfunc._strip`` law of that bottom, not one lattice call per kappa.  The
 skew-Cauchy, Pieri and Cauchy right-hand sides take their Cauchy-kernel
@@ -66,7 +67,9 @@ __all__ = [
     "TOL_QUAD",
     "check_symmetrization_lemma",
     "check_skew_cauchy",
+    "check_pieri2",
     "check_pieri",
+    "check_cauchy",
     "check_cauchy_rho",
     "check_orthogonality",
     "check_D_integral",
@@ -204,71 +207,63 @@ def _b0k_norm_factor(count: int, lam: complex, u: complex, params: IrfParams) ->
     return f(2 * eta) * f(lam - z0 + u + eta * (-L0 + 2 * count - 1)) / f(z0 - u + (L0 + 1) * eta)
 
 
-def check_pieri(variant: str, params: IrfParams, *, nu=(), us=(), vs=(), u=None, v=None) -> CheckReport:
-    """The two Pieri rules and the Cauchy identity at lam = params.lambda0,
-    truncated on the left at kappa_1 <= 12.
+def _series_report(name: str, parameters: dict, lhs, rhs, cap: int, tail) -> CheckReport:
+    """The report of a kappa-sum truncated at kappa_1 <= cap, gated at TOL_SERIES."""
+    return CheckReport(name, parameters, lhs, rhs, TOL_SERIES, {"cap": cap, "tail_estimate": tail})
 
-    variant "pieri2": sum_kappa D_kappa(lam; vs) B_{kappa/nu}(lam+2*eta*l; u)
-    variant "pieri":  sum_kappa D^norm_{kappa/nu}(lam; v) B^norm_kappa(lam+2*eta; us)
-    variant "cauchy": sum_kappa D^norm_kappa(lam; vs) B^norm_kappa(lam+2*eta*l; us)
-    """
+
+def check_pieri2(nu, u, vs, params: IrfParams) -> CheckReport:
+    """The second Pieri rule at lam = params.lambda0, truncated at kappa_1 <= 12:
+    sum_kappa D_kappa(lam; vs) B_{kappa/nu}(lam + 2*eta*l; u), l = len(vs)."""
     lam, eta, f, cap = params.lambda0, params.eta, params.f, 12
-    nu = Signature(tuple(nu))
-
-    if variant == "pieri2":
-        if u is None or not len(vs):
-            raise InvalidParameterError("pieri2 needs u and vs")
-        l = len(vs)
-        b_law = _strip(nu, lam + 2 * eta * l, [u], params, "B", cap=cap)
-        lhs, last = _capped_sum(
-            signatures_in_box(nu.parts + (0,), (cap,) + nu.parts),
-            lambda kappa: D_nu(kappa, lam, list(vs), params),
-            lambda kappa: b_law.get(kappa, 0.0 + 0.0j),
-            cap,
-        )
-        rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam) * _cauchy_kernel([u], vs, params)
-        rhs *= D_nu(nu, lam + 2 * eta, list(vs), params)
-        name = f"pieri2-nu{nu.parts}-l{l}"
-        pars = {"nu": nu.parts, "u": _c(u), "vs": [_c(x) for x in vs], "lam": _c(lam)}
-    elif variant == "pieri":
-        if v is None or not len(us):
-            raise InvalidParameterError("pieri needs v and us")
-        k = len(us)
-        if nu.length != k:
-            raise InvalidParameterError("pieri needs len(nu) = len(us)")
-        lhs, last = _capped_sum(
-            signatures_in_box(nu.parts, (cap,) * nu.length),
-            lambda kappa: normalize(skew_D_lattice(kappa, nu, lam, [v], params), lam, 1, params),
-            lambda kappa: normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params),
-            cap,
-        )
-        rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params) * _cauchy_kernel(us, [v], params)
-        name = f"pieri-mu{nu.parts}"
-        pars = {"mu": nu.parts, "v": _c(v), "us": [_c(x) for x in us], "lam": _c(lam)}
-    elif variant == "cauchy":
-        if not len(us) or not len(vs):
-            raise InvalidParameterError("cauchy needs us and vs")
-        k, l = len(us), len(vs)
-        lhs, last = _capped_sum(
-            signatures_in_box((0,) * k, (cap,) * k),
-            lambda kappa: normalize(D_nu(kappa, lam, list(vs), params), lam, l, params),
-            lambda kappa: normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params),
-            cap,
-        )
-        rhs = math.prod(_b0k_norm_factor(k, lam, u_i, params) for u_i in us) * _cauchy_kernel(us, vs, params)
-        name = f"cauchy-k{k}l{l}"
-        pars = {"us": [_c(x) for x in us], "vs": [_c(x) for x in vs], "lam": _c(lam)}
-    else:
-        raise InvalidParameterError(f"unknown pieri variant {variant!r}")
-
-    return CheckReport(
-        name=name,
-        parameters=pars,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=TOL_SERIES,
-        truncation_info={"cap": cap, "tail_estimate": last},
+    nu, l = Signature(tuple(nu)), len(vs)
+    b_law = _strip(nu, lam + 2 * eta * l, [u], params, "B", cap=cap)
+    lhs, tail = _capped_sum(
+        signatures_in_box(nu.parts + (0,), (cap,) + nu.parts),
+        lambda kappa: D_nu(kappa, lam, list(vs), params),
+        lambda kappa: b_law.get(kappa, 0.0 + 0.0j),
+        cap,
     )
+    rhs = _b0k_norm_factor(nu.length + 1, lam, u, params) / f(lam) * _cauchy_kernel([u], vs, params)
+    rhs *= D_nu(nu, lam + 2 * eta, list(vs), params)
+    pars = {"nu": nu.parts, "u": _c(u), "vs": [_c(x) for x in vs], "lam": _c(lam)}
+    return _series_report(f"pieri2-nu{nu.parts}-l{l}", pars, lhs, rhs, cap, tail)
+
+
+def check_pieri(nu, us, v, params: IrfParams) -> CheckReport:
+    """The Pieri rule at lam = params.lambda0, truncated at kappa_1 <= 12, len(nu) = len(us) = k:
+    sum_kappa D^norm_{kappa/nu}(lam; v) B^norm_kappa(lam + 2*eta; us)."""
+    lam, eta, cap = params.lambda0, params.eta, 12
+    nu, k = Signature(tuple(nu)), len(us)
+    if nu.length != k:
+        raise InvalidParameterError("pieri needs len(nu) = len(us)")
+    lhs, tail = _capped_sum(
+        signatures_in_box(nu.parts, (cap,) * nu.length),
+        lambda kappa: normalize(skew_D_lattice(kappa, nu, lam, [v], params), lam, 1, params),
+        lambda kappa: normalize(B_mu(kappa, lam + 2 * eta, list(us), params), lam + 2 * eta, k, params),
+        cap,
+    )
+    rhs = normalize(B_mu(nu, lam, list(us), params), lam, k, params) * _cauchy_kernel(us, [v], params)
+    pars = {"mu": nu.parts, "v": _c(v), "us": [_c(x) for x in us], "lam": _c(lam)}
+    return _series_report(f"pieri-mu{nu.parts}", pars, lhs, rhs, cap, tail)
+
+
+def check_cauchy(us, vs, params: IrfParams) -> CheckReport:
+    """The Cauchy identity at lam = params.lambda0, truncated at kappa_1 <= 12, k = len(us), l = len(vs):
+    sum_kappa D^norm_kappa(lam; vs) B^norm_kappa(lam + 2*eta*l; us)."""
+    lam, eta, cap = params.lambda0, params.eta, 12
+    k, l = len(us), len(vs)
+    if not k or not l:
+        raise InvalidParameterError("cauchy needs us and vs")
+    lhs, tail = _capped_sum(
+        signatures_in_box((0,) * k, (cap,) * k),
+        lambda kappa: normalize(D_nu(kappa, lam, list(vs), params), lam, l, params),
+        lambda kappa: normalize(B_mu(kappa, lam + 2 * eta * l, list(us), params), lam + 2 * eta * l, k, params),
+        cap,
+    )
+    rhs = math.prod(_b0k_norm_factor(k, lam, u_i, params) for u_i in us) * _cauchy_kernel(us, vs, params)
+    pars = {"us": [_c(x) for x in us], "vs": [_c(x) for x in vs], "lam": _c(lam)}
+    return _series_report(f"cauchy-k{k}l{l}", pars, lhs, rhs, cap, tail)
 
 
 def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
@@ -290,7 +285,7 @@ def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
     else:
         route, b_law = "lattice", _strip((), lam, list(us), params, "B", cap=cap)
         b_eval = lambda kappa: b_law.get(kappa, 0.0 + 0.0j)
-    lhs, last = _capped_sum(
+    lhs, tail = _capped_sum(
         signatures_in_box((1,) * N, (cap,) * N),
         lambda kappa: D_rho(kappa, lam, params),
         lambda kappa: normalize(b_eval(kappa), lam, N, params),
@@ -299,14 +294,7 @@ def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
     rhs = (-f(2 * eta)) ** N
     for u in us:
         rhs *= f(u - grid.p[0]) / f(u - grid.q[0])
-    return CheckReport(
-        name=f"cauchy-rho-N{N}-{route}",
-        parameters={"us": [_c(u) for u in us], "lam": _c(lam)},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=TOL_SERIES,
-        truncation_info={"cap": cap, "tail_estimate": last},
-    )
+    return _series_report(f"cauchy-rho-N{N}-{route}", {"us": [_c(u) for u in us], "lam": _c(lam)}, lhs, rhs, cap, tail)
 
 
 def _strong_family(params: IrfParams, M: int) -> tuple:
@@ -695,11 +683,11 @@ def _identity_battery(rng: np.random.Generator, params: IrfParams) -> list:
     reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params))
     reports.append(check_skew_cauchy((2, 1), (), near_p(2), near_q(2), params))
     # Pieri rules and Cauchy
-    reports.append(check_pieri("pieri2", params, nu=(2,), u=near_p(1)[0], vs=near_q(2)))
-    reports.append(check_pieri("pieri2", params, nu=(), u=near_p(1)[0], vs=near_q(1)))
-    reports.append(check_pieri("pieri", params, nu=(2, 1), us=near_p(2), v=near_q(1)[0]))
-    reports.append(check_pieri("cauchy", params, us=near_p(1), vs=near_q(1)))
-    reports.append(check_pieri("cauchy", params, us=near_p(2), vs=near_q(2)))
+    reports.append(check_pieri2((2,), near_p(1)[0], near_q(2), params))
+    reports.append(check_pieri2((), near_p(1)[0], near_q(1), params))
+    reports.append(check_pieri((2, 1), near_p(2), near_q(1)[0], params))
+    reports.append(check_cauchy(near_p(1), near_q(1), params))
+    reports.append(check_cauchy(near_p(2), near_q(2), params))
     # rho-Cauchy, distinct and coincident arguments
     if rho:
         reports += [check_cauchy_rho(1, near_p(1), params), check_cauchy_rho(2, near_p(2), params), check_cauchy_rho(2, near_p(1) * 2, params)]

@@ -242,10 +242,11 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
     of the usual ASEP, -E h of the usual SSEP.  SSEP takes other exact
     routes where its integral is not accurate (table below); ASEP at n = 1
     returns the walk sum alone where its loop integral cannot be accurate
-    (the integrand's peak on the circle times eps is 1 or more) or raises
-    ConvergenceError (from t = 5 at q = 0.5, t = 20 at q = 0.8).  ASEP at
-    n >= 2 raises ConvergenceError where that peak test fails on any of its
-    circles (t = 8.8 at q = 0.5), before any quadrature.
+    (the integrand's peak on the circle times eps is 1 or more, or the outer
+    circle encloses the pole y = 1/q, at q in (0.909, 1.111) for n = 1) or
+    raises ConvergenceError (from t = 5 at q = 0.5, t = 20 at q = 0.8).
+    ASEP at n >= 2 raises ConvergenceError where either test fails (t = 8.8
+    at q = 0.5 by the peak), before any quadrature.
 
     model "irf": params is an IrfParams of any mode and spin, integral
     around the w's; coincident row parameters raise SingularParameterError,
@@ -271,7 +272,8 @@ def exact_E(model: str, spec: ObservableSpec, params_or_rates, nodes: int = 48):
         walk sum  n = 1 (``ssep_mean_height``)
         saddle    n = 2, x_1 = x_2, t > 500 (``_ssep_f2_large_t``; x < 0
                   by the particle-hole reflection x -> -x); it converges to
-                  t = 1e5 at x = 0 and raises ConvergenceError by t = 3e5
+                  t = 1e5 at x = 0 and raises ConvergenceError by t = 3e5,
+                  or where it reads below the bound F1 (F1 - 1) (t = 1e6)
         duality   the n-point function e^{tL} C on the cube
                   [min(min xs, 0) - W, max(max xs, 0) + W]^n, W = 5.5 sqrt(t)
                   + 25, up to 2^21 sites (n = 3 to t about 50 at x = 0,
@@ -382,6 +384,13 @@ def _exact_E_asep(spec: ObservableSpec, q: float, nodes: int) -> complex:
     n = spec.n
     t = float(spec.N_or_t)
     circles = _nested_circles(1.0, 0.1, n, growth=0.3)
+    # the loops must leave out the unary's singularity at y = 1/q (none at
+    # q = 1); from n = 1 at q in (0.909, 1.111) the outer circle holds it
+    if q != 1 and abs(1 - q) <= circles[-1].radius * abs(q):
+        if n > 1:
+            raise ConvergenceError(f"ASEP at n = {n}, q = {q} has no exact route: its outer circle, radius "
+                                   f"{circles[-1].radius:.3g} around 1, encloses the unary's pole y = 1/q")
+        return complex(_asep_walk_sum(spec.xs[0], t, q))
 
     def unary(x):
         return lambda y: ((1 - y) / (1 - q * y)) ** x * np.exp((1 - q) ** 2 * y * t / ((1 - y) * (1 - q * y))) / y
@@ -446,8 +455,12 @@ def _exact_E_ssep(spec: ObservableSpec, nodes: int) -> complex:
         # x -> -x, so h(-a) has the law of h(a) + a and
         # F2(-a) = F2(a) + 2a F1(a) + a(a - 1)
         a = abs(xs[0])
-        f2 = _ssep_f2_large_t(a, t)
-        return complex(f2 if xs[0] >= 0 else f2 + 2 * a * ssep_mean_height(a, t) + a * (a - 1))
+        f1, f2 = ssep_mean_height(a, t), _ssep_f2_large_t(a, t)
+        # F2 - F1 (F1 - 1) = Var h >= 0: from t = 1e6 every level of nodes
+        # misses the saddle, about 1/sqrt(2t) wide, and two levels agree on ~0
+        if not f2 >= f1 * (f1 - 1):
+            raise ConvergenceError(f"the SSEP saddle route at t = {t} reads F2 = {f2}, below F1 (F1 - 1) = {f1 * (f1 - 1)}", (f2, f1 * (f1 - 1)))
+        return complex(f2 if xs[0] >= 0 else f2 + 2 * a * f1 + a * (a - 1))
     return complex(_duality_moment(xs, t))
 
 
@@ -748,8 +761,8 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     integer raises InvalidParameterError, and so does a lattice spec that
     fails ``_lattice_rows``, before any sweep.
 
-    The engines run trajectories in blocks of 2^13 (``irf_batch_heights``'
-    blocks for "irf", on a pack of any mode and spin, which sweep columns
+    The engines run trajectories in blocks of 2^13 (``_irf_height_blocks``
+    for "irf", on a pack of any mode and spin, which sweep columns
     1..max(xs) - 1 only; ``exclusion_farm``'s for "asep" and "ssep"), each
     keyed by its index in the whole run.  Their heights are regrouped into chunks of 2^15
     samples, [0, 2^15), [2^15, 2^16), ..., fixed by ``samples`` alone.  Each
@@ -796,56 +809,24 @@ def mc_E(model: str, spec: ObservableSpec, params_or_rates, samples: int, seed: 
     return mean, stderr
 
 
-def lambda_independence_report(
-    model: str, spec: ObservableSpec, lambdas, params_or_rates, samples: int | None = None, seed: int = 0
-) -> CheckReport:
-    """The lambda-independence property as an executable test.
-
-    "irf" without ``samples``: exact enumeration per lambda, pairwise 1e-9.
-    With ``samples`` Monte Carlo within 4 combined standard errors;
-    SSEP/ASEP need ``samples`` (InvalidParameterError without).  The report
-    names the pack's model, irf or rational, or the exclusion model.  A
-    seed that is not an integer is refused, used or not.
-    """
-    seed = _as_int(seed, "the seed")
+def lambda_independence_report(spec: ObservableSpec, lambdas, params: IrfParams) -> CheckReport:
+    """The lambda-independence property as an executable test: ``enum_E``
+    at each corner filling of ``lambdas`` (two or more), pairwise within
+    1e-9.  The report names the pack's model, irf or rational."""
     if len(lambdas) < 2:
         raise InvalidParameterError("lambda independence needs at least two lambdas")
-    if model not in MODELS:
-        raise InvalidParameterError(f"unknown model {model!r}")
-    label = model if model != "irf" else "rational" if params_or_rates.mode.kind == "rational" else "irf"
-    if model == "irf" and samples is None:
-        params = params_or_rates
-        _lattice_rows(spec, params)
-        values = [enum_E(spec, params, lam=lam) for lam in lambdas]
-        worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
-        return CheckReport(
-            name=f"lambda-independence-{label}-n{spec.n}-N{int(spec.N_or_t)}",
-            parameters={
-                "xs": spec.xs,
-                "lambdas": [[complex(l).real, complex(l).imag] for l in lambdas],
-                "values": [[v.real, v.imag] for v in values],
-            },
-            lhs=values[worst],
-            rhs=values[0],
-            tolerance=1e-9,
-        )
-    if samples is None:
-        raise InvalidParameterError(f"{model} lambda independence is a Monte Carlo check: it needs samples")
-    # lambdas are lambda_0 values (irf), lam_bar values (ssep) or (q, alpha) pairs (asep)
-    pack = params_or_rates.with_lambda0 if model == "irf" else {"ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
-    results = [mc_E(model, spec, pack(lam), samples, seed) for lam in lambdas]
-    (m0, s0) = results[0]
-    worst_i = max(range(1, len(results)), key=lambda i: abs(results[i][0] - m0))
-    mi, si = results[worst_i]
-    sigma = math.sqrt(s0 * s0 + si * si)
+    label = "rational" if params.mode.kind == "rational" else "irf"
+    _lattice_rows(spec, params)
+    values = [enum_E(spec, params, lam=lam) for lam in lambdas]
+    worst = max(range(1, len(values)), key=lambda i: abs(values[i] - values[0]))
     return CheckReport(
-        name=f"lambda-independence-{label}-mc-n{spec.n}",
+        name=f"lambda-independence-{label}-n{spec.n}-N{int(spec.N_or_t)}",
         parameters={
             "xs": spec.xs,
-            "means": [[m.real, m.imag] for m, _ in results],
-            "stderrs": [s for _, s in results],
+            "lambdas": [[complex(l).real, complex(l).imag] for l in lambdas],
+            "values": [[v.real, v.imag] for v in values],
         },
-        lhs=mi,
-        rhs=m0,
-        tolerance=4 * sigma / max(1.0, abs(m0)),
+        lhs=values[worst],
+        rhs=values[0],
+        tolerance=1e-9,
     )

@@ -31,7 +31,6 @@ __all__ = [
     "trajectory_seed",
     "enumerate_heights",
     "enumerate_heights_hs6v",
-    "irf_batch_heights",
     "step_exclusion_state",
     "simulate_exclusion",
     "exclusion_farm",
@@ -170,7 +169,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     b_m + d_m in the table to be one, within 1e-9 (``_check_turn``).
 
     A sweep holds 2 (X+1)(Y+1) bytes of int8 occupations per trajectory;
-    ``irf_batch_heights`` sweeps a run in blocks of 2^13 trajectories and
+    ``_irf_height_blocks`` sweeps a run in blocks of 2^13 trajectories and
     keeps only their heights.
     """
     two_eta = 2 * params.eta
@@ -202,8 +201,18 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
 
 
 def _irf_height_blocks(params: IrfParams, xs: tuple, N: int, seed: int, n_traj: int):
-    """The heights of ``irf_batch_heights`` for checked input, one (block
-    size, len(xs)) int64 array per block of ``_BLOCK`` trajectories, in order."""
+    """Heights h(x, N), x in checked ``xs``, of the batch sampler's run of
+    ``n_traj`` trajectories seeded ``seed``: one (block size, len(xs)) int64
+    array per block of ``_BLOCK`` trajectories, in order.
+
+    h(x, N) counts the arrows leaving column x - 1 rightward in rows 1..N,
+    and paths never move left, so the sweep stops at column X = max(xs) - 1
+    (h = N at x <= 1), and only swept columns' weights are checked.  Each
+    trajectory is keyed by its index in the whole run and each column weighs
+    the same table of fillings in every block, so in every mode the blocks,
+    concatenated, are the heights of one ``_irf_batch(params, X', N, seed,
+    0, n_traj)`` sweep at any X' >= X and any block size, bit for bit.
+    """
     X = max(xs) - 1
     for lo, hi in _blocks(n_traj):
         out = np.full((hi - lo, len(xs)), N, dtype=np.int64)
@@ -213,28 +222,6 @@ def _irf_height_blocks(params: IrfParams, xs: tuple, N: int, seed: int, n_traj: 
                 if x > 1:
                     out[:, c] = hout[:, x - 1, 1 : N + 1].sum(axis=1, dtype=np.int64)
         yield out
-
-
-def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
-    """Heights h(x, N) for x in ``xs`` of the ``n_traj`` trajectories of the
-    batch sampler's run seeded ``seed``, on a pack of any spin, as an
-    (n_traj, len(xs)) int array.
-
-    h(x, N) counts the arrows leaving column x - 1 rightward in rows 1..N,
-    and paths never move left, so the sweep stops at column X = max(xs) - 1
-    (at x <= 1 every height is N); only the swept columns' weights
-    are checked.  The sweep runs in blocks of 2^13 trajectories, one after
-    another (``_irf_height_blocks``), and keeps only each block's heights,
-    so a run holds one block's 2 max(xs) (N+1) bytes of occupations per
-    trajectory besides its output.  Each trajectory is keyed by its index in
-    the whole run, each vertex uniform by (trajectory seed, x, y), and each
-    column weighs the same table of fillings, one per up-count, in every
-    block; so in every mode its heights are those of one ``_irf_batch(params,
-    X', N, seed, 0, n_traj)`` sweep at any X' >= X, bit for bit.
-    """
-    n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
-    xs, N = _check_sites(params, xs), _check_rows(params, N)
-    return np.concatenate([np.empty((0, len(xs)), dtype=np.int64), *_irf_height_blocks(params, xs, N, seed, n_traj)])
 
 
 def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):

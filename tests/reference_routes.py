@@ -8,6 +8,10 @@ own.  The scalar quadrant sampler ``sample_irf``, with its ``QuadrantState``
 and the definition-level ``filling`` and ``height``, is the reference the
 batch sampler ``samplers._irf_batch`` is tested against, trajectory for
 trajectory; ``spin_pack(J)`` is a pack of spin-J columns it runs on.
+``irf_batch_heights`` concatenates the height blocks that ``mc_E`` consumes;
+``gamma_moment`` and ``law_moment`` are the moments of the regime-IV law;
+``mc_lambda_independence`` is the Monte Carlo lambda-independence report,
+whose gate of 4 combined standard errors lives here, not in the package.
 """
 
 import math
@@ -16,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dynirf.asymptotics import H_profile, RegimeIVLaw
+from dynirf.observables import MODELS, ObservableSpec, mc_E, rising
 from dynirf.oracle import FinitaryVector, _apply
 from dynirf.params import IrfParams, preset, to_six_vertex
-from dynirf.samplers import _check_rows, _check_sites, _check_turn, uniform_hash
-from dynirf.special import InvalidParameterError, _as_int, _as_real
+from dynirf.samplers import _check_rows, _check_sites, _check_turn, _irf_height_blocks, uniform_hash
+from dynirf.special import CheckReport, InvalidParameterError, _as_int, _as_real
 from dynirf.symfunc import _strip
 from dynirf.weights import plaquette_weights
 
@@ -229,3 +234,57 @@ def sample_irf(params: IrfParams, X: int, Y: int, seed: int) -> QuadrantState:
             lam_v += 2 * two_eta * i2 - two_eta * params.lam(x)
             j1 = j2
     return QuadrantState(X, Y, vout, hout, params)
+
+
+def irf_batch_heights(params: IrfParams, xs, N: int, seed: int, n_traj: int) -> np.ndarray:
+    """The (n_traj, len(xs)) heights of ``samplers._irf_height_blocks``, its
+    blocks concatenated, after reading the trajectory count, seed, sites and
+    rows as ``mc_E`` does."""
+    n_traj, seed = _as_int(n_traj, "the trajectory count", 0), _as_int(seed, "the seed")
+    xs, N = _check_sites(params, xs), _check_rows(params, N)
+    return np.concatenate([np.empty((0, len(xs)), dtype=np.int64), *_irf_height_blocks(params, xs, N, seed, n_traj)])
+
+
+def gamma_moment(a: float, b: float, m: int) -> float:
+    """m-th moment b^m (a)_m of the gamma law with shape a and scale b, both
+    finite and > 0; an m that is not an integer >= 0 raises
+    InvalidParameterError (``rising``)."""
+    _as_real(a, "the gamma shape a", 0, above=True)
+    _as_real(b, "the gamma scale b", 0, above=True)
+    return rising(a, m) * b**m
+
+
+def law_moment(law: RegimeIVLaw, m: int) -> float:
+    """The m-th moment of the regime-IV law's gamma variable Y."""
+    return gamma_moment(law.gamma_shape, law.gamma_scale, m)
+
+
+def mc_lambda_independence(model: str, spec: ObservableSpec, lambdas, params_or_rates, samples: int, seed: int = 0) -> CheckReport:
+    """Monte Carlo lambda independence: ``mc_E`` at each lambda, the worst
+    mean against the first within 4 combined standard errors, relative to
+    max(1, |first mean|).  lambdas are lambda_0 values ("irf"), lam_bar
+    values ("ssep") or (q, alpha) pairs ("asep").  The report names the
+    pack's model, irf or rational, or the exclusion model."""
+    seed = _as_int(seed, "the seed")
+    if len(lambdas) < 2:
+        raise InvalidParameterError("lambda independence needs at least two lambdas")
+    if model not in MODELS:
+        raise InvalidParameterError(f"unknown model {model!r}")
+    label = model if model != "irf" else "rational" if params_or_rates.mode.kind == "rational" else "irf"
+    pack = params_or_rates.with_lambda0 if model == "irf" else {"ssep": lambda lam: (lam,), "asep": lambda lam: lam}[model]
+    results = [mc_E(model, spec, pack(lam), samples, seed) for lam in lambdas]
+    (m0, s0) = results[0]
+    worst_i = max(range(1, len(results)), key=lambda i: abs(results[i][0] - m0))
+    mi, si = results[worst_i]
+    sigma = math.sqrt(s0 * s0 + si * si)
+    return CheckReport(
+        name=f"lambda-independence-{label}-mc-n{spec.n}",
+        parameters={
+            "xs": spec.xs,
+            "means": [[m.real, m.imag] for m, _ in results],
+            "stderrs": [s for _, s in results],
+        },
+        lhs=mi,
+        rhs=m0,
+        tolerance=4 * sigma / max(1.0, abs(m0)),
+    )

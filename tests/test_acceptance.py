@@ -21,7 +21,9 @@ from dynirf.identities import (
     check_nested_sum_lemma,
     check_oracle_formulas,
     check_orthogonality,
+    check_cauchy,
     check_pieri,
+    check_pieri2,
     check_sine_identity,
     check_skew_cauchy,
     check_stochastic_weights,
@@ -113,9 +115,9 @@ def test_criterion_6_cauchy_family():
         check_skew_cauchy((1,), (), near_p(1), near_q(1), P),
         check_skew_cauchy((2, 1), (1,), near_p(1), near_q(1), P),
         check_skew_cauchy((2, 1), (), near_p(2), near_q(2), P),
-        check_pieri("pieri2", P, nu=(2,), u=near_p(1)[0], vs=near_q(2)),
-        check_pieri("pieri", P, nu=(2, 1), us=near_p(2), v=near_q(1)[0]),
-        check_pieri("cauchy", P, us=near_p(2), vs=near_q(2)),
+        check_pieri2((2,), near_p(1)[0], near_q(2), P),
+        check_pieri((2, 1), near_p(2), near_q(1)[0], P),
+        check_cauchy(near_p(2), near_q(2), P),
         check_cauchy_rho(1, near_p(1), P),
         check_cauchy_rho(2, near_p(2), P),
     ]
@@ -161,7 +163,7 @@ def test_criterion_8_lambda_independence():
     P = preset("dyn6v-positive")
     spec = ObservableSpec((5, 3, 2), 5)
     lams = [P.lambda0, 0.2 + 0.3j, -0.4 + 0.1j]
-    rep = lambda_independence_report("irf", spec, lams, P)
+    rep = lambda_independence_report(spec, lams, P)
     report(8, "lambda-independence of enumeration averages (n=3, N=5)", rep.residual, 1e-9)
     integral = exact_E("irf", spec, P)
     enum_val = enum_E(spec, P)

@@ -397,6 +397,16 @@ class TestAsymptoticsCommand:
         proc = run_cli("asymptotics", "--check", "heat")
         assert proc.returncode == 0
 
+    def test_regimes_past_the_saddle_reach_is_an_error(self, capsys):
+        # from L = 1e6 the saddle route read F2 = -7.0e-23: a regime-iv-moment-n2
+        # report with that lhs and a FAILED: line, in place of an error
+        from dynirf import cli
+
+        assert cli.main(["asymptotics", "--check", "regimes", "--L-big", "1e6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("dynirf: error:") == 1 and "saddle" in err and "FAILED" not in err
+
     def test_ks_at_a_small_lambda_bar(self, capsys):
         # at shape 0.05 gammainc's continued fraction ran out of steps on the
         # law's cdf, and this run exited 1 with a ConvergenceError

@@ -11,7 +11,7 @@ import pytest
 from dynirf.identities import (
     check_D_integral,
     check_orthogonality,
-    check_pieri,
+    check_cauchy,
     check_skew_cauchy,
 )
 from dynirf.params import IrfParams, pq_grid
@@ -69,7 +69,7 @@ class TestEllipticCauchyFamily:
     def test_cauchy(self, ell):
         rng = np.random.default_rng(6)
         u, v = anchors(ell, rng)
-        assert check_pieri("cauchy", ell, us=[u], vs=[v]).passed
+        assert check_cauchy([u], [v], ell).passed
 
 
 class TestEllipticOrthogonality:

@@ -1,13 +1,13 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
 every raise is one of the documented errors, every module-level name is
-read where the package, its benchmark or its README uses it, and no module
-or command of the package loads scipy."""
+read where the package or its benchmark uses it, every public default is
+set by some call there, and no module or command of the package loads scipy."""
 
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
-import re
 import subprocess
 import sys
 
@@ -144,17 +144,16 @@ def test_every_private_name_is_read_in_src():
     assert not unread, unread
 
 
+# the benchmark's sources under perfbench/, which run the package as shipped
+BENCH = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((README.parent / "perfbench").glob("*.py"))]
+
+
 def test_every_public_name_is_read():
     # the package ships what it runs: a module-level public def, class or
-    # constant is read in src/ outside its own definition, read by the
-    # benchmark under perfbench/, or named in the README module map as a
-    # library entry; anything else is test-only code and belongs in tests/
-    known = set()  # read by perfbench or named in the module map
-    for path in sorted((README.parent / "perfbench").glob("*.py")):
-        known |= _reads(ast.parse(path.read_text(encoding="utf-8")))
-    text = README.read_text(encoding="utf-8")
-    module_map = text[text.index("## Module map") :].split("\n## ")[0]
-    known |= {m.group(0).split(".")[-1] for span in re.findall(r"`([^`]+)`", module_map) if (m := re.match(r"[\w.]+", span))}
+    # constant is read in src/ outside its own definition or read by the
+    # benchmark under perfbench/; anything else is test-only code and
+    # belongs in tests/
+    known = set().union(*(_reads(tree) for tree in BENCH))
     reads = [_reads(top) for _, top in TOPS]
     unread = [
         f"{name}.{d}"
@@ -163,6 +162,32 @@ def test_every_public_name_is_read():
         if not d.startswith("_") and d not in known and not any(d in r for j, r in enumerate(reads) if j != i)
     ]
     assert not unread, unread
+
+
+def test_every_public_default_is_set():
+    # every setting changes something: each parameter with a default, of a
+    # public module-level function, is passed by keyword or by position by
+    # some call in src/ or perfbench/; a default that no shipped call
+    # overrides is a mode that only the tests run
+    positions, keywords = {}, {}  # callee name -> most positional args, keywords passed
+    for tree in [top for _, top in TOPS] + BENCH:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[callee] = max(positions.get(callee, 0), math.inf if starred else len(node.args))
+                keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
+    unset = []
+    for name, top in TOPS:
+        if not isinstance(top, ast.FunctionDef) or top.name.startswith("_"):
+            continue
+        args, fn = top.args, top.name
+        positional = args.posonlyargs + args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+        defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        keys = keywords.get(fn, set())
+        unset += [f"{name}.{fn}:{arg}" for i, arg in defaulted if positions.get(fn, 0) <= i and arg not in keys and None not in keys]
+    assert not unset, unset
 
 
 def test_import_and_verify_load_no_scipy(tmp_path):

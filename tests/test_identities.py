@@ -11,7 +11,9 @@ from dynirf.identities import (
     check_nested_sum_lemma,
     check_oracle_formulas,
     check_orthogonality,
+    check_cauchy,
     check_pieri,
+    check_pieri2,
     check_skew_cauchy,
     check_stoch_sum,
     check_stochasticity,
@@ -130,9 +132,9 @@ class TestSeriesIdentities:
 
     def test_pieri_variants(self, trig):
         rng = np.random.default_rng(8)
-        r1 = check_pieri("pieri2", trig, nu=(), u=near_p(trig, 1, rng)[0], vs=near_q(trig, 1, rng))
-        r2 = check_pieri("pieri", trig, nu=(2, 1), us=near_p(trig, 2, rng), v=near_q(trig, 1, rng)[0])
-        r3 = check_pieri("cauchy", trig, us=near_p(trig, 1, rng), vs=near_q(trig, 1, rng))
+        r1 = check_pieri2((), near_p(trig, 1, rng)[0], near_q(trig, 1, rng), trig)
+        r2 = check_pieri((2, 1), near_p(trig, 2, rng), near_q(trig, 1, rng)[0], trig)
+        r3 = check_cauchy(near_p(trig, 1, rng), near_q(trig, 1, rng), trig)
         assert r1.passed and r2.passed and r3.passed
 
     def test_cauchy_rhs_structure_at_p0(self, trig):
@@ -158,8 +160,10 @@ class TestSeriesIdentities:
     def test_bad_shapes(self, trig):
         with pytest.raises(InvalidParameterError):
             check_skew_cauchy((1,), (1,), [0.1], [0.2], trig)
-        with pytest.raises(InvalidParameterError):
-            check_pieri("nope", trig)
+        with pytest.raises(InvalidParameterError, match="len"):
+            check_pieri((2, 1), [0.1], 0.2, trig)
+        with pytest.raises(InvalidParameterError, match="needs us and vs"):
+            check_cauchy([0.1], [], trig)
 
 
 class TestQuadratureIdentities:
@@ -288,7 +292,7 @@ class TestQuadratureIdentities:
         rng = np.random.default_rng(13)
         reports = [
             check_skew_cauchy((2, 1), (1,), near_p(shifted, 1, rng), near_q(shifted, 1, rng), shifted),
-            check_pieri("cauchy", shifted, us=near_p(shifted, 1, rng), vs=near_q(shifted, 1, rng)),
+            check_cauchy(near_p(shifted, 1, rng), near_q(shifted, 1, rng), shifted),
             check_orthogonality((1,), (1,), shifted),
             check_D_rho_integral((1,), shifted),
         ]
@@ -378,7 +382,7 @@ BAD_INPUTS = {
     "nested-sum-short-Y": (InvalidParameterError, lambda P: check_nested_sum_lemma(2, (2, 3), [[1.0]])),
     "lambda-independence-one-lambda": (
         InvalidParameterError,
-        lambda P: lambda_independence_report("irf", ObservableSpec((2,), 2), [P.lambda0], P),
+        lambda P: lambda_independence_report(ObservableSpec((2,), 2), [P.lambda0], P),
     ),
     "regime-moment-n0": (InvalidParameterError, lambda P: regime_moment_check(0, 1e4, 1.0, 1.0)),
     "skew-cauchy-cap-below-mu1": (

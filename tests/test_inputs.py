@@ -17,10 +17,12 @@ those modules takes a parameter named in ``GUARDED`` that no row feeds.
 
 The rows of ``samplers.enumerate_distribution``, ``samplers.sample_irf``,
 ``samplers.QuadrantState``, ``samplers.filling``, ``samplers.height``,
-``observables.obs_O_six_vertex``, ``asymptotics.RegimeSpec`` and
-``asymptotics.height_from_O`` keep the names those routes had in the
-package; they now feed the test references in ``reference_routes``, which
-read their input the same way.
+``samplers.irf_batch_heights``, ``observables.obs_O_six_vertex``, the
+``samples`` and ``seed`` of ``observables.lambda_independence_report``,
+``asymptotics.RegimeSpec``, ``asymptotics.height_from_O``,
+``asymptotics.gamma_moment`` and ``asymptotics.RegimeIVLaw.moment`` keep
+the names those routes had in the package; they now feed the test
+references in ``reference_routes``, which read their input the same way.
 """
 
 import importlib
@@ -34,7 +36,6 @@ import pytest
 from dynirf.asymptotics import (
     H_profile,
     RegimeIVLaw,
-    gamma_moment,
     heat_equation_residual,
     hydro_check,
     regime_iv_ks_check,
@@ -49,7 +50,6 @@ from dynirf.identities import (
 from dynirf.observables import (
     ObservableSpec,
     exact_E,
-    lambda_independence_report,
     mc_E,
     rising,
     ssep_f2_duality,
@@ -62,7 +62,6 @@ from dynirf.samplers import (
     enumerate_heights,
     enumerate_heights_hs6v,
     exclusion_farm,
-    irf_batch_heights,
     simulate_exclusion,
     step_exclusion_state,
 )
@@ -73,9 +72,13 @@ from reference_routes import (
     RegimeSpec,
     enumerate_distribution,
     filling,
+    gamma_moment,
     height,
     height_from_O,
+    irf_batch_heights,
+    law_moment,
     limit_profile,
+    mc_lambda_independence,
     obs_O_six_vertex,
     sample_irf,
 )
@@ -149,7 +152,7 @@ HOLES = [
     ("asymptotics.regime_moment_check:lambda_bar", "NaN", lambda c: regime_moment_check(1, 100.0, 1.0, INF)),
     ("asymptotics.height_from_O:o", "NaN", lambda c: height_from_O(NAN, 0.0, 1.0)),
     ("asymptotics.height_from_O:o", "a bare ValueError", lambda c: height_from_O(-100.0, 0.0, 1.0)),
-    ("asymptotics.RegimeIVLaw:lambda_bar", "an infinite moment", lambda c: RegimeIVLaw(0.0, 1.0, INF).moment(1)),
+    ("asymptotics.RegimeIVLaw:lambda_bar", "an infinite moment", lambda c: law_moment(RegimeIVLaw(0.0, 1.0, INF), 1)),
     ("special.FunctionMode.elliptic:tau", "f identically 0", lambda c: FunctionMode.elliptic(complex(0, INF))),
     ("special.FunctionMode.elliptic:tau", "a later 'past double range'", lambda c: FunctionMode.elliptic(complex(0, NAN))),
     ("special.Circle:radius", "a quadrature run to its node cap", lambda c: Circle(0.0, INF)),
@@ -234,13 +237,13 @@ INTS = {
     "observables.exact_E:nodes": lambda c, v: exact_E("ssep", _ssep(1.0), (2.0,), nodes=v),
     "observables.mc_E:samples": lambda c, v: mc_E("ssep", _ssep(1.0), (2.0,), v, 1),
     "observables.mc_E:seed": lambda c, v: mc_E("ssep", _ssep(1.0), (2.0,), 1000, v),
-    "observables.lambda_independence_report:samples": lambda c, v: lambda_independence_report("ssep", _ssep(1.0), [1.0, 2.0], (1.0,), v),
-    "observables.lambda_independence_report:seed": lambda c, v: lambda_independence_report("ssep", _ssep(1.0), [1.0, 2.0], (1.0,), 1000, v),
+    "observables.lambda_independence_report:samples": lambda c, v: mc_lambda_independence("ssep", _ssep(1.0), [1.0, 2.0], (1.0,), v),
+    "observables.lambda_independence_report:seed": lambda c, v: mc_lambda_independence("ssep", _ssep(1.0), [1.0, 2.0], (1.0,), 1000, v),
     "observables.ssep_mean_height:x": lambda c, v: ssep_mean_height(v, 1.0),
     "observables.ssep_falling_moment:x": lambda c, v: ssep_falling_moment(v, 1.0, 2),
     "observables.ssep_falling_moment:n": lambda c, v: ssep_falling_moment(0, 1.0, v),
     "observables.ssep_f2_duality:x": lambda c, v: ssep_f2_duality(v, 1.0),
-    "asymptotics.RegimeIVLaw.moment:m": lambda c, v: RegimeIVLaw(0.0, 1.0, 1.0).moment(v),
+    "asymptotics.RegimeIVLaw.moment:m": lambda c, v: law_moment(RegimeIVLaw(0.0, 1.0, 1.0), v),
     "asymptotics.gamma_moment:m": lambda c, v: gamma_moment(2.0, 1.0, v),
     "asymptotics.regime_moment_check:n": lambda c, v: regime_moment_check(v, 100.0, 1.0, 1.0),
     "asymptotics.regime_iv_ks_check:n_traj": lambda c, v: regime_iv_ks_check(n_traj=v),

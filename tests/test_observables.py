@@ -33,11 +33,11 @@ from dynirf.observables import (
     _walk_sum,
 )
 from dynirf.params import IrfParams, preset, to_six_vertex
-from dynirf.samplers import enumerate_heights, irf_batch_heights
+from dynirf.samplers import enumerate_heights
 from dynirf.special import ConvergenceError, FunctionMode, InvalidParameterError
 from dynirf.weights import SingularParameterError
 from mp_reference import mp_scaled_bessel
-from reference_routes import obs_O_six_vertex
+from reference_routes import irf_batch_heights, mc_lambda_independence, obs_O_six_vertex
 
 
 def q_pochhammer(x, q, n: int):
@@ -303,7 +303,7 @@ class TestExactIrf:
 class TestLambdaIndependence:
     def test_exact_enumeration(self, dyn6v):
         spec = ObservableSpec((3, 2), 4)
-        rep = lambda_independence_report("irf", spec, [dyn6v.lambda0, 0.2 + 0.3j, -0.4 + 0.1j], dyn6v)
+        rep = lambda_independence_report(spec, [dyn6v.lambda0, 0.2 + 0.3j, -0.4 + 0.1j], dyn6v)
         assert rep.passed and rep.residual < 1e-9
 
     def test_hs6v_limit(self, dyn6v):
@@ -315,21 +315,13 @@ class TestLambdaIndependence:
     @pytest.mark.parametrize("lambdas", [[-60.0, -50.0, -70.5, -61.3], [-60.0, -60.0 + 5j, -50.0 + 2j]], ids=["real", "complex"])
     def test_rational_by_enumeration(self, rational, lambdas):
         # the rational product dropped Im lambda_0: -60 + 5i read 1.31219 - 0.00095i
-        rep = lambda_independence_report("irf", ObservableSpec((3, 2), 3), lambdas, rational)
+        rep = lambda_independence_report(ObservableSpec((3, 2), 3), lambdas, rational)
         assert rep.name == "lambda-independence-rational-n2-N3"
         assert rep.passed and abs(rep.rhs - 1.31211147413268) < 1e-12
 
-    @pytest.mark.parametrize("model, lambdas", [("ssep", [1.5, 3.0]), ("asep", [(0.5, 1.0), (0.5, 2.5)])])
-    def test_exclusion_models_need_samples(self, model, lambdas):
-        # without samples the Monte Carlo route compared None < 1000
-        with pytest.raises(InvalidParameterError, match="needs samples"):
-            lambda_independence_report(model, ObservableSpec((1,), 1.0), lambdas, None)
-
     def test_mc_variant(self, dyn6v):
         spec = ObservableSpec((2,), 2)
-        rep = lambda_independence_report(
-            "irf", spec, [dyn6v.lambda0, dyn6v.lambda0 - 2 * dyn6v.eta], dyn6v, samples=20000, seed=3
-        )
+        rep = mc_lambda_independence("irf", spec, [dyn6v.lambda0, dyn6v.lambda0 - 2 * dyn6v.eta], dyn6v, 20000, seed=3)
         assert rep.passed
 
 
@@ -371,19 +363,21 @@ class TestRational:
     )
     def test_lambda_report_on_the_rational_pack_is_pinned(self, rational, lambdas, samples, digest):
         # the report is named by the pack's mode and reads the bytes the
-        # "rational" label gave (sha256 of its sorted JSON)
-        spec = ObservableSpec((3, 2), 3) if samples is None else ObservableSpec((2,), 2)
-        rep = lambda_independence_report("irf", spec, lambdas, rational, samples=samples, seed=3)
+        # "rational" label gave (sha256 of its sorted JSON); the Monte Carlo
+        # report is the test reference's
+        if samples is None:
+            rep = lambda_independence_report(ObservableSpec((3, 2), 3), lambdas, rational)
+        else:
+            rep = mc_lambda_independence("irf", ObservableSpec((2,), 2), lambdas, rational, samples, seed=3)
         assert rep.name.startswith("lambda-independence-rational-")
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
-    @pytest.mark.parametrize("name", ["exact_E", "mc_E", "lambda_independence_report"])
+    @pytest.mark.parametrize("name", ["exact_E", "mc_E"])
     def test_rational_is_not_a_model(self, rational, name):
         route = {
             "exact_E": lambda: exact_E("rational", ObservableSpec((2, 1), 3), rational),
             "mc_E": lambda: mc_E("rational", ObservableSpec((2, 1), 3), rational, 4000, 1),
-            "lambda_independence_report": lambda: lambda_independence_report("rational", ObservableSpec((2, 1), 3), [0.1, 0.2], rational),
         }[name]
         with pytest.raises(InvalidParameterError, match="unknown model 'rational'"):
             route()
@@ -511,6 +505,14 @@ class TestSaddlePoleForm:
         with pytest.raises(ConvergenceError) as exc:
             _ssep_f2_large_t(0, 3e5)
         assert None not in exc.value.estimates
+
+    def test_a_missed_saddle_raises(self):
+        # from t = 1e6 every level of nodes misses the saddle, about
+        # 1/sqrt(2t) wide, and two levels agreed on about 0: -7.0e-23 at 1e6
+        with pytest.raises(ConvergenceError, match="below F1") as exc:
+            ssep_falling_moment(0, 1e6, 2)
+        f2, bound = exc.value.estimates
+        assert abs(f2) < 1.0 and bound > 3e5
 
     def test_falling_moment_pinned_at_large_t(self):
         # the cross-form value; the pole form moves it by 1.0e-10 relative
@@ -916,6 +918,19 @@ class TestAsep:
         assert v.imag == 0.0
         assert abs(v.real - asep_walk_mp(0, t, q)) <= 1e-15 * max(1.0, abs(1.0 - q) * t)
 
+    def test_one_site_with_the_pole_inside_is_the_walk_sum(self, monkeypatch):
+        # at q in (0.909, 1.111) the circle around 1 holds the pole y = 1/q:
+        # the quadrature read 1e-17 against the walk sum -0.0264585, which
+        # Monte Carlo confirms, and exact_E raised a route disagreement
+        monkeypatch.setattr(observables, "_site_integral", None)
+        assert exact_E("asep", ObservableSpec((0,), 1.0), (0.95, 1.0)) == complex(_asep_walk_sum(0, 1.0, 0.95))
+
+    def test_two_sites_with_the_pole_inside_refused(self, monkeypatch):
+        # exact_E returned 1.0101e-4 here, against mc_E 1.636e-6 +- 3.0e-8
+        monkeypatch.setattr(observables, "_site_integral", None)
+        with pytest.raises(ConvergenceError, match=r"ASEP at n = 2.*pole y = 1/q"):
+            exact_E("asep", ObservableSpec((1, 0), 1.0), (0.99, 1.0))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "q, t, xs",
@@ -1118,22 +1133,13 @@ class TestEqualSitesFactorization:
 class TestExclusionLambdaIndependence:
     def test_ssep_two_dynamic_parameters_mc(self):
         spec = ObservableSpec((1, 0), 1.0)
-        rep = lambda_independence_report("ssep", spec, [1.5, 3.0], None, samples=20000, seed=21)
+        rep = mc_lambda_independence("ssep", spec, [1.5, 3.0], None, 20000, seed=21)
         assert rep.passed, (rep.lhs, rep.rhs, rep.tolerance)
 
     def test_asep_alpha_pairs_mc(self):
         spec = ObservableSpec((0,), 0.8)
-        rep = lambda_independence_report("asep", spec, [(0.5, 1.0), (0.5, 2.5)], None, samples=20000, seed=22)
+        rep = mc_lambda_independence("asep", spec, [(0.5, 1.0), (0.5, 2.5)], None, 20000, seed=22)
         assert rep.passed
-
-    @pytest.mark.parametrize("model", ["dyn6v", "tasep"])
-    def test_unknown_model_raises_before_sampling(self, monkeypatch, model):
-        def no_work(*args, **kwargs):
-            raise AssertionError("sampled for an unknown model")
-
-        monkeypatch.setattr(observables, "mc_E", no_work)
-        with pytest.raises(InvalidParameterError, match="unknown model"):
-            lambda_independence_report(model, ObservableSpec((1,), 1.0), [1.5, 3.0], None, samples=1000)
 
 
 class TestGeneralSpinAverages:
@@ -1150,7 +1156,7 @@ class TestGeneralSpinAverages:
     def test_lambda_independence_any_spin(self):
         P = preset("trig-admissible")
         spec = ObservableSpec((2, 1), 2)
-        rep = lambda_independence_report("irf", spec, [P.lambda0, 0.8 + 0.1j, -0.3 + 0.4j], P)
+        rep = lambda_independence_report(spec, [P.lambda0, 0.8 + 0.1j, -0.3 + 0.4j], P)
         assert rep.passed and rep.residual < 1e-9
 
 
@@ -1174,7 +1180,7 @@ class TestLatticeInputs:
             lambda spec: hs6v_q_moment(spec, params),
             lambda spec: exact_E("irf", spec, params),
             lambda spec: mc_E("irf", spec, params, 1000, seed=0),
-            lambda spec: lambda_independence_report("irf", spec, [params.lambda0, 0.2 + 0.3j], params),
+            lambda spec: lambda_independence_report(spec, [params.lambda0, 0.2 + 0.3j], params),
         ]
 
     def test_more_rows_than_the_pack(self, dyn6v, no_work):
@@ -1191,7 +1197,7 @@ class TestLatticeInputs:
                     route(ObservableSpec((x, 2), 3))
             for xs, match in (((x, 2), "columns"), ((), "at least one site")):
                 with pytest.raises(InvalidParameterError, match=match):
-                    samplers.irf_batch_heights(dyn6v, xs, 3, 1, 10)
+                    irf_batch_heights(dyn6v, xs, 3, 1, 10)
                 with pytest.raises(InvalidParameterError, match=match):
                     samplers.enumerate_heights(dyn6v, 3, xs)
 

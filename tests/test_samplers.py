@@ -12,7 +12,6 @@ from dynirf.samplers import (
     ExclusionState,
     enumerate_heights,
     exclusion_farm,
-    irf_batch_heights,
     PositivityError,
     simulate_exclusion,
     step_exclusion_state,
@@ -23,7 +22,7 @@ from dynirf.samplers import _rate
 from dynirf.special import FunctionMode, InvalidParameterError
 from dynirf.symfunc import Signature, _strip, skew_B_lattice
 import reference_routes
-from reference_routes import QuadrantState, enumerate_distribution, filling, height, sample_irf, spin_pack
+from reference_routes import QuadrantState, enumerate_distribution, filling, height, irf_batch_heights, sample_irf, spin_pack
 
 
 @pytest.fixture(scope="module")
