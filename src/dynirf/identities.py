@@ -427,21 +427,16 @@ def check_D_rho_integral(nu, params: IrfParams) -> CheckReport:
     )
 
 
-def check_stoch_sum(nu, us, params: IrfParams, lam: complex | None = None) -> CheckReport:
-    """Stochastic sum-to-one with the monitored geometric tail."""
-    lam = params.lambda0 if lam is None else lam
-    total, tail = stoch_B_sum(nu, lam, list(us), params)
+def check_stoch_sum(nu, us, params: IrfParams) -> CheckReport:
+    """Stochastic sum-to-one at the pack's lambda0, with the monitored tail of ``stoch_B_sum``."""
+    total, tail = stoch_B_sum(nu, params.lambda0, list(us), params)
     return CheckReport(
         name=f"stoch-sum-to-one-{tuple(nu)}-k{len(us)}",
-        parameters={"nu": tuple(nu), "us": [_c(u) for u in us], "lam": _c(lam)},
+        parameters={"nu": tuple(nu), "us": [_c(u) for u in us], "lam": _c(params.lambda0)},
         lhs=total,
         rhs=1.0 + 0.0j,
         tolerance=1e-6,
-        truncation_info={
-            "terms_used": tail.terms_used,
-            "tail_estimate": tail.tail_estimate,
-            "converged": tail.converged,
-        },
+        truncation_info=tail,
     )
 
 
@@ -647,7 +642,7 @@ def check_stochastic_weights(rng: np.random.Generator) -> list:
         worst.see(_rel(dp, formula), lambda: {"worst_draw": i, "kappa": [int(p) for p in kappa], "nu": [int(p) for p in nu], "us": [_c(u) for u in us]})
     reports = [worst.report(f"stoch-B-two-routes-{STOCH_DRAWS}draws", {"draws": STOCH_DRAWS, "nonzero_draws": nonzero, "lam": _c(lam)}, 1e-8)]
     for nu, k in (((), 1), ((2,), 1), ((3, 1), 2)):
-        reports.append(check_stoch_sum(nu, near_p1(k), P, lam=lam))
+        reports.append(check_stoch_sum(nu, near_p1(k), P.with_lambda0(lam)))
     return reports
 
 

@@ -315,24 +315,11 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int) ->
     if second**n > _MAX_LEVEL_POINTS:
         raise ConvergenceError(f"the IRF integral at n = {n} needs a second level of {second} nodes/variable, past the cap of "
                                f"{_MAX_LEVEL_POINTS} grid points: start from fewer nodes, or enum_E enumerates the height law")
-    grid = pq_grid(params)
     f, eta = params.f, params.eta
-    ws = [params.w(k) for k in range(1, N + 1)]
     circles = _irf_contours(params, n)
-
-    def unary(x):
-        def fn(v):
-            out = np.ones_like(v)
-            for j in range(1, x):
-                out = out * f(v - grid.p[j]) / f(v - grid.q[j])
-            for w in ws:
-                out = out * f(v - w - 2 * eta) / f(v - w)
-            return out
-
-        return fn
-
+    unary, cross = lambda x: _irf_unary(params, N, x), lambda a, b: f(a - b) / f(a - b + 2 * eta)
     try:
-        integral = _site_integral(spec.xs, unary, lambda a, b: f(a - b) / f(a - b + 2 * eta), circles, nodes)
+        integral = _site_integral(spec.xs, unary, cross, circles, nodes)
     except ConvergenceError as exc:
         raise ConvergenceError(f"the IRF integral at n = {n}: {exc}; enum_E enumerates the height law", exc.estimates) from exc
     value = _irf_norm(spec, params, N) * integral
@@ -342,6 +329,23 @@ def _exact_E_irf(spec: ObservableSpec, params: IrfParams, N: int, nodes: int) ->
     # are nearly coincident; widen the gate accordingly
     _check_routes("IRF", value, "residue sum", res, max(1e-8, cond * 5e-14))
     return value
+
+
+def _irf_unary(params: IrfParams, N: int, x: int, skip: int | None = None):
+    """The contour route's unary at site x: v -> prod_{0<j<x} f(v - p_j)/f(v - q_j) prod_{0<k<=N, k != skip}
+    f(v - w_k - 2 eta)/f(v - w_k); at v = w_t with row t skipped, times f(-2 eta)/f'(0), the residue factor."""
+    grid, f, eta = pq_grid(params), params.f, params.eta
+    ws = [params.w(k) for k in range(1, N + 1) if k != skip]
+
+    def fn(v):
+        out = 1.0
+        for j in range(1, x):
+            out = out * f(v - grid.p[j]) / f(v - grid.q[j])
+        for w in ws:
+            out = out * f(v - w - 2 * eta) / f(v - w)
+        return out
+
+    return fn
 
 
 def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
@@ -355,24 +359,14 @@ def _irf_residue_sum(spec: ObservableSpec, params: IrfParams) -> complex:
     """
     n = spec.n
     N = int(spec.N_or_t)
-    grid = pq_grid(params)
     f, eta = params.f, params.eta
     ws = [params.w(k) for k in range(1, N + 1)]
     clash = {r for j, k in itertools.combinations(range(N), 2) if f(ws[j] - ws[k]) == 0 for r in (j + 1, k + 1)}
     if clash:
         raise SingularParameterError(f"rows {sorted(clash)} have coincident parameters (f(w_j - w_k) = 0): no residue sum")
 
-    def res_factor(x, t):
-        w = ws[t]
-        out = f(-2 * eta) / params.mode.fp0
-        for k, wk in enumerate(ws):
-            if k != t:
-                out *= f(w - wk - 2 * eta) / f(w - wk)
-        for j in range(1, x):
-            out *= f(w - grid.p[j]) / f(w - grid.q[j])
-        return out
-
-    U = [[res_factor(x, t) for t in range(N)] for x in spec.xs]
+    residue = f(-2 * eta) / params.mode.fp0  # the residue of f(v - w - 2 eta)/f(v - w) at v = w
+    U = [[_irf_unary(params, N, x, t + 1)(ws[t]) * residue for t in range(N)] for x in spec.xs]
     # one slot reads no pair factor: skip the table and its denominators
     C = _pair_table(ws, lambda d: f(d) / f(d + 2 * eta)) if n > 1 else None
     total, mag = _perm_sum(U, C)

@@ -152,10 +152,10 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     Returns {"vout": (hi - lo, X+1, Y+1), "hout": ...}: ``vout[i, x, y]`` is
     the occupation of the vertical edge leaving vertex (x, y) upward,
     ``hout[i, x, y]`` the horizontal one leaving it rightward, for
-    trajectory lo + i, whose seed ``trajectory_seed(seed, lo + i)`` is also
-    returned, as "seeds".  One path enters each row from the left, none
-    from below.  The occupations are int8, or int64 where a column can hold
-    more than 127 arrows.
+    trajectory lo + i, whose variates are keyed by ``trajectory_seed(seed,
+    lo + i)``.  One path enters each row from the left, none from below.
+    The occupations are int8, or int64 where a column can hold more than
+    127 arrows.
 
     On row y the filling at column x is lambda0 - 2 eta (y + Lambda_1 + ...
     + Lambda_{x-1}) + 4 eta c, where c counts the arrows the trajectory has
@@ -197,7 +197,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
             hout[:, x, y] = j2
             count += i2
             carry = j2
-    return {"vout": vout, "hout": hout, "seeds": seeds}
+    return {"vout": vout, "hout": hout}
 
 
 def _irf_height_blocks(params: IrfParams, xs: tuple, N: int, seed: int, n_traj: int):
@@ -418,7 +418,9 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
     is hashed once per trajectory, and with each site once.  Each (height,
     flip) rate is computed once per run; a rate that is not finite and > 0,
     a T that is not a finite real >= 0 or a seed that is not an integer
-    raises InvalidParameterError.
+    raises InvalidParameterError.  A flip within three sites of an edge
+    grows the window before lo + 1 or hi - 1 can flip, so its new sites and
+    old edges lie on the slope |x|, and only the flip's x - 1, x, x + 1 are rescheduled.
 
     The returned state is new, at time T.  With ``record`` its ``events``
     log every flip: three lists grow during the run, and the record array
@@ -481,12 +483,7 @@ def simulate_exclusion(initial: ExclusionState, T: float, seed: int, record: boo
                 raise InvalidParameterError("exclusion boundary was touched; window policy broken")
             if state.hi - state.lo >= _MAX_WINDOW:
                 raise InvalidParameterError(f"exclusion window exceeded its cap of {_MAX_WINDOW} sites")
-            old_lo, old_hi = state.lo, state.hi
-            _grow_window(state)
-            for xx in range(state.lo + 1, old_lo + 1):
-                schedule(xx)
-            for xx in range(old_hi, state.hi):
-                schedule(xx)
+            _grow_window(state)  # the new sites and both old edges lie on the slope |x|: nothing to schedule
         for xx in (x - 1, x, x + 1):
             schedule(xx)
     state.t = T
@@ -514,11 +511,6 @@ def _rate_table(kind: str, rate_params, W: int):
     table[2::6], table[4::6] = up, down[1:]
     table[~((table >= 0) & (table < np.inf))] = np.nan
     return table
-
-
-def _codes(heights):
-    """The codes (see ``_rate_table``) of the inner sites along the last axis."""
-    return heights[..., :-2] + 4 * heights[..., 1:-1] + heights[..., 2:]
 
 
 # heights h0..h4 of a 5-site window @ _FLIP: the codes of its middle three
@@ -570,12 +562,15 @@ def exclusion_farm(kind: str, rate_params, T: float, n_traj: int, seed: int, xs)
     so only those three are repriced (Gibson & Bruck, J. Phys. Chem. A 104,
     2000), by a lookup in a table of up- and down-rates by height that is
     rebuilt when the window grows; the rates a step looks up must be finite
-    and >= 0.  A growing window adds zero rates and prices its two old edge
-    sites.  Columns no flip has touched keep rate 0, so a step sums each
-    row's rates over the touched span only, left to right: the last sum is
-    the clock's total rate and the site pick reads the others.  A row's sums
-    do not depend on the span or window that the other rows of its block
-    set, so the output does not depend on the block size, bit for bit.  A
+    and >= 0.  A growing window adds zero rates only: its new sites and old
+    edges lie on the slope |x|, as in ``simulate_exclusion``.  Columns no
+    flip has touched keep rate 0, so a step sums each row's rates over the
+    touched span only, left to right: the last sum is the clock's total
+    rate, and the first site whose sum passes u2 times it fires (the direct
+    method, Gillespie, J. Comput. Phys. 22, 1976; at u2 = 0 the first site
+    of positive rate).  A row's sums do not depend on the span or window
+    that the other rows of its block set, so the output does not depend on
+    the block size, bit for bit.  A
     trajectory whose next clock passes T is read out and dropped, with its
     rows of heights, rates and draws, so no later hash, sum or site pick
     touches it.  A flip next to the frozen outermost site means the window
@@ -601,7 +596,8 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
     table = _rate_table(kind, rate_params, W)
     step_row = np.abs(np.arange(-W, W + 1, dtype=np.float64))
     s = np.broadcast_to(step_row, (n_traj, 2 * W + 1)).copy()
-    rates = np.repeat(_farm_rates(table, _codes(step_row))[None], n_traj, axis=0)
+    codes = step_row[:-2] + 4 * step_row[1:-1] + step_row[2:]  # of the step's inner sites (see ``_rate_table``)
+    rates = np.repeat(_farm_rates(table, codes)[None], n_traj, axis=0)
     a, b = W - 1, W  # rate columns a flip has touched: so far the origin, the step's one local minimum
     t = np.zeros(n_traj)
     # the hash of each trajectory's common prefix (0, trajectory seed) is computed once
@@ -612,7 +608,6 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
     while index.size:
         k = max(1, min(64, _BLOCK // index.size))
         log_u1, u2 = _farm_draws(prefix, step, k)
-        zero_u2 = not u2.all()  # a draw u2 = 0 picks column 0 (every live row has total > 0)
         n, m = rates.shape
         # s_row + c and r_row + c: the flat index of each row's height and rate column c - 1
         s_row, r_row = np.arange(n) * (m + 2) - 1, np.arange(n) * m - 1
@@ -634,15 +629,11 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
                     break
                 n = index.size
                 s_row, r_row = s_row[:n], r_row[:n]
-            # the full row's cumulative sum is 0 left of the span and flat right of
-            # it, so its sites below u2 * total (a prefix, as rates >= 0) are the
-            # span's plus the a left of it (none at u2 * total = 0); the last, the
-            # total itself, is never below u2 * total, as u2 < 1
+            # the first site whose running sum passes u2 * total fires; left of
+            # the span the full row's sum is 0, at most u2 * total, and the
+            # total itself, the span's last, passes it, as u2 < 1
             thr = u2[:, j] * cum[:, -1]
-            below = cum < thr[:, None]
-            cols = a + below.argmin(axis=1)
-            if zero_u2:
-                cols[thr == 0] = 0
+            cols = a + (cum <= thr[:, None]).argmin(axis=1)
             lo, hi = int(cols.min()), int(cols.max())
             if lo < 1 or hi > m - 2:  # the window grows before an edge column can flip
                 raise InvalidParameterError("exclusion boundary was touched; window policy broken")
@@ -655,12 +646,9 @@ def _farm_block(kind: str, rate_params: tuple, T: float, seed: int, lo: int, hi:
             a, b = min(a, lo - 1), max(b, hi + 2)
             if lo < 3 or hi > m - 3:
                 s, grown = _grow_farm(s, W)
-                g = grown - W  # every new site lies on the monotone step: rate 0
+                g = grown - W  # every new site and both old edges lie on the slope |x|: rate 0
                 rates, a, b, W = np.pad(rates, ((0, 0), (g, g))), a + g, b + g, grown
-                if g:  # the old edge sites, now inner at rate columns g - 1 and m + g (a frozen window has none)
-                    table = _rate_table(kind, rate_params, W)
-                    near = s[:, np.array([g - 1, m + g])[:, None] + _SPAN3]
-                    rates[:, [g - 1, m + g]] = _farm_rates(table, _codes(near)[..., 0])
+                table = _rate_table(kind, rate_params, W)
                 n, m = rates.shape
                 s_row, r_row = np.arange(n) * (m + 2) - 1, np.arange(n) * m - 1
     return out

@@ -55,7 +55,6 @@ __all__ = [
     "stoch_B_sum",
     "c_matrix_formula",
     "signatures_in_box",
-    "TailInfo",
 ]
 
 MAX_FACTORIAL_SUM = 9
@@ -487,13 +486,6 @@ def stoch_B_formula(kappa, nu, lam: complex, us, params: IrfParams) -> complex:
     return pref * ratio * normalize(plain, lam, k, params)
 
 
-@dataclass(frozen=True)
-class TailInfo:
-    terms_used: int
-    tail_estimate: float
-    converged: bool
-
-
 def stoch_B_sum(nu, lam: complex, us, params: IrfParams):
     """sum_kappa B^stoch_{kappa/nu}(lambda; u's) with monitored geometric tail.
 
@@ -501,9 +493,10 @@ def stoch_B_sum(nu, lam: complex, us, params: IrfParams):
     1..n_cols - 2, the cap; a path carrying past the cap loses the mass of
     the kappa's that would exceed it.  The law is grouped by kappa_1 and
     declared converged once the last three groups are each below 1e-12 of
-    the total with decaying ratios.  A cap below max(nu_1, 1) or a nu with
-    a zero part (the stochastic columns start at 1) raises
-    InvalidParameterError.
+    the total with decaying ratios.  Returns (total, tail), the tail as the
+    dict {"terms_used", "tail_estimate", "converged"} that a report stores.
+    A cap below max(nu_1, 1) or a nu with a zero part (the stochastic
+    columns start at 1) raises InvalidParameterError.
     """
     nu = _sig(nu)
     if nu.parts and nu.parts[-1] < 1:
@@ -529,7 +522,7 @@ def stoch_B_sum(nu, lam: complex, us, params: IrfParams):
         noise = last3[2] < 1e-13 * max(abs(total), 1e-30)
         converged = small and (noise or last3[2] <= 0.5 * max(last3[1], 1e-300))
         tail = 2 * last3[2]
-    return total, TailInfo(terms_used=len(dist), tail_estimate=tail, converged=converged)
+    return total, {"terms_used": len(dist), "tail_estimate": tail, "converged": converged}
 
 
 def c_matrix_formula(ws, ks, lam: complex, params: IrfParams) -> complex:

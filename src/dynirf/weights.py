@@ -88,14 +88,16 @@ class WeightContext:
 _SINGULAR_REL = 1e-13
 
 
-def _ratio(f, num_args, den_args, label: str, check: bool):
+def _ratio(f, num_args, den_args, label: str):
+    """prod f(num_args) / prod f(den_args); a complex scalar denominator (numpy's pass) below
+    1e-13 of the numerator raises SingularParameterError, one over an array goes unchecked."""
     num = 1.0 + 0.0j
     for a in num_args:
         num = num * f(a)
     den = 1.0 + 0.0j
     for a in den_args:
         den = den * f(a)
-    if check:
+    if isinstance(den, complex):
         scale = max(abs(num), 1e-290)
         if abs(den) < _SINGULAR_REL * scale:
             raise SingularParameterError(
@@ -125,10 +127,10 @@ def _is_scalar(lam) -> bool:
 def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
     """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
     _check_kind(kind, k)
-    return _weight(kind, k, ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta, ctx.mode.f, _is_scalar(ctx.lam), stochastic)
+    return _weight(kind, k, ctx.lam, ctx.z - ctx.w, ctx.Lambda, ctx.eta, ctx.mode.f, stochastic)
 
 
-def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool):
+def _weight(kind: str, k: int, lam, zw, L, eta, f, stochastic: bool):
     # the formulas of ``weight`` on zw = z - w and an f supplied by the caller,
     # so that a row callback builds no WeightContext per plaquette
     if stochastic:
@@ -138,7 +140,6 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
                 (zw + (L + 1 - 2 * k) * eta, -lam + 2 * (L + 1 - k) * eta),
                 (zw + (L + 1) * eta, -lam + 2 * (L + 1 - 2 * k) * eta),
                 "a_stoch",
-                check,
             )
         if kind == "B":
             return _ratio(
@@ -146,7 +147,6 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
                 (-lam + zw + (L - 1 - 2 * k) * eta, 2 * (k - L) * eta),
                 (zw + (L + 1) * eta, lam - 2 * (L - 1 - 2 * k) * eta),
                 "b_stoch",
-                check,
             )
         if kind == "C":
             return _ratio(
@@ -154,14 +154,12 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
                 (-lam - zw + (L + 1 - 2 * k) * eta, 2 * k * eta),
                 (zw + (L + 1) * eta, -lam + 2 * (L + 1 - 2 * k) * eta),
                 "c_stoch",
-                check,
             )
         return _ratio(
             f,
             (zw + (-L + 1 + 2 * k) * eta, lam + 2 * (k + 1) * eta),
             (zw + (L + 1) * eta, lam - 2 * (L - 1 - 2 * k) * eta),
             "d_stoch",
-            check,
         )
     if kind == "A":
         return _ratio(
@@ -169,7 +167,6 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
             (zw + (L + 1 - 2 * k) * eta, lam + 2 * k * eta),
             (zw + (L + 1) * eta, lam),
             "a",
-            check,
         )
     if kind == "B":
         return -_ratio(
@@ -177,7 +174,6 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
             (-lam + zw + (L - 1 - 2 * k) * eta, 2 * eta),
             (zw + (L + 1) * eta, lam),
             "b",
-            check,
         )
     if kind == "C":
         return -_ratio(
@@ -185,14 +181,12 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, check: bool, stochastic: bool
             (-lam - zw + (L + 1 - 2 * k) * eta, 2 * (L + 1 - k) * eta, 2 * k * eta),
             (zw + (L + 1) * eta, lam, 2 * eta),
             "c",
-            check,
         )
     return _ratio(
         f,
         (zw + (-L + 1 + 2 * k) * eta, lam - 2 * (L - k) * eta),
         (zw + (L + 1) * eta, lam),
         "d",
-        check,
     )
 
 
@@ -212,7 +206,7 @@ def plaquette_weights(params, w: complex, stochastic: bool = False):
         val = memo.get(key)
         if val is None:
             _check_kind(kind, m)
-            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, True, stochastic)
+            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, stochastic)
         return val
 
     return fn
@@ -223,14 +217,12 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
     ``kind`` and ``k`` are checked as in :func:`weight`."""
     _check_kind(kind, k)
     L, f = Lambda, mode.f
-    check = _is_scalar(lam)
     if kind == "A":
         return _ratio(
             f,
             (lam, lam - 2 * (L + 1 - k) * eta),
             (lam - 2 * (L + 1 - 2 * k) * eta, lam + 2 * k * eta),
             "a_hat",
-            check,
         )
     if kind == "B":
         return _ratio(
@@ -238,7 +230,6 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
             (lam, 2 * (L - k) * eta),
             (lam - 2 * (L - 1 - 2 * k) * eta, 2 * eta),
             "b_hat",
-            check,
         )
     if kind == "C":
         return _ratio(
@@ -246,14 +237,12 @@ def hat_ratio(kind: str, k: int, lam: complex, Lambda: complex, eta: complex, mo
             (lam, 2 * eta),
             (lam - 2 * (L + 1 - 2 * k) * eta, 2 * (L + 1 - k) * eta),
             "c_hat",
-            check,
         )
     return _ratio(
         f,
         (lam, lam + 2 * (k + 1) * eta),
         (lam - 2 * (L - 1 - 2 * k) * eta, lam - 2 * (L - k) * eta),
         "d_hat",
-        check,
     )
 
 
@@ -337,7 +326,7 @@ def _turn_table(lam, zw, L, eta, f, M: int):
     at c = 0, d_m at c = 1), ``stay`` that none does (a_m, b_m); an empty
     vertex stays empty, with weights 1 and 0.  One ``_weight`` call per
     kind and m, on the array, so no denominator is checked."""
-    w = lambda kind, m: _weight(kind, m, lam, zw, L, eta, f, False, True)
+    w = lambda kind, m: _weight(kind, m, lam, zw, L, eta, f, True)
     zero = np.zeros(np.shape(lam), dtype=complex)
     stay = np.array([[zero + 1] + [w("A", m) for m in range(1, M + 1)], [w("B", m) for m in range(M + 1)]])
     turn = np.array([[zero] + [w("C", m) for m in range(1, M + 1)], [w("D", m) for m in range(M + 1)]])

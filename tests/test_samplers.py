@@ -188,7 +188,7 @@ class TestQuadrantSampler:
         batch = samplers._irf_batch(dyn6v, 4, 4, 77, 0, 5)
         heights = irf_batch_heights(dyn6v, (3, 2, 1), 4, 77, 5)
         for i in range(5):
-            sc = sample_irf(dyn6v, 4, 4, seed=int(batch["seeds"][i]))
+            sc = sample_irf(dyn6v, 4, 4, seed=trajectory_seed(77, i))
             assert np.array_equal(sc.vout, batch["vout"][i])
             assert np.array_equal(sc.hout, batch["hout"][i])
             assert list(heights[i]) == [height(sc, x, 4) for x in (3, 2, 1)]
@@ -279,7 +279,7 @@ class TestSpinJ:
         params = spin_pack(J)
         batch = samplers._irf_batch(params, 8, 10, 5, 0, 200)
         for i in range(200):
-            sc = sample_irf(params, 8, 10, seed=int(batch["seeds"][i]))
+            sc = sample_irf(params, 8, 10, seed=trajectory_seed(5, i))
             assert np.array_equal(sc.vout, batch["vout"][i]) and np.array_equal(sc.hout, batch["hout"][i])
         assert batch["vout"].max() == J  # occupations reach the cap
 
@@ -644,7 +644,8 @@ def farm_reference(kind, rate_params, T, n_traj, seed, xs, half_width=8):
         done |= ~fire
         if fire.any():
             cum = np.cumsum(rates, axis=1)
-            idx = np.minimum((cum < (u2 * total)[:, None]).sum(axis=1), rates.shape[1] - 1)
+            # the first site whose running sum passes u2 * total fires
+            idx = np.minimum((cum <= (u2 * total)[:, None]).sum(axis=1), rates.shape[1] - 1)
             rows = np.nonzero(fire)[0]
             cols = idx[rows]
             s[rows, cols + 1] += np.where(is_max[rows, cols], -2.0, 2.0)
@@ -707,9 +708,9 @@ class TestExclusionFarm:
     def test_reprices_three_sites_per_live_row(self, monkeypatch):
         # the step row is priced once for every trajectory; each step then
         # prices the three sites around each live row's flip, a growing
-        # window only its two old edge sites, and finished rows are dropped.
-        # The rates come from one table per window, and the uniforms of each
-        # (row, step) are hashed once, in blocks of steps over the live rows
+        # window none, and finished rows are dropped.  The rates come from
+        # one table per window, rebuilt at each growth, and the uniforms of
+        # each (row, step) are hashed once, in blocks of steps over the live rows
         priced, tables, blocks = [], [], []
         real_rates, real_table, real_draws = samplers._farm_rates, samplers._rate_table, samplers._farm_draws
 
@@ -731,15 +732,9 @@ class TestExclusionFarm:
         n = 200
         exclusion_farm("ssep", (1.0,), 50.0, n, 15, [0])
         assert priced[0] == (15,)
-        growths = 0
-        local_rows = []  # the rows each step priced
-        for shape in priced[1:]:
-            if shape[1] == 3:
-                local_rows.append(shape[0])
-            else:
-                # the two old edge sites of each row that took this step
-                assert shape == (local_rows[-1], 2)
-                growths += 1
+        assert all(shape[1] == 3 for shape in priced[1:])
+        local_rows = [shape[0] for shape in priced[1:]]  # the rows each step priced
+        growths = len(tables) - 1
         assert growths >= 2 and len(local_rows) > 100
         assert tables == [8 << g for g in range(growths + 1)]
         assert local_rows == sorted(local_rows, reverse=True)
@@ -787,6 +782,28 @@ class TestExclusionFarm:
                 caught.append(seed)
         assert caught == [3, 4, 5, 8, 10, 11, 16, 17, 18, 19]
 
+    def test_zero_u2_fires_what_the_least_positive_u2_fires(self, monkeypatch):
+        # u2 is uniform on [0, 1), so 0 is a legal draw: it fires the first
+        # site of positive rate, as the least positive draw 2^-53 does, not
+        # rate column 0, the frozen edge ("exclusion boundary was touched").
+        # Row 0 draws it at every step of the first hash pass
+        real = samplers._farm_draws
+
+        def first_pass_u2(value):
+            def draws(prefix, step, k):
+                log_u1, u2 = real(prefix, step, k)
+                if step == 0:
+                    u2[0] = value
+                return log_u1, u2
+
+            return draws
+
+        outs = []
+        for value in (0.0, 2.0**-53):
+            monkeypatch.setattr(samplers, "_farm_draws", first_pass_u2(value))
+            outs.append(exclusion_farm("ssep", (2.0,), 1.0, 50, 3, [0, 1, -1]))
+        assert np.array_equal(*outs)
+
     def test_sites_outside_window_read_step_state(self):
         out = exclusion_farm("ssep", (2.0,), 1.0, 50, seed=3, xs=[-20, 30])
         assert np.array_equal(out, np.broadcast_to([20, 30], (50, 2)))
@@ -828,6 +845,53 @@ class TestExclusionFarm:
         out = exclusion_farm("asep", (0.6, 1.5), 1.0, n, seed=2, xs=xs)
         diffs = np.abs(np.diff(out, axis=1))
         assert set(np.unique(diffs)) <= {1}
+
+
+GROWTH_RATES = [("ssep", (1.0,)), ("ssep", (2.0,)), ("asep", (0.5, 2.0)), ("asep", (1.7, -0.4)), ("asep", (1.0, 0.0))]
+
+
+class TestWindowGrowth:
+    """A window grows when a flip comes within three sites of its edge,
+    before the site next to the edge can flip, so every site it adds and
+    both old edges lie on the slope |x|: neither engine has a clock to
+    schedule or a rate to price there.  Each check reads a grown window's
+    heights at every inner site that growth made (the added sites and the
+    old edges): its two neighbours differ by 2, so it has no admissible flip."""
+
+    @pytest.mark.parametrize("kind, rates", GROWTH_RATES)
+    def test_event_engine(self, monkeypatch, kind, rates):
+        real, growths = samplers._grow_window, []
+
+        def spy(state):
+            old_lo, old_hi = state.lo, state.hi
+            real(state)
+            s = state.s
+            made = [*range(state.lo + 1, old_lo + 1), *range(old_hi, state.hi)]
+            assert all(abs(s[x - 1] - s[x + 1]) == 2 for x in made)
+            growths.append(state.hi - state.lo)
+
+        monkeypatch.setattr(samplers, "_grow_window", spy)
+        for T in (1.0, 20.0, 200.0):
+            for seed in range(30):
+                simulate_exclusion(step_exclusion_state(kind, rates), T, seed)
+        assert len(growths) >= 30
+
+    @pytest.mark.parametrize("kind, rates", GROWTH_RATES)
+    def test_farm(self, monkeypatch, kind, rates):
+        real, growths = samplers._grow_farm, []
+
+        def spy(s, W):
+            grown, W2 = real(s, W)
+            g = W2 - W  # height columns g and g + 2W hold the old edges
+            made = np.r_[1 : g + 1, g + 2 * W : 2 * W2]
+            assert (np.abs(grown[:, made - 1] - grown[:, made + 1]) == 2).all()
+            growths.append(W)
+            return grown, W2
+
+        monkeypatch.setattr(samplers, "_grow_farm", spy)
+        for T in (1.0, 20.0, 200.0):
+            exclusion_farm(kind, rates, T, 200, 1, [0])
+        assert len(growths) >= 2
 
 
 class TestTrajectoryBlocks:

@@ -222,9 +222,9 @@ class TestStochasticB:
         rng = np.random.default_rng(3)
         for nu, k in [((), 1), ((2,), 1), ((3, 1), 2)]:
             total, tail = stoch_B_sum(nu, self.lam, self.us(k, rng), self.P)
-            assert tail.converged
+            assert tail["converged"]
             assert abs(total - 1) < 1e-6
-            assert tail.tail_estimate < 1e-7
+            assert tail["tail_estimate"] < 1e-7
 
     def test_spin_half_repeated_parts_vanish(self):
         # With Lambda = 1 everywhere, no stochastic configuration can stack

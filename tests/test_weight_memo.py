@@ -52,9 +52,9 @@ def spy_on_weight_formulas(monkeypatch, record):
     """
     real = weights._weight
 
-    def spy(kind, k, lam, zw, L, eta, f, check, stochastic):
-        record((kind, k, lam, zw, L, eta, check, stochastic))
-        return real(kind, k, lam, zw, L, eta, f, check, stochastic)
+    def spy(kind, k, lam, zw, L, eta, f, stochastic):
+        record((kind, k, lam, zw, L, eta, stochastic))
+        return real(kind, k, lam, zw, L, eta, f, stochastic)
 
     monkeypatch.setattr(weights, "_weight", spy)
 
