@@ -113,26 +113,17 @@ def regime_moment_check(n: int, L: float, tau: float, lambda_bar: float) -> Chec
     for name, value in (("L", L), ("tau", tau), ("regime IV's lambda_bar", lambda_bar)):
         _as_real(value, name, 0, above=True)
     t = L * tau
-    falling = [ssep_falling_moment(0, t, m) for m in range(1, n + 1)]
     # E[prod_{k<m}(O - k*lambda_bar - k^2)] = (lambda_bar)_m F_m resolves
     # E[O^m] recursively through elementary symmetric functions of the a_k.
-    e_moments = []
+    moments = [1.0]  # E[O^0], E[O^1], ...
     for m in range(1, n + 1):
-        a = [k * lambda_bar + k * k for k in range(m)]
-        target = rising(lambda_bar, m) * falling[m - 1]
-        # expand prod (O - a_k) = sum_j (-1)^{m-j} e_{m-j}(a) O^j
-        coeffs = np.zeros(m + 1)
-        coeffs[0] = 1.0
-        for ak in a:
-            new = np.zeros(m + 1)
-            new[1:] += coeffs[:-1]
-            new -= ak * coeffs
-            coeffs = new
-        val = target
+        # prod (O - a_k) = sum_j (-1)^{m-j} e_{m-j}(a) O^j, coefficients from O^0 up
+        coeffs = np.poly([k * lambda_bar + k * k for k in range(m)])[::-1]
+        val = rising(lambda_bar, m) * ssep_falling_moment(0, t, m)
         for j in range(m):
-            val -= coeffs[j] * (e_moments[j - 1] if j >= 1 else 1.0)
-        e_moments.append(val / coeffs[m])
-    lhs = e_moments[n - 1]
+            val -= coeffs[j] * moments[j]
+        moments.append(val / coeffs[m])
+    lhs = moments[n]
     rhs = L ** (n / 2.0) * rising(lambda_bar, n) * (tau / math.pi) ** (n / 2.0)
     return CheckReport(
         name=f"regime-iv-moment-n{n}",

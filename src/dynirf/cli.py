@@ -33,20 +33,16 @@ from .samplers import _blocks, _check_rows, _check_sites, _irf_batch, exclusion_
 
 def _load_params(args, default: str = "trig-admissible") -> IrfParams:
     """The pack of --config or --preset, else the preset ``default``."""
-    if args.config:
-        try:
-            return load_config(args.config)
-        except OSError as exc:
-            raise InvalidParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"config {args.config} is not valid JSON: {exc}") from None
-    return preset(args.preset or default)
+    return load_config(args.config) if args.config else preset(args.preset or default)
 
 
 def _model(args):
     """(library model, pack or rates) of --model; the pack picks the lattice
-    model, and one whose mode contradicts --model is refused."""
+    model, and one whose mode contradicts --model is refused, as is a pack
+    given to an exclusion model."""
     if args.model in ("ssep", "asep"):
+        if args.preset or args.config:
+            raise InvalidParameterError(f"the exclusion model {args.model} takes no --preset or --config")
         return args.model, (args.lambda_bar,) if args.model == "ssep" else (args.q, args.alpha)
     rational = args.model == "rational"
     params = _load_params(args, "rational-positive" if rational else "dyn6v-positive")
@@ -92,11 +88,13 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_reports(args, reports) -> int:
+def _emit(args, reports, records=(), failed=()) -> int:
+    """Write ``records``, then the CheckReports ``reports`` sorted by name, as
+    one JSON list; name each of ``failed`` and each failed hard report on
+    stderr, and return 1 if there is one."""
     reports = sorted(reports, key=lambda r: r.name)
-    payload = json.dumps([r.to_json_dict() for r in reports], indent=1, sort_keys=True)
-    _write(args, payload + "\n")
-    failed = [r.name for r in reports if not r.passed and not r.parameters.get("soft")]
+    _write(args, json.dumps([*records, *(r.to_json_dict() for r in reports)], indent=1, sort_keys=True) + "\n")
+    failed = [*failed, *(r.name for r in reports if not r.passed and not r.parameters.get("soft"))]
     for name in failed:
         print(f"FAILED: {name}", file=sys.stderr)
     return 1 if failed else 0
@@ -110,7 +108,7 @@ def _emit_reports(args, reports) -> int:
 def _cmd_verify(args) -> int:
     seed, pack = _as_int(args.seed, "verify's --seed", 0), _load_params(args)
     suites = [(salt, battery) for name, (salt, battery) in idn.SUITES.items() if args.suite in (name, "all")]
-    return _emit_reports(args, [r for salt, battery in suites for r in battery(np.random.default_rng(seed ^ salt), pack)])
+    return _emit(args, [r for salt, battery in suites for r in battery(np.random.default_rng(seed ^ salt), pack)])
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +198,8 @@ def _cmd_observables(args) -> int:
         if method != base and (abs(v - v0) > 4 * se if se else _rel(v, v0) > 1e-6):
             failures.append(method)
 
-    if args.lambdas:
-        rep = obs.lambda_independence_report(spec, args.lambdas, rates)
-        records.append(rep.to_json_dict())
-        if not rep.passed:
-            failures.append(rep.name)
-
-    _write(args, json.dumps(records, indent=1, sort_keys=True) + "\n")
-    for name in failures:
-        print(f"FAILED: {name}", file=sys.stderr)
-    return 1 if failures else 0
+    reports = [obs.lambda_independence_report(spec, args.lambdas, rates)] if args.lambdas else []
+    return _emit(args, reports, records, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def _cmd_asymptotics(args) -> int:
         reports.append(
             asy.regime_iv_ks_check(L=args.L_ks, tau=args.tau, lambda_bar=args.lambda_bar, n_traj=args.samples, seed=args.seed)
         )
-    return _emit_reports(args, reports)
+    return _emit(args, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", choices=PRESET_NAMES)
             p.add_argument("--config", help="JSON parameter file")
 
+    rates = argparse.ArgumentParser(add_help=False)  # the exclusion rates, for simulate and observables
+    rates.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
+    rates.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
+    rates.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
+
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("--suite", choices=(*idn.SUITES, "all"), default="identities")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("simulate", help="sample trajectories and dump them as CSV")
+    p = sub.add_parser("simulate", parents=[rates], help="sample trajectories and dump them as CSV")
     common(p)
     p.add_argument("--model", required=True, choices=("ssep", "asep", "irf", "dyn6v", "rational"))
     p.add_argument("--t", type=_number(_as_real, "the time horizon --t"), default=1.0)
     p.add_argument("--rows", type=_number(_as_int, "--rows", 1), default=5)
     p.add_argument("--cols", type=_number(_as_int, "--cols", 1), default=5)
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
-    p.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
-    p.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
     p.add_argument("--trajectories", type=_number(_as_int, "--trajectories", 1), default=1)
     p.add_argument("--dump", choices=("events", "snapshot"), default="events")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("observables", help="compare exact / MC / enumeration averages")
+    p = sub.add_parser("observables", parents=[rates], help="compare exact / MC / enumeration averages")
     common(p)
     p.add_argument("--samples", type=_number(_as_int, "--samples"), default=1000)
     p.add_argument("--timings", action="store_true", help="embed wall-clock timings (breaks byte-identity)")
@@ -291,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_number(_as_int, "--N"), help="row index, which the lattice models need")
     p.add_argument("--t", type=_number(_as_real, "the time horizon --t"), help="time of the exclusion models (default 1)")
     p.add_argument("--compare", default="exact")
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=_number(_as_real, "--lambda-bar"), default=2.0)
-    p.add_argument("--q", type=_number(_as_real, "--q"), default=0.5)
-    p.add_argument("--alpha", type=_number(_as_real, "--alpha"), default=2.0)
     part = _number(_as_real, "a --lambdas part")
     re_im = _comma_list(lambda pair: complex(*map(part, pair.split(":", 1))), "re:im pairs")
     p.add_argument("--lambdas", type=re_im, help="lambda_0 values (re:im) for the independence report")

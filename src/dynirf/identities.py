@@ -620,14 +620,18 @@ def check_oracle_formulas(rng: np.random.Generator) -> list:
     ]
 
 
+def _near(rng: np.random.Generator, center: complex, sd_re: float, sd_im: float, k: int) -> list:
+    """k points center + (sd_re * N, sd_im * N), two standard normals each, real part first."""
+    return [center + complex(sd_re * rng.standard_normal(), sd_im * rng.standard_normal()) for _ in range(k)]
+
+
 def check_stochastic_weights(rng: np.random.Generator) -> list:
     """Stochastic-weight theorem on trig-admissible, lam = 0.41 + 0.23i, u's
     near p_1: the lattice DP of B^stoch_{kappa/nu}, kappa = nu plus k extra
     parts, against its conjugation formula (``nonzero_draws`` counts the
     draws where either is nonzero), then three :func:`check_stoch_sum`."""
     P, lam = preset("trig-admissible"), 0.41 + 0.23j
-    p1 = complex(pq_grid(P).p[1])
-    near_p1 = lambda k: [p1 + 0.002 * rng.standard_normal() + 0.0015j * rng.standard_normal() for _ in range(k)]
+    by_p1 = (rng, complex(pq_grid(P).p[1]), 0.002, 0.0015)  # _near draws by p_1
 
     worst, nonzero = _Worst(), 0
     for i in range(STOCH_DRAWS):
@@ -635,14 +639,14 @@ def check_stochastic_weights(rng: np.random.Generator) -> list:
         ell_nu = int(rng.integers(0, 3))
         nu = tuple(sorted(rng.integers(1, 5, size=ell_nu))[::-1]) if ell_nu else ()
         kappa = tuple(sorted(nu + tuple(rng.integers(1, 7, size=k)), reverse=True))
-        us = near_p1(k)
+        us = _near(*by_p1, k)
         dp = skew_B_lattice(kappa, nu, lam, us, P, stochastic=True)
         formula = stoch_B_formula(kappa, nu, lam, us, P)
         nonzero += bool(dp or formula)
         worst.see(_rel(dp, formula), lambda: {"worst_draw": i, "kappa": [int(p) for p in kappa], "nu": [int(p) for p in nu], "us": [_c(u) for u in us]})
     reports = [worst.report(f"stoch-B-two-routes-{STOCH_DRAWS}draws", {"draws": STOCH_DRAWS, "nonzero_draws": nonzero, "lam": _c(lam)}, 1e-8)]
     for nu, k in (((), 1), ((2,), 1), ((3, 1), 2)):
-        reports.append(check_stoch_sum(nu, near_p1(k), P.with_lambda0(lam)))
+        reports.append(check_stoch_sum(nu, _near(*by_p1, k), P.with_lambda0(lam)))
     return reports
 
 
@@ -658,12 +662,7 @@ def _identity_battery(rng: np.random.Generator, params: IrfParams) -> list:
     ``params`` run only in trigonometric mode, where rho is defined."""
     grid, rho = pq_grid(params), params.mode.kind == "trigonometric"
     p0, q0 = (complex(np.mean(np.array(side))) for side in (grid.p, grid.q))
-
-    def near_p(k):
-        return [p0 + complex(0.002 * rng.standard_normal(), 0.0015 * rng.standard_normal()) for _ in range(k)]
-
-    def near_q(k):
-        return [q0 + 0.03 + 0.01j + complex(0.004 * rng.standard_normal(), 0.004 * rng.standard_normal()) for _ in range(k)]
+    by_p, by_q = (rng, p0, 0.002, 0.0015), (rng, q0 + 0.03 + 0.01j, 0.004, 0.004)  # _near draws by the p and off the q cluster
 
     reports = []
     # symmetrization, trig and elliptic
@@ -673,35 +672,30 @@ def _identity_battery(rng: np.random.Generator, params: IrfParams) -> list:
         reports.append(check_symmetrization_lemma(m, vs, beta, params.mode))
         reports.append(check_symmetrization_lemma(m, vs, beta, FunctionMode.elliptic(1.5j)))
     # skew-Cauchy at k = l = 1 and at k = l = 2
-    u1, v1 = near_p(1), near_q(1)
+    u1, v1 = _near(*by_p, 1), _near(*by_q, 1)
     reports.append(check_skew_cauchy((1,), (), u1, v1, params))
     reports.append(check_skew_cauchy((2, 1), (1,), u1, v1, params))
-    reports.append(check_skew_cauchy((2, 1), (), near_p(2), near_q(2), params))
+    reports.append(check_skew_cauchy((2, 1), (), _near(*by_p, 2), _near(*by_q, 2), params))
     # Pieri rules and Cauchy
-    reports.append(check_pieri2((2,), near_p(1)[0], near_q(2), params))
-    reports.append(check_pieri2((), near_p(1)[0], near_q(1), params))
-    reports.append(check_pieri((2, 1), near_p(2), near_q(1)[0], params))
-    reports.append(check_cauchy(near_p(1), near_q(1), params))
-    reports.append(check_cauchy(near_p(2), near_q(2), params))
+    reports.append(check_pieri2((2,), _near(*by_p, 1)[0], _near(*by_q, 2), params))
+    reports.append(check_pieri2((), _near(*by_p, 1)[0], _near(*by_q, 1), params))
+    reports.append(check_pieri((2, 1), _near(*by_p, 2), _near(*by_q, 1)[0], params))
+    reports.append(check_cauchy(_near(*by_p, 1), _near(*by_q, 1), params))
+    reports.append(check_cauchy(_near(*by_p, 2), _near(*by_q, 2), params))
     # rho-Cauchy, distinct and coincident arguments
     if rho:
-        reports += [check_cauchy_rho(1, near_p(1), params), check_cauchy_rho(2, near_p(2), params), check_cauchy_rho(2, near_p(1) * 2, params)]
+        reports += [check_cauchy_rho(1, _near(*by_p, 1), params), check_cauchy_rho(2, _near(*by_p, 2), params), check_cauchy_rho(2, _near(*by_p, 1) * 2, params)]
     # orthogonality / integral representations; M >= 2 uses the wide pack,
     # whose larger p/q separation admits the nested (strong) circle
     # families those integrals require
     wide = preset("trig-admissible-wide")
-    qw = complex(np.mean(np.array(pq_grid(wide).q)))
-
-    def wide_near_q(k):
-        return [qw + 0.05 + 0.02j + complex(0.005 * rng.standard_normal(), 0.005 * rng.standard_normal()) for _ in range(k)]
-
     reports.append(check_orthogonality((1,), (1,), params))
     reports.append(check_orthogonality((2,), (1,), params))
     reports.append(check_orthogonality((2, 1), (2, 1), wide))
     reports.append(check_orthogonality((2, 1, 1), (2, 1, 1), wide))
     reports.append(check_orthogonality((3, 1, 1), (2, 1, 1), wide))
-    reports.append(check_D_integral((1,), 1, near_q(1), params))
-    reports.append(check_D_integral((2, 1), 2, wide_near_q(2), wide))
+    reports.append(check_D_integral((1,), 1, _near(*by_q, 1), params))
+    reports.append(check_D_integral((2, 1), 2, _near(rng, complex(np.mean(np.array(pq_grid(wide).q))) + 0.05 + 0.02j, 0.005, 0.005, 2), wide))
     if rho:
         reports += [check_D_rho_integral(nu, params) for nu in ((1,), (2, 0))]
     reports.append(check_D_rho_integral((2, 1), wide))

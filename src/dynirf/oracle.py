@@ -139,14 +139,11 @@ def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offs
                     if k + 1 > OCCUPATION_CAP:
                         raise ConvergenceError(f"occupation cap {OCCUPATION_CAP} hit at column {j}")
                     moves = [("B", k + 1, 0), ("D", k, 1)]
-                branches = []
-                for kind, k_new, carry_out in moves:
-                    wgt = weight_fn(kind, k, col_offset + j, lam_here)
-                    # a path leaving the last column with carry != global_out
-                    # is dropped; its weight is still fetched
-                    if j < last or carry_out == global_out:
-                        branches.append((k_new, carry_out, wgt))
-                steps[j][carry] = branches
+                # a path leaving the last column with carry != global_out is dropped unweighed
+                branches = steps[j][carry] = [
+                    (k_new, carry_out, weight_fn(kind, k, col_offset + j, lam_here))
+                    for kind, k_new, carry_out in moves if j < last or carry_out == global_out
+                ]
             for k_new, carry_out, wgt in branches:
                 amp_new = amp * wgt
                 if amp_new != 0:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import Circle, FunctionMode, InvalidParameterError, _as_int
+from .special import Circle, FunctionMode, InvalidParameterError, _as_int, _as_real
 from .weights import _not_probability, _turn_table
 
 __all__ = [
@@ -50,10 +50,12 @@ def _c2pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _pair2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+def _pair2c(v, what: str) -> complex:
+    """A config number: a finite real, or an [re, im] pair of them."""
+    what += " (or each part of its [re, im] pair)"
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_as_real(v[0], what), _as_real(v[1], what))
+    return complex(_as_real(v, what))
 
 
 @dataclass(frozen=True)
@@ -297,16 +299,6 @@ def _build_trig_admissible(lam_center: float = 1.2, seed: int = 611953) -> IrfPa
     )
 
 
-def _build_trig_admissible_wide() -> IrfParams:
-    # Same recipe with highest weights near 3.4: the p/q separation is
-    # 2*eta*Lambda, and nested contour families that also enclose the
-    # unshifted p-cluster at every level (which the orthogonality residue
-    # bookkeeping needs) fit inside circles for M <= 3 only when Lambda is
-    # a few units.  At Lambda ~ 1.2 any disk around both p and p+4*eta
-    # contains the q-cluster by convexity.
-    return _build_trig_admissible(lam_center=3.4, seed=424243)
-
-
 def _build_dyn6v_positive() -> IrfParams:
     # Spin-1/2 quadrant with q = 0.64, xi*u near 1.5, alpha0 = 2: all six
     # plaquette weights lie in [0, 1] for every filling the quadrant can
@@ -346,7 +338,13 @@ def _build_rational_positive() -> IrfParams:
 
 _BUILDERS = {
     "trig-admissible": _build_trig_admissible,
-    "trig-admissible-wide": _build_trig_admissible_wide,
+    # Same recipe with highest weights near 3.4: the p/q separation is
+    # 2*eta*Lambda, and nested contour families that also enclose the
+    # unshifted p-cluster at every level (which the orthogonality residue
+    # bookkeeping needs) fit inside circles for M <= 3 only when Lambda is
+    # a few units.  At Lambda ~ 1.2 any disk around both p and p+4*eta
+    # contains the q-cluster by convexity.
+    "trig-admissible-wide": lambda: _build_trig_admissible(lam_center=3.4, seed=424243),
     "dyn6v-positive": _build_dyn6v_positive,
     "rational-positive": _build_rational_positive,
 }
@@ -418,25 +416,39 @@ def params_to_json_dict(params: IrfParams) -> dict:
     return out
 
 
+def _field(obj, path: str, kind: type = object):
+    """The field ``path`` (``eta``, ``columns[2].z``) of the config object
+    ``obj``; InvalidParameterError names it if it is missing or not a ``kind``."""
+    key = path.rpartition(".")[2]
+    if isinstance(obj, dict) and key in obj and isinstance(obj[key], kind):
+        return obj[key]
+    raise InvalidParameterError(f"the config needs a field {path}" + ("" if kind is object else f" holding a {kind.__name__}"))
+
+
 def params_from_json_dict(cfg: dict) -> IrfParams:
-    kind = cfg["mode"]
-    if kind == "elliptic":
-        mode = FunctionMode.elliptic(_pair2c(cfg["tau"]))
-    elif kind == "trigonometric":
-        mode = FunctionMode.trigonometric()
-    elif kind == "rational":
-        mode = FunctionMode.rational()
-    else:
-        raise InvalidParameterError(f"unknown mode {kind!r} in config")
+    """The pack of a config object of ``mode``, ``eta``, ``lambda0``, ``columns`` (a list
+    of objects of ``z`` and ``Lambda``), ``rows`` (a list) and, in elliptic mode only, ``tau``, each number
+    a finite real or an [re, im] pair; InvalidParameterError names a missing or malformed field."""
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError(f"a config must be a JSON object, got {type(cfg).__name__}")
+    num = lambda obj, path: _pair2c(_field(obj, path), path)
     return IrfParams(
-        mode=mode,
-        eta=_pair2c(cfg["eta"]),
-        lambda0=_pair2c(cfg["lambda0"]),
-        columns=tuple((_pair2c(c["z"]), _pair2c(c["Lambda"])) for c in cfg["columns"]),
-        rows=tuple(_pair2c(w) for w in cfg["rows"]),
+        mode=FunctionMode(_field(cfg, "mode"), num(cfg, "tau") if "tau" in cfg else None),
+        eta=num(cfg, "eta"),
+        lambda0=num(cfg, "lambda0"),
+        columns=tuple((num(c, f"columns[{j}].z"), num(c, f"columns[{j}].Lambda")) for j, c in enumerate(_field(cfg, "columns", list))),
+        rows=tuple(_pair2c(w, f"rows[{k}]") for k, w in enumerate(_field(cfg, "rows", list))),
     )
 
 
 def load_config(path) -> IrfParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_json_dict(json.load(fh))
+    """The pack of a JSON config file (see :func:`params_from_json_dict`); an
+    unreadable file or one that is not JSON raises InvalidParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise InvalidParameterError(f"config {path} is not valid JSON: {exc}") from None
+    return params_from_json_dict(cfg)

@@ -104,16 +104,16 @@ def trajectory_seed(seed, index):
     return out if out.shape else int(out)
 
 
-def _check_turn(x: int, y: int, p_turn, *sums) -> None:
+def _check_turn(x: int, y: int, p_turn, sums) -> None:
     """At vertex (x, y), a turn weight outside [0, 1] raises PositivityError,
-    then completions a + c or b + d (``sums``) that miss one raise
+    then a completion a + c or b + d in ``sums`` that misses one raises
     InvalidParameterError, as elliptic weights do (see ``weights``): each
     within 1e-9, on scalars or arrays over fillings; NaN fails too."""
     p = np.atleast_1d(p_turn)
     bad = _not_probability(p)
     if bad.any():
         raise PositivityError(f"weight {complex(p[bad][0])} outside [0,1] at vertex ({x},{y})")
-    residual = float(np.abs(np.hstack(sums) - 1.0).max())
+    residual = float(np.abs(sums - 1.0).max())
     if not residual <= 1e-9:  # a NaN fails too
         raise InvalidParameterError(f"stochastic weights at vertex ({x},{y}) do not sum to one: residual {residual:.2e}")
 

@@ -120,10 +120,6 @@ def _check_kind(kind: str, k: int) -> None:
         raise InvalidParameterError("occupation k must be nonnegative")
 
 
-def _is_scalar(lam) -> bool:
-    return np.isscalar(lam) or np.asarray(lam).shape == ()
-
-
 def weight(kind: str, k: int, ctx: WeightContext, stochastic: bool = False):
     """Evaluate one plaquette weight; ``k`` is the incoming vertical count."""
     _check_kind(kind, k)
@@ -285,8 +281,7 @@ def dyn6v_weight(symbol: str, lam, q, xi, u):
     v = xi * u
     den1 = 1 - v / rq
     den2 = 1 - a
-    scalar = _is_scalar(lam)
-    if scalar and (abs(den1) < 1e-280 or abs(den2) < 1e-280):
+    if abs(den1) < 1e-280 or abs(den2) < 1e-280:
         raise SingularParameterError("dyn6v weight denominator vanished")
     if symbol == "vertical":
         out = (1 - rq * v) / den1 * (1 / q - a) / den2
@@ -296,7 +291,7 @@ def dyn6v_weight(symbol: str, lam, q, xi, u):
         out = (rq - 1 / rq) * v / den1 * (1 / (rq * v) - a) / den2
     else:  # horizontal
         out = (1 / q - v / rq) / den1 * (q - a) / den2
-    return complex(out) if scalar else out
+    return complex(out)
 
 
 def rational_weight(symbol: str, lam, z, w):
@@ -306,8 +301,7 @@ def rational_weight(symbol: str, lam, z, w):
     if symbol in ("empty", "crossing"):
         return 1.0
     den = lam * (z - w + 1)
-    scalar = _is_scalar(lam)
-    if scalar and abs(den) < 1e-280:
+    if abs(den) < 1e-280:
         raise SingularParameterError("rational weight denominator vanished")
     if symbol == "vertical":
         return (lam - 1) * (z - w) / den

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -152,7 +153,7 @@ class TestOptionsAreRead:
 
         from dynirf import cli
 
-        helpers = {"_load_params", "_model", "_write", "_emit_reports"}
+        helpers = {"_load_params", "_model", "_write", "_emit"}
         for name, parser in _subparsers().items():
             trees, todo, seen = [], [parser.get_default("func")], set()
             while todo:  # the handler and the helpers it reaches
@@ -389,6 +390,25 @@ class TestModelAndPack:
         assert cli.main([command, "--model", model, "--preset", pack, *extra]) == 2
         assert capsys.readouterr() == ("", f"dynirf: error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["observables", "simulate"])
+    @pytest.mark.parametrize("model", ["ssep", "asep"])
+    @pytest.mark.parametrize("option", [["--preset", "dyn6v-positive"], ["--config", "p.json"]], ids=["preset", "config"])
+    def test_pack_given_to_an_exclusion_model_is_a_usage_error(self, monkeypatch, capsys, command, model, option):
+        # the exclusion models read rates, never a pack: each of these ran
+        # and exited 0 without reading the pack (a missing config file too)
+        from dynirf import cli, observables
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with a pack it does not read")
+
+        monkeypatch.setattr(cli, "simulate_exclusion", no_work)
+        for name in ("exact_E", "mc_E"):
+            monkeypatch.setattr(observables, name, no_work)
+        extra = ["--xs", "1,0"] if command == "observables" else []
+        assert cli.main([command, "--model", model, *option, *extra]) == 2
+        message = f"the exclusion model {model} takes no --preset or --config"
+        assert capsys.readouterr() == ("", f"dynirf: error: {message}\n")
+
 
 class TestAsymptoticsCommand:
     def test_heat_and_hydro(self):
@@ -458,6 +478,33 @@ class TestConfigFile:
         proc = run_cli("verify", "--config", str(cfg), check=False)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: {k: v for k, v in c.items() if k != "eta"}, "eta"),
+            (lambda c: [c], "JSON object"),
+            (lambda c: {**c, "columns": [{**c["columns"][0], "Lambda": "x"}, *c["columns"][1:]]}, "columns[0].Lambda"),
+            (lambda c: {**c, "eta": [0.04, 0.01, 5]}, "eta"),
+            (lambda c: {**c, "eta": True}, "eta"),
+            (lambda c: {**c, "eta": [math.nan, 0.01]}, "eta"),
+            (lambda c: {**c, "mode": "elliptic"}, "tau"),
+            (lambda c: {**c, "mode": "hyperbolic"}, "hyperbolic"),
+            (lambda c: {**c, "tau": [0.0, 1.5]}, "takes no tau"),
+        ],
+        ids=["missing-eta", "top-level-list", "non-numeric-Lambda", "three-number-pair", "bool-eta", "nan-eta",
+             "elliptic-without-tau", "unknown-mode", "tau-outside-elliptic-mode"],
+    )
+    def test_refused_config_is_a_usage_error(self, tmp_path, edit, message):
+        # each of these but the unknown mode used to end in a KeyError,
+        # IndexError or TypeError traceback or to be read without a word
+        from dynirf.params import params_to_json_dict, preset
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(edit(params_to_json_dict(preset("trig-admissible")))), encoding="utf-8")
+        proc = run_cli("verify", "--suite", "weights", "--config", str(path), check=False)
+        assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("dynirf: error: ") and proc.stderr.count("\n") == 1 and message in proc.stderr
 
 
 ALL_REPORT_NAMES = sorted([

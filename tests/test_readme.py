@@ -1,5 +1,6 @@
-"""Every CLI example in the README is executed here."""
+"""Every CLI example in the README is executed here, and its stdout checked."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -24,17 +25,36 @@ def readme_cli_commands():
 
 COMMANDS = readme_cli_commands()
 
+# the first 16 hex digits of the sha256 of each README command's stdout (as
+# tests/cli_digests.py prints them); a command's output changes only with a
+# stated reason, and its digest is re-pinned with it
+STDOUT_SHA256 = {
+    "dynirf verify --suite weights --seed 0": "cc2ba3134230042f",
+    "dynirf verify --suite identities --preset trig-admissible": "edf3859c38db66a3",
+    "dynirf verify --suite identities --preset rational-positive": "ba6b16435d00c52b",
+    "dynirf simulate --model ssep --lambda-bar 2 --t 1 --trajectories 50 --seed 7 --dump snapshot": "3d1e610854a17a4d",
+    "dynirf simulate --model asep --q 0.5 --alpha 2 --t 2 --trajectories 4 --seed 3": "f46f1b9b20ac5f2d",
+    "dynirf observables --model dyn6v --xs 3,2 --N 4 --compare exact,mc,enum --samples 5000 --seed 1": "ab550de59d2a50a1",
+    "dynirf observables --model ssep --xs 1,0 --t 1 --lambda-bar 2 --compare exact,mc --samples 20000 --seed 2": "306a1a4638317374",
+    "dynirf observables --model ssep --xs 3,0 --t 20 --compare exact,mc": "4be7486bb9d488ac",
+    "dynirf observables --model dyn6v --xs 4,3,2,1 --N 4 --compare exact,enum": "665e18a557652498",
+    "dynirf observables --model dyn6v --xs 2,1 --N 3 --compare enum --lambdas 0.1:0.2,0.3:-0.1,-0.2:0.15": "ec2d5117023faa90",
+    "dynirf asymptotics --check hydro": "628778260cbc002f",
+    "dynirf asymptotics --check profile --L 50 --samples 120 --chi=-0.5,0.0,0.5": "d2b537fccfe8dd93",
+}
+
 
 def test_readme_has_examples():
     assert len(COMMANDS) >= 8
+    assert sorted(COMMANDS) == sorted(STDOUT_SHA256), "every README command has its stdout digest pinned"
 
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=[c[:60] for c in COMMANDS])
 def test_readme_command_runs(cmd):
     argv = [sys.executable, "-m", "dynirf.cli"] + cmd.split()[1:]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=560)
-    assert proc.returncode == 0, f"{cmd}\nstderr: {proc.stderr[:500]}"
-    assert proc.stdout
+    proc = subprocess.run(argv, capture_output=True, timeout=560)
+    assert proc.returncode == 0, f"{cmd}\nstderr: {proc.stderr[:500].decode(errors='replace')}"
+    assert hashlib.sha256(proc.stdout).hexdigest()[:16] == STDOUT_SHA256.get(cmd), f"{cmd}: its stdout changed"
 
 
 def test_option_table_matches_the_parser():
