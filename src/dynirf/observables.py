@@ -622,7 +622,11 @@ def _duality_moment(xs, t: float) -> float:
     (L + 2n) C = (sum of the 2n axis shifts) + (blocked moves) C.  spec L
     lies in [-4n, 0], so e^{tL} = sum_k (2 - delta_k0) e^{-2nt} I_k(2nt)
     T_k((L + 2n) / 2n) (Tal-Ezer & Kosloff 1984), run by the three-term
-    recurrence in O(sqrt(nt)) stencil passes.  The sum of C over the box
+    recurrence in O(sqrt(nt)) stencil passes.  The cube is C-contiguous, so
+    a pass adds each axis shift as one flat shift by that axis's stride,
+    over the sites off the slabs y_1 = lo, hi; a shift that wraps past a
+    row lands only on a site with a coordinate at lo or hi, which is frozen
+    and reset at the end of the pass.  The sum of C over the box
     y_k > x_k counts the injective tuples of particles with y_k > x_k, and
     for nonincreasing sites there are prod_k (h(x_k) - (k - 1)) of them.
     A window past _DUALITY_MAX_POINTS sites raises InvalidParameterError
@@ -646,24 +650,24 @@ def _duality_moment(xs, t: float) -> float:
     for a in axes:
         C *= a <= 0
         fixed |= (a == lo) | (a == hi)
-    # step: out = 2X c - prev = (shifts + blocked c) / n - prev, with the
-    # blocked moves a sparse diagonal, and T_k = C on the fixed set
+    # step: out = 2X c - prev = (shifts + blocked c) / n - prev on the flat
+    # range [S, size - S) off the slabs y_1 = lo, hi, with the blocked moves
+    # a sparse diagonal, and T_k = C on the fixed set
     fixed_at, blocked_at = np.flatnonzero(fixed), np.flatnonzero(~fixed & (blocked > 0))
     fixed_val, blocked_val = C.reshape(-1)[fixed_at], blocked.reshape(-1)[blocked_at]
-
-    # per axis, the index tuples of the sites above (y_ax > lo) and below (y_ax < hi)
-    cut = lambda ax, part: (slice(None),) * ax + (part,) + (slice(None),) * (n - 1 - ax)
-    shifts = [(cut(ax, slice(1, None)), cut(ax, slice(None, -1))) for ax in range(n)]
+    size, S = C.size, shape[0] ** (n - 1)
 
     def step(c, prev, out):
-        out.fill(0.0)
-        for up, down in shifts:
-            out[up] += c[down]
-            out[down] += c[up]
-        flat = out.reshape(-1)
-        flat[blocked_at] += blocked_val * c.reshape(-1)[blocked_at]
-        out *= 1.0 / n
-        out -= prev
+        c, flat = c.reshape(-1), out.reshape(-1)
+        body = flat[S : size - S]
+        np.add(c[: size - 2 * S], c[2 * S :], out=body)  # per site: axis 0 down, up,
+        for ax in range(1, n):  # then axis 1 down, up, ...
+            s = shape[0] ** (n - 1 - ax)
+            body += c[S - s : size - S - s]
+            body += c[S + s : size - S + s]
+        flat[blocked_at] += blocked_val * c[blocked_at]
+        body *= 1.0 / n
+        body -= prev if np.isscalar(prev) else prev.reshape(-1)[S : size - S]
         flat[fixed_at] = fixed_val
         return out
 

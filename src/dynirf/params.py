@@ -428,17 +428,21 @@ def _field(obj, path: str, kind: type = object):
 def params_from_json_dict(cfg: dict) -> IrfParams:
     """The pack of a config object of ``mode``, ``eta``, ``lambda0``, ``columns`` (a list
     of objects of ``z`` and ``Lambda``), ``rows`` (a list) and, in elliptic mode only, ``tau``, each number
-    a finite real or an [re, im] pair; InvalidParameterError names a missing or malformed field."""
+    a finite real or an [re, im] pair; InvalidParameterError names a missing or malformed field,
+    an eta of 0 (every 2*eta-shifted formula divides by f(2*eta)) or an empty column list."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError(f"a config must be a JSON object, got {type(cfg).__name__}")
     num = lambda obj, path: _pair2c(_field(obj, path), path)
-    return IrfParams(
+    params = IrfParams(
         mode=FunctionMode(_field(cfg, "mode"), num(cfg, "tau") if "tau" in cfg else None),
         eta=num(cfg, "eta"),
         lambda0=num(cfg, "lambda0"),
         columns=tuple((num(c, f"columns[{j}].z"), num(c, f"columns[{j}].Lambda")) for j, c in enumerate(_field(cfg, "columns", list))),
         rows=tuple(_pair2c(w, f"rows[{k}]") for k, w in enumerate(_field(cfg, "rows", list))),
     )
+    if params.eta == 0 or not params.columns:
+        raise InvalidParameterError("the config's eta is 0" if params.eta == 0 else "the config's columns list is empty")
+    return params
 
 
 def load_config(path) -> IrfParams:

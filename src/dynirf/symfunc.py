@@ -345,28 +345,35 @@ def _row_sweep(params: IrfParams, dist: dict, first: int, lam_start: complex, we
     ``top`` only the configuration with those top occupations is followed.
     The sweep state before column x is (tops left of x and bottoms from x
     on, carry); it fixes lam_x, so paths from different bottoms that reach
-    it add up there.  Returns {(top occupations, carry out of the row): amplitude}.
+    it add up there.  Each column keeps a branch table {(carry, m, lam_x):
+    [(carry_out, n, weight, next filling)]}, built the first time the sweep
+    meets that key, so ``weight_fn`` is asked once per distinct plaquette of
+    the column.  Returns {(top occupations, carry out of the row): amplitude}.
     """
     four_eta = 4 * params.eta
     states = {(occ, 1): [lam_start, amp] for occ, amp in dist.items()}
     for i in range(len(next(iter(dist), ()))):
         x = first + i
         shift = 2 * params.eta * params.lam(x)
-        new: dict = {}
+        new, table = {}, {}
         for (occ, carry), (lam_x, amp) in states.items():
             m = occ[i]
-            for carry_out in (0, 1):
-                n = m + carry - carry_out
-                if n < 0 or (top is not None and n != top[i]):
-                    continue
-                # an empty plaquette weighs exactly 1
-                wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
-                if wgt == 0:
-                    continue
+            branches = table.get((carry, m, lam_x))
+            if branches is None:
+                branches = table[carry, m, lam_x] = []
+                for carry_out in (0, 1):
+                    n = m + carry - carry_out
+                    if n < 0 or (top is not None and n != top[i]):
+                        continue
+                    # an empty plaquette weighs exactly 1
+                    wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
+                    if wgt != 0:
+                        branches.append((carry_out, n, wgt, lam_x + four_eta * n - shift))
+            for carry_out, n, wgt, lam_next in branches:
                 key = (occ if n == m else occ[:i] + (n,) + occ[i + 1 :], carry_out)
                 entry = new.get(key)
                 if entry is None:
-                    new[key] = [lam_x + four_eta * n - shift, amp * wgt]
+                    new[key] = [lam_next, amp * wgt]
                 else:
                     entry[1] += amp * wgt
         states = new

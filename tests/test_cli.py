@@ -491,13 +491,17 @@ class TestConfigFile:
             (lambda c: {**c, "mode": "elliptic"}, "tau"),
             (lambda c: {**c, "mode": "hyperbolic"}, "hyperbolic"),
             (lambda c: {**c, "tau": [0.0, 1.5]}, "takes no tau"),
+            (lambda c: {**c, "eta": 0}, "eta is 0"),
+            (lambda c: {**c, "columns": []}, "columns list is empty"),
         ],
         ids=["missing-eta", "top-level-list", "non-numeric-Lambda", "three-number-pair", "bool-eta", "nan-eta",
-             "elliptic-without-tau", "unknown-mode", "tau-outside-elliptic-mode"],
+             "elliptic-without-tau", "unknown-mode", "tau-outside-elliptic-mode", "zero-eta", "no-columns"],
     )
     def test_refused_config_is_a_usage_error(self, tmp_path, edit, message):
         # each of these but the unknown mode used to end in a KeyError,
-        # IndexError or TypeError traceback or to be read without a word
+        # IndexError, TypeError or (eta = 0, through --suite identities)
+        # ZeroDivisionError traceback or to be read without a word; an empty
+        # column list also printed numpy warnings before its error line
         from dynirf.params import params_to_json_dict, preset
 
         path = tmp_path / "p.json"

@@ -1,8 +1,9 @@
 """Golden random streams: the Monte Carlo outputs, pinned bit for bit.
 
 Every draw is a counter-based hash of (seed, keys), so a faster hash or a
-restructured sweep must reproduce these digests exactly.  Each digest is
-the first 16 hex digits of a sha256.
+restructured sweep must reproduce these digests exactly.  The exact routes'
+two hot kernels, the enumeration's row sweep and the duality stencil, are
+pinned the same way.  Each digest is the first 16 hex digits of a sha256.
 """
 
 import hashlib
@@ -10,9 +11,9 @@ import hashlib
 import numpy as np
 
 from dynirf.cli import main
-from dynirf.observables import ObservableSpec, mc_E
+from dynirf.observables import ObservableSpec, _duality_moment, mc_E
 from dynirf.params import preset
-from dynirf.samplers import _irf_batch, exclusion_farm, simulate_exclusion, step_exclusion_state
+from dynirf.samplers import _irf_batch, enumerate_heights, exclusion_farm, simulate_exclusion, step_exclusion_state
 
 
 def digest(data: bytes) -> str:
@@ -73,3 +74,17 @@ def test_cli_verify_all(capsys):
     # the whole verify battery's stdout, theta and every weight route included
     assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
     assert digest(capsys.readouterr().out.encode()) == "fcc04e9035e7d399"
+
+
+def test_enumeration_laws():
+    # the joint height laws of the two dyn6v-positive specs that the exact
+    # workload enumerates, pinned on the repr of the list of the two dicts
+    P = preset("dyn6v-positive")
+    laws = [enumerate_heights(P, N, xs) for xs, N in (((5, 3, 2), 5), ((9, 6, 3), 9))]
+    assert digest(repr(laws).encode()) == "656af4db6e559146"
+
+
+def test_duality_moments():
+    # the n = 2 window at t = 300 (exact's duality F2), a shifted pair and n = 3
+    values = [_duality_moment(xs, t) for xs, t in (((0, 0), 300.0), ((3, 0), 20.0), ((0, -1, -2), 4.0))]
+    assert digest(repr(values).encode()) == "a557d4ba4c62c206"

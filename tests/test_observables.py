@@ -853,6 +853,71 @@ class TestSsepRoutes:
         assert falling(xs[0], t, n) < got < falling(xs[-1], t, n)
 
 
+def per_axis_duality_moment(xs, t: float) -> float:
+    """``observables._duality_moment`` with its stencil as 2n in-place adds on
+    strided per-axis views of a zeroed cube, the form the flat-shift stencil
+    replaced; the set-up and the Chebyshev loop are copied unchanged."""
+    n = len(xs)
+    W = int(observables._DUALITY_WINDOW * math.sqrt(max(t, 1.0)) + 25)
+    lo, hi = min(min(xs), 0) - W, max(max(xs), 0) + W
+    shape = (hi - lo + 1,) * n
+    ys = np.arange(lo, hi + 1)
+    axes = [ys.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+    coincident = np.zeros(shape, dtype=bool)
+    blocked = np.zeros(shape)
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = np.abs(axes[i] - axes[j])
+            coincident |= gap == 0
+            blocked += 2.0 * (gap == 1)
+    C, fixed = (~coincident).astype(float), coincident.copy()
+    for a in axes:
+        C *= a <= 0
+        fixed |= (a == lo) | (a == hi)
+    fixed_at, blocked_at = np.flatnonzero(fixed), np.flatnonzero(~fixed & (blocked > 0))
+    fixed_val, blocked_val = C.reshape(-1)[fixed_at], blocked.reshape(-1)[blocked_at]
+    cut = lambda ax, part: (slice(None),) * ax + (part,) + (slice(None),) * (n - 1 - ax)
+    shifts = [(cut(ax, slice(1, None)), cut(ax, slice(None, -1))) for ax in range(n)]
+
+    def step(c, prev, out):
+        out.fill(0.0)
+        for up, down in shifts:
+            out[up] += c[down]
+            out[down] += c[up]
+        flat = out.reshape(-1)
+        flat[blocked_at] += blocked_val * c.reshape(-1)[blocked_at]
+        out *= 1.0 / n
+        out -= prev
+        flat[fixed_at] = fixed_val
+        return out
+
+    z = 2.0 * n * t
+    coef = 2.0 * np.exp(observables.log_ive(z, int(z + 10.0 * math.sqrt(z) + 40.0) - 1))
+    coef[0] /= 2.0
+    box = tuple(slice(x - lo + 1, None) for x in xs)
+    prev, cur, nxt = C, step(0.5 * C, 0.0, np.empty(shape)), np.empty(shape)
+    total = coef[0] * C[box].sum() + coef[1] * cur[box].sum()
+    for c in coef[2:]:
+        step(cur, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
+        term = c * cur[box].sum()
+        total += term
+        if c < observables._IVE_TAIL and abs(term) <= observables._IVE_TAIL * abs(total):
+            break
+    return (-1) ** n * float(total)
+
+
+@pytest.mark.parametrize(
+    "xs, t",
+    [((0, 0), 0.0), ((0, 0), 5.0), ((0, 0), 300.0), ((3, 0), 20.0), ((-3, -3), 50.0), ((2, 2), 100.0)]
+    + [((0, -1, -2), 4.0), ((2, 1, -1), 10.0)],
+)
+def test_flat_stencil_bit_equal_to_per_axis(xs, t):
+    # the flat shifts wrap past rows onto frozen sites only, and keep each
+    # site's order of additions, so every step rounds as before
+    assert observables._duality_moment(xs, t) == per_axis_duality_moment(xs, t)
+
+
 class TestExclusionBadTime:
     @pytest.mark.parametrize("model,rates,xs", [("ssep", (2.0,), (1, 0)), ("asep", (0.5, 2.0), (2,))])
     @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])

@@ -5,16 +5,18 @@ whole distribution through each row in one sweep.  The reference below
 expands every bottom on its own by a depth-first walk over the row's
 configurations, as the lattice routes once did, and adds the results up
 per top.  Both must give the same keys and the same amplitudes up to
-summation order.
+summation order.  A second reference, the sweep as it was before each
+column kept a branch table, must give the same laws bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from dynirf import samplers, symfunc
 from dynirf.params import IrfParams, preset
-from dynirf.samplers import enumerate_heights
+from dynirf.samplers import enumerate_heights, enumerate_heights_hs6v
 from dynirf.special import FunctionMode
-from dynirf.symfunc import Signature, _strip, signatures_in_box
+from dynirf.symfunc import Signature, _strip, signatures_in_box, skew_B_lattice, skew_D_lattice
 from dynirf.weights import plaquette_weights
 
 _ROW_KIND = {(0, 0): "A", (1, 0): "B", (0, 1): "C", (1, 1): "D"}
@@ -198,3 +200,65 @@ def test_enum_E_rejects_elliptic_packs(monkeypatch):
     monkeypatch.setattr(samplers, "_row_sweep", never)
     with pytest.raises(InvalidParameterError, match="elliptic"):
         enum_E(ObservableSpec((5, 3), 3), params)
+
+
+def per_state_row_sweep(params, dist, first, lam_start, weight_fn, top=None):
+    """``symfunc._row_sweep`` before its branch table: each state asks
+    ``weight_fn`` for every branch and prices the next filling itself."""
+    four_eta = 4 * params.eta
+    states = {(occ, 1): [lam_start, amp] for occ, amp in dist.items()}
+    for i in range(len(next(iter(dist), ()))):
+        x = first + i
+        shift = 2 * params.eta * params.lam(x)
+        new: dict = {}
+        for (occ, carry), (lam_x, amp) in states.items():
+            m = occ[i]
+            for carry_out in (0, 1):
+                n = m + carry - carry_out
+                if n < 0 or (top is not None and n != top[i]):
+                    continue
+                wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
+                if wgt == 0:
+                    continue
+                key = (occ if n == m else occ[:i] + (n,) + occ[i + 1 :], carry_out)
+                entry = new.get(key)
+                if entry is None:
+                    new[key] = [lam_x + four_eta * n - shift, amp * wgt]
+                else:
+                    entry[1] += amp * wgt
+        states = new
+    return {key: amp for key, (_, amp) in states.items()}
+
+
+def _rows(params, k):
+    return [params.w(y) for y in range(1, k + 1)]
+
+
+SWEEP_RUNS = {
+    **{
+        f"enumerate-{name}-{N}": (lambda name=name, N=N, xs=xs: enumerate_heights(preset(name), N, xs))
+        for name in ("dyn6v-positive", "trig-admissible", "rational-positive")
+        for N, xs in ((5, (5, 3, 2)), (4, (6, 1)))
+    },
+    "enumerate-higher-spin": lambda: enumerate_heights(PACKS["trig"]().with_lambda0(LAM0), 4, (5, 3, 2)),
+    "hs6v": lambda: enumerate_heights_hs6v(preset("dyn6v-positive"), 5, (5, 3, 2)),
+    "stoch-law": lambda: _strip((2, 1), LAM0, _rows(PACKS["trig"](), 3), PACKS["trig"](), "stoch", cap=6),
+    "B-top": lambda: skew_B_lattice((3, 2, 0), (2, 1), LAM0, _rows(PACKS["elliptic"](), 1), PACKS["elliptic"]()),
+    "B-top-higher-spin": lambda: skew_B_lattice((4, 3, 1, 1), (3, 1), LAM0, _rows(PACKS["trig"](), 2), PACKS["trig"]()),
+    "B-law": lambda: _strip((1,), LAM0, _rows(PACKS["elliptic"](), 2), PACKS["elliptic"](), "B", cap=4),
+    "D-bottom": lambda: skew_D_lattice((4, 2), (1, 0), LAM0, _rows(PACKS["elliptic"](), 2), PACKS["elliptic"]()),
+    "D-law": lambda: _strip((3, 1), LAM0, _rows(PACKS["trig"](), 2), PACKS["trig"](), "D"),
+}
+
+
+@pytest.mark.parametrize("run", SWEEP_RUNS)
+def test_branch_table_bit_equal_to_per_state_sweep(run, monkeypatch):
+    # the same additions in the same order: equal reprs, key order included
+    got = SWEEP_RUNS[run]()
+    monkeypatch.setattr(symfunc, "_row_sweep", per_state_row_sweep)
+    monkeypatch.setattr(samplers, "_row_sweep", per_state_row_sweep)
+    want = SWEEP_RUNS[run]()
+    if isinstance(want, dict):
+        assert want and repr(list(got.items())) == repr(list(want.items()))
+    else:
+        assert want != 0 and repr(got) == repr(want)
