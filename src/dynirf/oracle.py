@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cache
 
 from .special import ConvergenceError, InvalidParameterError
 from .weights import SingularParameterError, plaquette_weights
@@ -92,7 +93,7 @@ _ROW_OUT = {"a": 0, "b": 0, "c": 1, "d": 1}
 def _apply(op: str, lam: complex, weight_fn, v: FinitaryVector, params, col_offset: int) -> FinitaryVector:
     # one of a/b/c/d at its own lambda, weighed by the callback ``weight_fn``
     # of its row parameter w (callers that apply one w several times share
-    # its memo), on a finitary vector; tensor factor j is the Verma module of
+    # its cache), on a finitary vector; tensor factor j is the Verma module of
     # column col_offset + j (0 for the skew functions, 1 for the c-matrix
     # elements)
     if op not in _COL_IN:
@@ -163,7 +164,7 @@ def skew_B_oracle(nu, mu, lam: complex, ws, params) -> complex:
     if len(nu) != len(mu) + n:
         raise InvalidParameterError("need len(nu) = len(mu) + len(ws)")
     n_cols = max([p + 1 for p in (*nu, *mu)] + [1]) + 1
-    weight_fns = {w: plaquette_weights(params, w) for w in ws}
+    weight_fns = {w: cache(plaquette_weights(params, w)) for w in ws}
 
     def run(cols: int) -> complex:
         v = FinitaryVector.from_parts(mu, cols)
@@ -203,7 +204,7 @@ def skew_D_oracle(nu, mu, lam: complex, ws, params) -> complex:
         raise InvalidParameterError("skew D needs len(nu) = len(mu)")
     n = len(ws)
     m = max([p for p in (*nu, *mu)] + [0]) + 1
-    weight_fns = {w: plaquette_weights(params, w) for w in ws}
+    weight_fns = {w: cache(plaquette_weights(params, w)) for w in ws}
 
     def run(cols: int) -> complex:
         v = FinitaryVector.from_parts(nu, cols)
@@ -230,7 +231,7 @@ def c_matrix_element(ws, ks, lam: complex, params) -> complex:
     if sum(ks) != p:
         return 0.0 + 0.0j
     v = FinitaryVector({ks: 1.0 + 0.0j}, len(ks))
-    weight_fns = {w: plaquette_weights(params, w) for w in ws}
+    weight_fns = {w: cache(plaquette_weights(params, w)) for w in ws}
     for j in range(p, 0, -1):
         v = _apply("c", lam - 2 * params.eta * (j - 1), weight_fns[ws[j - 1]], v, params, 1)
     return v.terms.get((0,) * len(ks), 0.0 + 0.0j)

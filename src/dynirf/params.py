@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .special import Circle, FunctionMode, InvalidParameterError, _as_int, _as_real
-from .weights import _not_probability, _turn_table
 
 __all__ = [
     "IrfParams",
@@ -71,7 +70,9 @@ class IrfParams:
     ``columns[j] = (z_j, Lambda_j)`` for j >= 0; ``rows[k-1] = w_k`` for
     k >= 1.  Partial sums Lambda_a + ... + Lambda_{b-1} are precomputed as
     prefix sums and served by :meth:`lam_sum`, and the p/q grid once, for
-    :func:`pq_grid`.
+    :func:`pq_grid`.  A number that is not finite, or an eta where f(2*eta)
+    is within 1e-13 |f'(0)| of 0 or past double range, raises
+    InvalidParameterError.
     """
 
     mode: FunctionMode
@@ -88,11 +89,20 @@ class IrfParams:
         object.__setattr__(self, "rows", tuple(complex(w) for w in self.rows))
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "lambda0", complex(self.lambda0))
+        eta = self.eta
+        bad = [v for v in (eta, self.lambda0, *(x for col in cols for x in col), *self.rows) if not cmath.isfinite(v)]
+        if bad:
+            raise InvalidParameterError(f"a pack's eta, lambda0, z, Lambda and w must be finite, got {bad[0]}")
+        try:
+            f_2eta = abs(self.mode.f(2 * eta))
+        except OverflowError:  # sin past double range, which elliptic f refuses itself
+            f_2eta = math.inf
+        if not 1e-13 * abs(self.mode.fp0) < f_2eta < math.inf:
+            raise InvalidParameterError(f"f(2*eta) vanishes or overflows at the pack's eta {eta}: every 2*eta-shifted formula divides by it")
         prefix = [0j]
         for _, lam in cols:
             prefix.append(prefix[-1] + lam)
         object.__setattr__(self, "_lam_prefix", tuple(prefix))
-        eta = self.eta
         grid = PQGrid(p=tuple(z + (1 - lam) * eta for z, lam in cols), q=tuple(z + (1 + lam) * eta for z, lam in cols))
         object.__setattr__(self, "_grid", grid)
 
@@ -277,8 +287,8 @@ def to_six_vertex(params: IrfParams) -> SixVertexParams:
 # ---------------------------------------------------------------------------
 # Presets.  The trig-admissible pack drives the identity suites; the two
 # positive packs make every plaquette weight a genuine probability and feed
-# the samplers.  All spreads are generated from a fixed seed, and every
-# preset is validated at load time rather than trusted.
+# the samplers.  All spreads are generated from a fixed seed; the tests pin
+# each preset's positivity or admissibility.
 # ---------------------------------------------------------------------------
 
 
@@ -351,42 +361,14 @@ _BUILDERS = {
 PRESET_NAMES = tuple(_BUILDERS)
 
 
-def _validate_positive_preset(params: IrfParams, name: str) -> None:
-    # Spot-check the six spin-1/2 weights a_1, b_0, b_1, c_1, d_0 and d_1
-    # across the filling shifts a quadrant window of realistic size can
-    # reach: one array call over the shifts per (x, y), the batch sampler's
-    # turn table at m <= 1.  Array weights get no singular-denominator check
-    # (scalar ones do), so a non-finite weight is rejected here.
-    shifts = np.arange(-24, 25)
-    lams = params.lambda0 + (-2 * params.eta) * shifts if params.mode.kind != "rational" else params.lambda0 + shifts
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wgts = np.array([
-            [_turn_table(lams, params.z(x) - params.w(y), params.lam(x), params.eta, params.mode.f, 1)
-             for y in range(1, min(6, params.n_rows + 1))]
-            for x in range(1, min(6, params.n_cols))
-        ])  # (x, y, stay or turn, c, m, shift)
-    wgts = np.moveaxis(wgts, -1, 0)  # shift first: the error names the lowest bad shift
-    bad = _not_probability(wgts)
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        raise InvalidParameterError(
-            f"preset {name} has non-probability weight {complex(wgts[first])} at shift {shifts[first[0]]}"
-        )
-
-
 def preset(name: str) -> IrfParams:
-    """Load a named preset; positivity presets are re-validated on load."""
+    """Load a named preset."""
     try:
-        built = _BUILDERS[name]()
+        return _BUILDERS[name]()
     except KeyError:
         raise InvalidParameterError(
             f"unknown preset {name!r}; choices: {', '.join(PRESET_NAMES)}"
         ) from None
-    if name in ("dyn6v-positive", "rational-positive"):
-        _validate_positive_preset(built, name)
-    else:
-        check_admissible(built, 3, strong=(name == "trig-admissible-wide"))
-    return built
 
 
 def random_pack(rng: np.random.Generator, mode: FunctionMode) -> IrfParams:
@@ -428,8 +410,8 @@ def _field(obj, path: str, kind: type = object):
 def params_from_json_dict(cfg: dict) -> IrfParams:
     """The pack of a config object of ``mode``, ``eta``, ``lambda0``, ``columns`` (a list
     of objects of ``z`` and ``Lambda``), ``rows`` (a list) and, in elliptic mode only, ``tau``, each number
-    a finite real or an [re, im] pair; InvalidParameterError names a missing or malformed field,
-    an eta of 0 (every 2*eta-shifted formula divides by f(2*eta)) or an empty column list."""
+    a finite real or an [re, im] pair; InvalidParameterError names a missing or malformed field
+    or an empty column list, and :class:`IrfParams` refuses an eta where f(2*eta) vanishes or overflows."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError(f"a config must be a JSON object, got {type(cfg).__name__}")
     num = lambda obj, path: _pair2c(_field(obj, path), path)
@@ -440,8 +422,8 @@ def params_from_json_dict(cfg: dict) -> IrfParams:
         columns=tuple((num(c, f"columns[{j}].z"), num(c, f"columns[{j}].Lambda")) for j, c in enumerate(_field(cfg, "columns", list))),
         rows=tuple(_pair2c(w, f"rows[{k}]") for k, w in enumerate(_field(cfg, "rows", list))),
     )
-    if params.eta == 0 or not params.columns:
-        raise InvalidParameterError("the config's eta is 0" if params.eta == 0 else "the config's columns list is empty")
+    if not params.columns:
+        raise InvalidParameterError("the config's columns list is empty")
     return params
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .params import IrfParams, to_six_vertex
 from .special import InvalidParameterError, _as_int, _as_real
 from .symfunc import _row_sweep
-from .weights import _not_probability, _turn_table, hs6v_weight, plaquette_weights
+from .weights import _turn_table, hs6v_weight, plaquette_weights
 
 __all__ = [
     "PositivityError",
@@ -110,7 +110,7 @@ def _check_turn(x: int, y: int, p_turn, sums) -> None:
     InvalidParameterError, as elliptic weights do (see ``weights``): each
     within 1e-9, on scalars or arrays over fillings; NaN fails too."""
     p = np.atleast_1d(p_turn)
-    bad = _not_probability(p)
+    bad = ~((np.abs(p.imag) <= 1e-9) & (p.real >= -1e-9) & (p.real <= 1 + 1e-9))
     if bad.any():
         raise PositivityError(f"weight {complex(p[bad][0])} outside [0,1] at vertex ({x},{y})")
     residual = float(np.abs(sums - 1.0).max())

@@ -106,11 +106,6 @@ def _ratio(f, num_args, den_args, label: str):
     return num / den
 
 
-def _not_probability(p) -> np.ndarray:
-    """True where an array's entry is no probability: NaN, inf, |imag| > 1e-9 or real outside [-1e-9, 1 + 1e-9]."""
-    return ~((np.abs(p.imag) <= 1e-9) & (p.real >= -1e-9) & (p.real <= 1 + 1e-9))
-
-
 def _check_kind(kind: str, k: int) -> None:
     if kind not in PLAQUETTE_KINDS:
         raise InvalidParameterError(f"unknown plaquette kind {kind!r}")
@@ -187,23 +182,18 @@ def _weight(kind: str, k: int, lam, zw, L, eta, f, stochastic: bool):
 
 
 def plaquette_weights(params, w: complex, stochastic: bool = False):
-    """Memoized weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
+    """Weight callback ``fn(kind, m, x, lam_x)`` of one row with parameter ``w``.
 
-    Column x supplies z and Lambda.  The memo, keyed on the exact arguments,
-    lives as long as the callback; a key is hashable, so ``lam_x`` is a
-    scalar and every denominator is checked.  An error is raised on every
-    call, never stored.
+    Column x supplies z and Lambda.  Each call checks the kind and evaluates
+    the weight, its denominator checked where ``lam_x`` is a complex scalar.
+    The row sweep asks for each plaquette once; the operator oracle, whose
+    walks repeat plaquettes, caches its callbacks.
     """
-    memo: dict = {}
     f = params.mode.f
 
     def fn(kind, m, x, lam_x):
-        key = (kind, m, x, lam_x)
-        val = memo.get(key)
-        if val is None:
-            _check_kind(kind, m)
-            val = memo[key] = _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, stochastic)
-        return val
+        _check_kind(kind, m)
+        return _weight(kind, m, lam_x, params.z(x) - w, params.lam(x), params.eta, f, stochastic)
 
     return fn
 

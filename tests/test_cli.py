@@ -491,17 +491,21 @@ class TestConfigFile:
             (lambda c: {**c, "mode": "elliptic"}, "tau"),
             (lambda c: {**c, "mode": "hyperbolic"}, "hyperbolic"),
             (lambda c: {**c, "tau": [0.0, 1.5]}, "takes no tau"),
-            (lambda c: {**c, "eta": 0}, "eta is 0"),
+            (lambda c: {**c, "eta": 0}, "f(2*eta) vanishes"),
+            (lambda c: {**c, "eta": [0.5, 0]}, "f(2*eta) vanishes"),
             (lambda c: {**c, "columns": []}, "columns list is empty"),
         ],
         ids=["missing-eta", "top-level-list", "non-numeric-Lambda", "three-number-pair", "bool-eta", "nan-eta",
-             "elliptic-without-tau", "unknown-mode", "tau-outside-elliptic-mode", "zero-eta", "no-columns"],
+             "elliptic-without-tau", "unknown-mode", "tau-outside-elliptic-mode", "zero-eta", "integer-two-eta",
+             "no-columns"],
     )
     def test_refused_config_is_a_usage_error(self, tmp_path, edit, message):
         # each of these but the unknown mode used to end in a KeyError,
         # IndexError, TypeError or (eta = 0, through --suite identities)
         # ZeroDivisionError traceback or to be read without a word; an empty
-        # column list also printed numpy warnings before its error line
+        # column list also printed numpy warnings before its error line, and
+        # eta = 1/2 in trigonometric mode (sin(2*pi*eta) = 0) passed every
+        # identity report on values near 0
         from dynirf.params import params_to_json_dict, preset
 
         path = tmp_path / "p.json"

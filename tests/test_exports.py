@@ -94,6 +94,21 @@ def test_package_imports_sit_at_module_top():
     assert found == deferred, sorted(found ^ deferred)
 
 
+def test_params_and_weights_import_only_special():
+    # the pack and the weight formulas sit under every walker: each reads
+    # special and no other module of the package (whose modules import each
+    # other by relative imports)
+    found = {}
+    for name in ("dynirf.params", "dynirf.weights"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        found[name] = {
+            node.module or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+        }
+    assert found == {"dynirf.params": {"special"}, "dynirf.weights": {"special"}}, found
+
+
 def test_no_module_recomputes_f_prime_at_zero():
     # f'(0) is bound once on the mode, as mode.fp0: no module calls a
     # function for it

@@ -49,6 +49,7 @@ from dynirf.identities import (
 )
 from dynirf.observables import (
     ObservableSpec,
+    enum_E,
     exact_E,
     mc_E,
     rising,
@@ -56,7 +57,7 @@ from dynirf.observables import (
     ssep_falling_moment,
     ssep_mean_height,
 )
-from dynirf.params import check_admissible, pq_grid, preset
+from dynirf.params import IrfParams, check_admissible, pq_grid, preset
 from dynirf.samplers import (
     ExclusionState,
     enumerate_heights,
@@ -108,6 +109,7 @@ def ctx():
     return SimpleNamespace(
         dyn6v=dyn6v,
         trig=trig,
+        elliptic=FunctionMode.elliptic(1.5j),
         grid=pq_grid(trig),
         state=QuadrantState(2, 2, zeros, zeros, dyn6v),
         step=step_exclusion_state("ssep", (2.0,)),
@@ -172,6 +174,12 @@ HOLES = [
     ("samplers.ExclusionState:s", "accepted; a run never flipped lo, a local minimum", lambda c: _heights(c, lambda x: abs(x - 1) + 1 - 2 * (x == -6))),
     ("samplers.ExclusionState:s", "accepted; a run froze at s_0 = 0.5", lambda c: _heights(c, lambda x: abs(x) + 0.5 * (x == 0))),
     ("samplers.ExclusionState:s", "accepted; value(9) read 1 off the window", lambda c: ExclusionState("ssep", (2.0,), -6, 6, {**c.step.s, 9: 1})),
+    ("observables.enum_E:lam", "nan+nanj and two numpy RuntimeWarnings", lambda c: enum_E(ObservableSpec((3, 2), 4), c.dyn6v, lam=NAN)),
+    ("params.IrfParams:columns", "accepted", lambda c: IrfParams(c.trig.mode, 0.05, 0.0, ((INF, 1.0),), (0.0,))),
+    ("params.IrfParams:eta", "accepted; identity reports passed on values near 1e-30", lambda c: IrfParams(c.trig.mode, 0.5, 0.0, c.trig.columns, c.trig.rows)),
+    ("params.IrfParams:eta", "accepted; verify --suite identities ended in a bare OverflowError", lambda c: IrfParams(c.trig.mode, 1000j, 0.0, c.trig.columns, c.trig.rows)),
+    ("params.IrfParams:eta", "accepted", lambda c: IrfParams(FunctionMode.rational(), 0.0, 0.0, ((0.5, 1.0),), (0.0,))),
+    ("params.IrfParams:eta", "accepted", lambda c: IrfParams(c.elliptic, 0.0, 0.0, ((0.5, 1.0),), (0.0,))),
 ]
 
 

@@ -167,7 +167,7 @@ class TestPresetsAndConfig:
         with pytest.raises(InvalidParameterError):
             preset("no-such-thing")
 
-    # the six spin-1/2 weights the positivity validation reads, in its order
+    # the six spin-1/2 weights of a quadrant's turn table at m <= 1
     SIX = (("A", 1), ("B", 0), ("B", 1), ("C", 1), ("D", 0), ("D", 1))
 
     @classmethod
@@ -187,8 +187,9 @@ class TestPresetsAndConfig:
 
     @classmethod
     def _scalar_validation(cls, params):
-        """The former validation loop, one scalar weight call per (shift, x,
-        y): the first (shift, weight) outside the unit interval, or None."""
+        """The six weights over filling shifts -24..24, x <= 5 and y <= 5, one
+        scalar call each: the first (shift, weight) outside the unit interval,
+        or None."""
         for m in range(-24, 25):
             lam = params.lambda0 + (-2 * params.eta) * m if params.mode.kind != "rational" else params.lambda0 + m
             for x in range(1, min(6, params.n_cols)):
@@ -198,40 +199,17 @@ class TestPresetsAndConfig:
                             return m, wgt
         return None
 
-    @pytest.mark.parametrize(
-        "name, lam_shift",
-        [("dyn6v-positive", 0), ("dyn6v-positive", 0.3), ("trig-admissible", 0), ("rational-positive", 0), ("rational-positive", 57.5)],
-    )
-    def test_positive_validation_matches_scalar_loop(self, name, lam_shift):
-        import dataclasses
-        import re
-
-        from dynirf.params import _BUILDERS, _validate_positive_preset
-
-        built = _BUILDERS[name]()
-        params = dataclasses.replace(built, lambda0=built.lambda0 + lam_shift)
-        want = self._scalar_validation(params)
-        if want is None:
-            _validate_positive_preset(params, name)
-            return
-        with pytest.raises(InvalidParameterError, match=f"preset {name} has non-probability weight") as exc:
-            _validate_positive_preset(params, name)
-        wgt, shift = re.search(r"weight (\S+) at shift (-?\d+)$", str(exc.value)).groups()
-        assert int(shift) == want[0] and abs(complex(wgt) - want[1]) < 1e-12
-
-    def test_positive_validation_rejects_out_of_range_and_non_finite(self):
-        # the array pass skips the scalar path's singular-denominator check,
-        # so a 0/0 weight (rational, lambda0 = 0) must be rejected as non-finite
+    def test_presets_keep_their_constant_facts(self):
+        # preset() builds a pack and checks nothing: the positivity presets'
+        # weights are probabilities and the identity presets are admissible
         import dataclasses
 
-        from dynirf.params import _BUILDERS, _validate_positive_preset
-
-        dyn6v = _BUILDERS["dyn6v-positive"]()
-        with pytest.raises(InvalidParameterError, match="non-probability weight .* at shift -24"):
-            _validate_positive_preset(dataclasses.replace(dyn6v, lambda0=dyn6v.lambda0 + 0.3), "shifted")
-        rational = _BUILDERS["rational-positive"]()
-        with pytest.raises(InvalidParameterError, match=r"non-probability weight \(nan"):
-            _validate_positive_preset(dataclasses.replace(rational, lambda0=0j), "singular")
+        for name in ("dyn6v-positive", "rational-positive"):
+            assert self._scalar_validation(preset(name)) is None, name
+        dyn6v = preset("dyn6v-positive")
+        assert self._scalar_validation(dataclasses.replace(dyn6v, lambda0=dyn6v.lambda0 + 0.3)) is not None
+        assert len(check_admissible(preset("trig-admissible"), 3)) == 3
+        assert len(check_admissible(preset("trig-admissible-wide"), 3, strong=True)) == 3
 
     def test_json_roundtrip(self, tmp_path):
         p = preset("trig-admissible")

@@ -1,10 +1,15 @@
-"""The memoized row-weight callback ``weights.plaquette_weights``.
+"""The row-weight callback ``weights.plaquette_weights`` and the caches around it.
 
-The lattice DPs and the operator oracle both take their plaquette weights
-from this callback; ``samplers.enumerate_heights_hs6v`` memoizes its
-lambda-free six-vertex row weights the same way.  Each memo must save work
-without changing a bit of any result.
+The lattice DPs and the operator oracle take their plaquette weights from
+this callback.  A row sweep asks for each plaquette once, so its callback
+is plain; the operator oracle, whose walks repeat plaquettes, wraps one
+callback per row parameter w in ``functools.cache``, and
+``samplers.enumerate_heights_hs6v`` caches its lambda-free six-vertex row
+weights.  Each cache must save work without changing a bit of any result,
+and store no error.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -21,8 +26,8 @@ from dynirf.weights import SingularParameterError, WeightContext, plaquette_weig
 FACTORY_USERS = (symfunc, samplers, oracle)
 
 
-def unmemoized(params, w, stochastic=False):
-    """The callback without its memo: one ``weight`` call per plaquette."""
+def uncached(params, w, stochastic=False):
+    """The callback through the public ``weight``: one call per plaquette."""
 
     def fn(kind, m, x, lam_x):
         ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
@@ -82,6 +87,7 @@ def _assert_no_repeats(groups):
 
 class TestWorkCount:
     def test_enumeration_row_evaluates_each_plaquette_once(self, dyn6v, grouped_calls):
+        # the row sweep asks for each distinct (kind, m, x, lam_x) once, so its callback needs no cache
         enumerate_heights(dyn6v, 9, (9, 6, 3))
         assert len(grouped_calls) == 9  # one callback per row
         _assert_no_repeats(grouped_calls)
@@ -93,7 +99,7 @@ class TestWorkCount:
         _assert_no_repeats(grouped_calls)
 
     def test_oracle_battery_evaluates_each_plaquette_once(self, monkeypatch):
-        # skew_B_oracle, skew_D_oracle and c_matrix_element share one
+        # skew_B_oracle, skew_D_oracle and c_matrix_element share one cached
         # callback per w across column counts and depths: the battery made
         # 16,080 weight calls when each application built its own, and
         # 8,998 when the walk also weighed the branches it drops
@@ -105,8 +111,8 @@ class TestWorkCount:
         assert len(calls) == len(set(calls)) == 8423
 
     def test_oracle_repeats_plaquettes_without_the_memo(self, monkeypatch):
-        # the memo has work to save: the same application unmemoized asks
-        # for some argument set more than once
+        # the oracle's cache has work to save: the same application uncached
+        # asks for some argument set more than once
         P = random_params(FunctionMode.trigonometric(), seed=8)
         calls = []
         real_weight = weights.weight
@@ -117,14 +123,14 @@ class TestWorkCount:
 
         monkeypatch.setattr(weights, "weight", spy)
         v = FinitaryVector({(2, 1, 1, 0, 0): 1.0 + 0.0j, (1, 2, 0, 1, 0): 0.5 + 0.0j}, 5)
-        oracle._apply("b", LAM, unmemoized(P, WS[0]), v, P, 0)
+        oracle._apply("b", LAM, uncached(P, WS[0]), v, P, 0)
         assert len(set(calls)) < len(calls)
 
 
 class TestMemoValues:
-    def _first_callback(self, monkeypatch, run):
-        """Run ``run``; return the last callback it built (recording), that
-        callback's arguments and the keys it was asked for."""
+    def _last_callback(self, monkeypatch, run):
+        """Run ``run``; return the arguments of the last callback it built
+        and the keys that callback was asked for."""
         made = []
 
         def factory(params, w, stochastic=False):
@@ -135,7 +141,7 @@ class TestMemoValues:
                 keys.append(key)
                 return fn(*key)
 
-            made.append((recording, params, w, stochastic, keys))
+            made.append((params, w, stochastic, keys))
             return recording
 
         for module in FACTORY_USERS:
@@ -145,43 +151,47 @@ class TestMemoValues:
 
     @pytest.mark.parametrize("stochastic", [True, False])
     def test_returns_exactly_weight(self, dyn6v, monkeypatch, stochastic):
+        # on the keys a row sweep (stochastic) or an operator walk asks for,
+        # a cached callback's miss and hit both equal ``weight`` bit for bit
         if stochastic:
             run = lambda: enumerate_heights(dyn6v, 5, (5, 3, 2))
         else:
             P = random_params(FunctionMode.elliptic(1.5j), seed=9)
             run = lambda: skew_B_oracle((3, 1, 0), (2,), LAM, WS[:2], P)
-        fn, params, w, stoch, keys = self._first_callback(monkeypatch, run)
-        if stochastic:
-            # the row sweep asks once per column branch, and the enumeration's
-            # last row repeats no key: ask each key again, now a memo hit
-            for key in list(keys):
-                fn(*key)
-        assert stoch == stochastic and len(set(keys)) < len(keys)
-        for kind, m, x, lam_x in list(keys):
+        params, w, stoch, keys = self._last_callback(monkeypatch, run)
+        assert stoch == stochastic and keys and len(set(keys)) == len(keys)
+        fn = functools.cache(plaquette_weights(params, w, stoch))
+        for kind, m, x, lam_x in keys:
             ctx = WeightContext(lam_x, w, params.z(x), params.lam(x), params.eta, params.mode)
             want = complex(weight(kind, m, ctx, stochastic=stoch))
-            got = complex(fn(kind, m, x, lam_x))
-            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            for _ in range(2):
+                got = complex(fn(kind, m, x, lam_x))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert fn.cache_info()[:2] == (len(keys), len(keys))  # (hits, misses)
 
     def test_singular_weight_raises_on_every_call(self, monkeypatch):
         P = random_params(FunctionMode.trigonometric(), seed=10)
         calls = []
         spy_on_weight_formulas(monkeypatch, calls.append)
-        fn = plaquette_weights(P, WS[0])
+        fn = functools.cache(plaquette_weights(P, WS[0]))
         for attempt in range(3):
             with pytest.raises(SingularParameterError):
                 fn("A", 1, 2, 0.0)  # f(lambda) = 0 in the denominator
             assert len(calls) == attempt + 1
+        assert fn.cache_info().currsize == 0
 
 
 class TestBitEqualToUnmemoized:
     def _both(self, monkeypatch, compute):
-        memoized = compute()
+        """``compute()`` as shipped, then with every callback built by
+        ``uncached`` and the oracle's cache taken away."""
+        shipped = compute()
         with monkeypatch.context() as m:
             for module in FACTORY_USERS:
-                m.setattr(module, "plaquette_weights", unmemoized)
+                m.setattr(module, "plaquette_weights", uncached)
+            m.setattr(oracle, "cache", lambda fn: fn)
             plain = compute()
-        return memoized, plain
+        return shipped, plain
 
     @pytest.mark.parametrize(
         "compute",
@@ -194,19 +204,19 @@ class TestBitEqualToUnmemoized:
     )
     def test_skew_functions(self, monkeypatch, compute):
         P = random_params(FunctionMode.elliptic(1.5j), seed=11)
-        memoized, plain = self._both(monkeypatch, lambda: compute(P))
-        assert memoized == plain
+        shipped, plain = self._both(monkeypatch, lambda: compute(P))
+        assert shipped == plain
 
     def test_stochastic_skew_B(self, dyn6v, monkeypatch):
-        memoized, plain = self._both(
+        shipped, plain = self._both(
             monkeypatch, lambda: skew_B_lattice((4, 2, 1), (2,), dyn6v.lambda0, [dyn6v.w(1), dyn6v.w(2)], dyn6v, stochastic=True)
         )
-        assert memoized == plain
+        assert shipped == plain
 
     @pytest.mark.parametrize("lam", [None, -5j])
     def test_enum_E(self, dyn6v, monkeypatch, lam):
-        memoized, plain = self._both(monkeypatch, lambda: enum_E(ObservableSpec((5, 3, 2), 5), dyn6v, lam=lam))
-        assert memoized == plain
+        shipped, plain = self._both(monkeypatch, lambda: enum_E(ObservableSpec((5, 3, 2), 5), dyn6v, lam=lam))
+        assert shipped == plain
 
 
 def unmemoized_hs6v(params, N, xs):
