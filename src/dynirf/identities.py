@@ -88,6 +88,7 @@ __all__ = [
 TOL_CLOSED = 1e-10
 TOL_SERIES = 1e-7
 TOL_QUAD = 1e-6
+_KAPPA_CAP, _RHO_CAP = 12, 14  # kappa_1 caps of the kappa-sums (whose D strips reach column 13) and of the rho-Cauchy sum
 
 
 def check_symmetrization_lemma(m: int, vs: Sequence[complex], beta: complex, mode: FunctionMode) -> CheckReport:
@@ -162,12 +163,12 @@ def _convergence_monitor(u: complex, v: complex, lam: complex, n: int, params: I
 
 def check_skew_cauchy(mu, nu, us, vs, params: IrfParams) -> CheckReport:
     """Skew-Cauchy identity at lam = params.lambda0 with k = len(us), l = len(vs),
-    kappa-sum truncated at kappa_1 <= 12; a mu_1 past 12 is refused.
+    kappa-sum truncated at kappa_1 <= _KAPPA_CAP; a mu_1 past it is refused.
 
     At k = l = 1 the report also carries the convergence-condition product
     at two depths.
     """
-    mu, nu, cap = Signature(tuple(mu)), Signature(tuple(nu)), 12
+    mu, nu, cap = Signature(tuple(mu)), Signature(tuple(nu)), _KAPPA_CAP
     k, l = len(us), len(vs)
     if not k or not l or mu.length != nu.length + k:
         raise InvalidParameterError("need len(mu) = len(nu) + len(us) and at least one u and one v")
@@ -213,9 +214,9 @@ def _series_report(name: str, parameters: dict, lhs, rhs, cap: int, tail) -> Che
 
 
 def check_pieri2(nu, u, vs, params: IrfParams) -> CheckReport:
-    """The second Pieri rule at lam = params.lambda0, truncated at kappa_1 <= 12:
+    """The second Pieri rule at lam = params.lambda0, truncated at kappa_1 <= _KAPPA_CAP:
     sum_kappa D_kappa(lam; vs) B_{kappa/nu}(lam + 2*eta*l; u), l = len(vs)."""
-    lam, eta, f, cap = params.lambda0, params.eta, params.f, 12
+    lam, eta, f, cap = params.lambda0, params.eta, params.f, _KAPPA_CAP
     nu, l = Signature(tuple(nu)), len(vs)
     b_law = _strip(nu, lam + 2 * eta * l, [u], params, "B", cap=cap)
     lhs, tail = _capped_sum(
@@ -231,9 +232,9 @@ def check_pieri2(nu, u, vs, params: IrfParams) -> CheckReport:
 
 
 def check_pieri(nu, us, v, params: IrfParams) -> CheckReport:
-    """The Pieri rule at lam = params.lambda0, truncated at kappa_1 <= 12, len(nu) = len(us) = k:
+    """The Pieri rule at lam = params.lambda0, truncated at kappa_1 <= _KAPPA_CAP, len(nu) = len(us) = k:
     sum_kappa D^norm_{kappa/nu}(lam; v) B^norm_kappa(lam + 2*eta; us)."""
-    lam, eta, cap = params.lambda0, params.eta, 12
+    lam, eta, cap = params.lambda0, params.eta, _KAPPA_CAP
     nu, k = Signature(tuple(nu)), len(us)
     if nu.length != k:
         raise InvalidParameterError("pieri needs len(nu) = len(us)")
@@ -249,9 +250,9 @@ def check_pieri(nu, us, v, params: IrfParams) -> CheckReport:
 
 
 def check_cauchy(us, vs, params: IrfParams) -> CheckReport:
-    """The Cauchy identity at lam = params.lambda0, truncated at kappa_1 <= 12, k = len(us), l = len(vs):
+    """The Cauchy identity at lam = params.lambda0, truncated at kappa_1 <= _KAPPA_CAP, k = len(us), l = len(vs):
     sum_kappa D^norm_kappa(lam; vs) B^norm_kappa(lam + 2*eta*l; us)."""
-    lam, eta, cap = params.lambda0, params.eta, 12
+    lam, eta, cap = params.lambda0, params.eta, _KAPPA_CAP
     k, l = len(us), len(vs)
     if not k or not l:
         raise InvalidParameterError("cauchy needs us and vs")
@@ -268,8 +269,8 @@ def check_cauchy(us, vs, params: IrfParams) -> CheckReport:
 
 def check_cauchy_rho(N: int, us, params: IrfParams) -> CheckReport:
     """rho-specialized Cauchy identity at lam = params.lambda0, truncated at
-    kappa_1 <= 14 (trigonometric mode only)."""
-    lam, cap = params.lambda0, 14
+    kappa_1 <= _RHO_CAP (trigonometric mode only)."""
+    lam, cap = params.lambda0, _RHO_CAP
     N = _as_int(N, "the variable count N", 0)
     if len(us) != N:
         raise InvalidParameterError("need exactly N spectral arguments")
@@ -658,9 +659,11 @@ def _weights_battery(rng: np.random.Generator, pack: IrfParams) -> list:
 
 def _identity_battery(rng: np.random.Generator, params: IrfParams) -> list:
     """The symmetrization, skew-Cauchy, Pieri, Cauchy, orthogonality, integral
-    and nested-sum reports over ``params``; the rho-specialized reports on
-    ``params`` run only in trigonometric mode, where rho is defined."""
+    and nested-sum reports over ``params``, refused before the first if it has too few columns;
+    the rho-specialized reports run only in trigonometric mode, where rho is defined."""
     grid, rho = pq_grid(params), params.mode.kind == "trigonometric"
+    if params.n_cols < (need := _RHO_CAP + 1 if rho else _KAPPA_CAP + 2):
+        raise InvalidParameterError(f"the identity battery needs {need} columns; the parameter pack has {params.n_cols}")
     p0, q0 = (complex(np.mean(np.array(side))) for side in (grid.p, grid.q))
     by_p, by_q = (rng, p0, 0.002, 0.0015), (rng, q0 + 0.03 + 0.01j, 0.004, 0.004)  # _near draws by the p and off the q cluster
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .params import IrfParams, to_six_vertex
 from .special import InvalidParameterError, _as_int, _as_real
-from .symfunc import _row_sweep
+from .symfunc import _filling, _row_sweep
 from .weights import _turn_table, hs6v_weight, plaquette_weights
 
 __all__ = [
@@ -157,22 +157,21 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
     The occupations are int8, or int64 where a column can hold more than
     127 arrows.
 
-    On row y the filling at column x is lambda0 - 2 eta (y + Lambda_1 + ...
-    + Lambda_{x-1}) + 4 eta c, where c counts the arrows the trajectory has
-    sent up in the row so far: at most y, and at most the columns' caps
-    summed, a column's cap being its Lambda where that is an integer (else
-    y).  Each trajectory carries its count; column x weighs its reachable
-    fillings once per vertex, the same table in every block, by c, the
-    arrows m <= min(y - 1, cap) entering from below and the one entering
-    from the left or not (``weights._turn_table``).  Every trajectory's
-    turn probability is checked to lie in [0, 1], and every a_m + c_m and
-    b_m + d_m in the table to be one, within 1e-9 (``_check_turn``).
+    Row y's filling at column x is the row sweep's ``symfunc._filling`` of
+    c from lambda0 - 2 eta y at column 1, c counting the arrows sent up in
+    the row so far: at most y, and at most the columns' caps summed, a
+    column's cap being its Lambda where that is an integer (else y).  Each
+    trajectory carries its count; column x weighs its reachable fillings
+    once per vertex, the same table in every block, by c, the arrows m <=
+    min(y - 1, cap) entering from below and the one from the left or not
+    (``weights._turn_table``).  Every trajectory's turn probability is
+    checked to lie in [0, 1], and every a_m + c_m and b_m + d_m in the
+    table to be one, within 1e-9 (``_check_turn``).
 
     A sweep holds 2 (X+1)(Y+1) bytes of int8 occupations per trajectory;
     ``_irf_height_blocks`` sweeps a run in blocks of 2^13 trajectories and
     keeps only their heights.
     """
-    two_eta = 2 * params.eta
     n_traj = hi - lo
     caps = [_column_cap(params, x, Y) for x in range(1, X + 1)]
     dtype = np.int8 if max(caps, default=0) <= 127 else np.int64
@@ -185,7 +184,7 @@ def _irf_batch(params: IrfParams, X: int, Y: int, seed: int, lo: int, hi: int) -
         for x in range(1, X + 1):
             i1 = vout[:, x, y - 1]
             n_c, M = min(y, sum(caps[: x - 1])) + 1, min(y - 1, caps[x - 1])
-            fill = params.lambda0 - two_eta * (y + params.lam_sum(1, x)) + 2 * two_eta * np.arange(n_c)
+            fill = _filling(params, params.lambda0 - 2 * params.eta * y, 1, x, np.arange(n_c))
             stay, turn = _turn_table(fill, params.z(x) - params.w(y), params.lam(x), params.eta, params.mode.f, M)
             # the probability that an arrow exits right, by carry, m and c
             p_turn = turn.ravel().take((carry * (M + 1) + i1) * n_c + count)
@@ -241,7 +240,6 @@ def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
     InvalidParameterError.
     """
     N, xs = _check_rows(params, N), _check_sites(params, xs)
-    lam0, two_eta = params.lambda0, 2 * params.eta
     if row_weights is None:
         row_weights = lambda y: plaquette_weights(params, params.w(y), True)
     # one stochastic row over columns 1..max(xs) - 1 at a time; a path still
@@ -250,7 +248,7 @@ def enumerate_heights(params: IrfParams, N: int, xs, row_weights=None):
     dist = {(0,) * max(max(xs) - 1, 0): 1.0 + 0.0j}
     for y in range(1, N + 1):
         new: dict = {}
-        for (top, _), amp in _row_sweep(params, dist, 1, lam0 - two_eta * y, row_weights(y)).items():
+        for (top, _), amp in _row_sweep(params, dist, 1, params.lambda0 - 2 * params.eta * y, row_weights(y)).items():
             new[top] = new.get(top, 0.0) + amp
         dist = new
     out: dict = {}

@@ -21,6 +21,8 @@ column cap (``stoch_B_sum`` and the kappa-sums of ``identities``) or,
 pruned to the states that can still reach a given top, that top's value
 (``skew_B_lattice``, ``skew_D_lattice``).  ``samplers.enumerate_heights``
 sweeps its rows itself, since it absorbs the paths that leave its window.
+A plaquette's filling is fixed by the count of paths gone up left of it:
+one ``_filling`` prices it for the sweep, the strips and the batch sampler.
 
 Conventions.  Signatures are weakly decreasing tuples of nonnegative
 integers; ``D_nu`` means the skew function against the zero signature of
@@ -333,34 +335,39 @@ def signatures_in_box(lows, highs):
     return rec(())
 
 
+def _filling(params: IrfParams, lam_start: complex, first: int, x: int, count):
+    """Column x's top-left filling after ``count`` paths (an int or an int array) went up in
+    columns first..x-1 of a row that starts at lam_start: lam_start - 2*eta*Lambda_[first, x) + 4*eta*count."""
+    return lam_start - 2 * params.eta * params.lam_sum(first, x) + 4 * params.eta * count
+
+
 def _row_sweep(params: IrfParams, dist: dict, first: int, lam_start: complex, weight_fn, top: tuple | None = None) -> dict:
     """Push a {bottom occupations: amplitude} map through one row of plaquettes.
 
     Occupation tuples cover columns first, first + 1, ...  One path enters
     from the left at column ``first``, whose top-left unit square has
     filling ``lam_start``.  At column x the carry out of the plaquette fixes
-    the top occupation n = m + carry - carry_out, and crossing the column
-    advances the filling by 4*eta*n - 2*eta*Lambda_x.  ``weight_fn(kind, m,
-    x, lam_x)`` weighs a plaquette (``weights.plaquette_weights``); with
+    the top occupation n = m + carry - carry_out.  ``weight_fn(kind, m, x,
+    lam_x)`` weighs a plaquette (``weights.plaquette_weights``); with
     ``top`` only the configuration with those top occupations is followed.
     The sweep state before column x is (tops left of x and bottoms from x
-    on, carry); it fixes lam_x, so paths from different bottoms that reach
-    it add up there.  Each column keeps a branch table {(carry, m, lam_x):
-    [(carry_out, n, weight, next filling)]}, built the first time the sweep
-    meets that key, so ``weight_fn`` is asked once per distinct plaquette of
-    the column.  Returns {(top occupations, carry out of the row): amplitude}.
+    on, carry), so paths from different bottoms that reach it add up there;
+    its count of paths gone up left of x fixes lam_x (``_filling``).  Each
+    column keeps a branch table {(carry, m, count): [(carry_out, n,
+    weight)]}, built the first time the sweep meets that key, so
+    ``weight_fn`` is asked once per distinct plaquette of the column.
+    Returns {(top occupations, carry out of the row): amplitude}.
     """
-    four_eta = 4 * params.eta
-    states = {(occ, 1): [lam_start, amp] for occ, amp in dist.items()}
+    states = {(occ, 1): [0, amp] for occ, amp in dist.items()}
     for i in range(len(next(iter(dist), ()))):
         x = first + i
-        shift = 2 * params.eta * params.lam(x)
         new, table = {}, {}
-        for (occ, carry), (lam_x, amp) in states.items():
+        for (occ, carry), (count, amp) in states.items():
             m = occ[i]
-            branches = table.get((carry, m, lam_x))
+            branches = table.get((carry, m, count))
             if branches is None:
-                branches = table[carry, m, lam_x] = []
+                branches = table[carry, m, count] = []
+                lam_x = _filling(params, lam_start, first, x, count)
                 for carry_out in (0, 1):
                     n = m + carry - carry_out
                     if n < 0 or (top is not None and n != top[i]):
@@ -368,12 +375,12 @@ def _row_sweep(params: IrfParams, dist: dict, first: int, lam_start: complex, we
                     # an empty plaquette weighs exactly 1
                     wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
                     if wgt != 0:
-                        branches.append((carry_out, n, wgt, lam_x + four_eta * n - shift))
-            for carry_out, n, wgt, lam_next in branches:
+                        branches.append((carry_out, n, wgt))
+            for carry_out, n, wgt in branches:
                 key = (occ if n == m else occ[:i] + (n,) + occ[i + 1 :], carry_out)
                 entry = new.get(key)
                 if entry is None:
-                    new[key] = [lam_next, amp * wgt]
+                    new[key] = [count + n, amp * wgt]
                 else:
                     entry[1] += amp * wgt
         states = new
@@ -396,7 +403,8 @@ def _strip(start, lam: complex, ws, params: IrfParams, kind: str, end=None, cap:
       f(z_x - w + (1-Lambda_x) eta).  The infinite product over empty
       columns telescopes against the normalization, leaving 1/f(lambda_X)
       at the first untouched column X, so appending empty columns leaves a
-      D row unchanged: every D row runs over columns 0..start_1.
+      D row unchanged: every D row runs over columns 0..start_1.  As each
+      top holds start.length paths, one factor serves the whole row.
 
     With a Signature ``end`` only the states that can still interlace into
     it are kept, the last row's tops are fixed to it, and its value is
@@ -422,21 +430,12 @@ def _strip(start, lam: complex, ws, params: IrfParams, kind: str, end=None, cap:
     for j in range(len(ws), 0, -1):
         w, lam_row = ws[j - 1], lam + 2 * eta * (j - 1)
         top = end.occupations(first, last) if end is not None and j == 1 else None
-        lam_start = lam_row - 2 * eta * params.lam(0) if kind == "stoch" else lam_row
-        sweep = _row_sweep(params, dist, first, lam_start, plaquette_weights(params, w, kind == "stoch"), top)
+        sweep = _row_sweep(params, dist, first, _filling(params, lam_row, 0, first, 0), plaquette_weights(params, w, kind == "stoch"), top)
         if kind == "D":
-            cols = [f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta) for x in range(last + 1)]
-        dist = {}
-        for (tops, carry), amp in sweep.items():
-            if carry != (kind == "D") or (end is not None and not reaches_end(parts(tops), j - 1)):
-                continue
-            if kind == "D":
-                lam_x = lam_row
-                for x, col in enumerate(cols):
-                    amp *= col
-                    lam_x = lam_x + 4 * eta * tops[x] - 2 * eta * params.lam(x)
-                amp = amp / f(lam_x)
-            dist[tops] = amp
+            factor = math.prod(f(params.z(x) - w + (params.lam(x) + 1) * eta) / f(params.z(x) - w + (-params.lam(x) + 1) * eta) for x in range(last + 1))
+            factor /= f(_filling(params, lam_row, 0, last + 1, start.length))
+        dist = {tops: amp * factor if kind == "D" else amp for (tops, carry), amp in sweep.items()
+                if carry == (kind == "D") and (end is None or reaches_end(parts(tops), j - 1))}
     law = {Signature(parts(occ)): amp for occ, amp in dist.items()}
     return law if end is None else law.get(end, 0.0 + 0.0j)
 

@@ -514,6 +514,19 @@ class TestConfigFile:
         assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("dynirf: error: ") and proc.stderr.count("\n") == 1 and message in proc.stderr
 
+    @pytest.mark.parametrize("n_cols", [13, 14])
+    def test_short_pack_is_refused_before_the_identity_reports(self, tmp_path, n_cols):
+        # a trigonometric pack needs 15 columns (the rho-Cauchy sum reads
+        # column 14); these used to exit 2 only after several reports ran
+        from dynirf.params import params_to_json_dict, preset
+
+        cfg = params_to_json_dict(preset("trig-admissible"))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**cfg, "columns": cfg["columns"][:n_cols]}), encoding="utf-8")
+        proc = run_cli("verify", "--suite", "identities", "--config", str(path), check=False)
+        assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("dynirf: error: ") and proc.stderr.count("\n") == 1 and "15 columns" in proc.stderr
+
 
 ALL_REPORT_NAMES = sorted([
     "D-integral-(1,)-n1", "D-integral-(2, 1)-n2",

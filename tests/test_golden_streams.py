@@ -73,7 +73,7 @@ def test_cli_simulate(capsys):
 def test_cli_verify_all(capsys):
     # the whole verify battery's stdout, theta and every weight route included
     assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
-    assert digest(capsys.readouterr().out.encode()) == "fcc04e9035e7d399"
+    assert digest(capsys.readouterr().out.encode()) == "de29f4e376af7937"
 
 
 def test_enumeration_laws():
@@ -81,7 +81,7 @@ def test_enumeration_laws():
     # workload enumerates, pinned on the repr of the list of the two dicts
     P = preset("dyn6v-positive")
     laws = [enumerate_heights(P, N, xs) for xs, N in (((5, 3, 2), 5), ((9, 6, 3), 9))]
-    assert digest(repr(laws).encode()) == "656af4db6e559146"
+    assert digest(repr(laws).encode()) == "41acdac4d8de16d4"
 
 
 def test_duality_moments():

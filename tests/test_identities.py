@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -321,6 +322,34 @@ class TestNestedSum:
         Y = RNG.standard_normal((3, 8))
         r = check_nested_sum_lemma(3, (2, 3, 5), Y)
         assert r.passed and r.residual < 1e-12
+
+
+class TestIdentityBatteryColumns:
+    class Reached(Exception):
+        pass
+
+    @pytest.mark.parametrize("name, n_cols, need", [("trig-admissible", 13, 15), ("trig-admissible", 14, 15), ("rational-positive", 13, 14)])
+    def test_short_pack_is_refused_before_any_report(self, monkeypatch, name, n_cols, need):
+        # these packs used to run the symmetrization reports (and, at 14
+        # trigonometric columns, skew-Cauchy, Pieri and Cauchy) before a
+        # strip or D_rho ran off the last column
+        def never(*args):
+            raise AssertionError("ran a report on a pack the battery cannot finish")
+
+        monkeypatch.setattr(identities, "check_symmetrization_lemma", never)
+        pack = dataclasses.replace(preset(name), columns=preset(name).columns[:n_cols])
+        with pytest.raises(InvalidParameterError, match=f"needs {need} columns; the parameter pack has {n_cols}"):
+            identities._identity_battery(np.random.default_rng(0), pack)
+
+    @pytest.mark.parametrize("name, n_cols", [("trig-admissible", 15), ("rational-positive", 14)])
+    def test_pack_with_enough_columns_reaches_the_first_report(self, monkeypatch, name, n_cols):
+        def reached(*args):
+            raise self.Reached
+
+        monkeypatch.setattr(identities, "check_symmetrization_lemma", reached)
+        pack = dataclasses.replace(preset(name), columns=preset(name).columns[:n_cols])
+        with pytest.raises(self.Reached):
+            identities._identity_battery(np.random.default_rng(0), pack)
 
 
 class TestRandomBatteries:

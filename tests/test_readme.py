@@ -30,14 +30,14 @@ COMMANDS = readme_cli_commands()
 # stated reason, and its digest is re-pinned with it
 STDOUT_SHA256 = {
     "dynirf verify --suite weights --seed 0": "cc2ba3134230042f",
-    "dynirf verify --suite identities --preset trig-admissible": "edf3859c38db66a3",
-    "dynirf verify --suite identities --preset rational-positive": "ba6b16435d00c52b",
+    "dynirf verify --suite identities --preset trig-admissible": "e577eb1d99d4375e",
+    "dynirf verify --suite identities --preset rational-positive": "1f57c5a470c82431",
     "dynirf simulate --model ssep --lambda-bar 2 --t 1 --trajectories 50 --seed 7 --dump snapshot": "3d1e610854a17a4d",
     "dynirf simulate --model asep --q 0.5 --alpha 2 --t 2 --trajectories 4 --seed 3": "f46f1b9b20ac5f2d",
-    "dynirf observables --model dyn6v --xs 3,2 --N 4 --compare exact,mc,enum --samples 5000 --seed 1": "ab550de59d2a50a1",
+    "dynirf observables --model dyn6v --xs 3,2 --N 4 --compare exact,mc,enum --samples 5000 --seed 1": "30e184e2ed247ba1",
     "dynirf observables --model ssep --xs 1,0 --t 1 --lambda-bar 2 --compare exact,mc --samples 20000 --seed 2": "306a1a4638317374",
     "dynirf observables --model ssep --xs 3,0 --t 20 --compare exact,mc": "4be7486bb9d488ac",
-    "dynirf observables --model dyn6v --xs 4,3,2,1 --N 4 --compare exact,enum": "665e18a557652498",
+    "dynirf observables --model dyn6v --xs 4,3,2,1 --N 4 --compare exact,enum": "b4ac954de8b37424",
     "dynirf observables --model dyn6v --xs 2,1 --N 3 --compare enum --lambdas 0.1:0.2,0.3:-0.1,-0.2:0.15": "ec2d5117023faa90",
     "dynirf asymptotics --check hydro": "628778260cbc002f",
     "dynirf asymptotics --check profile --L 50 --samples 120 --chi=-0.5,0.0,0.5": "d2b537fccfe8dd93",

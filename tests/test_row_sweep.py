@@ -5,8 +5,10 @@ whole distribution through each row in one sweep.  The reference below
 expands every bottom on its own by a depth-first walk over the row's
 configurations, as the lattice routes once did, and adds the results up
 per top.  Both must give the same keys and the same amplitudes up to
-summation order.  A second reference, the sweep as it was before each
-column kept a branch table, must give the same laws bit for bit.
+summation order; the walk carries its filling as a running sum, while the
+sweep prices it from the count of paths gone up (``symfunc._filling``).  A
+second reference, the sweep without its branch table, each state pricing
+its own count by ``_filling``, must give the same laws bit for bit.
 """
 
 import numpy as np
@@ -203,27 +205,26 @@ def test_enum_E_rejects_elliptic_packs(monkeypatch):
 
 
 def per_state_row_sweep(params, dist, first, lam_start, weight_fn, top=None):
-    """``symfunc._row_sweep`` before its branch table: each state asks
-    ``weight_fn`` for every branch and prices the next filling itself."""
-    four_eta = 4 * params.eta
-    states = {(occ, 1): [lam_start, amp] for occ, amp in dist.items()}
+    """``symfunc._row_sweep`` without its branch table: each state asks
+    ``weight_fn`` for every branch at the filling of its own path count."""
+    states = {(occ, 1): [0, amp] for occ, amp in dist.items()}
     for i in range(len(next(iter(dist), ()))):
         x = first + i
-        shift = 2 * params.eta * params.lam(x)
         new: dict = {}
-        for (occ, carry), (lam_x, amp) in states.items():
+        for (occ, carry), (count, amp) in states.items():
             m = occ[i]
             for carry_out in (0, 1):
                 n = m + carry - carry_out
                 if n < 0 or (top is not None and n != top[i]):
                     continue
+                lam_x = symfunc._filling(params, lam_start, first, x, count)
                 wgt = 1.0 if carry == carry_out == m == 0 else weight_fn(_ROW_KIND[carry, carry_out], m, x, lam_x)
                 if wgt == 0:
                     continue
                 key = (occ if n == m else occ[:i] + (n,) + occ[i + 1 :], carry_out)
                 entry = new.get(key)
                 if entry is None:
-                    new[key] = [lam_x + four_eta * n - shift, amp * wgt]
+                    new[key] = [count + n, amp * wgt]
                 else:
                     entry[1] += amp * wgt
         states = new
@@ -262,3 +263,58 @@ def test_branch_table_bit_equal_to_per_state_sweep(run, monkeypatch):
         assert want and repr(list(got.items())) == repr(list(want.items()))
     else:
         assert want != 0 and repr(got) == repr(want)
+
+
+def _bits(z):
+    return (complex(z).real.hex(), complex(z).imag.hex())
+
+
+def test_each_path_count_is_priced_at_one_filling():
+    # the filling of a column depends on the paths gone up left of it and on
+    # nothing else: every (row, column, count) the sweep asks its callback
+    # about carries one filling, bit for bit
+    params, seen = preset("dyn6v-positive"), {}
+
+    def row_weights(y):
+        weight_fn = plaquette_weights(params, params.w(y), True)
+
+        def spy(kind, m, x, lam_x):
+            shift = lam_x - (params.lambda0 - 2 * params.eta * y) + 2 * params.eta * params.lam_sum(1, x)
+            count = round((shift / (4 * params.eta)).real)
+            seen.setdefault((y, x, count), set()).add(_bits(lam_x))
+            return weight_fn(kind, m, x, lam_x)
+
+        return spy
+
+    enumerate_heights(params, 9, (9, 6, 3), row_weights=row_weights)
+    assert len(seen) == 240 and all(len(fills) == 1 for fills in seen.values())
+
+
+def test_sweep_and_batch_sampler_share_their_fillings(monkeypatch):
+    # every filling the enumeration prices is one the batch sampler weighs at
+    # the same row and column
+    params, N, X = preset("dyn6v-positive"), 5, 4
+    swept = set()
+
+    def row_weights(y):
+        weight_fn = plaquette_weights(params, params.w(y), True)
+
+        def spy(kind, m, x, lam_x):
+            swept.add((y, x, _bits(lam_x)))
+            return weight_fn(kind, m, x, lam_x)
+
+        return spy
+
+    enumerate_heights(params, N, (5, 3, 2), row_weights=row_weights)
+    tables = []
+    real = samplers._turn_table
+
+    def record(lam, *args):
+        tables.append([_bits(v) for v in np.atleast_1d(lam)])
+        return real(lam, *args)
+
+    monkeypatch.setattr(samplers, "_turn_table", record)
+    samplers._irf_batch(params, X, N, 0, 0, 4)
+    assert len(tables) == N * X  # rows 1..N, each over columns 1..X
+    batch = {(k // X + 1, k % X + 1, fill) for k, table in enumerate(tables) for fill in table}
+    assert swept and swept <= batch

@@ -494,4 +494,4 @@ class TestFormulaPin:
                         out.append(stoch_B_formula(kappa, nu, lam, us[:k], P))
         text = "\n".join(repr(complex(v)) for v in out)
         assert len(out) == 104
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "42d9330f3af0ec31"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8da38e80f9e1328c"

@@ -258,6 +258,6 @@ class TestHs6vRowMemo:
         calls.clear()
         unmemoized_hs6v(dyn6v, 5, (5, 3, 2))
         assert len(memoized) == len(set(memoized)) == len(set(calls))
-        # the row sweep asks once per column branch (carry, m, lam_x) over
-        # columns 1..4: 222 unmemoized calls for 96 distinct argument sets
-        assert (len(calls), len(memoized)) == (222, 96)
+        # the row sweep asks once per column branch (carry, m, path count)
+        # over columns 1..4: 180 unmemoized calls for 96 distinct argument sets
+        assert (len(calls), len(memoized)) == (180, 96)
